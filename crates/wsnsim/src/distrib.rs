@@ -56,17 +56,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ScenarioConfig;
 use crate::experiment::{
-    worst_ci_half_width, ExperimentJob, ExperimentReport, ExperimentSpec, SequentialOutcome,
-    SequentialRound, SequentialStopping,
+    worst_ci_half_width, ExperimentJob, ExperimentReport, ExperimentSpec, GridCell,
+    SequentialOutcome, SequentialRound, SequentialStopping,
 };
 use crate::faults::{self, retry_transient, RetryPolicy, RunEvent};
-use crate::persist::{
-    config_hash, fnv1a64, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError, StoreOptions,
-};
+use crate::persist::{ExperimentStore, JobFailure, JobKey, JobRecord, StoreError, StoreOptions};
 use crate::runner::SimulationRun;
+use crate::spec::ResolvedSpec;
 
-/// Manifest format version (bumped on incompatible layout changes).
-pub const MANIFEST_VERSION: u64 = 1;
+/// Manifest format version (bumped on incompatible layout changes; 2 hashes
+/// the resolved spec instead of the job list).
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// File name of the grid manifest inside a shard directory.
 pub const MANIFEST_FILE: &str = "grid.json";
@@ -264,9 +264,44 @@ impl ManifestJob {
             policy: self.policy,
             seed: self.seed,
             config: self.config.clone(),
+            config_hash: self.config_hash,
         };
         let result = SimulationRun::new(job.config.clone()).run();
         JobRecord::from_result(&self.scenario, self.policy_index, &job, &result)
+    }
+
+    /// The manifest form of one of `spec`'s jobs.
+    fn new(spec: &ExperimentSpec, policy_index: usize, job: ExperimentJob) -> Self {
+        ManifestJob {
+            scenario_index: job.scenario,
+            scenario: spec.scenarios[job.scenario].label.clone(),
+            policy_index,
+            policy: job.policy,
+            seed: job.seed,
+            config_hash: job.config_hash,
+            config: job.config,
+        }
+    }
+
+    /// Rebuild the jobs at `keys` of the grid `spec` describes, through the
+    /// constructor [`ExperimentSpec::enumerate_jobs`] uses, preparing each
+    /// (scenario, policy) cell once — how a socket worker turns a grant's
+    /// keys back into runnable jobs.  `None` when a key's scenario or
+    /// policy index is off the grid.
+    pub fn at_keys(spec: &ExperimentSpec, keys: &[JobKey]) -> Option<Vec<ManifestJob>> {
+        let mut cells: HashMap<(usize, usize), GridCell> = HashMap::new();
+        keys.iter()
+            .map(|&(scenario, policy_index, seed)| {
+                let policy = *spec.policies.get(policy_index)?;
+                if scenario >= spec.scenarios.len() {
+                    return None;
+                }
+                let cell = cells
+                    .entry((scenario, policy_index))
+                    .or_insert_with(|| spec.cell(scenario, policy));
+                Some(ManifestJob::new(spec, policy_index, cell.job(seed)))
+            })
+            .collect()
     }
 }
 
@@ -277,10 +312,10 @@ impl ManifestJob {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridManifest {
     caem_distrib_manifest: u64,
-    /// FNV-1a hash of the serialized job list — the grid identity compared
-    /// when a coordinator resumes a directory.  Deliberately independent of
-    /// the shard partition, so a grid started with `--workers 3` can be
-    /// resumed with any worker count (the on-disk partition is kept).
+    /// [`ResolvedSpec::hash`] of the grid — the identity compared when a
+    /// coordinator resumes a directory.  Independent of the shard
+    /// partition, so a grid started with `--workers 3` can be resumed with
+    /// any worker count (the on-disk partition is kept).
     pub grid_hash: u64,
     /// Number of claimable shards the job list is partitioned into.
     pub shard_count: usize,
@@ -310,30 +345,16 @@ impl GridManifest {
                     .iter()
                     .position(|&p| p == job.policy)
                     .expect("enumerated jobs carry spec policies");
-                ManifestJob {
-                    scenario_index: job.scenario,
-                    scenario: spec.scenarios[job.scenario].label.clone(),
-                    policy_index,
-                    policy: job.policy,
-                    seed: job.seed,
-                    config_hash: config_hash(&job.config),
-                    config: job.config,
-                }
+                ManifestJob::new(spec, policy_index, job)
             })
             .collect();
-        let grid_hash = Self::hash_identity(&jobs);
         GridManifest {
             caem_distrib_manifest: MANIFEST_VERSION,
-            grid_hash,
+            grid_hash: ResolvedSpec::of(spec).hash(),
             shard_count,
             seeds: spec.seeds.clone(),
             jobs,
         }
-    }
-
-    fn hash_identity(jobs: &[ManifestJob]) -> u64 {
-        let text = serde_json::to_string(&jobs.to_vec()).expect("manifest jobs always serialize");
-        fnv1a64(text.as_bytes())
     }
 
     /// The jobs belonging to one shard.
@@ -374,27 +395,6 @@ impl GridManifest {
             ));
         }
         Ok(manifest)
-    }
-
-    /// Reconstruct the canonical resolved spec this manifest was derived
-    /// from — what a worker on another machine can dump to verify the grid
-    /// definition it received matches the coordinator's `--print-spec`.
-    pub fn resolved_spec(&self) -> crate::spec::ResolvedSpec {
-        let mut scenarios: Vec<(String, u64, ScenarioConfig)> = Vec::new();
-        let mut policies = Vec::new();
-        for job in &self.jobs {
-            if !scenarios.iter().any(|(label, _, _)| *label == job.scenario) {
-                scenarios.push((job.scenario.clone(), job.config_hash, job.config.clone()));
-            }
-            if !policies.contains(&job.policy) {
-                policies.push(job.policy);
-            }
-        }
-        crate::spec::ResolvedSpec {
-            scenarios,
-            policies,
-            seeds: self.seeds.clone(),
-        }
     }
 
     /// Validity lookup for merged records: job key → (config hash, label).
@@ -1443,6 +1443,7 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::experiment::ScenarioSpec;
+    use crate::persist::config_hash;
     use caem_simcore::time::Duration;
 
     fn temp_grid(name: &str) -> PathBuf {

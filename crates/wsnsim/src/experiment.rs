@@ -37,7 +37,7 @@ use rayon::prelude::*;
 use serde_json::{json, Value};
 
 use crate::config::{ConfigError, ScenarioConfig};
-use crate::persist::{config_hash, ExperimentStore, JobRecord};
+use crate::persist::{ExperimentStore, JobRecord, SeedSplicedHash};
 use crate::result::SimulationResult;
 use crate::runner::SimulationRun;
 use crate::sweep::PAPER_POLICIES;
@@ -85,6 +85,34 @@ pub struct ExperimentJob {
     pub seed: u64,
     /// The resolved scenario configuration.
     pub config: ScenarioConfig,
+    /// [`config_hash`](crate::persist::config_hash) of `config`.
+    pub config_hash: u64,
+}
+
+/// One (scenario, policy) cell of a grid: the configuration each of its
+/// seeds specializes, with that configuration's seed-spliced hash.
+///
+/// This is the one constructor of jobs.  Grid enumeration and a socket
+/// worker rebuilding a grant's jobs from their keys both call
+/// [`GridCell::job`], so a job and its hash are the same either way.
+pub(crate) struct GridCell {
+    scenario: usize,
+    policy: PolicyKind,
+    config: ScenarioConfig,
+    hash: SeedSplicedHash,
+}
+
+impl GridCell {
+    /// The cell's job at `seed`.
+    pub(crate) fn job(&self, seed: u64) -> ExperimentJob {
+        ExperimentJob {
+            scenario: self.scenario,
+            policy: self.policy,
+            seed,
+            config: self.config.clone().with_seed(seed),
+            config_hash: self.hash.at(seed),
+        }
+    }
 }
 
 /// A replicated experiment grid: scenarios × policies × seeds.
@@ -120,19 +148,24 @@ impl ExperimentSpec {
     /// row-major order (scenario outermost, seed innermost).
     pub fn enumerate_jobs(&self) -> Vec<ExperimentJob> {
         let mut jobs = Vec::with_capacity(self.job_count());
-        for (si, scenario) in self.scenarios.iter().enumerate() {
+        for scenario in 0..self.scenarios.len() {
             for &policy in &self.policies {
-                for &seed in &self.seeds {
-                    jobs.push(ExperimentJob {
-                        scenario: si,
-                        policy,
-                        seed,
-                        config: scenario.base.clone().with_policy(policy).with_seed(seed),
-                    });
-                }
+                let cell = self.cell(scenario, policy);
+                jobs.extend(self.seeds.iter().map(|&seed| cell.job(seed)));
             }
         }
         jobs
+    }
+
+    /// The (scenario, policy) cell every seed of that pair specializes.
+    pub(crate) fn cell(&self, scenario: usize, policy: PolicyKind) -> GridCell {
+        let config = self.scenarios[scenario].base.clone().with_policy(policy);
+        GridCell {
+            scenario,
+            policy,
+            hash: SeedSplicedHash::new(&config),
+            config,
+        }
     }
 
     /// The position of a job's policy in this spec's policy list.
@@ -206,7 +239,7 @@ impl ExperimentSpec {
                 store
                     .get(
                         (job.scenario, self.policy_index(job), job.seed),
-                        config_hash(&job.config),
+                        job.config_hash,
                         &self.scenarios[job.scenario].label,
                     )
                     .cloned()
@@ -666,6 +699,7 @@ mod tests {
         for j in &jobs {
             assert_eq!(j.config.policy, j.policy);
             assert_eq!(j.config.seed, j.seed);
+            assert_eq!(j.config_hash, crate::persist::config_hash(&j.config));
         }
     }
 

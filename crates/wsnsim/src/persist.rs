@@ -48,7 +48,11 @@ pub type JobKey = (usize, usize, u64);
 
 /// FNV-1a 64-bit hash of a byte string.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a state over more bytes.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -69,6 +73,65 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 pub fn config_hash(config: &ScenarioConfig) -> u64 {
     let text = serde_json::to_string(config).expect("scenario configs always serialize");
     fnv1a64(text.as_bytes())
+}
+
+/// [`config_hash`] of one configuration at any seed, without serializing it
+/// per seed.
+///
+/// A config's JSON text depends on its seed only through the seed's decimal
+/// digits.  The FNV-1a state over the text before the digits is computed
+/// once; each seed continues it over its own digits and the fixed text after
+/// them.  The split comes from diffing the text at seed 0 against seed 1.
+#[derive(Debug, Clone)]
+pub(crate) struct SeedSplicedHash {
+    /// FNV-1a state after the text preceding the seed's digits.
+    prefix: u64,
+    /// The text following the seed's digits.
+    suffix: Vec<u8>,
+}
+
+impl SeedSplicedHash {
+    /// Prepare the hashes of `config` at every seed (its own seed is
+    /// ignored).
+    pub(crate) fn new(config: &ScenarioConfig) -> Self {
+        let text_at = |seed| {
+            serde_json::to_string(&config.clone().with_seed(seed))
+                .expect("scenario configs always serialize")
+        };
+        let (zero, one) = (text_at(0), text_at(1));
+        let (zero, one) = (zero.as_bytes(), one.as_bytes());
+        let split = zero
+            .iter()
+            .zip(one)
+            .position(|(a, b)| a != b)
+            .expect("the seed is part of the serialized config");
+        assert!(
+            zero.len() == one.len()
+                && (zero[split], one[split]) == (b'0', b'1')
+                && zero[split + 1..] == one[split + 1..],
+            "a config's JSON text must depend on its seed only through the seed's digits"
+        );
+        SeedSplicedHash {
+            prefix: fnv1a64(&zero[..split]),
+            suffix: zero[split + 1..].to_vec(),
+        }
+    }
+
+    /// `config_hash(&config.with_seed(seed))`.
+    pub(crate) fn at(&self, seed: u64) -> u64 {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = seed;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        fnv1a64_extend(fnv1a64_extend(self.prefix, &digits[start..]), &self.suffix)
+    }
 }
 
 /// One persisted job result: the JSONL encoding of a [`SimulationResult`]
@@ -132,7 +195,7 @@ impl JobRecord {
             policy_index,
             policy: job.policy,
             seed: job.seed,
-            config_hash: config_hash(&job.config),
+            config_hash: job.config_hash,
             metrics,
             generated: result.perf.generated(),
             delivered: result.perf.delivered(),

@@ -12,6 +12,15 @@ use std::time::{Duration, Instant};
 use super::proto::{GridProgress, Message, ProtoError};
 use super::transport::{request, FrameLink};
 
+/// The pauses between report polls: 2 ms, doubling up to a 100 ms cap.  A
+/// report that is nearly ready is fetched within milliseconds, and a long
+/// grid is still polled at most ten times a second.
+fn poll_pauses() -> impl Iterator<Item = Duration> {
+    const FIRST: Duration = Duration::from_millis(2);
+    const CAP: Duration = Duration::from_millis(100);
+    std::iter::successors(Some(FIRST), |pause| Some((*pause * 2).min(CAP)))
+}
+
 /// A grid accepted by the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Submission {
@@ -128,14 +137,26 @@ impl<'a> ServiceClient<'a> {
     /// Poll until a completed report is available or `timeout` elapses.
     pub fn fetch_report(&mut self, timeout: Duration) -> Result<String, ProtoError> {
         let deadline = Instant::now() + timeout;
-        loop {
+        for pause in poll_pauses() {
             if let Some(report) = self.try_fetch()? {
                 return Ok(report);
             }
             if Instant::now() >= deadline {
-                return Err(ProtoError::NoResponse("fetch (no completed report)"));
+                break;
             }
-            std::thread::sleep(Duration::from_millis(100));
+            std::thread::sleep(pause);
         }
+        Err(ProtoError::NoResponse("fetch (no completed report)"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_polls_back_off_from_2_ms_to_a_100_ms_cap() {
+        let pauses: Vec<u128> = poll_pauses().take(9).map(|d| d.as_millis()).collect();
+        assert_eq!(pauses, [2, 4, 8, 16, 32, 64, 100, 100, 100]);
     }
 }

@@ -26,7 +26,7 @@ use crate::distrib::{
 use crate::experiment::ExperimentReport;
 use crate::faults::{self, RunEvent};
 use crate::persist::{decode_line, DecodedLine, JobFailure, JobKey, JobRecord};
-use crate::spec::GridSpec;
+use crate::spec::{GridSpec, ResolvedSpec};
 
 use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
 use super::transport::FrameLink;
@@ -76,6 +76,8 @@ struct CompletedGrid {
 /// The queue's front entry is the one being worked.
 struct ActiveGrid {
     name: String,
+    /// The grid's resolved spec, shipped with every grant.
+    spec: ResolvedSpec,
     manifest: GridManifest,
     /// Every job key of the manifest (membership filter for absorbed lines).
     job_keys: HashSet<JobKey>,
@@ -311,6 +313,7 @@ impl ServiceState {
         let shard_count = manifest.shard_count;
         self.queue.push_back(ActiveGrid {
             name: name.clone(),
+            spec: ResolvedSpec::of(&resolved.spec),
             manifest,
             job_keys,
             records: Vec::new(),
@@ -357,12 +360,12 @@ impl ServiceState {
                 if grid.shard_done[shard] || grid.leases.contains_key(&shard) {
                     continue;
                 }
-                let pending: Vec<ManifestJob> = grid
+                let pending: Vec<JobKey> = grid
                     .manifest
                     .shard_jobs(shard)
                     .into_iter()
-                    .filter(|job| !grid.settled.contains(&job.key()))
-                    .cloned()
+                    .map(ManifestJob::key)
+                    .filter(|key| !grid.settled.contains(key))
                     .collect();
                 if pending.is_empty() {
                     // Every job already settled (a dead worker streamed its
@@ -381,6 +384,7 @@ impl ServiceState {
                     seq,
                     grid: grid.manifest.grid_hash,
                     shard: shard as u64,
+                    spec: grid.spec.clone(),
                     jobs: pending,
                 };
             }

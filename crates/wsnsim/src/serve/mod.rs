@@ -6,9 +6,10 @@
 //! a shared shard directory; this module removes that requirement.  The
 //! same shard/lease semantics are spoken over length-prefixed JSON frames
 //! ([`proto`]): a worker handshakes (protocol version, optional pinned
-//! manifest hash), claims a shard and receives its jobs inline, heartbeats
-//! while running, streams record lines back in coalesced batches, and
-//! reconciles completion by count so lost frames are detected and resent.
+//! manifest hash), claims a shard and receives the grid's resolved spec
+//! plus the keys of the shard's pending jobs, heartbeats while running,
+//! streams record lines back as jobs settle, and reconciles completion by
+//! count so lost frames are detected and resent.
 //! Reports are finalized daemon-side through the canonical
 //! [`ExperimentReport::from_records`](crate::experiment::ExperimentReport::from_records)
 //! pipeline, so a fetched report is **byte-identical** to a single-process

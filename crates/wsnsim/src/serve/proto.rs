@@ -22,11 +22,14 @@ use std::io::Read;
 
 use serde::Value;
 
-use crate::distrib::ManifestJob;
+use crate::persist::JobKey;
+use crate::spec::ResolvedSpec;
 
 /// Protocol version spoken by this build.  A daemon rejects a worker whose
 /// hello names any other version (exit 2 at the worker binary boundary).
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Version 2 grants carry the grid's resolved spec plus job keys instead
+/// of fully resolved jobs.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on a frame's payload length.  A length prefix beyond this is
 /// treated as garbage (a desynchronized or hostile peer), not an allocation
@@ -58,6 +61,14 @@ pub enum ProtoError {
     Rejected(String),
     /// A request was retransmitted past its retry budget with no response.
     NoResponse(&'static str),
+    /// A grant's spec does not hash to the grid the grant names; the
+    /// worker refuses it before running anything.
+    GridMismatch {
+        /// The grid hash the grant names.
+        grid: u64,
+        /// What the grant's spec actually hashes to.
+        spec: u64,
+    },
 }
 
 impl std::fmt::Display for ProtoError {
@@ -79,6 +90,10 @@ impl std::fmt::Display for ProtoError {
             ProtoError::NoResponse(what) => {
                 write!(f, "no response to {what} within the retry budget")
             }
+            ProtoError::GridMismatch { grid, spec } => write!(
+                f,
+                "grant for grid {grid:016x} carries a spec hashing to {spec:016x}"
+            ),
         }
     }
 }
@@ -156,7 +171,7 @@ pub struct GridProgress {
 
 /// Every message of the experiment-service protocol.
 ///
-/// No `PartialEq`: [`ManifestJob`] payloads carry a full scenario config
+/// No `PartialEq`: a grant's [`ResolvedSpec`] carries full scenario configs
 /// (floats, no equality). Round-trip tests compare re-encoded bytes
 /// instead, which is stronger anyway.
 #[derive(Debug, Clone)]
@@ -198,18 +213,22 @@ pub enum Message {
         /// Request sequence number.
         seq: u64,
     },
-    /// A shard granted to the claiming worker, with its still-pending jobs
-    /// inlined (socket workers have no shared filesystem to read a
-    /// manifest from).
+    /// A shard granted to the claiming worker: the grid's resolved spec
+    /// plus the keys of the shard's still-pending jobs (socket workers have
+    /// no shared filesystem to read a manifest from).  The worker checks
+    /// that `spec` hashes to `grid`, then rebuilds each job from its key.
     Grant {
         /// Echoed request sequence number.
         seq: u64,
-        /// Manifest hash of the grid the shard belongs to.
+        /// Manifest hash of the grid the shard belongs to
+        /// ([`ResolvedSpec::hash`] of `spec`).
         grid: u64,
         /// The granted shard index.
         shard: u64,
-        /// The shard's unsettled jobs, fully resolved.
-        jobs: Vec<ManifestJob>,
+        /// The grid's resolved spec.
+        spec: ResolvedSpec,
+        /// The shard's unsettled jobs, as (scenario, policy, seed) keys.
+        jobs: Vec<JobKey>,
     },
     /// Nothing to grant right now; retry after the given delay.
     NoWork {
@@ -455,15 +474,26 @@ impl Message {
             | Message::Status { .. }
             | Message::Fetch { .. } => {}
             Message::Grant {
-                grid, shard, jobs, ..
+                grid,
+                shard,
+                spec,
+                jobs,
+                ..
             } => {
                 entries.push(("grid", Value::UInt(*grid)));
                 entries.push(("shard", Value::UInt(*shard)));
-                let jobs: Vec<Value> = jobs
+                entries.push(("spec", spec.to_json()));
+                let keys = jobs
                     .iter()
-                    .map(|job| serde_json::to_value(job).expect("manifest jobs always serialize"))
+                    .map(|&(scenario, policy, seed)| {
+                        Value::Seq(vec![
+                            Value::UInt(scenario as u64),
+                            Value::UInt(policy as u64),
+                            Value::UInt(seed),
+                        ])
+                    })
                     .collect();
-                entries.push(("jobs", Value::Seq(jobs)));
+                entries.push(("jobs", Value::Seq(keys)));
             }
             Message::NoWork { retry_ms, .. } => {
                 entries.push(("retry_ms", Value::UInt(*retry_ms)));
@@ -554,144 +584,162 @@ impl Message {
             serde_json::parse(text).map_err(|e| ProtoError::Malformed(format!("bad JSON: {e}")))?;
         let kind = str_field(&value, "type")?;
         let seq = uint_field(&value, "seq")?;
-        let msg =
-            match kind.as_str() {
-                "hello" => Message::Hello {
-                    seq,
-                    protocol: uint_field(&value, "protocol")?,
-                    worker: str_field(&value, "worker")?,
-                    threads: uint_field(&value, "threads")?,
-                    expect_hash: opt_uint_field(&value, "expect_hash")?,
-                },
-                "hello_ack" => Message::HelloAck {
-                    seq,
-                    heartbeat_ms: uint_field(&value, "heartbeat_ms")?,
-                    lease_ttl_ms: uint_field(&value, "lease_ttl_ms")?,
-                },
-                "reject" => Message::Reject {
-                    seq,
-                    reason: str_field(&value, "reason")?,
-                },
-                "claim" => Message::Claim { seq },
-                "grant" => {
-                    let jobs = match value.get("jobs") {
-                        Some(Value::Seq(items)) => items
-                            .iter()
-                            .map(|item| {
-                                serde_json::from_value::<ManifestJob>(item.clone()).map_err(|e| {
-                                    ProtoError::Malformed(format!("undecodable grant job: {e}"))
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => return Err(ProtoError::Malformed("grant without a jobs list".into())),
-                    };
-                    Message::Grant {
-                        seq,
-                        grid: uint_field(&value, "grid")?,
-                        shard: uint_field(&value, "shard")?,
-                        jobs,
+        let msg = match kind.as_str() {
+            "hello" => Message::Hello {
+                seq,
+                protocol: uint_field(&value, "protocol")?,
+                worker: str_field(&value, "worker")?,
+                threads: uint_field(&value, "threads")?,
+                expect_hash: opt_uint_field(&value, "expect_hash")?,
+            },
+            "hello_ack" => Message::HelloAck {
+                seq,
+                heartbeat_ms: uint_field(&value, "heartbeat_ms")?,
+                lease_ttl_ms: uint_field(&value, "lease_ttl_ms")?,
+            },
+            "reject" => Message::Reject {
+                seq,
+                reason: str_field(&value, "reason")?,
+            },
+            "claim" => Message::Claim { seq },
+            "grant" => {
+                let spec = value
+                    .get("spec")
+                    .ok_or_else(|| "missing".to_string())
+                    .and_then(ResolvedSpec::from_json)
+                    .map_err(|e| ProtoError::Malformed(format!("undecodable grant spec: {e}")))?;
+                let jobs = match value.get("jobs") {
+                    Some(Value::Seq(items)) => {
+                        items.iter().map(job_key).collect::<Result<Vec<_>, _>>()?
                     }
-                }
-                "no_work" => Message::NoWork {
+                    _ => return Err(ProtoError::Malformed("grant without a jobs list".into())),
+                };
+                Message::Grant {
                     seq,
-                    retry_ms: uint_field(&value, "retry_ms")?,
-                },
-                "records" => {
-                    let lines = match value.get("lines") {
-                        Some(Value::Seq(items)) => items
-                            .iter()
-                            .map(|item| {
-                                item.as_str().map(str::to_string).ok_or_else(|| {
-                                    ProtoError::Malformed("non-string record line".into())
-                                })
+                    grid: uint_field(&value, "grid")?,
+                    shard: uint_field(&value, "shard")?,
+                    spec,
+                    jobs,
+                }
+            }
+            "no_work" => Message::NoWork {
+                seq,
+                retry_ms: uint_field(&value, "retry_ms")?,
+            },
+            "records" => {
+                let lines = match value.get("lines") {
+                    Some(Value::Seq(items)) => items
+                        .iter()
+                        .map(|item| {
+                            item.as_str().map(str::to_string).ok_or_else(|| {
+                                ProtoError::Malformed("non-string record line".into())
                             })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => return Err(ProtoError::Malformed("records without lines".into())),
-                    };
-                    Message::Records {
-                        grid: uint_field(&value, "grid")?,
-                        shard: uint_field(&value, "shard")?,
-                        lines,
-                    }
+                        })
+                        .collect::<Result<Vec<_>, _>>()?,
+                    _ => return Err(ProtoError::Malformed("records without lines".into())),
+                };
+                Message::Records {
+                    grid: uint_field(&value, "grid")?,
+                    shard: uint_field(&value, "shard")?,
+                    lines,
                 }
-                "heartbeat" => Message::Heartbeat {
-                    grid: uint_field(&value, "grid")?,
-                    shard: uint_field(&value, "shard")?,
-                },
-                "shard_done" => Message::ShardDone {
+            }
+            "heartbeat" => Message::Heartbeat {
+                grid: uint_field(&value, "grid")?,
+                shard: uint_field(&value, "shard")?,
+            },
+            "shard_done" => Message::ShardDone {
+                seq,
+                grid: uint_field(&value, "grid")?,
+                shard: uint_field(&value, "shard")?,
+                sent: uint_field(&value, "sent")?,
+            },
+            "done_ack" => Message::DoneAck { seq },
+            "done_nack" => Message::DoneNack {
+                seq,
+                received: uint_field(&value, "received")?,
+            },
+            "release" => Message::Release {
+                seq,
+                grid: uint_field(&value, "grid")?,
+                shard: uint_field(&value, "shard")?,
+            },
+            "release_ack" => Message::ReleaseAck { seq },
+            "submit" => Message::Submit {
+                seq,
+                spec: str_field(&value, "spec")?,
+                quick: bool_field(&value, "quick")?,
+                seed: uint_field(&value, "seed")?,
+            },
+            "submit_ack" => Message::SubmitAck {
+                seq,
+                grid: uint_field(&value, "grid")?,
+                name: str_field(&value, "name")?,
+                jobs: uint_field(&value, "jobs")?,
+            },
+            "submit_err" => Message::SubmitErr {
+                seq,
+                reason: str_field(&value, "reason")?,
+            },
+            "status" => Message::Status { seq },
+            "status_reply" => {
+                let active = match value.get("active") {
+                    None | Some(Value::Null) => None,
+                    Some(progress) => Some(GridProgress {
+                        name: str_field(progress, "name")?,
+                        jobs: uint_field(progress, "jobs")?,
+                        settled: uint_field(progress, "settled")?,
+                        quarantined: uint_field(progress, "quarantined")?,
+                        shards_done: uint_field(progress, "shards_done")?,
+                        shard_count: uint_field(progress, "shard_count")?,
+                    }),
+                };
+                Message::StatusReply {
                     seq,
-                    grid: uint_field(&value, "grid")?,
-                    shard: uint_field(&value, "shard")?,
-                    sent: uint_field(&value, "sent")?,
-                },
-                "done_ack" => Message::DoneAck { seq },
-                "done_nack" => Message::DoneNack {
-                    seq,
-                    received: uint_field(&value, "received")?,
-                },
-                "release" => Message::Release {
-                    seq,
-                    grid: uint_field(&value, "grid")?,
-                    shard: uint_field(&value, "shard")?,
-                },
-                "release_ack" => Message::ReleaseAck { seq },
-                "submit" => Message::Submit {
-                    seq,
-                    spec: str_field(&value, "spec")?,
-                    quick: bool_field(&value, "quick")?,
-                    seed: uint_field(&value, "seed")?,
-                },
-                "submit_ack" => Message::SubmitAck {
-                    seq,
-                    grid: uint_field(&value, "grid")?,
-                    name: str_field(&value, "name")?,
-                    jobs: uint_field(&value, "jobs")?,
-                },
-                "submit_err" => Message::SubmitErr {
-                    seq,
-                    reason: str_field(&value, "reason")?,
-                },
-                "status" => Message::Status { seq },
-                "status_reply" => {
-                    let active = match value.get("active") {
+                    queued: uint_field(&value, "queued")?,
+                    active,
+                    completed: uint_field(&value, "completed")?,
+                    workers: uint_field(&value, "workers")?,
+                    events: match value.get("events") {
                         None | Some(Value::Null) => None,
-                        Some(progress) => Some(GridProgress {
-                            name: str_field(progress, "name")?,
-                            jobs: uint_field(progress, "jobs")?,
-                            settled: uint_field(progress, "settled")?,
-                            quarantined: uint_field(progress, "quarantined")?,
-                            shards_done: uint_field(progress, "shards_done")?,
-                            shard_count: uint_field(progress, "shard_count")?,
-                        }),
-                    };
-                    Message::StatusReply {
-                        seq,
-                        queued: uint_field(&value, "queued")?,
-                        active,
-                        completed: uint_field(&value, "completed")?,
-                        workers: uint_field(&value, "workers")?,
-                        events: match value.get("events") {
-                            None | Some(Value::Null) => None,
-                            Some(v) => Some(v.as_str().map(str::to_string).ok_or_else(|| {
-                                ProtoError::Malformed("non-string events".into())
-                            })?),
-                        },
-                    }
+                        Some(v) => Some(
+                            v.as_str()
+                                .map(str::to_string)
+                                .ok_or_else(|| ProtoError::Malformed("non-string events".into()))?,
+                        ),
+                    },
                 }
-                "fetch" => Message::Fetch { seq },
-                "fetch_reply" => Message::FetchReply {
-                    seq,
-                    ready: bool_field(&value, "ready")?,
-                    report: str_field(&value, "report")?,
-                },
-                other => {
-                    return Err(ProtoError::Malformed(format!(
-                        "unknown message type `{other}`"
-                    )))
-                }
-            };
+            }
+            "fetch" => Message::Fetch { seq },
+            "fetch_reply" => Message::FetchReply {
+                seq,
+                ready: bool_field(&value, "ready")?,
+                report: str_field(&value, "report")?,
+            },
+            other => {
+                return Err(ProtoError::Malformed(format!(
+                    "unknown message type `{other}`"
+                )))
+            }
+        };
         Ok(msg)
     }
+}
+
+/// A grant's `[scenario, policy, seed]` job key.
+fn job_key(item: &Value) -> Result<JobKey, ProtoError> {
+    if let Value::Seq(parts) = item {
+        if let [Some(scenario), Some(policy), Some(seed)] =
+            parts.iter().map(Value::as_u64).collect::<Vec<_>>()[..]
+        {
+            if let (Ok(scenario), Ok(policy)) = (scenario.try_into(), policy.try_into()) {
+                return Ok((scenario, policy, seed));
+            }
+        }
+    }
+    Err(ProtoError::Malformed(
+        "grant job key is not a [scenario, policy, seed] triple".into(),
+    ))
 }
 
 fn uint_field(value: &Value, name: &str) -> Result<u64, ProtoError> {

@@ -1,15 +1,18 @@
 //! The socket-transport worker loop: handshake, claim, run, stream,
 //! reconcile — the service counterpart of [`crate::distrib::run_worker`].
 //!
-//! A socket worker needs no shared filesystem: it receives each granted
-//! shard's jobs inline with the grant, runs them through the same
+//! A socket worker needs no shared filesystem: each grant carries the
+//! grid's resolved spec and the keys of the shard's pending jobs.  The
+//! worker refuses a grant whose spec does not hash to the grid it names,
+//! rebuilds the jobs from their keys, runs them through the same
 //! [`run_job_guarded`] retry/quarantine path as a file worker, and streams
-//! the resulting store lines back in [`Message::Records`] batches coalesced
-//! to the collector's gather threshold.  While the shard's rayon fan-out is
-//! running, the connection thread keeps the lease alive with
-//! [`Message::Heartbeat`] frames.  Shard completion is reconciled by count:
-//! if the daemon decoded fewer lines than the worker sent (frames lost to
-//! faults), the worker resends every retained line and asks again.
+//! each job's store line back as the job settles, in [`Message::Records`]
+//! batches that wait at most one heartbeat interval (and never past the
+//! collector's gather threshold).  When no line is due, the connection
+//! thread keeps the lease alive with [`Message::Heartbeat`] frames.  Shard
+//! completion is reconciled by count: if the daemon decoded fewer lines
+//! than the worker sent (frames lost to faults), the worker resends every
+//! retained line and asks again.
 //!
 //! **Graceful shutdown** mirrors the file worker: once the worker's stop
 //! flag (or the process-wide [`shutdown_requested`]) is raised, unstarted
@@ -21,12 +24,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use crate::distrib::{run_job_guarded, shutdown_requested, ManifestJob, WorkerOutcome};
-use crate::persist::{encode_failure_line, encode_line, JobFailure, JobRecord};
+use crate::persist::{encode_failure_line, encode_line, JobKey};
+use crate::spec::ResolvedSpec;
 
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
@@ -37,6 +41,10 @@ const GATHER_BYTES: usize = crate::collect::GATHER_BYTES;
 
 /// Cap on ShardDone→DoneNack resend rounds before giving up on a link.
 const MAX_DONE_ROUNDS: usize = 10;
+
+/// Longest a settled job's line waits in the worker before it is shipped
+/// (shorter when the heartbeat interval is): what a killed worker can lose.
+const LINGER: Duration = Duration::from_millis(50);
 
 /// Tuning and identity of one socket worker.
 #[derive(Debug, Clone)]
@@ -134,8 +142,12 @@ pub fn run_socket_worker(
         };
         let (grid, shard, jobs) = match grant {
             Message::Grant {
-                grid, shard, jobs, ..
-            } => (grid, shard, jobs),
+                grid,
+                shard,
+                spec,
+                jobs,
+                ..
+            } => (grid, shard, granted_jobs(grid, &spec, &jobs)?),
             Message::NoWork { retry_ms, .. } => {
                 // Sleep in short slices so a stop request is honoured
                 // promptly even under a long retry hint.
@@ -180,8 +192,24 @@ pub fn run_socket_worker(
     }
 }
 
-/// Run one granted shard: rayon fan-out in a scoped thread, with this
-/// thread streaming coalesced record batches and heartbeats over the link.
+/// Turn a grant back into runnable jobs, refusing it — before anything
+/// runs — unless its spec hashes to the grid it names.
+fn granted_jobs(
+    grid: u64,
+    spec: &ResolvedSpec,
+    keys: &[JobKey],
+) -> Result<Vec<ManifestJob>, ProtoError> {
+    let found = spec.hash();
+    if found != grid {
+        return Err(ProtoError::GridMismatch { grid, spec: found });
+    }
+    ManifestJob::at_keys(&spec.experiment_spec(), keys)
+        .ok_or_else(|| ProtoError::Malformed("grant names a job off its grid".into()))
+}
+
+/// Run one granted shard: rayon fan-out in a scoped thread sending each
+/// job's line as it settles, with this thread shipping the lines in
+/// batches and keeping the lease alive over the link.
 fn run_shard(
     link: &mut dyn FrameLink,
     opts: &SocketWorkerOptions,
@@ -194,93 +222,101 @@ fn run_shard(
     let stop = opts.stop.clone();
     let attempts = opts.job_attempts;
     let budget = opts.job_wall_budget;
+    let linger = LINGER.min(heartbeat);
     let mut lines: Vec<String> = Vec::new();
-    let mut records = 0usize;
-    let mut quarantined = 0usize;
-    let mut complete = true;
     let mut link_error: Option<ProtoError> = None;
-    std::thread::scope(|scope| {
+    let settled = std::thread::scope(|scope| {
         let runner = scope.spawn(move || {
-            let results: Vec<Option<Result<JobRecord, JobFailure>>> = jobs
-                .par_iter()
+            // Per job: None = skipped by a stop, Some(true) = record,
+            // Some(false) = quarantined.
+            jobs.par_iter()
                 .map(|job| {
                     if stop.load(Ordering::Relaxed) || shutdown_requested() {
                         return None;
                     }
-                    Some(run_job_guarded(job, attempts, budget))
-                })
-                .collect();
-            for settled in results.iter().flatten() {
-                let encoded = match settled {
-                    Ok(record) => encode_line(record),
-                    Err(failure) => encode_failure_line(failure),
-                };
-                if let Ok(bytes) = encoded {
-                    let mut text = String::from_utf8(bytes).expect("store lines are UTF-8");
-                    if text.ends_with('\n') {
-                        text.pop();
+                    let settled = run_job_guarded(job, attempts, budget);
+                    let encoded = match &settled {
+                        Ok(record) => encode_line(record),
+                        Err(failure) => encode_failure_line(failure),
+                    };
+                    if let Ok(bytes) = encoded {
+                        let mut text = String::from_utf8(bytes).expect("store lines are UTF-8");
+                        if text.ends_with('\n') {
+                            text.pop();
+                        }
+                        // A send failure means the streamer bailed on a
+                        // dead link; the outcome still counts.
+                        let _ = line_tx.send(text);
                     }
-                    // A send failure means the streamer bailed on a dead
-                    // link; the results still count for the return value.
-                    let _ = line_tx.send(text);
-                }
-            }
-            drop(line_tx);
-            results
+                    Some(settled.is_ok())
+                })
+                .collect::<Vec<Option<bool>>>()
         });
-        // This thread owns the link: coalesce lines into Records frames
-        // and keep the lease alive while the fan-out runs.
+        // This thread owns the link: ship each batch once its oldest line
+        // has waited `linger` (or it reaches the gather threshold), and
+        // heartbeat when nothing was sent for a heartbeat interval.
         let mut batch: Vec<String> = Vec::new();
         let mut batch_bytes = 0usize;
+        let mut oldest = Instant::now();
+        let mut last_frame = Instant::now();
         loop {
-            match line_rx.recv_timeout(heartbeat) {
+            let due = if batch.is_empty() {
+                last_frame + heartbeat
+            } else {
+                oldest + linger
+            };
+            let frame = match line_rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
                 Ok(line) => {
+                    if batch.is_empty() {
+                        oldest = Instant::now();
+                    }
                     batch_bytes += line.len();
                     lines.push(line.clone());
                     batch.push(line);
-                    if batch_bytes >= GATHER_BYTES {
-                        if let Err(e) = flush_batch(link, grid, shard, &mut batch) {
-                            link_error = Some(e);
-                            opts.stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        batch_bytes = 0;
+                    if batch_bytes < GATHER_BYTES && oldest.elapsed() < linger {
+                        continue;
                     }
+                    records(grid, shard, &mut batch)
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    let beat = Message::Heartbeat { grid, shard };
-                    if let Err(e) = link.send(&beat.encode()) {
-                        link_error = Some(e);
-                        opts.stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
+                Err(RecvTimeoutError::Timeout) if batch.is_empty() => {
+                    Message::Heartbeat { grid, shard }
                 }
+                Err(RecvTimeoutError::Timeout) => records(grid, shard, &mut batch),
                 Err(RecvTimeoutError::Disconnected) => {
                     if let Err(e) = flush_batch(link, grid, shard, &mut batch) {
                         link_error = Some(e);
                     }
                     break;
                 }
+            };
+            batch_bytes = 0;
+            if let Err(e) = link.send(&frame.encode()) {
+                link_error = Some(e);
+                opts.stop.store(true, Ordering::Relaxed);
+                break;
             }
+            last_frame = Instant::now();
         }
-        let results = runner.join().expect("shard runner thread never panics");
-        for settled in &results {
-            match settled {
-                Some(Ok(_)) => records += 1,
-                Some(Err(_)) => quarantined += 1,
-                None => complete = false,
-            }
-        }
+        runner.join().expect("shard runner thread never panics")
     });
     if let Some(e) = link_error {
         return Err(e);
     }
     Ok(ShardRun {
         lines,
-        records,
-        quarantined,
-        complete,
+        records: settled.iter().filter(|s| **s == Some(true)).count(),
+        quarantined: settled.iter().filter(|s| **s == Some(false)).count(),
+        complete: settled.iter().all(Option::is_some),
     })
+}
+
+/// A Records frame carrying (and emptying) `batch`.
+fn records(grid: u64, shard: u64, batch: &mut Vec<String>) -> Message {
+    Message::Records {
+        grid,
+        shard,
+        lines: std::mem::take(batch),
+    }
 }
 
 /// Send one coalesced Records frame (no-op on an empty batch).
@@ -293,12 +329,7 @@ fn flush_batch(
     if batch.is_empty() {
         return Ok(());
     }
-    let msg = Message::Records {
-        grid,
-        shard,
-        lines: std::mem::take(batch),
-    };
-    link.send(&msg.encode())
+    link.send(&records(grid, shard, batch).encode())
 }
 
 /// Reconcile shard completion: declare the sent-line count, and on a

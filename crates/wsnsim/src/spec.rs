@@ -34,7 +34,7 @@ use serde::Value;
 
 use crate::config::{ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile};
 use crate::experiment::{ExperimentSpec, ScenarioSpec, SequentialStopping, METRIC_NAMES};
-use crate::persist::config_hash;
+use crate::persist::{config_hash, fnv1a64};
 use crate::sweep::PAPER_POLICIES;
 use caem::policy::PolicyKind;
 use caem_simcore::time::Duration;
@@ -1256,6 +1256,74 @@ impl ResolvedSpec {
         }
     }
 
+    /// The runnable grid this spec describes.
+    pub fn experiment_spec(&self) -> ExperimentSpec {
+        ExperimentSpec {
+            scenarios: self
+                .scenarios
+                .iter()
+                .map(|(label, _, config)| ScenarioSpec::new(label.clone(), config.clone()))
+                .collect(),
+            policies: self.policies.clone(),
+            seeds: self.seeds.clone(),
+        }
+    }
+
+    /// The grid's identity: FNV-1a of the [`ResolvedSpec::to_json`] text
+    /// serialized compactly, i.e. of the `experiment --print-spec` document
+    /// without whitespace between tokens.  The shard partition plays no
+    /// part, so a grid keeps its hash whatever worker count runs it.
+    pub fn hash(&self) -> u64 {
+        let text = serde_json::to_string(&self.to_json()).expect("resolved specs always serialize");
+        fnv1a64(text.as_bytes())
+    }
+
+    /// Decode the [`ResolvedSpec::to_json`] form.  Per-scenario config
+    /// hashes are recomputed from the configs, not trusted, so a spec whose
+    /// hashes were altered no longer has the [`ResolvedSpec::hash`] it
+    /// claims.
+    pub fn from_json(value: &Value) -> Result<Self, String> {
+        let list = |key: &str| match value.get(key) {
+            Some(Value::Seq(items)) => Ok(items),
+            _ => Err(format!("missing `{key}` list")),
+        };
+        let policies = list("policies")?
+            .iter()
+            .map(|v| {
+                v.as_str()
+                    .and_then(policy_from_name)
+                    .ok_or_else(|| format!("unknown policy {v:?}"))
+            })
+            .collect::<Result<_, _>>()?;
+        let seeds = list("seeds")?
+            .iter()
+            .map(|v| v.as_u64().ok_or_else(|| format!("bad seed {v:?}")))
+            .collect::<Result<_, _>>()?;
+        let scenarios = list("scenarios")?
+            .iter()
+            .map(|scenario| {
+                let label = scenario
+                    .get("label")
+                    .and_then(Value::as_str)
+                    .ok_or("scenario without a label")?;
+                let config: ScenarioConfig = scenario
+                    .get("config")
+                    .cloned()
+                    .ok_or_else(|| format!("scenario `{label}` without a config"))
+                    .and_then(|c| {
+                        serde_json::from_value(c)
+                            .map_err(|e| format!("scenario `{label}` config: {e}"))
+                    })?;
+                Ok((label.to_string(), config_hash(&config), config))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(ResolvedSpec {
+            scenarios,
+            policies,
+            seeds,
+        })
+    }
+
     /// Serialize for `--print-spec`: scenario labels, per-scenario config
     /// hashes (hex), the full resolved configs, axes and job count.
     pub fn to_json(&self) -> Value {
@@ -1464,6 +1532,32 @@ mod tests {
         assert_eq!(
             hash,
             format!("{:016x}", config_hash(&resolved.spec.scenarios[0].base))
+        );
+    }
+
+    #[test]
+    fn resolved_spec_round_trips_and_recomputes_config_hashes() {
+        let spec = GridSpec::parse(MINIMAL).unwrap().resolve(5, false).unwrap();
+        let resolved = ResolvedSpec::of(&spec.spec);
+        let json = resolved.to_json();
+        let back = ResolvedSpec::from_json(&json).expect("own encoding decodes");
+        assert_eq!(back.hash(), resolved.hash());
+        assert_eq!(
+            back.experiment_spec().enumerate_jobs()[1].config_hash,
+            spec.spec.enumerate_jobs()[1].config_hash
+        );
+        // A forged per-scenario hash is recomputed away, so the decoded
+        // spec no longer carries the identity the forged text had.
+        let forged = serde_json::to_string(&json).unwrap().replace(
+            &format!("{:016x}", resolved.scenarios[0].1),
+            "0000000000000000",
+        );
+        let forged = serde_json::parse(&forged).unwrap();
+        let decoded = ResolvedSpec::from_json(&forged).expect("still decodes");
+        assert_eq!(decoded.hash(), resolved.hash());
+        assert_ne!(
+            fnv1a64(serde_json::to_string(&forged).unwrap().as_bytes()),
+            resolved.hash()
         );
     }
 }

@@ -14,17 +14,18 @@
 //! the tests serialize themselves on one mutex (the same reason
 //! `tests/chaos.rs` is phase-structured).
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use caem_suite::wsnsim::distrib::{WorkerSpawner, WorkerTarget};
+use caem_suite::wsnsim::distrib::{ManifestJob, WorkerSpawner, WorkerTarget};
 use caem_suite::wsnsim::faults::{self, FaultKind, FaultPlanConfig, FaultRole, RunEvent};
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
-    Message, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, WorkerExit,
-    PROTOCOL_VERSION,
+    Message, ProtoError, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions,
+    WorkerExit, PROTOCOL_VERSION,
 };
-use caem_suite::wsnsim::spec::GridSpec;
+use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
 
 /// A small but non-degenerate grid: two deployment shapes × the paper's
 /// three policies × two seeds = 12 jobs, short horizon, few nodes.
@@ -178,14 +179,20 @@ fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death()
         rpc(&mut dying, &hello(1, "doomed")),
         Message::HelloAck { .. }
     ));
-    let (grid, shard, jobs) = match rpc(&mut dying, &Message::Claim { seq: 2 }) {
+    let (grid, shard, spec, jobs) = match rpc(&mut dying, &Message::Claim { seq: 2 }) {
         Message::Grant {
-            grid, shard, jobs, ..
-        } => (grid, shard, jobs),
+            grid,
+            shard,
+            spec,
+            jobs,
+            ..
+        } => (grid, shard, spec, jobs),
         other => panic!("expected a grant, got {other:?}"),
     };
     assert!(!jobs.is_empty());
-    let first = jobs[0].run();
+    let first = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..1])
+        .expect("granted keys lie on the grid")[0]
+        .run();
     let line = serde_json::to_string(&first).expect("record serializes");
     dying
         .send(
@@ -266,6 +273,20 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
     let mut clink = spawner.connect();
     let mut client = ServiceClient::new(&mut clink);
     let sub = client.submit(SPEC_DOC, true, SEED).expect("accepted");
+    // The hash a worker pins is derivable offline: FNV-1a of the
+    // `experiment --print-spec` document re-serialized compactly.
+    let resolved = GridSpec::parse(SPEC_DOC)
+        .expect("spec parses")
+        .resolve(SEED, true)
+        .expect("spec resolves");
+    let print_spec = serde_json::to_string_pretty(&ResolvedSpec::of(&resolved.spec).to_json())
+        .expect("resolved spec renders");
+    let compact = serde_json::to_string(&serde_json::parse(&print_spec).expect("JSON"))
+        .expect("document renders");
+    let fnv1a = compact.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(sub.grid_hash, fnv1a);
     let mut opts = SocketWorkerOptions::new("mismatched".to_string());
     opts.expect_hash = Some(sub.grid_hash ^ 1);
     match run_worker_with(opts) {
@@ -354,5 +375,119 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
     assert!(
         start.elapsed() < Duration::from_secs(60),
         "re-claim happened immediately"
+    );
+}
+
+/// A worker link that dies like a `kill -9`ed worker process right after
+/// it ships its first batch of records: nothing it sends afterwards
+/// arrives, and the worker starts no further job.
+struct DiesAfterFirstRecords {
+    inner: LoopbackLink,
+    stop: Arc<AtomicBool>,
+    dead: bool,
+}
+
+impl FrameLink for DiesAfterFirstRecords {
+    fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        if self.dead {
+            return Err(ProtoError::Closed);
+        }
+        self.inner.send(payload)?;
+        if matches!(Message::decode(payload), Ok(Message::Records { .. })) {
+            self.dead = true;
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
+        if self.dead {
+            return Err(ProtoError::Closed);
+        }
+        self.inner.recv(timeout)
+    }
+}
+
+#[test]
+fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
+    let _guard = exclusive();
+    // One shard holding all 24 jobs, and a 1 ms heartbeat so each line
+    // ships about as soon as its job settles.
+    const JOBS: u64 = 24;
+    let spec_doc = SPEC_DOC.replace("\"replicates\": 2", "\"replicates\": 4");
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        heartbeat: Some(Duration::from_millis(1)),
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    assert_eq!(
+        client.submit(&spec_doc, true, SEED).expect("accepted").jobs,
+        JOBS
+    );
+
+    let opts = SocketWorkerOptions::new("doomed");
+    let mut link = DiesAfterFirstRecords {
+        inner: spawner.connect(),
+        stop: opts.stop.clone(),
+        dead: false,
+    };
+    match run_socket_worker(&mut link, &opts) {
+        Ok(WorkerExit::Finished(outcome)) => assert_eq!(outcome.shards_completed, 0),
+        other => panic!("expected the dead link to end the worker, got {other:?}"),
+    }
+    drop(link);
+
+    // The daemon handles the dead connection's frames in order, so once it
+    // has dropped the worker, the shipped batch is absorbed.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let progress = loop {
+        let status = client.status().expect("status");
+        if status.workers == 0 {
+            break status.active.expect("the grid is still open");
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the daemon never dropped the worker"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(
+        (1..JOBS).contains(&progress.settled),
+        "the records of finished jobs arrive before the shard is done, not in one \
+         burst at its end: {} of {JOBS} settled when the worker died",
+        progress.settled
+    );
+    assert_eq!(progress.shards_done, 0);
+
+    // A healthy worker re-runs only what the dead one never shipped, and
+    // the report is byte-identical to a single-process run.
+    let (mut wlink, mut served) = loopback_pair();
+    let state2 = state.clone();
+    std::thread::spawn(move || serve_connection(&mut served, &state2));
+    let healthy = SocketWorkerOptions::new("healthy");
+    let stop = healthy.stop.clone();
+    let worker = std::thread::spawn(move || run_socket_worker(&mut wlink, &healthy));
+    let report = client
+        .fetch_report(Duration::from_secs(300))
+        .expect("grid completes");
+    stop.store(true, Ordering::Relaxed);
+    match worker.join().expect("worker thread") {
+        Ok(WorkerExit::Finished(outcome)) => {
+            assert_eq!(outcome.jobs_run as u64, JOBS - progress.settled)
+        }
+        other => panic!("expected a finished worker, got {other:?}"),
+    }
+    let expected = GridSpec::parse(&spec_doc)
+        .expect("spec parses")
+        .resolve(SEED, true)
+        .expect("spec resolves")
+        .spec
+        .run();
+    assert_eq!(
+        report,
+        serde_json::to_string_pretty(&expected.to_json()).expect("report renders")
     );
 }

@@ -22,7 +22,11 @@ use caem_suite::wsnsim::distrib::{GridManifest, ManifestJob};
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::persist::JobRecord;
 use caem_suite::wsnsim::serve::proto::{encode_frame, read_frame};
-use caem_suite::wsnsim::serve::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES};
+use caem_suite::wsnsim::serve::{
+    loopback_pair, run_socket_worker, FrameLink, GridProgress, LoopbackLink, Message, ProtoError,
+    SocketWorkerOptions, MAX_FRAME_BYTES,
+};
+use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
 use caem_suite::wsnsim::ScenarioConfig;
 use proptest::prelude::*;
 
@@ -30,16 +34,21 @@ use proptest::prelude::*;
 // Fixtures.
 // ---------------------------------------------------------------------------
 
-/// A two-shard manifest over a tiny one-scenario grid; its jobs give the
-/// `grant` variant realistic fully-resolved payloads without fabricating a
+/// A tiny one-scenario grid.
+fn tiny_spec() -> ExperimentSpec {
+    let base =
+        ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1).with_duration(Duration::from_secs(5));
+    ExperimentSpec::paper_policies(vec![ScenarioSpec::new("tiny", base)], 11, 2)
+}
+
+/// A two-shard manifest over [`tiny_spec`]; its resolved spec and job keys
+/// give the `grant` variant realistic payloads without fabricating a
 /// scenario config field by field.
-fn tiny_manifest() -> &'static GridManifest {
-    static MANIFEST: OnceLock<GridManifest> = OnceLock::new();
+fn tiny_manifest() -> &'static (GridManifest, ResolvedSpec) {
+    static MANIFEST: OnceLock<(GridManifest, ResolvedSpec)> = OnceLock::new();
     MANIFEST.get_or_init(|| {
-        let base = ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1)
-            .with_duration(Duration::from_secs(5));
-        let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("tiny", base)], 11, 2);
-        GridManifest::from_spec(&spec, 2)
+        let spec = tiny_spec();
+        (GridManifest::from_spec(&spec, 2), ResolvedSpec::of(&spec))
     })
 }
 
@@ -47,7 +56,14 @@ fn tiny_manifest() -> &'static GridManifest {
 /// expensive part; the proptests only permute them).
 fn tiny_records() -> &'static Vec<JobRecord> {
     static RECORDS: OnceLock<Vec<JobRecord>> = OnceLock::new();
-    RECORDS.get_or_init(|| tiny_manifest().jobs.iter().map(ManifestJob::run).collect())
+    RECORDS.get_or_init(|| {
+        tiny_manifest()
+            .0
+            .jobs
+            .iter()
+            .map(ManifestJob::run)
+            .collect()
+    })
 }
 
 fn text_from(n: u64) -> String {
@@ -83,12 +99,19 @@ fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
         },
         2 => Message::Reject { seq, reason: text },
         3 => Message::Claim { seq },
-        4 => Message::Grant {
-            seq,
-            grid: a,
-            shard: b % 16,
-            jobs: tiny_manifest().jobs[..(b % 4) as usize].to_vec(),
-        },
+        4 => {
+            let (manifest, spec) = tiny_manifest();
+            Message::Grant {
+                seq,
+                grid: a,
+                shard: b % 16,
+                spec: spec.clone(),
+                jobs: manifest.jobs[..(b % 4) as usize]
+                    .iter()
+                    .map(ManifestJob::key)
+                    .collect(),
+            }
+        }
         5 => Message::NoWork {
             seq,
             retry_ms: b % 5_000,
@@ -175,6 +198,95 @@ proptest! {
         prop_assert_eq!(decoded.seq(), msg.seq());
         prop_assert_eq!(decoded.encode(), bytes);
     }
+}
+
+/// A grant is sized by the grid's spec, not by its jobs' configs: a
+/// 1,000-job shard of an 8k-job grid shaped like the benchmark's served grid
+/// (12 nodes, 5 s, two topologies, 15-digit seeds) fits in 64 KiB.
+#[test]
+fn a_thousand_job_grant_fits_in_64_kib() {
+    let spec = GridSpec::parse(
+        r#"{
+          "caem_grid_spec": 1,
+          "base_seed": 211106232532992,
+          "replicates": 1333,
+          "duration_s": 5.0,
+          "node_count": 12,
+          "scenarios": [
+            { "label": "uniform_5pps", "rate_pps": 5.0 },
+            { "label": "grid_5pps", "rate_pps": 5.0, "topology": { "grid": { "jitter_m": 3.0 } } }
+          ]
+        }"#,
+    )
+    .expect("spec parses")
+    .resolve(1, false)
+    .expect("spec resolves")
+    .spec;
+    let manifest = GridManifest::from_spec(&spec, 8);
+    let jobs: Vec<_> = manifest
+        .shard_jobs(0)
+        .into_iter()
+        .map(ManifestJob::key)
+        .collect();
+    assert_eq!(jobs.len(), 1_000);
+    let grant = Message::Grant {
+        seq: 1,
+        grid: manifest.grid_hash,
+        shard: 0,
+        spec: ResolvedSpec::of(&spec),
+        jobs,
+    };
+    let bytes = grant.encode().len();
+    assert!(
+        bytes <= 64 * 1024,
+        "a 1,000-job grant encodes to {bytes} bytes"
+    );
+}
+
+/// A worker refuses a grant whose spec does not hash to the grid the grant
+/// names, with a typed error, before running (or sending) anything.
+#[test]
+fn a_grant_whose_spec_misses_its_grid_hash_is_refused() {
+    let (mut daemon, mut worker_link) = loopback_pair();
+    let worker = std::thread::spawn(move || {
+        run_socket_worker(&mut worker_link, &SocketWorkerOptions::new("w"))
+    });
+    let next = |link: &mut LoopbackLink| {
+        let frame = link
+            .recv(Some(std::time::Duration::from_secs(60)))
+            .expect("worker link open")
+            .expect("worker request");
+        Message::decode(&frame).expect("well-formed request")
+    };
+    let hello = next(&mut daemon);
+    assert_eq!(hello.kind(), "hello");
+    let ack = Message::HelloAck {
+        seq: hello.seq(),
+        heartbeat_ms: 1_000,
+        lease_ttl_ms: 60_000,
+    };
+    daemon.send(&ack.encode()).expect("worker listens");
+    let claim = next(&mut daemon);
+    assert_eq!(claim.kind(), "claim");
+    let (manifest, spec) = tiny_manifest();
+    assert_eq!(spec.hash(), manifest.grid_hash);
+    let grant = Message::Grant {
+        seq: claim.seq(),
+        grid: manifest.grid_hash ^ 1,
+        shard: 0,
+        spec: spec.clone(),
+        jobs: manifest.jobs.iter().map(ManifestJob::key).collect(),
+    };
+    daemon.send(&grant.encode()).expect("worker listens");
+    match worker.join().expect("worker thread") {
+        Err(ProtoError::GridMismatch { grid, spec: found }) => {
+            assert_eq!(grid, manifest.grid_hash ^ 1);
+            assert_eq!(found, manifest.grid_hash);
+        }
+        other => panic!("expected a grid mismatch, got {other:?}"),
+    }
+    // Nothing ran: no record, heartbeat or shard_done followed the claim.
+    assert!(matches!(daemon.try_recv(), Err(ProtoError::Closed)));
 }
 
 #[test]

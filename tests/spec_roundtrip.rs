@@ -5,6 +5,7 @@
 //! duplicate entries, empty axes, bad version — yields its own distinct
 //! typed `ConfigError` variant carrying the offending field's path.
 
+use caem_suite::caem::policy::PolicyKind;
 use caem_suite::wsnsim::config::ConfigError;
 use caem_suite::wsnsim::persist::config_hash;
 use caem_suite::wsnsim::spec::{
@@ -150,6 +151,74 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    /// Every enumerated job carries exactly the persist config hash of its
+    /// own configuration, though the hash is spliced from a per-cell prefix
+    /// and the seed's digits: across random grids and seeds of every digit
+    /// count, up to `u64::MAX`.
+    #[test]
+    fn spliced_job_hashes_equal_config_hash(
+        scenario_count in 1usize..3,
+        topo_choice in 0u8..255,
+        magnitude in 0.5f64..25.0,
+        small in 0u8..255,
+        rate in 0.5f64..20.0,
+        flags in 0u8..255,
+        seed in 0u64..u64::MAX,
+        quick in any::<bool>(),
+    ) {
+        let scenarios: Vec<ScenarioSpecDoc> = (0..scenario_count)
+            .map(|i| arbitrary_scenario(
+                i,
+                (topo_choice.wrapping_add(i as u8), magnitude + i as f64, small, rate + i as f64, flags.wrapping_add(37 * i as u8)),
+            ))
+            .collect();
+        let mut seeds = vec![0, 9, 10, 99, 1 << 63, u64::MAX];
+        if !seeds.contains(&seed) {
+            seeds.push(seed);
+        }
+        let spec = GridSpec {
+            name: None,
+            base_seed: None,
+            seeds: SeedAxis::Explicit(seeds),
+            duration_s: None,
+            node_count: None,
+            policies: None,
+            scenarios,
+            sequential: None,
+            distrib: None,
+            quick: GridQuick::default(),
+        };
+        let grid = spec.resolve(42, quick).expect("valid by construction").spec;
+        for job in grid.enumerate_jobs() {
+            let base = &grid.scenarios[job.scenario].base;
+            prop_assert_eq!(
+                job.config_hash,
+                config_hash(&base.clone().with_policy(job.policy).with_seed(job.seed))
+            );
+        }
+    }
+}
+
+/// Splicing must not move any persisted hash: one zoo job's config hash,
+/// pinned to the value the whole-config serialization gave before splicing
+/// existed, so existing stores stay valid.
+#[test]
+fn a_zoo_job_keeps_its_persisted_config_hash() {
+    let zoo = GridSpec::parse(include_str!("../specs/zoo.json"))
+        .expect("zoo spec parses")
+        .resolve(20_050_612, true)
+        .expect("zoo spec resolves")
+        .spec;
+    let job = &zoo.enumerate_jobs()[37];
+    assert_eq!(
+        (job.scenario, job.policy, job.seed),
+        (2, PolicyKind::Scheme1Adaptive, 20_050_614)
+    );
+    assert_eq!(job.config_hash, 0x46df_4115_3179_3a20);
+    assert_eq!(config_hash(&job.config), 0x46df_4115_3179_3a20);
 }
 
 // ---------------------------------------------------------------------------
