@@ -60,13 +60,14 @@ fn bench_phy(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for i in 0..1_000u64 {
                 q.push(SimTime::from_micros((i * 7919) % 100_000), i);
             }
             let mut sum = 0u64;
-            while let Some(e) = q.pop() {
-                sum = sum.wrapping_add(e.event);
+            let mut batch = Vec::new();
+            while q.pop_batch_at_or_before(SimTime::MAX, &mut batch).is_some() {
+                sum = batch.iter().fold(sum, |s, &e| s.wrapping_add(e));
             }
             black_box(sum)
         })

@@ -52,6 +52,8 @@ struct ScalePoint {
     events_per_sec: f64,
     rss_mb: Option<f64>,
     peak_rss_mb: Option<f64>,
+    /// Peak simultaneously pending events (`queue_high_watermark`).
+    pending_peak: usize,
 }
 
 /// Run the node-count scaling sweep: the same paper-density deployment
@@ -81,6 +83,7 @@ fn node_scaling_sweep(seed: u64, quick: bool) -> Vec<ScalePoint> {
             events_per_sec: result.events_processed as f64 / wall_clock_s.max(1e-9),
             rss_mb: rss::current_rss_mb(),
             peak_rss_mb: rss::peak_rss_mb(),
+            pending_peak: result.queue_high_watermark,
         });
     }
     points
@@ -108,7 +111,24 @@ fn main() {
     }
     let NetperfArgs { seed, quick, .. } = args;
     let repeats = args.repeats.unwrap_or(1);
+    // Quick smoke runs measure a reduced scenario; route them to a separate
+    // (gitignored) file so they can never clobber the committed perf
+    // trajectory recorded from full runs.
+    let out_path = bench_json_path(quick);
+    let previous = load_json(out_path);
     if args.profile {
+        // Profiling roughly halves throughput, so a profiled sweep must not
+        // replace a clean committed headline.  The quick file is a scratch
+        // artifact that profiled smoke runs rewrite freely.
+        let clean_headline = previous.as_ref().and_then(|v| v.get("profiled"))
+            == Some(&serde_json::Value::Bool(false));
+        if !quick && clean_headline {
+            eprintln!(
+                "error: {out_path} holds a clean (unprofiled) headline; \
+                 a --profile run will not overwrite it"
+            );
+            std::process::exit(2);
+        }
         prof::set_enabled(true);
     }
     if args.trace_out.is_some() {
@@ -273,18 +293,19 @@ fn main() {
     let scaling = node_scaling_sweep(seed, quick);
     println!("== node-count scaling (constant density, scheme 1, 1 pkt/s/node) ==");
     println!(
-        "{:>10} {:>8} {:>10} {:>14} {:>12} {:>10}",
-        "nodes", "sim_s", "wall_s", "events", "events/sec", "rss_mb"
+        "{:>10} {:>8} {:>10} {:>14} {:>12} {:>10} {:>12}",
+        "nodes", "sim_s", "wall_s", "events", "events/sec", "rss_mb", "pending_peak"
     );
     for p in &scaling {
         println!(
-            "{:>10} {:>8.0} {:>10.3} {:>14} {:>12.0} {:>10.0}",
+            "{:>10} {:>8.0} {:>10.3} {:>14} {:>12.0} {:>10.0} {:>12}",
             p.nodes,
             p.sim_seconds,
             p.wall_clock_s,
             p.events,
             p.events_per_sec,
-            p.rss_mb.unwrap_or(f64::NAN)
+            p.rss_mb.unwrap_or(f64::NAN),
+            p.pending_peak
         );
     }
 
@@ -300,6 +321,7 @@ fn main() {
                 "repeats": repeats,
                 "events_per_sec_stats": t.eps.to_json(),
                 "sim_seconds": t.sim_seconds,
+                "profiled": args.profile,
             })
         })
         .collect();
@@ -307,6 +329,7 @@ fn main() {
         "benchmark": "netperf",
         "seed": seed,
         "quick": quick,
+        "profiled": args.profile,
         "repeats": repeats,
         "scenario_count": timings.len(),
         "wall_clock_s": sum_scenario_wall,
@@ -325,18 +348,15 @@ fn main() {
                     "events_per_sec": p.events_per_sec,
                     "rss_mb": p.rss_mb,
                     "peak_rss_mb": p.peak_rss_mb,
+                    "pending_peak": p.pending_peak,
+                    "profiled": args.profile,
                 })
             })
             .collect::<Vec<serde_json::Value>>(),
     });
-    // Quick smoke runs measure a reduced scenario; route them to a separate
-    // (gitignored) file so they can never clobber the committed perf
-    // trajectory recorded from full runs.
-    let out_path = bench_json_path(quick);
     // The scenario sweep and the `--saturate` mode share the report file;
     // each rewrite carries the other mode's section forward.  The profile
     // breakdown is carried the same way when this run did not profile.
-    let previous = load_json(out_path);
     if let Some(saturation) = previous
         .as_ref()
         .and_then(|v| v.get("sink_saturation").cloned())

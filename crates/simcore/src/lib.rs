@@ -10,10 +10,9 @@
 //!
 //! * [`SimTime`] / [`Duration`] — fixed-point virtual time (nanosecond
 //!   resolution) so event ordering is exact and platform independent.
-//! * [`EventQueue`] — a binary-heap pending-event set with FIFO tie-breaking
-//!   for simultaneous events.
-//! * [`Simulator`] — the event loop: schedule closures or typed events, run
-//!   until a deadline or until the queue drains.
+//! * [`EventQueue`] — a monotone radix pending-event set with FIFO
+//!   tie-breaking for simultaneous events; it never accepts an event
+//!   scheduled before the instant it last delivered.
 //! * [`rng`] — splittable, seedable random-number streams so every stochastic
 //!   component (traffic, shadowing, fading, LEACH election, backoff) draws
 //!   from an independent, reproducible stream.
@@ -23,29 +22,26 @@
 //! # Example
 //!
 //! ```
-//! use caem_simcore::{Simulator, SimTime, Duration};
+//! use caem_simcore::{Duration, EventQueue, SimTime};
 //!
-//! let mut sim = Simulator::new();
-//! let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-//! let l2 = log.clone();
-//! sim.schedule_in(Duration::from_millis(5), move |ctx| {
-//!     l2.borrow_mut().push(ctx.now());
-//! });
-//! sim.run();
-//! assert_eq!(log.borrow()[0], SimTime::from_millis(5));
+//! let mut queue = EventQueue::new();
+//! queue.push(SimTime::from_millis(5), "late");
+//! queue.push(SimTime::ZERO + Duration::from_millis(2), "early");
+//! let mut batch = Vec::new();
+//! let at = queue.pop_batch_at_or_before(SimTime::from_secs(1), &mut batch);
+//! assert_eq!(at, Some(SimTime::from_millis(2)));
+//! assert_eq!(batch, vec!["early"]);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{ScheduleHandle, SimContext, Simulator};
-pub use event::{Event, EventQueue, ScheduledEvent};
+pub use event::{Event, EventQueue};
 pub use rng::{RngStream, StreamId, StreamRng};
 pub use stats::{Histogram, RunningStats, TimeSeries, TimeWeighted};
 pub use time::{Duration, SimTime};

@@ -547,8 +547,8 @@ impl ScenarioConfig {
         self
     }
 
-    /// Initial capacity for the pending-event queue, sized so the queue never
-    /// regrows under this scenario's load.
+    /// Upper bound on the number of simultaneously pending events under this
+    /// scenario's load.
     ///
     /// Peak occupancy is bounded by the simultaneously pending event classes:
     /// one traffic arrival per node (sources schedule exactly one ahead), at

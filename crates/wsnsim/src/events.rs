@@ -6,8 +6,7 @@ use caem_simcore::event::Event;
 ///
 /// Node references are compact `u32` indices (no simulated network
 /// approaches 4 billion nodes), which keeps the enum at 8 bytes and one
-/// pending-event entry at 24 — a third less data moved per heap sift than
-/// with `usize` payloads.
+/// pending-event entry (nanosecond time plus payload) at 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkEvent {
     /// A LEACH round boundary: elect heads, re-form clusters.
@@ -150,10 +149,10 @@ mod tests {
             SimTime::from_millis(10),
             NetworkEvent::SenseChannel { node: 3 },
         );
-        assert_eq!(
-            q.pop().unwrap().event,
-            NetworkEvent::SenseChannel { node: 3 }
-        );
-        assert_eq!(q.pop().unwrap().event, NetworkEvent::RoundStart);
+        let mut batch = Vec::new();
+        q.pop_batch_at_or_before(SimTime::MAX, &mut batch);
+        assert_eq!(batch, vec![NetworkEvent::SenseChannel { node: 3 }]);
+        q.pop_batch_at_or_before(SimTime::MAX, &mut batch);
+        assert_eq!(batch, vec![NetworkEvent::RoundStart]);
     }
 }

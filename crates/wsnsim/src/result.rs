@@ -61,11 +61,8 @@ pub struct SimulationResult {
     /// Number of discrete events the run's event loop processed — the
     /// denominator-free basis for the `netperf` events/sec throughput metric.
     pub events_processed: u64,
-    /// Final allocated capacity of the pending-event queue.
-    pub queue_capacity: usize,
-    /// Peak number of simultaneously pending events.  When this stays at or
-    /// below [`SimulationResult::queue_capacity`]'s initial sizing the queue
-    /// never re-allocated during the run.
+    /// Peak number of simultaneously pending events; at most
+    /// [`ScenarioConfig::initial_queue_capacity`](crate::ScenarioConfig::initial_queue_capacity).
     pub queue_high_watermark: usize,
     /// Per-subsystem / per-event-kind profiling shard of the run.  Empty
     /// unless `caem_metrics::prof` was enabled; observability-only — it is
@@ -166,7 +163,6 @@ mod tests {
             bursts: 40,
             node_failures: 0,
             events_processed: 500,
-            queue_capacity: 64,
             queue_high_watermark: 20,
             profile: Profile::new(),
         }

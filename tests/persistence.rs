@@ -335,7 +335,6 @@ fn overflow_result(deliveries: u64) -> SimulationResult {
         bursts: 0,
         node_failures: 0,
         events_processed: 123,
-        queue_capacity: 64,
         queue_high_watermark: 10,
         profile: caem_suite::metrics::prof::Profile::new(),
     }
