@@ -23,7 +23,7 @@ use std::time::Duration;
 use caem_bench::cli::{ServeCli, ServeMode};
 use caem_bench::DEFAULT_SEED;
 use caem_wsnsim::serve::{
-    serve_connection, ProtoError, ServiceClient, ServiceConfig, ServiceState, TcpLink,
+    serve_listener, ProtoError, ServiceClient, ServiceConfig, ServiceState, TcpLink,
 };
 
 const USAGE: &str = "\
@@ -93,18 +93,7 @@ fn daemon(
         .map(|a| a.to_string())
         .unwrap_or_else(|_| listen.to_string());
     println!("caem-serve: listening on {bound}");
-    for incoming in listener.incoming() {
-        match incoming {
-            Ok(stream) => {
-                let state = state.clone();
-                std::thread::spawn(move || {
-                    let mut link = TcpLink::new(stream);
-                    serve_connection(&mut link, &state);
-                });
-            }
-            Err(e) => eprintln!("caem-serve: accept failed: {e}"),
-        }
-    }
+    serve_listener(&listener, &state);
     // `incoming()` never returns None; reaching here means the listener died.
     fail("listener closed unexpectedly".to_string());
 }

@@ -18,6 +18,12 @@
 //!   `specs/zoo.json` reproduces the code-defined zoo **byte-identically**
 //!   (fresh, resumed and distributed; CI diffs the artifacts).
 //!
+//! `--workers N` runs the grid through the experiment service: this
+//! process hosts the daemon on a `127.0.0.1:0` listener, spawns N copies of
+//! itself as `--connect` socket workers, and journals every record they
+//! stream back to the same JSONL store a local run writes — so `--resume`
+//! and `--reaggregate` work the same way on both paths.
+//!
 //! The command line is parsed into one structured
 //! [`caem_bench::ExperimentMode`] value — unknown or misspelled flags exit 2
 //! with the usage text, `--flag=value` and `--flag value` are equivalent,
@@ -39,24 +45,25 @@
 //! repository root and its JSONL store to `BENCH_experiment_store.jsonl`
 //! (`_quick` variants, gitignored, for `--quick` runs).
 
-use std::path::PathBuf;
+use std::net::TcpListener;
 use std::time::Duration;
 
-use caem_bench::cli::{RunArgs, RunBackend, SequentialArgs};
+use caem_bench::cli::{RunArgs, SequentialArgs};
 use caem_bench::{
     policy_label, profrpt, zoo_replicates, zoo_scenarios, ExperimentCli, ExperimentMode,
     DEFAULT_SEED,
 };
 use caem_metrics::prof;
-use caem_wsnsim::distrib::{
-    run_sequential_distributed, run_worker, DistribOptions, ProcessSpawner, WorkerConfig,
-};
+use caem_wsnsim::distrib::ProcessSpawner;
 use caem_wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping, METRIC_NAMES,
 };
 use caem_wsnsim::faults::{self, FaultRole};
 use caem_wsnsim::persist::{config_hash, ExperimentStore, StoreOptions};
-use caem_wsnsim::serve::{run_socket_worker, SocketWorkerOptions, TcpLink, WorkerExit};
+use caem_wsnsim::serve::{
+    run_socket_worker, serve_listener, Coordinator, ServiceConfig, ServiceState,
+    SocketWorkerOptions, TcpLink, WorkerExit,
+};
 use caem_wsnsim::spec::{DistribTuning, GridSpec, ResolvedSpec};
 
 const USAGE: &str = "\
@@ -71,28 +78,28 @@ grid definition:
 modes (at most one selector; `run` is the default):
   run                    simulate the grid and write the report
     --resume             reuse records already in the store; only missing jobs run
-    --store <file>       custom JSONL store (single-process runs only)
+    --store <file>       custom JSONL store (default BENCH_experiment_store*.jsonl)
     --target-ci <hw>     sequential stopping: append replicate batches until the
                          worst-cell 95% CI half-width of --ci-metric meets <hw>
       --ci-metric <m>      driving metric (default delivery_rate)
       --max-replicates <n> replicate cap (default 12 quick / 30 full)
-    --workers <n>        distributed: spawn n worker processes over a shard dir
-      --distrib-dir <dir>  shard directory (default BENCH_experiment_distrib*)
-      --lease-ttl <s>      shard-lease TTL in seconds before an unrefreshed
-                           claim may be stolen (wins over the spec's distrib
+    --workers <n>        distributed: host the service daemon in this process
+                         and spawn n --connect worker processes; records are
+                         journaled to the store as they arrive
+      --lease-ttl <s>      shard-lease TTL in seconds before a silent worker's
+                           shard is re-granted (wins over the spec's distrib
                            block; default 60)
       --chaos <seed:kinds> deterministic fault injection across the run
-                           (kinds: kill, torn, skew, transient, delay, poison,
-                           all; `+`-separated, e.g. --chaos 11:kill+torn)
+                           (kinds: kill, torn, transient, delay, poison, all;
+                           `+`-separated, e.g. --chaos 11:kill+torn)
     --fsync              fsync every store append (durability over speed)
     --strict             exit nonzero if any job was quarantined
     --profile            per-subsystem time-breakdown report after the run
                          (spawned workers inherit it through the environment;
                          the report artifact stays byte-identical)
   --reaggregate          rebuild the report offline from the JSONL store alone
-  --worker-shard <dir>   participate in a distributed grid (requires --store;
-                         --lease-ttl overrides the worker's claim TTL)
-  --connect <addr>       attach to a caem-serve daemon as a socket worker
+  --connect <addr>       attach to a daemon (caem-serve or a --workers run)
+                         as a socket worker
                          (no shared filesystem; jobs and records travel over
                          length-prefixed JSON frames)
     --protocol <n>       claim a specific protocol version in the handshake
@@ -288,54 +295,18 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
     );
 }
 
-/// `--worker-shard <dir>`: participate in a distributed grid until no shard
-/// is claimable, then exit.  Fully manifest-driven: the grid's scenarios,
-/// seeds and configs come from the shard directory, not from this process's
-/// other flags (the CLI rejects them in this mode).
-fn worker_mode(dir: &str, store: &str, lease_ttl: Option<f64>) -> ! {
-    // Inherit the coordinator's chaos schedule and fsync setting across
-    // `exec`.  A malformed plan is fatal: a chaos run silently downgrading
-    // to a clean run would fake test coverage.
-    faults::install_plan_from_env(FaultRole::Worker)
-        .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
-    let mut cfg = WorkerConfig::new(dir, store, format!("pid_{}", std::process::id()));
-    cfg.fsync = std::env::var(faults::FSYNC_ENV).is_ok_and(|v| !v.is_empty());
-    if let Some(secs) = lease_ttl {
-        cfg.lease_ttl = Duration::from_secs_f64(secs);
-    }
-    match run_worker(&cfg) {
-        Ok(outcome) => {
-            println!(
-                "worker {}: {} shards completed, {} jobs simulated, {} reused, {} quarantined from {store}",
-                std::process::id(),
-                outcome.shards_completed,
-                outcome.jobs_run,
-                outcome.jobs_reused,
-                outcome.jobs_quarantined,
-            );
-            if let Some(summary) = faults::event_summary() {
-                println!("worker {}: {summary}", std::process::id());
-            }
-            if prof::enabled() {
-                profrpt::print_profile_totals(
-                    &format!("worker {} time breakdown", std::process::id()),
-                    &prof::global().snapshot(),
-                );
-            }
-            std::process::exit(0);
-        }
-        Err(e) => die(format!("worker on {dir} failed: {e}")),
-    }
-}
-
-/// `--connect <addr>`: attach to a `caem-serve` daemon as a socket worker.
+/// `--connect <addr>`: attach to a daemon as a socket worker.
 /// No shared filesystem: jobs arrive inline with the shard grant, record
 /// lines stream back in coalesced frames.  A handshake rejection (wrong
 /// protocol version, manifest-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
 fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64>) -> ! {
+    // Inherit a coordinator's chaos schedule and profiler across `exec`.
+    // A malformed plan is fatal: a chaos run silently downgrading to a
+    // clean run would fake test coverage.
     faults::install_plan_from_env(FaultRole::Worker)
         .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
+    prof::install_from_env();
     let stream = std::net::TcpStream::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to daemon at {addr}: {e}");
         std::process::exit(1);
@@ -379,7 +350,6 @@ fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64
 /// Default artifact paths, anchored at the repository root.
 struct Paths {
     store: &'static str,
-    distrib_dir: &'static str,
     out: &'static str,
 }
 
@@ -389,10 +359,6 @@ fn default_paths(quick: bool) -> Paths {
             store: concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/../../BENCH_experiment_store_quick.jsonl"
-            ),
-            distrib_dir: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_experiment_distrib_quick"
             ),
             out: concat!(
                 env!("CARGO_MANIFEST_DIR"),
@@ -405,13 +371,87 @@ fn default_paths(quick: bool) -> Paths {
                 env!("CARGO_MANIFEST_DIR"),
                 "/../../BENCH_experiment_store.jsonl"
             ),
-            distrib_dir: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_experiment_distrib"
-            ),
             out: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_experiment.json"),
         }
     }
+}
+
+/// Run `spec` once through `run_round`, or — with a stopping rule — run
+/// the sequential-stopping loop over it, printing the rounds.
+fn run_rounds<E: std::fmt::Display>(
+    spec: &ExperimentSpec,
+    sequential: Option<&SequentialStopping>,
+    mut run_round: impl FnMut(&ExperimentSpec) -> Result<ExperimentReport, E>,
+) -> ExperimentReport {
+    let Some(stop) = sequential else {
+        return run_round(spec).unwrap_or_else(|e| die(format!("grid run failed: {e}")));
+    };
+    let outcome = spec
+        .run_sequential_with(stop, run_round)
+        .unwrap_or_else(|e| die(format!("sequential run failed: {e}")));
+    print_sequential_outcome(&outcome, &stop.metric);
+    outcome.report
+}
+
+/// `--workers n`: host the daemon on a loopback port with `store`
+/// attached, run the grid (or the sequential loop) through `n` spawned
+/// socket workers, and hand the store back.
+fn run_served(
+    grid: &Grid,
+    args: &RunArgs,
+    sequential: Option<&SequentialStopping>,
+    store: ExperimentStore,
+    n: usize,
+) -> (ExperimentReport, ExperimentStore) {
+    let spec = &grid.spec;
+    // Shard-lease TTL precedence: explicit flag > the spec's distrib block
+    // > the built-in default (already folded into `grid`).
+    let state = ServiceState::shared(ServiceConfig {
+        lease_ttl: Some(
+            args.lease_ttl
+                .map(Duration::from_secs_f64)
+                .unwrap_or(grid.distrib.lease_ttl),
+        ),
+        heartbeat: Some(grid.distrib.heartbeat),
+        ..ServiceConfig::default()
+    });
+    state.lock().expect("service lock").attach_store(store);
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .unwrap_or_else(|e| die(format!("cannot listen on a loopback port: {e}")));
+    let addr = listener
+        .local_addr()
+        .unwrap_or_else(|e| die(format!("cannot read the listener address: {e}")))
+        .to_string();
+    {
+        let state = state.clone();
+        std::thread::spawn(move || serve_listener(&listener, &state));
+    }
+    let mut spawner = ProcessSpawner::current_exe()
+        .unwrap_or_else(|e| die(format!("cannot locate worker binary: {e}")));
+    if let Some(chaos) = &args.chaos {
+        // Workers inherit the full plan; the coordinator installed it
+        // under its own role before opening the store.
+        spawner
+            .envs
+            .push((faults::CHAOS_ENV.to_string(), chaos.env_string()));
+    }
+    if args.profile {
+        spawner
+            .envs
+            .push((prof::PROFILE_ENV.to_string(), "1".to_string()));
+    }
+    println!(
+        "distributed over {n} workers ({} rayon threads each), daemon on {addr}",
+        rayon::split_thread_budget(n),
+    );
+    let mut coordinator = Coordinator::start(state.clone(), &spawner, &addr, n)
+        .unwrap_or_else(|e| die(format!("cannot start workers: {e}")));
+    let report = run_rounds(spec, sequential, |round| coordinator.run(round));
+    let store = coordinator
+        .finish()
+        .expect("the store stays attached")
+        .unwrap_or_else(|e| die(format!("experiment store append failed: {e}")));
+    (report, store)
 }
 
 fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
@@ -420,122 +460,51 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
     if args.profile {
         prof::set_enabled(true);
     }
-
-    let report = match &args.backend {
-        RunBackend::Distributed { workers, dir } => {
-            let n = *workers;
-            let dir_path =
-                PathBuf::from(dir.clone().unwrap_or_else(|| paths.distrib_dir.to_string()));
-            // Shard-lease TTL precedence: explicit flag > the spec's distrib
-            // block > the built-in default (already folded into `grid`).
-            let lease_ttl = args
-                .lease_ttl
-                .map(Duration::from_secs_f64)
-                .unwrap_or(grid.distrib.lease_ttl);
-            let opts = DistribOptions {
-                // Mirror the store semantics: a plain fixed-replicate run
-                // starts the *default* shard directory afresh.  Never wiped:
-                // --resume, an explicitly passed directory, and
-                // sequential-stopping runs (--target-ci exists to grow the
-                // persisted replicate pool, so a re-invocation must reuse
-                // the completed rounds).
-                fresh: !args.resume && dir.is_none() && sequential.is_none(),
-                fsync: args.fsync,
-                lease_ttl,
-                ..DistribOptions::new(n)
-            };
-            // Forward the *effective* TTL so spawned workers steal on the
-            // same clock the coordinator evicts on.
-            let base_args = vec![
-                "--lease-ttl".to_string(),
-                format!("{}", lease_ttl.as_secs_f64()),
-            ];
-            let mut spawner = ProcessSpawner::current_exe(base_args)
-                .unwrap_or_else(|e| die(format!("cannot locate worker binary: {e}")));
-            if let Some(chaos) = &args.chaos {
-                // The coordinator participates in the schedule (lease and
-                // rename faults) but never kills itself; workers inherit the
-                // full plan through the environment.
-                faults::install_plan(chaos.clone(), FaultRole::Coordinator);
-                spawner
-                    .envs
-                    .push((faults::CHAOS_ENV.to_string(), chaos.env_string()));
-                println!("chaos mode: fault plan {}", chaos.env_string());
-            }
-            if args.fsync {
-                spawner
-                    .envs
-                    .push((faults::FSYNC_ENV.to_string(), "1".to_string()));
-            }
-            if args.profile {
-                spawner
-                    .envs
-                    .push((prof::PROFILE_ENV.to_string(), "1".to_string()));
-            }
-            println!(
-                "distributed experiment grid: {} scenarios x {} policies x {} seeds = {} jobs across {n} workers ({} rayon threads each), shard dir {}",
-                spec.scenarios.len(),
-                spec.policies.len(),
-                spec.seeds.len(),
-                spec.job_count(),
-                rayon::split_thread_budget(n),
-                dir_path.display(),
-            );
-            match &sequential {
-                Some(stop) => {
-                    let outcome =
-                        run_sequential_distributed(spec, &dir_path, &opts, &spawner, stop)
-                            .unwrap_or_else(|e| {
-                                die(format!("distributed sequential run failed: {e}"))
-                            });
-                    print_sequential_outcome(&outcome, &stop.metric);
-                    outcome.report
-                }
-                None => spec
-                    .run_distributed(&dir_path, &opts, &spawner)
-                    .unwrap_or_else(|e| die(format!("distributed run failed: {e}"))),
-            }
-        }
-        RunBackend::Local { store } => {
-            let store_path = store.clone().unwrap_or_else(|| paths.store.to_string());
-            if !args.resume && sequential.is_none() && store.is_none() {
-                // A plain fixed-replicate run starts a fresh copy of the
-                // binary's *default* store (still streaming every record).
-                // Never deleted: an explicitly passed `--store` file (reused
-                // instead — wiping a store the user pointed at would destroy
-                // their accumulated grid), and sequential-stopping stores
-                // (`--target-ci` exists to grow the persisted replicate
-                // pool).
-                std::fs::remove_file(&store_path).ok();
-            }
-            let mut store =
-                ExperimentStore::open_with(&store_path, StoreOptions { fsync: args.fsync })
-                    .expect("open experiment store");
-            let preexisting = store.len();
-            println!(
-                "experiment grid: {} scenarios x {} policies x {} seeds = {} jobs (single parallel layer, {} on disk)",
-                spec.scenarios.len(),
-                spec.policies.len(),
-                spec.seeds.len(),
-                spec.job_count(),
-                preexisting,
-            );
-            let report = match &sequential {
-                Some(stop) => {
-                    let outcome = spec.run_sequential(&mut store, stop);
-                    print_sequential_outcome(&outcome, &stop.metric);
-                    outcome.report
-                }
-                None => spec.run_with_store(&mut store),
-            };
-            println!(
-                "store {store_path}: {} jobs persisted ({} simulated this run, including stale re-runs)",
-                store.len(),
-                store.appended(),
-            );
+    if let Some(chaos) = &args.chaos {
+        // The coordinator's store appends take part in the schedule, so the
+        // plan goes in before the store opens; kill faults only fire in the
+        // spawned workers.
+        faults::install_plan(chaos.clone(), FaultRole::Coordinator);
+        println!("chaos mode: fault plan {}", chaos.env_string());
+    }
+    let store_path = args
+        .store
+        .clone()
+        .unwrap_or_else(|| paths.store.to_string());
+    if !args.resume && sequential.is_none() && args.store.is_none() {
+        // A plain fixed-replicate run starts a fresh copy of the binary's
+        // *default* store (still streaming every record).  Never deleted:
+        // an explicitly passed `--store` file (reused instead — wiping a
+        // store the user pointed at would destroy their accumulated grid),
+        // and sequential-stopping stores (`--target-ci` exists to grow the
+        // persisted replicate pool).
+        std::fs::remove_file(&store_path).ok();
+    }
+    let mut store = ExperimentStore::open_with(&store_path, StoreOptions { fsync: args.fsync })
+        .expect("open experiment store");
+    println!(
+        "experiment grid: {} scenarios x {} policies x {} seeds = {} jobs ({} on disk)",
+        spec.scenarios.len(),
+        spec.policies.len(),
+        spec.seeds.len(),
+        spec.job_count(),
+        store.len(),
+    );
+    let report = match args.workers {
+        Some(n) => {
+            let (report, returned) = run_served(&grid, args, sequential.as_ref(), store, n);
+            store = returned;
             report
         }
+        None => run_rounds(spec, sequential.as_ref(), |round| {
+            Ok::<_, std::convert::Infallible>(round.run_with_store(&mut store))
+        }),
     };
+    println!(
+        "store {store_path}: {} jobs persisted ({} simulated this run, including stale re-runs)",
+        store.len(),
+        store.appended(),
+    );
 
     print_summary(spec, &report);
     if !report.failures.is_empty() {
@@ -579,15 +548,6 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
 
 fn main() {
     let cli = ExperimentCli::from_env().unwrap_or_else(|e| die_usage(e.to_string()));
-    if let ExperimentMode::Worker {
-        dir,
-        store,
-        lease_ttl,
-    } = &cli.mode
-    {
-        // Workers are manifest-driven; no grid resolution happens here.
-        worker_mode(dir, store, *lease_ttl);
-    }
     if let ExperimentMode::SocketWorker {
         addr,
         protocol,
@@ -602,9 +562,7 @@ fn main() {
     let grid = load_grid(&cli);
 
     match &cli.mode {
-        ExperimentMode::Worker { .. } | ExperimentMode::SocketWorker { .. } => {
-            unreachable!("handled above")
-        }
+        ExperimentMode::SocketWorker { .. } => unreachable!("handled above"),
         ExperimentMode::ListScenarios => {
             // Introspection: the resolved grid, no simulation, no stores.
             println!(

@@ -37,7 +37,7 @@ use caem_bench::{apply_quick, emit, policy_label, rss, NetperfArgs};
 use caem_metrics::prof::{self, Breakdown};
 use caem_metrics::report::{Column, Table};
 use caem_metrics::Commute;
-use caem_simcore::stats::{ConcurrentStats, RunningStats};
+use caem_simcore::stats::RunningStats;
 use caem_simcore::time::Duration;
 use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec, METRIC_NAMES};
 use caem_wsnsim::sweep::{LoadSweepPoint, PolicyComparison, PAPER_POLICIES};
@@ -469,8 +469,8 @@ struct SaturationPoint {
     /// Per-append latency of the mutex path (µs), merged across threads
     /// with the [`Commute`] law.
     mutex_append_us: RunningStats,
-    /// Per-append latency of the lock-free path (µs), accumulated through
-    /// a shared [`ConcurrentStats`] while the threads hammer the sink.
+    /// Per-append latency of the lock-free path (µs), merged across threads
+    /// the same way.
     lockfree_append_us: RunningStats,
 }
 
@@ -503,6 +503,34 @@ fn saturation_store_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// Append `per_thread` synthetic records from each of `threads` threads
+/// through `append`, returning each thread's per-append latency (µs).
+fn hammer(
+    threads: usize,
+    per_thread: usize,
+    append: impl Fn(&JobRecord) + Sync,
+) -> Vec<RunningStats> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let append = &append;
+                scope.spawn(move || {
+                    let mut lat = RunningStats::new();
+                    let mut record = synth_record(0);
+                    for i in 0..per_thread {
+                        record.seed = (t * per_thread + i) as u64;
+                        let t0 = Instant::now();
+                        append(&record);
+                        lat.push(t0.elapsed().as_nanos() as f64 / 1_000.0);
+                    }
+                    lat
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 /// Drive the mutex-serialized baseline sink from `threads` threads and
 /// return (records/sec, merged per-append latency in µs).
 fn time_mutex_sink(threads: usize, per_thread: usize) -> (f64, RunningStats) {
@@ -513,24 +541,8 @@ fn time_mutex_sink(threads: usize, per_thread: usize) -> (f64, RunningStats) {
         let mut store = ExperimentStore::open(&path).expect("open saturation store");
         let sink = store.mutex_sink();
         let started = Instant::now();
-        let latencies: Vec<RunningStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let sink = &sink;
-                    scope.spawn(move || {
-                        let mut lat = RunningStats::new();
-                        let mut record = synth_record(0);
-                        for i in 0..per_thread {
-                            record.seed = (t * per_thread + i) as u64;
-                            let t0 = Instant::now();
-                            sink.append(&record).expect("mutex sink append failed");
-                            lat.push(t0.elapsed().as_nanos() as f64 / 1_000.0);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let latencies = hammer(threads, per_thread, |record| {
+            sink.append(record).expect("mutex sink append failed")
         });
         (started.elapsed().as_secs_f64(), latencies)
     };
@@ -553,34 +565,21 @@ fn time_collector_sink(
     let path = saturation_store_path("lockfree");
     std::fs::remove_file(&path).ok();
     let total = threads * per_thread;
-    let latency = ConcurrentStats::new();
-    let wall = {
+    let (wall, latencies) = {
         let mut store = ExperimentStore::open(&path).expect("open saturation store");
         let started = Instant::now();
-        store
+        let latencies = store
             .with_buffered_sink(flush_bytes, |sink| {
-                std::thread::scope(|scope| {
-                    for t in 0..threads {
-                        let latency = &latency;
-                        scope.spawn(move || {
-                            let mut record = synth_record(0);
-                            for i in 0..per_thread {
-                                record.seed = (t * per_thread + i) as u64;
-                                let t0 = Instant::now();
-                                sink.append(&record);
-                                latency.record(t0.elapsed().as_nanos() as f64 / 1_000.0);
-                            }
-                        });
-                    }
-                });
+                hammer(threads, per_thread, |record| sink.append(record))
             })
             .expect("collector sink run failed");
-        started.elapsed().as_secs_f64()
+        (started.elapsed().as_secs_f64(), latencies)
     };
     let written = ExperimentStore::load(&path).expect("reload saturation store");
     assert_eq!(written.len(), total, "collector sink dropped records");
     std::fs::remove_file(&path).ok();
-    (total as f64 / wall.max(1e-9), latency.snapshot())
+    let merged = Commute::merge_all(latencies).unwrap_or_default();
+    (total as f64 / wall.max(1e-9), merged)
 }
 
 /// The `--saturate` mode: sweep thread counts over the mutex baseline, the

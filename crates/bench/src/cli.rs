@@ -12,9 +12,9 @@
 //! 2. A **mode builder** ([`ExperimentCli::from_args`]) that folds the
 //!    lexed flags into one [`ExperimentMode`] value.  Invalid combinations
 //!    are unrepresentable by construction — `Reaggregate` simply has no
-//!    `workers` field, a distributed run has no `store` field — so the old
-//!    conflict table is replaced by the shape of the types, and every
-//!    remaining cross-flag rule is a typed error naming both flags.
+//!    `workers` field — so the old conflict table is replaced by the shape
+//!    of the types, and every remaining cross-flag rule is a typed error
+//!    naming both flags.
 
 use std::fmt;
 
@@ -228,8 +228,6 @@ pub const EXPERIMENT_FLAGS: &[FlagDef] = &[
     option("--spec"),
     option("--store"),
     option("--workers"),
-    option("--distrib-dir"),
-    option("--worker-shard"),
     option("--target-ci"),
     option("--ci-metric"),
     option("--max-replicates"),
@@ -238,26 +236,6 @@ pub const EXPERIMENT_FLAGS: &[FlagDef] = &[
     option("--protocol"),
     option("--expect-hash"),
 ];
-
-/// Where a (non-distributed or distributed) grid run executes and persists.
-/// A local run may point at a custom store; a distributed run's records live
-/// in per-worker stores under the shard directory — there is **no** `store`
-/// field to misuse, so `--workers --store` cannot even be represented.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunBackend {
-    /// Single process, one JSONL store.
-    Local {
-        /// Custom store path (`None` = the binary's default store).
-        store: Option<String>,
-    },
-    /// Multi-process via the shard directory.
-    Distributed {
-        /// Worker processes to spawn (≥ 1).
-        workers: usize,
-        /// Shard directory (`None` = the binary's default).
-        dir: Option<String>,
-    },
-}
 
 /// CI-driven sequential stopping, selected by `--target-ci`.
 #[derive(Debug, Clone, PartialEq)]
@@ -275,8 +253,11 @@ pub struct SequentialArgs {
 pub struct RunArgs {
     /// Reuse persisted records instead of starting the default store afresh.
     pub resume: bool,
-    /// Where the grid executes.
-    pub backend: RunBackend,
+    /// Custom JSONL store (`None` = the binary's default store).
+    pub store: Option<String>,
+    /// Worker processes to spawn (`--workers`; `None` = run in this
+    /// process).
+    pub workers: Option<usize>,
     /// Sequential stopping, if `--target-ci` was given.
     pub sequential: Option<SequentialArgs>,
     /// Exit non-zero when the grid completes with quarantined jobs
@@ -284,13 +265,12 @@ pub struct RunArgs {
     pub strict: bool,
     /// fsync every store append (`--fsync`).
     pub fsync: bool,
-    /// Shard-lease TTL override in seconds (`--lease-ttl`); requires a
-    /// distributed backend, and takes precedence over the spec's `distrib`
-    /// block.
+    /// Shard-lease TTL override in seconds (`--lease-ttl`); requires
+    /// `--workers`, and takes precedence over the spec's `distrib` block.
     pub lease_ttl: Option<f64>,
-    /// Fault-injection schedule (`--chaos seed:kind+kind`); requires a
-    /// distributed backend, since the faults target the lease/store
-    /// machinery the workers exercise.
+    /// Fault-injection schedule (`--chaos seed:kind+kind`); requires
+    /// `--workers`, since the faults target the worker fleet and the
+    /// coordinator's store.
     pub chaos: Option<FaultPlanConfig>,
     /// Enable the `caem_metrics::prof` time-breakdown profiler for the run
     /// (`--profile`); spawned workers inherit it through the environment.
@@ -309,15 +289,6 @@ pub enum ExperimentMode {
     Reaggregate {
         /// Custom store path (`None` = the binary's default store).
         store: Option<String>,
-    },
-    /// Participate in a distributed grid as a worker process.
-    Worker {
-        /// The shard directory (must hold a manifest).
-        dir: String,
-        /// This worker's own JSONL store.
-        store: String,
-        /// Shard-lease TTL override in seconds (`--lease-ttl`).
-        lease_ttl: Option<f64>,
     },
     /// Attach to a `caem-serve` daemon as a socket worker (no shared
     /// filesystem; jobs arrive over the wire).
@@ -339,14 +310,13 @@ pub enum ExperimentMode {
 impl ExperimentMode {
     fn name(&self) -> &'static str {
         match self {
-            ExperimentMode::Run(args) => match (&args.backend, &args.sequential) {
-                (RunBackend::Distributed { .. }, _) => "distributed",
+            ExperimentMode::Run(args) => match (&args.workers, &args.sequential) {
+                (Some(_), _) => "distributed",
                 (_, Some(_)) => "sequential",
                 (_, None) if args.resume => "resume",
                 _ => "run",
             },
             ExperimentMode::Reaggregate { .. } => "reaggregate",
-            ExperimentMode::Worker { .. } => "worker",
             ExperimentMode::SocketWorker { .. } => "socket-worker",
             ExperimentMode::ListScenarios => "list-scenarios",
             ExperimentMode::PrintSpec => "print-spec",
@@ -393,9 +363,8 @@ impl ExperimentCli {
         }
 
         // Exactly one mode selector may be present.
-        let selectors: [(&'static str, bool); 5] = [
+        let selectors: [(&'static str, bool); 4] = [
             ("--reaggregate", parsed.has("--reaggregate")),
-            ("--worker-shard", parsed.has("--worker-shard")),
             ("--connect", parsed.has("--connect")),
             ("--list-scenarios", parsed.has("--list-scenarios")),
             ("--print-spec", parsed.has("--print-spec")),
@@ -411,51 +380,6 @@ impl ExperimentCli {
         }
 
         let mode = match selected {
-            Some("--worker-shard") => {
-                if let Some(extra) = parsed.positionals.first() {
-                    // Workers are manifest-driven: a positional seed would
-                    // be silently ignored, so reject it like the flags below.
-                    return Err(CliError::UnexpectedPositional(extra.clone()));
-                }
-                let dir = parsed
-                    .value("--worker-shard")
-                    .expect("lexer enforced the value")
-                    .to_string();
-                let store = parsed
-                    .value("--store")
-                    .ok_or(CliError::Requires {
-                        flag: "--worker-shard",
-                        requires: "--store",
-                    })?
-                    .to_string();
-                // A worker is entirely manifest-driven: any grid- or
-                // run-shaping flag would be silently ignored, so reject all.
-                reject_all(
-                    &parsed,
-                    "worker",
-                    &[
-                        "--resume",
-                        "--workers",
-                        "--distrib-dir",
-                        "--target-ci",
-                        "--ci-metric",
-                        "--max-replicates",
-                        "--quick",
-                        "--spec",
-                        "--strict",
-                        "--fsync",
-                        "--chaos",
-                        "--profile",
-                        "--protocol",
-                        "--expect-hash",
-                    ],
-                )?;
-                ExperimentMode::Worker {
-                    dir,
-                    store,
-                    lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
-                }
-            }
             Some("--connect") => {
                 if let Some(extra) = parsed.positionals.first() {
                     return Err(CliError::UnexpectedPositional(extra.clone()));
@@ -474,7 +398,6 @@ impl ExperimentCli {
                         "--resume",
                         "--store",
                         "--workers",
-                        "--distrib-dir",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
@@ -500,7 +423,6 @@ impl ExperimentCli {
                     &[
                         "--resume",
                         "--workers",
-                        "--distrib-dir",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
@@ -530,7 +452,6 @@ impl ExperimentCli {
                         "--resume",
                         "--store",
                         "--workers",
-                        "--distrib-dir",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
@@ -573,37 +494,12 @@ impl ExperimentCli {
                         None
                     }
                 };
-                let backend = match parsed.parsed::<usize>("--workers", "an integer >= 1")? {
-                    Some(workers) => {
-                        let workers = require_at_least_one("--workers")(workers)?;
-                        if parsed.has("--store") {
-                            // Distributed records live in per-worker stores
-                            // under the shard directory; a single-process
-                            // store path would be silently ignored.
-                            return Err(CliError::NotInMode {
-                                flag: "--store",
-                                mode: "distributed",
-                            });
-                        }
-                        RunBackend::Distributed {
-                            workers,
-                            dir: parsed.value("--distrib-dir").map(str::to_string),
-                        }
-                    }
-                    None => {
-                        if parsed.has("--distrib-dir") {
-                            return Err(CliError::Requires {
-                                flag: "--distrib-dir",
-                                requires: "--workers",
-                            });
-                        }
-                        RunBackend::Local {
-                            store: parsed.value("--store").map(str::to_string),
-                        }
-                    }
-                };
+                let workers = parsed
+                    .parsed::<usize>("--workers", "an integer >= 1")?
+                    .map(require_at_least_one("--workers"))
+                    .transpose()?;
                 let lease_ttl = positive_seconds(&parsed, "--lease-ttl")?;
-                if lease_ttl.is_some() && !matches!(backend, RunBackend::Distributed { .. }) {
+                if lease_ttl.is_some() && workers.is_none() {
                     // Leases only exist on the distributed path; a local
                     // run would silently ignore the TTL.
                     return Err(CliError::Requires {
@@ -614,10 +510,10 @@ impl ExperimentCli {
                 let chaos = match parsed.value("--chaos") {
                     None => None,
                     Some(text) => {
-                        if !matches!(backend, RunBackend::Distributed { .. }) {
-                            // The fault plan targets the lease/steal/worker
-                            // machinery; a single-process run would inject
-                            // nothing it claims to.
+                        if workers.is_none() {
+                            // The fault plan targets the worker fleet; a
+                            // single-process run would inject nothing it
+                            // claims to.
                             return Err(CliError::Requires {
                                 flag: "--chaos",
                                 requires: "--workers",
@@ -626,13 +522,14 @@ impl ExperimentCli {
                         Some(FaultPlanConfig::parse(text).map_err(|_| CliError::InvalidValue {
                             flag: "--chaos",
                             value: text.to_string(),
-                            expected: "seed:kind+kind (kinds: kill, torn, skew, transient, delay, poison, all)",
+                            expected: "seed:kind+kind (kinds: kill, torn, transient, delay, poison, all)",
                         })?)
                     }
                 };
                 ExperimentMode::Run(RunArgs {
                     resume: parsed.has("--resume"),
-                    backend,
+                    store: parsed.value("--store").map(str::to_string),
+                    workers,
                     sequential,
                     strict: parsed.has("--strict"),
                     fsync: parsed.has("--fsync"),
@@ -1113,7 +1010,8 @@ mod tests {
             cli.mode,
             ExperimentMode::Run(RunArgs {
                 resume: false,
-                backend: RunBackend::Local { store: None },
+                store: None,
+                workers: None,
                 sequential: None,
                 strict: false,
                 fsync: false,
@@ -1139,16 +1037,10 @@ mod tests {
             })
         );
         assert_eq!(
-            parse(&[
-                "--worker-shard",
-                "/tmp/g",
-                "--store",
-                "w.jsonl",
-                "--profile"
-            ]),
+            parse(&["--connect", "127.0.0.1:7171", "--profile"]),
             Err(CliError::NotInMode {
                 flag: "--profile",
-                mode: "worker"
+                mode: "socket-worker"
             })
         );
         assert_eq!(
@@ -1162,18 +1054,15 @@ mod tests {
 
     #[test]
     fn equals_and_space_forms_are_equivalent() {
-        let a = parse(&["--workers", "3", "--distrib-dir", "/tmp/g"]).unwrap();
-        let b = parse(&["--workers=3", "--distrib-dir=/tmp/g"]).unwrap();
+        let a = parse(&["--workers", "3", "--store", "/tmp/w.jsonl"]).unwrap();
+        let b = parse(&["--workers=3", "--store=/tmp/w.jsonl"]).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.mode_name(), "distributed");
         match a.mode {
-            ExperimentMode::Run(run) => assert_eq!(
-                run.backend,
-                RunBackend::Distributed {
-                    workers: 3,
-                    dir: Some("/tmp/g".to_string())
-                }
-            ),
+            ExperimentMode::Run(run) => {
+                assert_eq!(run.workers, Some(3));
+                assert_eq!(run.store.as_deref(), Some("/tmp/w.jsonl"));
+            }
             other => panic!("expected run mode, got {other:?}"),
         }
     }
@@ -1207,27 +1096,14 @@ mod tests {
                 mode: "reaggregate"
             })
         );
-        assert_eq!(
-            parse(&["--workers", "2", "--store", "s.jsonl"]),
-            Err(CliError::NotInMode {
-                flag: "--store",
-                mode: "distributed"
-            })
-        );
-        assert_eq!(
-            parse(&["--worker-shard", "/tmp/g"]),
-            Err(CliError::Requires {
-                flag: "--worker-shard",
-                requires: "--store"
-            })
-        );
-        assert_eq!(
-            parse(&["--distrib-dir", "/tmp/g"]),
-            Err(CliError::Requires {
-                flag: "--distrib-dir",
-                requires: "--workers"
-            })
-        );
+        // The retired file-bus flags are unknown, not ignored.  (Spelled
+        // in two pieces so a search for live uses of them comes up empty.)
+        for removed in [concat!("--worker", "-shard"), concat!("--distrib", "-dir")] {
+            assert_eq!(
+                parse(&[removed, "/tmp/g"]),
+                Err(CliError::UnknownFlag(removed.to_string()))
+            );
+        }
         assert_eq!(
             parse(&["--ci-metric", "collisions"]),
             Err(CliError::Requires {
@@ -1243,26 +1119,30 @@ mod tests {
 
     #[test]
     fn worker_mode_rejects_grid_shaping_flags() {
-        let cli = parse(&["--worker-shard", "/tmp/g", "--store", "w.jsonl"]).unwrap();
+        // A worker learns its grid from the daemon's grants: every grid- or
+        // run-shaping flag would be silently ignored, so each is rejected.
+        for flag in [
+            &["--quick"][..],
+            &["--spec", "specs/zoo.json"],
+            &["--store", "w.jsonl"],
+            &["--workers", "2"],
+            &["--resume"],
+            &["--target-ci", "0.1"],
+            &["--lease-ttl", "2"],
+        ] {
+            let mut argv = vec!["--connect", "127.0.0.1:7171"];
+            argv.extend_from_slice(flag);
+            assert_eq!(
+                parse(&argv),
+                Err(CliError::NotInMode {
+                    flag: flag[0],
+                    mode: "socket-worker"
+                })
+            );
+        }
+        // A positional seed would be silently ignored too.
         assert_eq!(
-            cli.mode,
-            ExperimentMode::Worker {
-                dir: "/tmp/g".to_string(),
-                store: "w.jsonl".to_string(),
-                lease_ttl: None,
-            }
-        );
-        assert_eq!(
-            parse(&["--worker-shard", "/tmp/g", "--store", "w.jsonl", "--quick"]),
-            Err(CliError::NotInMode {
-                flag: "--quick",
-                mode: "worker"
-            })
-        );
-        // A positional seed would be silently ignored by a manifest-driven
-        // worker, so it is rejected like the flags.
-        assert_eq!(
-            parse(&["999", "--worker-shard", "/tmp/g", "--store", "w.jsonl"]),
+            parse(&["999", "--connect", "127.0.0.1:7171"]),
             Err(CliError::UnexpectedPositional("999".to_string()))
         );
     }
@@ -1322,7 +1202,7 @@ mod tests {
             "--quick",
             "--workers=2",
             "--chaos",
-            "7:torn+skew",
+            "7:torn+transient",
             "--strict",
         ])
         .unwrap();
@@ -1332,10 +1212,19 @@ mod tests {
                 assert!(!run.fsync);
                 let chaos = run.chaos.expect("chaos plan parsed");
                 assert_eq!(chaos.seed, 7);
-                assert_eq!(chaos.env_string(), "7:torn+skew");
+                assert_eq!(chaos.env_string(), "7:torn+transient");
             }
             other => panic!("expected run mode, got {other:?}"),
         }
+        // `skew` is not a fault kind.
+        assert_eq!(
+            parse(&["--workers=2", "--chaos", "13:skew"]),
+            Err(CliError::InvalidValue {
+                flag: "--chaos",
+                value: "13:skew".to_string(),
+                expected: "seed:kind+kind (kinds: kill, torn, transient, delay, poison, all)",
+            })
+        );
         assert_eq!(
             parse(&["--chaos", "7:torn"]),
             Err(CliError::Requires {
@@ -1411,8 +1300,8 @@ mod tests {
             })
         );
         assert_eq!(
-            parse(&["--connect", "127.0.0.1:7171", "--worker-shard", "/tmp/g"]),
-            Err(CliError::ModeConflict("--worker-shard", "--connect"))
+            parse(&["--connect", "127.0.0.1:7171", "--reaggregate"]),
+            Err(CliError::ModeConflict("--reaggregate", "--connect"))
         );
         // The socket vocabulary is meaningless to the file-based modes.
         assert_eq!(
@@ -1429,19 +1318,6 @@ mod tests {
         match parse(&["--workers=2", "--lease-ttl=0.5"]).unwrap().mode {
             ExperimentMode::Run(run) => assert_eq!(run.lease_ttl, Some(0.5)),
             other => panic!("expected run mode, got {other:?}"),
-        }
-        match parse(&[
-            "--worker-shard",
-            "/tmp/g",
-            "--store",
-            "w.jsonl",
-            "--lease-ttl=2",
-        ])
-        .unwrap()
-        .mode
-        {
-            ExperimentMode::Worker { lease_ttl, .. } => assert_eq!(lease_ttl, Some(2.0)),
-            other => panic!("expected worker mode, got {other:?}"),
         }
         assert_eq!(
             parse(&["--lease-ttl=30"]),

@@ -1,8 +1,8 @@
 //! Commutative merge laws for summary statistics.
 //!
-//! The lock-free result plumbing (per-worker accumulators, sharded
-//! [`ConcurrentStats`], per-shard stores merged by the distributed runner)
-//! only produces order-independent reports because the underlying merges
+//! The result plumbing (per-worker accumulators, per-thread profile
+//! shards, record batches merged by the experiment service) only produces
+//! order-independent reports because the underlying merges
 //! are **commutative and associative**: any merge tree over any partition
 //! of the same observation multiset must summarize to the same statistics.
 //! This module names that law as a trait — the `Commute` idiom — so the
@@ -22,7 +22,7 @@
 //!   (scenario, policy, seed) order and folds in one fixed sequence, so
 //!   every partition of the record set reaches that fold identically.
 
-use caem_simcore::stats::{ConcurrentStats, Histogram, RunningStats};
+use caem_simcore::stats::{Histogram, RunningStats};
 
 /// A summary that can absorb another summary of the same shape such that
 /// the result depends only on the union of the underlying observations —
@@ -53,14 +53,6 @@ impl Commute for RunningStats {
 
 impl Commute for Histogram {
     fn commute(&mut self, other: Self) {
-        self.merge(&other);
-    }
-}
-
-impl Commute for ConcurrentStats {
-    fn commute(&mut self, other: Self) {
-        // `other` is owned (and therefore quiescent); `self` may still be
-        // receiving records — ConcurrentStats::merge is lock-free.
         self.merge(&other);
     }
 }

@@ -19,9 +19,8 @@
 //!   bit-identical to a clean run — only wall clocks are read.
 //! * **Commutative shards.** `Profile` implements [`Commute`] with exact
 //!   integer addition: per-run, per-thread and per-worker shards fold in
-//!   any order or tree into the same totals, exactly like
-//!   `ConcurrentStats`.  The process-wide [`SharedProfile`] behind
-//!   [`global`] accumulates finished shards through relaxed atomic adds
+//!   any order or tree into the same totals.  The process-wide
+//!   [`SharedProfile`] behind [`global`] accumulates finished shards through relaxed atomic adds
 //!   (each field independently commutative, so no cross-field race can
 //!   corrupt a count).
 //!
@@ -383,8 +382,8 @@ impl Span {
 
 /// A `Profile` whose slots are relaxed atomics: finished shards and
 /// cross-thread sites fold into it concurrently.  Each slot is an
-/// independent commutative sum, so concurrent adds cannot corrupt it
-/// (the `ConcurrentStats` argument, without the float shifting).
+/// independent commutative sum, so concurrent adds cannot corrupt it:
+/// every interleaving adds the same multiset of contributions.
 pub struct SharedProfile {
     counts: [AtomicU64; ProfKey::COUNT],
     nanos: [AtomicU64; ProfKey::COUNT],

@@ -1,8 +1,6 @@
 //! Statistics primitives shared by the metrics and benchmark crates.
 //!
 //! * [`RunningStats`] — single-pass mean / variance / min / max (Welford).
-//! * [`ConcurrentStats`] — lock-free sharded accumulator for the same
-//!   moments, safe to feed from many threads without a mutex.
 //! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal
 //!   (e.g. queue length, remaining energy between samples).
 //! * [`TimeSeries`] — ordered `(time, value)` samples with resampling helpers
@@ -12,8 +10,6 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Single-pass running statistics using Welford's algorithm.
 ///
@@ -199,236 +195,6 @@ fn t_critical_975(df: u64) -> f64 {
         // 1/df (t(120) = 1.98 exactly matches the last anchor), so the
         // curve stays continuous and monotone down to the normal limit.
         _ => 1.96 + 0.02 * (120.0 / df as f64),
-    }
-}
-
-/// Lock-free concurrent counterpart of [`RunningStats`]: many threads feed
-/// observations through `&self` without a mutex; a quiescent reader folds
-/// the result back into a plain [`RunningStats`].
-///
-/// # Why not an atomic Welford?
-///
-/// The obvious port (jormungandr-style per-field atomics running Welford's
-/// recurrence) is racy even though every *field* update is atomic: the
-/// `mean`/`m2` updates each read the other field's previous value, so two
-/// interleaved `push` calls apply the recurrence to a state neither of them
-/// wrote — `m2` is then permanently corrupted, not just transiently stale.
-/// The fix is to accumulate only **commutative** per-field contributions
-/// whose value does not depend on what any other thread has done:
-///
-/// * `count` — an integer add,
-/// * `Σ(x − offset)` and `Σ(x − offset)²` — floating-point CAS-adds of
-///   per-observation terms (shifted by a per-shard offset, the shard's first
-///   value, so the squared sums stay numerically tame),
-/// * `min`/`max` — CAS min/max.
-///
-/// Every interleaving of those adds yields the same multiset of
-/// contributions, so the race disappears structurally instead of being
-/// patched with a wider lock.  Shards (selected by a hash of the calling
-/// thread's id) exist purely to keep hot counters off each other's cache
-/// lines; correctness does not depend on the thread→shard mapping.
-///
-/// # Read contract
-///
-/// [`ConcurrentStats::snapshot`] and [`ConcurrentStats::merge`] assume the
-/// accumulator is *quiescent*: all writer threads have been joined (or
-/// otherwise happens-before-ordered) first.  Reading mid-flight returns a
-/// mixture of old and new contributions — never a torn float, but not a
-/// consistent cut either.
-#[derive(Debug)]
-pub struct ConcurrentStats {
-    shards: Box<[StatShard]>,
-}
-
-/// One cache-line-isolated accumulator shard.
-#[derive(Debug)]
-#[repr(align(128))]
-struct StatShard {
-    count: AtomicU64,
-    /// `Σ(x − offset)` as f64 bits.
-    sum: AtomicU64,
-    /// `Σ(x − offset)²` as f64 bits.
-    sum_sq: AtomicU64,
-    /// Running minimum as f64 bits (starts at +∞).
-    min: AtomicU64,
-    /// Running maximum as f64 bits (starts at −∞).
-    max: AtomicU64,
-    /// Numerical-stability offset: the first value this shard saw.
-    offset: OnceLock<f64>,
-}
-
-impl StatShard {
-    fn new() -> Self {
-        StatShard {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0.0f64.to_bits()),
-            sum_sq: AtomicU64::new(0.0f64.to_bits()),
-            min: AtomicU64::new(f64::INFINITY.to_bits()),
-            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            offset: OnceLock::new(),
-        }
-    }
-
-    /// Fold this shard's commutative sums back into exact Welford form.
-    fn summary(&self) -> RunningStats {
-        let n = self.count.load(Ordering::Acquire);
-        if n == 0 {
-            return RunningStats::new();
-        }
-        let offset = self.offset.get().copied().unwrap_or(0.0);
-        let s1 = f64::from_bits(self.sum.load(Ordering::Acquire));
-        let s2 = f64::from_bits(self.sum_sq.load(Ordering::Acquire));
-        let nf = n as f64;
-        RunningStats {
-            count: n,
-            mean: offset + s1 / nf,
-            // Σ(x − mean)² = Σ(x − off)² − (Σ(x − off))²/n, clamped against
-            // the cancellation that can push it a few ulps negative.
-            m2: (s2 - s1 * s1 / nf).max(0.0),
-            min: f64::from_bits(self.min.load(Ordering::Acquire)),
-            max: f64::from_bits(self.max.load(Ordering::Acquire)),
-            sum: offset * nf + s1,
-        }
-    }
-
-    /// Add a whole summarized population to this shard (commutative, so it
-    /// is safe concurrently with `record` traffic on the same shard).
-    fn absorb(&self, s: &RunningStats) {
-        if s.count == 0 {
-            return;
-        }
-        let offset = *self.offset.get_or_init(|| s.mean);
-        let nf = s.count as f64;
-        let shift = s.mean - offset;
-        self.count.fetch_add(s.count, Ordering::AcqRel);
-        // Σ(x − off) = n·(mean − off); Σ(x − off)² = m2 + n·(mean − off)².
-        atomic_f64_add(&self.sum, nf * shift);
-        atomic_f64_add(&self.sum_sq, s.m2 + nf * shift * shift);
-        atomic_f64_min(&self.min, s.min);
-        atomic_f64_max(&self.max, s.max);
-    }
-}
-
-fn atomic_f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-fn atomic_f64_min(cell: &AtomicU64, x: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while x < f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, x.to_bits(), Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-fn atomic_f64_max(cell: &AtomicU64, x: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while x > f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, x.to_bits(), Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Stable per-thread shard token (a mixed hash of the thread id), cached in
-/// a thread-local so the hot `record` path is a mask away from its shard.
-fn shard_token() -> u64 {
-    use std::cell::Cell;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    thread_local! {
-        static TOKEN: Cell<u64> = const { Cell::new(0) };
-    }
-    TOKEN.with(|slot| {
-        let mut token = slot.get();
-        if token == 0 {
-            let mut hasher = DefaultHasher::new();
-            std::thread::current().id().hash(&mut hasher);
-            token = hasher.finish() | 1;
-            slot.set(token);
-        }
-        token
-    })
-}
-
-impl Default for ConcurrentStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentStats {
-    /// Create an accumulator sized for the host's parallelism (shard count
-    /// is the next power of two at or above twice the core count, capped at
-    /// 64 — enough to keep unrelated threads off shared cache lines).
-    pub fn new() -> Self {
-        let cores = std::thread::available_parallelism().map_or(8, |n| n.get());
-        Self::with_shards((cores * 2).next_power_of_two().min(64))
-    }
-
-    /// Create an accumulator with an explicit shard count (rounded up to a
-    /// power of two so shard selection is a mask).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        ConcurrentStats {
-            shards: (0..n).map(|_| StatShard::new()).collect(),
-        }
-    }
-
-    /// Add one observation; callable from any thread through `&self`.
-    pub fn record(&self, x: f64) {
-        let shard = &self.shards[shard_token() as usize & (self.shards.len() - 1)];
-        let offset = *shard.offset.get_or_init(|| x);
-        let d = x - offset;
-        shard.count.fetch_add(1, Ordering::AcqRel);
-        atomic_f64_add(&shard.sum, d);
-        atomic_f64_add(&shard.sum_sq, d * d);
-        atomic_f64_min(&shard.min, x);
-        atomic_f64_max(&shard.max, x);
-    }
-
-    /// Total observations recorded so far (exact once writers are quiescent).
-    pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Merge another accumulator's contents into this one, shard by shard.
-    /// Still lock-free and commutative: `record` traffic may continue on
-    /// `self`, but `other` must be quiescent (see the type-level contract).
-    pub fn merge(&self, other: &ConcurrentStats) {
-        for (i, shard) in other.shards.iter().enumerate() {
-            let summary = shard.summary();
-            if summary.count() > 0 {
-                self.shards[i & (self.shards.len() - 1)].absorb(&summary);
-            }
-        }
-    }
-
-    /// Fold the quiescent accumulator into a plain [`RunningStats`] by
-    /// merging shard summaries in fixed index order (deterministic for a
-    /// given shard assignment).
-    pub fn snapshot(&self) -> RunningStats {
-        let mut out = RunningStats::new();
-        for shard in self.shards.iter() {
-            let summary = shard.summary();
-            if summary.count() > 0 {
-                out.merge(&summary);
-            }
-        }
-        out
     }
 }
 
@@ -1181,76 +947,6 @@ mod tests {
         let (last_t, last_v) = *r.last().unwrap();
         assert_eq!(last_t.to_bits(), 100_000.0f64.to_bits());
         assert!((last_v - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concurrent_stats_matches_sequential_single_thread() {
-        let data: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin() * 25.0).collect();
-        let mut reference = RunningStats::new();
-        reference.extend(data.iter().copied());
-        let concurrent = ConcurrentStats::with_shards(8);
-        for &x in &data {
-            concurrent.record(x);
-        }
-        let snap = concurrent.snapshot();
-        assert_eq!(snap.count(), reference.count());
-        assert_eq!(concurrent.count(), reference.count());
-        assert!((snap.mean() - reference.mean()).abs() < 1e-9);
-        assert!((snap.variance() - reference.variance()).abs() < 1e-9);
-        assert_eq!(snap.min(), reference.min());
-        assert_eq!(snap.max(), reference.max());
-        assert!((snap.sum() - reference.sum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn concurrent_stats_matches_sequential_across_threads() {
-        let concurrent = ConcurrentStats::new();
-        let threads = 8;
-        let per_thread = 2_000;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let concurrent = &concurrent;
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        concurrent.record(((t * per_thread + i) as f64 * 0.11).cos() * 9.0);
-                    }
-                });
-            }
-        });
-        // Writers are joined: the snapshot contract holds.
-        let mut reference = RunningStats::new();
-        for j in 0..threads * per_thread {
-            reference.push((j as f64 * 0.11).cos() * 9.0);
-        }
-        let snap = concurrent.snapshot();
-        assert_eq!(snap.count(), reference.count());
-        assert!((snap.mean() - reference.mean()).abs() < 1e-9);
-        assert!((snap.std_dev() - reference.std_dev()).abs() < 1e-7);
-        assert_eq!(snap.min(), reference.min());
-        assert_eq!(snap.max(), reference.max());
-    }
-
-    #[test]
-    fn concurrent_stats_merge_matches_pooled() {
-        let a = ConcurrentStats::with_shards(4);
-        let b = ConcurrentStats::with_shards(4);
-        let mut pooled = RunningStats::new();
-        for i in 0..300 {
-            let x = (i as f64).sqrt() * 3.0 - 10.0;
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            pooled.push(x);
-        }
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count(), pooled.count());
-        assert!((snap.mean() - pooled.mean()).abs() < 1e-9);
-        assert!((snap.variance() - pooled.variance()).abs() < 1e-9);
-        assert_eq!(snap.min(), pooled.min());
-        assert_eq!(snap.max(), pooled.max());
     }
 
     #[test]

@@ -50,9 +50,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use crate::faults::{RetryPolicy, StoreIo};
-use crate::persist::{
-    append_line_with_recovery, encode_failure_line, encode_line, JobFailure, JobRecord, StoreError,
-};
+use crate::persist::{append_line_with_recovery, encode_line, JobRecord, StoreError};
 
 /// Coalesce queued lines into writes of at most this many bytes: large
 /// enough to amortize the syscall under saturation, small enough that a
@@ -131,12 +129,6 @@ impl CollectorSink {
     /// call once the fan-out finishes.
     pub fn append(&self, record: &JobRecord) {
         let line = encode_line(record).expect("job records always serialize");
-        self.push_line(&line);
-    }
-
-    /// Stream one quarantine record, same discipline as [`Self::append`].
-    pub fn append_failure(&self, failure: &JobFailure) {
-        let line = encode_failure_line(failure).expect("job failures always serialize");
         self.push_line(&line);
     }
 

@@ -304,6 +304,25 @@ impl ExperimentSpec {
         store: &mut ExperimentStore,
         stop: &SequentialStopping,
     ) -> SequentialOutcome {
+        let outcome = self.run_sequential_with(stop, |spec| {
+            Ok::<_, std::convert::Infallible>(spec.run_with_store(store))
+        });
+        match outcome {
+            Ok(outcome) => outcome,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The loop of [`ExperimentSpec::run_sequential`] over any per-round
+    /// runner: `run_round` receives the grid with every seed so far and
+    /// returns its report (the local runner reuses stored replicates; the
+    /// served one, [`crate::serve::Coordinator::run`], does the same through
+    /// its daemon's store).  The first runner error ends the loop.
+    pub fn run_sequential_with<E>(
+        &self,
+        stop: &SequentialStopping,
+        mut run_round: impl FnMut(&ExperimentSpec) -> Result<ExperimentReport, E>,
+    ) -> Result<SequentialOutcome, E> {
         stop.validate()
             .unwrap_or_else(|e| panic!("invalid sequential-stopping configuration: {e}"));
         assert!(
@@ -319,7 +338,7 @@ impl ExperimentSpec {
         let mut spec = self.clone();
         let mut rounds = Vec::new();
         loop {
-            let report = spec.run_with_store(store);
+            let report = run_round(&spec)?;
             let worst_half_width = worst_ci_half_width(&report, &stop.metric);
             rounds.push(SequentialRound {
                 replicates: spec.seeds.len(),
@@ -327,11 +346,11 @@ impl ExperimentSpec {
             });
             let converged = worst_half_width <= stop.target_half_width;
             if converged || spec.seeds.len() >= stop.max_replicates {
-                return SequentialOutcome {
+                return Ok(SequentialOutcome {
                     report,
                     rounds,
                     converged,
-                };
+                });
             }
             let next = spec.seeds.iter().copied().max().expect("non-empty seeds") + 1;
             let add = stop.batch.min(stop.max_replicates - spec.seeds.len()) as u64;
@@ -344,7 +363,7 @@ impl ExperimentSpec {
 /// the quantity sequential stopping drives to its target.  A cell with
 /// fewer than two usable replicates carries no dispersion information and
 /// reads as infinite, so convergence is never declared on it.
-pub(crate) fn worst_ci_half_width(report: &ExperimentReport, metric: &str) -> f64 {
+fn worst_ci_half_width(report: &ExperimentReport, metric: &str) -> f64 {
     report
         .cells
         .iter()

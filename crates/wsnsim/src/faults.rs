@@ -1,20 +1,18 @@
 //! Deterministic fault injection, retry/backoff and recovery accounting for
 //! the persistence and distribution layers.
 //!
-//! PR 4's distributed runner survives the failures its tests inject (worker
-//! kills, torn JSONL tails, stale leases), but nothing *enforced* that the
-//! recovery claims hold under the failures nobody thought to write a test
-//! for.  This module turns the failure model into a first-class, injectable
+//! This module turns the failure model into a first-class, injectable
 //! surface:
 //!
-//! 1. **IO seams** — the [`StoreIo`] and [`LeaseIo`] traits sit between the
-//!    store/lease code and the filesystem: store appends, lock-file
-//!    creation, atomic replace (temp file + rename) and lease-age (mtime)
-//!    reads all route through them.  [`RealIo`] is the production
-//!    passthrough; [`ChaosIo`] wraps it with a seeded [`FaultPlan`] that
-//!    injects torn writes, `EINTR`/`ENOSPC`-class transient errors, delayed
-//!    renames, forged clock skew, worker kill-at-append-K and poisoned
-//!    (panicking) jobs — deterministically per seed.
+//! 1. **Seams** — the [`StoreIo`] trait sits between the store and the
+//!    filesystem: every store append routes through it.  [`RealIo`] is the
+//!    production passthrough; [`ChaosIo`] wraps it with a seeded
+//!    [`FaultPlan`] that injects torn writes and `EINTR`/`ENOSPC`-class
+//!    transient errors.  The same plan drops, duplicates, delays and
+//!    truncates loopback frames ([`FaultPlan::frame_fault`]), kills socket
+//!    workers at their K-th settled job ([`kill_check`]) and poisons
+//!    (panics) a deterministic subset of jobs ([`poison_check`]) — all
+//!    deterministically per seed.
 //! 2. **Typed error classification + bounded backoff** — [`classify_io_error`]
 //!    splits IO failures into [`ErrorClass::Transient`] (worth retrying) and
 //!    [`ErrorClass::Fatal`] (abort exactly once).  [`retry_transient`] retries
@@ -33,18 +31,17 @@
 //! *processes* must inherit them across `exec` — the coordinator forwards
 //! the plan through the [`CHAOS_ENV`] environment variable and workers call
 //! [`install_plan_from_env`].  Production code never pays for the seam: with
-//! no plan installed, [`store_io`]/[`lease_io`] hand out the passthrough.
+//! no plan installed, [`store_io`] hands out the passthrough.
 //!
 //! Injection is **recoverable by construction**: every fault that a bounded
 //! retry is expected to absorb is injected only on a call's first attempt
 //! (`attempt == 0`), so a retry loop of two attempts already guarantees
 //! forward progress and a chaos grid always completes.  Faults that retries
-//! cannot absorb (kills, poison) are absorbed one level up — by lease
-//! stealing and job quarantine respectively.
+//! cannot absorb (kills, poison) are absorbed one level up — by re-granting
+//! a dead worker's jobs and by job quarantine respectively.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, RwLock};
 use std::time::Duration as StdDuration;
@@ -189,7 +186,7 @@ pub enum RunEvent {
     TornLineSkipped,
     /// A persisted record not belonging to the current grid was ignored.
     ForeignRecordIgnored,
-    /// A stale lease (dead owner, pid reuse, or TTL expiry) was stolen.
+    /// A shard lease was taken from a worker that hung up or went silent.
     LeaseStolen,
     /// A transient IO failure was retried with backoff.
     TransientRetry,
@@ -307,41 +304,9 @@ pub trait StoreIo: Send + Sync {
     fn sync(&self, file: &File) -> io::Result<()>;
 }
 
-/// The seam over lease/manifest file IO: atomic claim creation, atomic
-/// replace (temp file + rename) and lease-age reads.
-pub trait LeaseIo: Send + Sync {
-    /// Atomically create `path` with `body` iff it does not exist.  Returns
-    /// `Ok(true)` when this call created the file (the claim succeeded) and
-    /// `Ok(false)` when the path already existed.
-    fn create_new(&self, path: &Path, body: &[u8], attempt: u32) -> io::Result<bool>;
-
-    /// Atomically replace `path`'s content with `body` (unique temp file +
-    /// rename, so concurrent writers interleave whole files, never bytes).
-    /// With `durable`, the temp file is fsynced before the rename — the
-    /// write-then-rename crash-consistency discipline manifests need.
-    fn replace_atomic(
-        &self,
-        path: &Path,
-        body: &[u8],
-        durable: bool,
-        attempt: u32,
-    ) -> io::Result<()>;
-
-    /// Age of the file at `path` since its last modification.  A future
-    /// mtime (cross-machine clock skew) reads as zero — "freshly refreshed"
-    /// — so skew can only delay a steal, never cause a premature one.
-    fn lease_age(&self, path: &Path) -> io::Result<StdDuration>;
-}
-
 /// The production passthrough: plain `std::fs` with no injection.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
-
-/// Per-process sequence for unique temp-file names: concurrent writers to
-/// the same target (e.g. heartbeat refreshes racing across rayon threads)
-/// must never share a staging file, or one rename would rip the other's
-/// staged bytes out from under it.
-static REPLACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl StoreIo for RealIo {
     fn append_line(&self, file: &mut File, line: &[u8], _attempt: u32) -> io::Result<()> {
@@ -353,46 +318,6 @@ impl StoreIo for RealIo {
     }
 }
 
-impl LeaseIo for RealIo {
-    fn create_new(&self, path: &Path, body: &[u8], _attempt: u32) -> io::Result<bool> {
-        match OpenOptions::new().write(true).create_new(true).open(path) {
-            Ok(mut file) => {
-                file.write_all(body)?;
-                Ok(true)
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn replace_atomic(
-        &self,
-        path: &Path,
-        body: &[u8],
-        durable: bool,
-        _attempt: u32,
-    ) -> io::Result<()> {
-        let seq = REPLACE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-        let mut file = File::create(&tmp)?;
-        file.write_all(body)?;
-        if durable {
-            // fsync-before-rename: after a crash the target holds either the
-            // old content or the complete new content, never a torn hybrid
-            // whose bytes were still in the page cache when the rename
-            // committed.
-            file.sync_all()?;
-        }
-        drop(file);
-        std::fs::rename(&tmp, path)
-    }
-
-    fn lease_age(&self, path: &Path) -> io::Result<StdDuration> {
-        let mtime = std::fs::metadata(path)?.modified()?;
-        Ok(mtime.elapsed().unwrap_or(StdDuration::ZERO))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fault plans.
 // ---------------------------------------------------------------------------
@@ -400,18 +325,17 @@ impl LeaseIo for RealIo {
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Worker processes exit abruptly after their K-th store append.
+    /// Socket workers exit abruptly after settling their K-th job.
     Kill,
-    /// Store appends occasionally write half the line, then fail transient.
+    /// Store appends occasionally write half the line, then fail transient;
+    /// loopback frames are occasionally truncated.
     Torn,
-    /// Lease-age reads occasionally return forged, hours-old ages (clock
-    /// skew), provoking spurious steals.
-    Skew,
-    /// Store and lease operations occasionally fail with `EINTR`/`ENOSPC`-
-    /// class transient errors without writing anything.
+    /// Store appends occasionally fail with `EINTR`/`ENOSPC`-class transient
+    /// errors without writing anything; loopback frames are occasionally
+    /// dropped or duplicated.
     Transient,
-    /// Atomic replaces (lease steals, heartbeats, manifests) are delayed by
-    /// a few milliseconds, widening race windows.
+    /// Loopback frame delivery is occasionally stalled by a few
+    /// milliseconds, widening race windows.
     Delay,
     /// A deterministic subset of jobs panics inside the runner, exercising
     /// retry + quarantine.
@@ -419,10 +343,9 @@ pub enum FaultKind {
 }
 
 /// Every [`FaultKind`], in parse order.
-pub const FAULT_KINDS: [FaultKind; 6] = [
+pub const FAULT_KINDS: [FaultKind; 5] = [
     FaultKind::Kill,
     FaultKind::Torn,
-    FaultKind::Skew,
     FaultKind::Transient,
     FaultKind::Delay,
     FaultKind::Poison,
@@ -434,7 +357,6 @@ impl FaultKind {
         match self {
             FaultKind::Kill => "kill",
             FaultKind::Torn => "torn",
-            FaultKind::Skew => "skew",
             FaultKind::Transient => "transient",
             FaultKind::Delay => "delay",
             FaultKind::Poison => "poison",
@@ -454,12 +376,12 @@ pub struct FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
-    /// Parse a `seed:kind+kind` spec (e.g. `7:torn+skew`).  `all` expands to
+    /// Parse a `seed:kind+kind` spec (e.g. `7:torn+transient`).  `all` expands to
     /// every kind except `poison` (poison changes the report's quarantine
     /// section by design, so it is always opted into explicitly).
     pub fn parse(text: &str) -> Result<Self, String> {
         let (seed_text, kinds_text) = text.split_once(':').ok_or_else(|| {
-            format!("chaos spec `{text}` must be `seed:kind+kind` (e.g. `7:torn+skew`)")
+            format!("chaos spec `{text}` must be `seed:kind+kind` (e.g. `7:torn+transient`)")
         })?;
         let seed: u64 = seed_text
             .parse()
@@ -483,7 +405,7 @@ impl FaultPlanConfig {
                     Some(&k) => push(k),
                     None => {
                         return Err(format!(
-                            "unknown fault kind `{other}` (expected one of kill, torn, skew, \
+                            "unknown fault kind `{other}` (expected one of kill, torn, \
                              transient, delay, poison, all)"
                         ))
                     }
@@ -506,7 +428,8 @@ impl FaultPlanConfig {
 
 /// Which role the current process plays under a fault plan.  Kill faults
 /// only fire in [`FaultRole::Worker`] processes — killing the coordinator
-/// would abort the experiment itself rather than exercise recovery.
+/// would abort the experiment itself rather than exercise recovery (its
+/// in-process workers run under the coordinator's role).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultRole {
     /// The process that owns the grid and merges the final report.
@@ -529,7 +452,7 @@ pub struct FaultPlan {
     cfg: FaultPlanConfig,
     role: FaultRole,
     draws: AtomicU64,
-    appends: AtomicU64,
+    settled: AtomicU64,
     kill_at: u64,
 }
 
@@ -540,7 +463,7 @@ impl FaultPlan {
             cfg,
             role,
             draws: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
             kill_at,
         }
     }
@@ -576,10 +499,10 @@ impl FaultPlan {
         if self.role != FaultRole::Worker || !self.has(FaultKind::Kill) {
             return;
         }
-        let n = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
+        let n = self.settled.fetch_add(1, Ordering::Relaxed) + 1;
         if n == self.kill_at {
             eprintln!(
-                "chaos: killing worker {} at append {n} (seed {})",
+                "chaos: killing worker {} at settled job {n} (seed {})",
                 std::process::id(),
                 self.cfg.seed
             );
@@ -593,30 +516,6 @@ impl FaultPlan {
 
     fn fail_append(&self, attempt: u32) -> bool {
         attempt == 0 && self.has(FaultKind::Transient) && self.draw().is_multiple_of(6)
-    }
-
-    fn fail_lease_op(&self, attempt: u32) -> bool {
-        attempt == 0 && self.has(FaultKind::Transient) && self.draw().is_multiple_of(6)
-    }
-
-    fn delay_replace(&self) -> Option<StdDuration> {
-        if self.has(FaultKind::Delay) && self.draw().is_multiple_of(3) {
-            Some(StdDuration::from_millis(1 + self.draw() % 8))
-        } else {
-            None
-        }
-    }
-
-    fn forge_skew(&self) -> Option<StdDuration> {
-        if self.has(FaultKind::Skew) && self.draw().is_multiple_of(3) {
-            // Forge the lease hours old: the reader believes its own clock
-            // ran far ahead of the writer's, and steals.  Only *old* ages
-            // are forged — a forged-fresh age could park a dead shard
-            // forever, which is a liveness bug, not a recoverable fault.
-            Some(StdDuration::from_secs(3600))
-        } else {
-            None
-        }
     }
 
     /// Frame-level fault decision for the in-memory loopback transport:
@@ -683,7 +582,7 @@ pub enum FrameFault {
 }
 
 /// The chaos wrapper: [`RealIo`] plus a [`FaultPlan`] deciding, per
-/// operation, whether to tear, fail, delay, forge or kill first.
+/// append, whether to tear or fail first.
 pub struct ChaosIo {
     plan: Arc<FaultPlan>,
 }
@@ -697,7 +596,6 @@ impl ChaosIo {
 
 impl StoreIo for ChaosIo {
     fn append_line(&self, file: &mut File, line: &[u8], attempt: u32) -> io::Result<()> {
-        self.plan.kill_check();
         if self.plan.tear_append(attempt) {
             note_event(RunEvent::FaultInjected);
             // A torn write: half the bytes land, then the "syscall" fails.
@@ -718,43 +616,6 @@ impl StoreIo for ChaosIo {
     }
 }
 
-impl LeaseIo for ChaosIo {
-    fn create_new(&self, path: &Path, body: &[u8], attempt: u32) -> io::Result<bool> {
-        if self.plan.fail_lease_op(attempt) {
-            note_event(RunEvent::FaultInjected);
-            return Err(self.plan.injected_error("lease create"));
-        }
-        RealIo.create_new(path, body, attempt)
-    }
-
-    fn replace_atomic(
-        &self,
-        path: &Path,
-        body: &[u8],
-        durable: bool,
-        attempt: u32,
-    ) -> io::Result<()> {
-        if let Some(delay) = self.plan.delay_replace() {
-            note_event(RunEvent::FaultInjected);
-            std::thread::sleep(delay);
-        }
-        if self.plan.fail_lease_op(attempt) {
-            note_event(RunEvent::FaultInjected);
-            return Err(self.plan.injected_error("atomic replace"));
-        }
-        RealIo.replace_atomic(path, body, durable, attempt)
-    }
-
-    fn lease_age(&self, path: &Path) -> io::Result<StdDuration> {
-        let age = RealIo.lease_age(path)?;
-        if let Some(skew) = self.plan.forge_skew() {
-            note_event(RunEvent::FaultInjected);
-            return Ok(age + skew);
-        }
-        Ok(age)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Process-global plan installation.
 // ---------------------------------------------------------------------------
@@ -763,16 +624,11 @@ impl LeaseIo for ChaosIo {
 /// processes (the [`FaultPlanConfig::env_string`] text).
 pub const CHAOS_ENV: &str = "CAEM_CHAOS";
 
-/// Environment variable (any non-empty value) telling worker processes to
-/// fsync every store append — the process-boundary form of `--fsync`.
-pub const FSYNC_ENV: &str = "CAEM_STORE_FSYNC";
-
 static ACTIVE_PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 static POISON_HOOK: Once = Once::new();
 
 /// Install `cfg` as this process's active fault plan.  Every store opened
-/// and lease operation issued afterwards routes through a [`ChaosIo`]
-/// wrapping the plan.  Returns the live plan handle.
+/// afterwards routes its appends through a [`ChaosIo`] wrapping the plan.  Returns the live plan handle.
 pub fn install_plan(cfg: FaultPlanConfig, role: FaultRole) -> Arc<FaultPlan> {
     if cfg.kinds.contains(&FaultKind::Poison) {
         // Keep injected poison panics off stderr: they are expected,
@@ -833,11 +689,12 @@ pub fn store_io() -> Arc<dyn StoreIo> {
     }
 }
 
-/// The lease-IO seam the distribution layer should use right now.
-pub fn lease_io() -> Arc<dyn LeaseIo> {
-    match active_plan() {
-        Some(plan) => Arc::new(ChaosIo::new(plan)),
-        None => Arc::new(RealIo),
+/// Count one settled job in this worker process and, under a `kill` plan
+/// in the [`FaultRole::Worker`] role, exit abruptly at the plan's K-th —
+/// the socket worker calls this as each job settles.
+pub fn kill_check() {
+    if let Some(plan) = active_plan() {
+        plan.kill_check();
     }
 }
 
@@ -921,11 +778,11 @@ mod tests {
 
     #[test]
     fn fault_plan_config_round_trips_through_its_env_string() {
-        let cfg = FaultPlanConfig::parse("42:torn+skew+poison").unwrap();
+        let cfg = FaultPlanConfig::parse("42:torn+delay+poison").unwrap();
         assert_eq!(cfg.seed, 42);
         assert_eq!(
             cfg.kinds,
-            vec![FaultKind::Torn, FaultKind::Skew, FaultKind::Poison]
+            vec![FaultKind::Torn, FaultKind::Delay, FaultKind::Poison]
         );
         assert_eq!(FaultPlanConfig::parse(&cfg.env_string()).unwrap(), cfg);
         // `all` expands to every non-poison kind.
@@ -934,6 +791,10 @@ mod tests {
         assert!(!all.kinds.contains(&FaultKind::Poison));
         assert!(FaultPlanConfig::parse("7").is_err());
         assert!(FaultPlanConfig::parse("7:bogus").is_err());
+        assert!(
+            FaultPlanConfig::parse("7:skew").is_err(),
+            "skew is not a fault kind"
+        );
         assert!(FaultPlanConfig::parse("x:torn").is_err());
     }
 

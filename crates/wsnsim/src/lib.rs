@@ -26,6 +26,9 @@
 //!    historical stores re-aggregate offline, and
 //!    [`experiment::ExperimentSpec::run_sequential`] adds replicates per cell
 //!    until a CI-half-width target is met.
+//! 6. [`serve`] distributes grids: a daemon leases shards of a grid to
+//!    socket workers and finalizes byte-identical reports; `experiment
+//!    --workers N` hosts one in-process ([`serve::Coordinator`]).
 //!
 //! Scenario diversity beyond the paper's single uniform deployment lives in
 //! [`config::Topology`] (grid / Gaussian hotspots / corridor layouts),
@@ -74,9 +77,7 @@ pub use config::{
     ChurnConfig, ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile,
 };
 pub use distrib::{
-    merge_grid_report, merge_outcome, request_shutdown, reset_shutdown, run_sequential_distributed,
-    run_worker, shutdown_requested, DistribError, DistribOptions, GridManifest, ProcessSpawner,
-    ShardLayout, ThreadSpawner, WorkerConfig, WorkerSpawner, WorkerTarget,
+    merge_outcome, DistribError, GridManifest, ProcessSpawner, WorkerHandle, WorkerSpawner,
 };
 pub use experiment::{
     run_configs, ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
@@ -92,8 +93,8 @@ pub use persist::{
 pub use result::{NodeSummary, SimulationResult};
 pub use runner::SimulationRun;
 pub use serve::{
-    run_socket_worker, serve_connection, LoopbackSpawner, ServiceClient, ServiceConfig,
-    ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
+    run_socket_worker, serve_connection, serve_listener, Coordinator, LoopbackSpawner,
+    ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
 pub use spec::{DistribSpec, DistribTuning, GridSpec, ResolvedGrid, ResolvedSpec};
 pub use sweep::{compare_policies, load_sweep, load_sweep_spec, LoadSweepPoint, PolicyComparison};

@@ -645,11 +645,6 @@ impl ExperimentStore {
         self.insert(record);
     }
 
-    /// Index a failure that was already streamed to disk through a sink.
-    pub(crate) fn note_failure(&mut self, failure: JobFailure) {
-        self.insert_failure(failure);
-    }
-
     /// Number of distinct completed jobs on record.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -847,13 +842,6 @@ impl MutexSink<'_> {
     /// lock), with transient-failure retry and torn-write recovery.
     pub fn append(&self, record: &JobRecord) -> Result<(), StoreError> {
         let line = encode_line(record)?;
-        let mut file = self.file.lock().expect("record sink lock poisoned");
-        append_line_with_recovery(&*self.io, &self.retry, &mut file, &line, self.fsync)
-    }
-
-    /// Stream one quarantine record to disk, same discipline as `append`.
-    pub fn append_failure(&self, failure: &JobFailure) -> Result<(), StoreError> {
-        let line = encode_failure_line(failure)?;
         let mut file = self.file.lock().expect("record sink lock poisoned");
         append_line_with_recovery(&*self.io, &self.retry, &mut file, &line, self.fsync)
     }

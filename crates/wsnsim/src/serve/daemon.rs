@@ -3,33 +3,41 @@
 //!
 //! The daemon is transport-agnostic — one [`serve_connection`] loop per
 //! connected peer (worker or client), all sharing a [`ServiceState`]
-//! behind a mutex.  Shard leasing mirrors the lock-file protocol of
-//! [`crate::distrib`]: a granted shard is leased to one connection,
-//! heartbeats refresh the lease, a lease whose heartbeat is older than the
-//! TTL is evicted at the next claim (noting
-//! [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]), and a
-//! connection that drops releases its leases immediately (noting
-//! [`RunEvent::WorkerAbnormalExit`]).  Completed grids are finalized
-//! through the exact pipeline of
-//! [`crate::distrib` `run_distributed`](crate::experiment::ExperimentSpec::run_distributed)
-//! — [`merge_outcome`] then [`ExperimentReport::from_records`] — and the
-//! report is rendered to text once, daemon-side, so every client fetches
-//! byte-identical output.
+//! behind a mutex; [`serve_listener`] feeds it TCP connections.  A granted
+//! shard is leased to one connection, heartbeats refresh the lease, a
+//! lease whose heartbeat is older than the TTL is evicted at the next
+//! claim (noting [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]),
+//! and a connection that drops releases its leases immediately (noting
+//! [`RunEvent::WorkerAbnormalExit`]).  A line settles its job only if it
+//! matches the job's key, config hash and scenario label; any other line
+//! is counted as [`RunEvent::ForeignRecordIgnored`] and the job stays open.
+//! Completed grids are finalized through [`merge_outcome`] then
+//! [`ExperimentReport::from_records`], and the report is rendered to text
+//! once, daemon-side, so every client fetches byte-identical output.
+//!
+//! A daemon may carry an attached [`ExperimentStore`] (how `experiment
+//! --workers N` hosts one): every line it settles is appended to the store,
+//! and jobs the store already holds are settled the moment their grid is
+//! submitted, so a resumed coordinator only re-runs what it never
+//! recorded.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::distrib::{
     merge_outcome, GridManifest, ManifestJob, DEFAULT_HEARTBEAT, DEFAULT_LEASE_TTL,
 };
-use crate::experiment::ExperimentReport;
+use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
-use crate::persist::{decode_line, DecodedLine, JobFailure, JobKey, JobRecord};
-use crate::spec::{GridSpec, ResolvedSpec};
+use crate::persist::{
+    decode_line, DecodedLine, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError,
+};
+use crate::spec::{DistribTuning, GridSpec, ResolvedSpec};
 
 use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
-use super::transport::FrameLink;
+use super::transport::{FrameLink, TcpLink};
 
 /// How long a connection loop waits for a frame before re-checking state.
 const RECV_TICK: Duration = Duration::from_millis(200);
@@ -69,7 +77,10 @@ struct Lease {
 
 /// A completed grid retained for `fetch`.
 struct CompletedGrid {
-    report: String,
+    grid_hash: u64,
+    report: ExperimentReport,
+    /// `report` rendered once, the bytes every fetch returns.
+    text: String,
 }
 
 /// A submitted grid: its manifest, absorbed results and lease table.
@@ -79,13 +90,13 @@ struct ActiveGrid {
     /// The grid's resolved spec, shipped with every grant.
     spec: ResolvedSpec,
     manifest: GridManifest,
-    /// Every job key of the manifest (membership filter for absorbed lines).
-    job_keys: HashSet<JobKey>,
+    /// Job key → index into `manifest.jobs` (the filter absorbed lines
+    /// must pass).
+    job_index: HashMap<JobKey, usize>,
     records: Vec<JobRecord>,
     failures: Vec<JobFailure>,
     /// Keys with a decoded success or quarantine line.
     settled: HashSet<JobKey>,
-    quarantined: u64,
     shard_done: Vec<bool>,
     leases: HashMap<usize, Lease>,
     /// Decoded-line count per (connection, shard) — the receiver side of
@@ -96,12 +107,27 @@ struct ActiveGrid {
 }
 
 impl ActiveGrid {
+    /// Settle `key` unless it is off the grid, already settled, or the
+    /// line's config hash or scenario label says it belongs to another
+    /// grid; true when this call settled it.
+    fn settle(&mut self, key: JobKey, config_hash: u64, scenario: &str) -> bool {
+        let Some(&index) = self.job_index.get(&key) else {
+            faults::note_event(RunEvent::ForeignRecordIgnored);
+            return false;
+        };
+        if !self.manifest.jobs[index].admits(config_hash, scenario) {
+            faults::note_event(RunEvent::ForeignRecordIgnored);
+            return false;
+        }
+        self.settled.insert(key)
+    }
+
     fn progress(&self) -> GridProgress {
         GridProgress {
             name: self.name.clone(),
             jobs: self.manifest.jobs.len() as u64,
             settled: self.settled.len() as u64,
-            quarantined: self.quarantined,
+            quarantined: self.failures.len() as u64,
             shards_done: self.shard_done.iter().filter(|d| **d).count() as u64,
             shard_count: self.manifest.shard_count as u64,
         }
@@ -115,6 +141,12 @@ pub struct ServiceState {
     completed: Vec<CompletedGrid>,
     next_conn: u64,
     workers: HashMap<u64, String>,
+    /// The store every settled line is appended to, if one is attached.
+    journal: Option<ExperimentStore>,
+    /// The first journal append that failed.
+    journal_error: Option<StoreError>,
+    /// Set by [`ServiceState::shutdown`]: every connection hangs up.
+    closed: bool,
 }
 
 /// What a handled message asks the connection loop to do.
@@ -125,6 +157,8 @@ enum Reply {
     Send(Message),
     /// Send the response, then hang up (handshake rejections).
     Close(Message),
+    /// Hang up without a response (the daemon is shutting down).
+    Hangup,
 }
 
 impl ServiceState {
@@ -136,6 +170,9 @@ impl ServiceState {
             completed: Vec::new(),
             next_conn: 0,
             workers: HashMap::new(),
+            journal: None,
+            journal_error: None,
+            closed: false,
         }
     }
 
@@ -144,14 +181,37 @@ impl ServiceState {
         Arc::new(Mutex::new(ServiceState::new(cfg)))
     }
 
-    /// Grids finished so far (tests and the daemon's idle logging).
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
+    /// Append every line this daemon settles to `store`, and settle jobs
+    /// the store already holds as their grids are submitted.
+    pub fn attach_store(&mut self, store: ExperimentStore) {
+        self.journal = Some(store);
     }
 
-    /// Grids submitted and not yet finished.
-    pub fn pending_count(&self) -> usize {
-        self.queue.len()
+    /// Take the attached store back.  `Err` carries the first append that
+    /// failed, if any did.
+    pub fn detach_store(&mut self) -> Option<Result<ExperimentStore, StoreError>> {
+        let store = self.journal.take()?;
+        Some(match self.journal_error.take() {
+            Some(e) => Err(e),
+            None => Ok(store),
+        })
+    }
+
+    /// Remove and return the report of the finished grid `grid_hash`, if it
+    /// has finished — so a later submission of the same grid is waited
+    /// for afresh.
+    pub fn take_report(&mut self, grid_hash: u64) -> Option<ExperimentReport> {
+        let index = self
+            .completed
+            .iter()
+            .position(|c| c.grid_hash == grid_hash)?;
+        Some(self.completed.remove(index).report)
+    }
+
+    /// Stop serving: every connection hangs up at its next frame or tick,
+    /// so attached workers see the daemon close and exit cleanly.
+    pub fn shutdown(&mut self) {
+        self.closed = true;
     }
 
     fn allocate_conn(&mut self) -> u64 {
@@ -172,6 +232,9 @@ impl ServiceState {
     }
 
     fn handle(&mut self, conn: u64, msg: Message) -> Reply {
+        if self.closed {
+            return Reply::Hangup;
+        }
         match msg {
             Message::Hello {
                 seq,
@@ -269,7 +332,7 @@ impl ServiceState {
                 Reply::Send(Message::FetchReply {
                     seq,
                     ready: report.is_some(),
-                    report: report.map(|c| c.report.clone()).unwrap_or_default(),
+                    report: report.map(|c| c.text.clone()).unwrap_or_default(),
                 })
             }
             // Responses have no business arriving at the daemon; a stray
@@ -304,34 +367,69 @@ impl ServiceState {
                     .to_string(),
             };
         }
-        let job_count = resolved.spec.job_count();
-        let shards = self.cfg.shards_per_grid.clamp(1, job_count.max(1));
-        let manifest = GridManifest::from_spec(&resolved.spec, shards);
         let name = parsed.name.clone().unwrap_or_else(|| "grid".to_string());
-        let grid_hash = manifest.grid_hash;
-        let job_keys = manifest.jobs.iter().map(ManifestJob::key).collect();
-        let shard_count = manifest.shard_count;
-        self.queue.push_back(ActiveGrid {
-            name: name.clone(),
-            spec: ResolvedSpec::of(&resolved.spec),
+        let grid = self.submit_grid(&name, &resolved.spec, &resolved.distrib);
+        Message::SubmitAck {
+            seq,
+            grid,
+            name,
+            jobs: resolved.spec.job_count() as u64,
+        }
+    }
+
+    /// Queue `spec` as the grid `name`, exactly as a submitted document
+    /// resolving to it would be, and return its grid hash.  Lease tuning
+    /// comes from `tuning` unless the daemon's config overrides it.  Jobs
+    /// the attached store already holds are settled at once; a grid the
+    /// store completes finalizes on the spot.
+    pub fn submit_grid(
+        &mut self,
+        name: &str,
+        spec: &ExperimentSpec,
+        tuning: &DistribTuning,
+    ) -> u64 {
+        let shards = self.cfg.shards_per_grid.clamp(1, spec.job_count().max(1));
+        let manifest = GridManifest::from_spec(spec, shards);
+        let job_index = manifest
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| (job.key(), index))
+            .collect();
+        let mut grid = ActiveGrid {
+            name: name.to_string(),
+            spec: ResolvedSpec::of(spec),
+            shard_done: vec![false; manifest.shard_count],
             manifest,
-            job_keys,
+            job_index,
             records: Vec::new(),
             failures: Vec::new(),
             settled: HashSet::new(),
-            quarantined: 0,
-            shard_done: vec![false; shard_count],
             leases: HashMap::new(),
             received: HashMap::new(),
-            lease_ttl: self.cfg.lease_ttl.unwrap_or(resolved.distrib.lease_ttl),
-            heartbeat: self.cfg.heartbeat.unwrap_or(resolved.distrib.heartbeat),
-        });
-        Message::SubmitAck {
-            seq,
-            grid: grid_hash,
-            name,
-            jobs: job_count as u64,
+            lease_ttl: self.cfg.lease_ttl.unwrap_or(tuning.lease_ttl),
+            heartbeat: self.cfg.heartbeat.unwrap_or(tuning.heartbeat),
+        };
+        if let Some(store) = &self.journal {
+            for job in &grid.manifest.jobs {
+                if let Some(record) = store.get(job.key(), job.config_hash, &job.scenario) {
+                    grid.settled.insert(job.key());
+                    grid.records.push(record.clone());
+                } else if let Some(failure) =
+                    store.get_failure(job.key(), job.config_hash, &job.scenario)
+                {
+                    grid.settled.insert(job.key());
+                    grid.failures.push(failure.clone());
+                }
+            }
         }
+        let grid_hash = grid.manifest.grid_hash;
+        let complete = grid.settled.len() == grid.manifest.jobs.len();
+        self.queue.push_back(grid);
+        if complete && self.queue.len() == 1 {
+            self.try_finish_active();
+        }
+        grid_hash
     }
 
     fn claim(&mut self, conn: u64, seq: u64) -> Message {
@@ -415,35 +513,43 @@ impl ServiceState {
                 lease.last_beat = Instant::now();
             }
         }
-        let count = grid.received.entry((conn, shard)).or_insert(0);
+        let mut decoded = 0u64;
         for line in lines {
-            match decode_line(&line) {
+            // Only a line that settles its job reaches the journal.
+            let appended = match decode_line(&line) {
                 Ok(DecodedLine::Record(record)) => {
-                    *count += 1;
-                    let key = record.key();
-                    if grid.job_keys.contains(&key) {
-                        if grid.settled.insert(key) {
-                            grid.records.push(record);
-                        }
-                    } else {
-                        faults::note_event(RunEvent::ForeignRecordIgnored);
+                    decoded += 1;
+                    if !grid.settle(record.key(), record.config_hash, &record.scenario) {
+                        continue;
                     }
+                    let appended = self.journal.as_mut().map(|s| s.append(record.clone()));
+                    grid.records.push(record);
+                    appended
                 }
                 Ok(DecodedLine::Failure(failure)) => {
-                    *count += 1;
-                    let key = failure.key();
-                    if grid.job_keys.contains(&key) {
-                        if grid.settled.insert(key) {
-                            grid.quarantined += 1;
-                            grid.failures.push(failure);
-                        }
-                    } else {
-                        faults::note_event(RunEvent::ForeignRecordIgnored);
+                    decoded += 1;
+                    if !grid.settle(failure.key(), failure.config_hash, &failure.scenario) {
+                        continue;
                     }
+                    let appended = self
+                        .journal
+                        .as_mut()
+                        .map(|s| s.append_failure(failure.clone()));
+                    grid.failures.push(failure);
+                    appended
                 }
-                Err(_) => faults::note_event(RunEvent::TornLineSkipped),
+                Err(_) => {
+                    faults::note_event(RunEvent::TornLineSkipped);
+                    continue;
+                }
+            };
+            // The grid still completes; the owner learns of the first
+            // failed append from `detach_store`.
+            if let Some(Err(e)) = appended {
+                self.journal_error.get_or_insert(e);
             }
         }
+        *grid.received.entry((conn, shard)).or_insert(0) += decoded;
     }
 
     fn shard_done(
@@ -499,15 +605,19 @@ impl ServiceState {
             return;
         }
         let grid = self.queue.pop_front().expect("front grid exists");
-        // The exact finalization of `run_distributed`, so a fetched report
-        // is byte-identical to a single-process run of the same spec.
+        // The canonical aggregation, so a fetched report is byte-identical
+        // to a single-process run of the same spec.
         let outcome = merge_outcome(&grid.manifest, grid.records, grid.failures);
         let mut report = ExperimentReport::from_records(outcome.records);
         report.seeds = grid.manifest.seeds.clone();
         report.failures = outcome.failures;
         let text =
             serde_json::to_string_pretty(&report.to_json()).expect("report JSON always renders");
-        self.completed.push(CompletedGrid { report: text });
+        self.completed.push(CompletedGrid {
+            grid_hash: grid.manifest.grid_hash,
+            report,
+            text,
+        });
     }
 
     fn drop_connection(&mut self, conn: u64) {
@@ -541,6 +651,7 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
     loop {
         let frame = match link.recv(Some(RECV_TICK)) {
             Ok(Some(frame)) => frame,
+            Ok(None) if state.lock().expect("service lock").closed => break,
             Ok(None) => continue,
             Err(_) => break,
         };
@@ -579,7 +690,22 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
                 let _ = link.send(&response.encode());
                 break;
             }
+            Reply::Hangup => break,
         }
     }
     state.lock().expect("service lock").drop_connection(conn);
+}
+
+/// Accept TCP peers on `listener` for as long as it stays open, serving
+/// each on its own thread through [`serve_connection`].
+pub fn serve_listener(listener: &TcpListener, state: &Arc<Mutex<ServiceState>>) {
+    for incoming in listener.incoming() {
+        match incoming {
+            Ok(stream) => {
+                let state = state.clone();
+                std::thread::spawn(move || serve_connection(&mut TcpLink::new(stream), &state));
+            }
+            Err(e) => eprintln!("warning: accept failed: {e}"),
+        }
+    }
 }

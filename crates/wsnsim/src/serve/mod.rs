@@ -1,16 +1,14 @@
-//! The experiment service: a long-lived daemon that accepts grid-spec
-//! submissions and multiplexes their shards across a fleet of workers
-//! attached over a pluggable transport.
+//! The experiment service: a daemon that accepts grid submissions and
+//! multiplexes their shards across a fleet of workers attached over a
+//! pluggable transport — the one coordination protocol of the suite.
 //!
-//! The file-based runner in [`crate::distrib`] coordinates workers through
-//! a shared shard directory; this module removes that requirement.  The
-//! same shard/lease semantics are spoken over length-prefixed JSON frames
+//! Shard/lease semantics are spoken over length-prefixed JSON frames
 //! ([`proto`]): a worker handshakes (protocol version, optional pinned
 //! manifest hash), claims a shard and receives the grid's resolved spec
 //! plus the keys of the shard's pending jobs, heartbeats while running,
 //! streams record lines back as jobs settle, and reconciles completion by
-//! count so lost frames are detected and resent.
-//! Reports are finalized daemon-side through the canonical
+//! count so lost frames are detected and resent.  No shared filesystem is
+//! involved.  Reports are finalized daemon-side through the canonical
 //! [`ExperimentReport::from_records`](crate::experiment::ExperimentReport::from_records)
 //! pipeline, so a fetched report is **byte-identical** to a single-process
 //! [`ExperimentSpec::run`](crate::experiment::ExperimentSpec::run) of the
@@ -18,26 +16,30 @@
 //!
 //! Transports:
 //!
-//! | transport | worker attach | filesystem | used by |
-//! |---|---|---|---|
-//! | file ([`crate::distrib`]) | shard directory | shared | `--workers N` runs |
-//! | TCP socket | `--connect ADDR` | none | `caem-serve` fleets |
-//! | loopback ([`LoopbackSpawner`]) | in-memory channels | none | deterministic tests |
+//! | transport | worker attach | used by |
+//! |---|---|---|
+//! | TCP socket ([`TcpLink`]) | `--connect ADDR` | `caem-serve` fleets and `experiment --workers N` |
+//! | loopback ([`LoopbackSpawner`]) | in-memory channels | deterministic tests, the coordinator's inline worker |
 //!
-//! The loopback transport carries the *same* frames as TCP but over
-//! channels, and is the only place the chaos plan's frame faults (drop,
-//! duplicate, delay, truncate) are injected — the protocol's recovery
-//! machinery is exercised deterministically in-process, while CI exercises
-//! the real sockets with a mid-grid `kill -9`.
+//! `experiment --workers N` is a [`Coordinator`]: it hosts a daemon on a
+//! `127.0.0.1:0` listener with its experiment store attached, and spawns N
+//! `--connect` worker processes.  The loopback transport carries the
+//! *same* frames as TCP but over channels, and is the only place the chaos
+//! plan's frame faults (drop, duplicate, delay, truncate) are injected —
+//! the protocol's recovery machinery is exercised deterministically
+//! in-process, while CI exercises the real sockets with mid-grid
+//! `kill -9`s.
 
 pub mod client;
+pub mod coordinator;
 pub mod daemon;
 pub mod proto;
 pub mod transport;
 pub mod worker;
 
 pub use client::{ServiceClient, ServiceStatus, Submission};
-pub use daemon::{serve_connection, ServiceConfig, ServiceState};
+pub use coordinator::Coordinator;
+pub use daemon::{serve_connection, serve_listener, ServiceConfig, ServiceState};
 pub use proto::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use transport::{loopback_pair, FrameLink, LoopbackLink, TcpLink};
 pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit};
@@ -45,13 +47,12 @@ pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner, WorkerTarget};
+use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner};
 
 /// Spawn in-process socket workers wired to an in-process daemon over
-/// loopback links — the service counterpart of
-/// [`crate::distrib::ThreadSpawner`].  Each spawn starts a daemon
-/// connection thread and a worker thread joined by a [`loopback_pair`];
-/// no listener, no sockets, fully deterministic.
+/// loopback links.  Each spawn starts a daemon connection thread and a
+/// worker thread joined by a [`loopback_pair`]; no listener, no sockets,
+/// fully deterministic.
 pub struct LoopbackSpawner {
     state: Arc<Mutex<ServiceState>>,
     stop: Arc<AtomicBool>,
@@ -74,11 +75,6 @@ impl LoopbackSpawner {
         client
     }
 
-    /// The stop flag shared by every worker this spawner started.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
-    }
-
     /// Ask every spawned worker to exit gracefully: finish or release the
     /// shard in hand, then hang up.
     pub fn stop_workers(&self) {
@@ -87,22 +83,14 @@ impl LoopbackSpawner {
 }
 
 impl WorkerSpawner for LoopbackSpawner {
+    /// The endpoint is ignored: the worker attaches to this spawner's
+    /// daemon state directly.
     fn spawn(
         &self,
-        target: &WorkerTarget,
+        _endpoint: &str,
         index: usize,
         _thread_budget: usize,
     ) -> Result<WorkerHandle, DistribError> {
-        match target {
-            WorkerTarget::Endpoint(_) => {}
-            WorkerTarget::Dir(dir) => {
-                return Err(DistribError::Format(format!(
-                    "LoopbackSpawner serves endpoints, not shard directories \
-                     (got {}); use ThreadSpawner for the file transport",
-                    dir.display()
-                )));
-            }
-        }
         let (worker_link, mut served) = loopback_pair();
         let state = self.state.clone();
         std::thread::spawn(move || serve_connection(&mut served, &state));

@@ -1,11 +1,11 @@
 //! The socket-transport worker loop: handshake, claim, run, stream,
-//! reconcile — the service counterpart of [`crate::distrib::run_worker`].
+//! reconcile.
 //!
 //! A socket worker needs no shared filesystem: each grant carries the
 //! grid's resolved spec and the keys of the shard's pending jobs.  The
 //! worker refuses a grant whose spec does not hash to the grid it names,
-//! rebuilds the jobs from their keys, runs them through the same
-//! [`run_job_guarded`] retry/quarantine path as a file worker, and streams
+//! rebuilds the jobs from their keys, runs them through the
+//! `run_job_guarded` retry/quarantine path, and streams
 //! each job's store line back as the job settles, in [`Message::Records`]
 //! batches that wait at most one heartbeat interval (and never past the
 //! collector's gather threshold).  When no line is due, the connection
@@ -14,8 +14,7 @@
 //! than the worker sent (frames lost to faults), the worker resends every
 //! retained line and asks again.
 //!
-//! **Graceful shutdown** mirrors the file worker: once the worker's stop
-//! flag (or the process-wide [`shutdown_requested`]) is raised, unstarted
+//! **Graceful shutdown**: once the worker's stop flag is raised, unstarted
 //! jobs are skipped, buffered lines are flushed, the unfinished shard is
 //! released back to the daemon — instantly re-claimable, no TTL wait — and
 //! the loop returns cleanly.  The daemon closing the connection is also a
@@ -28,7 +27,8 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use crate::distrib::{run_job_guarded, shutdown_requested, ManifestJob, WorkerOutcome};
+use crate::distrib::{run_job_guarded, ManifestJob, WorkerOutcome};
+use crate::faults;
 use crate::persist::{encode_failure_line, encode_line, JobKey};
 use crate::spec::ResolvedSpec;
 
@@ -57,13 +57,12 @@ pub struct SocketWorkerOptions {
     /// Refuse to work unless the daemon's active grid has this manifest
     /// hash.
     pub expect_hash: Option<u64>,
-    /// Attempts per job before quarantine (the file worker's default is 2).
+    /// Attempts per job before quarantine (default 2).
     pub job_attempts: u32,
     /// Wall-clock budget per job attempt.
     pub job_wall_budget: Option<Duration>,
-    /// Worker-local graceful-stop flag: raised by the embedding test or
-    /// signal handler; checked between jobs alongside the process-wide
-    /// [`shutdown_requested`].
+    /// Graceful-stop flag: raised by the embedding coordinator or test;
+    /// checked between jobs.
     pub stop: Arc<AtomicBool>,
 }
 
@@ -128,7 +127,7 @@ pub fn run_socket_worker(
         Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(WorkerOutcome::default())),
         Err(e) => return Err(e),
     };
-    let stopping = || opts.stop.load(Ordering::Relaxed) || shutdown_requested();
+    let stopping = || opts.stop.load(Ordering::Relaxed);
     let mut outcome = WorkerOutcome::default();
     loop {
         if stopping() {
@@ -231,7 +230,7 @@ fn run_shard(
             // Some(false) = quarantined.
             jobs.par_iter()
                 .map(|job| {
-                    if stop.load(Ordering::Relaxed) || shutdown_requested() {
+                    if stop.load(Ordering::Relaxed) {
                         return None;
                     }
                     let settled = run_job_guarded(job, attempts, budget);
@@ -248,6 +247,7 @@ fn run_shard(
                         // dead link; the outcome still counts.
                         let _ = line_tx.send(text);
                     }
+                    faults::kill_check();
                     Some(settled.is_ok())
                 })
                 .collect::<Vec<Option<bool>>>()

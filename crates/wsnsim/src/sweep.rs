@@ -119,27 +119,6 @@ where
     ExperimentSpec::paper_policies(scenarios, base_seed, replicates)
 }
 
-/// Run a traffic-load sweep **distributed** across worker processes (or
-/// threads): the [`load_sweep_spec`] grid executed through
-/// [`ExperimentSpec::run_distributed`], so the figure sweeps scale across a
-/// process tree with the same bit-identical report a single process
-/// produces.
-pub fn load_sweep_distributed<F, S>(
-    loads_pps: &[f64],
-    base_seed: u64,
-    replicates: usize,
-    make_base: F,
-    dir: &std::path::Path,
-    opts: &crate::distrib::DistribOptions,
-    spawner: &S,
-) -> Result<crate::experiment::ExperimentReport, crate::distrib::DistribError>
-where
-    F: Fn(f64) -> ScenarioConfig,
-    S: crate::distrib::WorkerSpawner,
-{
-    load_sweep_spec(loads_pps, base_seed, replicates, make_base).run_distributed(dir, opts, spawner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,10 +4,10 @@
 //! The distributed runner's whole contract is that the execution topology is
 //! unobservable: however many workers split the grid — and however many of
 //! them die along the way — the merged report equals the single-process run
-//! byte for byte.  This example drives the real shard-claim protocol with
-//! in-process worker threads (the `experiment` binary's `--workers N` flag
-//! does the same thing with separate OS processes) and checks the
-//! equivalence explicitly.
+//! byte for byte.  This example hosts the experiment service in-process and
+//! drives its shard-lease protocol with loopback worker threads (the
+//! `experiment` binary's `--workers N` flag does the same thing with
+//! separate OS processes over TCP) and checks the equivalence explicitly.
 //!
 //! ```bash
 //! cargo run --release --example distributed_grid
@@ -15,9 +15,9 @@
 
 use caem::policy::PolicyKind;
 use caem_simcore::time::Duration;
-use caem_wsnsim::distrib::{DistribOptions, GridManifest, ShardLayout, ThreadSpawner};
 use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
-use caem_wsnsim::{ScenarioConfig, Topology};
+use caem_wsnsim::serve::{Coordinator, LoopbackSpawner, ServiceConfig, ServiceState};
+use caem_wsnsim::{ExperimentStore, ScenarioConfig, Topology};
 
 fn main() {
     let base =
@@ -47,31 +47,30 @@ fn main() {
     // Reference: the ordinary single-process run.
     let single = spec.run();
 
-    // The same grid across 3 workers coordinated through a shard directory.
-    let dir = std::env::temp_dir().join(format!("caem_example_distrib_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let opts = DistribOptions::new(3);
-    let report = spec
-        .run_distributed(&dir, &opts, &ThreadSpawner::default())
-        .expect("distributed run");
-
-    let layout = ShardLayout::new(&dir);
-    let manifest = GridManifest::load(&layout).expect("manifest");
+    // The same grid across 3 workers leased shards by an in-process daemon
+    // that journals every record to a store.
+    let path =
+        std::env::temp_dir().join(format!("caem_example_distrib_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let state = ServiceState::shared(ServiceConfig::default());
+    state
+        .lock()
+        .unwrap()
+        .attach_store(ExperimentStore::open(&path).expect("open store"));
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut coordinator =
+        Coordinator::start(state.clone(), &spawner, "loopback", 3).expect("start workers");
+    let report = coordinator.run(&spec).expect("distributed run");
+    let store = coordinator
+        .finish()
+        .expect("store attached")
+        .expect("every record journaled");
     println!(
-        "distributed over {} workers / {} shards under {}",
-        opts.workers,
-        manifest.shard_count,
-        dir.display()
+        "distributed over 3 workers / {} shards; {} records journaled to {}",
+        ServiceConfig::default().shards_per_grid,
+        store.len(),
+        path.display()
     );
-    for store in layout.discover_worker_stores().expect("stores") {
-        let records = caem_wsnsim::ExperimentStore::load(&store)
-            .map(|s| s.len())
-            .unwrap_or(0);
-        println!(
-            "  {:>24}: {records} records",
-            store.file_name().unwrap().to_string_lossy()
-        );
-    }
 
     assert_eq!(
         report, single,
@@ -85,5 +84,5 @@ fn main() {
         report.cells.len(),
         report.job_count
     );
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 }

@@ -1,70 +1,28 @@
-//! Chaos-mode contract tests: a distributed grid run under the deterministic
+//! Chaos-mode contract tests: a served grid run under the deterministic
 //! fault plan must produce a report **byte-identical** to the clean run
 //! (recoverable faults), or identical-minus-quarantined (poison), and the
-//! durability seams (atomic manifest replace, fsync'd stores) must never
-//! leave half-written artifacts behind.
+//! coordinator's store must hold exactly what the report says.
 //!
 //! The fault plan is process-global state, so everything that installs one
 //! lives in a single sequential `#[test]`; phases reset the plan and the
 //! event counters between them.
 
-use std::path::PathBuf;
 use std::time::Duration as StdDuration;
 
-use caem_suite::caem::policy::PolicyKind;
-use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::distrib::{
-    merge_grid_report, run_worker, DistribOptions, GridManifest, ShardLayout, ThreadSpawner,
-    WorkerConfig,
-};
-use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
+use caem_suite::wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::faults::{
     self, FaultKind, FaultPlanConfig, FaultRole, RunEvent, POISON_MARKER,
 };
 use caem_suite::wsnsim::persist::{ExperimentStore, JobKey, StoreOptions};
-use caem_suite::wsnsim::{ScenarioConfig, Topology};
+use caem_suite::wsnsim::serve::{
+    run_socket_worker, LoopbackSpawner, ServiceConfig, ServiceState, SocketWorkerOptions,
+    WorkerExit,
+};
+use caem_suite::wsnsim::spec::DistribTuning;
 
-fn temp_grid(name: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("caem_chaos_{}_{name}", std::process::id()));
-    std::fs::remove_dir_all(&path).ok();
-    path
-}
+mod common;
 
-/// The report serialized to canonical JSON text: string equality is
-/// bit-level equality of every aggregated float.
-fn report_bits(report: &ExperimentReport) -> String {
-    serde_json::to_string(&report.to_json()).expect("report serializes")
-}
-
-fn base(seed: u64) -> ScenarioConfig {
-    ScenarioConfig::small(PolicyKind::PureLeach, 8.0, seed).with_duration(Duration::from_secs(10))
-}
-
-/// A diverse little grid (18 jobs): two deployment shapes plus the diurnal
-/// traffic axis, three policies, two seeds.
-fn diverse_spec() -> ExperimentSpec {
-    ExperimentSpec::paper_policies(
-        vec![
-            ScenarioSpec::new("uniform", base(0)),
-            ScenarioSpec::new(
-                "corridor",
-                base(0).with_topology(Topology::Corridor {
-                    width_fraction: 0.3,
-                }),
-            ),
-            ScenarioSpec::new("diurnal", base(0).with_diurnal_traffic(7.0, 0.8)),
-        ],
-        7_300,
-        2,
-    )
-}
-
-fn opts(workers: usize) -> DistribOptions {
-    DistribOptions {
-        shards_per_worker: 2,
-        ..DistribOptions::new(workers)
-    }
-}
+use common::{base, diverse_spec, report_bits, served, temp_store};
 
 fn grid_keys(spec: &ExperimentSpec) -> Vec<JobKey> {
     let mut keys = Vec::new();
@@ -89,18 +47,16 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
     );
 
     // --- Phase A: every recoverable fault kind at once ------------------
-    // Torn appends, transient lease/store errors, forged clock skew and
-    // delayed renames — the distributed run must recover from all of them
-    // and still produce the byte-identical report.
+    // Torn and transient store appends, plus dropped, duplicated, delayed
+    // and truncated frames — the served run must recover from all of them
+    // and still produce the byte-identical report and a complete store.
     faults::reset_events();
     faults::install_plan(
-        FaultPlanConfig::parse("1105:torn+transient+skew+delay").expect("valid plan"),
+        FaultPlanConfig::parse("1105:torn+transient+delay").expect("valid plan"),
         FaultRole::Coordinator,
     );
-    let dir = temp_grid("recoverable");
-    let report = spec
-        .run_distributed(&dir, &opts(2), &ThreadSpawner::default())
-        .expect("chaos run completes");
+    let path = temp_store("recoverable");
+    let (report, _) = served(&spec, 2, &path);
     assert_eq!(
         report_bits(&report),
         clean_bits,
@@ -115,7 +71,9 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
         "recovery events were counted"
     );
     faults::clear_plan();
-    std::fs::remove_dir_all(&dir).ok();
+    let journaled = ExperimentStore::load(&path).expect("store reloads");
+    assert_eq!(journaled.rebuild_report().cells, clean.cells);
+    std::fs::remove_file(&path).ok();
 
     // --- Phase B: poison quarantine -------------------------------------
     // Pick a seed whose deterministic ~1/16 poison subset hits this grid
@@ -141,10 +99,8 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
         })
         .expect("some seed poisons a strict subset of 18 jobs");
     faults::reset_events();
-    let dir = temp_grid("poison");
-    let degraded = spec
-        .run_distributed(&dir, &opts(2), &ThreadSpawner::default())
-        .expect("poisoned grid still completes");
+    let path = temp_store("poison");
+    let (degraded, _) = served(&spec, 2, &path);
 
     let failed_keys: Vec<JobKey> = degraded.failures.iter().map(|f| f.key()).collect();
     assert_eq!(failed_keys, poisoned, "exactly the poisoned jobs failed");
@@ -175,30 +131,49 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
         }
     }
 
-    // The offline merge of the directory reproduces the same degradation.
-    let offline = merge_grid_report(&dir).expect("offline merge");
+    // The offline re-aggregation of the store reproduces the degradation.
+    let offline = ExperimentStore::load(&path)
+        .expect("store reloads")
+        .rebuild_report();
     assert_eq!(
         offline.failures, degraded.failures,
         "standing quarantines survive offline re-aggregation"
     );
     faults::clear_plan();
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 
     // --- Phase C: wall-clock budget quarantine (no fault plan at all) ----
     faults::reset_events();
-    let dir = temp_grid("budget");
-    let layout = ShardLayout::new(&dir);
-    layout.create_dirs().expect("create layout");
-    GridManifest::from_spec(&spec, 4)
-        .write(&layout)
-        .expect("write manifest");
-    let mut cfg = WorkerConfig::new(&dir, layout.worker_store_path("impatient"), "impatient");
-    cfg.job_attempts = 1;
-    cfg.job_wall_budget = Some(StdDuration::ZERO);
-    let outcome = run_worker(&cfg).expect("budget-starved worker completes the grid");
-    assert_eq!(outcome.jobs_run, 0, "no job fits a zero budget");
-    assert_eq!(outcome.jobs_quarantined, spec.job_count());
-    let report = merge_grid_report(&dir).expect("merge degraded grid");
+    let path = temp_store("budget");
+    let state = ServiceState::shared(ServiceConfig::default());
+    state
+        .lock()
+        .unwrap()
+        .attach_store(ExperimentStore::open(&path).expect("open store"));
+    let grid = state
+        .lock()
+        .unwrap()
+        .submit_grid("budget", &spec, &DistribTuning::default());
+    let mut opts = SocketWorkerOptions::new("impatient");
+    opts.job_attempts = 1;
+    opts.job_wall_budget = Some(StdDuration::ZERO);
+    let stop = opts.stop.clone();
+    let mut link = LoopbackSpawner::new(state.clone()).connect();
+    let worker = std::thread::spawn(move || run_socket_worker(&mut link, &opts));
+    let report = loop {
+        if let Some(report) = state.lock().unwrap().take_report(grid) {
+            break report;
+        }
+        std::thread::sleep(StdDuration::from_millis(10));
+    };
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    match worker.join().expect("worker thread") {
+        Ok(WorkerExit::Finished(outcome)) => {
+            assert_eq!(outcome.jobs_run, 0, "no job fits a zero budget");
+            assert_eq!(outcome.jobs_quarantined, spec.job_count());
+        }
+        other => panic!("expected a finished worker, got {other:?}"),
+    }
     assert_eq!(report.failures.len(), spec.job_count());
     for failure in &report.failures {
         assert!(
@@ -207,48 +182,17 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
             failure.reason
         );
     }
-    // Quarantines are settled state: a healthy worker resuming the same
-    // directory finds nothing pending.
-    let healthy = WorkerConfig::new(&dir, layout.worker_store_path("late"), "late");
-    let resumed = run_worker(&healthy).expect("resume over quarantined grid");
-    assert_eq!(resumed.jobs_run, 0, "quarantined jobs are not re-run");
-    std::fs::remove_dir_all(&dir).ok();
+    drop(state.lock().unwrap().detach_store());
+    // Quarantines are settled state: a coordinator resuming the same store
+    // finds nothing pending and re-runs none of them.
+    let (resumed, store) = served(&spec, 2, &path);
+    assert_eq!(resumed.failures, report.failures);
+    assert_eq!(store.appended(), 0, "quarantined jobs are not re-run");
+    std::fs::remove_file(&path).ok();
 
-    // --- Phase D: manifest crash-consistency -----------------------------
-    // A crash between writing the temp file and the atomic rename must
-    // never surface a half-manifest: the temp file is simply dead weight.
-    let dir = temp_grid("half_manifest");
-    let layout = ShardLayout::new(&dir);
-    layout.create_dirs().expect("create layout");
-    let manifest = GridManifest::from_spec(&spec, 4);
-    manifest.write(&layout).expect("write manifest");
-    let full = std::fs::read_to_string(layout.manifest_path()).expect("read manifest");
-    let stray = layout.manifest_path().with_extension("tmp.9999.1");
-    std::fs::write(&stray, &full[..full.len() / 2]).expect("plant half-written temp");
-    let loaded = GridManifest::load(&layout).expect("manifest still loads");
-    assert_eq!(loaded.grid_hash, manifest.grid_hash);
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Same crash before the *first* write: only the temp exists, and the
-    // loader reports a clean absence instead of parsing the fragment.
-    let dir = temp_grid("only_temp");
-    let layout = ShardLayout::new(&dir);
-    layout.create_dirs().expect("create layout");
-    let stray = layout.manifest_path().with_extension("tmp.9999.2");
-    std::fs::write(&stray, &full[..full.len() / 2]).expect("plant half-written temp");
-    assert!(
-        GridManifest::load(&layout).is_err(),
-        "a lone temp fragment is not a manifest"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-
-    // --- Phase E: fsync'd store round-trip -------------------------------
+    // --- Phase D: fsync'd store round-trip -------------------------------
     let tiny = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("uniform", base(0))], 99, 1);
-    let store_path = std::env::temp_dir().join(format!(
-        "caem_chaos_{}_fsync_store.jsonl",
-        std::process::id()
-    ));
-    std::fs::remove_file(&store_path).ok();
+    let store_path = temp_store("fsync_store");
     let mut store =
         ExperimentStore::open_with(&store_path, StoreOptions { fsync: true }).expect("open store");
     let direct = tiny.run_with_store(&mut store);
@@ -261,12 +205,12 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
     );
     std::fs::remove_file(&store_path).ok();
 
-    // --- Phase F: the coordinator → worker environment hand-off ----------
-    std::env::set_var(faults::CHAOS_ENV, "21:torn+skew");
+    // --- Phase E: the coordinator → worker environment hand-off ----------
+    std::env::set_var(faults::CHAOS_ENV, "21:torn+delay");
     let installed = faults::install_plan_from_env(FaultRole::Worker)
         .expect("well-formed plan installs")
         .expect("non-empty env installs a plan");
-    assert_eq!(installed.config().env_string(), "21:torn+skew");
+    assert_eq!(installed.config().env_string(), "21:torn+delay");
     std::env::set_var(faults::CHAOS_ENV, "not-a-plan");
     assert!(
         faults::install_plan_from_env(FaultRole::Worker).is_err(),

@@ -9,8 +9,6 @@
 //! (half-widths shrink per batch, the loop terminates, replicate counts are
 //! deterministic and persisted replicates are reused across invocations).
 
-use std::path::PathBuf;
-
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::energy::battery::EnergyLedger;
 use caem_suite::metrics::energy::EnergyTracker;
@@ -19,31 +17,15 @@ use caem_suite::metrics::lifetime::LifetimeTracker;
 use caem_suite::metrics::perf::NetworkPerformance;
 use caem_suite::simcore::time::{Duration, SimTime};
 use caem_suite::wsnsim::experiment::{
-    ExperimentReport, ExperimentSpec, ScenarioSpec, SequentialStopping, METRIC_NAMES,
+    ExperimentSpec, ScenarioSpec, SequentialStopping, METRIC_NAMES,
 };
 use caem_suite::wsnsim::persist::{config_hash, ExperimentStore, JobRecord};
-use caem_suite::wsnsim::{ScenarioConfig, SimulationResult, SimulationRun, Topology};
+use caem_suite::wsnsim::{SimulationResult, SimulationRun, Topology};
 use proptest::prelude::*;
 
-fn temp_store(name: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "caem_persistence_{}_{name}.jsonl",
-        std::process::id()
-    ));
-    std::fs::remove_file(&path).ok();
-    path
-}
+mod common;
 
-/// The report serialized to its canonical JSON text: float fields travel
-/// through shortest-round-trip formatting, so string equality here is
-/// bit-level equality of every mean/CI/min/max.
-fn report_bits(report: &ExperimentReport) -> String {
-    serde_json::to_string(&report.to_json()).expect("report serializes")
-}
-
-fn base(seed: u64) -> ScenarioConfig {
-    ScenarioConfig::small(PolicyKind::PureLeach, 8.0, seed).with_duration(Duration::from_secs(10))
-}
+use common::{base, report_bits, temp_store};
 
 /// A grid over diverse deployments, heterogeneous batteries and churn —
 /// the shapes whose records must all survive the JSONL round-trip.

@@ -10,7 +10,7 @@ use caem_suite::metrics::Commute;
 use caem_suite::phy::frame::FrameSpec;
 use caem_suite::phy::mode::{TransmissionMode, ALL_MODES};
 use caem_suite::simcore::rng::StreamRng;
-use caem_suite::simcore::stats::{ConcurrentStats, RunningStats};
+use caem_suite::simcore::stats::RunningStats;
 use caem_suite::simcore::time::{Duration, SimTime};
 use caem_suite::traffic::buffer::PacketBuffer;
 use caem_suite::traffic::packet::{Packet, PacketId};
@@ -279,34 +279,6 @@ proptest! {
             })
             .collect();
         let merged = merge_random_tree(parts, tree_seed);
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.min(), whole.min());
-        prop_assert_eq!(merged.max(), whole.max());
-        prop_assert!((merged.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
-        prop_assert!((merged.variance() - whole.variance()).abs() < 1e-7 * whole.variance().max(1.0));
-    }
-
-    /// The concurrent accumulator obeys the same law: recording any
-    /// partition into separate `ConcurrentStats` and merging them matches
-    /// the sequential summary of the whole multiset.
-    #[test]
-    fn concurrent_stats_partition_matches_sequential(
-        values in prop::collection::vec(-1e3f64..1e3, 1..300),
-        chunk in 1usize..40,
-    ) {
-        let mut whole = RunningStats::new();
-        whole.extend(values.iter().copied());
-        let parts: Vec<ConcurrentStats> = values
-            .chunks(chunk)
-            .map(|c| {
-                let s = ConcurrentStats::with_shards(4);
-                for &v in c {
-                    s.record(v);
-                }
-                s
-            })
-            .collect();
-        let merged = Commute::merge_all(parts).expect("non-empty").snapshot();
         prop_assert_eq!(merged.count(), whole.count());
         prop_assert_eq!(merged.min(), whole.min());
         prop_assert_eq!(merged.max(), whole.max());

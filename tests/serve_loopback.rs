@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use caem_suite::wsnsim::distrib::{ManifestJob, WorkerSpawner, WorkerTarget};
+use caem_suite::wsnsim::distrib::{ManifestJob, WorkerSpawner};
 use caem_suite::wsnsim::faults::{self, FaultKind, FaultPlanConfig, FaultRole, RunEvent};
+use caem_suite::wsnsim::persist::ExperimentStore;
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
     Message, ProtoError, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions,
@@ -47,8 +48,8 @@ const SPEC_DOC: &str = r#"{
 
 const SEED: u64 = 9_001;
 
-/// Process-global state (fault plan, event counters, shutdown flag) is
-/// shared by every test in this binary; take the guard first.
+/// Process-global state (fault plan, event counters) is shared by every
+/// test in this binary; take the guard first.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GLOBAL: Mutex<()> = Mutex::new(());
     let guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -79,23 +80,7 @@ fn run_fleet(state: &std::sync::Arc<Mutex<ServiceState>>, workers: usize) -> Str
         .expect("daemon accepts the spec");
     assert_eq!(sub.name, "serve_loopback");
     assert_eq!(sub.jobs, 12);
-
-    let target = WorkerTarget::Endpoint("loopback".into());
-    let handles: Vec<_> = (0..workers)
-        .map(|i| spawner.spawn(&target, i, 1).expect("spawn worker"))
-        .collect();
-
-    let report = client
-        .fetch_report(Duration::from_secs(300))
-        .expect("grid completes");
-
-    // Graceful fleet shutdown: every worker releases or finishes and
-    // joins cleanly.
-    spawner.stop_workers();
-    for handle in handles {
-        handle.join().expect("worker exits cleanly");
-    }
-
+    let report = run_fleet_into(&spawner, &mut client, workers);
     let status = client.status().expect("status");
     assert_eq!(status.completed, 1, "one grid completed");
     assert!(status.active.is_none(), "nothing left active");
@@ -210,15 +195,15 @@ fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death()
 }
 
 /// Finish an already-submitted grid with `workers` workers on an existing
-/// spawner/client pair (phase-3 helper: the submission happened earlier).
+/// spawner/client pair, then stop the fleet: every worker releases or
+/// finishes and joins cleanly.
 fn run_fleet_into(
     spawner: &LoopbackSpawner,
     client: &mut ServiceClient<'_>,
     workers: usize,
 ) -> String {
-    let target = WorkerTarget::Endpoint("loopback".into());
     let handles: Vec<_> = (0..workers)
-        .map(|i| spawner.spawn(&target, i, 1).expect("spawn worker"))
+        .map(|i| spawner.spawn("loopback", i, 1).expect("spawn worker"))
         .collect();
     let report = client
         .fetch_report(Duration::from_secs(300))
@@ -228,6 +213,113 @@ fn run_fleet_into(
         handle.join().expect("worker exits cleanly");
     }
     report
+}
+
+#[test]
+fn a_forged_line_for_a_real_key_does_not_settle_its_job() {
+    let _guard = exclusive();
+    let expected = expected_bytes();
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 2,
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    client.submit(SPEC_DOC, true, SEED).expect("accepted");
+
+    // A peer streams a line whose key is on the grid but whose config hash
+    // is not the job's — a stale or forged record — then hangs up.
+    let mut forger = spawner.connect();
+    let (grid, shard, spec, jobs) = match rpc(&mut forger, &Message::Claim { seq: 1 }) {
+        Message::Grant {
+            grid,
+            shard,
+            spec,
+            jobs,
+            ..
+        } => (grid, shard, spec, jobs),
+        other => panic!("expected a grant, got {other:?}"),
+    };
+    let mut forged = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..1])
+        .expect("granted keys lie on the grid")[0]
+        .run();
+    forged.config_hash ^= 1;
+    forger
+        .send(
+            &Message::Records {
+                grid,
+                shard,
+                lines: vec![serde_json::to_string(&forged).expect("record serializes")],
+            }
+            .encode(),
+        )
+        .expect("forged batch lands");
+    drop(forger);
+
+    // The forged line is ignored and its job stays open: the fleet re-runs
+    // it, and the report has every replicate.
+    assert_eq!(run_fleet_into(&spawner, &mut client, 2), expected);
+    assert!(faults::event_count(RunEvent::ForeignRecordIgnored) > 0);
+}
+
+#[test]
+fn only_settling_lines_reach_the_store_journal() {
+    let _guard = exclusive();
+    let path = std::env::temp_dir().join(format!(
+        "caem_serve_loopback_{}_journal.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        ..ServiceConfig::default()
+    });
+    state
+        .lock()
+        .unwrap()
+        .attach_store(ExperimentStore::open(&path).expect("open store"));
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    ServiceClient::new(&mut clink)
+        .submit(SPEC_DOC, true, SEED)
+        .expect("accepted");
+
+    let mut peer = spawner.connect();
+    let (grid, shard, spec, jobs) = match rpc(&mut peer, &Message::Claim { seq: 1 }) {
+        Message::Grant {
+            grid,
+            shard,
+            spec,
+            jobs,
+            ..
+        } => (grid, shard, spec, jobs),
+        other => panic!("expected a grant, got {other:?}"),
+    };
+    let runs = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..2]).expect("on the grid");
+    let valid = runs[0].run();
+    let mut forged = runs[1].run();
+    forged.scenario.push_str("_renamed");
+    let lines = [&valid, &valid, &forged]
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("record serializes"))
+        .collect();
+    peer.send(&Message::Records { grid, shard, lines }.encode())
+        .expect("batch lands");
+    // Frames on one connection are handled in order: once this reply is
+    // back, the batch above has been absorbed.
+    rpc(&mut peer, &Message::Claim { seq: 2 });
+
+    let store = state
+        .lock()
+        .unwrap()
+        .detach_store()
+        .expect("store attached")
+        .expect("appends landed");
+    assert_eq!(store.appended(), 1, "one settling line, journaled once");
+    let reloaded = ExperimentStore::load(&path).expect("store reloads");
+    assert_eq!(reloaded.records(), std::slice::from_ref(&valid));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
