@@ -2,9 +2,7 @@
 //! sampling, PHY mode selection / PER evaluation, and the pending-event set.
 //! These dominate the per-event cost of the network simulator.
 
-use caem_channel::link::{LinkBudget, LinkChannel};
-use caem_channel::pathloss::PathLossModel;
-use caem_channel::shadowing::ShadowingConfig;
+use caem_channel::link::{LinkChannel, LinkParams};
 use caem_mac::tone::{ChannelState, ToneSchedule};
 use caem_phy::ber::packet_error_rate;
 use caem_phy::frame::FrameSpec;
@@ -16,11 +14,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_channel_sampling(c: &mut Criterion) {
     let streams = RngStream::new(1);
+    let params = LinkParams::default();
     let mut link = LinkChannel::with_distance(
+        &params,
         40.0,
-        LinkBudget::paper_default(),
-        PathLossModel::paper_default(),
-        ShadowingConfig::default(),
         streams.derive(components::SHADOWING, 0),
         streams.derive(components::FADING, 0),
     );
@@ -28,7 +25,7 @@ fn bench_channel_sampling(c: &mut Criterion) {
     c.bench_function("link_csi_measure", |b| {
         b.iter(|| {
             t += Duration::from_millis(10);
-            black_box(link.measure(t))
+            black_box(link.measure(&params, t))
         })
     });
 }

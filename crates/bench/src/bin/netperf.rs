@@ -38,7 +38,7 @@ use caem_metrics::prof::{self, Breakdown};
 use caem_metrics::report::{Column, Table};
 use caem_metrics::Commute;
 use caem_simcore::stats::RunningStats;
-use caem_simcore::time::Duration;
+use caem_simcore::time::{Duration, SimTime};
 use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec, METRIC_NAMES};
 use caem_wsnsim::sweep::{LoadSweepPoint, PolicyComparison, PAPER_POLICIES};
 use caem_wsnsim::{ExperimentStore, JobRecord, ScenarioConfig, SimulationRun};
@@ -54,6 +54,9 @@ struct ScalePoint {
     peak_rss_mb: Option<f64>,
     /// Peak simultaneously pending events (`queue_high_watermark`).
     pending_peak: usize,
+    /// Node-table bytes per node by column, taken at the horizon (so the
+    /// packet buffers' heap is what the run grew them to).
+    columns: Vec<(&'static str, f64)>,
 }
 
 /// Run the node-count scaling sweep: the same paper-density deployment
@@ -73,7 +76,10 @@ fn node_scaling_sweep(seed: u64, quick: bool) -> Vec<ScalePoint> {
         let cfg = ScenarioConfig::scaled(nodes, PolicyKind::Scheme1Adaptive, 1.0, seed)
             .with_duration(Duration::from_secs(horizon_s));
         let started = Instant::now();
-        let result = SimulationRun::new(cfg).run();
+        let mut run = SimulationRun::new(cfg);
+        run.run_until(SimTime::MAX);
+        let columns = run.table().column_bytes_per_node();
+        let result = run.finish();
         let wall_clock_s = started.elapsed().as_secs_f64();
         points.push(ScalePoint {
             nodes,
@@ -84,6 +90,7 @@ fn node_scaling_sweep(seed: u64, quick: bool) -> Vec<ScalePoint> {
             rss_mb: rss::current_rss_mb(),
             peak_rss_mb: rss::peak_rss_mb(),
             pending_peak: result.queue_high_watermark,
+            columns,
         });
     }
     points
@@ -293,19 +300,20 @@ fn main() {
     let scaling = node_scaling_sweep(seed, quick);
     println!("== node-count scaling (constant density, scheme 1, 1 pkt/s/node) ==");
     println!(
-        "{:>10} {:>8} {:>10} {:>14} {:>12} {:>10} {:>12}",
-        "nodes", "sim_s", "wall_s", "events", "events/sec", "rss_mb", "pending_peak"
+        "{:>10} {:>8} {:>10} {:>14} {:>12} {:>10} {:>12} {:>8}",
+        "nodes", "sim_s", "wall_s", "events", "events/sec", "rss_mb", "pending_peak", "B/node"
     );
     for p in &scaling {
         println!(
-            "{:>10} {:>8.0} {:>10.3} {:>14} {:>12.0} {:>10.0} {:>12}",
+            "{:>10} {:>8.0} {:>10.3} {:>14} {:>12.0} {:>10.0} {:>12} {:>8.0}",
             p.nodes,
             p.sim_seconds,
             p.wall_clock_s,
             p.events,
             p.events_per_sec,
             p.rss_mb.unwrap_or(f64::NAN),
-            p.pending_peak
+            p.pending_peak,
+            p.columns.iter().map(|&(_, bytes)| bytes).sum::<f64>()
         );
     }
 
@@ -349,6 +357,13 @@ fn main() {
                     "rss_mb": p.rss_mb,
                     "peak_rss_mb": p.peak_rss_mb,
                     "pending_peak": p.pending_peak,
+                    "bytes_per_node": p.columns.iter().map(|&(_, bytes)| bytes).sum::<f64>(),
+                    "columns": serde_json::Value::Map(
+                        p.columns
+                            .iter()
+                            .map(|&(name, bytes)| (name.to_string(), serde_json::json!(bytes)))
+                            .collect()
+                    ),
                     "profiled": args.profile,
                 })
             })

@@ -45,6 +45,9 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// The decision interface consumed by the MAC / simulator.
+///
+/// A policy value holds one node's state only; the scenario-wide
+/// [`CaemConfig`] is passed to every call.
 pub trait ThresholdPolicy {
     /// Which scheme this is.
     fn kind(&self) -> PolicyKind;
@@ -52,16 +55,16 @@ pub trait ThresholdPolicy {
     /// Notify the policy of a packet arrival; `queue_len` is the buffer
     /// occupancy *after* the enqueue (or after the drop, if the buffer was
     /// full — the pressure signal is the same).
-    fn on_packet_arrival(&mut self, queue_len: usize);
+    fn on_packet_arrival(&mut self, config: &CaemConfig, queue_len: usize);
 
     /// Notify the policy that a burst completed; `queue_len` is the occupancy
     /// after the dequeue.
-    fn on_packets_sent(&mut self, queue_len: usize);
+    fn on_packets_sent(&mut self, config: &CaemConfig, queue_len: usize);
 
     /// Notify the policy that the node was re-homed to a new cluster head
     /// (LEACH round change): history about the old link/queue dynamics no
     /// longer predicts the new one.
-    fn on_round_change(&mut self);
+    fn on_round_change(&mut self, config: &CaemConfig);
 
     /// The transmission threshold currently in force.
     ///
@@ -69,157 +72,90 @@ pub trait ThresholdPolicy {
     /// `None` means no channel-quality requirement (pure LEACH) — the MAC
     /// only needs the link to support the lowest mode so the packet can be
     /// modulated at all.
-    fn current_threshold(&self) -> Option<TransmissionMode>;
+    fn current_threshold(&self, config: &CaemConfig) -> Option<TransmissionMode>;
 
     /// The minimum data-channel SNR (dB) the MAC should demand right now.
-    fn required_snr_db(&self) -> f64 {
-        self.current_threshold()
+    fn required_snr_db(&self, config: &CaemConfig) -> f64 {
+        self.current_threshold(config)
             .unwrap_or_else(TransmissionMode::lowest)
             .required_snr_db()
     }
 
     /// Should the MAC waive the minimum-burst rule because the buffer is
-    /// under overflow pressure?
-    fn is_urgent(&self, queue_len: usize) -> bool;
-}
-
-/// Pure LEACH: no channel adaptation at all.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NoAdaptation {
-    queue_threshold: usize,
-}
-
-impl NoAdaptation {
-    /// Create the baseline policy.  `queue_threshold` only controls the
-    /// urgency signal (waiving the burst minimum near overflow).
-    pub fn new(queue_threshold: usize) -> Self {
-        NoAdaptation { queue_threshold }
+    /// under overflow pressure?  Every scheme waives it at the queue
+    /// threshold: the rule exists only to amortise start-up energy, and
+    /// waiting for more packets while dropping others is self-defeating.
+    fn is_urgent(&self, config: &CaemConfig, queue_len: usize) -> bool {
+        queue_len >= config.queue_threshold
     }
 }
 
-impl Default for NoAdaptation {
-    fn default() -> Self {
-        NoAdaptation::new(CaemConfig::paper_default().queue_threshold)
-    }
-}
+/// Pure LEACH: no channel adaptation at all, and no per-node state.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct NoAdaptation;
 
 impl ThresholdPolicy for NoAdaptation {
     fn kind(&self) -> PolicyKind {
         PolicyKind::PureLeach
     }
-    fn on_packet_arrival(&mut self, _queue_len: usize) {}
-    fn on_packets_sent(&mut self, _queue_len: usize) {}
-    fn on_round_change(&mut self) {}
-    fn current_threshold(&self) -> Option<TransmissionMode> {
+    fn on_packet_arrival(&mut self, _config: &CaemConfig, _queue_len: usize) {}
+    fn on_packets_sent(&mut self, _config: &CaemConfig, _queue_len: usize) {}
+    fn on_round_change(&mut self, _config: &CaemConfig) {}
+    fn current_threshold(&self, _config: &CaemConfig) -> Option<TransmissionMode> {
         None
     }
-    fn is_urgent(&self, queue_len: usize) -> bool {
-        queue_len >= self.queue_threshold
-    }
 }
 
-/// Scheme 2: the threshold is pinned at the highest class (2 Mbps).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FixedThreshold {
-    threshold: TransmissionMode,
-    queue_threshold: usize,
-}
-
-impl FixedThreshold {
-    /// Create a fixed-threshold policy at the paper's 2 Mbps.
-    pub fn paper_default() -> Self {
-        FixedThreshold::new(
-            TransmissionMode::Mbps2,
-            CaemConfig::paper_default().queue_threshold,
-        )
-    }
-
-    /// Create a fixed-threshold policy at an arbitrary mode (ablations).
-    pub fn new(threshold: TransmissionMode, queue_threshold: usize) -> Self {
-        FixedThreshold {
-            threshold,
-            queue_threshold,
-        }
-    }
-}
-
-impl Default for FixedThreshold {
-    fn default() -> Self {
-        FixedThreshold::paper_default()
-    }
-}
+/// Scheme 2: the threshold is pinned at the configuration's initial
+/// threshold (the paper's 2 Mbps); no per-node state.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct FixedThreshold;
 
 impl ThresholdPolicy for FixedThreshold {
     fn kind(&self) -> PolicyKind {
         PolicyKind::Scheme2Fixed
     }
-    fn on_packet_arrival(&mut self, _queue_len: usize) {}
-    fn on_packets_sent(&mut self, _queue_len: usize) {}
-    fn on_round_change(&mut self) {}
-    fn current_threshold(&self) -> Option<TransmissionMode> {
-        Some(self.threshold)
-    }
-    fn is_urgent(&self, queue_len: usize) -> bool {
-        // Scheme 2 never relaxes its CSI demand, but it still waives the
-        // minimum-burst rule under pressure (that rule exists only to
-        // amortise start-up energy).
-        queue_len >= self.queue_threshold
+    fn on_packet_arrival(&mut self, _config: &CaemConfig, _queue_len: usize) {}
+    fn on_packets_sent(&mut self, _config: &CaemConfig, _queue_len: usize) {}
+    fn on_round_change(&mut self, _config: &CaemConfig) {}
+    fn current_threshold(&self, config: &CaemConfig) -> Option<TransmissionMode> {
+        Some(config.initial_threshold)
     }
 }
 
 /// Scheme 1: CAEM with adaptive threshold adjustment (Fig. 6 pseudo-code).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptiveThreshold {
-    config: CaemConfig,
     predictor: QueuePredictor,
     current: TransmissionMode,
-    adjustments_down: u64,
-    adjustments_up: u64,
 }
 
 impl AdaptiveThreshold {
-    /// Create a Scheme 1 policy with the given configuration.
-    pub fn new(config: CaemConfig) -> Self {
+    /// Create a Scheme 1 policy starting at `config`'s initial threshold.
+    pub fn new(config: &CaemConfig) -> Self {
+        assert!(
+            config.sampling_interval_packets > 0,
+            "sampling interval must be positive"
+        );
         AdaptiveThreshold {
-            predictor: QueuePredictor::new(config.sampling_interval_packets),
+            predictor: QueuePredictor::new(),
             current: config.initial_threshold,
-            config,
-            adjustments_down: 0,
-            adjustments_up: 0,
         }
     }
 
     /// Create a Scheme 1 policy with the paper's parameters.
     pub fn paper_default() -> Self {
-        AdaptiveThreshold::new(CaemConfig::paper_default())
+        AdaptiveThreshold::new(&CaemConfig::paper_default())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> CaemConfig {
-        self.config
-    }
-
-    /// Number of one-class-down / snap-to-top adjustments performed.
-    pub fn adjustment_counts(&self) -> (u64, u64) {
-        (self.adjustments_down, self.adjustments_up)
-    }
-
-    fn lower_threshold(&mut self) {
-        let mut mode = self.current;
-        for _ in 0..self.config.lower_step_classes {
-            mode = mode.one_class_lower();
-        }
-        if mode != self.current {
-            self.current = mode;
-            self.adjustments_down += 1;
+    fn lower_threshold(&mut self, config: &CaemConfig) {
+        for _ in 0..config.lower_step_classes {
+            self.current = self.current.one_class_lower();
         }
     }
 
     fn raise_to_top(&mut self) {
-        if self.current != TransmissionMode::highest() {
-            self.current = TransmissionMode::highest();
-            self.adjustments_up += 1;
-        }
+        self.current = TransmissionMode::highest();
     }
 }
 
@@ -234,43 +170,41 @@ impl ThresholdPolicy for AdaptiveThreshold {
         PolicyKind::Scheme1Adaptive
     }
 
-    fn on_packet_arrival(&mut self, queue_len: usize) {
+    fn on_packet_arrival(&mut self, config: &CaemConfig, queue_len: usize) {
         // The predictor samples on every arrival regardless; the *adjustment*
         // only engages once the queue is past the activation threshold.
-        let delta = self.predictor.on_arrival(queue_len);
-        if queue_len < self.config.queue_threshold {
+        let delta = self
+            .predictor
+            .on_arrival(config.sampling_interval_packets, queue_len);
+        if queue_len < config.queue_threshold {
             return;
         }
         if delta.is_some() {
             match self.predictor.trend() {
-                Some(Trend::Growing) => self.lower_threshold(),
+                Some(Trend::Growing) => self.lower_threshold(config),
                 Some(Trend::Draining) => self.raise_to_top(),
                 None => {}
             }
         }
     }
 
-    fn on_packets_sent(&mut self, queue_len: usize) {
+    fn on_packets_sent(&mut self, config: &CaemConfig, queue_len: usize) {
         // Once the pressure is relieved the node reverts to the
         // energy-optimal threshold; this implements the "increase
         // transmission threshold to the highest value to save energy" branch
         // without waiting for the next sampled arrival.
-        if queue_len < self.config.queue_threshold {
+        if queue_len < config.queue_threshold {
             self.raise_to_top();
         }
     }
 
-    fn on_round_change(&mut self) {
+    fn on_round_change(&mut self, config: &CaemConfig) {
         self.predictor.reset();
-        self.current = self.config.initial_threshold;
+        self.current = config.initial_threshold;
     }
 
-    fn current_threshold(&self) -> Option<TransmissionMode> {
+    fn current_threshold(&self, _config: &CaemConfig) -> Option<TransmissionMode> {
         Some(self.current)
-    }
-
-    fn is_urgent(&self, queue_len: usize) -> bool {
-        queue_len >= self.config.queue_threshold
     }
 }
 
@@ -278,33 +212,40 @@ impl ThresholdPolicy for AdaptiveThreshold {
 mod tests {
     use super::*;
 
+    const C: &CaemConfig = &CaemConfig {
+        sampling_interval_packets: 5,
+        queue_threshold: 15,
+        initial_threshold: TransmissionMode::Mbps2,
+        lower_step_classes: 1,
+    };
+
     #[test]
     fn pure_leach_has_no_channel_requirement() {
-        let p = NoAdaptation::default();
+        let p = NoAdaptation;
         assert_eq!(p.kind(), PolicyKind::PureLeach);
-        assert_eq!(p.current_threshold(), None);
+        assert_eq!(p.current_threshold(C), None);
         // Required SNR falls back to the lowest mode's requirement.
         assert_eq!(
-            p.required_snr_db(),
+            p.required_snr_db(C),
             TransmissionMode::Kbps250.required_snr_db()
         );
-        assert!(!p.is_urgent(5));
-        assert!(p.is_urgent(15));
+        assert!(!p.is_urgent(C, 5));
+        assert!(p.is_urgent(C, 15));
     }
 
     #[test]
     fn scheme2_threshold_never_moves() {
-        let mut p = FixedThreshold::paper_default();
+        let mut p = FixedThreshold;
         assert_eq!(p.kind(), PolicyKind::Scheme2Fixed);
         for q in [1usize, 10, 20, 45, 50] {
-            p.on_packet_arrival(q);
-            assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+            p.on_packet_arrival(C, q);
+            assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
         }
-        p.on_packets_sent(0);
-        p.on_round_change();
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        p.on_packets_sent(C, 0);
+        p.on_round_change(C);
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
         assert_eq!(
-            p.required_snr_db(),
+            p.required_snr_db(C),
             TransmissionMode::Mbps2.required_snr_db()
         );
     }
@@ -313,7 +254,7 @@ mod tests {
     fn scheme1_starts_at_highest_threshold() {
         let p = AdaptiveThreshold::paper_default();
         assert_eq!(p.kind(), PolicyKind::Scheme1Adaptive);
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
@@ -321,10 +262,9 @@ mod tests {
         let mut p = AdaptiveThreshold::paper_default();
         // Queue grows but stays below Q_threshold = 15: no adjustment.
         for q in 1..=14usize {
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
-        assert_eq!(p.adjustment_counts(), (0, 0));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
@@ -336,29 +276,27 @@ mod tests {
         // First 15 arrivals establish pressure and the first samples.
         for _ in 0..15 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
         // Arrival 15 produced the 3rd sample (q=15, above threshold) with a
         // growing delta ⇒ one class down.
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps1));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps1));
         for _ in 0..5 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Kbps450));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Kbps450));
         for _ in 0..5 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Kbps250));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Kbps250));
         // Saturates at the lowest class.
         for _ in 0..10 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Kbps250));
-        let (down, _) = p.adjustment_counts();
-        assert_eq!(down, 3);
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Kbps250));
     }
 
     #[test]
@@ -367,14 +305,12 @@ mod tests {
         let mut q = 0usize;
         for _ in 0..20 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_ne!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        assert_ne!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
         // Queue drains below Q_threshold after a burst: snap to 2 Mbps.
-        p.on_packets_sent(8);
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
-        let (_, up) = p.adjustment_counts();
-        assert_eq!(up, 1);
+        p.on_packets_sent(C, 8);
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
@@ -384,15 +320,15 @@ mod tests {
         let mut q = 0usize;
         for _ in 0..25 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_ne!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        assert_ne!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
         // Still above Q_threshold but now *draining* between samples
         // (arrivals continue while big bursts are served elsewhere).
         for q_obs in [22usize, 20, 19, 18, 17] {
-            p.on_packet_arrival(q_obs);
+            p.on_packet_arrival(C, q_obs);
         }
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
@@ -401,12 +337,12 @@ mod tests {
         let mut q = 0usize;
         for _ in 0..25 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        let before = p.current_threshold();
+        let before = p.current_threshold(C);
         // Burst sent but queue still ≥ Q_threshold: keep the relaxed value.
-        p.on_packets_sent(17);
-        assert_eq!(p.current_threshold(), before);
+        p.on_packets_sent(C, 17);
+        assert_eq!(p.current_threshold(C), before);
     }
 
     #[test]
@@ -415,33 +351,35 @@ mod tests {
         let mut q = 0usize;
         for _ in 0..25 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(C, q);
         }
-        assert_ne!(p.current_threshold(), Some(TransmissionMode::Mbps2));
-        p.on_round_change();
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Mbps2));
+        assert_ne!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
+        p.on_round_change(C);
+        assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
     fn scheme1_urgency_tracks_queue_threshold() {
         let p = AdaptiveThreshold::paper_default();
-        assert!(!p.is_urgent(14));
-        assert!(p.is_urgent(15));
-        assert!(p.is_urgent(50));
+        assert!(!p.is_urgent(C, 14));
+        assert!(p.is_urgent(C, 15));
+        assert!(p.is_urgent(C, 50));
     }
 
     #[test]
     fn scheme1_multi_class_step_ablation() {
-        let mut config = CaemConfig::paper_default();
-        config.lower_step_classes = 2;
+        let config = &CaemConfig {
+            lower_step_classes: 2,
+            ..*C
+        };
         let mut p = AdaptiveThreshold::new(config);
         let mut q = 0usize;
         for _ in 0..15 {
             q += 1;
-            p.on_packet_arrival(q);
+            p.on_packet_arrival(config, q);
         }
         // One growing sample above threshold drops two classes at once.
-        assert_eq!(p.current_threshold(), Some(TransmissionMode::Kbps450));
+        assert_eq!(p.current_threshold(config), Some(TransmissionMode::Kbps450));
     }
 
     #[test]
@@ -453,16 +391,16 @@ mod tests {
 
     #[test]
     fn trait_objects_are_usable() {
-        // The simulator stores policies behind Box<dyn ThresholdPolicy>.
+        // The trait stays object-safe: policies work behind `dyn`.
         let mut policies: Vec<Box<dyn ThresholdPolicy>> = vec![
-            Box::new(NoAdaptation::default()),
-            Box::new(FixedThreshold::paper_default()),
+            Box::new(NoAdaptation),
+            Box::new(FixedThreshold),
             Box::new(AdaptiveThreshold::paper_default()),
         ];
         for p in &mut policies {
-            p.on_packet_arrival(1);
-            let _ = p.current_threshold();
-            let _ = p.required_snr_db();
+            p.on_packet_arrival(C, 1);
+            let _ = p.current_threshold(C);
+            let _ = p.required_snr_db(C);
         }
         assert_eq!(policies[0].kind(), PolicyKind::PureLeach);
         assert_eq!(policies[2].kind(), PolicyKind::Scheme1Adaptive);

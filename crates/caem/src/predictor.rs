@@ -24,36 +24,20 @@ pub enum Trend {
 }
 
 /// Samples the queue length every `K` packet arrivals and reports ΔV.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// `K` is scenario-wide and passed to every arrival, so only the sampling
+/// history lives here.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct QueuePredictor {
-    sampling_interval: u32,
     arrivals_since_sample: u32,
     last_sample: Option<usize>,
     last_delta: Option<i64>,
-    samples_taken: u64,
 }
 
 impl QueuePredictor {
-    /// Create a predictor sampling every `sampling_interval` arrivals.
-    pub fn new(sampling_interval: u32) -> Self {
-        assert!(sampling_interval > 0, "sampling interval must be positive");
-        QueuePredictor {
-            sampling_interval,
-            arrivals_since_sample: 0,
-            last_sample: None,
-            last_delta: None,
-            samples_taken: 0,
-        }
-    }
-
-    /// The sampling interval K.
-    pub fn sampling_interval(&self) -> u32 {
-        self.sampling_interval
-    }
-
-    /// Number of samples V(t_i) taken so far.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
+    /// A predictor with no history.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The most recent ΔV, if at least two samples exist.
@@ -77,17 +61,17 @@ impl QueuePredictor {
         })
     }
 
-    /// Record one packet arrival with the queue length *after* the enqueue.
+    /// Record one packet arrival with the queue length *after* the enqueue,
+    /// sampling every `sampling_interval` (K) arrivals.
     ///
     /// Returns `Some(ΔV)` when this arrival completes a sampling interval and
     /// a previous sample exists to difference against; `None` otherwise.
-    pub fn on_arrival(&mut self, queue_len: usize) -> Option<i64> {
+    pub fn on_arrival(&mut self, sampling_interval: u32, queue_len: usize) -> Option<i64> {
         self.arrivals_since_sample += 1;
-        if self.arrivals_since_sample < self.sampling_interval {
+        if self.arrivals_since_sample < sampling_interval {
             return None;
         }
         self.arrivals_since_sample = 0;
-        self.samples_taken += 1;
         let delta = self.last_sample.map(|prev| queue_len as i64 - prev as i64);
         self.last_sample = Some(queue_len);
         if delta.is_some() {
@@ -111,30 +95,31 @@ mod tests {
 
     #[test]
     fn samples_every_k_arrivals() {
-        let mut p = QueuePredictor::new(5);
+        let k = 5;
+        let mut p = QueuePredictor::new();
         // First 4 arrivals: no sample.
         for q in 1..=4 {
-            assert_eq!(p.on_arrival(q), None);
+            assert_eq!(p.on_arrival(k, q), None);
         }
         // 5th arrival takes the first sample; no delta yet.
-        assert_eq!(p.on_arrival(5), None);
+        assert_eq!(p.on_arrival(k, 5), None);
         assert_eq!(p.last_sample(), Some(5));
-        assert_eq!(p.samples_taken(), 1);
         // Next 5 arrivals, queue grew to 9: ΔV = +4.
         for q in [6, 7, 8, 9] {
-            assert_eq!(p.on_arrival(q), None);
+            assert_eq!(p.on_arrival(k, q), None);
         }
-        assert_eq!(p.on_arrival(9), Some(4));
+        assert_eq!(p.on_arrival(k, 9), Some(4));
         assert_eq!(p.trend(), Some(Trend::Growing));
     }
 
     #[test]
     fn draining_queue_gives_negative_delta() {
-        let mut p = QueuePredictor::new(2);
-        p.on_arrival(10);
-        assert_eq!(p.on_arrival(10), None); // first sample V=10
-        p.on_arrival(6);
-        assert_eq!(p.on_arrival(4), Some(-6));
+        let k = 2;
+        let mut p = QueuePredictor::new();
+        p.on_arrival(k, 10);
+        assert_eq!(p.on_arrival(k, 10), None); // first sample V=10
+        p.on_arrival(k, 6);
+        assert_eq!(p.on_arrival(k, 4), Some(-6));
         assert_eq!(p.trend(), Some(Trend::Draining));
         assert_eq!(p.last_delta(), Some(-6));
     }
@@ -143,52 +128,58 @@ mod tests {
     fn zero_delta_counts_as_growing() {
         // The paper's rule is "if ΔV >= 0 … lower the threshold", so a flat
         // queue is treated as growth (load matches service, stay cautious).
-        let mut p = QueuePredictor::new(1);
-        p.on_arrival(7);
-        assert_eq!(p.on_arrival(7), Some(0));
+        let k = 1;
+        let mut p = QueuePredictor::new();
+        p.on_arrival(k, 7);
+        assert_eq!(p.on_arrival(k, 7), Some(0));
         assert_eq!(p.trend(), Some(Trend::Growing));
     }
 
     #[test]
     fn k_equals_one_samples_every_arrival() {
-        let mut p = QueuePredictor::new(1);
-        assert_eq!(p.on_arrival(1), None);
-        assert_eq!(p.on_arrival(2), Some(1));
-        assert_eq!(p.on_arrival(2), Some(0));
-        assert_eq!(p.on_arrival(1), Some(-1));
-        assert_eq!(p.samples_taken(), 4);
+        let k = 1;
+        let mut p = QueuePredictor::new();
+        assert_eq!(p.on_arrival(k, 1), None);
+        assert_eq!(p.on_arrival(k, 2), Some(1));
+        assert_eq!(p.on_arrival(k, 2), Some(0));
+        assert_eq!(p.on_arrival(k, 1), Some(-1));
     }
 
     #[test]
     fn reset_clears_history() {
-        let mut p = QueuePredictor::new(2);
-        p.on_arrival(3);
-        p.on_arrival(3);
-        p.on_arrival(5);
-        p.on_arrival(5);
+        let k = 2;
+        let mut p = QueuePredictor::new();
+        p.on_arrival(k, 3);
+        p.on_arrival(k, 3);
+        p.on_arrival(k, 5);
+        p.on_arrival(k, 5);
         assert!(p.last_delta().is_some());
         p.reset();
         assert_eq!(p.last_delta(), None);
         assert_eq!(p.last_sample(), None);
         assert_eq!(p.trend(), None);
         // After a reset the first completed interval again yields no delta.
-        p.on_arrival(4);
-        assert_eq!(p.on_arrival(4), None);
+        p.on_arrival(k, 4);
+        assert_eq!(p.on_arrival(k, 4), None);
     }
 
     #[test]
     fn no_trend_before_two_samples() {
-        let mut p = QueuePredictor::new(3);
+        let k = 3;
+        let mut p = QueuePredictor::new();
         assert_eq!(p.trend(), None);
-        p.on_arrival(1);
-        p.on_arrival(2);
-        p.on_arrival(3);
+        p.on_arrival(k, 1);
+        p.on_arrival(k, 2);
+        p.on_arrival(k, 3);
         assert_eq!(p.trend(), None, "one sample is not enough for a delta");
     }
 
     #[test]
     #[should_panic]
     fn zero_interval_rejected() {
-        QueuePredictor::new(0);
+        crate::policy::AdaptiveThreshold::new(&crate::config::CaemConfig {
+            sampling_interval_packets: 0,
+            ..crate::config::CaemConfig::paper_default()
+        });
     }
 }

@@ -34,26 +34,41 @@ pub struct FadingConfig {
 
 impl Default for FadingConfig {
     fn default() -> Self {
+        FadingConfig::rayleigh(0.1)
+    }
+}
+
+impl FadingConfig {
+    /// Rayleigh fading (no line-of-sight component) with the given
+    /// coherence time in seconds.
+    pub fn rayleigh(coherence_time_s: f64) -> Self {
+        Self::rician(coherence_time_s, 0.0)
+    }
+
+    /// Rician fading with the given coherence time (seconds) and linear
+    /// K-factor.
+    pub fn rician(coherence_time_s: f64, k_factor: f64) -> Self {
+        assert!(coherence_time_s > 0.0, "coherence time must be positive");
+        assert!(k_factor >= 0.0, "K-factor must be non-negative");
         FadingConfig {
-            coherence_time_s: 0.1,
-            k_factor: 0.0,
+            coherence_time_s,
+            k_factor,
         }
     }
 }
 
 /// Interface implemented by every microscopic fading model.
+///
+/// A model value holds one link's process state only; the scenario-wide
+/// [`FadingConfig`] is passed to every sample.
 pub trait FadingModel {
     /// Fading power gain in dB (0 dB = average channel) at time `now`.
-    fn gain_db(&mut self, now: SimTime) -> f64;
-
-    /// Coherence time of the process, seconds.
-    fn coherence_time_s(&self) -> f64;
+    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64;
 }
 
 /// Correlated Rayleigh fading (Gauss–Markov evolution of the complex gain).
 #[derive(Debug, Clone)]
 pub struct RayleighFading {
-    coherence_time_s: f64,
     rng: StreamRng,
     // In-phase / quadrature diffuse components, each N(0, 1/2) in steady state
     // so that E[|h|^2] = 1.
@@ -64,11 +79,9 @@ pub struct RayleighFading {
 }
 
 impl RayleighFading {
-    /// Create a Rayleigh process with the given coherence time.
-    pub fn new(coherence_time_s: f64, rng: StreamRng) -> Self {
-        assert!(coherence_time_s > 0.0, "coherence time must be positive");
+    /// Create a Rayleigh process drawing from its own random stream.
+    pub fn new(rng: StreamRng) -> Self {
         RayleighFading {
-            coherence_time_s,
             rng,
             in_phase: 0.0,
             quadrature: 0.0,
@@ -77,14 +90,9 @@ impl RayleighFading {
         }
     }
 
-    /// Create with the paper-default 100 ms coherence time.
-    pub fn with_default_coherence(rng: StreamRng) -> Self {
-        Self::new(FadingConfig::default().coherence_time_s, rng)
-    }
-
     const COMPONENT_STD: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-    fn advance(&mut self, now: SimTime) {
+    fn advance(&mut self, coherence_time_s: f64, now: SimTime) {
         if !self.initialized {
             self.in_phase = self.rng.normal(0.0, Self::COMPONENT_STD);
             self.quadrature = self.rng.normal(0.0, Self::COMPONENT_STD);
@@ -96,7 +104,7 @@ impl RayleighFading {
             return;
         }
         let dt = (now - self.last_sample).as_secs_f64();
-        let rho = (-dt / self.coherence_time_s).exp();
+        let rho = (-dt / coherence_time_s).exp();
         let innov_std = Self::COMPONENT_STD * (1.0 - rho * rho).sqrt();
         self.in_phase = rho * self.in_phase + self.rng.normal(0.0, innov_std);
         self.quadrature = rho * self.quadrature + self.rng.normal(0.0, innov_std);
@@ -104,45 +112,38 @@ impl RayleighFading {
     }
 
     /// The linear power gain `|h|^2` at time `now` (unit mean in steady state).
-    pub fn power_gain_linear(&mut self, now: SimTime) -> f64 {
-        self.advance(now);
+    pub fn power_gain_linear(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+        self.advance(config.coherence_time_s, now);
         self.in_phase * self.in_phase + self.quadrature * self.quadrature
     }
 }
 
 impl FadingModel for RayleighFading {
-    fn gain_db(&mut self, now: SimTime) -> f64 {
-        lin_to_db(self.power_gain_linear(now))
-    }
-
-    fn coherence_time_s(&self) -> f64 {
-        self.coherence_time_s
+    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+        lin_to_db(self.power_gain_linear(config, now))
     }
 }
 
-/// Rician fading: Rayleigh diffuse component plus a line-of-sight component.
+/// Rician fading: Rayleigh diffuse component plus a line-of-sight component
+/// whose strength is the configuration's K-factor.
 #[derive(Debug, Clone)]
 pub struct RicianFading {
     diffuse: RayleighFading,
-    /// Rician K-factor (LOS power / diffuse power), linear.
-    k_factor: f64,
 }
 
 impl RicianFading {
-    /// Create a Rician process.  `k_factor = 0` is pure Rayleigh.
-    pub fn new(coherence_time_s: f64, k_factor: f64, rng: StreamRng) -> Self {
-        assert!(k_factor >= 0.0, "K-factor must be non-negative");
+    /// Create a Rician process drawing from its own random stream.
+    pub fn new(rng: StreamRng) -> Self {
         RicianFading {
-            diffuse: RayleighFading::new(coherence_time_s, rng),
-            k_factor,
+            diffuse: RayleighFading::new(rng),
         }
     }
 
     /// Linear power gain with unit mean: the LOS and diffuse components are
     /// scaled so that `E[|h|^2] = 1` regardless of K.
-    pub fn power_gain_linear(&mut self, now: SimTime) -> f64 {
-        let k = self.k_factor;
-        let diffuse_power = self.diffuse.power_gain_linear(now);
+    pub fn power_gain_linear(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+        let k = config.k_factor;
+        let diffuse_power = self.diffuse.power_gain_linear(config, now);
         // LOS amplitude a with a^2 = K/(K+1); diffuse scaled by 1/(K+1).
         let los_i = (k / (k + 1.0)).sqrt();
         let scale = 1.0 / (k + 1.0);
@@ -158,12 +159,8 @@ impl RicianFading {
 }
 
 impl FadingModel for RicianFading {
-    fn gain_db(&mut self, now: SimTime) -> f64 {
-        lin_to_db(self.power_gain_linear(now))
-    }
-
-    fn coherence_time_s(&self) -> f64 {
-        self.diffuse.coherence_time_s
+    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+        lin_to_db(self.power_gain_linear(config, now))
     }
 }
 
@@ -172,14 +169,22 @@ mod tests {
     use super::*;
     use caem_simcore::time::Duration;
 
+    /// A Rayleigh process sampled under a fixed coherence time.
+    fn rayleigh(coherence_time_s: f64, seed: u64) -> (FadingConfig, RayleighFading) {
+        (
+            FadingConfig::rayleigh(coherence_time_s),
+            RayleighFading::new(StreamRng::from_seed_u64(seed)),
+        )
+    }
+
     #[test]
     fn rayleigh_mean_power_is_unity() {
-        let mut f = RayleighFading::new(0.1, StreamRng::from_seed_u64(1));
+        let (cfg, mut f) = rayleigh(0.1, 1);
         // Independent samples: step 10 coherence times apart.
         let n = 20_000;
         let mut sum = 0.0;
         for i in 0..n {
-            sum += f.power_gain_linear(SimTime::from_millis(i as u64 * 1000));
+            sum += f.power_gain_linear(&cfg, SimTime::from_millis(i as u64 * 1000));
         }
         let mean = sum / n as f64;
         assert!((mean - 1.0).abs() < 0.05, "mean power = {mean}");
@@ -188,12 +193,12 @@ mod tests {
     #[test]
     fn rayleigh_power_is_exponential_in_steady_state() {
         // For exponential(1): P(X < 0.693) = 0.5, P(X > 2.3) ≈ 0.1.
-        let mut f = RayleighFading::new(0.1, StreamRng::from_seed_u64(2));
+        let (cfg, mut f) = rayleigh(0.1, 2);
         let n = 20_000;
         let mut below_median = 0;
         let mut deep_fade = 0; // below -10 dB, P = 1 - exp(-0.1) ≈ 0.095
         for i in 0..n {
-            let p = f.power_gain_linear(SimTime::from_millis(i as u64 * 1000));
+            let p = f.power_gain_linear(&cfg, SimTime::from_millis(i as u64 * 1000));
             if p < std::f64::consts::LN_2 {
                 below_median += 1;
             }
@@ -215,23 +220,23 @@ mod tests {
 
     #[test]
     fn samples_within_coherence_time_are_similar() {
-        let mut f = RayleighFading::new(0.1, StreamRng::from_seed_u64(3));
+        let (cfg, mut f) = rayleigh(0.1, 3);
         let mut close_deltas = Vec::new();
         let mut far_deltas = Vec::new();
         let mut t = SimTime::ZERO;
-        let mut prev = f.gain_db(t);
+        let mut prev = f.gain_db(&cfg, t);
         for _ in 0..2000 {
             t += Duration::from_millis(2); // well within 100 ms coherence
-            let g = f.gain_db(t);
+            let g = f.gain_db(&cfg, t);
             close_deltas.push((g - prev).abs());
             prev = g;
         }
-        let mut f = RayleighFading::new(0.1, StreamRng::from_seed_u64(3));
+        let (cfg, mut f) = rayleigh(0.1, 3);
         let mut t = SimTime::ZERO;
-        let mut prev = f.gain_db(t);
+        let mut prev = f.gain_db(&cfg, t);
         for _ in 0..2000 {
             t += Duration::from_secs(2); // 20 coherence times
-            let g = f.gain_db(t);
+            let g = f.gain_db(&cfg, t);
             far_deltas.push((g - prev).abs());
             prev = g;
         }
@@ -242,25 +247,26 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = RayleighFading::new(0.1, StreamRng::from_seed_u64(5));
-        let mut b = RayleighFading::new(0.1, StreamRng::from_seed_u64(5));
+        let (_, mut a) = rayleigh(0.1, 5);
+        let (cfg, mut b) = rayleigh(0.1, 5);
         for i in 0..200 {
             let t = SimTime::from_millis(i * 37);
-            assert_eq!(a.gain_db(t), b.gain_db(t));
+            assert_eq!(a.gain_db(&cfg, t), b.gain_db(&cfg, t));
         }
     }
 
     #[test]
     fn rician_high_k_concentrates_near_0db() {
-        let mut ray = RayleighFading::new(0.1, StreamRng::from_seed_u64(6));
-        let mut ric = RicianFading::new(0.1, 20.0, StreamRng::from_seed_u64(6));
+        let (cfg, mut ray) = rayleigh(0.1, 6);
+        let ric_cfg = FadingConfig::rician(0.1, 20.0);
+        let mut ric = RicianFading::new(StreamRng::from_seed_u64(6));
         let n = 5000;
         let mut var_ray = 0.0;
         let mut var_ric = 0.0;
         for i in 0..n {
             let t = SimTime::from_millis(i as u64 * 1000);
-            var_ray += ray.gain_db(t).powi(2);
-            var_ric += ric.gain_db(t).powi(2);
+            var_ray += ray.gain_db(&cfg, t).powi(2);
+            var_ric += ric.gain_db(&ric_cfg, t).powi(2);
         }
         // Strong LOS should fluctuate far less (in dB^2) than Rayleigh.
         assert!(var_ric < var_ray * 0.5, "{var_ric} vs {var_ray}");
@@ -268,26 +274,19 @@ mod tests {
 
     #[test]
     fn rician_k_zero_close_to_unit_mean() {
-        let mut ric = RicianFading::new(0.1, 0.0, StreamRng::from_seed_u64(8));
+        let cfg = FadingConfig::rician(0.1, 0.0);
+        let mut ric = RicianFading::new(StreamRng::from_seed_u64(8));
         let n = 10_000;
         let mean: f64 = (0..n)
-            .map(|i| ric.power_gain_linear(SimTime::from_millis(i as u64 * 1000)))
+            .map(|i| ric.power_gain_linear(&cfg, SimTime::from_millis(i as u64 * 1000)))
             .sum::<f64>()
             / n as f64;
         assert!((mean - 1.0).abs() < 0.06, "mean = {mean}");
     }
 
     #[test]
-    fn coherence_time_accessor() {
-        let f = RayleighFading::new(0.25, StreamRng::from_seed_u64(1));
-        assert_eq!(f.coherence_time_s(), 0.25);
-        let r = RicianFading::new(0.25, 3.0, StreamRng::from_seed_u64(1));
-        assert_eq!(r.coherence_time_s(), 0.25);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_coherence_time_rejected() {
-        RayleighFading::new(0.0, StreamRng::from_seed_u64(1));
+        FadingConfig::rayleigh(0.0);
     }
 }

@@ -29,11 +29,11 @@ pub mod link;
 pub mod pathloss;
 pub mod shadowing;
 
-pub use fading::{FadingModel, RayleighFading, RicianFading};
+pub use fading::{FadingConfig, FadingModel, RayleighFading, RicianFading};
 pub use geometry::{Field, Position};
-pub use link::{LinkBudget, LinkChannel, LinkQualityReport};
+pub use link::{LinkBudget, LinkChannel, LinkParams, LinkQualityReport};
 pub use pathloss::{PathLossModel, LOG_DISTANCE_DEFAULT_EXPONENT};
-pub use shadowing::ShadowingProcess;
+pub use shadowing::{ShadowingConfig, ShadowingProcess};
 
 /// Convert a linear power ratio to decibels.
 pub fn lin_to_db(linear: f64) -> f64 {

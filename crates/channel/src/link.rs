@@ -11,7 +11,7 @@ use caem_simcore::rng::StreamRng;
 use caem_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::fading::{FadingModel, RayleighFading};
+use crate::fading::{FadingConfig, FadingModel, RayleighFading};
 use crate::geometry::Position;
 use crate::pathloss::PathLossModel;
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
@@ -103,29 +103,54 @@ pub struct LinkQualityReport {
     pub tone_snr_db: f64,
 }
 
+/// The scenario-wide propagation parameters every link shares.
+///
+/// One copy lives with the scenario; each [`LinkChannel`] holds only its
+/// own random processes and distance, and takes these by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LinkParams {
+    /// Radiated powers, noise floor and antenna gains.
+    pub budget: LinkBudget,
+    /// Deterministic distance attenuation.
+    pub path_loss: PathLossModel,
+    /// Macroscopic (shadowing) variation.
+    pub shadowing: ShadowingConfig,
+    /// Microscopic (multipath) variation.
+    pub fading: FadingConfig,
+}
+
+/// Memo key of a link with no valid memoised SNR: no simulation instant
+/// ever reaches it.
+const NO_MEMO: SimTime = SimTime::MAX;
+
 /// The time-varying channel between one sensor and one cluster head.
 ///
-/// Two layers of caching keep repeated CSI queries off the transcendental
-/// math (`log10`, `exp`, normal draws) that dominates the simulator's event
-/// loop:
+/// Only per-link state lives here: the shadowing and fading processes, the
+/// distance and two caches.  The scenario-wide [`LinkParams`] are passed to
+/// every call that needs them.  The caches keep repeated CSI queries off the
+/// transcendental math (`log10`, `exp`, normal draws) that dominates the
+/// simulator's event loop:
 ///
 /// * the deterministic path loss is a pure function of the (rarely changing)
 ///   link distance, so it is computed once per `set_distance`;
-/// * a full [`LinkQualityReport`] is memoised per instant — the shadowing and
-///   fading processes are frozen within one instant by construction, so a
-///   same-time re-measurement (e.g. the sense → decide → transmit chain of
-///   one MAC event) returns bit-identical values without re-deriving them.
+/// * [`LinkChannel::snr_db`] memoises the data-channel SNR of the last
+///   instant it measured.  The shadowing and fading processes are frozen
+///   within one instant by construction, so a same-time re-measurement (the
+///   backoff-expiry check and the burst start of one MAC decision) returns
+///   the bit-identical value without re-deriving it.  A distance change
+///   clears the memo.  [`LinkChannel::measure`] always derives the full
+///   breakdown and leaves the memo alone.
 #[derive(Debug, Clone)]
 pub struct LinkChannel {
-    budget: LinkBudget,
-    path_loss: PathLossModel,
     shadowing: ShadowingProcess,
     fading: RayleighFading,
     distance_m: f64,
     /// Path loss at `distance_m`, recomputed only when the distance changes.
     cached_path_loss_db: f64,
-    /// Most recent measurement, keyed by its instant.
-    last_report: Option<(SimTime, LinkQualityReport)>,
+    /// Instant of the memoised SNR (`NO_MEMO` when there is none).
+    memo_at: SimTime,
+    /// Data-channel SNR measured at `memo_at`.
+    memo_snr_db: f64,
 }
 
 impl LinkChannel {
@@ -136,42 +161,30 @@ impl LinkChannel {
     /// [`caem_simcore::rng::components::FADING`]) so the two processes are
     /// independent.
     pub fn new(
+        params: &LinkParams,
         a: Position,
         b: Position,
-        budget: LinkBudget,
-        path_loss: PathLossModel,
-        shadowing_config: ShadowingConfig,
         shadowing_rng: StreamRng,
         fading_rng: StreamRng,
     ) -> Self {
-        Self::with_distance(
-            a.distance_to(&b),
-            budget,
-            path_loss,
-            shadowing_config,
-            shadowing_rng,
-            fading_rng,
-        )
+        Self::with_distance(params, a.distance_to(&b), shadowing_rng, fading_rng)
     }
 
     /// Create a link with an explicit distance (used by tests and by the
     /// cluster-head switch, where only the distance changes).
     pub fn with_distance(
+        params: &LinkParams,
         distance_m: f64,
-        budget: LinkBudget,
-        path_loss: PathLossModel,
-        shadowing_config: ShadowingConfig,
         shadowing_rng: StreamRng,
         fading_rng: StreamRng,
     ) -> Self {
         LinkChannel {
-            budget,
-            path_loss,
-            shadowing: ShadowingProcess::new(shadowing_config, shadowing_rng),
-            fading: RayleighFading::with_default_coherence(fading_rng),
+            shadowing: ShadowingProcess::new(shadowing_rng),
+            fading: RayleighFading::new(fading_rng),
             distance_m,
-            cached_path_loss_db: path_loss.loss_db(distance_m),
-            last_report: None,
+            cached_path_loss_db: params.path_loss.loss_db(distance_m),
+            memo_at: NO_MEMO,
+            memo_snr_db: 0.0,
         }
     }
 
@@ -182,54 +195,44 @@ impl LinkChannel {
 
     /// Update the link distance (e.g. after a LEACH cluster-head switch the
     /// sensor talks to a different head over the *same* fading environment).
-    pub fn set_distance(&mut self, distance_m: f64) {
+    pub fn set_distance(&mut self, params: &LinkParams, distance_m: f64) {
         assert!(distance_m >= 0.0, "distance must be non-negative");
         self.distance_m = distance_m;
-        self.cached_path_loss_db = self.path_loss.loss_db(distance_m);
-        self.last_report = None;
+        self.cached_path_loss_db = params.path_loss.loss_db(distance_m);
+        self.memo_at = NO_MEMO;
     }
 
-    /// The static link budget.
-    pub fn budget(&self) -> LinkBudget {
-        self.budget
-    }
-
-    /// Measure the CSI at virtual time `now`.
+    /// Measure the full CSI breakdown at virtual time `now`.
     ///
     /// Both the data-channel SNR and the tone-channel SNR are produced from
     /// the *same* propagation realization (assumption 1: the tone and data
     /// channels share attenuation and fading), so the sensor's tone-based
     /// estimate equals the data-channel CSI up to the transmit-power offset.
-    pub fn measure(&mut self, now: SimTime) -> LinkQualityReport {
-        // Same-instant cache: within one instant the shadowing and fading
-        // processes return their frozen state, so the recomputation would be
-        // bit-identical — skip it.
-        if let Some((at, report)) = self.last_report {
-            if at == now {
-                return report;
-            }
-        }
+    pub fn measure(&mut self, params: &LinkParams, now: SimTime) -> LinkQualityReport {
+        let budget = &params.budget;
         let path_loss_db = self.cached_path_loss_db;
-        let shadowing_db = self.shadowing.sample_db(now);
-        let fading_db = self.fading.gain_db(now);
-        let gain_db = -path_loss_db - shadowing_db + fading_db + self.budget.antenna_gain_db;
-        let snr_db = self.budget.data_tx_dbm() + gain_db - self.budget.noise_floor_dbm;
-        let tone_snr_db = self.budget.tone_tx_dbm() + gain_db - self.budget.noise_floor_dbm;
-        let report = LinkQualityReport {
+        let shadowing_db = self.shadowing.sample_db(&params.shadowing, now);
+        let fading_db = self.fading.gain_db(&params.fading, now);
+        let gain_db = -path_loss_db - shadowing_db + fading_db + budget.antenna_gain_db;
+        let snr_db = budget.data_tx_dbm() + gain_db - budget.noise_floor_dbm;
+        let tone_snr_db = budget.tone_tx_dbm() + gain_db - budget.noise_floor_dbm;
+        LinkQualityReport {
             distance_m: self.distance_m,
             path_loss_db,
             shadowing_db,
             fading_db,
             snr_db,
             tone_snr_db,
-        };
-        self.last_report = Some((now, report));
-        report
+        }
     }
 
-    /// Convenience: just the data-channel SNR in dB.
-    pub fn snr_db(&mut self, now: SimTime) -> f64 {
-        self.measure(now).snr_db
+    /// The data-channel SNR in dB at `now`, memoised per instant.
+    pub fn snr_db(&mut self, params: &LinkParams, now: SimTime) -> f64 {
+        if self.memo_at != now {
+            self.memo_snr_db = self.measure(params, now).snr_db;
+            self.memo_at = now;
+        }
+        self.memo_snr_db
     }
 }
 
@@ -242,10 +245,8 @@ mod tests {
     fn make_link(distance: f64, seed: u64) -> LinkChannel {
         let streams = RngStream::new(seed);
         LinkChannel::with_distance(
+            &LinkParams::default(),
             distance,
-            LinkBudget::paper_default(),
-            PathLossModel::paper_default(),
-            ShadowingConfig::default(),
             streams.derive(components::SHADOWING, 0),
             streams.derive(components::FADING, 0),
         )
@@ -271,13 +272,14 @@ mod tests {
 
     #[test]
     fn field_spans_all_abicm_thresholds() {
+        let p = LinkParams::default();
         // The whole point of the calibration: across plausible member-to-head
         // distances the *average* SNR must straddle the 6–22 dB mode
         // thresholds, otherwise no protocol would ever adapt.
         let avg_snr = |d: f64| -> f64 {
             let mut link = make_link(d, 42);
             (0..400)
-                .map(|i| link.snr_db(SimTime::from_millis(i * 500)))
+                .map(|i| link.snr_db(&p, SimTime::from_millis(i * 500)))
                 .sum::<f64>()
                 / 400.0
         };
@@ -295,12 +297,13 @@ mod tests {
 
     #[test]
     fn closer_links_have_higher_average_snr() {
+        let p = LinkParams::default();
         let mut near = make_link(10.0, 1);
         let mut far = make_link(90.0, 1);
         let n = 500;
         let avg = |link: &mut LinkChannel| -> f64 {
             (0..n)
-                .map(|i| link.snr_db(SimTime::from_millis(i * 200)))
+                .map(|i| link.snr_db(&p, SimTime::from_millis(i * 200)))
                 .sum::<f64>()
                 / n as f64
         };
@@ -314,11 +317,12 @@ mod tests {
 
     #[test]
     fn tone_and_data_snr_differ_by_power_offset_only() {
+        let p = LinkParams::default();
         let mut link = make_link(40.0, 2);
         let b = LinkBudget::paper_default();
         let offset = b.data_tx_dbm() - b.tone_tx_dbm();
         for i in 0..50 {
-            let report = link.measure(SimTime::from_millis(i * 123));
+            let report = link.measure(&p, SimTime::from_millis(i * 123));
             assert!(
                 ((report.snr_db - report.tone_snr_db) - offset).abs() < 1e-9,
                 "reciprocity offset violated"
@@ -328,11 +332,12 @@ mod tests {
 
     #[test]
     fn snr_varies_over_time() {
+        let p = LinkParams::default();
         let mut link = make_link(50.0, 3);
         let mut values = Vec::new();
         let mut t = SimTime::ZERO;
         for _ in 0..200 {
-            values.push(link.snr_db(t));
+            values.push(link.snr_db(&p, t));
             t += Duration::from_millis(500);
         }
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -343,8 +348,9 @@ mod tests {
 
     #[test]
     fn report_components_compose_to_snr() {
+        let p = LinkParams::default();
         let mut link = make_link(30.0, 4);
-        let r = link.measure(SimTime::from_secs(1));
+        let r = link.measure(&p, SimTime::from_secs(1));
         let budget = LinkBudget::paper_default();
         let expected = budget.data_tx_dbm() - r.path_loss_db - r.shadowing_db + r.fading_db
             - budget.noise_floor_dbm;
@@ -354,11 +360,12 @@ mod tests {
 
     #[test]
     fn set_distance_changes_path_loss_only() {
+        let p = LinkParams::default();
         let mut link = make_link(20.0, 5);
         let t = SimTime::from_secs(2);
-        let before = link.measure(t);
-        link.set_distance(80.0);
-        let after = link.measure(t);
+        let before = link.measure(&p, t);
+        link.set_distance(&p, 80.0);
+        let after = link.measure(&p, t);
         // Same instant: shadowing & fading frozen, so the SNR delta equals the
         // path-loss delta.
         let snr_delta = before.snr_db - after.snr_db;
@@ -371,11 +378,9 @@ mod tests {
     fn link_between_positions_uses_euclidean_distance() {
         let streams = RngStream::new(11);
         let link = LinkChannel::new(
+            &LinkParams::default(),
             Position::new(0.0, 0.0),
             Position::new(30.0, 40.0),
-            LinkBudget::paper_default(),
-            PathLossModel::paper_default(),
-            ShadowingConfig::default(),
             streams.derive(components::SHADOWING, 1),
             streams.derive(components::FADING, 1),
         );
@@ -384,35 +389,45 @@ mod tests {
 
     #[test]
     fn same_instant_cache_is_transparent() {
+        let p = LinkParams::default();
         // A link measured twice at the same instant must behave exactly like
-        // a link measured once: identical report, and the *next* measurement
-        // (which advances the random processes) must also be identical.
+        // a link measured once: the memoised SNR equals a fresh full
+        // derivation, and the *next* measurement (which advances the random
+        // processes) must also be identical.
         let mut cached = make_link(40.0, 21);
         let mut fresh = make_link(40.0, 21);
         let t1 = SimTime::from_millis(100);
         let t2 = SimTime::from_millis(137);
-        let first = cached.measure(t1);
-        let repeat = cached.measure(t1);
-        assert_eq!(first, repeat);
-        assert_eq!(fresh.measure(t1), first);
+        let first = cached.snr_db(&p, t1);
+        let repeat = cached.snr_db(&p, t1);
+        assert_eq!(first.to_bits(), repeat.to_bits());
+        assert_eq!(cached.measure(&p, t1).snr_db.to_bits(), first.to_bits());
+        assert_eq!(fresh.measure(&p, t1).snr_db.to_bits(), first.to_bits());
         // RNG state untouched by the cached re-measurement:
-        assert_eq!(cached.measure(t2), fresh.measure(t2));
+        assert_eq!(cached.measure(&p, t2), fresh.measure(&p, t2));
+        // A distance change clears the memo: the SNR moves by the path-loss
+        // delta at the same instant.
+        let before = cached.snr_db(&p, t2);
+        cached.set_distance(&p, 80.0);
+        assert!(cached.snr_db(&p, t2) < before);
     }
 
     #[test]
     fn deterministic_per_seed() {
+        let p = LinkParams::default();
         let mut a = make_link(42.0, 77);
         let mut b = make_link(42.0, 77);
         for i in 0..100 {
             let t = SimTime::from_millis(i * 91);
-            assert_eq!(a.snr_db(t), b.snr_db(t));
+            assert_eq!(a.snr_db(&p, t), b.snr_db(&p, t));
         }
     }
 
     #[test]
     #[should_panic]
     fn negative_distance_rejected() {
+        let p = LinkParams::default();
         let mut link = make_link(10.0, 1);
-        link.set_distance(-1.0);
+        link.set_distance(&p, -1.0);
     }
 }

@@ -54,10 +54,10 @@ impl ShadowingConfig {
 /// The process is sampled lazily: [`ShadowingProcess::sample_db`] advances
 /// the AR(1) state from the last sampled instant to the requested instant.
 /// Because the channel is assumed reciprocal, a single process per link is
-/// shared by both directions.
+/// shared by both directions.  Only the per-link state lives here; the
+/// [`ShadowingConfig`] is scenario-wide and passed to every sample.
 #[derive(Debug, Clone)]
 pub struct ShadowingProcess {
-    config: ShadowingConfig,
     rng: StreamRng,
     current_db: f64,
     last_sample: SimTime,
@@ -66,9 +66,8 @@ pub struct ShadowingProcess {
 
 impl ShadowingProcess {
     /// Create a new process with its own random stream.
-    pub fn new(config: ShadowingConfig, rng: StreamRng) -> Self {
+    pub fn new(rng: StreamRng) -> Self {
         ShadowingProcess {
-            config,
             rng,
             current_db: 0.0,
             last_sample: SimTime::ZERO,
@@ -76,22 +75,17 @@ impl ShadowingProcess {
         }
     }
 
-    /// The configuration this process was built with.
-    pub fn config(&self) -> ShadowingConfig {
-        self.config
-    }
-
     /// Sample the shadowing attenuation (dB, zero mean) at virtual time `now`.
     ///
     /// Calling with a time earlier than the previous sample returns the
     /// current state without evolving it (the process only moves forward).
-    pub fn sample_db(&mut self, now: SimTime) -> f64 {
-        if self.config.sigma_db <= 0.0 {
+    pub fn sample_db(&mut self, config: &ShadowingConfig, now: SimTime) -> f64 {
+        if config.sigma_db <= 0.0 {
             return 0.0;
         }
         if !self.initialized {
             // Stationary initial draw.
-            self.current_db = self.rng.normal(0.0, self.config.sigma_db);
+            self.current_db = self.rng.normal(0.0, config.sigma_db);
             self.last_sample = now;
             self.initialized = true;
             return self.current_db;
@@ -100,8 +94,8 @@ impl ShadowingProcess {
             return self.current_db;
         }
         let dt = (now - self.last_sample).as_secs_f64();
-        let rho = (-dt / self.config.decorrelation_time_s).exp();
-        let innovation_std = self.config.sigma_db * (1.0 - rho * rho).sqrt();
+        let rho = (-dt / config.decorrelation_time_s).exp();
+        let innovation_std = config.sigma_db * (1.0 - rho * rho).sqrt();
         self.current_db = rho * self.current_db + self.rng.normal(0.0, innovation_std);
         self.last_sample = now;
         self.current_db
@@ -118,21 +112,34 @@ mod tests {
     use super::*;
     use caem_simcore::time::Duration;
 
-    fn process(seed: u64, sigma: f64, tau: f64) -> ShadowingProcess {
-        ShadowingProcess::new(
-            ShadowingConfig {
+    /// A process plus the configuration it is sampled under.
+    struct Sampled {
+        config: ShadowingConfig,
+        process: ShadowingProcess,
+    }
+
+    impl Sampled {
+        fn sample_db(&mut self, now: SimTime) -> f64 {
+            self.process.sample_db(&self.config, now)
+        }
+    }
+
+    fn process(seed: u64, sigma: f64, tau: f64) -> Sampled {
+        Sampled {
+            config: ShadowingConfig {
                 sigma_db: sigma,
                 decorrelation_time_s: tau,
             },
-            StreamRng::from_seed_u64(seed),
-        )
+            process: ShadowingProcess::new(StreamRng::from_seed_u64(seed)),
+        }
     }
 
     #[test]
     fn disabled_shadowing_is_zero() {
-        let mut p = ShadowingProcess::new(ShadowingConfig::disabled(), StreamRng::from_seed_u64(1));
+        let config = ShadowingConfig::disabled();
+        let mut p = ShadowingProcess::new(StreamRng::from_seed_u64(1));
         for s in 0..10 {
-            assert_eq!(p.sample_db(SimTime::from_secs(s)), 0.0);
+            assert_eq!(p.sample_db(&config, SimTime::from_secs(s)), 0.0);
         }
     }
 
@@ -203,7 +210,7 @@ mod tests {
         let v3 = p.sample_db(SimTime::from_secs(10));
         assert_eq!(v1, v2);
         assert_eq!(v1, v3);
-        assert_eq!(p.current_db(), v1);
+        assert_eq!(p.process.current_db(), v1);
     }
 
     #[test]

@@ -132,12 +132,14 @@ impl EnergyLedger {
 }
 
 /// A node's battery: finite initial energy, drawn down by the ledger.
+///
+/// Depletion is not stored: draws are non-negative, so `drawn_j` only
+/// grows and `drawn_j >= initial_j` holds from the depleting draw onwards.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Battery {
     initial_j: f64,
     drawn_j: f64,
     ledger: EnergyLedger,
-    depleted_flagged: bool,
 }
 
 impl Battery {
@@ -153,7 +155,6 @@ impl Battery {
             initial_j,
             drawn_j: 0.0,
             ledger: EnergyLedger::new(),
-            depleted_flagged: false,
         }
     }
 
@@ -188,16 +189,12 @@ impl Battery {
     /// uses that edge to record the node-death time exactly once.
     pub fn draw(&mut self, category: EnergyCategory, joules: f64) -> bool {
         assert!(joules >= 0.0, "cannot draw negative energy");
-        if self.depleted_flagged {
+        if self.is_depleted() {
             return false;
         }
         self.drawn_j += joules;
         self.ledger.record(category, joules);
-        if self.is_depleted() {
-            self.depleted_flagged = true;
-            return true;
-        }
-        false
+        self.is_depleted()
     }
 
     /// The per-category ledger.

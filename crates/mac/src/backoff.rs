@@ -52,28 +52,19 @@ impl BackoffConfig {
 }
 
 /// Stateful backoff scheduler for one sensor node.
+///
+/// Holds the node's random stream and retry count only; the scenario-wide
+/// [`BackoffConfig`] is passed to every call that needs it.
 #[derive(Debug, Clone)]
 pub struct BackoffScheduler {
-    config: BackoffConfig,
     rng: StreamRng,
     retries: u32,
-    draws: u64,
 }
 
 impl BackoffScheduler {
     /// Create a scheduler with its own random stream.
-    pub fn new(config: BackoffConfig, rng: StreamRng) -> Self {
-        BackoffScheduler {
-            config,
-            rng,
-            retries: 0,
-            draws: 0,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> BackoffConfig {
-        self.config
+    pub fn new(rng: StreamRng) -> Self {
+        BackoffScheduler { rng, retries: 0 }
     }
 
     /// Current retransmission count for the head-of-line packet.
@@ -81,26 +72,20 @@ impl BackoffScheduler {
         self.retries
     }
 
-    /// Number of backoff intervals drawn so far.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
     /// Draw the backoff interval for the next access attempt:
     /// `rand[0,1) × 2^r × slot × CW`.
-    pub fn next_backoff(&mut self) -> Duration {
-        let r = self.retries.min(self.config.max_retransmissions);
-        let window = self.config.max_backoff(r);
-        self.draws += 1;
+    pub fn next_backoff(&mut self, config: &BackoffConfig) -> Duration {
+        let r = self.retries.min(config.max_retransmissions);
+        let window = config.max_backoff(r);
         window.mul_f64(self.rng.next_f64())
     }
 
     /// Record that the current attempt failed (collision or lost channel):
     /// the retry counter grows, widening subsequent backoffs, and the method
     /// reports whether the packet may still be retried.
-    pub fn record_failure(&mut self) -> bool {
+    pub fn record_failure(&mut self, config: &BackoffConfig) -> bool {
         self.retries += 1;
-        self.retries <= self.config.max_retransmissions
+        self.retries <= config.max_retransmissions
     }
 
     /// Record a successful transmission: the retry counter resets for the
@@ -110,8 +95,8 @@ impl BackoffScheduler {
     }
 
     /// Has the head-of-line packet exhausted its retransmission budget?
-    pub fn exhausted(&self) -> bool {
-        self.retries > self.config.max_retransmissions
+    pub fn exhausted(&self, config: &BackoffConfig) -> bool {
+        self.retries > config.max_retransmissions
     }
 
     /// Give up on the head-of-line packet (after exhaustion): reset retries.
@@ -124,11 +109,14 @@ impl BackoffScheduler {
 mod tests {
     use super::*;
 
+    const PAPER: &BackoffConfig = &BackoffConfig {
+        slot: Duration::from_micros(20),
+        contention_window: 10,
+        max_retransmissions: MAX_RETRANSMISSIONS,
+    };
+
     fn scheduler(seed: u64) -> BackoffScheduler {
-        BackoffScheduler::new(
-            BackoffConfig::paper_default(),
-            StreamRng::from_seed_u64(seed),
-        )
+        BackoffScheduler::new(StreamRng::from_seed_u64(seed))
     }
 
     #[test]
@@ -147,22 +135,24 @@ mod tests {
     fn backoff_is_within_window() {
         let mut s = scheduler(1);
         for _ in 0..1000 {
-            let b = s.next_backoff();
-            assert!(b <= s.config().max_backoff(0));
+            let b = s.next_backoff(PAPER);
+            assert!(b <= PAPER.max_backoff(0));
         }
-        assert_eq!(s.draws(), 1000);
     }
 
     #[test]
     fn backoff_window_doubles_with_failures() {
         let mut s = scheduler(2);
         let samples = |s: &mut BackoffScheduler, n: usize| -> f64 {
-            (0..n).map(|_| s.next_backoff().as_secs_f64()).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| s.next_backoff(PAPER).as_secs_f64())
+                .sum::<f64>()
+                / n as f64
         };
         let mean0 = samples(&mut s, 2000);
-        s.record_failure();
+        s.record_failure(PAPER);
         let mean1 = samples(&mut s, 2000);
-        s.record_failure();
+        s.record_failure(PAPER);
         let mean2 = samples(&mut s, 2000);
         // Mean of U[0, W) is W/2; each failure doubles W.
         assert!((mean1 / mean0 - 2.0).abs() < 0.3, "{mean1}/{mean0}");
@@ -172,35 +162,38 @@ mod tests {
     #[test]
     fn success_resets_retries() {
         let mut s = scheduler(3);
-        s.record_failure();
-        s.record_failure();
+        s.record_failure(PAPER);
+        s.record_failure(PAPER);
         assert_eq!(s.retries(), 2);
         s.record_success();
         assert_eq!(s.retries(), 0);
-        assert!(!s.exhausted());
+        assert!(!s.exhausted(PAPER));
     }
 
     #[test]
     fn exhaustion_after_max_retransmissions() {
         let mut s = scheduler(4);
         for i in 1..=6 {
-            let may_retry = s.record_failure();
+            let may_retry = s.record_failure(PAPER);
             assert!(may_retry, "retry {i} should still be allowed");
         }
-        let may_retry = s.record_failure();
+        let may_retry = s.record_failure(PAPER);
         assert!(!may_retry, "7th failure exceeds the cap");
-        assert!(s.exhausted());
+        assert!(s.exhausted(PAPER));
         s.reset();
-        assert!(!s.exhausted());
+        assert!(!s.exhausted(PAPER));
         assert_eq!(s.retries(), 0);
     }
 
     #[test]
     fn backoff_distribution_is_roughly_uniform() {
         let mut s = scheduler(5);
-        let window = s.config().max_backoff(0).as_secs_f64();
+        let window = PAPER.max_backoff(0).as_secs_f64();
         let n = 10_000;
-        let mean: f64 = (0..n).map(|_| s.next_backoff().as_secs_f64()).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|_| s.next_backoff(PAPER).as_secs_f64())
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - window / 2.0).abs() < window * 0.03, "mean {mean}");
     }
 
@@ -209,7 +202,7 @@ mod tests {
         let mut a = scheduler(9);
         let mut b = scheduler(9);
         for _ in 0..100 {
-            assert_eq!(a.next_backoff(), b.next_backoff());
+            assert_eq!(a.next_backoff(PAPER), b.next_backoff(PAPER));
         }
     }
 }

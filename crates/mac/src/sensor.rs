@@ -70,62 +70,28 @@ pub struct SensorMacConfig {
     pub burst: BurstPolicy,
 }
 
-/// Per-node MAC statistics, exposed for the metrics crate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SensorMacStats {
-    /// Bursts started.
-    pub bursts_started: u64,
-    /// Bursts aborted by a collision tone.
-    pub bursts_aborted: u64,
-    /// Bursts completed successfully.
-    pub bursts_completed: u64,
-    /// Burst-eligible idle observations deferred because the CSI was below
-    /// the threshold.  Since the lazy-CSI rework the channel is only measured
-    /// once the busy and minimum-burst gates pass, so observations that were
-    /// *also* below the burst minimum no longer count here (they previously
-    /// did).
-    pub deferred_low_csi: u64,
-    /// Access attempts deferred because the channel was busy.
-    pub deferred_busy: u64,
-    /// Packets dropped after exhausting the retransmission budget.
-    pub packets_abandoned: u64,
-}
-
 /// The sensor MAC state machine.
+///
+/// Holds one node's state and backoff stream only; the scenario-wide
+/// [`SensorMacConfig`] is passed to every transition that consults it.
 #[derive(Debug, Clone)]
 pub struct SensorMac {
     state: SensorMacState,
-    config: SensorMacConfig,
     backoff: BackoffScheduler,
-    stats: SensorMacStats,
-    pending_burst: usize,
 }
 
 impl SensorMac {
     /// Create a sensor MAC with its own backoff random stream.
-    pub fn new(config: SensorMacConfig, backoff_rng: StreamRng) -> Self {
+    pub fn new(backoff_rng: StreamRng) -> Self {
         SensorMac {
             state: SensorMacState::Sleep,
-            config,
-            backoff: BackoffScheduler::new(config.backoff, backoff_rng),
-            stats: SensorMacStats::default(),
-            pending_burst: 0,
+            backoff: BackoffScheduler::new(backoff_rng),
         }
     }
 
     /// Current state.
     pub fn state(&self) -> SensorMacState {
         self.state
-    }
-
-    /// MAC statistics so far.
-    pub fn stats(&self) -> SensorMacStats {
-        self.stats
-    }
-
-    /// The burst size chosen when the current transmission started.
-    pub fn pending_burst(&self) -> usize {
-        self.pending_burst
     }
 
     /// Number of retransmissions of the head-of-line packet so far.
@@ -154,22 +120,17 @@ impl SensorMac {
     /// channel is idle **and** the queue actually justifies a burst — on a
     /// loaded network the busy check alone short-circuits most observations.
     fn conditions_met<F: FnOnce() -> f64>(
-        &mut self,
+        config: &SensorMacConfig,
         state: ChannelState,
         csi_db: F,
         threshold_snr_db: f64,
         queued: usize,
         urgent: bool,
     ) -> bool {
-        if state != ChannelState::Idle {
-            self.stats.deferred_busy += 1;
-            return false;
-        }
-        if !self.config.burst.should_transmit(queued, urgent) {
+        if state != ChannelState::Idle || !config.burst.should_transmit(queued, urgent) {
             return false;
         }
         if csi_db() < threshold_snr_db {
-            self.stats.deferred_low_csi += 1;
             return false;
         }
         true
@@ -185,6 +146,7 @@ impl SensorMac {
     ///   pressure, waiving the minimum burst size.
     pub fn observe_tone(
         &mut self,
+        config: &SensorMacConfig,
         signal: Option<ToneSignal>,
         threshold_snr_db: f64,
         queued: usize,
@@ -192,13 +154,14 @@ impl SensorMac {
     ) -> SensorAction {
         match signal {
             Some(signal) => self.observe_tone_lazy(
+                config,
                 Some(signal.state),
                 || signal.tone_snr_db,
                 threshold_snr_db,
                 queued,
                 urgent,
             ),
-            None => self.observe_tone_lazy(None, || 0.0, threshold_snr_db, queued, urgent),
+            None => self.observe_tone_lazy(config, None, || 0.0, threshold_snr_db, queued, urgent),
         }
     }
 
@@ -208,6 +171,7 @@ impl SensorMac {
     /// `state = None` means the tone channel went silent.
     pub fn observe_tone_lazy<F: FnOnce() -> f64>(
         &mut self,
+        config: &SensorMacConfig,
         state: Option<ChannelState>,
         csi_db: F,
         threshold_snr_db: f64,
@@ -224,9 +188,9 @@ impl SensorMac {
                     self.state = SensorMacState::Sleep;
                     return SensorAction::EnterSleep;
                 }
-                if self.conditions_met(state, csi_db, threshold_snr_db, queued, urgent) {
+                if Self::conditions_met(config, state, csi_db, threshold_snr_db, queued, urgent) {
                     self.state = SensorMacState::Backoff;
-                    SensorAction::StartBackoff(self.backoff.next_backoff())
+                    SensorAction::StartBackoff(self.backoff.next_backoff(&config.backoff))
                 } else {
                     SensorAction::None
                 }
@@ -241,6 +205,7 @@ impl SensorMac {
     /// committing the data radio.
     pub fn backoff_expired(
         &mut self,
+        config: &SensorMacConfig,
         signal: Option<ToneSignal>,
         threshold_snr_db: f64,
         queued: usize,
@@ -248,13 +213,16 @@ impl SensorMac {
     ) -> SensorAction {
         match signal {
             Some(signal) => self.backoff_expired_lazy(
+                config,
                 Some(signal.state),
                 || signal.tone_snr_db,
                 threshold_snr_db,
                 queued,
                 urgent,
             ),
-            None => self.backoff_expired_lazy(None, || 0.0, threshold_snr_db, queued, urgent),
+            None => {
+                self.backoff_expired_lazy(config, None, || 0.0, threshold_snr_db, queued, urgent)
+            }
         }
     }
 
@@ -262,6 +230,7 @@ impl SensorMac {
     /// [`SensorMac::observe_tone_lazy`] for the contract.
     pub fn backoff_expired_lazy<F: FnOnce() -> f64>(
         &mut self,
+        config: &SensorMacConfig,
         state: Option<ChannelState>,
         csi_db: F,
         threshold_snr_db: f64,
@@ -279,12 +248,10 @@ impl SensorMac {
             self.state = SensorMacState::Sleep;
             return SensorAction::EnterSleep;
         }
-        if self.conditions_met(state, csi_db, threshold_snr_db, queued, urgent) {
+        if Self::conditions_met(config, state, csi_db, threshold_snr_db, queued, urgent) {
             self.state = SensorMacState::Transmitting;
-            self.pending_burst = self.config.burst.burst_size(queued);
-            self.stats.bursts_started += 1;
             SensorAction::StartTransmission {
-                burst_size: self.pending_burst,
+                burst_size: config.burst.burst_size(queued),
             }
         } else {
             self.state = SensorMacState::Sensing;
@@ -297,18 +264,15 @@ impl SensorMac {
     /// Returns the action plus whether the head-of-line packet may still be
     /// retried (false once the retransmission budget is exhausted, in which
     /// case the caller should drop it).
-    pub fn collision_detected(&mut self) -> (SensorAction, bool) {
+    pub fn collision_detected(&mut self, config: &SensorMacConfig) -> (SensorAction, bool) {
         if self.state != SensorMacState::Transmitting {
             return (SensorAction::None, true);
         }
-        self.stats.bursts_aborted += 1;
-        let may_retry = self.backoff.record_failure();
+        let may_retry = self.backoff.record_failure(&config.backoff);
         if !may_retry {
-            self.stats.packets_abandoned += 1;
             self.backoff.reset();
         }
         self.state = SensorMacState::Sensing;
-        self.pending_burst = 0;
         (SensorAction::AbortTransmission, may_retry)
     }
 
@@ -317,9 +281,7 @@ impl SensorMac {
         if self.state != SensorMacState::Transmitting {
             return SensorAction::None;
         }
-        self.stats.bursts_completed += 1;
         self.backoff.record_success();
-        self.pending_burst = 0;
         if packets_still_queued > 0 {
             self.state = SensorMacState::Sensing;
             SensorAction::StartSensing
@@ -341,8 +303,22 @@ mod tests {
         })
     }
 
+    /// The paper's MAC parameters: 20 µs slot, CW = 10, r ≤ 6, 3..=8
+    /// packets per burst.
+    const CFG: &SensorMacConfig = &SensorMacConfig {
+        backoff: BackoffConfig {
+            slot: Duration::from_micros(20),
+            contention_window: 10,
+            max_retransmissions: 6,
+        },
+        burst: BurstPolicy {
+            min_packets: 3,
+            max_packets: 8,
+        },
+    };
+
     fn mac(seed: u64) -> SensorMac {
-        SensorMac::new(SensorMacConfig::default(), StreamRng::from_seed_u64(seed))
+        SensorMac::new(StreamRng::from_seed_u64(seed))
     }
 
     #[test]
@@ -362,29 +338,27 @@ mod tests {
         let mut m = mac(2);
         m.packets_pending(5);
         // Good channel, idle, enough packets: go to backoff.
-        let a = m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
         match a {
             SensorAction::StartBackoff(d) => assert!(d <= Duration::from_micros(200)),
             other => panic!("expected backoff, got {other:?}"),
         }
         assert_eq!(m.state(), SensorMacState::Backoff);
         // Conditions still hold after backoff: transmit a burst of 5.
-        let a = m.backoff_expired(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+        let a = m.backoff_expired(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::StartTransmission { burst_size: 5 });
         assert_eq!(m.state(), SensorMacState::Transmitting);
-        assert_eq!(m.pending_burst(), 5);
         // Finish with 0 packets left: sleep.
         assert_eq!(m.burst_complete(0), SensorAction::EnterSleep);
         assert_eq!(m.state(), SensorMacState::Sleep);
-        assert_eq!(m.stats().bursts_completed, 1);
     }
 
     #[test]
     fn burst_size_capped_at_eight() {
         let mut m = mac(3);
         m.packets_pending(20);
-        m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 20, false);
-        let a = m.backoff_expired(signal(ChannelState::Idle, 30.0), 20.0, 20, false);
+        m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 20, false);
+        let a = m.backoff_expired(CFG, signal(ChannelState::Idle, 30.0), 20.0, 20, false);
         assert_eq!(a, SensorAction::StartTransmission { burst_size: 8 });
     }
 
@@ -392,32 +366,29 @@ mod tests {
     fn low_csi_defers_transmission() {
         let mut m = mac(4);
         m.packets_pending(5);
-        let a = m.observe_tone(signal(ChannelState::Idle, 10.0), 20.0, 5, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Idle, 10.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::None);
         assert_eq!(m.state(), SensorMacState::Sensing);
-        assert_eq!(m.stats().deferred_low_csi, 1);
     }
 
     #[test]
     fn busy_channel_defers_transmission() {
         let mut m = mac(5);
         m.packets_pending(5);
-        let a = m.observe_tone(signal(ChannelState::Receive, 30.0), 20.0, 5, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Receive, 30.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::None);
-        assert_eq!(m.stats().deferred_busy, 1);
-        let a = m.observe_tone(signal(ChannelState::Collision, 30.0), 20.0, 5, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Collision, 30.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::None);
-        assert_eq!(m.stats().deferred_busy, 2);
     }
 
     #[test]
     fn below_min_burst_waits_unless_urgent() {
         let mut m = mac(6);
         m.packets_pending(2);
-        let a = m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 2, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 2, false);
         assert_eq!(a, SensorAction::None);
         // Urgent (queue pressure) waives the 3-packet minimum.
-        let a = m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 2, true);
+        let a = m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 2, true);
         assert!(matches!(a, SensorAction::StartBackoff(_)));
     }
 
@@ -425,14 +396,14 @@ mod tests {
     fn conditions_rechecked_after_backoff() {
         let mut m = mac(7);
         m.packets_pending(5);
-        m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+        m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
         // Channel deteriorated during the backoff: back to sensing.
-        let a = m.backoff_expired(signal(ChannelState::Idle, 12.0), 20.0, 5, false);
+        let a = m.backoff_expired(CFG, signal(ChannelState::Idle, 12.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::None);
         assert_eq!(m.state(), SensorMacState::Sensing);
         // Channel became busy during the backoff.
-        m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
-        let a = m.backoff_expired(signal(ChannelState::Receive, 30.0), 20.0, 5, false);
+        m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+        let a = m.backoff_expired(CFG, signal(ChannelState::Receive, 30.0), 20.0, 5, false);
         assert_eq!(a, SensorAction::None);
         assert_eq!(m.state(), SensorMacState::Sensing);
     }
@@ -442,14 +413,14 @@ mod tests {
         let mut m = mac(8);
         let reach_tx = |m: &mut SensorMac| {
             m.packets_pending(5);
-            m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
-            let a = m.backoff_expired(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+            m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+            let a = m.backoff_expired(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
             assert!(matches!(a, SensorAction::StartTransmission { .. }));
         };
         // Six collisions are retriable, the seventh abandons the packet.
         for i in 1..=7 {
             reach_tx(&mut m);
-            let (action, may_retry) = m.collision_detected();
+            let (action, may_retry) = m.collision_detected(CFG);
             assert_eq!(action, SensorAction::AbortTransmission);
             if i <= 6 {
                 assert!(may_retry, "collision {i} should allow a retry");
@@ -458,8 +429,6 @@ mod tests {
             }
             assert_eq!(m.state(), SensorMacState::Sensing);
         }
-        assert_eq!(m.stats().bursts_aborted, 7);
-        assert_eq!(m.stats().packets_abandoned, 1);
         // Retry counter reset after abandonment.
         assert_eq!(m.retries(), 0);
     }
@@ -470,6 +439,7 @@ mod tests {
         m.packets_pending(5);
         // Busy channel: the CSI closure must not run.
         let a = m.observe_tone_lazy(
+            CFG,
             Some(ChannelState::Receive),
             || panic!("CSI derived for a busy channel"),
             20.0,
@@ -477,9 +447,9 @@ mod tests {
             false,
         );
         assert_eq!(a, SensorAction::None);
-        assert_eq!(m.stats().deferred_busy, 1);
         // Below the burst minimum and not urgent: also no CSI derivation.
         let a = m.observe_tone_lazy(
+            CFG,
             Some(ChannelState::Idle),
             || panic!("CSI derived below the burst minimum"),
             20.0,
@@ -488,7 +458,7 @@ mod tests {
         );
         assert_eq!(a, SensorAction::None);
         // Idle channel with a full burst: now the CSI is consulted.
-        let a = m.observe_tone_lazy(Some(ChannelState::Idle), || 30.0, 20.0, 5, false);
+        let a = m.observe_tone_lazy(CFG, Some(ChannelState::Idle), || 30.0, 20.0, 5, false);
         assert!(matches!(a, SensorAction::StartBackoff(_)));
     }
 
@@ -497,16 +467,16 @@ mod tests {
         let mut m = mac(9);
         m.packets_pending(5);
         assert_eq!(
-            m.observe_tone(None, 20.0, 5, false),
+            m.observe_tone(CFG, None, 20.0, 5, false),
             SensorAction::EnterSleep
         );
         assert_eq!(m.state(), SensorMacState::Sleep);
         // Also from backoff.
         let mut m = mac(10);
         m.packets_pending(5);
-        m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 5, false);
+        m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false);
         assert_eq!(
-            m.backoff_expired(None, 20.0, 5, false),
+            m.backoff_expired(CFG, None, 20.0, 5, false),
             SensorAction::EnterSleep
         );
     }
@@ -515,8 +485,8 @@ mod tests {
     fn burst_complete_with_backlog_keeps_sensing() {
         let mut m = mac(11);
         m.packets_pending(12);
-        m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 12, false);
-        m.backoff_expired(signal(ChannelState::Idle, 30.0), 20.0, 12, false);
+        m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 12, false);
+        m.backoff_expired(CFG, signal(ChannelState::Idle, 30.0), 20.0, 12, false);
         assert_eq!(m.burst_complete(4), SensorAction::StartSensing);
         assert_eq!(m.state(), SensorMacState::Sensing);
     }
@@ -525,7 +495,7 @@ mod tests {
     fn empty_queue_while_sensing_sleeps() {
         let mut m = mac(12);
         m.packets_pending(3);
-        let a = m.observe_tone(signal(ChannelState::Idle, 30.0), 20.0, 0, false);
+        let a = m.observe_tone(CFG, signal(ChannelState::Idle, 30.0), 20.0, 0, false);
         assert_eq!(a, SensorAction::EnterSleep);
     }
 
@@ -533,10 +503,10 @@ mod tests {
     fn out_of_state_events_are_ignored() {
         let mut m = mac(13);
         // Not transmitting: collision is a no-op.
-        assert_eq!(m.collision_detected(), (SensorAction::None, true));
+        assert_eq!(m.collision_detected(CFG), (SensorAction::None, true));
         // Not in backoff: expiry is a no-op.
         assert_eq!(
-            m.backoff_expired(signal(ChannelState::Idle, 30.0), 20.0, 5, false),
+            m.backoff_expired(CFG, signal(ChannelState::Idle, 30.0), 20.0, 5, false),
             SensorAction::None
         );
         // Not transmitting: completion is a no-op.

@@ -24,31 +24,18 @@ pub enum AdaptationPolicy {
     },
 }
 
-/// Stateful per-link mode selector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Stateful per-link mode selector: remembers the last usable mode, which
+/// the hysteresis policy steps away from.  The [`AdaptationPolicy`] is
+/// scenario-wide and passed to every selection.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ModeSelector {
-    policy: AdaptationPolicy,
     last_mode: Option<TransmissionMode>,
-    selections: u64,
-    upgrades: u64,
-    downgrades: u64,
 }
 
 impl ModeSelector {
-    /// Create a selector with the given policy.
-    pub fn new(policy: AdaptationPolicy) -> Self {
-        ModeSelector {
-            policy,
-            last_mode: None,
-            selections: 0,
-            upgrades: 0,
-            downgrades: 0,
-        }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> AdaptationPolicy {
-        self.policy
+    /// A selector with no mode history.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The mode chosen by the previous call, if any.
@@ -56,19 +43,14 @@ impl ModeSelector {
         self.last_mode
     }
 
-    /// Number of selections / upgrades / downgrades performed so far.
-    pub fn transition_counts(&self) -> (u64, u64, u64) {
-        (self.selections, self.upgrades, self.downgrades)
-    }
-
     /// Select a mode for the next burst given the measured data-channel SNR.
     ///
     /// Returns `None` when the link cannot sustain even the lowest mode; the
     /// MAC then defers the transmission (that is exactly the situation CAEM's
     /// buffering exploits).
-    pub fn select(&mut self, snr_db: f64) -> Option<TransmissionMode> {
+    pub fn select(&mut self, policy: &AdaptationPolicy, snr_db: f64) -> Option<TransmissionMode> {
         let raw = TransmissionMode::best_for_snr(snr_db);
-        let chosen = match (self.policy, raw, self.last_mode) {
+        let chosen = match (*policy, raw, self.last_mode) {
             (AdaptationPolicy::Instantaneous, raw, _) => raw,
             (AdaptationPolicy::Hysteresis { .. }, None, _) => None,
             (AdaptationPolicy::Hysteresis { margin_db }, Some(raw_mode), Some(prev)) => {
@@ -92,14 +74,6 @@ impl ModeSelector {
             }
             (AdaptationPolicy::Hysteresis { .. }, Some(raw_mode), None) => Some(raw_mode),
         };
-        self.selections += 1;
-        if let (Some(prev), Some(new)) = (self.last_mode, chosen) {
-            if new.class_index() < prev.class_index() {
-                self.upgrades += 1;
-            } else if new.class_index() > prev.class_index() {
-                self.downgrades += 1;
-            }
-        }
         if chosen.is_some() {
             self.last_mode = chosen;
         }
@@ -107,75 +81,67 @@ impl ModeSelector {
     }
 }
 
-impl Default for ModeSelector {
-    fn default() -> Self {
-        ModeSelector::new(AdaptationPolicy::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const INSTANT: &AdaptationPolicy = &AdaptationPolicy::Instantaneous;
+
     #[test]
     fn instantaneous_tracks_best_mode() {
         let mut s = ModeSelector::default();
-        assert_eq!(s.select(30.0), Some(TransmissionMode::Mbps2));
-        assert_eq!(s.select(17.0), Some(TransmissionMode::Mbps1));
-        assert_eq!(s.select(11.0), Some(TransmissionMode::Kbps450));
-        assert_eq!(s.select(7.0), Some(TransmissionMode::Kbps250));
-        assert_eq!(s.select(1.0), None);
+        assert_eq!(s.select(INSTANT, 30.0), Some(TransmissionMode::Mbps2));
+        assert_eq!(s.select(INSTANT, 17.0), Some(TransmissionMode::Mbps1));
+        assert_eq!(s.select(INSTANT, 11.0), Some(TransmissionMode::Kbps450));
+        assert_eq!(s.select(INSTANT, 7.0), Some(TransmissionMode::Kbps250));
+        assert_eq!(s.select(INSTANT, 1.0), None);
         assert_eq!(s.last_mode(), Some(TransmissionMode::Kbps250));
-        let (sel, up, down) = s.transition_counts();
-        assert_eq!(sel, 5);
-        assert_eq!(up, 0);
-        assert_eq!(down, 3);
     }
 
     #[test]
     fn hysteresis_delays_upgrades() {
-        let mut s = ModeSelector::new(AdaptationPolicy::Hysteresis { margin_db: 3.0 });
+        let h = &AdaptationPolicy::Hysteresis { margin_db: 3.0 };
+        let mut s = ModeSelector::new();
         // Start at 1 Mbps.
-        assert_eq!(s.select(17.0), Some(TransmissionMode::Mbps1));
+        assert_eq!(s.select(h, 17.0), Some(TransmissionMode::Mbps1));
         // SNR creeps just over the 2 Mbps threshold (22 dB) but not by the
         // 3 dB margin: stay at 1 Mbps.
-        assert_eq!(s.select(23.0), Some(TransmissionMode::Mbps1));
+        assert_eq!(s.select(h, 23.0), Some(TransmissionMode::Mbps1));
         // Clears the margin: upgrade.
-        assert_eq!(s.select(25.5), Some(TransmissionMode::Mbps2));
-        let (_, up, _) = s.transition_counts();
-        assert_eq!(up, 1);
+        assert_eq!(s.select(h, 25.5), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
     fn hysteresis_downgrades_immediately() {
-        let mut s = ModeSelector::new(AdaptationPolicy::Hysteresis { margin_db: 3.0 });
-        assert_eq!(s.select(30.0), Some(TransmissionMode::Mbps2));
-        assert_eq!(s.select(12.0), Some(TransmissionMode::Kbps450));
-        let (_, _, down) = s.transition_counts();
-        assert_eq!(down, 1);
+        let h = &AdaptationPolicy::Hysteresis { margin_db: 3.0 };
+        let mut s = ModeSelector::new();
+        assert_eq!(s.select(h, 30.0), Some(TransmissionMode::Mbps2));
+        assert_eq!(s.select(h, 12.0), Some(TransmissionMode::Kbps450));
     }
 
     #[test]
     fn hysteresis_first_selection_has_no_margin() {
-        let mut s = ModeSelector::new(AdaptationPolicy::Hysteresis { margin_db: 5.0 });
-        assert_eq!(s.select(22.5), Some(TransmissionMode::Mbps2));
+        let h = &AdaptationPolicy::Hysteresis { margin_db: 5.0 };
+        let mut s = ModeSelector::new();
+        assert_eq!(s.select(h, 22.5), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
     fn hysteresis_falls_back_when_previous_unsupported() {
-        let mut s = ModeSelector::new(AdaptationPolicy::Hysteresis { margin_db: 10.0 });
-        assert_eq!(s.select(10.5), Some(TransmissionMode::Kbps450));
+        let h = &AdaptationPolicy::Hysteresis { margin_db: 10.0 };
+        let mut s = ModeSelector::new();
+        assert_eq!(s.select(h, 10.5), Some(TransmissionMode::Kbps450));
         // SNR rises but the previous mode is *also* no longer the limiter;
         // the raw candidate (1 Mbps at 16.5) doesn't clear the 10 dB margin,
         // previous (450 kbps) still supported → stay.
-        assert_eq!(s.select(16.5), Some(TransmissionMode::Kbps450));
+        assert_eq!(s.select(h, 16.5), Some(TransmissionMode::Kbps450));
     }
 
     #[test]
     fn unusable_channel_keeps_last_mode_memory() {
         let mut s = ModeSelector::default();
-        s.select(25.0);
-        assert_eq!(s.select(0.0), None);
+        s.select(INSTANT, 25.0);
+        assert_eq!(s.select(INSTANT, 0.0), None);
         // Memory of the last *usable* mode survives an outage.
         assert_eq!(s.last_mode(), Some(TransmissionMode::Mbps2));
     }
@@ -183,9 +149,5 @@ mod tests {
     #[test]
     fn default_policy_is_instantaneous() {
         assert_eq!(AdaptationPolicy::default(), AdaptationPolicy::Instantaneous);
-        assert_eq!(
-            ModeSelector::default().policy(),
-            AdaptationPolicy::Instantaneous
-        );
     }
 }

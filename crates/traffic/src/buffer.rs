@@ -16,59 +16,24 @@ use crate::packet::Packet;
 /// The paper's buffer capacity (Table II): 50 packets.
 pub const PAPER_BUFFER_CAPACITY: usize = 50;
 
-/// Drop/occupancy statistics for one buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BufferStats {
-    /// Packets accepted into the buffer.
-    pub enqueued: u64,
-    /// Packets removed for transmission.
-    pub dequeued: u64,
-    /// Packets dropped because the buffer was full.
-    pub dropped_overflow: u64,
-    /// Largest queue length ever observed.
-    pub high_watermark: usize,
-}
-
-/// A bounded FIFO of packets awaiting transmission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A FIFO of packets awaiting transmission.
+///
+/// The capacity is scenario-wide, so it is not stored per buffer: every
+/// call that depends on it takes it as an argument (`None` = unbounded).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PacketBuffer {
     queue: VecDeque<Packet>,
-    capacity: Option<usize>,
-    stats: BufferStats,
 }
 
 impl PacketBuffer {
-    /// A buffer with the paper's 50-packet capacity.
-    pub fn paper_default() -> Self {
-        Self::with_capacity(PAPER_BUFFER_CAPACITY)
-    }
-
-    /// A buffer holding at most `capacity` packets.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        // Backing storage grows on first use: a million-node deployment
-        // holds a million buffers, most of them empty most of the time, so
-        // eagerly reserving `capacity` slots each would dominate resident
-        // memory for no behavioral difference.
-        PacketBuffer {
-            queue: VecDeque::new(),
-            capacity: Some(capacity),
-            stats: BufferStats::default(),
-        }
-    }
-
-    /// An effectively unbounded buffer (Fig. 12 fairness measurements).
-    pub fn unbounded() -> Self {
-        PacketBuffer {
-            queue: VecDeque::new(),
-            capacity: None,
-            stats: BufferStats::default(),
-        }
-    }
-
-    /// The configured capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
+    /// An empty buffer.
+    ///
+    /// Backing storage grows on first use: a million-node deployment holds a
+    /// million buffers, most of them empty most of the time, so eagerly
+    /// reserving capacity for each would dominate resident memory for no
+    /// behavioral difference.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current queue length.
@@ -81,32 +46,34 @@ impl PacketBuffer {
         self.queue.is_empty()
     }
 
-    /// Is the buffer at capacity?
-    pub fn is_full(&self) -> bool {
-        match self.capacity {
+    /// Heap bytes held by the backing storage (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.queue.capacity() * std::mem::size_of::<Packet>()
+    }
+
+    /// Is the buffer at `capacity`?
+    pub fn is_full(&self, capacity: Option<usize>) -> bool {
+        match capacity {
             Some(c) => self.queue.len() >= c,
             None => false,
         }
     }
 
-    /// Fraction of the capacity in use (0.0 for unbounded buffers).
-    pub fn occupancy(&self) -> f64 {
-        match self.capacity {
+    /// Fraction of `capacity` in use (0.0 for unbounded buffers).
+    pub fn occupancy(&self, capacity: Option<usize>) -> f64 {
+        match capacity {
             Some(c) => self.queue.len() as f64 / c as f64,
             None => 0.0,
         }
     }
 
-    /// Try to enqueue a packet.  Returns `false` (and counts a drop) when the
-    /// buffer is full.
-    pub fn enqueue(&mut self, packet: Packet) -> bool {
-        if self.is_full() {
-            self.stats.dropped_overflow += 1;
+    /// Try to enqueue a packet.  Returns `false` (the packet is dropped) when
+    /// the buffer is at `capacity`.
+    pub fn enqueue(&mut self, capacity: Option<usize>, packet: Packet) -> bool {
+        if self.is_full(capacity) {
             return false;
         }
         self.queue.push_back(packet);
-        self.stats.enqueued += 1;
-        self.stats.high_watermark = self.stats.high_watermark.max(self.queue.len());
         true
     }
 
@@ -117,11 +84,7 @@ impl PacketBuffer {
 
     /// Dequeue the head-of-line packet.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.queue.pop_front();
-        if p.is_some() {
-            self.stats.dequeued += 1;
-        }
-        p
+        self.queue.pop_front()
     }
 
     /// Dequeue up to `count` packets (one MAC burst).
@@ -142,7 +105,6 @@ impl PacketBuffer {
         for _ in 0..take {
             out.push(self.queue.pop_front().expect("length checked"));
         }
-        self.stats.dequeued += take as u64;
     }
 
     /// Push packets back at the *front* of the queue (a burst aborted by a
@@ -156,22 +118,7 @@ impl PacketBuffer {
     pub fn requeue_front_drain(&mut self, packets: &mut Vec<Packet>) {
         for p in packets.drain(..).rev() {
             self.queue.push_front(p);
-            // Requeued packets were already counted as enqueued; keep the
-            // dequeued counter consistent by rolling it back.
-            self.stats.dequeued = self.stats.dequeued.saturating_sub(1);
         }
-        self.stats.high_watermark = self.stats.high_watermark.max(self.queue.len());
-    }
-
-    /// Buffer statistics.
-    pub fn stats(&self) -> BufferStats {
-        self.stats
-    }
-}
-
-impl Default for PacketBuffer {
-    fn default() -> Self {
-        PacketBuffer::paper_default()
     }
 }
 
@@ -181,23 +128,29 @@ mod tests {
     use crate::packet::PacketId;
     use caem_simcore::time::SimTime;
 
+    const PAPER: Option<usize> = Some(PAPER_BUFFER_CAPACITY);
+
     fn pkt(id: u64) -> Packet {
         Packet::new(PacketId(id), 0, SimTime::from_millis(id))
     }
 
     #[test]
     fn paper_default_capacity() {
-        let b = PacketBuffer::paper_default();
-        assert_eq!(b.capacity(), Some(50));
+        let mut b = PacketBuffer::new();
         assert!(b.is_empty());
-        assert!(!b.is_full());
+        assert!(!b.is_full(PAPER));
+        for i in 0..50 {
+            assert!(b.enqueue(PAPER, pkt(i)));
+        }
+        assert!(b.is_full(PAPER));
+        assert!(!b.enqueue(PAPER, pkt(50)));
     }
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut b = PacketBuffer::with_capacity(10);
+        let mut b = PacketBuffer::new();
         for i in 0..5 {
-            assert!(b.enqueue(pkt(i)));
+            assert!(b.enqueue(Some(10), pkt(i)));
         }
         assert_eq!(b.len(), 5);
         assert_eq!(b.peek().unwrap().id, PacketId(0));
@@ -209,44 +162,39 @@ mod tests {
 
     #[test]
     fn overflow_drops_and_counts() {
-        let mut b = PacketBuffer::with_capacity(3);
-        for i in 0..5 {
-            b.enqueue(pkt(i));
-        }
+        let mut b = PacketBuffer::new();
+        let rejected = (0..5).filter(|&i| !b.enqueue(Some(3), pkt(i))).count();
         assert_eq!(b.len(), 3);
-        assert!(b.is_full());
-        let s = b.stats();
-        assert_eq!(s.enqueued, 3);
-        assert_eq!(s.dropped_overflow, 2);
-        assert_eq!(s.high_watermark, 3);
-        assert!((b.occupancy() - 1.0).abs() < 1e-12);
+        assert!(b.is_full(Some(3)));
+        assert_eq!(rejected, 2);
+        assert!((b.occupancy(Some(3)) - 1.0).abs() < 1e-12);
+        // The survivors are the first three arrivals.
+        assert_eq!(b.peek().unwrap().id, PacketId(0));
     }
 
     #[test]
     fn unbounded_never_drops() {
-        let mut b = PacketBuffer::unbounded();
+        let mut b = PacketBuffer::new();
         for i in 0..10_000 {
-            assert!(b.enqueue(pkt(i)));
+            assert!(b.enqueue(None, pkt(i)));
         }
         assert_eq!(b.len(), 10_000);
-        assert!(!b.is_full());
-        assert_eq!(b.capacity(), None);
-        assert_eq!(b.occupancy(), 0.0);
-        assert_eq!(b.stats().dropped_overflow, 0);
+        assert!(!b.is_full(None));
+        assert_eq!(b.occupancy(None), 0.0);
     }
 
     #[test]
     fn burst_dequeue_takes_at_most_count() {
-        let mut b = PacketBuffer::with_capacity(20);
+        let mut b = PacketBuffer::new();
         for i in 0..6 {
-            b.enqueue(pkt(i));
+            b.enqueue(Some(20), pkt(i));
         }
         let burst = b.dequeue_burst(8);
         assert_eq!(burst.len(), 6);
         assert_eq!(b.len(), 0);
-        let mut b2 = PacketBuffer::with_capacity(20);
+        let mut b2 = PacketBuffer::new();
         for i in 0..12 {
-            b2.enqueue(pkt(i));
+            b2.enqueue(Some(20), pkt(i));
         }
         let burst = b2.dequeue_burst(8);
         assert_eq!(burst.len(), 8);
@@ -257,9 +205,9 @@ mod tests {
 
     #[test]
     fn aborted_burst_requeues_in_order() {
-        let mut b = PacketBuffer::with_capacity(20);
+        let mut b = PacketBuffer::new();
         for i in 0..6 {
-            b.enqueue(pkt(i));
+            b.enqueue(Some(20), pkt(i));
         }
         let mut burst = b.dequeue_burst(4);
         // Two of the four were sent before the collision; the rest go back.
@@ -268,26 +216,18 @@ mod tests {
         assert_eq!(b.len(), 4);
         let order: Vec<u64> = (0..4).map(|_| b.dequeue().unwrap().id.0).collect();
         assert_eq!(order, vec![2, 3, 4, 5]);
-        // Net dequeued = 4 (burst) - 2 (requeued) + 4 (drained) = 6.
-        assert_eq!(b.stats().dequeued, 6);
     }
 
     #[test]
-    fn high_watermark_tracks_peak() {
-        let mut b = PacketBuffer::with_capacity(10);
+    fn heap_bytes_follow_capacity_not_length() {
+        let mut b = PacketBuffer::new();
+        assert_eq!(b.heap_bytes(), 0, "an unused buffer owns no heap");
         for i in 0..7 {
-            b.enqueue(pkt(i));
+            b.enqueue(None, pkt(i));
         }
-        b.dequeue_burst(5);
-        for i in 10..13 {
-            b.enqueue(pkt(i));
-        }
-        assert_eq!(b.stats().high_watermark, 7);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_rejected() {
-        PacketBuffer::with_capacity(0);
+        let grown = b.heap_bytes();
+        assert!(grown >= 7 * std::mem::size_of::<Packet>());
+        b.dequeue_burst(7);
+        assert_eq!(b.heap_bytes(), grown, "draining keeps the allocation");
     }
 }

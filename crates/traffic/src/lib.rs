@@ -25,7 +25,7 @@ pub mod packet;
 pub mod profile;
 pub mod source;
 
-pub use buffer::{BufferStats, PacketBuffer, PAPER_BUFFER_CAPACITY};
+pub use buffer::{PacketBuffer, PAPER_BUFFER_CAPACITY};
 pub use packet::{Packet, PacketId};
 pub use profile::{DiurnalCycle, ModulatedSource};
-pub use source::{BurstySource, CbrSource, PoissonSource, TrafficSource};
+pub use source::{BurstySource, BurstyState, CbrSource, PoissonSource, TrafficSource};

@@ -20,6 +20,7 @@
 //! perturbs any other random stream of the scenario.
 
 use crate::source::TrafficSource;
+use caem_simcore::rng::StreamRng;
 use caem_simcore::time::{Duration, SimTime};
 
 /// A sinusoidal intensity envelope `m(t) = 1 + a·sin(2πt/T + φ)` with
@@ -132,7 +133,8 @@ impl DiurnalCycle {
 /// advances in operational time and each arrival maps back through
 /// `Λ⁻¹`, so the instantaneous rate is `base_rate · m(t)` while the long-run
 /// mean rate — and the base source's random stream consumption — are
-/// unchanged.
+/// unchanged.  The warp is stateless, so a node's state is the base
+/// source's.
 #[derive(Debug, Clone)]
 pub struct ModulatedSource<S> {
     base: S,
@@ -152,9 +154,15 @@ impl<S: TrafficSource> ModulatedSource<S> {
 }
 
 impl<S: TrafficSource> TrafficSource for ModulatedSource<S> {
-    fn next_arrival(&mut self, now: SimTime) -> SimTime {
+    type State = S::State;
+
+    fn new_state(&self, rng: StreamRng) -> S::State {
+        self.base.new_state(rng)
+    }
+
+    fn next_arrival(&self, state: &mut S::State, now: SimTime) -> SimTime {
         let v_now = self.cycle.cumulative(now.as_secs_f64());
-        let v_next = self.base.next_arrival(SimTime::from_secs_f64(v_now));
+        let v_next = self.base.next_arrival(state, SimTime::from_secs_f64(v_now));
         let t_next = self
             .cycle
             .inverse_cumulative(v_next.as_secs_f64().max(v_now));
@@ -177,14 +185,13 @@ impl<S: TrafficSource> TrafficSource for ModulatedSource<S> {
 mod tests {
     use super::*;
     use crate::source::{CbrSource, PoissonSource};
-    use caem_simcore::rng::StreamRng;
 
-    fn count_in<S: TrafficSource>(source: &mut S, from_s: f64, to_s: f64) -> u64 {
+    fn count_in<S: TrafficSource>(source: &S, state: &mut S::State, from_s: f64, to_s: f64) -> u64 {
         let mut now = SimTime::from_secs_f64(from_s);
         let end = SimTime::from_secs_f64(to_s);
         let mut count = 0;
         loop {
-            now = source.next_arrival(now);
+            now = source.next_arrival(state, now);
             if now > end {
                 return count;
             }
@@ -221,24 +228,24 @@ mod tests {
     #[test]
     fn warped_poisson_keeps_long_run_rate_but_concentrates_at_the_peak() {
         let period = 200.0;
-        let base = PoissonSource::new(10.0, StreamRng::from_seed_u64(42));
-        let mut warped = ModulatedSource::new(base, DiurnalCycle::trough_start(period, 0.8));
+        let warped = ModulatedSource::new(
+            PoissonSource::new(10.0),
+            DiurnalCycle::trough_start(period, 0.8),
+        );
         // Whole periods: the long-run rate matches the base rate.
-        let total = count_in(&mut warped, 0.0, 20.0 * period);
+        let mut state = warped.new_state(StreamRng::from_seed_u64(42));
+        let total = count_in(&warped, &mut state, 0.0, 20.0 * period);
         let rate = total as f64 / (20.0 * period);
         assert!((rate - 10.0).abs() < 0.5, "long-run rate {rate}");
         // Within one cycle the trough quarter is far quieter than the peak
         // quarter (expected ratio ≈ (1−0.97·a)/(1+0.97·a) with a = 0.8).
         let mut trough = 0u64;
         let mut peak = 0u64;
-        let mut probe = ModulatedSource::new(
-            PoissonSource::new(10.0, StreamRng::from_seed_u64(43)),
-            DiurnalCycle::trough_start(period, 0.8),
-        );
+        let mut probe = warped.new_state(StreamRng::from_seed_u64(43));
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs_f64(50.0 * period);
         loop {
-            now = probe.next_arrival(now);
+            now = warped.next_arrival(&mut probe, now);
             if now > end {
                 break;
             }
@@ -257,15 +264,18 @@ mod tests {
 
     #[test]
     fn warped_cbr_bunches_deterministically() {
-        let mut warped =
+        let warped =
             ModulatedSource::new(CbrSource::new(1.0), DiurnalCycle::trough_start(100.0, 0.5));
-        let mut again = warped.clone();
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
         for _ in 0..100 {
-            let next = warped.next_arrival(now);
+            let next = warped.next_arrival(&mut (), now);
             assert!(next > now, "arrivals strictly increase");
-            assert_eq!(next, again.next_arrival(now), "warp is deterministic");
+            assert_eq!(
+                next,
+                warped.next_arrival(&mut (), now),
+                "warp is deterministic"
+            );
             gaps.push((next - now).as_secs_f64());
             now = next;
         }

@@ -10,40 +10,56 @@
 use caem_simcore::rng::StreamRng;
 use caem_simcore::time::{Duration, SimTime};
 
-/// A generator of packet arrival instants for one node.
+/// A generator of packet arrival instants.
+///
+/// A source value holds the scenario-wide parameters (rates, sojourn times)
+/// and is shared by every node; each node keeps only its
+/// [`TrafficSource::State`] (random stream, modulation state) and passes it
+/// to every draw.
 pub trait TrafficSource {
+    /// One node's private state.
+    type State;
+
+    /// A fresh node state drawing from `rng`.
+    fn new_state(&self, rng: StreamRng) -> Self::State;
+
     /// The time of the next packet arrival strictly after `now`.
-    fn next_arrival(&mut self, now: SimTime) -> SimTime;
+    fn next_arrival(&self, state: &mut Self::State, now: SimTime) -> SimTime;
 
     /// Long-run average rate in packets per second.
     fn mean_rate(&self) -> f64;
 }
 
 /// Poisson arrivals: exponential inter-arrival times with the given rate.
+/// A node's state is its random stream.
 #[derive(Debug, Clone)]
 pub struct PoissonSource {
     rate_pps: f64,
     /// `1 / rate_pps`, precomputed so each arrival draw multiplies instead of
     /// divides (one draw per generated packet — a hot path).
     mean_gap_s: f64,
-    rng: StreamRng,
 }
 
 impl PoissonSource {
     /// Create a Poisson source with `rate_pps` packets per second.
-    pub fn new(rate_pps: f64, rng: StreamRng) -> Self {
+    pub fn new(rate_pps: f64) -> Self {
         assert!(rate_pps > 0.0, "Poisson rate must be positive");
         PoissonSource {
             rate_pps,
             mean_gap_s: 1.0 / rate_pps,
-            rng,
         }
     }
 }
 
 impl TrafficSource for PoissonSource {
-    fn next_arrival(&mut self, now: SimTime) -> SimTime {
-        let gap = self.rng.exponential_mean(self.mean_gap_s);
+    type State = StreamRng;
+
+    fn new_state(&self, rng: StreamRng) -> StreamRng {
+        rng
+    }
+
+    fn next_arrival(&self, rng: &mut StreamRng, now: SimTime) -> SimTime {
+        let gap = rng.exponential_mean(self.mean_gap_s);
         now + Duration::from_secs_f64(gap)
     }
 
@@ -52,7 +68,7 @@ impl TrafficSource for PoissonSource {
     }
 }
 
-/// Constant-bit-rate arrivals: fixed inter-arrival period.
+/// Constant-bit-rate arrivals: fixed inter-arrival period, no node state.
 #[derive(Debug, Clone)]
 pub struct CbrSource {
     period: Duration,
@@ -69,7 +85,11 @@ impl CbrSource {
 }
 
 impl TrafficSource for CbrSource {
-    fn next_arrival(&mut self, now: SimTime) -> SimTime {
+    type State = ();
+
+    fn new_state(&self, _rng: StreamRng) {}
+
+    fn next_arrival(&self, _state: &mut (), now: SimTime) -> SimTime {
         now + self.period
     }
 
@@ -90,9 +110,22 @@ pub struct BurstySource {
     burst_rate_pps: f64,
     mean_quiet_s: f64,
     mean_burst_s: f64,
+}
+
+/// One node's [`BurstySource`] state: which regime it is in, until when,
+/// and its random stream.
+#[derive(Debug, Clone)]
+pub struct BurstyState {
     in_burst: bool,
     state_expires: SimTime,
     rng: StreamRng,
+}
+
+impl BurstyState {
+    /// Is the source currently in its burst state?
+    pub fn in_burst(&self) -> bool {
+        self.in_burst
+    }
 }
 
 impl BurstySource {
@@ -105,7 +138,6 @@ impl BurstySource {
         burst_rate_pps: f64,
         mean_quiet_s: f64,
         mean_burst_s: f64,
-        rng: StreamRng,
     ) -> Self {
         assert!(
             quiet_rate_pps > 0.0 && burst_rate_pps > 0.0,
@@ -120,33 +152,35 @@ impl BurstySource {
             burst_rate_pps,
             mean_quiet_s,
             mean_burst_s,
+        }
+    }
+
+    fn maybe_switch_state(&self, state: &mut BurstyState, now: SimTime) {
+        while now >= state.state_expires {
+            state.in_burst = !state.in_burst;
+            let mean = if state.in_burst {
+                self.mean_burst_s
+            } else {
+                self.mean_quiet_s
+            };
+            let sojourn = state.rng.exponential(1.0 / mean);
+            state.state_expires = state.state_expires.max(now) + Duration::from_secs_f64(sojourn);
+        }
+    }
+}
+
+impl TrafficSource for BurstySource {
+    type State = BurstyState;
+
+    fn new_state(&self, rng: StreamRng) -> BurstyState {
+        BurstyState {
             in_burst: false,
             state_expires: SimTime::ZERO,
             rng,
         }
     }
 
-    fn maybe_switch_state(&mut self, now: SimTime) {
-        while now >= self.state_expires {
-            self.in_burst = !self.in_burst;
-            let mean = if self.in_burst {
-                self.mean_burst_s
-            } else {
-                self.mean_quiet_s
-            };
-            let sojourn = self.rng.exponential(1.0 / mean);
-            self.state_expires = self.state_expires.max(now) + Duration::from_secs_f64(sojourn);
-        }
-    }
-
-    /// Is the source currently in its burst state?
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-}
-
-impl TrafficSource for BurstySource {
-    fn next_arrival(&mut self, now: SimTime) -> SimTime {
+    fn next_arrival(&self, state: &mut BurstyState, now: SimTime) -> SimTime {
         // Draw within the current state; if the candidate arrival falls past
         // the state boundary, move to the boundary and redraw in the new
         // state (valid because exponential gaps are memoryless).  Without the
@@ -154,18 +188,18 @@ impl TrafficSource for BurstySource {
         // straddles a burst period.
         let mut t = now;
         loop {
-            self.maybe_switch_state(t);
-            let rate = if self.in_burst {
+            self.maybe_switch_state(state, t);
+            let rate = if state.in_burst {
                 self.burst_rate_pps
             } else {
                 self.quiet_rate_pps
             };
-            let gap = self.rng.exponential(rate);
+            let gap = state.rng.exponential(rate);
             let candidate = t + Duration::from_secs_f64(gap);
-            if candidate <= self.state_expires {
+            if candidate <= state.state_expires {
                 return candidate;
             }
-            t = self.state_expires;
+            t = state.state_expires;
         }
     }
 
@@ -180,12 +214,16 @@ impl TrafficSource for BurstySource {
 mod tests {
     use super::*;
 
-    fn measure_rate<S: TrafficSource>(source: &mut S, horizon_s: f64) -> f64 {
+    fn rng(seed: u64) -> StreamRng {
+        StreamRng::from_seed_u64(seed)
+    }
+
+    fn measure_rate<S: TrafficSource>(source: &S, state: &mut S::State, horizon_s: f64) -> f64 {
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs_f64(horizon_s);
         let mut count = 0u64;
         loop {
-            now = source.next_arrival(now);
+            now = source.next_arrival(state, now);
             if now > end {
                 break;
             }
@@ -197,19 +235,20 @@ mod tests {
     #[test]
     fn poisson_rate_matches_nominal() {
         // 5 pkt/s is the Fig. 8/9 operating point.
-        let mut s = PoissonSource::new(5.0, StreamRng::from_seed_u64(1));
-        let rate = measure_rate(&mut s, 2_000.0);
+        let s = PoissonSource::new(5.0);
+        let rate = measure_rate(&s, &mut s.new_state(rng(1)), 2_000.0);
         assert!((rate - 5.0).abs() < 0.2, "measured {rate}");
         assert_eq!(s.mean_rate(), 5.0);
     }
 
     #[test]
     fn poisson_interarrival_cv_is_one() {
-        let mut s = PoissonSource::new(10.0, StreamRng::from_seed_u64(2));
+        let s = PoissonSource::new(10.0);
+        let mut state = s.new_state(rng(2));
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
         for _ in 0..20_000 {
-            let next = s.next_arrival(now);
+            let next = s.next_arrival(&mut state, now);
             gaps.push((next - now).as_secs_f64());
             now = next;
         }
@@ -221,10 +260,11 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_strictly_increase() {
-        let mut s = PoissonSource::new(30.0, StreamRng::from_seed_u64(3));
+        let s = PoissonSource::new(30.0);
+        let mut state = s.new_state(rng(3));
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
-            let next = s.next_arrival(now);
+            let next = s.next_arrival(&mut state, now);
             assert!(next > now);
             now = next;
         }
@@ -232,10 +272,10 @@ mod tests {
 
     #[test]
     fn cbr_is_perfectly_regular() {
-        let mut s = CbrSource::new(4.0);
+        let s = CbrSource::new(4.0);
         let mut now = SimTime::ZERO;
         for i in 1..=8 {
-            now = s.next_arrival(now);
+            now = s.next_arrival(&mut (), now);
             assert_eq!(now, SimTime::from_millis(250 * i));
         }
         assert!((s.mean_rate() - 4.0).abs() < 1e-9);
@@ -243,11 +283,11 @@ mod tests {
 
     #[test]
     fn bursty_long_run_rate_matches_formula() {
-        let mut s = BurstySource::new(2.0, 40.0, 9.0, 1.0, StreamRng::from_seed_u64(4));
+        let s = BurstySource::new(2.0, 40.0, 9.0, 1.0);
         let nominal = s.mean_rate();
         // (2*9 + 40*1)/10 = 5.8 pkt/s
         assert!((nominal - 5.8).abs() < 1e-9);
-        let measured = measure_rate(&mut s, 5_000.0);
+        let measured = measure_rate(&s, &mut s.new_state(rng(4)), 5_000.0);
         assert!(
             (measured - nominal).abs() < 0.4,
             "measured {measured} vs nominal {nominal}"
@@ -257,11 +297,14 @@ mod tests {
     #[test]
     fn bursty_is_burstier_than_poisson() {
         // Compare inter-arrival coefficient of variation: MMPP > 1.
-        let mut s = BurstySource::new(1.0, 50.0, 5.0, 0.5, StreamRng::from_seed_u64(5));
+        let s = BurstySource::new(1.0, 50.0, 5.0, 0.5);
+        let mut state = s.new_state(rng(5));
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
+        let mut saw_burst = false;
         for _ in 0..20_000 {
-            let next = s.next_arrival(now);
+            let next = s.next_arrival(&mut state, now);
+            saw_burst |= state.in_burst();
             gaps.push((next - now).as_secs_f64());
             now = next;
         }
@@ -269,17 +312,19 @@ mod tests {
         let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
         let cv = var.sqrt() / mean;
         assert!(cv > 1.3, "cv = {cv} should exceed Poisson's 1.0");
+        assert!(saw_burst);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = PoissonSource::new(5.0, StreamRng::from_seed_u64(9));
-        let mut b = PoissonSource::new(5.0, StreamRng::from_seed_u64(9));
+        let s = PoissonSource::new(5.0);
+        let mut a = s.new_state(rng(9));
+        let mut b = s.new_state(rng(9));
         let mut ta = SimTime::ZERO;
         let mut tb = SimTime::ZERO;
         for _ in 0..100 {
-            ta = a.next_arrival(ta);
-            tb = b.next_arrival(tb);
+            ta = s.next_arrival(&mut a, ta);
+            tb = s.next_arrival(&mut b, tb);
             assert_eq!(ta, tb);
         }
     }
@@ -287,6 +332,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_rate_rejected() {
-        PoissonSource::new(0.0, StreamRng::from_seed_u64(1));
+        PoissonSource::new(0.0);
     }
 }

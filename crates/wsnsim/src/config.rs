@@ -577,6 +577,9 @@ impl ScenarioConfig {
         require_positive("node_count", self.node_count as f64)?;
         require_positive("initial_energy_j", self.initial_energy_j)?;
         require_positive("traffic.mean_rate_pps", self.traffic.mean_rate_pps())?;
+        if let Some(capacity) = self.buffer_capacity {
+            require_positive("buffer_capacity", capacity as f64)?;
+        }
         if let TrafficProfile::Diurnal {
             period_s,
             relative_amplitude,
@@ -714,6 +717,23 @@ mod tests {
         assert_eq!(back.node_count, cfg.node_count);
         assert_eq!(back.policy, cfg.policy);
         assert_eq!(back.seed, cfg.seed);
+    }
+
+    #[test]
+    fn zero_buffer_capacity_fails_validation() {
+        // Buffers hold no capacity of their own: a zero capacity would drop
+        // every packet, so the scenario rejects it up front.
+        let mut cfg = ScenarioConfig::small(PolicyKind::PureLeach, 5.0, 1);
+        cfg.buffer_capacity = Some(0);
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::NonPositive {
+                path: "buffer_capacity".to_string(),
+                value: 0.0
+            })
+        );
+        cfg.buffer_capacity = None;
+        cfg.validate().expect("an unbounded buffer is valid");
     }
 
     #[test]

@@ -33,7 +33,6 @@ use caem_simcore::event::EventQueue;
 use caem_simcore::rng::{components, RngStream, StreamRng};
 use caem_simcore::time::{Duration, SimTime};
 use caem_traffic::packet::{Packet, PacketIdAllocator};
-use caem_traffic::source::TrafficSource;
 
 use crate::config::{ConfigError, ScenarioConfig};
 use crate::events::{EventKind, NetworkEvent};
@@ -189,7 +188,7 @@ impl SimulationRun {
         };
         // Prime the traffic: one pending arrival per node.
         for id in 0..run.cfg.node_count {
-            let first = run.table.source_mut(id).next_arrival(SimTime::ZERO);
+            let first = run.table.next_arrival(id, SimTime::ZERO);
             run.schedule(first, NetworkEvent::PacketArrival { node: id as u32 });
         }
         // Churn injection: every node draws one exponential failure time
@@ -258,12 +257,6 @@ impl SimulationRun {
         }
     }
 
-    /// The data-channel SNR the sensor infers from the tone channel right now.
-    fn measure_snr(&mut self, node: usize) -> f64 {
-        let now = self.now;
-        self.table.link_mut(node).measure(now).snr_db
-    }
-
     /// The advertised state of a cluster's data channel.
     ///
     /// The head only advertises `receive` once it has detected the incoming
@@ -329,7 +322,7 @@ impl SimulationRun {
                 .unwrap_or(0.0);
             self.table.begin_round(id, is_head, cluster);
             if !is_head {
-                self.table.link_mut(id).set_distance(distance.max(1.0));
+                self.table.set_link_distance(id, distance.max(1.0));
             }
             // A node that just became head drains its backlog straight into
             // its own aggregation queue: those packets have reached a sink.
@@ -356,7 +349,7 @@ impl SimulationRun {
             return;
         }
         // Schedule the next arrival first so the source keeps flowing.
-        let next = self.table.source_mut(node).next_arrival(self.now);
+        let next = self.table.next_arrival(node, self.now);
         self.schedule(next, NetworkEvent::PacketArrival { node: node as u32 });
 
         self.table.record_generated(node);
@@ -383,11 +376,12 @@ impl SimulationRun {
             self.table.record_dropped(node);
         }
         let queue_len = self.table.queue_len(node);
-        self.table.policy_mut(node).on_packet_arrival(queue_len);
+        let (policy, caem) = self.table.policy_mut(node);
+        policy.on_packet_arrival(caem, queue_len);
 
         // Wake the MAC only when a transmission could actually be worth the
         // radio start-up (enough packets, or overflow pressure).
-        let urgent = self.table.policy(node).is_urgent(queue_len);
+        let urgent = policy.is_urgent(caem, queue_len);
         if self.table.mac(node).state() == SensorMacState::Sleep
             && self.cfg.burst.should_transmit(queue_len, urgent)
         {
@@ -417,8 +411,9 @@ impl SimulationRun {
         };
         let queue_len = self.table.queue_len(node);
         let policy = self.table.policy(node);
-        let threshold = policy.required_snr_db();
-        let urgent = policy.is_urgent(queue_len);
+        let caem = &self.table.params().caem;
+        let threshold = policy.required_snr_db(caem);
+        let urgent = policy.is_urgent(caem, queue_len);
         (state, threshold, queue_len, urgent)
     }
 
@@ -444,12 +439,13 @@ impl SimulationRun {
         // only *read* clocks; the simulation state is untouched.
         let chan_nanos = std::cell::Cell::new(0u64);
         let mac_clock = prof::clock();
-        let (mac, link) = self.table.mac_link_mut(node);
+        let (mac, link, params) = self.table.mac_link_mut(node);
         let action = mac.observe_tone_lazy(
+            &params.mac,
             state,
             || {
                 let t0 = prof::clock();
-                let snr_db = link.measure(now).snr_db;
+                let snr_db = link.snr_db(&params.link, now);
                 if let Some(t0) = t0 {
                     chan_nanos.set(t0.elapsed().as_nanos() as u64);
                 }
@@ -517,12 +513,13 @@ impl SimulationRun {
         let now = self.now;
         let chan_nanos = std::cell::Cell::new(0u64);
         let mac_clock = prof::clock();
-        let (mac, link) = self.table.mac_link_mut(node);
+        let (mac, link, params) = self.table.mac_link_mut(node);
         let action = mac.backoff_expired_lazy(
+            &params.mac,
             state,
             || {
                 let t0 = prof::clock();
-                let snr_db = link.measure(now).snr_db;
+                let snr_db = link.snr_db(&params.link, now);
                 if let Some(t0) = t0 {
                     chan_nanos.set(t0.elapsed().as_nanos() as u64);
                 }
@@ -563,7 +560,7 @@ impl SimulationRun {
     }
 
     fn abort_after_collision(&mut self, node: usize, resume_at: SimTime) {
-        let (_, may_retry) = self.table.mac_mut(node).collision_detected();
+        let (_, may_retry) = self.table.collision_detected(node);
         if !may_retry && self.table.dequeue(node).is_some() {
             self.perf.record_dropped_abandoned();
             self.table.record_dropped(node);
@@ -583,13 +580,13 @@ impl SimulationRun {
         let begin = self.now + self.cfg.power.startup_time;
 
         let t0 = prof::clock();
-        let snr_db = self.measure_snr(node);
+        let snr_db = self.table.snr_db(node, self.now);
         if let Some(t0) = t0 {
             self.prof
                 .add(ProfKey::Channel, 1, t0.elapsed().as_nanos() as u64);
         }
         let t0 = prof::clock();
-        let selected = self.table.selector_mut(node).select(snr_db);
+        let selected = self.table.select_mode(node, snr_db);
         if let Some(t0) = t0 {
             self.prof
                 .add(ProfKey::Phy, 1, t0.elapsed().as_nanos() as u64);
@@ -704,7 +701,7 @@ impl SimulationRun {
         // Per-packet channel-error draw at the SNR seen during the burst.
         let head_alive = self.table.is_alive(burst.head);
         let t0 = prof::clock();
-        let snr_db = self.measure_snr(node);
+        let snr_db = self.table.snr_db(node, self.now);
         if let Some(t0) = t0 {
             self.prof
                 .add(ProfKey::Channel, 1, t0.elapsed().as_nanos() as u64);
@@ -733,7 +730,8 @@ impl SimulationRun {
         }
         self.recycle_burst_buffer(burst.packets);
         let queue_len = self.table.queue_len(node);
-        self.table.policy_mut(node).on_packets_sent(queue_len);
+        let (policy, caem) = self.table.policy_mut(node);
+        policy.on_packets_sent(caem, queue_len);
         let action = self.table.mac_mut(node).burst_complete(queue_len);
         if action == SensorAction::StartSensing {
             self.schedule(

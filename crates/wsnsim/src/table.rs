@@ -4,39 +4,115 @@
 //! struct per node) with parallel columns split by access pattern:
 //!
 //! * **Hot columns** — liveness, head flag, cluster index, queue length,
-//!   remaining energy, the access generation and the per-node packet
-//!   counters — are what the event loop and the per-round snapshots touch
-//!   for *every* node.  Packed contiguously they stream through cache, and
-//!   the metric trackers consume them as plain slices with no per-round
-//!   copies into scratch buffers.
+//!   remaining energy and the per-node packet counters — are what the event
+//!   loop and the per-round snapshots touch for *every* node.  Packed
+//!   contiguously they stream through cache, and the metric trackers
+//!   consume them as plain slices with no per-round copies into scratch
+//!   buffers.
 //! * **Cold columns** — position, battery ledger, MAC state machine,
-//!   threshold policy, traffic source, link channel and PHY mode selector —
+//!   threshold policy, traffic state, link channel and PHY mode selector —
 //!   are only touched by the single node an event addresses, so they no
 //!   longer ride along every cache line of the hot path.
+//!
+//! A column holds per-node state only.  Every scenario-wide constant (MAC,
+//! link, CAEM and adaptation parameters, buffer capacity, traffic rates) is
+//! stored once, in [`NodeParams`], and the table passes it by reference to
+//! the component method that reads it.
+//! [`NodeTable::column_bytes_per_node`] reports what each column costs per
+//! node, and a unit test pins the inline part exactly.
 //!
 //! The queue-length and remaining-energy columns are *mirrors* of state
 //! owned by the cold buffers and batteries.  Every mutation of a buffer or
 //! battery therefore goes through a table method that updates the mirror in
-//! the same breath; the cold objects are never handed out mutably.  The
-//! model-based test in `tests/node_table_model.rs` drives random operation
-//! traces against a reference array-of-structs implementation to pin the
-//! mirrors bit-exactly.
+//! the same breath; buffers and batteries are never handed out mutably.  The
+//! model-based test in `crates/wsnsim/tests/node_table_model.rs` drives
+//! random operation traces against a reference array-of-structs
+//! implementation to pin the mirrors bit-exactly.
 
+use std::mem::size_of;
+
+use caem::config::CaemConfig;
 use caem::policy::ThresholdPolicy;
+use caem_channel::fading::FadingConfig;
 use caem_channel::geometry::Position;
-use caem_channel::link::LinkChannel;
+use caem_channel::link::{LinkChannel, LinkParams};
 use caem_energy::battery::{Battery, EnergyCategory, EnergyLedger};
-use caem_mac::sensor::{SensorMac, SensorMacConfig};
-use caem_phy::ModeSelector;
+use caem_mac::sensor::{SensorAction, SensorMac, SensorMacConfig};
+use caem_phy::{AdaptationPolicy, ModeSelector, TransmissionMode};
 use caem_simcore::rng::{components, RngStream};
+use caem_simcore::time::SimTime;
 use caem_traffic::buffer::PacketBuffer;
 use caem_traffic::packet::Packet;
+use caem_traffic::source::TrafficSource;
 
 use crate::config::ScenarioConfig;
-use crate::node::{build_policy, build_source, NodePolicy, NodeTrafficSource};
+use crate::node::{build_policy, build_source, NodePolicy, NodeTrafficSource, NodeTrafficState};
 
 /// Sentinel in the cluster column: the node is not assigned this round.
 const NO_CLUSTER: u32 = u32::MAX;
+
+/// Inline bytes per node of every column: the `size_of` of its element.
+/// Scenario-wide parameters live once in [`NodeParams`] and are not counted.
+const INLINE_COLUMN_BYTES: [(&str, usize); 16] = [
+    ("alive", size_of::<bool>()),
+    ("is_head", size_of::<bool>()),
+    ("cluster", size_of::<u32>()),
+    ("queue_len", size_of::<u32>()),
+    ("remaining_j", size_of::<f64>()),
+    ("generated", size_of::<u64>()),
+    ("delivered", size_of::<u64>()),
+    ("dropped", size_of::<u64>()),
+    ("positions", size_of::<Position>()),
+    ("batteries", size_of::<Battery>()),
+    ("buffers", size_of::<PacketBuffer>()),
+    ("macs", size_of::<SensorMac>()),
+    ("policies", size_of::<NodePolicy>()),
+    ("traffic", size_of::<NodeTrafficState>()),
+    ("links", size_of::<LinkChannel>()),
+    ("selectors", size_of::<ModeSelector>()),
+];
+
+/// The scenario-wide parameters every node's cold state is read against.
+///
+/// One copy per table: the component methods take the part they need by
+/// reference, so no node carries a copy of a scenario constant.
+#[derive(Debug, Clone)]
+pub struct NodeParams {
+    /// Backoff and burst-sizing parameters of the sensor MAC.
+    pub mac: SensorMacConfig,
+    /// Link budget and propagation models.
+    pub link: LinkParams,
+    /// CAEM threshold-adjustment parameters.
+    pub caem: CaemConfig,
+    /// How the transmitter maps a measured SNR to a mode.
+    pub adaptation: AdaptationPolicy,
+    /// Packet-buffer capacity (`None` = unbounded).
+    pub buffer_capacity: Option<usize>,
+    /// The traffic source every node runs.
+    pub traffic: NodeTrafficSource,
+}
+
+impl NodeParams {
+    /// The node parameters of scenario `cfg`.
+    fn new(cfg: &ScenarioConfig) -> Self {
+        NodeParams {
+            mac: SensorMacConfig {
+                backoff: cfg.backoff,
+                burst: cfg.burst,
+            },
+            link: LinkParams {
+                budget: cfg.link_budget,
+                path_loss: cfg.path_loss,
+                shadowing: cfg.shadowing,
+                fading: FadingConfig::default(),
+            },
+            caem: cfg.caem,
+            adaptation: AdaptationPolicy::default(),
+            buffer_capacity: cfg.buffer_capacity,
+            traffic: build_source(cfg.traffic, cfg.traffic_profile),
+        }
+    }
+}
 
 /// All per-node simulation state, as parallel hot/cold columns.
 pub struct NodeTable {
@@ -51,16 +127,12 @@ pub struct NodeTable {
     queue_len: Vec<u32>,
     /// Mirror of each node's remaining battery energy (J).
     remaining_j: Vec<f64>,
-    /// Generation counter of MAC access attempts (bumped every round).
-    access_generation: Vec<u32>,
     /// Packets generated per node.
     generated: Vec<u64>,
     /// Packets delivered per node (burst deliveries + head self-delivery).
     delivered: Vec<u64>,
     /// Packets dropped per node (overflow + abandoned retries).
     dropped: Vec<u64>,
-    /// Of `delivered`, packets a node sank for free while serving as head.
-    self_delivered: Vec<u64>,
     /// Number of `true` entries in `alive`.
     alive_count: usize,
 
@@ -70,9 +142,12 @@ pub struct NodeTable {
     buffers: Vec<PacketBuffer>,
     macs: Vec<SensorMac>,
     policies: Vec<NodePolicy>,
-    sources: Vec<NodeTrafficSource>,
+    traffic: Vec<NodeTrafficState>,
     links: Vec<LinkChannel>,
     selectors: Vec<ModeSelector>,
+
+    /// The scenario constants the cold columns are read against.
+    params: NodeParams,
 }
 
 impl NodeTable {
@@ -88,6 +163,7 @@ impl NodeTable {
         // span lands directly in the process-wide profile.
         let span = caem_metrics::prof::Span::start();
         let n = cfg.node_count;
+        let params = NodeParams::new(cfg);
         let mut placement_rng = streams.derive(components::PLACEMENT, 0);
         let positions = cfg.topology.generate(&cfg.field, n, &mut placement_rng);
 
@@ -108,40 +184,24 @@ impl NodeTable {
             .collect();
         let remaining_j: Vec<f64> = batteries.iter().map(|b| b.remaining()).collect();
 
-        let buffers = (0..n)
-            .map(|_| match cfg.buffer_capacity {
-                Some(c) => PacketBuffer::with_capacity(c),
-                None => PacketBuffer::unbounded(),
-            })
-            .collect();
         let macs = (0..n)
-            .map(|id| {
-                SensorMac::new(
-                    SensorMacConfig {
-                        backoff: cfg.backoff,
-                        burst: cfg.burst,
-                    },
-                    streams.derive(components::BACKOFF, id as u64),
-                )
-            })
+            .map(|id| SensorMac::new(streams.derive(components::BACKOFF, id as u64)))
             .collect();
-        let policies = (0..n).map(|_| build_policy(cfg.policy, cfg)).collect();
-        let sources = (0..n)
+        let policies = (0..n)
+            .map(|_| build_policy(cfg.policy, &params.caem))
+            .collect();
+        let traffic = (0..n)
             .map(|id| {
-                build_source(
-                    cfg.traffic,
-                    cfg.traffic_profile,
-                    streams.derive(components::TRAFFIC, id as u64),
-                )
+                params
+                    .traffic
+                    .new_state(streams.derive(components::TRAFFIC, id as u64))
             })
             .collect();
         let links = (0..n)
             .map(|id| {
                 LinkChannel::with_distance(
+                    &params.link,
                     cfg.field.diagonal(),
-                    cfg.link_budget,
-                    cfg.path_loss,
-                    cfg.shadowing,
                     streams.derive(components::SHADOWING, id as u64),
                     streams.derive(components::FADING, id as u64),
                 )
@@ -154,23 +214,47 @@ impl NodeTable {
             cluster: vec![NO_CLUSTER; n],
             queue_len: vec![0; n],
             remaining_j,
-            access_generation: vec![0; n],
             generated: vec![0; n],
             delivered: vec![0; n],
             dropped: vec![0; n],
-            self_delivered: vec![0; n],
             alive_count: n,
             positions,
             batteries,
-            buffers,
+            buffers: (0..n).map(|_| PacketBuffer::new()).collect(),
             macs,
             policies,
-            sources,
+            traffic,
             links,
-            selectors: (0..n).map(|_| ModeSelector::default()).collect(),
+            selectors: (0..n).map(|_| ModeSelector::new()).collect(),
+            params,
         };
         span.stop_global(caem_metrics::prof::ProfKey::Deploy, n as u64);
         table
+    }
+
+    /// The scenario constants every node's cold state is read against.
+    #[inline]
+    pub fn params(&self) -> &NodeParams {
+        &self.params
+    }
+
+    /// Bytes per node of every column: the inline size of its element, plus
+    /// for the packet buffers the heap capacity they hold, averaged over the
+    /// nodes.  Sums to the table's whole per-node footprint.
+    pub fn column_bytes_per_node(&self) -> Vec<(&'static str, f64)> {
+        let heap: usize = self.buffers.iter().map(PacketBuffer::heap_bytes).sum();
+        let heap_per_node = heap as f64 / self.len().max(1) as f64;
+        INLINE_COLUMN_BYTES
+            .iter()
+            .map(|&(name, inline)| {
+                let extra = if name == "buffers" {
+                    heap_per_node
+                } else {
+                    0.0
+                };
+                (name, inline as f64 + extra)
+            })
+            .collect()
     }
 
     /// Number of nodes (alive or dead).
@@ -252,26 +336,19 @@ impl NodeTable {
         &self.remaining_j
     }
 
-    /// `node`'s access generation (bumped by [`NodeTable::begin_round`]).
-    #[inline]
-    pub fn access_generation(&self, node: usize) -> u32 {
-        self.access_generation[node]
-    }
-
     // ------------------------------------------------------------------
     // Round bookkeeping
     // ------------------------------------------------------------------
 
-    /// Install `node`'s role for a new round: head flag, cluster assignment,
-    /// policy round notification and access-generation bump.
+    /// Install `node`'s role for a new round: head flag, cluster assignment
+    /// and policy round notification.
     pub fn begin_round(&mut self, node: usize, is_head: bool, cluster: Option<usize>) {
         self.is_head[node] = is_head;
         self.cluster[node] = match cluster {
             Some(c) => c as u32,
             None => NO_CLUSTER,
         };
-        self.policies[node].on_round_change();
-        self.access_generation[node] = self.access_generation[node].wrapping_add(1);
+        self.policies[node].on_round_change(&self.params.caem);
     }
 
     // ------------------------------------------------------------------
@@ -322,7 +399,7 @@ impl NodeTable {
     /// Try to enqueue a packet on `node`'s buffer.  Returns `false` on
     /// overflow.
     pub fn enqueue(&mut self, node: usize, packet: Packet) -> bool {
-        let accepted = self.buffers[node].enqueue(packet);
+        let accepted = self.buffers[node].enqueue(self.params.buffer_capacity, packet);
         self.queue_len[node] = self.buffers[node].len() as u32;
         accepted
     }
@@ -368,7 +445,6 @@ impl NodeTable {
     #[inline]
     pub fn record_self_delivered(&mut self, node: usize, count: u64) {
         self.delivered[node] += count;
-        self.self_delivered[node] += count;
     }
 
     /// Count one dropped packet (overflow or abandoned retry).
@@ -395,12 +471,6 @@ impl NodeTable {
         self.dropped[node]
     }
 
-    /// Of [`NodeTable::delivered`], the packets sunk while serving as head.
-    #[inline]
-    pub fn self_delivered(&self, node: usize) -> u64 {
-        self.self_delivered[node]
-    }
-
     // ------------------------------------------------------------------
     // Cold-state accessors
     // ------------------------------------------------------------------
@@ -411,18 +481,27 @@ impl NodeTable {
         &self.macs[node]
     }
 
-    /// `node`'s MAC state machine.
+    /// `node`'s MAC state machine, for the transitions that read no
+    /// scenario parameter.
     #[inline]
     pub fn mac_mut(&mut self, node: usize) -> &mut SensorMac {
         &mut self.macs[node]
     }
 
-    /// `node`'s MAC and link channel together — the lazy-CSI observation
-    /// closures borrow the link while the MAC decides, which the split
-    /// columns permit without any struct-destructuring dance.
+    /// `node`'s MAC and link channel together, with the scenario parameters
+    /// — the lazy-CSI observation closures borrow the link while the MAC
+    /// decides, which the split columns permit without any
+    /// struct-destructuring dance.
     #[inline]
-    pub fn mac_link_mut(&mut self, node: usize) -> (&mut SensorMac, &mut LinkChannel) {
-        (&mut self.macs[node], &mut self.links[node])
+    pub fn mac_link_mut(&mut self, node: usize) -> (&mut SensorMac, &mut LinkChannel, &NodeParams) {
+        (&mut self.macs[node], &mut self.links[node], &self.params)
+    }
+
+    /// A collision aborted `node`'s burst: see
+    /// [`SensorMac::collision_detected`].
+    #[inline]
+    pub fn collision_detected(&mut self, node: usize) -> (SensorAction, bool) {
+        self.macs[node].collision_detected(&self.params.mac)
     }
 
     /// `node`'s threshold policy (read-only).
@@ -431,28 +510,36 @@ impl NodeTable {
         &self.policies[node]
     }
 
-    /// `node`'s threshold policy.
+    /// `node`'s threshold policy, with the CAEM parameters it reads.
     #[inline]
-    pub fn policy_mut(&mut self, node: usize) -> &mut NodePolicy {
-        &mut self.policies[node]
+    pub fn policy_mut(&mut self, node: usize) -> (&mut NodePolicy, &CaemConfig) {
+        (&mut self.policies[node], &self.params.caem)
     }
 
-    /// `node`'s traffic source.
+    /// Draw `node`'s next packet arrival after `now`.
     #[inline]
-    pub fn source_mut(&mut self, node: usize) -> &mut NodeTrafficSource {
-        &mut self.sources[node]
+    pub fn next_arrival(&mut self, node: usize, now: SimTime) -> SimTime {
+        self.params
+            .traffic
+            .next_arrival(&mut self.traffic[node], now)
     }
 
-    /// `node`'s link channel.
+    /// The data-channel SNR of `node`'s link at `now` (memoised per instant).
     #[inline]
-    pub fn link_mut(&mut self, node: usize) -> &mut LinkChannel {
-        &mut self.links[node]
+    pub fn snr_db(&mut self, node: usize, now: SimTime) -> f64 {
+        self.links[node].snr_db(&self.params.link, now)
     }
 
-    /// `node`'s PHY mode selector.
+    /// Re-home `node`'s link to a head `distance_m` away.
     #[inline]
-    pub fn selector_mut(&mut self, node: usize) -> &mut ModeSelector {
-        &mut self.selectors[node]
+    pub fn set_link_distance(&mut self, node: usize, distance_m: f64) {
+        self.links[node].set_distance(&self.params.link, distance_m);
+    }
+
+    /// Pick `node`'s PHY mode for a burst at `snr_db`.
+    #[inline]
+    pub fn select_mode(&mut self, node: usize, snr_db: f64) -> Option<TransmissionMode> {
+        self.selectors[node].select(&self.params.adaptation, snr_db)
     }
 
     /// Check every mirror column against the cold state it shadows.
@@ -488,5 +575,63 @@ impl std::fmt::Debug for NodeTable {
             .field("nodes", &self.len())
             .field("alive", &self.alive_count)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caem::policy::PolicyKind;
+
+    /// The exact inline bytes of every column on 64-bit targets, so any
+    /// growth of a per-node type fails deterministically on every host,
+    /// whatever its timing noise.  Shrinking a column updates this table.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn inline_bytes_per_node_are_pinned() {
+        let expected: [(&str, usize); 16] = [
+            ("alive", 1),
+            ("is_head", 1),
+            ("cluster", 4),
+            ("queue_len", 4),
+            ("remaining_j", 8),
+            ("generated", 8),
+            ("delivered", 8),
+            ("dropped", 8),
+            ("positions", 16),
+            ("batteries", 88),
+            ("buffers", 32),
+            ("macs", 56),
+            ("policies", 48),
+            ("traffic", 56),
+            ("links", 168),
+            ("selectors", 1),
+        ];
+        assert_eq!(INLINE_COLUMN_BYTES, expected);
+        let total: usize = INLINE_COLUMN_BYTES.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(total, 507);
+    }
+
+    #[test]
+    fn column_footprint_adds_buffer_heap_to_the_inline_bytes() {
+        let mut cfg = ScenarioConfig::small(PolicyKind::Scheme1Adaptive, 5.0, 1);
+        cfg.node_count = 4;
+        let mut table = NodeTable::deploy(&cfg, &RngStream::new(cfg.seed));
+        let inline: Vec<(&str, f64)> = INLINE_COLUMN_BYTES
+            .iter()
+            .map(|&(name, bytes)| (name, bytes as f64))
+            .collect();
+        // Freshly deployed buffers own no heap.
+        assert_eq!(table.column_bytes_per_node(), inline);
+        let packet = Packet::new(caem_traffic::packet::PacketId(0), 0, SimTime::ZERO);
+        assert!(table.enqueue(0, packet));
+        let heap = table.buffers[0].heap_bytes() as f64 / 4.0;
+        assert!(heap > 0.0);
+        for ((name, bytes), (_, inline_bytes)) in
+            table.column_bytes_per_node().into_iter().zip(inline)
+        {
+            let extra = if name == "buffers" { heap } else { 0.0 };
+            assert_eq!(bytes, inline_bytes + extra, "{name}");
+        }
     }
 }

@@ -32,7 +32,6 @@ struct RefNode {
     generated: u64,
     delivered: u64,
     dropped: u64,
-    access_generation: u32,
 }
 
 fn build_pair(cfg: &ScenarioConfig) -> (NodeTable, Vec<RefNode>) {
@@ -44,14 +43,10 @@ fn build_pair(cfg: &ScenarioConfig) -> (NodeTable, Vec<RefNode>) {
             is_head: false,
             cluster: None,
             battery: Battery::new(cfg.initial_energy_j),
-            buffer: match cfg.buffer_capacity {
-                Some(c) => PacketBuffer::with_capacity(c),
-                None => PacketBuffer::unbounded(),
-            },
+            buffer: PacketBuffer::new(),
             generated: 0,
             delivered: 0,
             dropped: 0,
-            access_generation: 0,
         })
         .collect();
     (table, model)
@@ -73,11 +68,6 @@ fn assert_same(table: &NodeTable, model: &[RefNode]) {
             table.remaining(i).to_bits(),
             m.battery.remaining().to_bits(),
             "remaining_j drifted at node {i}"
-        );
-        assert_eq!(
-            table.access_generation(i),
-            m.access_generation,
-            "access_generation drifted at node {i}"
         );
         assert_eq!(table.generated(i), m.generated, "generated at node {i}");
         assert_eq!(table.delivered(i), m.delivered, "delivered at node {i}");
@@ -132,7 +122,7 @@ proptest! {
                     let p = Packet::new(PacketId(next_packet), node, SimTime::from_millis(next_packet));
                     next_packet += 1;
                     let accepted = table.enqueue(node, p);
-                    let model_accepted = m.buffer.enqueue(p);
+                    let model_accepted = m.buffer.enqueue(cfg.buffer_capacity, p);
                     prop_assert_eq!(accepted, model_accepted);
                     if !accepted {
                         table.record_dropped(node);
@@ -170,7 +160,6 @@ proptest! {
                     table.begin_round(node, is_head, cluster);
                     m.is_head = is_head;
                     m.cluster = cluster;
-                    m.access_generation = m.access_generation.wrapping_add(1);
                 }
                 // Counters.
                 _ => {
@@ -216,5 +205,47 @@ proptest! {
             prop_assert_eq!(table.positions()[i].x.to_bits(), again.positions()[i].x.to_bits());
             prop_assert_eq!(table.positions()[i].y.to_bits(), again.positions()[i].y.to_bits());
         }
+    }
+
+    #[test]
+    fn depletion_edge_is_reported_once_without_a_flag(pieces in 1u32..16, exponent in 0i32..8) {
+        // The battery keeps no depletion flag: `drawn >= initial` is the
+        // state.  Power-of-two pieces sum exactly, so the last piece lands
+        // on `drawn == initial` bit for bit — the boundary a flagless
+        // battery must still report exactly once.
+        let piece = 2f64.powi(-exponent);
+        let mut cfg = ScenarioConfig::small(PolicyKind::PureLeach, 5.0, 3);
+        cfg.node_count = 2;
+        cfg.initial_energy_spread = 0.0;
+        cfg.initial_energy_j = piece * pieces as f64;
+        let streams = RngStream::new(cfg.seed);
+        let mut table = NodeTable::deploy(&cfg, &streams);
+        let mut battery = Battery::new(cfg.initial_energy_j);
+        for k in 1..=pieces {
+            let last = k == pieces;
+            prop_assert_eq!(table.draw_energy(0, EnergyCategory::Sleep, piece), last);
+            prop_assert_eq!(battery.draw(EnergyCategory::Sleep, piece), last);
+            table.assert_mirrors_consistent();
+        }
+        prop_assert_eq!(battery.drawn().to_bits(), battery.initial().to_bits());
+        prop_assert!(battery.is_depleted());
+        prop_assert!(!table.is_alive(0));
+        prop_assert_eq!(table.alive_count(), 1);
+        prop_assert_eq!(table.remaining(0), 0.0);
+
+        // Later draws — zero-joule ones included — report nothing and leave
+        // both ledgers untouched.
+        let table_ledger = table.merged_ledger().total().to_bits();
+        let battery_ledger = battery.ledger().total().to_bits();
+        for joules in [0.0, piece, 0.0, 3.0 * piece] {
+            prop_assert!(!table.draw_energy(0, EnergyCategory::DataTransmit, joules));
+            prop_assert!(!battery.draw(EnergyCategory::DataTransmit, joules));
+            table.assert_mirrors_consistent();
+            prop_assert_eq!(table.merged_ledger().total().to_bits(), table_ledger);
+            prop_assert_eq!(battery.ledger().total().to_bits(), battery_ledger);
+            prop_assert_eq!(battery.drawn().to_bits(), battery.initial().to_bits());
+        }
+        prop_assert_eq!(table.alive_count(), 1, "the edge is not reported twice");
+        prop_assert!(table.is_alive(1));
     }
 }

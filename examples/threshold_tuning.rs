@@ -17,7 +17,8 @@ use caem_suite::wsnsim::{ScenarioConfig, SimulationRun};
 
 fn main() {
     // --- Part 1: the threshold trajectory on a synthetic queue trace -------
-    let mut policy = AdaptiveThreshold::paper_default();
+    let config = CaemConfig::paper_default();
+    let mut policy = AdaptiveThreshold::new(&config);
     println!("== threshold trajectory for a growing-then-draining queue ==");
     println!("{:<10} {:>12} {:>22}", "arrival", "queue len", "threshold");
     let mut queue = 0usize;
@@ -28,23 +29,23 @@ fn main() {
         } else {
             queue = queue.saturating_sub(6);
         }
-        policy.on_packet_arrival(queue);
+        policy.on_packet_arrival(&config, queue);
         if arrival % 5 == 0 {
             println!(
                 "{:<10} {:>12} {:>22}",
                 arrival,
                 queue,
                 policy
-                    .current_threshold()
+                    .current_threshold(&config)
                     .map(|m| m.to_string())
                     .unwrap_or_else(|| "none".into())
             );
         }
     }
-    policy.on_packets_sent(2);
+    policy.on_packets_sent(&config, 2);
     println!(
         "after the burst drains the queue: threshold back to {}",
-        policy.current_threshold().unwrap()
+        policy.current_threshold(&config).unwrap()
     );
 
     // --- Part 2: (K, Q_threshold) tuning grid ------------------------------

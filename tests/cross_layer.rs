@@ -1,9 +1,7 @@
 //! Cross-layer integration tests below the full simulator: channel + PHY +
 //! MAC components wired together the way the runner wires them.
 
-use caem_suite::channel::link::{LinkBudget, LinkChannel};
-use caem_suite::channel::pathloss::PathLossModel;
-use caem_suite::channel::shadowing::ShadowingConfig;
+use caem_suite::channel::link::{LinkChannel, LinkParams};
 use caem_suite::channel::{Field, Position};
 use caem_suite::cluster::election::{ElectionConfig, LeachElection};
 use caem_suite::cluster::formation::ClusterFormation;
@@ -18,10 +16,8 @@ use caem_suite::simcore::time::{Duration, SimTime};
 fn make_link(distance: f64, seed: u64) -> LinkChannel {
     let streams = RngStream::new(seed);
     LinkChannel::with_distance(
+        &LinkParams::default(),
         distance,
-        LinkBudget::paper_default(),
-        PathLossModel::paper_default(),
-        ShadowingConfig::default(),
         streams.derive(components::SHADOWING, 0),
         streams.derive(components::FADING, 0),
     )
@@ -35,7 +31,7 @@ fn good_links_deliver_at_their_selected_mode() {
     let frame = FrameSpec::paper_default();
     let mut usable = 0;
     for i in 0..500 {
-        let snr = link.snr_db(SimTime::from_millis(i * 120));
+        let snr = link.snr_db(&LinkParams::default(), SimTime::from_millis(i * 120));
         if let Some(mode) = TransmissionMode::best_for_snr(snr) {
             let per =
                 packet_error_rate(mode.modulation(), mode.code_rate(), snr, frame.payload_bits);
@@ -61,7 +57,7 @@ fn waiting_for_a_better_channel_reduces_airtime() {
     let mut thresholded = Duration::ZERO;
     let mut thresholded_count = 0u64;
     for i in 0..5_000u64 {
-        let snr = link.snr_db(SimTime::from_millis(i * 150));
+        let snr = link.snr_db(&LinkParams::default(), SimTime::from_millis(i * 150));
         if let Some(mode) = TransmissionMode::best_for_snr(snr) {
             unconditional += frame.airtime(mode);
             unconditional_count += 1;
@@ -86,29 +82,30 @@ fn mac_driven_by_real_channel_measurements_transmits_eventually() {
     // channel; with the Scheme 2 threshold it must eventually transmit, and
     // never before the measured SNR satisfies the threshold.
     let mut link = make_link(30.0, 11);
-    let mut mac = SensorMac::new(SensorMacConfig::default(), StreamRng::from_seed_u64(5));
+    let config = SensorMacConfig::default();
+    let mut mac = SensorMac::new(StreamRng::from_seed_u64(5));
     let threshold = TransmissionMode::Mbps2.required_snr_db();
     assert_eq!(mac.packets_pending(6), SensorAction::StartSensing);
     let mut transmitted = false;
     let mut t = SimTime::ZERO;
     for _ in 0..20_000 {
         t += Duration::from_millis(50);
-        let snr = link.snr_db(t);
+        let snr = link.snr_db(&LinkParams::default(), t);
         let signal = Some(ToneSignal {
             state: ChannelState::Idle,
             tone_snr_db: snr,
         });
-        match mac.observe_tone(signal, threshold, 6, false) {
+        match mac.observe_tone(&config, signal, threshold, 6, false) {
             SensorAction::StartBackoff(d) => {
                 assert!(snr >= threshold, "backoff started below the threshold");
                 t += d;
-                let snr2 = link.snr_db(t);
+                let snr2 = link.snr_db(&LinkParams::default(), t);
                 let signal2 = Some(ToneSignal {
                     state: ChannelState::Idle,
                     tone_snr_db: snr2,
                 });
                 if let SensorAction::StartTransmission { burst_size } =
-                    mac.backoff_expired(signal2, threshold, 6, false)
+                    mac.backoff_expired(&config, signal2, threshold, 6, false)
                 {
                     assert!((1..=8).contains(&burst_size));
                     transmitted = true;
