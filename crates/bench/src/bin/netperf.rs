@@ -15,18 +15,9 @@
 //!    size.  Results are written to `BENCH_netperf.json` at the repository
 //!    root.
 //!
-//! A third job rides along behind `--saturate`: the **record-sink
-//! saturation benchmark**, which hammers the experiment store's append path
-//! from N threads and records the throughput ceiling of the old
-//! mutex-serialized sink next to the lock-free collector that replaced it
-//! (plus the collector's worker-buffered variant).  The run fails loudly if
-//! the lock-free path falls below the mutex baseline it superseded.
-//!
 //! ```bash
 //! cargo run -p caem-bench --release --bin netperf
 //! cargo run -p caem-bench --release --bin netperf -- --quick   # smoke variant
-//! cargo run -p caem-bench --release --bin netperf -- --saturate
-//! cargo run -p caem-bench --release --bin netperf -- --saturate --quick
 //! ```
 
 use std::time::Instant;
@@ -36,12 +27,10 @@ use caem_bench::profrpt::{self, repeat_stats, time_breakdown_json, ProfBudget, R
 use caem_bench::{apply_quick, emit, policy_label, rss, NetperfArgs};
 use caem_metrics::prof::{self, Breakdown};
 use caem_metrics::report::{Column, Table};
-use caem_metrics::Commute;
-use caem_simcore::stats::RunningStats;
 use caem_simcore::time::{Duration, SimTime};
-use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec, METRIC_NAMES};
+use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
 use caem_wsnsim::sweep::{LoadSweepPoint, PolicyComparison, PAPER_POLICIES};
-use caem_wsnsim::{ExperimentStore, JobRecord, ScenarioConfig, SimulationRun};
+use caem_wsnsim::{ScenarioConfig, SimulationRun};
 
 /// Timing record for one point of the node-count scaling sweep.
 struct ScalePoint {
@@ -112,10 +101,6 @@ struct ScenarioTiming {
 
 fn main() {
     let args = NetperfArgs::from_env_or_exit("netperf");
-    if args.saturate {
-        run_saturation(&args);
-        return;
-    }
     let NetperfArgs { seed, quick, .. } = args;
     let repeats = args.repeats.unwrap_or(1);
     // Quick smoke runs measure a reduced scenario; route them to a separate
@@ -369,15 +354,8 @@ fn main() {
             })
             .collect::<Vec<serde_json::Value>>(),
     });
-    // The scenario sweep and the `--saturate` mode share the report file;
-    // each rewrite carries the other mode's section forward.  The profile
-    // breakdown is carried the same way when this run did not profile.
-    if let Some(saturation) = previous
-        .as_ref()
-        .and_then(|v| v.get("sink_saturation").cloned())
-    {
-        set_key(&mut report, "sink_saturation", saturation);
-    }
+    // A run that did not profile carries the previous profile breakdown
+    // forward.
     if args.profile {
         print!("{}", breakdown.render("netperf scenario sweep"));
         profrpt::print_run_event_counters();
@@ -467,241 +445,5 @@ fn write_json(path: &str, report: &serde_json::Value) {
     match std::fs::write(path, text) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// --saturate: the record-sink saturation benchmark.
-// ---------------------------------------------------------------------------
-
-/// One thread count's worth of sink measurements.
-struct SaturationPoint {
-    threads: usize,
-    records: usize,
-    mutex_rps: f64,
-    lockfree_rps: f64,
-    buffered_rps: f64,
-    /// Per-append latency of the mutex path (µs), merged across threads
-    /// with the [`Commute`] law.
-    mutex_append_us: RunningStats,
-    /// Per-append latency of the lock-free path (µs), merged across threads
-    /// the same way.
-    lockfree_append_us: RunningStats,
-}
-
-/// A synthetic record shaped like a real job result (same field count and
-/// rough line length), so the benchmark stresses the serialization and IO
-/// path the grid actually uses.
-fn synth_record(seed: u64) -> JobRecord {
-    JobRecord {
-        scenario_index: 0,
-        scenario: "saturation".into(),
-        policy_index: 1,
-        policy: PolicyKind::Scheme1Adaptive,
-        seed,
-        config_hash: 0x5a7e_5a7e,
-        metrics: vec![Some(0.123_456_789); METRIC_NAMES.len()],
-        generated: 1_000,
-        delivered: 900,
-        events_processed: 123_456,
-        end_time_nanos: 600_000_000_000,
-        delay_p50_ms: Some(12.5),
-        delay_p95_ms: Some(80.0),
-        delay_p99_ms: None,
-    }
-}
-
-fn saturation_store_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "caem_netperf_saturate_{}_{tag}.jsonl",
-        std::process::id()
-    ))
-}
-
-/// Append `per_thread` synthetic records from each of `threads` threads
-/// through `append`, returning each thread's per-append latency (µs).
-fn hammer(
-    threads: usize,
-    per_thread: usize,
-    append: impl Fn(&JobRecord) + Sync,
-) -> Vec<RunningStats> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let append = &append;
-                scope.spawn(move || {
-                    let mut lat = RunningStats::new();
-                    let mut record = synth_record(0);
-                    for i in 0..per_thread {
-                        record.seed = (t * per_thread + i) as u64;
-                        let t0 = Instant::now();
-                        append(&record);
-                        lat.push(t0.elapsed().as_nanos() as f64 / 1_000.0);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-/// Drive the mutex-serialized baseline sink from `threads` threads and
-/// return (records/sec, merged per-append latency in µs).
-fn time_mutex_sink(threads: usize, per_thread: usize) -> (f64, RunningStats) {
-    let path = saturation_store_path("mutex");
-    std::fs::remove_file(&path).ok();
-    let total = threads * per_thread;
-    let (wall, latencies) = {
-        let mut store = ExperimentStore::open(&path).expect("open saturation store");
-        let sink = store.mutex_sink();
-        let started = Instant::now();
-        let latencies = hammer(threads, per_thread, |record| {
-            sink.append(record).expect("mutex sink append failed")
-        });
-        (started.elapsed().as_secs_f64(), latencies)
-    };
-    let written = ExperimentStore::load(&path).expect("reload saturation store");
-    assert_eq!(written.len(), total, "mutex sink dropped records");
-    std::fs::remove_file(&path).ok();
-    let merged = Commute::merge_all(latencies).unwrap_or_default();
-    (total as f64 / wall.max(1e-9), merged)
-}
-
-/// Drive the lock-free collector sink from `threads` threads (worker-side
-/// buffering at `flush_bytes`; 0 = ship immediately, the engine default)
-/// and return (records/sec, per-append latency in µs).  The wall clock
-/// includes collector shutdown, i.e. every record fully written.
-fn time_collector_sink(
-    threads: usize,
-    per_thread: usize,
-    flush_bytes: usize,
-) -> (f64, RunningStats) {
-    let path = saturation_store_path("lockfree");
-    std::fs::remove_file(&path).ok();
-    let total = threads * per_thread;
-    let (wall, latencies) = {
-        let mut store = ExperimentStore::open(&path).expect("open saturation store");
-        let started = Instant::now();
-        let latencies = store
-            .with_buffered_sink(flush_bytes, |sink| {
-                hammer(threads, per_thread, |record| sink.append(record))
-            })
-            .expect("collector sink run failed");
-        (started.elapsed().as_secs_f64(), latencies)
-    };
-    let written = ExperimentStore::load(&path).expect("reload saturation store");
-    assert_eq!(written.len(), total, "collector sink dropped records");
-    std::fs::remove_file(&path).ok();
-    let merged = Commute::merge_all(latencies).unwrap_or_default();
-    (total as f64 / wall.max(1e-9), merged)
-}
-
-/// The `--saturate` mode: sweep thread counts over the mutex baseline, the
-/// lock-free collector and its buffered variant; print the ceilings; merge
-/// a `sink_saturation` section into the netperf JSON; exit nonzero if the
-/// lock-free path regresses below the mutex baseline at the top thread
-/// count.
-fn run_saturation(args: &NetperfArgs) {
-    let quick = args.quick;
-    let top = args.threads.unwrap_or(if quick { 8 } else { 32 });
-    let mut thread_counts: Vec<usize> = Vec::new();
-    let mut n = 1;
-    while n < top {
-        thread_counts.push(n);
-        n *= 2;
-    }
-    thread_counts.push(top);
-    let per_thread = if quick { 5_000 } else { 20_000 };
-
-    println!("== record-sink saturation (mutex baseline vs lock-free collector) ==");
-    println!(
-        "{:>8} {:>10} {:>14} {:>14} {:>14} {:>10} {:>12} {:>12}",
-        "threads",
-        "records",
-        "mutex_rec/s",
-        "lockfree_rec/s",
-        "buffered_rec/s",
-        "speedup",
-        "mutex_us",
-        "lockfree_us"
-    );
-    let mut points: Vec<SaturationPoint> = Vec::new();
-    for &threads in &thread_counts {
-        let records = threads * per_thread;
-        let (mutex_rps, mutex_append_us) = time_mutex_sink(threads, per_thread);
-        let (lockfree_rps, lockfree_append_us) = time_collector_sink(threads, per_thread, 0);
-        let (buffered_rps, _) = time_collector_sink(threads, per_thread, 8 * 1024);
-        println!(
-            "{:>8} {:>10} {:>14.0} {:>14.0} {:>14.0} {:>9.2}x {:>12.2} {:>12.2}",
-            threads,
-            records,
-            mutex_rps,
-            lockfree_rps,
-            buffered_rps,
-            lockfree_rps / mutex_rps.max(1e-9),
-            mutex_append_us.mean(),
-            lockfree_append_us.mean()
-        );
-        points.push(SaturationPoint {
-            threads,
-            records,
-            mutex_rps,
-            lockfree_rps,
-            buffered_rps,
-            mutex_append_us,
-            lockfree_append_us,
-        });
-    }
-
-    let top_point = points.last().expect("at least one thread count");
-    let speedup_at_top = top_point.lockfree_rps / top_point.mutex_rps.max(1e-9);
-    // Quick mode runs on noisy shared CI runners: allow 10 % of jitter.
-    // Full runs hold the hard line — the lock-free path must win outright.
-    let threshold = if quick { 0.9 } else { 1.0 };
-    let passed = top_point.lockfree_rps >= threshold * top_point.mutex_rps;
-    println!(
-        "ceiling at {} threads: mutex {:.0} rec/s, lock-free {:.0} rec/s ({speedup_at_top:.2}x)",
-        top_point.threads, top_point.mutex_rps, top_point.lockfree_rps
-    );
-
-    let section = serde_json::json!({
-        "seed": args.seed,
-        "quick": quick,
-        "per_thread_records": per_thread,
-        "points": points.iter().map(|p| serde_json::json!({
-            "threads": p.threads,
-            "records": p.records,
-            "mutex_recs_per_sec": p.mutex_rps,
-            "lockfree_recs_per_sec": p.lockfree_rps,
-            "buffered_recs_per_sec": p.buffered_rps,
-            "speedup": p.lockfree_rps / p.mutex_rps.max(1e-9),
-            "mutex_append_mean_us": p.mutex_append_us.mean(),
-            "mutex_append_max_us": p.mutex_append_us.max(),
-            "lockfree_append_mean_us": p.lockfree_append_us.mean(),
-            "lockfree_append_max_us": p.lockfree_append_us.max(),
-        })).collect::<Vec<serde_json::Value>>(),
-        "gate": serde_json::json!({
-            "threads": top_point.threads,
-            "mutex_recs_per_sec": top_point.mutex_rps,
-            "lockfree_recs_per_sec": top_point.lockfree_rps,
-            "speedup": speedup_at_top,
-            "threshold": threshold,
-            "passed": passed,
-        }),
-    });
-    let out_path = bench_json_path(quick);
-    let mut report = load_json(out_path)
-        .unwrap_or_else(|| serde_json::json!({ "benchmark": "netperf", "quick": quick }));
-    set_key(&mut report, "sink_saturation", section);
-    write_json(out_path, &report);
-
-    if !passed {
-        eprintln!(
-            "FAIL: lock-free sink ({:.0} rec/s) fell below {threshold:.0e}x the mutex baseline \
-             ({:.0} rec/s) at {} threads",
-            top_point.lockfree_rps, top_point.mutex_rps, top_point.threads
-        );
-        std::process::exit(1);
     }
 }

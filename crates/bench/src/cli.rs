@@ -103,7 +103,7 @@ pub struct FlagDef {
 }
 
 /// Declare a boolean flag.
-pub const fn flag(name: &'static str) -> FlagDef {
+const fn flag(name: &'static str) -> FlagDef {
     FlagDef {
         name,
         takes_value: false,
@@ -215,7 +215,7 @@ impl ParsedArgs {
 // ---------------------------------------------------------------------------
 
 /// The `experiment` binary's full flag vocabulary.
-pub const EXPERIMENT_FLAGS: &[FlagDef] = &[
+const EXPERIMENT_FLAGS: &[FlagDef] = &[
     flag("--quick"),
     flag("--resume"),
     flag("--reaggregate"),
@@ -305,23 +305,6 @@ pub enum ExperimentMode {
     ListScenarios,
     /// Dump the canonical resolved spec as JSON; simulates nothing.
     PrintSpec,
-}
-
-impl ExperimentMode {
-    fn name(&self) -> &'static str {
-        match self {
-            ExperimentMode::Run(args) => match (&args.workers, &args.sequential) {
-                (Some(_), _) => "distributed",
-                (_, Some(_)) => "sequential",
-                (_, None) if args.resume => "resume",
-                _ => "run",
-            },
-            ExperimentMode::Reaggregate { .. } => "reaggregate",
-            ExperimentMode::SocketWorker { .. } => "socket-worker",
-            ExperimentMode::ListScenarios => "list-scenarios",
-            ExperimentMode::PrintSpec => "print-spec",
-        }
-    }
 }
 
 /// The `experiment` binary's parsed command line.
@@ -546,11 +529,6 @@ impl ExperimentCli {
             mode,
         })
     }
-
-    /// The mode's short name (as printed in usage and error messages).
-    pub fn mode_name(&self) -> &'static str {
-        self.mode.name()
-    }
 }
 
 /// Reject every flag of `flags` that is present, naming the selected mode.
@@ -602,7 +580,7 @@ fn require_at_least_one(flag: &'static str) -> impl Fn(usize) -> Result<usize, C
 // ---------------------------------------------------------------------------
 
 /// The `caem-serve` binary's flag vocabulary.
-pub const SERVE_FLAGS: &[FlagDef] = &[
+const SERVE_FLAGS: &[FlagDef] = &[
     option("--listen"),
     option("--shards"),
     option("--lease-ttl"),
@@ -844,16 +822,11 @@ impl FigureArgs {
 }
 
 // ---------------------------------------------------------------------------
-// netperf: the figure vocabulary plus the sink-saturation mode.
+// netperf: the figure vocabulary plus timing and profiling options.
 // ---------------------------------------------------------------------------
 
 /// The `netperf` binary's command line: the figure vocabulary
-/// (`[seed] [--quick]`) plus `--saturate`, which switches the binary to the
-/// record-sink saturation benchmark (mutex baseline vs the lock-free
-/// collector, hammered from N threads).  `--threads` caps the sweep's top
-/// thread count and is only meaningful there.
-///
-/// The scenario sweep additionally takes `--repeats N` (rten-bench-style
+/// (`[seed] [--quick]`) plus `--repeats N` (rten-bench-style
 /// min/mean/median/max/var timing statistics per scenario), `--profile`
 /// (per-subsystem time-breakdown tables and the `time_breakdown` JSON
 /// section), `--trace-out FILE` (Chrome trace-event export of the first
@@ -866,10 +839,6 @@ pub struct NetperfArgs {
     pub seed: u64,
     /// Reduced smoke scenario.
     pub quick: bool,
-    /// Run the sink-saturation benchmark instead of the scenario sweep.
-    pub saturate: bool,
-    /// Top thread count of the saturation sweep (defaults per mode).
-    pub threads: Option<usize>,
     /// Enable the time-breakdown profiler over the scenario sweep.
     pub profile: bool,
     /// Timed repeats per scenario (defaults to 1; the simulation output is
@@ -892,8 +861,6 @@ impl NetperfArgs {
             args,
             &[
                 flag("--quick"),
-                flag("--saturate"),
-                option("--threads"),
                 flag("--profile"),
                 option("--repeats"),
                 option("--trace-out"),
@@ -912,23 +879,6 @@ impl NetperfArgs {
         if let Some(extra) = positionals.next() {
             return Err(CliError::UnexpectedPositional(extra.clone()));
         }
-        let saturate = parsed.has("--saturate");
-        let threads = parsed.parsed::<usize>("--threads", "a positive thread count")?;
-        if let Some(n) = threads {
-            if n == 0 {
-                return Err(CliError::InvalidValue {
-                    flag: "--threads",
-                    value: "0".into(),
-                    expected: "a positive thread count",
-                });
-            }
-            if !saturate {
-                return Err(CliError::Requires {
-                    flag: "--threads",
-                    requires: "--saturate",
-                });
-            }
-        }
         let profile = parsed.has("--profile");
         let repeats = parsed.parsed::<usize>("--repeats", "an integer >= 1")?;
         if repeats == Some(0) {
@@ -937,23 +887,6 @@ impl NetperfArgs {
                 value: "0".into(),
                 expected: "an integer >= 1",
             });
-        }
-        // The profiling vocabulary belongs to the scenario sweep; under
-        // --saturate each of these would be silently ignored.
-        if saturate {
-            for (name, present) in [
-                ("--profile", profile),
-                ("--repeats", repeats.is_some()),
-                ("--trace-out", parsed.has("--trace-out")),
-                ("--check-budget", parsed.has("--check-budget")),
-            ] {
-                if present {
-                    return Err(CliError::NotInMode {
-                        flag: name,
-                        mode: "saturate",
-                    });
-                }
-            }
         }
         for dependent in ["--trace-out", "--check-budget"] {
             if parsed.has(dependent) && !profile {
@@ -966,8 +899,6 @@ impl NetperfArgs {
         Ok(NetperfArgs {
             seed,
             quick: parsed.has("--quick"),
-            saturate,
-            threads,
             profile,
             repeats,
             trace_out: parsed.value("--trace-out").map(str::to_string),
@@ -981,8 +912,7 @@ impl NetperfArgs {
         Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!(
                 "error: {e}\nusage: {binary} [seed] [--quick] [--repeats N] \
-                 [--profile [--trace-out FILE] [--check-budget FILE]] \
-                 [--saturate [--threads N]]"
+                 [--profile [--trace-out FILE] [--check-budget FILE]]"
             );
             std::process::exit(2);
         })
@@ -1020,7 +950,6 @@ mod tests {
                 profile: false,
             })
         );
-        assert_eq!(cli.mode_name(), "run");
     }
 
     #[test]
@@ -1057,7 +986,6 @@ mod tests {
         let a = parse(&["--workers", "3", "--store", "/tmp/w.jsonl"]).unwrap();
         let b = parse(&["--workers=3", "--store=/tmp/w.jsonl"]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.mode_name(), "distributed");
         match a.mode {
             ExperimentMode::Run(run) => {
                 assert_eq!(run.workers, Some(3));
@@ -1277,7 +1205,6 @@ mod tests {
                 expect_hash: None,
             }
         );
-        assert_eq!(cli.mode_name(), "socket-worker");
         let cli = parse(&[
             "--connect=127.0.0.1:7171",
             "--protocol=99",
@@ -1465,38 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn netperf_args_parse_saturate_and_threads() {
-        let na =
-            NetperfArgs::from_args(args(&["--quick", "--saturate", "--threads", "16"])).unwrap();
-        assert!(na.quick && na.saturate);
-        assert_eq!(na.threads, Some(16));
-        assert_eq!(na.seed, crate::DEFAULT_SEED);
-        // The plain figure form still parses.
-        let na = NetperfArgs::from_args(args(&["777"])).unwrap();
-        assert_eq!((na.seed, na.saturate, na.threads), (777, false, None));
-        // --threads only means something under --saturate.
-        assert_eq!(
-            NetperfArgs::from_args(args(&["--threads", "4"])),
-            Err(CliError::Requires {
-                flag: "--threads",
-                requires: "--saturate"
-            })
-        );
-        assert!(matches!(
-            NetperfArgs::from_args(args(&["--saturate", "--threads", "0"])),
-            Err(CliError::InvalidValue {
-                flag: "--threads",
-                ..
-            })
-        ));
-        // Misspellings stay typed errors.
-        assert_eq!(
-            NetperfArgs::from_args(args(&["--saturat"])),
-            Err(CliError::UnknownFlag("--saturat".to_string()))
-        );
-    }
-
-    #[test]
     fn netperf_args_parse_profile_vocabulary() {
         let na = NetperfArgs::from_args(args(&[
             "--quick",
@@ -1524,6 +1419,13 @@ mod tests {
                 ..
             })
         ));
+        // The plain figure form parses; `--threads` is not a netperf flag.
+        let na = NetperfArgs::from_args(args(&["777"])).unwrap();
+        assert_eq!((na.seed, na.quick, na.profile), (777, false, false));
+        assert_eq!(
+            NetperfArgs::from_args(args(&["--threads", "4"])),
+            Err(CliError::UnknownFlag("--threads".to_string()))
+        );
         // Trace export and the budget gate are meaningless without profiling.
         assert_eq!(
             NetperfArgs::from_args(args(&["--trace-out", "/tmp/t.json"])),
@@ -1539,22 +1441,5 @@ mod tests {
                 requires: "--profile"
             })
         );
-        // The whole profiling vocabulary is a scenario-sweep affair.
-        for extra in [
-            vec!["--profile"],
-            vec!["--repeats", "2"],
-            vec!["--profile", "--trace-out", "/tmp/t.json"],
-            vec!["--profile", "--check-budget", "b.json"],
-        ] {
-            let mut argv = vec!["--saturate"];
-            argv.extend(extra);
-            assert!(matches!(
-                NetperfArgs::from_args(args(&argv)),
-                Err(CliError::NotInMode {
-                    mode: "saturate",
-                    ..
-                })
-            ));
-        }
     }
 }

@@ -78,11 +78,6 @@ impl QueueFairness {
     pub fn mean_queue_length(&self) -> f64 {
         self.snapshot_means.mean()
     }
-
-    /// Largest single-snapshot standard deviation observed.
-    pub fn worst_std_dev(&self) -> Option<f64> {
-        self.snapshot_stddevs.max()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,6 @@ mod tests {
         unfair.snapshot(&[0, 0, 0, 20]);
         assert!(unfair.mean_std_dev() > fair.mean_std_dev());
         assert!((unfair.mean_std_dev() - 8.66).abs() < 0.01);
-        assert_eq!(unfair.worst_std_dev().unwrap(), unfair.mean_std_dev());
     }
 
     #[test]
@@ -118,7 +112,6 @@ mod tests {
         f.snapshot(&[5, 5]); // std dev = 0
         assert_eq!(f.snapshots(), 2);
         assert!((f.mean_std_dev() - 2.5).abs() < 1e-12);
-        assert_eq!(f.worst_std_dev(), Some(5.0));
     }
 
     #[test]
@@ -156,6 +149,5 @@ mod tests {
         f.snapshot(&[]);
         assert_eq!(f.snapshots(), 0);
         assert_eq!(f.mean_std_dev(), 0.0);
-        assert_eq!(f.worst_std_dev(), None);
     }
 }

@@ -75,15 +75,6 @@ impl LifetimeTracker {
         self.death_times.iter().flatten().min().copied()
     }
 
-    /// The time of the last node death, if all nodes are dead.
-    pub fn last_death(&self) -> Option<SimTime> {
-        if self.dead_count() == self.node_count {
-            self.death_times.iter().flatten().max().copied()
-        } else {
-            None
-        }
-    }
-
     /// Network lifetime under the paper's rule: the instant at which the
     /// fraction of dead nodes first exceeds `death_fraction`.  `None` when
     /// the network never died during the run.
@@ -128,7 +119,6 @@ mod tests {
         assert_eq!(t.alive_at(SimTime::from_secs(200)), 3);
         assert_eq!(t.dead_count(), 2);
         assert_eq!(t.first_death(), Some(SimTime::from_secs(50)));
-        assert_eq!(t.last_death(), None, "not all nodes are dead yet");
     }
 
     #[test]
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(t.network_lifetime(1.0), None);
         t.record_death(9, SimTime::from_secs(300));
         assert_eq!(t.network_lifetime(1.0), Some(SimTime::from_secs(300)));
-        assert_eq!(t.last_death(), Some(SimTime::from_secs(300)));
     }
 
     #[test]

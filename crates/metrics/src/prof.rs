@@ -74,7 +74,9 @@ pub enum ProfKey {
     Phy,
     /// Metric snapshot trackers (energy + fairness sampling).
     StatsSnapshot,
-    /// Record queue/collector path (sink batches, report aggregation).
+    /// Record aggregation (folding job records into a report).  Its label
+    /// stays `"collector"`: perfbench names its `prof.collector_*` metrics
+    /// from it.
     Collector,
     /// `RoundStart` dispatch runs.
     EvRoundStart,
@@ -116,7 +118,7 @@ pub const PROF_KEYS: [ProfKey; ProfKey::COUNT] = [
 
 impl ProfKey {
     /// Number of profile slots.
-    pub const COUNT: usize = 16;
+    const COUNT: usize = 16;
     /// First event-kind slot; everything below is a subsystem.
     const EVENT_BASE: usize = 8;
 
@@ -209,12 +211,12 @@ pub fn clock() -> Option<Instant> {
 /// enabled**.  Exists solely so CI can prove the budget gate fails on a
 /// real regression; it never perturbs simulation state (virtual time and
 /// RNG draws are untouched).
-pub const SELFTEST_SPIN_ENV: &str = "CAEM_PROF_SELFTEST_SPIN_US";
+const SELFTEST_SPIN_ENV: &str = "CAEM_PROF_SELFTEST_SPIN_US";
 
 static SELFTEST_SPIN_NANOS: OnceLock<u64> = OnceLock::new();
 
 /// The configured synthetic MAC slowdown in nanoseconds (0 = off).
-pub fn selftest_spin_nanos() -> u64 {
+fn selftest_spin_nanos() -> u64 {
     *SELFTEST_SPIN_NANOS.get_or_init(|| {
         std::env::var(SELFTEST_SPIN_ENV)
             .ok()
@@ -287,8 +289,8 @@ impl Profile {
     }
 
     /// Total attributed wall nanoseconds: the event-loop time plus the
-    /// out-of-loop subsystems (deploy, collector).  The share denominator.
-    pub fn attributed_nanos(&self) -> u64 {
+    /// out-of-loop subsystems (deploy, record aggregation).  The share denominator.
+    fn attributed_nanos(&self) -> u64 {
         self.total_event_nanos() + self.nanos(ProfKey::Deploy) + self.nanos(ProfKey::Collector)
     }
 

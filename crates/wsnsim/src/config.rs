@@ -339,15 +339,6 @@ pub struct ChurnConfig {
     pub mean_time_to_failure_s: f64,
 }
 
-impl ChurnConfig {
-    /// Churn with the given per-node mean time to failure (seconds).
-    pub fn with_mttf_s(mean_time_to_failure_s: f64) -> Self {
-        ChurnConfig {
-            mean_time_to_failure_s,
-        }
-    }
-}
-
 /// Everything needed to run one simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioConfig {
@@ -486,16 +477,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Set the per-node traffic rate, keeping the traffic model kind.
-    pub fn with_traffic_rate(mut self, rate_pps: f64) -> Self {
-        self.traffic = match self.traffic {
-            TrafficModel::Poisson { .. } => TrafficModel::Poisson { rate_pps },
-            TrafficModel::Cbr { .. } => TrafficModel::Cbr { rate_pps },
-            bursty => bursty,
-        };
-        self
-    }
-
     /// Use an unbounded buffer (the Fig. 12 fairness configuration).
     pub fn with_unbounded_buffers(mut self) -> Self {
         self.buffer_capacity = None;
@@ -543,7 +524,9 @@ impl ScenarioConfig {
     /// Enable random node-failure injection with the given per-node mean
     /// time to failure (seconds).
     pub fn with_churn_mttf_s(mut self, mean_time_to_failure_s: f64) -> Self {
-        self.churn = Some(ChurnConfig::with_mttf_s(mean_time_to_failure_s));
+        self.churn = Some(ChurnConfig {
+            mean_time_to_failure_s,
+        });
         self
     }
 
@@ -675,12 +658,10 @@ mod tests {
     fn builders_modify_fields() {
         let cfg = ScenarioConfig::small(PolicyKind::PureLeach, 5.0, 2)
             .with_duration(Duration::from_secs(30))
-            .with_traffic_rate(12.0)
             .with_unbounded_buffers()
             .with_seed(99);
         assert_eq!(cfg.node_count, 20);
         assert_eq!(cfg.duration, Duration::from_secs(30));
-        assert_eq!(cfg.traffic.mean_rate_pps(), 12.0);
         assert_eq!(cfg.buffer_capacity, None);
         assert_eq!(cfg.seed, 99);
         cfg.validate().expect("builder output is valid");

@@ -33,6 +33,8 @@
 
 use caem::policy::PolicyKind;
 use caem_simcore::stats::RunningStats;
+use std::sync::Mutex;
+
 use rayon::prelude::*;
 use serde_json::{json, Value};
 
@@ -246,34 +248,32 @@ impl ExperimentSpec {
             })
             .collect();
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| records[i].is_none()).collect();
-        if !pending.is_empty() {
-            // The single parallel layer over the *missing* jobs only: each
-            // worker encodes its own record and ships it through the
-            // lock-free collector, so no job ever waits on another job's
-            // disk write.  IO errors surface when the collector drains.
-            let fresh: Vec<(usize, JobRecord)> = store
-                .with_parallel_sink(|sink| {
-                    pending
-                        .par_iter()
-                        .map(|&i| {
-                            let job = &jobs[i];
-                            let result = SimulationRun::new(job.config.clone()).run();
-                            let record = JobRecord::from_result(
-                                &self.scenarios[job.scenario].label,
-                                self.policy_index(job),
-                                job,
-                                &result,
-                            );
-                            sink.append(&record);
-                            (i, record)
-                        })
-                        .collect()
-                })
-                .expect("experiment store append failed");
-            for (i, record) in fresh {
-                store.note_record(record.clone());
-                records[i] = Some(record);
-            }
+        // The single parallel layer over the *missing* jobs only: each
+        // worker appends its record through the store the moment its job
+        // completes.  Grids complete ~100 records/s, so jobs contend on
+        // this one lock for a negligible share of their time.
+        let store = Mutex::new(store);
+        let fresh: Vec<(usize, JobRecord)> = pending
+            .par_iter()
+            .map(|&i| {
+                let job = &jobs[i];
+                let result = SimulationRun::new(job.config.clone()).run();
+                let record = JobRecord::from_result(
+                    &self.scenarios[job.scenario].label,
+                    self.policy_index(job),
+                    job,
+                    &result,
+                );
+                store
+                    .lock()
+                    .expect("experiment store lock poisoned")
+                    .append(record.clone())
+                    .expect("experiment store append failed");
+                (i, record)
+            })
+            .collect();
+        for (i, record) in fresh {
+            records[i] = Some(record);
         }
         let records = records
             .into_iter()
@@ -564,9 +564,8 @@ impl ExperimentReport {
     /// set of distinct seeds observed; [`ExperimentSpec`]-driven runs
     /// overwrite it with the spec's own list.
     pub fn from_records<I: IntoIterator<Item = JobRecord>>(records: I) -> Self {
-        // Aggregation is queue/collector work in the profile's vocabulary;
-        // it runs outside any simulation shard, so it lands in the global
-        // accumulator.
+        // `ProfKey::Collector` times record aggregation; it runs outside any
+        // simulation shard, so it lands in the global accumulator.
         let span = caem_metrics::prof::Span::start();
         let mut deduped = crate::persist::dedupe_last_wins(records);
         deduped.sort_by_key(JobRecord::key);

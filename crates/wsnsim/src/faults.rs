@@ -5,8 +5,8 @@
 //! surface:
 //!
 //! 1. **Seams** — the [`StoreIo`] trait sits between the store and the
-//!    filesystem: every store append routes through it.  [`RealIo`] is the
-//!    production passthrough; [`ChaosIo`] wraps it with a seeded
+//!    filesystem: every store append routes through it.  `RealIo` is the
+//!    production passthrough; `ChaosIo` wraps it with a seeded
 //!    [`FaultPlan`] that injects torn writes and `EINTR`/`ENOSPC`-class
 //!    transient errors.  The same plan drops, duplicates, delays and
 //!    truncates loopback frames ([`FaultPlan::frame_fault`]), kills socket
@@ -150,7 +150,7 @@ impl RetryPolicy {
 /// are retried with backoff up to `policy.max_attempts` total attempts;
 /// fatal failures — and transient failures that exhaust the budget — return
 /// the error immediately.  `op` receives the 0-based attempt number (the
-/// [`ChaosIo`] seam injects only on attempt 0, guaranteeing bounded retries
+/// `ChaosIo` seam injects only on attempt 0, guaranteeing bounded retries
 /// always recover injected faults).
 pub fn retry_transient<T>(
     policy: &RetryPolicy,
@@ -206,7 +206,7 @@ pub enum RunEvent {
 }
 
 /// Every [`RunEvent`] variant, in counter order.
-pub const RUN_EVENTS: [RunEvent; 10] = [
+const RUN_EVENTS: [RunEvent; 10] = [
     RunEvent::TornLineSkipped,
     RunEvent::ForeignRecordIgnored,
     RunEvent::LeaseStolen,
@@ -262,7 +262,7 @@ pub fn event_count(event: RunEvent) -> u64 {
     EVENT_COUNTS[event.index()].load(Ordering::Relaxed)
 }
 
-/// Snapshot of every event counter, in [`RUN_EVENTS`] order.
+/// Snapshot of every event counter, in `RUN_EVENTS` order.
 pub fn event_counters() -> Vec<(RunEvent, u64)> {
     RUN_EVENTS.iter().map(|&e| (e, event_count(e))).collect()
 }
@@ -297,7 +297,7 @@ pub fn event_summary() -> Option<String> {
 pub trait StoreIo: Send + Sync {
     /// Append one complete JSONL line (newline included) to `file`.
     /// `attempt` is the caller's 0-based retry attempt — the passthrough
-    /// ignores it; [`ChaosIo`] injects faults only on attempt 0.
+    /// ignores it; `ChaosIo` injects faults only on attempt 0.
     fn append_line(&self, file: &mut File, line: &[u8], attempt: u32) -> io::Result<()>;
 
     /// Flush `file`'s data and metadata to stable storage.
@@ -306,7 +306,7 @@ pub trait StoreIo: Send + Sync {
 
 /// The production passthrough: plain `std::fs` with no injection.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealIo;
+struct RealIo;
 
 impl StoreIo for RealIo {
     fn append_line(&self, file: &mut File, line: &[u8], _attempt: u32) -> io::Result<()> {
@@ -581,15 +581,15 @@ pub enum FrameFault {
     Truncate,
 }
 
-/// The chaos wrapper: [`RealIo`] plus a [`FaultPlan`] deciding, per
+/// The chaos wrapper: `RealIo` plus a [`FaultPlan`] deciding, per
 /// append, whether to tear or fail first.
-pub struct ChaosIo {
+struct ChaosIo {
     plan: Arc<FaultPlan>,
 }
 
 impl ChaosIo {
     /// Wrap the passthrough with `plan`.
-    pub fn new(plan: Arc<FaultPlan>) -> Self {
+    fn new(plan: Arc<FaultPlan>) -> Self {
         ChaosIo { plan }
     }
 }
@@ -628,7 +628,7 @@ static ACTIVE_PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 static POISON_HOOK: Once = Once::new();
 
 /// Install `cfg` as this process's active fault plan.  Every store opened
-/// afterwards routes its appends through a [`ChaosIo`] wrapping the plan.  Returns the live plan handle.
+/// afterwards routes its appends through a `ChaosIo` wrapping the plan.  Returns the live plan handle.
 pub fn install_plan(cfg: FaultPlanConfig, role: FaultRole) -> Arc<FaultPlan> {
     if cfg.kinds.contains(&FaultKind::Poison) {
         // Keep injected poison panics off stderr: they are expected,
@@ -681,7 +681,7 @@ pub fn active_plan() -> Option<Arc<FaultPlan>> {
 }
 
 /// The store-IO seam the persistence layer should use right now: the
-/// passthrough, or a [`ChaosIo`] when a plan is installed.
+/// passthrough, or a `ChaosIo` when a plan is installed.
 pub fn store_io() -> Arc<dyn StoreIo> {
     match active_plan() {
         Some(plan) => Arc::new(ChaosIo::new(plan)),

@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod collect;
 pub mod config;
 pub mod distrib;
 pub mod events;
@@ -72,7 +71,6 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
-pub use collect::CollectorSink;
 pub use config::{
     ChurnConfig, ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile,
 };
@@ -87,9 +85,7 @@ pub use faults::{
     classify_io_error, ErrorClass, FaultKind, FaultPlan, FaultPlanConfig, FaultRole, RetryPolicy,
     RunEvent,
 };
-pub use persist::{
-    config_hash, ExperimentStore, JobFailure, JobRecord, MutexSink, StoreError, StoreOptions,
-};
+pub use persist::{config_hash, ExperimentStore, JobFailure, JobRecord, StoreError, StoreOptions};
 pub use result::{NodeSummary, SimulationResult};
 pub use runner::SimulationRun;
 pub use serve::{

@@ -29,19 +29,18 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use caem::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 
-use crate::collect::CollectorSink;
 use crate::config::ScenarioConfig;
 use crate::experiment::{replicate_metrics, ExperimentJob, METRIC_NAMES};
 use crate::faults::{self, retry_transient, RetryPolicy, RunEvent, StoreIo};
 use crate::result::SimulationResult;
 
 /// Store format version written into the header line.
-pub const STORE_VERSION: u64 = 1;
+const STORE_VERSION: u64 = 1;
 
 /// Deterministic job coordinates: (scenario index, policy index, seed).
 pub type JobKey = (usize, usize, u64);
@@ -358,6 +357,10 @@ impl From<std::io::Error> for StoreError {
 /// A per-grid JSONL result store: completed job records indexed by their
 /// deterministic coordinates, plus (when opened writable) an append handle
 /// that streams new records to disk as they finish.
+///
+/// [`ExperimentStore::append`] is the only record sink: a local grid's
+/// parallel workers share the store behind one lock, and the service daemon
+/// journals settled lines through the same call.
 pub struct ExperimentStore {
     path: PathBuf,
     /// Deduplicated records, last-record-wins per key.
@@ -583,68 +586,6 @@ impl ExperimentStore {
         Ok(())
     }
 
-    /// Run a parallel fan-out with a **lock-free** record sink: `f` gets a
-    /// [`CollectorSink`] that workers share by reference, while a dedicated
-    /// drainer thread owns the store file and writes coalesced line batches
-    /// through the usual IO seam (see [`crate::collect`] for the
-    /// architecture and crash-semantics argument).  Records written through
-    /// the sink are **not** indexed in memory; the caller indexes them
-    /// afterwards with [`ExperimentStore::note_record`].
-    ///
-    /// Returns `f`'s result, or the first IO error the drainer hit (every
-    /// append after a fatal error is dropped — the grid re-runs those jobs
-    /// on resume, exactly like a crash at that point).
-    pub fn with_parallel_sink<R>(
-        &mut self,
-        f: impl FnOnce(&CollectorSink) -> R,
-    ) -> Result<R, StoreError> {
-        self.with_buffered_sink(0, f)
-    }
-
-    /// [`ExperimentStore::with_parallel_sink`] with an explicit worker-side
-    /// buffer threshold: each worker thread batches encoded lines locally
-    /// until they exceed `flush_bytes`, trading a larger crash-loss window
-    /// for fewer channel operations.  The engine uses 0 (ship every record
-    /// immediately); the saturation benchmark exercises both settings.
-    pub fn with_buffered_sink<R>(
-        &mut self,
-        flush_bytes: usize,
-        f: impl FnOnce(&CollectorSink) -> R,
-    ) -> Result<R, StoreError> {
-        let io = Arc::clone(&self.io);
-        let retry = self.retry.clone();
-        let fsync = self.fsync;
-        let file = self
-            .writer
-            .as_mut()
-            .expect("streaming into a store opened read-only");
-        crate::collect::run_collector(io, retry, fsync, flush_bytes, file, f)
-    }
-
-    /// The pre-collector sink: a thread-shareable handle that serializes
-    /// every append through one `Mutex<&mut File>`.  Retained as the
-    /// contended **baseline** the saturation benchmark and the equivalence
-    /// tests compare the lock-free path against; the engine itself streams
-    /// through [`ExperimentStore::with_parallel_sink`].
-    pub fn mutex_sink(&mut self) -> MutexSink<'_> {
-        MutexSink {
-            io: Arc::clone(&self.io),
-            fsync: self.fsync,
-            retry: self.retry.clone(),
-            file: Mutex::new(
-                self.writer
-                    .as_mut()
-                    .expect("streaming into a store opened read-only"),
-            ),
-        }
-    }
-
-    /// Index a record that was already streamed to disk through a sink.
-    pub(crate) fn note_record(&mut self, record: JobRecord) {
-        self.appended += 1;
-        self.insert(record);
-    }
-
     /// Number of distinct completed jobs on record.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -823,28 +764,6 @@ pub(crate) fn append_line_with_recovery(
         })?;
     }
     Ok(())
-}
-
-/// The mutex-serialized append handle: every record is encoded by its
-/// worker, then written under one lock.  Superseded by the lock-free
-/// [`CollectorSink`] on the engine's hot path and kept as the contended
-/// baseline for [`ExperimentStore::mutex_sink`] callers (the saturation
-/// benchmark, the sink-equivalence tests).
-pub struct MutexSink<'a> {
-    io: Arc<dyn StoreIo>,
-    fsync: bool,
-    retry: RetryPolicy,
-    file: Mutex<&'a mut File>,
-}
-
-impl MutexSink<'_> {
-    /// Stream one record to disk (one line per `write_all`, under the
-    /// lock), with transient-failure retry and torn-write recovery.
-    pub fn append(&self, record: &JobRecord) -> Result<(), StoreError> {
-        let line = encode_line(record)?;
-        let mut file = self.file.lock().expect("record sink lock poisoned");
-        append_line_with_recovery(&*self.io, &self.retry, &mut file, &line, self.fsync)
-    }
 }
 
 #[cfg(test)]

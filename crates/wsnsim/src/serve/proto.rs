@@ -237,8 +237,8 @@ pub enum Message {
         /// Suggested delay before the next claim, in milliseconds.
         retry_ms: u64,
     },
-    /// A batch of completed-job JSONL lines (the collector's coalesced
-    /// ≤ 64 KiB batches, shipped over the wire instead of a file).
+    /// A batch of completed-job JSONL lines (at most ~64 KiB, coalesced by
+    /// the worker).
     /// Fire-and-forget: losses are reconciled by the [`Message::ShardDone`]
     /// line count.
     Records {

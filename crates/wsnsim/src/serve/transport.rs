@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 use crate::faults::{self, FrameFault, RunEvent};
@@ -169,17 +169,6 @@ impl FrameLink for LoopbackLink {
                 Err(RecvTimeoutError::Disconnected) => Err(ProtoError::Closed),
             },
             None => self.rx.recv().map(Some).map_err(|_| ProtoError::Closed),
-        }
-    }
-}
-
-impl LoopbackLink {
-    /// Drain without blocking (used by tests).
-    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        match self.rx.try_recv() {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ProtoError::Closed),
         }
     }
 }

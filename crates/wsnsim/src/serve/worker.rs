@@ -7,8 +7,8 @@
 //! rebuilds the jobs from their keys, runs them through the
 //! `run_job_guarded` retry/quarantine path, and streams
 //! each job's store line back as the job settles, in [`Message::Records`]
-//! batches that wait at most one heartbeat interval (and never past the
-//! collector's gather threshold).  When no line is due, the connection
+//! batches that wait at most one heartbeat interval (and never grow past
+//! 64 KiB).  When no line is due, the connection
 //! thread keeps the lease alive with [`Message::Heartbeat`] frames.  Shard
 //! completion is reconciled by count: if the daemon decoded fewer lines
 //! than the worker sent (frames lost to faults), the worker resends every
@@ -35,9 +35,10 @@ use crate::spec::ResolvedSpec;
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
 
-/// Batch threshold for streamed record lines — the collector's gather
-/// threshold, applied to wire frames instead of file writes.
-const GATHER_BYTES: usize = crate::collect::GATHER_BYTES;
+/// Ship a [`Message::Records`] frame once its batched lines reach this many
+/// bytes: large enough to amortize framing under a burst of short jobs,
+/// small enough that a frame lost to a fault costs little to resend.
+const GATHER_BYTES: usize = 64 * 1024;
 
 /// Cap on ShardDone→DoneNack resend rounds before giving up on a link.
 const MAX_DONE_ROUNDS: usize = 10;

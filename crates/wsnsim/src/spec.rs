@@ -40,11 +40,11 @@ use caem::policy::PolicyKind;
 use caem_simcore::time::Duration;
 
 /// Spec-document format version this build reads and writes.
-pub const SPEC_VERSION: u64 = 1;
+const SPEC_VERSION: u64 = 1;
 
 /// The policy names a spec's `policies` axis accepts (the serde variant
 /// names of [`PolicyKind`], matching report JSON).
-pub const POLICY_NAMES: [&str; 3] = ["PureLeach", "Scheme1Adaptive", "Scheme2Fixed"];
+const POLICY_NAMES: [&str; 3] = ["PureLeach", "Scheme1Adaptive", "Scheme2Fixed"];
 
 fn policy_from_name(name: &str) -> Option<PolicyKind> {
     match name {

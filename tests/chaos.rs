@@ -1,7 +1,7 @@
-//! Chaos-mode contract tests: a served grid run under the deterministic
-//! fault plan must produce a report **byte-identical** to the clean run
-//! (recoverable faults), or identical-minus-quarantined (poison), and the
-//! coordinator's store must hold exactly what the report says.
+//! Chaos-mode contract tests: a served or local grid run under the
+//! deterministic fault plan must produce a report **byte-identical** to the
+//! clean run (recoverable faults), or identical-minus-quarantined (poison),
+//! and the store must hold exactly what the report says.
 //!
 //! The fault plan is process-global state, so everything that installs one
 //! lives in a single sequential `#[test]`; phases reset the plan and the
@@ -70,10 +70,32 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
         faults::event_summary().is_some(),
         "recovery events were counted"
     );
+    // The local engine under the same plan: its parallel workers append
+    // through one shared store, whose appends now tear and fail
+    // transiently.  A store opened while the plan is active routes every
+    // append through it.
+    let injected = faults::event_count(RunEvent::FaultInjected);
+    let local_path = temp_store("recoverable_local");
+    let mut local_store = ExperimentStore::open(&local_path).expect("open store");
+    let local = spec.run_with_store(&mut local_store);
+    assert_eq!(
+        report_bits(&local),
+        clean_bits,
+        "store faults must not change a single byte of a local report"
+    );
+    assert_eq!(local_store.appended(), spec.job_count());
+    drop(local_store);
+    assert!(
+        faults::event_count(RunEvent::FaultInjected) > injected,
+        "the plan fired on the local store's appends"
+    );
     faults::clear_plan();
     let journaled = ExperimentStore::load(&path).expect("store reloads");
     assert_eq!(journaled.rebuild_report().cells, clean.cells);
     std::fs::remove_file(&path).ok();
+    let local_journal = ExperimentStore::load(&local_path).expect("store reloads");
+    assert_eq!(local_journal.rebuild_report().cells, clean.cells);
+    std::fs::remove_file(&local_path).ok();
 
     // --- Phase B: poison quarantine -------------------------------------
     // Pick a seed whose deterministic ~1/16 poison subset hits this grid

@@ -286,7 +286,10 @@ fn a_grant_whose_spec_misses_its_grid_hash_is_refused() {
         other => panic!("expected a grid mismatch, got {other:?}"),
     }
     // Nothing ran: no record, heartbeat or shard_done followed the claim.
-    assert!(matches!(daemon.try_recv(), Err(ProtoError::Closed)));
+    assert!(matches!(
+        daemon.recv(Some(std::time::Duration::ZERO)),
+        Err(ProtoError::Closed)
+    ));
 }
 
 #[test]
