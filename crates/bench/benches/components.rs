@@ -25,7 +25,7 @@ fn bench_channel_sampling(c: &mut Criterion) {
     c.bench_function("link_csi_measure", |b| {
         b.iter(|| {
             t += Duration::from_millis(10);
-            black_box(link.measure(&params, t))
+            black_box(link.snr_db(&params, t))
         })
     });
 }

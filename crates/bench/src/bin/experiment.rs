@@ -8,15 +8,14 @@
 //! (uniform / grid / Gaussian hotspots / corridor), heterogeneous initial
 //! batteries, random node churn and diurnal traffic cycles.
 //!
-//! The grid definition comes from one of two equivalent front doors:
-//!
-//! * the **code-defined zoo** (`caem_bench::zoo_scenarios`), or
-//! * a **declarative spec file** (`--spec specs/zoo.json`): a
-//!   `caem_wsnsim::spec::GridSpec` document that fully describes scenarios,
-//!   policies, seeds and sequential-stopping settings and resolves
-//!   deterministically into the same fully resolved configs — the committed
-//!   `specs/zoo.json` reproduces the code-defined zoo **byte-identically**
-//!   (fresh, resumed and distributed; CI diffs the artifacts).
+//! The grid definition is a declarative spec file: a
+//! `caem_wsnsim::spec::GridSpec` document that fully describes scenarios,
+//! policies, seeds and sequential-stopping settings and resolves
+//! deterministically into fully resolved configs.  `--spec <file>` names
+//! one; without it the binary runs the committed `specs/zoo.json`, compiled
+//! in as `caem_bench::ZOO_SPEC`, so a bare run and `--spec specs/zoo.json`
+//! write byte-identical artifacts.  A positional seed, when given, replaces
+//! the document's `base_seed`.
 //!
 //! `--workers N` runs the grid through the experiment service: this
 //! process hosts the daemon on a `127.0.0.1:0` listener, spawns N copies of
@@ -49,10 +48,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use caem_bench::cli::{RunArgs, SequentialArgs};
-use caem_bench::{
-    policy_label, profrpt, zoo_replicates, zoo_scenarios, ExperimentCli, ExperimentMode,
-    DEFAULT_SEED,
-};
+use caem_bench::{policy_label, profrpt, ExperimentCli, ExperimentMode, DEFAULT_SEED, ZOO_SPEC};
 use caem_metrics::prof;
 use caem_wsnsim::distrib::ProcessSpawner;
 use caem_wsnsim::experiment::{
@@ -70,10 +66,11 @@ const USAGE: &str = "\
 usage: experiment [seed] [--quick] [--spec <file>] [mode flags]
 
 grid definition:
-  [seed]                 positional base seed (default: the harness seed)
+  [seed]                 positional base seed (default: the spec's
+                         base_seed, else the harness seed)
   --quick                reduced smoke grid (fewer nodes, shorter horizon)
   --spec <file>          load the grid from a declarative GridSpec document
-                         instead of the code-defined zoo
+                         instead of the built-in specs/zoo.json
 
 modes (at most one selector; `run` is the default):
   run                    simulate the grid and write the report
@@ -130,40 +127,30 @@ struct Grid {
     distrib: DistribTuning,
 }
 
-/// Resolve the grid definition: a `--spec` document when given, the
-/// code-defined zoo otherwise.  Deterministic in (definition, seed, quick).
+/// Resolve the grid definition: the `--spec` document when given, the
+/// built-in zoo otherwise.  A positional seed replaces the document's
+/// `base_seed`.  Deterministic in (definition, seed, quick).
 fn load_grid(cli: &ExperimentCli) -> Grid {
-    let seed = cli.seed.unwrap_or(DEFAULT_SEED);
-    match &cli.spec {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(format!("cannot read spec file {path}: {e}")));
-            let doc = GridSpec::parse(&text).unwrap_or_else(|e| die(format!("{path}: {e}")));
-            let resolved = doc
-                .resolve(seed, cli.quick)
-                .unwrap_or_else(|e| die(format!("{path}: {e}")));
-            let replicates = resolved.spec.seeds.len();
-            Grid {
-                spec: resolved.spec,
-                // Already batch-defaulted and validated by resolve().
-                sequential: resolved.sequential,
-                replicates,
-                distrib: resolved.distrib,
-            }
-        }
-        None => {
-            let replicates = zoo_replicates(cli.quick);
-            Grid {
-                spec: ExperimentSpec::paper_policies(
-                    zoo_scenarios(seed, cli.quick),
-                    seed,
-                    replicates,
-                ),
-                sequential: None,
-                replicates,
-                distrib: DistribTuning::default(),
-            }
-        }
+    let (name, text) = match &cli.spec {
+        Some(path) => (
+            path.as_str(),
+            std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(format!("cannot read spec file {path}: {e}"))),
+        ),
+        None => ("specs/zoo.json", ZOO_SPEC.to_string()),
+    };
+    let mut doc = GridSpec::parse(&text).unwrap_or_else(|e| die(format!("{name}: {e}")));
+    doc.base_seed = cli.seed.or(doc.base_seed);
+    let resolved = doc
+        .resolve(DEFAULT_SEED, cli.quick)
+        .unwrap_or_else(|e| die(format!("{name}: {e}")));
+    let replicates = resolved.spec.seeds.len();
+    Grid {
+        spec: resolved.spec,
+        // Already batch-defaulted and validated by resolve().
+        sequential: resolved.sequential,
+        replicates,
+        distrib: resolved.distrib,
     }
 }
 
@@ -583,7 +570,7 @@ fn main() {
         }
         ExperimentMode::PrintSpec => {
             // The canonical resolved spec: what a remote spawner would ship,
-            // and what CI diffs between spec-file and code-defined runs.
+            // and what CI diffs between built-in and spec-file runs.
             let resolved = ResolvedSpec::of(&grid.spec);
             println!(
                 "{}",

@@ -310,11 +310,12 @@ pub enum ExperimentMode {
 /// The `experiment` binary's parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentCli {
-    /// Positional seed override (`None` = the harness default).
+    /// Positional seed override (`None` = the spec's `base_seed`, else the
+    /// harness default).
     pub seed: Option<u64>,
     /// Reduced smoke grid.
     pub quick: bool,
-    /// Grid definition file (`None` = the code-defined zoo).
+    /// Grid definition file (`None` = the built-in `specs/zoo.json`).
     pub spec: Option<String>,
     /// What this invocation does.
     pub mode: ExperimentMode,

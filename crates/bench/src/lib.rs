@@ -18,9 +18,7 @@
 
 use caem::policy::PolicyKind;
 use caem_metrics::report::Table;
-use caem_simcore::time::Duration;
-use caem_wsnsim::experiment::ScenarioSpec;
-use caem_wsnsim::{ScenarioConfig, Topology};
+use caem_wsnsim::ScenarioConfig;
 
 pub mod cli;
 pub mod profrpt;
@@ -51,65 +49,11 @@ pub fn apply_quick(mut cfg: ScenarioConfig, quick: bool) -> ScenarioConfig {
     cfg
 }
 
-/// The code-defined scenario zoo the `experiment` binary runs when no
-/// `--spec` file is given: the diversity grid over deployments,
-/// heterogeneous batteries, churn and diurnal traffic.
-///
-/// The committed `specs/zoo.json` must resolve to exactly these scenarios
-/// (`tests/spec_roundtrip.rs` pins config-hash equality in both full and
-/// quick mode), so the declarative and the code-built grid are
-/// interchangeable byte-for-byte.
-pub fn zoo_scenarios(seed: u64, quick: bool) -> Vec<ScenarioSpec> {
-    let horizon = Duration::from_secs(if quick { 120 } else { 400 });
-    let base = |rate: f64| {
-        apply_quick(
-            ScenarioConfig::paper_default(PolicyKind::PureLeach, rate, seed),
-            quick,
-        )
-        .with_duration(horizon)
-    };
-    vec![
-        ScenarioSpec::new("uniform_5pps", base(5.0)),
-        ScenarioSpec::new(
-            "grid_5pps",
-            base(5.0).with_topology(Topology::Grid { jitter_m: 3.0 }),
-        ),
-        ScenarioSpec::new(
-            "hotspots_10pps",
-            base(10.0).with_topology(Topology::GaussianClusters {
-                clusters: 4,
-                sigma_m: 12.0,
-            }),
-        ),
-        ScenarioSpec::new(
-            "corridor_10pps",
-            base(10.0).with_topology(Topology::Corridor {
-                width_fraction: 0.25,
-            }),
-        ),
-        ScenarioSpec::new(
-            "heterogeneous_churn_5pps",
-            base(5.0)
-                .with_energy_spread(0.4)
-                .with_churn_mttf_s(if quick { 1_200.0 } else { 4_000.0 }),
-        ),
-        // Time-varying load: two day/night cycles over the horizon, rate
-        // swinging between 0.2x and 1.8x the 10 pkt/s mean.
-        ScenarioSpec::new(
-            "diurnal_10pps",
-            base(10.0).with_diurnal_traffic(if quick { 60.0 } else { 200.0 }, 0.8),
-        ),
-    ]
-}
-
-/// The number of replicates the zoo grid runs per cell.
-pub fn zoo_replicates(quick: bool) -> usize {
-    if quick {
-        5
-    } else {
-        10
-    }
-}
+/// The scenario zoo the `experiment` binary runs when no `--spec` file is
+/// given: the committed `specs/zoo.json`, compiled in.  It is the diversity
+/// grid over deployments, heterogeneous batteries, churn and diurnal
+/// traffic, and `--spec specs/zoo.json` resolves the very same document.
+pub const ZOO_SPEC: &str = include_str!("../../../specs/zoo.json");
 
 /// Print a table in all three formats the harness emits.
 pub fn emit(table: &Table) {
@@ -131,20 +75,6 @@ mod tests {
         ];
         let unique: std::collections::HashSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), 3);
-    }
-
-    #[test]
-    fn zoo_scenarios_are_distinctly_labelled_in_both_modes() {
-        for quick in [false, true] {
-            let zoo = zoo_scenarios(DEFAULT_SEED, quick);
-            assert_eq!(zoo.len(), 6);
-            let labels: std::collections::HashSet<_> =
-                zoo.iter().map(|s| s.label.clone()).collect();
-            assert_eq!(labels.len(), zoo.len(), "labels must be unique");
-            for s in &zoo {
-                s.base.validate().expect("zoo scenarios are valid");
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! ```
 
 use caem::policy::PolicyKind;
-use caem_bench::{zoo_scenarios, DEFAULT_SEED};
+use caem_bench::{DEFAULT_SEED, ZOO_SPEC};
 use caem_simcore::time::{Duration, SimTime};
 use caem_wsnsim::experiment::ExperimentSpec;
+use caem_wsnsim::spec::GridSpec;
 use caem_wsnsim::{ScenarioConfig, SimulationRun};
 
 const GOLDEN_PATH: &str = concat!(
@@ -30,11 +31,10 @@ const GOLDEN_PATH: &str = concat!(
 const GOLDEN_REPLICATES: usize = 2;
 
 fn golden_report_json() -> String {
-    let spec = ExperimentSpec::paper_policies(
-        zoo_scenarios(DEFAULT_SEED, true),
-        DEFAULT_SEED,
-        GOLDEN_REPLICATES,
-    );
+    let zoo = GridSpec::parse(ZOO_SPEC)
+        .and_then(|doc| doc.resolve(DEFAULT_SEED, true))
+        .expect("the built-in zoo spec resolves");
+    let spec = ExperimentSpec::paper_policies(zoo.spec.scenarios, DEFAULT_SEED, GOLDEN_REPLICATES);
     let report = spec.run();
     let mut text = serde_json::to_string_pretty(&report.to_json()).expect("report serializes");
     text.push('\n');

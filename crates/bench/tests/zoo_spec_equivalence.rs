@@ -1,59 +1,12 @@
-//! The committed `specs/zoo.json` and the code-defined zoo are the same
-//! grid: label-for-label, config-hash-for-config-hash, in both full and
-//! quick mode.  Because every store record and the distributed manifest key
-//! on the resolved configs, hash equality here is what makes the spec-file
-//! runs byte-identical to the code-defined runs (the CI job then diffs the
-//! actual report artifacts as the end-to-end check).
+//! The committed `specs/zoo.json`, which the `experiment` binary compiles
+//! in as its built-in grid, is canonical and seeded with the harness
+//! default.
 
-use caem_bench::{zoo_replicates, zoo_scenarios, DEFAULT_SEED};
-use caem_wsnsim::experiment::ExperimentSpec;
-use caem_wsnsim::persist::config_hash;
-use caem_wsnsim::spec::{GridSpec, ResolvedSpec};
-
-const ZOO_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/zoo.json");
+use caem_bench::{DEFAULT_SEED, ZOO_SPEC};
+use caem_wsnsim::spec::GridSpec;
 
 fn load_zoo() -> GridSpec {
-    let text = std::fs::read_to_string(ZOO_PATH).expect("committed specs/zoo.json readable");
-    GridSpec::parse(&text).expect("committed zoo spec parses")
-}
-
-#[test]
-fn spec_file_zoo_matches_the_code_defined_zoo_in_both_modes() {
-    let doc = load_zoo();
-    for quick in [false, true] {
-        let from_file = doc
-            .resolve(DEFAULT_SEED, quick)
-            .expect("committed zoo spec resolves");
-        let from_code = ExperimentSpec::paper_policies(
-            zoo_scenarios(DEFAULT_SEED, quick),
-            DEFAULT_SEED,
-            zoo_replicates(quick),
-        );
-        assert_eq!(from_file.spec.seeds, from_code.seeds, "quick={quick}");
-        assert_eq!(from_file.spec.policies, from_code.policies, "quick={quick}");
-        assert_eq!(
-            from_file.spec.scenarios.len(),
-            from_code.scenarios.len(),
-            "quick={quick}"
-        );
-        for (file_s, code_s) in from_file.spec.scenarios.iter().zip(&from_code.scenarios) {
-            assert_eq!(file_s.label, code_s.label, "quick={quick}");
-            assert_eq!(
-                config_hash(&file_s.base),
-                config_hash(&code_s.base),
-                "scenario `{}` (quick={quick}) must resolve to the exact \
-                 config the code zoo builds — every field, bit for bit",
-                file_s.label
-            );
-        }
-        // The canonical resolved dumps (what --print-spec prints) are
-        // byte-identical too.
-        let a = serde_json::to_string_pretty(&ResolvedSpec::of(&from_file.spec).to_json())
-            .expect("serializes");
-        let b = serde_json::to_string_pretty(&ResolvedSpec::of(&from_code).to_json())
-            .expect("serializes");
-        assert_eq!(a, b, "quick={quick}");
-    }
+    GridSpec::parse(ZOO_SPEC).expect("committed zoo spec parses")
 }
 
 #[test]
@@ -66,9 +19,8 @@ fn zoo_spec_round_trips_canonically() {
 
 #[test]
 fn cli_seed_default_matches_the_zoo_spec_base_seed() {
-    // The committed spec pins base_seed so a bare `--spec specs/zoo.json`
-    // run reproduces the default zoo artifacts; if DEFAULT_SEED ever moves,
-    // the spec must move with it.
+    // The committed spec pins base_seed to the seed every other binary
+    // defaults to; if DEFAULT_SEED ever moves, the spec must move with it.
     let doc = load_zoo();
     assert_eq!(doc.base_seed, Some(DEFAULT_SEED));
 }

@@ -40,11 +40,6 @@ impl QueuePredictor {
         Self::default()
     }
 
-    /// The most recent ΔV, if at least two samples exist.
-    pub fn last_delta(&self) -> Option<i64> {
-        self.last_delta
-    }
-
     /// The most recent queue-length sample V(t_i), if any.
     pub fn last_sample(&self) -> Option<usize> {
         self.last_sample
@@ -121,7 +116,6 @@ mod tests {
         p.on_arrival(k, 6);
         assert_eq!(p.on_arrival(k, 4), Some(-6));
         assert_eq!(p.trend(), Some(Trend::Draining));
-        assert_eq!(p.last_delta(), Some(-6));
     }
 
     #[test]
@@ -153,9 +147,8 @@ mod tests {
         p.on_arrival(k, 3);
         p.on_arrival(k, 5);
         p.on_arrival(k, 5);
-        assert!(p.last_delta().is_some());
+        assert!(p.trend().is_some());
         p.reset();
-        assert_eq!(p.last_delta(), None);
         assert_eq!(p.last_sample(), None);
         assert_eq!(p.trend(), None);
         // After a reset the first completed interval again yields no delta.

@@ -6,16 +6,12 @@
 //! CSI can be treated as constant over one frame (a few milliseconds) but
 //! varies from burst to burst.
 //!
-//! Two models are provided:
-//!
-//! * [`RayleighFading`] — non-line-of-sight multipath.  The complex channel
-//!   gain `h` evolves as a first-order Gauss–Markov process on its in-phase
-//!   and quadrature components; `|h|^2` is then exponentially distributed in
-//!   steady state (classic Rayleigh power fading) with unit mean.
-//! * [`RicianFading`] — the same diffuse process plus a fixed line-of-sight
-//!   component, parameterised by the Rician K-factor.
-//!
-//! Both expose the fading *power gain in dB* at a requested simulation time.
+//! [`RayleighFading`] models non-line-of-sight multipath: the complex
+//! channel gain `h` evolves as a first-order Gauss–Markov process on its
+//! in-phase and quadrature components, so `|h|^2` is exponentially
+//! distributed in steady state (classic Rayleigh power fading) with unit
+//! mean.  It exposes the fading *power gain in dB* at a requested simulation
+//! time.
 
 use caem_simcore::rng::StreamRng;
 use caem_simcore::time::SimTime;
@@ -23,13 +19,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::lin_to_db;
 
-/// Configuration shared by the fading models.
+/// Scenario-wide fading parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FadingConfig {
     /// Channel coherence time in seconds (~0.1 s for quasi-static sensors).
     pub coherence_time_s: f64,
-    /// Rician K-factor (linear).  `0` degenerates to Rayleigh fading.
-    pub k_factor: f64,
 }
 
 impl Default for FadingConfig {
@@ -41,32 +35,16 @@ impl Default for FadingConfig {
 impl FadingConfig {
     /// Rayleigh fading (no line-of-sight component) with the given
     /// coherence time in seconds.
-    pub fn rayleigh(coherence_time_s: f64) -> Self {
-        Self::rician(coherence_time_s, 0.0)
-    }
-
-    /// Rician fading with the given coherence time (seconds) and linear
-    /// K-factor.
-    pub fn rician(coherence_time_s: f64, k_factor: f64) -> Self {
+    fn rayleigh(coherence_time_s: f64) -> Self {
         assert!(coherence_time_s > 0.0, "coherence time must be positive");
-        assert!(k_factor >= 0.0, "K-factor must be non-negative");
-        FadingConfig {
-            coherence_time_s,
-            k_factor,
-        }
+        FadingConfig { coherence_time_s }
     }
-}
-
-/// Interface implemented by every microscopic fading model.
-///
-/// A model value holds one link's process state only; the scenario-wide
-/// [`FadingConfig`] is passed to every sample.
-pub trait FadingModel {
-    /// Fading power gain in dB (0 dB = average channel) at time `now`.
-    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64;
 }
 
 /// Correlated Rayleigh fading (Gauss–Markov evolution of the complex gain).
+///
+/// A value holds one link's process state only; the scenario-wide
+/// [`FadingConfig`] is passed to every sample.
 #[derive(Debug, Clone)]
 pub struct RayleighFading {
     rng: StreamRng,
@@ -112,54 +90,13 @@ impl RayleighFading {
     }
 
     /// The linear power gain `|h|^2` at time `now` (unit mean in steady state).
-    pub fn power_gain_linear(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+    fn power_gain_linear(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
         self.advance(config.coherence_time_s, now);
         self.in_phase * self.in_phase + self.quadrature * self.quadrature
     }
-}
 
-impl FadingModel for RayleighFading {
-    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
-        lin_to_db(self.power_gain_linear(config, now))
-    }
-}
-
-/// Rician fading: Rayleigh diffuse component plus a line-of-sight component
-/// whose strength is the configuration's K-factor.
-#[derive(Debug, Clone)]
-pub struct RicianFading {
-    diffuse: RayleighFading,
-}
-
-impl RicianFading {
-    /// Create a Rician process drawing from its own random stream.
-    pub fn new(rng: StreamRng) -> Self {
-        RicianFading {
-            diffuse: RayleighFading::new(rng),
-        }
-    }
-
-    /// Linear power gain with unit mean: the LOS and diffuse components are
-    /// scaled so that `E[|h|^2] = 1` regardless of K.
-    pub fn power_gain_linear(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
-        let k = config.k_factor;
-        let diffuse_power = self.diffuse.power_gain_linear(config, now);
-        // LOS amplitude a with a^2 = K/(K+1); diffuse scaled by 1/(K+1).
-        let los_i = (k / (k + 1.0)).sqrt();
-        let scale = 1.0 / (k + 1.0);
-        // Recompose: the diffuse process already tracks I/Q; approximate the
-        // composite power as LOS^2 + scaled diffuse power + cross term using
-        // the current in-phase diffuse sample.
-        let i = los_i + self.diffuse.in_phase * scale.sqrt();
-        let q = self.diffuse.quadrature * scale.sqrt();
-        // Guard: diffuse_power already advanced the process; use components.
-        let _ = diffuse_power;
-        i * i + q * q
-    }
-}
-
-impl FadingModel for RicianFading {
-    fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
+    /// Fading power gain in dB (0 dB = average channel) at time `now`.
+    pub fn gain_db(&mut self, config: &FadingConfig, now: SimTime) -> f64 {
         lin_to_db(self.power_gain_linear(config, now))
     }
 }
@@ -253,35 +190,6 @@ mod tests {
             let t = SimTime::from_millis(i * 37);
             assert_eq!(a.gain_db(&cfg, t), b.gain_db(&cfg, t));
         }
-    }
-
-    #[test]
-    fn rician_high_k_concentrates_near_0db() {
-        let (cfg, mut ray) = rayleigh(0.1, 6);
-        let ric_cfg = FadingConfig::rician(0.1, 20.0);
-        let mut ric = RicianFading::new(StreamRng::from_seed_u64(6));
-        let n = 5000;
-        let mut var_ray = 0.0;
-        let mut var_ric = 0.0;
-        for i in 0..n {
-            let t = SimTime::from_millis(i as u64 * 1000);
-            var_ray += ray.gain_db(&cfg, t).powi(2);
-            var_ric += ric.gain_db(&ric_cfg, t).powi(2);
-        }
-        // Strong LOS should fluctuate far less (in dB^2) than Rayleigh.
-        assert!(var_ric < var_ray * 0.5, "{var_ric} vs {var_ray}");
-    }
-
-    #[test]
-    fn rician_k_zero_close_to_unit_mean() {
-        let cfg = FadingConfig::rician(0.1, 0.0);
-        let mut ric = RicianFading::new(StreamRng::from_seed_u64(8));
-        let n = 10_000;
-        let mean: f64 = (0..n)
-            .map(|i| ric.power_gain_linear(&cfg, SimTime::from_millis(i as u64 * 1000)))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 1.0).abs() < 0.06, "mean = {mean}");
     }
 
     #[test]

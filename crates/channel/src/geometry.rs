@@ -35,11 +35,6 @@ impl Position {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Midpoint between two positions.
-    pub fn midpoint(&self, other: &Position) -> Position {
-        Position::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
 }
 
 /// A rectangular deployment field.
@@ -63,16 +58,6 @@ impl Field {
         Field::new(100.0, 100.0)
     }
 
-    /// Centre of the field (typical base-station location).
-    pub fn center(&self) -> Position {
-        Position::new(self.width / 2.0, self.height / 2.0)
-    }
-
-    /// Field area in square metres.
-    pub fn area(&self) -> f64 {
-        self.width * self.height
-    }
-
     /// The longest possible link distance inside the field (the diagonal).
     pub fn diagonal(&self) -> f64 {
         (self.width * self.width + self.height * self.height).sqrt()
@@ -84,12 +69,12 @@ impl Field {
     }
 
     /// Clamp a position onto the field.
-    pub fn clamp(&self, p: Position) -> Position {
+    fn clamp(&self, p: Position) -> Position {
         Position::new(p.x.clamp(0.0, self.width), p.y.clamp(0.0, self.height))
     }
 
     /// Sample a uniformly random position inside the field.
-    pub fn random_position(&self, rng: &mut StreamRng) -> Position {
+    fn random_position(&self, rng: &mut StreamRng) -> Position {
         Position::new(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
     }
 
@@ -186,15 +171,13 @@ mod tests {
         let b = Position::new(3.0, 4.0);
         assert!((a.distance_to(&b) - 5.0).abs() < 1e-12);
         assert!((a.distance_sq_to(&b) - 25.0).abs() < 1e-12);
-        assert_eq!(a.midpoint(&b), Position::new(1.5, 2.0));
         assert_eq!(a.distance_to(&a), 0.0);
     }
 
     #[test]
     fn paper_field_dimensions() {
         let f = Field::paper_default();
-        assert_eq!(f.area(), 10_000.0);
-        assert_eq!(f.center(), Position::new(50.0, 50.0));
+        assert_eq!((f.width, f.height), (100.0, 100.0));
         assert!((f.diagonal() - 141.42135).abs() < 1e-4);
     }
 

@@ -29,30 +29,15 @@ pub mod link;
 pub mod pathloss;
 pub mod shadowing;
 
-pub use fading::{FadingConfig, FadingModel, RayleighFading, RicianFading};
+pub use fading::{FadingConfig, RayleighFading};
 pub use geometry::{Field, Position};
-pub use link::{LinkBudget, LinkChannel, LinkParams, LinkQualityReport};
-pub use pathloss::{PathLossModel, LOG_DISTANCE_DEFAULT_EXPONENT};
+pub use link::{LinkBudget, LinkChannel, LinkParams};
+pub use pathloss::PathLossModel;
 pub use shadowing::{ShadowingConfig, ShadowingProcess};
 
 /// Convert a linear power ratio to decibels.
-pub fn lin_to_db(linear: f64) -> f64 {
+pub(crate) fn lin_to_db(linear: f64) -> f64 {
     10.0 * linear.max(f64::MIN_POSITIVE).log10()
-}
-
-/// Convert decibels to a linear power ratio.
-pub fn db_to_lin(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Convert power in watts to dBm.
-pub fn watts_to_dbm(watts: f64) -> f64 {
-    lin_to_db(watts * 1e3)
-}
-
-/// Convert dBm to watts.
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    db_to_lin(dbm) / 1e3
 }
 
 #[cfg(test)]
@@ -63,16 +48,8 @@ mod tests {
     fn db_round_trips() {
         for v in [0.001, 0.5, 1.0, 2.0, 100.0] {
             let db = lin_to_db(v);
-            assert!((db_to_lin(db) - v).abs() / v < 1e-12);
+            assert!((10f64.powf(db / 10.0) - v).abs() / v < 1e-12);
         }
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        assert!((watts_to_dbm(1.0) - 30.0).abs() < 1e-9);
-        assert!((watts_to_dbm(0.001) - 0.0).abs() < 1e-9);
-        assert!((dbm_to_watts(30.0) - 1.0).abs() < 1e-9);
-        assert!((dbm_to_watts(0.0) - 0.001).abs() < 1e-12);
     }
 
     #[test]

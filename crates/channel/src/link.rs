@@ -11,11 +11,10 @@ use caem_simcore::rng::StreamRng;
 use caem_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::fading::{FadingConfig, FadingModel, RayleighFading};
+use crate::fading::{FadingConfig, RayleighFading};
 use crate::geometry::Position;
 use crate::pathloss::PathLossModel;
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
-use crate::watts_to_dbm;
 
 /// Static link-budget parameters shared by every link in a scenario.
 ///
@@ -64,43 +63,6 @@ impl LinkBudget {
             antenna_gain_db: 0.0,
         }
     }
-
-    /// Build a budget from radiated powers expressed in watts.
-    pub fn from_radiated_watts(data_w: f64, tone_w: f64, noise_floor_dbm: f64) -> Self {
-        LinkBudget {
-            data_tx_dbm: watts_to_dbm(data_w),
-            tone_tx_dbm: watts_to_dbm(tone_w),
-            noise_floor_dbm,
-            antenna_gain_db: 0.0,
-        }
-    }
-
-    /// Data-radio radiated power in dBm.
-    pub fn data_tx_dbm(&self) -> f64 {
-        self.data_tx_dbm
-    }
-
-    /// Tone-radio radiated power in dBm.
-    pub fn tone_tx_dbm(&self) -> f64 {
-        self.tone_tx_dbm
-    }
-}
-
-/// Breakdown of one CSI measurement, useful for logging and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkQualityReport {
-    /// Link distance in metres.
-    pub distance_m: f64,
-    /// Deterministic path loss, dB.
-    pub path_loss_db: f64,
-    /// Shadowing attenuation, dB (zero mean; positive = extra loss).
-    pub shadowing_db: f64,
-    /// Microscopic fading gain, dB (0 dB = average channel).
-    pub fading_db: f64,
-    /// Resulting SNR of the data channel, dB.
-    pub snr_db: f64,
-    /// SNR observed on the tone channel (differs only by transmit power).
-    pub tone_snr_db: f64,
 }
 
 /// The scenario-wide propagation parameters every link shares.
@@ -138,8 +100,7 @@ const NO_MEMO: SimTime = SimTime::MAX;
 ///   within one instant by construction, so a same-time re-measurement (the
 ///   backoff-expiry check and the burst start of one MAC decision) returns
 ///   the bit-identical value without re-deriving it.  A distance change
-///   clears the memo.  [`LinkChannel::measure`] always derives the full
-///   breakdown and leaves the memo alone.
+///   clears the memo.
 #[derive(Debug, Clone)]
 pub struct LinkChannel {
     shadowing: ShadowingProcess,
@@ -202,34 +163,23 @@ impl LinkChannel {
         self.memo_at = NO_MEMO;
     }
 
-    /// Measure the full CSI breakdown at virtual time `now`.
+    /// Derive the data-channel SNR at virtual time `now`, bypassing the memo.
     ///
-    /// Both the data-channel SNR and the tone-channel SNR are produced from
-    /// the *same* propagation realization (assumption 1: the tone and data
-    /// channels share attenuation and fading), so the sensor's tone-based
-    /// estimate equals the data-channel CSI up to the transmit-power offset.
-    pub fn measure(&mut self, params: &LinkParams, now: SimTime) -> LinkQualityReport {
+    /// The tone and data channels share attenuation and fading (assumption
+    /// 1), so this is also the sensor's tone-based CSI estimate up to the
+    /// transmit-power offset.
+    fn measure(&mut self, params: &LinkParams, now: SimTime) -> f64 {
         let budget = &params.budget;
-        let path_loss_db = self.cached_path_loss_db;
         let shadowing_db = self.shadowing.sample_db(&params.shadowing, now);
         let fading_db = self.fading.gain_db(&params.fading, now);
-        let gain_db = -path_loss_db - shadowing_db + fading_db + budget.antenna_gain_db;
-        let snr_db = budget.data_tx_dbm() + gain_db - budget.noise_floor_dbm;
-        let tone_snr_db = budget.tone_tx_dbm() + gain_db - budget.noise_floor_dbm;
-        LinkQualityReport {
-            distance_m: self.distance_m,
-            path_loss_db,
-            shadowing_db,
-            fading_db,
-            snr_db,
-            tone_snr_db,
-        }
+        let gain_db = -self.cached_path_loss_db - shadowing_db + fading_db + budget.antenna_gain_db;
+        budget.data_tx_dbm + gain_db - budget.noise_floor_dbm
     }
 
     /// The data-channel SNR in dB at `now`, memoised per instant.
     pub fn snr_db(&mut self, params: &LinkParams, now: SimTime) -> f64 {
         if self.memo_at != now {
-            self.memo_snr_db = self.measure(params, now).snr_db;
+            self.memo_snr_db = self.measure(params, now);
             self.memo_at = now;
         }
         self.memo_snr_db
@@ -257,17 +207,13 @@ mod tests {
         let b = LinkBudget::paper_default();
         // The radiated data:tone ratio matches the consumed 0.66 W : 92 mW
         // ratio from Table II (≈ 8.56 dB).
-        let ratio_db = b.data_tx_dbm() - b.tone_tx_dbm();
+        let ratio_db = b.data_tx_dbm - b.tone_tx_dbm;
         let table_ii_ratio_db = 10.0 * (0.66f64 / 0.092).log10();
         assert!(
             (ratio_db - table_ii_ratio_db).abs() < 0.1,
             "ratio {ratio_db}"
         );
         assert_eq!(b.noise_floor_dbm, -101.0);
-        // Constructing from radiated watts agrees with the dBm fields.
-        let w = LinkBudget::from_radiated_watts(0.001, 0.000_138, -101.0);
-        assert!((w.data_tx_dbm() - 0.0).abs() < 0.01);
-        assert!((w.data_tx_dbm() - w.tone_tx_dbm() - table_ii_ratio_db).abs() < 0.2);
     }
 
     #[test]
@@ -316,21 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn tone_and_data_snr_differ_by_power_offset_only() {
-        let p = LinkParams::default();
-        let mut link = make_link(40.0, 2);
-        let b = LinkBudget::paper_default();
-        let offset = b.data_tx_dbm() - b.tone_tx_dbm();
-        for i in 0..50 {
-            let report = link.measure(&p, SimTime::from_millis(i * 123));
-            assert!(
-                ((report.snr_db - report.tone_snr_db) - offset).abs() < 1e-9,
-                "reciprocity offset violated"
-            );
-        }
-    }
-
-    #[test]
     fn snr_varies_over_time() {
         let p = LinkParams::default();
         let mut link = make_link(50.0, 3);
@@ -348,14 +279,22 @@ mod tests {
 
     #[test]
     fn report_components_compose_to_snr() {
+        // Re-derive the components from fresh processes on the link's own
+        // streams: SNR = radiated power − path loss − shadowing + fading −
+        // noise floor.
         let p = LinkParams::default();
         let mut link = make_link(30.0, 4);
-        let r = link.measure(&p, SimTime::from_secs(1));
+        let t = SimTime::from_secs(1);
+        let streams = RngStream::new(4);
+        let shadowing_db = ShadowingProcess::new(streams.derive(components::SHADOWING, 0))
+            .sample_db(&p.shadowing, t);
+        let fading_db =
+            RayleighFading::new(streams.derive(components::FADING, 0)).gain_db(&p.fading, t);
         let budget = LinkBudget::paper_default();
-        let expected = budget.data_tx_dbm() - r.path_loss_db - r.shadowing_db + r.fading_db
+        let expected = budget.data_tx_dbm - p.path_loss.loss_db(30.0) - shadowing_db + fading_db
             - budget.noise_floor_dbm;
-        assert!((r.snr_db - expected).abs() < 1e-9);
-        assert_eq!(r.distance_m, 30.0);
+        assert!((link.snr_db(&p, t) - expected).abs() < 1e-9);
+        assert_eq!(link.distance_m(), 30.0);
     }
 
     #[test]
@@ -368,8 +307,8 @@ mod tests {
         let after = link.measure(&p, t);
         // Same instant: shadowing & fading frozen, so the SNR delta equals the
         // path-loss delta.
-        let snr_delta = before.snr_db - after.snr_db;
-        let pl_delta = after.path_loss_db - before.path_loss_db;
+        let snr_delta = before - after;
+        let pl_delta = p.path_loss.loss_db(80.0) - p.path_loss.loss_db(20.0);
         assert!((snr_delta - pl_delta).abs() < 1e-9);
         assert!(pl_delta > 0.0);
     }
@@ -401,10 +340,13 @@ mod tests {
         let first = cached.snr_db(&p, t1);
         let repeat = cached.snr_db(&p, t1);
         assert_eq!(first.to_bits(), repeat.to_bits());
-        assert_eq!(cached.measure(&p, t1).snr_db.to_bits(), first.to_bits());
-        assert_eq!(fresh.measure(&p, t1).snr_db.to_bits(), first.to_bits());
+        assert_eq!(cached.measure(&p, t1).to_bits(), first.to_bits());
+        assert_eq!(fresh.measure(&p, t1).to_bits(), first.to_bits());
         // RNG state untouched by the cached re-measurement:
-        assert_eq!(cached.measure(&p, t2), fresh.measure(&p, t2));
+        assert_eq!(
+            cached.measure(&p, t2).to_bits(),
+            fresh.measure(&p, t2).to_bits()
+        );
         // A distance change clears the memo: the SNR moves by the path-loss
         // delta at the same instant.
         let before = cached.snr_db(&p, t2);

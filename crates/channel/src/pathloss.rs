@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Default log-distance path-loss exponent for near-ground sensor links.
-pub const LOG_DISTANCE_DEFAULT_EXPONENT: f64 = 3.0;
+const LOG_DISTANCE_DEFAULT_EXPONENT: f64 = 3.0;
 
 /// Speed of light in m/s.
 const SPEED_OF_LIGHT: f64 = 299_792_458.0;
@@ -103,11 +103,6 @@ impl PathLossModel {
             }
         }
     }
-
-    /// Received power in dBm given transmit power in dBm.
-    pub fn received_dbm(&self, tx_dbm: f64, distance_m: f64) -> f64 {
-        tx_dbm - self.loss_db(distance_m)
-    }
 }
 
 #[cfg(test)]
@@ -187,15 +182,6 @@ mod tests {
         // Far beyond crossover the two-ray slope is 40 dB/decade.
         let delta = m.loss_db(1000.0) - m.loss_db(100.0);
         assert!((delta - 40.0).abs() < 0.5, "delta = {delta}");
-    }
-
-    #[test]
-    fn received_power_subtracts_loss() {
-        let m = PathLossModel::paper_default();
-        let tx_dbm = 28.2; // ~0.66 W
-        let rx = m.received_dbm(tx_dbm, 50.0);
-        assert!((rx - (tx_dbm - m.loss_db(50.0))).abs() < 1e-12);
-        assert!(rx < tx_dbm);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl ShadowingProcess {
         self.last_sample = now;
         self.current_db
     }
-
-    /// Peek at the current state without advancing the process.
-    pub fn current_db(&self) -> f64 {
-        self.current_db
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +205,7 @@ mod tests {
         let v3 = p.sample_db(SimTime::from_secs(10));
         assert_eq!(v1, v2);
         assert_eq!(v1, v3);
-        assert_eq!(p.process.current_db(), v1);
+        assert_eq!(p.process.current_db, v1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use caem_simcore::rng::StreamRng;
 use serde::{Deserialize, Serialize};
 
 /// The paper's desired cluster-head percentage (5 %).
-pub const PAPER_CH_PROBABILITY: f64 = 0.05;
+const PAPER_CH_PROBABILITY: f64 = 0.05;
 
 /// Election parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ impl Default for ElectionConfig {
 
 impl ElectionConfig {
     /// Number of rounds in one rotation epoch (`1/P`, rounded to nearest).
-    pub fn epoch_length(&self) -> u64 {
+    fn epoch_length(&self) -> u64 {
         (1.0 / self.ch_probability).round().max(1.0) as u64
     }
 }
@@ -78,11 +78,6 @@ impl LeachElection {
     /// The round that will be drawn next (0-based).
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// Number of nodes still eligible (|G|) in the current epoch.
-    pub fn eligible_count(&self) -> usize {
-        self.eligible.iter().filter(|&&e| e).count()
     }
 
     /// Total number of times each node has served as head.

@@ -127,25 +127,6 @@ impl ClusterFormation {
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
     }
-
-    /// Mean distance between members and their heads (a geometry sanity
-    /// metric used by tests and the ablation bench).
-    pub fn mean_member_distance(&self, positions: &[Position]) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0u32;
-        for cluster in &self.clusters {
-            let head_pos = positions[cluster.head];
-            for &m in &cluster.members {
-                sum += positions[m].distance_to(&head_pos);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
 }
 
 /// The quadratic path: linear scan keeping the first (= lowest cluster
@@ -351,6 +332,24 @@ mod tests {
         ]
     }
 
+    /// Mean distance between members and their heads.
+    fn mean_member_distance(formation: &ClusterFormation, positions: &[Position]) -> f64 {
+        let mut sum = 0.0;
+        let mut count = 0u32;
+        for cluster in &formation.clusters {
+            let head_pos = positions[cluster.head];
+            for &m in &cluster.members {
+                sum += positions[m].distance_to(&head_pos);
+                count += 1;
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            sum / count as f64
+        }
+    }
+
     #[test]
     fn members_join_nearest_head() {
         let positions = square_positions();
@@ -424,7 +423,7 @@ mod tests {
                 );
             }
         }
-        assert!(f.mean_member_distance(&positions) > 0.0);
+        assert!(mean_member_distance(&f, &positions) > 0.0);
     }
 
     #[test]
@@ -435,7 +434,7 @@ mod tests {
         let alive = vec![true; 100];
         let few = ClusterFormation::nearest_head(&positions, &[0, 50], &alive);
         let many = ClusterFormation::nearest_head(&positions, &[0, 10, 30, 50, 70, 90], &alive);
-        assert!(many.mean_member_distance(&positions) < few.mean_member_distance(&positions));
+        assert!(mean_member_distance(&many, &positions) < mean_member_distance(&few, &positions));
     }
 
     #[test]

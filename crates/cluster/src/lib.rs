@@ -28,6 +28,6 @@ pub mod election;
 pub mod formation;
 pub mod rounds;
 
-pub use election::{ElectionConfig, LeachElection, PAPER_CH_PROBABILITY};
+pub use election::{ElectionConfig, LeachElection};
 pub use formation::{Cluster, ClusterFormation};
 pub use rounds::{RoundClock, RoundConfig};

@@ -28,13 +28,6 @@ impl Default for RoundConfig {
     }
 }
 
-impl RoundConfig {
-    /// Duration of the steady-state (data transfer) phase of each round.
-    pub fn steady_state_duration(&self) -> Duration {
-        self.round_duration - self.setup_duration
-    }
-}
-
 /// Maps simulation time to LEACH round numbers and phase boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoundClock {
@@ -51,35 +44,19 @@ impl RoundClock {
         RoundClock { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> RoundConfig {
-        self.config
-    }
-
     /// The round number containing time `t` (round 0 starts at t = 0).
-    pub fn round_at(&self, t: SimTime) -> u64 {
+    fn round_at(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.config.round_duration.as_nanos()
     }
 
     /// Start time of round `r`.
-    pub fn round_start(&self, round: u64) -> SimTime {
+    fn round_start(&self, round: u64) -> SimTime {
         SimTime::from_nanos(round * self.config.round_duration.as_nanos())
-    }
-
-    /// Start of the steady-state phase of round `r`.
-    pub fn steady_state_start(&self, round: u64) -> SimTime {
-        self.round_start(round) + self.config.setup_duration
     }
 
     /// Start time of the round after the one containing `t`.
     pub fn next_round_start(&self, t: SimTime) -> SimTime {
         self.round_start(self.round_at(t) + 1)
-    }
-
-    /// Is `t` inside the setup (election/formation) phase of its round?
-    pub fn in_setup_phase(&self, t: SimTime) -> bool {
-        let round_start = self.round_start(self.round_at(t));
-        t - round_start < self.config.setup_duration
     }
 }
 
@@ -110,28 +87,6 @@ mod tests {
         assert_eq!(
             clock.next_round_start(SimTime::from_secs(25)),
             SimTime::from_secs(40)
-        );
-        assert_eq!(
-            clock.steady_state_start(1),
-            SimTime::from_secs(20) + Duration::from_millis(100)
-        );
-    }
-
-    #[test]
-    fn setup_phase_detection() {
-        let clock = RoundClock::default();
-        assert!(clock.in_setup_phase(SimTime::from_millis(50)));
-        assert!(!clock.in_setup_phase(SimTime::from_millis(150)));
-        assert!(clock.in_setup_phase(SimTime::from_secs(20) + Duration::from_millis(10)));
-        assert!(!clock.in_setup_phase(SimTime::from_secs(21)));
-    }
-
-    #[test]
-    fn steady_state_duration() {
-        let c = RoundConfig::default();
-        assert_eq!(
-            c.steady_state_duration(),
-            Duration::from_secs(20) - Duration::from_millis(100)
         );
     }
 

@@ -108,21 +108,6 @@ impl EnergyLedger {
         self.joules.iter().sum()
     }
 
-    /// Joules drawn by the radio while actually moving data (tx + rx),
-    /// excluding overheads.
-    pub fn useful_radio(&self) -> f64 {
-        self.by_category(EnergyCategory::DataTransmit)
-            + self.by_category(EnergyCategory::DataReceive)
-    }
-
-    /// Joules wasted on collisions, startups and idle listening overheads.
-    pub fn overhead(&self) -> f64 {
-        self.by_category(EnergyCategory::CollisionWaste)
-            + self.by_category(EnergyCategory::Startup)
-            + self.by_category(EnergyCategory::ToneTransmit)
-            + self.by_category(EnergyCategory::ToneReceive)
-    }
-
     /// Merge another ledger into this one (for network-wide aggregation).
     pub fn merge(&mut self, other: &EnergyLedger) {
         for (a, b) in self.joules.iter_mut().zip(other.joules.iter()) {
@@ -168,11 +153,6 @@ impl Battery {
         (self.initial_j - self.drawn_j).max(0.0)
     }
 
-    /// Remaining charge as a fraction of the initial charge.
-    pub fn fraction_remaining(&self) -> f64 {
-        self.remaining() / self.initial_j
-    }
-
     /// Total energy drawn so far (may exceed `initial` by the final draw that
     /// crossed zero).
     pub fn drawn(&self) -> f64 {
@@ -212,7 +192,6 @@ mod tests {
         let b = Battery::paper_default();
         assert_eq!(b.initial(), 10.0);
         assert_eq!(b.remaining(), 10.0);
-        assert_eq!(b.fraction_remaining(), 1.0);
         assert!(!b.is_depleted());
     }
 
@@ -243,8 +222,6 @@ mod tests {
         assert!((l.by_category(EnergyCategory::ToneReceive) - 0.25).abs() < 1e-12);
         assert_eq!(l.by_category(EnergyCategory::DataReceive), 0.0);
         assert!((l.total() - 1.85).abs() < 1e-12);
-        assert!((l.useful_radio() - 1.5).abs() < 1e-12);
-        assert!((l.overhead() - 0.35).abs() < 1e-12);
     }
 
     #[test]
@@ -272,18 +249,6 @@ mod tests {
             EnergyCategory::ALL.iter().map(|c| c.to_string()).collect();
         assert_eq!(labels.len(), EnergyCategory::ALL.len());
         assert!(labels.iter().all(|l| !l.is_empty()));
-    }
-
-    #[test]
-    fn fraction_remaining_decreases_monotonically() {
-        let mut b = Battery::new(2.0);
-        let mut prev = b.fraction_remaining();
-        for _ in 0..10 {
-            b.draw(EnergyCategory::DataReceive, 0.1);
-            let f = b.fraction_remaining();
-            assert!(f <= prev);
-            prev = f;
-        }
     }
 
     #[test]

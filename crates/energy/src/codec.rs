@@ -53,30 +53,29 @@ impl CodecEnergyModel {
     pub fn decode_energy(&self, coded_bits: u64) -> f64 {
         self.decode_j_per_bit * coded_bits as f64
     }
-
-    /// Combined two-sided codec energy for one frame.
-    pub fn frame_energy(&self, coded_bits: u64) -> f64 {
-        self.encode_energy(coded_bits) + self.decode_energy(coded_bits)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Two-sided codec energy of one frame: encoding plus decoding.
+    fn frame_energy(m: &CodecEnergyModel, coded_bits: u64) -> f64 {
+        m.encode_energy(coded_bits) + m.decode_energy(coded_bits)
+    }
+
     #[test]
     fn paper_default_is_zero() {
         let m = CodecEnergyModel::paper_default();
         assert_eq!(m.encode_energy(1_000_000), 0.0);
         assert_eq!(m.decode_energy(1_000_000), 0.0);
-        assert_eq!(m.frame_energy(1_000_000), 0.0);
     }
 
     #[test]
     fn realistic_model_scales_with_bits() {
         let m = CodecEnergyModel::realistic();
-        let one_k = m.frame_energy(1_000);
-        let four_k = m.frame_energy(4_000);
+        let one_k = frame_energy(&m, 1_000);
+        let four_k = frame_energy(&m, 4_000);
         assert!((four_k / one_k - 4.0).abs() < 1e-9);
         // Decoding dominates encoding (Viterbi vs shift-register encoder).
         assert!(m.decode_j_per_bit > m.encode_j_per_bit);
@@ -88,13 +87,13 @@ mod tests {
         // codec ≈ 0.25 mJ vs radio tx ≈ 0.66 W × 4.4 ms ≈ 2.9 mJ — indeed an
         // order of magnitude smaller, consistent with the paper's assumption.
         let m = CodecEnergyModel::realistic();
-        let codec = m.frame_energy(4_500);
+        let codec = frame_energy(&m, 4_500);
         let radio = 0.66 * 4.44e-3;
         assert!(codec < radio / 5.0, "codec {codec} vs radio {radio}");
     }
 
     #[test]
     fn zero_bits_costs_nothing() {
-        assert_eq!(CodecEnergyModel::realistic().frame_energy(0), 0.0);
+        assert_eq!(frame_energy(&CodecEnergyModel::realistic(), 0), 0.0);
     }
 }

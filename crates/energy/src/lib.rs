@@ -32,4 +32,4 @@ pub mod power;
 
 pub use battery::{Battery, EnergyCategory, EnergyLedger};
 pub use codec::CodecEnergyModel;
-pub use power::{RadioPowerProfile, RadioState, ToneRadioState};
+pub use power::RadioPowerProfile;

@@ -3,30 +3,6 @@
 use caem_simcore::time::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Power states of the data radio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RadioState {
-    /// Transmitting data frames.
-    Transmit,
-    /// Receiving data frames (the cluster head's dominant state).
-    Receive,
-    /// Sleeping (both RF chains powered down except the wake-up logic).
-    Sleep,
-    /// Waking up from sleep to active (the ~20 ms start-up transient).
-    Startup,
-}
-
-/// Power states of the low-power tone radio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ToneRadioState {
-    /// Broadcasting tone pulses (cluster head).
-    Transmit,
-    /// Listening to / measuring the tone channel (sensor).
-    Receive,
-    /// Powered off.
-    Off,
-}
-
 /// Power draw of every radio state, in watts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RadioPowerProfile {
@@ -69,48 +45,19 @@ impl RadioPowerProfile {
         }
     }
 
-    /// Power draw of a data-radio state (W).
-    pub fn data_power(&self, state: RadioState) -> f64 {
-        match state {
-            RadioState::Transmit => self.data_tx_w,
-            RadioState::Receive => self.data_rx_w,
-            RadioState::Sleep => self.data_sleep_w,
-            RadioState::Startup => self.data_startup_w,
-        }
-    }
-
-    /// Power draw of a tone-radio state (W).
-    pub fn tone_power(&self, state: ToneRadioState) -> f64 {
-        match state {
-            ToneRadioState::Transmit => self.tone_tx_w,
-            ToneRadioState::Receive => self.tone_rx_w,
-            ToneRadioState::Off => 0.0,
-        }
-    }
-
-    /// Energy (J) spent holding the data radio in `state` for `dwell`.
-    pub fn data_energy(&self, state: RadioState, dwell: Duration) -> f64 {
-        self.data_power(state) * dwell.as_secs_f64()
-    }
-
-    /// Energy (J) spent holding the tone radio in `state` for `dwell`.
-    pub fn tone_energy(&self, state: ToneRadioState, dwell: Duration) -> f64 {
-        self.tone_power(state) * dwell.as_secs_f64()
-    }
-
     /// Energy (J) of one complete sleep→active start-up transient.
     pub fn startup_energy(&self) -> f64 {
-        self.data_energy(RadioState::Startup, self.startup_time)
+        self.data_startup_w * self.startup_time.as_secs_f64()
     }
 
     /// Energy to transmit for `airtime` (transmitter side).
     pub fn transmit_energy(&self, airtime: Duration) -> f64 {
-        self.data_energy(RadioState::Transmit, airtime)
+        self.data_tx_w * airtime.as_secs_f64()
     }
 
     /// Energy to receive for `airtime` (receiver side).
     pub fn receive_energy(&self, airtime: Duration) -> f64 {
-        self.data_energy(RadioState::Receive, airtime)
+        self.data_rx_w * airtime.as_secs_f64()
     }
 }
 
@@ -130,18 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn state_power_lookup() {
-        let p = RadioPowerProfile::paper_default();
-        assert_eq!(p.data_power(RadioState::Transmit), p.data_tx_w);
-        assert_eq!(p.data_power(RadioState::Receive), p.data_rx_w);
-        assert_eq!(p.data_power(RadioState::Sleep), p.data_sleep_w);
-        assert_eq!(p.data_power(RadioState::Startup), p.data_startup_w);
-        assert_eq!(p.tone_power(ToneRadioState::Off), 0.0);
-        assert_eq!(p.tone_power(ToneRadioState::Transmit), p.tone_tx_w);
-        assert_eq!(p.tone_power(ToneRadioState::Receive), p.tone_rx_w);
-    }
-
-    #[test]
     fn energy_is_power_times_time() {
         let p = RadioPowerProfile::paper_default();
         // 1 ms of transmit at 0.66 W = 0.66 mJ.
@@ -149,8 +84,6 @@ mod tests {
         assert!((e - 0.66e-3).abs() < 1e-12);
         let e = p.receive_energy(Duration::from_millis(8));
         assert!((e - 0.305 * 8e-3).abs() < 1e-12);
-        let e = p.tone_energy(ToneRadioState::Receive, Duration::from_secs(1));
-        assert!((e - 0.036).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use caem_simcore::time::Duration;
 use serde::{Deserialize, Serialize};
 
 /// Maximum number of retransmissions of a single packet (paper: 6).
-pub const MAX_RETRANSMISSIONS: u32 = 6;
+const MAX_RETRANSMISSIONS: u32 = 6;
 
 /// Backoff parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

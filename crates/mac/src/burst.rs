@@ -9,9 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Paper minimum burst size (packets per channel access).
-pub const MIN_PACKETS_PER_BURST: usize = 3;
+const MIN_PACKETS_PER_BURST: usize = 3;
 /// Paper maximum burst size (packets per channel access).
-pub const MAX_PACKETS_PER_BURST: usize = 8;
+const MAX_PACKETS_PER_BURST: usize = 8;
 
 /// Burst sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! # caem-mac
 //!
 //! Medium access control for CAEM: the tone signaling channel and the sensor
-//! / cluster-head state machines of Section III-A/B.
+//! state machine of Section III-A/B.
 //!
 //! A sensor node has **two radios** working at different frequencies: a
 //! low-power *tone* radio and the *data* radio.  The cluster head broadcasts
@@ -20,21 +20,21 @@
 //!    the head aborts the burst immediately (collision **detection**, not
 //!    just avoidance).
 //!
-//! The state machines are implemented as pure, synchronous transition
-//! functions (inputs → actions), which keeps them unit-testable; the
-//! event-driven orchestration lives in `caem-wsnsim`.
+//! The sensor state machine is a pure, synchronous transition function
+//! (inputs → actions), which keeps it unit-testable.  The cluster head's
+//! side — tracking active senders, detecting collisions and choosing the
+//! advertised tone state — is modelled by the event-driven runner in
+//! `caem-wsnsim`, which also orchestrates the sensors.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod backoff;
 pub mod burst;
-pub mod cluster_head;
 pub mod sensor;
 pub mod tone;
 
-pub use backoff::{BackoffConfig, BackoffScheduler, MAX_RETRANSMISSIONS};
-pub use burst::{BurstPolicy, MAX_PACKETS_PER_BURST, MIN_PACKETS_PER_BURST};
-pub use cluster_head::{ClusterHeadAction, ClusterHeadMac, ClusterHeadState};
+pub use backoff::{BackoffConfig, BackoffScheduler};
+pub use burst::BurstPolicy;
 pub use sensor::{SensorAction, SensorMac, SensorMacConfig, SensorMacState};
 pub use tone::{ChannelState, TonePulse, ToneSchedule, ToneSignal};

@@ -144,14 +144,6 @@ impl ToneSchedule {
         }
         (p.duration.as_secs_f64() / p.interval.as_secs_f64()).min(1.0)
     }
-
-    /// Worst-case time a newly woken sensor must listen before it has seen at
-    /// least one pulse of the current state (i.e. one full interval plus one
-    /// pulse).  This is the "tracking delay" overhead the paper mentions.
-    pub fn acquisition_time(&self, state: ChannelState) -> Duration {
-        let p = self.pulse_for(state);
-        p.interval + p.duration
-    }
 }
 
 /// One decoded observation of the tone channel as seen by a sensor.
@@ -234,16 +226,6 @@ mod tests {
         for st in ChannelState::ALL {
             assert!(s.duty_cycle(st) <= 0.10, "{st:?} duty cycle too high");
         }
-    }
-
-    #[test]
-    fn acquisition_time_bounds_tracking_delay() {
-        let s = ToneSchedule::paper_default();
-        assert_eq!(
-            s.acquisition_time(ChannelState::Idle),
-            Duration::from_millis(51)
-        );
-        assert!(s.acquisition_time(ChannelState::Receive) < s.acquisition_time(ChannelState::Idle));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! "As all sensors are homogeneous Poisson sources bearing the same packet
 //! arrival rate, we can define fairness here as the standard deviation of
 //! queue length … we have taken several snapshots of the value during the
-//! observed time [and] average them."  A smaller value means bandwidth is
+//! observed time \[and\] average them."  A smaller value means bandwidth is
 //! being shared more evenly (nobody's queue is ballooning while others drain).
 
 use caem_simcore::stats::RunningStats;

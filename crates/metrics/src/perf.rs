@@ -32,8 +32,8 @@ const DELAY_HISTOGRAM_MAX_HI_MS: f64 = DELAY_HISTOGRAM_HI_MS * 128.0;
 
 impl NetworkPerformance {
     /// Create an empty accumulator.  The delay histogram starts at 0–10 s
-    /// and auto-resizes (halving resolution per doubling) up to
-    /// [`DELAY_HISTOGRAM_MAX_HI_MS`], so p95/p99 stay reportable under
+    /// and auto-resizes (halving resolution per doubling) up to 128× that
+    /// range (~21 min of queueing delay), so p95/p99 stay reportable under
     /// saturation instead of collapsing to `None` the moment the tail
     /// crosses 10 s.
     pub fn new() -> Self {

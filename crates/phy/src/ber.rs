@@ -59,7 +59,7 @@ fn q_function(x: f64) -> f64 {
 /// * BPSK: `Q(sqrt(2·γb))`
 /// * QPSK (Gray): `Q(sqrt(2·γb))` per bit with `γb = γs / 2`
 /// * 16/64-QAM (Gray, square): nearest-neighbour approximation.
-pub fn bit_error_rate(modulation: Modulation, snr_db: f64) -> f64 {
+fn bit_error_rate(modulation: Modulation, snr_db: f64) -> f64 {
     let snr = 10f64.powf(snr_db / 10.0);
     let ber = match modulation {
         Modulation::Bpsk => q_function((2.0 * snr).sqrt()),
@@ -85,7 +85,7 @@ pub fn bit_error_rate(modulation: Modulation, snr_db: f64) -> f64 {
 
 /// Effective coding gain (dB) applied by a convolutional code of the given
 /// rate — a simple piecewise model: stronger (lower-rate) codes buy more gain.
-pub fn coding_gain_db(code_rate: f64) -> f64 {
+fn coding_gain_db(code_rate: f64) -> f64 {
     if code_rate >= 0.999 {
         0.0
     } else if code_rate >= 0.75 {

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::mode::TransmissionMode;
 
 /// Payload length used throughout the paper's evaluation (2 kbit).
-pub const PAPER_PACKET_LENGTH_BITS: u64 = 2_000;
+const PAPER_PACKET_LENGTH_BITS: u64 = 2_000;
 
 /// Static frame layout parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,11 +59,6 @@ impl FrameSpec {
         coded_payload + self.header_bits
     }
 
-    /// Redundancy bits added on top of the payload for one frame in `mode`.
-    pub fn redundancy_bits(&self, mode: TransmissionMode) -> u64 {
-        self.coded_bits(mode) - self.payload_bits - self.header_bits
-    }
-
     /// Time the radio is on the air for one frame in `mode`.
     ///
     /// The effective throughput already accounts for coding, so airtime is
@@ -78,16 +73,6 @@ impl FrameSpec {
     /// Airtime for a burst of `count` frames sent back-to-back.
     pub fn burst_airtime(&self, mode: TransmissionMode, count: u64) -> Duration {
         self.airtime(mode) * count
-    }
-
-    /// Effective useful-bit rate of a burst (payload bits / airtime).
-    pub fn goodput_bps(&self, mode: TransmissionMode) -> f64 {
-        let t = self.airtime(mode).as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.payload_bits as f64 / t
-        }
     }
 }
 
@@ -132,24 +117,19 @@ mod tests {
     #[test]
     fn coded_bits_and_redundancy() {
         let f = FrameSpec::paper_default();
+        let redundancy_bits = |m| f.coded_bits(m) - f.payload_bits - f.header_bits;
         // 2 Mbps uses a rate-1.0 code in our table: no payload expansion.
-        assert_eq!(f.redundancy_bits(TransmissionMode::Mbps2), 0);
+        assert_eq!(redundancy_bits(TransmissionMode::Mbps2), 0);
         // 450 kbps uses rate 0.45: ~2445 redundancy bits.
-        let r = f.redundancy_bits(TransmissionMode::Kbps450);
+        let r = redundancy_bits(TransmissionMode::Kbps450);
         assert!(r > 2000 && r < 2600, "redundancy = {r}");
         // The low-rate-coded modes (450/250 kbps) carry more redundancy than
         // the high-rate-coded ones (2/1 Mbps).  (450 kbps vs 250 kbps is not
         // ordered: 250 kbps buys robustness from BPSK, not from extra FEC.)
         for low in [TransmissionMode::Kbps450, TransmissionMode::Kbps250] {
             for high in [TransmissionMode::Mbps2, TransmissionMode::Mbps1] {
-                assert!(f.redundancy_bits(low) > f.redundancy_bits(high));
+                assert!(redundancy_bits(low) > redundancy_bits(high));
             }
-        }
-        for m in ALL_MODES {
-            assert_eq!(
-                f.coded_bits(m),
-                f.payload_bits + f.header_bits + f.redundancy_bits(m)
-            );
         }
     }
 
@@ -165,7 +145,9 @@ mod tests {
     fn goodput_below_nominal_throughput() {
         let f = FrameSpec::paper_default();
         for m in ALL_MODES {
-            let g = f.goodput_bps(m);
+            // Useful payload bits per second of airtime: the header costs
+            // airtime but carries no payload.
+            let g = f.payload_bits as f64 / f.airtime(m).as_secs_f64();
             assert!(g > 0.0);
             assert!(g < m.throughput_bps(), "{m}: goodput {g} >= nominal");
         }

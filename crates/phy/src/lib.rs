@@ -20,18 +20,17 @@
 //! * [`ber`] — bit-error-rate and packet-error-rate models per modulation.
 //! * [`frame`] — frame layout and airtime computation (payload + FEC
 //!   redundancy + header at the mode's raw symbol rate).
-//! * [`adaptation`] — burst-by-burst mode selection from measured CSI, with
-//!   optional hysteresis.
+//!
+//! Mode selection is instantaneous: a burst uses
+//! [`TransmissionMode::best_for_snr`] of the CSI measured just before it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptation;
 pub mod ber;
 pub mod frame;
 pub mod mode;
 
-pub use adaptation::{AdaptationPolicy, ModeSelector};
-pub use ber::{bit_error_rate, packet_error_rate, Modulation};
-pub use frame::{FrameSpec, PAPER_PACKET_LENGTH_BITS};
-pub use mode::{TransmissionMode, ALL_MODES, MODE_COUNT};
+pub use ber::{packet_error_rate, Modulation};
+pub use frame::FrameSpec;
+pub use mode::{TransmissionMode, ALL_MODES};

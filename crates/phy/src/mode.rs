@@ -13,7 +13,7 @@ use std::fmt;
 use crate::ber::Modulation;
 
 /// Number of ABICM modes (the paper's "4-mode configuration").
-pub const MODE_COUNT: usize = 4;
+const MODE_COUNT: usize = 4;
 
 /// The four transmission modes, ordered from most to least demanding.
 ///
@@ -104,7 +104,7 @@ impl TransmissionMode {
     }
 
     /// Mode for a given class index (clamped to the valid range).
-    pub fn from_class_index(index: usize) -> TransmissionMode {
+    fn from_class_index(index: usize) -> TransmissionMode {
         ALL_MODES[index.min(MODE_COUNT - 1)]
     }
 
@@ -112,11 +112,6 @@ impl TransmissionMode {
     /// the CAEM pseudo-code).  Saturates at 250 kbps.
     pub fn one_class_lower(self) -> TransmissionMode {
         TransmissionMode::from_class_index(self.class_index() + 1)
-    }
-
-    /// The next *more* demanding mode.  Saturates at 2 Mbps.
-    pub fn one_class_higher(self) -> TransmissionMode {
-        TransmissionMode::from_class_index(self.class_index().saturating_sub(1))
     }
 
     /// The most demanding mode (2 Mbps), the energy-optimal threshold.
@@ -132,14 +127,11 @@ impl TransmissionMode {
     /// The best (highest-throughput) mode whose SNR requirement is satisfied
     /// by `snr_db`, or `None` when even 250 kbps cannot be sustained.
     pub fn best_for_snr(snr_db: f64) -> Option<TransmissionMode> {
-        ALL_MODES
-            .iter()
-            .copied()
-            .find(|m| snr_db >= m.required_snr_db())
+        ALL_MODES.iter().copied().find(|m| m.supports_snr(snr_db))
     }
 
     /// Does `snr_db` satisfy this mode's requirement?
-    pub fn supports_snr(self, snr_db: f64) -> bool {
+    fn supports_snr(self, snr_db: f64) -> bool {
         snr_db >= self.required_snr_db()
     }
 }
@@ -203,14 +195,6 @@ mod tests {
             TransmissionMode::Kbps250.one_class_lower(),
             TransmissionMode::Kbps250
         );
-        assert_eq!(
-            TransmissionMode::Kbps250.one_class_higher(),
-            TransmissionMode::Kbps450
-        );
-        assert_eq!(
-            TransmissionMode::Mbps2.one_class_higher(),
-            TransmissionMode::Mbps2
-        );
         assert_eq!(TransmissionMode::highest(), TransmissionMode::Mbps2);
         assert_eq!(TransmissionMode::lowest(), TransmissionMode::Kbps250);
     }
@@ -246,12 +230,8 @@ mod tests {
             if let Some(best) = TransmissionMode::best_for_snr(snr) {
                 assert!(best.supports_snr(snr));
                 // Anything more demanding than `best` must not be supported.
-                let mut m = best;
-                while m != TransmissionMode::Mbps2 {
-                    m = m.one_class_higher();
-                    if m.class_index() < best.class_index() {
-                        assert!(!m.supports_snr(snr));
-                    }
+                for m in &ALL_MODES[..best.class_index()] {
+                    assert!(!m.supports_snr(snr));
                 }
             } else {
                 assert!(!TransmissionMode::Kbps250.supports_snr(snr));

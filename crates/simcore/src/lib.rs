@@ -16,8 +16,8 @@
 //! * [`rng`] — splittable, seedable random-number streams so every stochastic
 //!   component (traffic, shadowing, fading, LEACH election, backoff) draws
 //!   from an independent, reproducible stream.
-//! * [`stats`] — running statistics (Welford), time-weighted averages,
-//!   histograms and time series used by the metrics crate.
+//! * [`stats`] — running statistics (Welford), histograms and time series
+//!   used by the metrics crate.
 //!
 //! # Example
 //!
@@ -42,6 +42,6 @@ pub mod stats;
 pub mod time;
 
 pub use event::{Event, EventQueue};
-pub use rng::{RngStream, StreamId, StreamRng};
-pub use stats::{Histogram, RunningStats, TimeSeries, TimeWeighted};
+pub use rng::{RngStream, StreamRng};
+pub use stats::{Histogram, RunningStats, TimeSeries};
 pub use time::{Duration, SimTime};

@@ -20,23 +20,6 @@
 
 use rand::{Error, RngCore, SeedableRng};
 
-/// Identifies an independent random stream: a component label plus an index
-/// (node id, link id, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamId {
-    /// Component label; use distinct constants per subsystem.
-    pub component: u64,
-    /// Entity index within the component (node id, link id, replication id).
-    pub index: u64,
-}
-
-impl StreamId {
-    /// Create a stream identifier.
-    pub const fn new(component: u64, index: u64) -> Self {
-        StreamId { component, index }
-    }
-}
-
 /// Well-known component labels used across the suite.
 pub mod components {
     /// Traffic generation (Poisson arrivals).
@@ -115,7 +98,7 @@ impl StreamRng {
 
     /// Next raw 64-bit output.
     #[inline]
-    pub fn next_raw(&mut self) -> u64 {
+    fn next_raw(&mut self) -> u64 {
         let result = Self::rotl(self.s[1].wrapping_mul(5), 7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -245,30 +228,22 @@ impl RngStream {
         RngStream { master_seed }
     }
 
-    /// The master seed this factory was built from.
-    pub const fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// Derive the generator for `stream`.
+    /// Derive the independent generator for `(component, index)`: a
+    /// component label (one of [`components`]) plus an entity index within
+    /// it (node id, link id, replication id).
     ///
     /// Derivation hashes `(master_seed, component, index)` through SplitMix64
     /// so neighbouring indices produce decorrelated states.
-    pub fn stream(&self, stream: StreamId) -> StreamRng {
+    pub fn derive(&self, component: u64, index: u64) -> StreamRng {
         let mut state = self
             .master_seed
             .wrapping_mul(0xA24B_AED4_963E_E407)
-            .wrapping_add(stream.component.wrapping_mul(0x9FB2_1C65_1E98_DF25))
-            .wrapping_add(stream.index.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+            .wrapping_add(component.wrapping_mul(0x9FB2_1C65_1E98_DF25))
+            .wrapping_add(index.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         // Mix a few rounds so low-entropy inputs (small ints) spread out.
         let a = splitmix64(&mut state);
         let b = splitmix64(&mut state);
         StreamRng::from_seed_u64(a ^ b.rotate_left(31))
-    }
-
-    /// Shorthand: derive the stream for `(component, index)`.
-    pub fn derive(&self, component: u64, index: u64) -> StreamRng {
-        self.stream(StreamId::new(component, index))
     }
 }
 

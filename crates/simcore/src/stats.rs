@@ -1,10 +1,8 @@
 //! Statistics primitives shared by the metrics and benchmark crates.
 //!
 //! * [`RunningStats`] — single-pass mean / variance / min / max (Welford).
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal
-//!   (e.g. queue length, remaining energy between samples).
-//! * [`TimeSeries`] — ordered `(time, value)` samples with resampling helpers
-//!   used to build the figure curves.
+//! * [`TimeSeries`] — ordered `(time, value)` samples with linear
+//!   interpolation, used to build the figure curves.
 //! * [`Histogram`] — fixed-width bin histogram with quantile estimation used
 //!   for packet-delay distributions.
 
@@ -23,7 +21,6 @@ pub struct RunningStats {
     m2: f64,
     min: f64,
     max: f64,
-    sum: f64,
 }
 
 impl RunningStats {
@@ -35,14 +32,12 @@ impl RunningStats {
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
@@ -61,11 +56,6 @@ impl RunningStats {
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Arithmetic mean (0 if empty).
@@ -87,7 +77,7 @@ impl RunningStats {
     }
 
     /// Sample variance with Bessel's correction (0 if fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -154,7 +144,6 @@ impl RunningStats {
             other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
         self.mean = new_mean;
         self.count = total;
-        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -198,85 +187,6 @@ fn t_critical_975(df: u64) -> f64 {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// `observe(t, v)` records that the signal takes value `v` *from* time `t`
-/// until the next observation.  Used for queue lengths and channel-mode
-/// occupancy, where the paper's metrics are time averages rather than
-/// per-event averages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_time: Option<SimTime>,
-    last_value: f64,
-    weighted_sum: f64,
-    total_time: f64,
-    max_value: f64,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: None,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            total_time: 0.0,
-            max_value: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record that the signal takes value `value` starting at `time`.
-    ///
-    /// Observations must be fed in non-decreasing time order.
-    pub fn observe(&mut self, time: SimTime, value: f64) {
-        if let Some(prev) = self.last_time {
-            debug_assert!(time >= prev, "observations must be time-ordered");
-            let dt = (time - prev).as_secs_f64();
-            self.weighted_sum += self.last_value * dt;
-            self.total_time += dt;
-        }
-        self.last_time = Some(time);
-        self.last_value = value;
-        self.max_value = self.max_value.max(value);
-    }
-
-    /// Close the observation window at `time` (accounts the final segment).
-    ///
-    /// A no-op on a never-observed accumulator: there is no open segment to
-    /// close, so `max()` stays `None` and `span_secs()` stays 0 rather than
-    /// fabricating a zero-valued observation out of the default state.
-    pub fn finish(&mut self, time: SimTime) {
-        if self.last_time.is_some() {
-            self.observe(time, self.last_value);
-        }
-    }
-
-    /// The time-weighted average over all closed segments.
-    pub fn average(&self) -> f64 {
-        if self.total_time <= 0.0 {
-            self.last_value
-        } else {
-            self.weighted_sum / self.total_time
-        }
-    }
-
-    /// The largest value observed.
-    pub fn max(&self) -> Option<f64> {
-        (self.max_value != f64::NEG_INFINITY).then_some(self.max_value)
-    }
-
-    /// Total observed span in seconds.
-    pub fn span_secs(&self) -> f64 {
-        self.total_time
-    }
-}
-
 /// An ordered sequence of `(time, value)` samples.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -291,11 +201,6 @@ impl TimeSeries {
             samples: Vec::new(),
             name: name.into(),
         }
-    }
-
-    /// Series name (used as a column header in figure output).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Append a sample; time is given in seconds.
@@ -359,37 +264,6 @@ impl TimeSeries {
         }
         let alpha = (time_secs - t0) / (t1 - t0);
         Some(v0 + alpha * (v1 - v0))
-    }
-
-    /// Resample at a fixed period, linearly interpolating.
-    ///
-    /// Sample times are computed as `start + i * step` rather than by a
-    /// running `t += step`: the incremental form accumulates one rounding
-    /// error per step, which over ~1e6 steps drifts past the `end`
-    /// tolerance and silently drops (or duplicates) the final sample.
-    pub fn resample(&self, start: f64, end: f64, step: f64) -> Vec<(f64, f64)> {
-        assert!(step > 0.0, "resample step must be positive");
-        let mut out = Vec::new();
-        for i in 0.. {
-            let t = start + i as f64 * step;
-            if t > end + 1e-9 {
-                break;
-            }
-            if let Some(v) = self.value_at(t) {
-                out.push((t, v));
-            }
-        }
-        out
-    }
-
-    /// The first time at which the series drops to or below `threshold`
-    /// (the series is assumed to be non-increasing, e.g. remaining energy or
-    /// nodes alive).  Returns `None` if it never does.
-    pub fn first_time_below(&self, threshold: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|&&(_, v)| v <= threshold)
-            .map(|&(t, _)| t)
     }
 }
 
@@ -607,7 +481,6 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -673,28 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        // Signal: 0 for 1s, then 10 for 3s => average = 30/4 = 7.5
-        tw.observe(SimTime::ZERO, 0.0);
-        tw.observe(SimTime::from_secs(1), 10.0);
-        tw.finish(SimTime::from_secs(4));
-        assert!((tw.average() - 7.5).abs() < 1e-9);
-        assert_eq!(tw.max(), Some(10.0));
-        assert!((tw.span_secs() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_empty_and_point() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.average(), 0.0);
-        let mut tw = TimeWeighted::new();
-        tw.observe(SimTime::from_secs(2), 5.0);
-        // No elapsed time yet; average falls back to the last value.
-        assert_eq!(tw.average(), 5.0);
-    }
-
-    #[test]
     fn time_series_interpolation() {
         let mut ts = TimeSeries::new("energy");
         ts.push(0.0, 10.0);
@@ -704,22 +555,9 @@ mod tests {
         assert_eq!(ts.value_at(25.0), Some(0.0));
         assert!((ts.value_at(5.0).unwrap() - 7.5).abs() < 1e-12);
         assert!((ts.value_at(15.0).unwrap() - 2.5).abs() < 1e-12);
-        assert_eq!(ts.first_time_below(5.0), Some(10.0));
-        assert_eq!(ts.first_time_below(-1.0), None);
-        assert_eq!(ts.name(), "energy");
         assert_eq!(ts.len(), 3);
         assert!(!ts.is_empty());
         assert_eq!(ts.last(), Some((20.0, 0.0)));
-    }
-
-    #[test]
-    fn time_series_resample() {
-        let mut ts = TimeSeries::new("x");
-        ts.push(0.0, 0.0);
-        ts.push(4.0, 8.0);
-        let r = ts.resample(0.0, 4.0, 1.0);
-        assert_eq!(r.len(), 5);
-        assert!((r[2].1 - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -913,40 +751,6 @@ mod tests {
             n32.push(sample[i % 3]);
         }
         assert!(n32.ci95_half_width() < n31.ci95_half_width());
-    }
-
-    #[test]
-    fn time_weighted_finish_on_empty_is_noop() {
-        // Regression: finish() on a never-observed accumulator used to
-        // route through observe(time, 0.0), fabricating max() == Some(0.0)
-        // and seeding a phantom segment start.
-        let mut tw = TimeWeighted::new();
-        tw.finish(SimTime::from_secs(10));
-        assert_eq!(tw.max(), None);
-        assert_eq!(tw.span_secs(), 0.0);
-        assert_eq!(tw.average(), 0.0);
-        // And it did not secretly open a window: a later observe still
-        // starts the signal at its own time.
-        tw.observe(SimTime::from_secs(20), 3.0);
-        tw.finish(SimTime::from_secs(22));
-        assert!((tw.average() - 3.0).abs() < 1e-12);
-        assert!((tw.span_secs() - 2.0).abs() < 1e-12);
-        assert_eq!(tw.max(), Some(3.0));
-    }
-
-    #[test]
-    fn resample_does_not_drift_over_a_million_steps() {
-        let mut ts = TimeSeries::new("long");
-        ts.push(0.0, 0.0);
-        ts.push(100_000.0, 1.0);
-        // 1e6 steps of 0.1: the old `t += step` loop accumulated ~1.3e-6 of
-        // rounding error by the end — past the 1e-9 end tolerance — and
-        // dropped the final sample.
-        let r = ts.resample(0.0, 100_000.0, 0.1);
-        assert_eq!(r.len(), 1_000_001);
-        let (last_t, last_v) = *r.last().unwrap();
-        assert_eq!(last_t.to_bits(), 100_000.0f64.to_bits());
-        assert!((last_v - 1.0).abs() < 1e-12);
     }
 
     #[test]

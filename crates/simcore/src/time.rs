@@ -22,11 +22,11 @@ fn round_nonneg_to_u64(x: f64) -> u64 {
 }
 
 /// Number of nanoseconds in one second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// Number of nanoseconds in one millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds in one microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+const NANOS_PER_MICRO: u64 = 1_000;
 
 /// An instant of virtual simulation time (nanoseconds since simulation start).
 #[derive(
@@ -95,11 +95,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction returning `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -137,11 +132,6 @@ impl Duration {
         }
     }
 
-    /// Construct from fractional milliseconds.  Negative values clamp to zero.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -160,16 +150,6 @@ impl Duration {
     /// True iff the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
     }
 
     /// Multiply by a non-negative float (e.g. a random backoff factor).
@@ -299,6 +279,9 @@ mod tests {
             SimTime::from_millis(5) - SimTime::from_millis(9),
             Duration::ZERO
         );
+        let (a, b) = (SimTime::from_millis(3), SimTime::from_millis(5));
+        assert_eq!(b.saturating_since(a), Duration::from_millis(2));
+        assert_eq!(a.saturating_since(b), Duration::ZERO);
         assert_eq!(Duration::from_millis(4) * 3, Duration::from_millis(12));
         assert_eq!(Duration::from_millis(12) / 4, Duration::from_millis(3));
     }
@@ -332,15 +315,6 @@ mod tests {
     #[should_panic]
     fn mul_f64_rejects_negative() {
         let _ = Duration::from_millis(1).mul_f64(-1.0);
-    }
-
-    #[test]
-    fn checked_since() {
-        let a = SimTime::from_millis(3);
-        let b = SimTime::from_millis(5);
-        assert_eq!(b.checked_since(a), Some(Duration::from_millis(2)));
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(a.saturating_since(b), Duration::ZERO);
     }
 
     #[test]

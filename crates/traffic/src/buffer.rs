@@ -6,15 +6,12 @@
 //! (drops) is the failure mode Scheme 1 exists to avoid.  For the fairness
 //! experiment (Fig. 12) the paper instead makes the buffer "substantially
 //! large" so the queue-length standard deviation is measured without drops —
-//! [`PacketBuffer::unbounded`] covers that configuration.
+//! a capacity of `None` (unbounded) covers that configuration.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::packet::Packet;
-
-/// The paper's buffer capacity (Table II): 50 packets.
-pub const PAPER_BUFFER_CAPACITY: usize = 50;
 
 /// A FIFO of packets awaiting transmission.
 ///
@@ -59,14 +56,6 @@ impl PacketBuffer {
         }
     }
 
-    /// Fraction of `capacity` in use (0.0 for unbounded buffers).
-    pub fn occupancy(&self, capacity: Option<usize>) -> f64 {
-        match capacity {
-            Some(c) => self.queue.len() as f64 / c as f64,
-            None => 0.0,
-        }
-    }
-
     /// Try to enqueue a packet.  Returns `false` (the packet is dropped) when
     /// the buffer is at `capacity`.
     pub fn enqueue(&mut self, capacity: Option<usize>, packet: Packet) -> bool {
@@ -75,11 +64,6 @@ impl PacketBuffer {
         }
         self.queue.push_back(packet);
         true
-    }
-
-    /// Peek at the head-of-line packet.
-    pub fn peek(&self) -> Option<&Packet> {
-        self.queue.front()
     }
 
     /// Dequeue the head-of-line packet.
@@ -128,7 +112,8 @@ mod tests {
     use crate::packet::PacketId;
     use caem_simcore::time::SimTime;
 
-    const PAPER: Option<usize> = Some(PAPER_BUFFER_CAPACITY);
+    /// The paper's buffer capacity (Table II): 50 packets.
+    const PAPER: Option<usize> = Some(50);
 
     fn pkt(id: u64) -> Packet {
         Packet::new(PacketId(id), 0, SimTime::from_millis(id))
@@ -153,7 +138,6 @@ mod tests {
             assert!(b.enqueue(Some(10), pkt(i)));
         }
         assert_eq!(b.len(), 5);
-        assert_eq!(b.peek().unwrap().id, PacketId(0));
         for i in 0..5 {
             assert_eq!(b.dequeue().unwrap().id, PacketId(i));
         }
@@ -167,9 +151,8 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(b.is_full(Some(3)));
         assert_eq!(rejected, 2);
-        assert!((b.occupancy(Some(3)) - 1.0).abs() < 1e-12);
         // The survivors are the first three arrivals.
-        assert_eq!(b.peek().unwrap().id, PacketId(0));
+        assert_eq!(b.dequeue().unwrap().id, PacketId(0));
     }
 
     #[test]
@@ -180,7 +163,6 @@ mod tests {
         }
         assert_eq!(b.len(), 10_000);
         assert!(!b.is_full(None));
-        assert_eq!(b.occupancy(None), 0.0);
     }
 
     #[test]
@@ -200,7 +182,7 @@ mod tests {
         assert_eq!(burst.len(), 8);
         assert_eq!(burst[0].id, PacketId(0));
         assert_eq!(b2.len(), 4);
-        assert_eq!(b2.peek().unwrap().id, PacketId(8));
+        assert_eq!(b2.dequeue().unwrap().id, PacketId(8));
     }
 
     #[test]

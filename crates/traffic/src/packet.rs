@@ -70,11 +70,6 @@ impl PacketIdAllocator {
         self.next += 1;
         id
     }
-
-    /// Number of ids allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,6 @@ mod tests {
     fn id_allocator_is_monotonic_and_unique() {
         let mut alloc = PacketIdAllocator::new();
         let ids: Vec<PacketId> = (0..100).map(|_| alloc.allocate()).collect();
-        assert_eq!(alloc.allocated(), 100);
         let mut sorted = ids.clone();
         sorted.sort();
         sorted.dedup();

@@ -83,7 +83,7 @@ impl DiurnalCycle {
 
     /// [`DiurnalCycle::try_new`] for pre-validated parameters; panics with
     /// the [`ProfileError`] message on a bad one.
-    pub fn new(period_s: f64, amplitude: f64, phase_rad: f64) -> Self {
+    fn new(period_s: f64, amplitude: f64, phase_rad: f64) -> Self {
         Self::try_new(period_s, amplitude, phase_rad)
             .unwrap_or_else(|e| panic!("invalid diurnal cycle: {e}"))
     }
@@ -95,14 +95,14 @@ impl DiurnalCycle {
     }
 
     /// The instantaneous intensity multiplier `m(t)` at `t` seconds.
-    pub fn intensity(&self, t_s: f64) -> f64 {
+    fn intensity(&self, t_s: f64) -> f64 {
         let omega = std::f64::consts::TAU / self.period_s;
         1.0 + self.amplitude * (omega * t_s + self.phase_rad).sin()
     }
 
     /// The cumulative intensity `Λ(t) = ∫₀ᵗ m(s) ds` — strictly increasing
     /// because `m ≥ 1 − a > 0`.
-    pub fn cumulative(&self, t_s: f64) -> f64 {
+    fn cumulative(&self, t_s: f64) -> f64 {
         let omega = std::f64::consts::TAU / self.period_s;
         t_s - self.amplitude / omega * ((omega * t_s + self.phase_rad).cos() - self.phase_rad.cos())
     }
@@ -113,7 +113,7 @@ impl DiurnalCycle {
     /// clamped to the analytic bracket `|Λ(t) − t| ≤ 2a/ω`; purely
     /// deterministic f64 arithmetic, so warped arrival times are exactly
     /// reproducible per seed.
-    pub fn inverse_cumulative(&self, v: f64) -> f64 {
+    fn inverse_cumulative(&self, v: f64) -> f64 {
         let omega = std::f64::consts::TAU / self.period_s;
         let slack = 2.0 * self.amplitude / omega;
         let (lo, hi) = (v - slack, v + slack);
@@ -145,11 +145,6 @@ impl<S: TrafficSource> ModulatedSource<S> {
     /// Warp `base` through `cycle`.
     pub fn new(base: S, cycle: DiurnalCycle) -> Self {
         ModulatedSource { base, cycle }
-    }
-
-    /// The modulation envelope.
-    pub fn cycle(&self) -> &DiurnalCycle {
-        &self.cycle
     }
 }
 

@@ -121,13 +121,6 @@ pub struct BurstyState {
     rng: StreamRng,
 }
 
-impl BurstyState {
-    /// Is the source currently in its burst state?
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-}
-
 impl BurstySource {
     /// Create a bursty source.
     ///
@@ -304,7 +297,7 @@ mod tests {
         let mut saw_burst = false;
         for _ in 0..20_000 {
             let next = s.next_arrival(&mut state, now);
-            saw_burst |= state.in_burst();
+            saw_burst |= state.in_burst;
             gaps.push((next - now).as_secs_f64());
             now = next;
         }

@@ -39,8 +39,8 @@
 //! (JSON, strict parsing with typed field-path [`config::ConfigError`]s)
 //! fully describes scenarios, policies, seeds and sequential-stopping
 //! settings, and resolves deterministically into an
-//! [`experiment::ExperimentSpec`] — the committed `specs/zoo.json`
-//! reproduces the `experiment` binary's code-defined zoo byte-for-byte.
+//! [`experiment::ExperimentSpec`] — the committed `specs/zoo.json` is the
+//! `experiment` binary's built-in scenario zoo.
 //!
 //! ## Simplifications (documented substitutions)
 //!

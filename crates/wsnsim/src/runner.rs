@@ -586,7 +586,7 @@ impl SimulationRun {
                 .add(ProfKey::Channel, 1, t0.elapsed().as_nanos() as u64);
         }
         let t0 = prof::clock();
-        let selected = self.table.select_mode(node, snr_db);
+        let selected = TransmissionMode::best_for_snr(snr_db);
         if let Some(t0) = t0 {
             self.prof
                 .add(ProfKey::Phy, 1, t0.elapsed().as_nanos() as u64);

@@ -18,8 +18,6 @@
 //! [`Records`]: Message::Records
 //! [`Heartbeat`]: Message::Heartbeat
 
-use std::io::Read;
-
 use serde::Value;
 
 use crate::persist::JobKey;
@@ -45,9 +43,10 @@ pub enum ProtoError {
     Io(std::io::Error),
     /// The stream ended inside a frame (a torn frame).
     Torn {
-        /// Bytes the frame header promised.
+        /// Bytes of the whole frame: the 4-byte header plus the payload
+        /// length it promises (4 when the header itself is cut).
         expected: usize,
-        /// Bytes actually present.
+        /// Bytes of the frame actually received.
         got: usize,
     },
     /// A frame header names a payload longer than [`MAX_FRAME_BYTES`].
@@ -77,7 +76,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Closed => write!(f, "connection closed by peer"),
             ProtoError::Io(e) => write!(f, "transport error: {e}"),
             ProtoError::Torn { expected, got } => {
-                write!(f, "torn frame: {got} of {expected} payload bytes")
+                write!(f, "torn frame: {got} of {expected} bytes")
             }
             ProtoError::Oversize { len } => {
                 write!(
@@ -114,42 +113,38 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Read one length-prefixed frame from `reader`.  EOF at a frame boundary
-/// is [`ProtoError::Closed`]; EOF inside a frame is [`ProtoError::Torn`];
-/// an absurd length prefix is [`ProtoError::Oversize`].
-pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match reader.read(&mut header[filled..])? {
-            0 if filled == 0 => return Err(ProtoError::Closed),
-            0 => {
-                return Err(ProtoError::Torn {
-                    expected: header.len(),
-                    got: filled,
-                })
+/// Pop one length-prefixed frame off the front of `buffer`, the bytes
+/// received so far; `eof` says the stream has ended and no more will come.
+///
+/// A whole buffered frame is drained and its payload returned.  Without
+/// one, the result is `Ok(None)` while more bytes may arrive; at EOF an
+/// empty buffer is [`ProtoError::Closed`] and a partial frame is
+/// [`ProtoError::Torn`], whose `expected` counts the header plus the
+/// payload it promises (just the 4 header bytes if the header itself is
+/// cut).  A length prefix beyond [`MAX_FRAME_BYTES`] is
+/// [`ProtoError::Oversize`] as soon as the header is complete, before any
+/// payload is buffered.
+pub fn decode_frame(buffer: &mut Vec<u8>, eof: bool) -> Result<Option<Vec<u8>>, ProtoError> {
+    let expected = match buffer.first_chunk::<4>() {
+        Some(header) => {
+            let len = u32::from_le_bytes(*header) as usize;
+            if len > MAX_FRAME_BYTES {
+                return Err(ProtoError::Oversize { len });
             }
-            n => filled += n,
+            4 + len
         }
+        None => 4,
+    };
+    if buffer.len() >= expected {
+        let payload = buffer[4..expected].to_vec();
+        buffer.drain(..expected);
+        return Ok(Some(payload));
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversize { len });
+    match (eof, buffer.len()) {
+        (false, _) => Ok(None),
+        (true, 0) => Err(ProtoError::Closed),
+        (true, got) => Err(ProtoError::Torn { expected, got }),
     }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < len {
-        match reader.read(&mut payload[filled..])? {
-            0 => {
-                return Err(ProtoError::Torn {
-                    expected: len,
-                    got: filled,
-                })
-            }
-            n => filled += n,
-        }
-    }
-    Ok(payload)
 }
 
 /// Progress of the grid a [`Message::StatusReply`] describes.

@@ -3,9 +3,10 @@
 //!
 //! Both implement [`FrameLink`] — send/receive whole frames with an
 //! optional receive timeout.  The TCP link reads incrementally into an
-//! internal buffer (never `read_exact`), so a timeout that fires mid-frame
-//! keeps the partial bytes and stays byte-synchronized; EOF inside a frame
-//! is a typed [`ProtoError::Torn`].  The loopback link carries discrete
+//! internal buffer (never `read_exact`) and pops frames off it with
+//! [`decode_frame`], so a timeout that fires mid-frame keeps the partial
+//! bytes and stays byte-synchronized; EOF inside a frame is a typed
+//! [`ProtoError::Torn`].  The loopback link carries discrete
 //! frames over channels and is the only place frame faults are injected
 //! (see [`crate::faults::FaultPlan`]): dropping, duplicating, delaying or
 //! truncating frames there exercises the protocol's recovery paths without
@@ -18,7 +19,7 @@ use std::time::Duration;
 
 use crate::faults::{self, FrameFault, RunEvent};
 
-use super::proto::{encode_frame, ProtoError, MAX_FRAME_BYTES};
+use super::proto::{decode_frame, encode_frame, ProtoError};
 
 /// A bidirectional frame pipe.  `recv` returns `Ok(None)` on timeout and
 /// [`ProtoError::Closed`] once the peer has hung up at a frame boundary.
@@ -46,28 +47,6 @@ impl TcpLink {
             eof: false,
         }
     }
-
-    /// Try to pop one complete frame off the reassembly buffer.
-    fn try_extract(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        if self.buffer.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([
-            self.buffer[0],
-            self.buffer[1],
-            self.buffer[2],
-            self.buffer[3],
-        ]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(ProtoError::Oversize { len });
-        }
-        if self.buffer.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buffer[4..4 + len].to_vec();
-        self.buffer.drain(..4 + len);
-        Ok(Some(payload))
-    }
 }
 
 impl FrameLink for TcpLink {
@@ -80,17 +59,9 @@ impl FrameLink for TcpLink {
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
         loop {
-            if let Some(frame) = self.try_extract()? {
+            // At EOF the decoder yields a frame or an error, never `None`.
+            if let Some(frame) = decode_frame(&mut self.buffer, self.eof)? {
                 return Ok(Some(frame));
-            }
-            if self.eof {
-                if self.buffer.is_empty() {
-                    return Err(ProtoError::Closed);
-                }
-                return Err(ProtoError::Torn {
-                    expected: 4,
-                    got: self.buffer.len(),
-                });
             }
             self.stream.set_read_timeout(timeout)?;
             let mut chunk = [0u8; 16 * 1024];

@@ -13,8 +13,8 @@
 //!   [`crate::ScenarioConfig`]s (hence the same
 //!   [`crate::persist::config_hash`]es, the same store records and the same
 //!   byte-identical report) as the equivalent code-built grid.  The
-//!   committed `specs/zoo.json` reproduces the binary's code-defined
-//!   scenario zoo bit-for-bit, in both full and `--quick` mode.
+//!   committed `specs/zoo.json` is the `experiment` binary's built-in
+//!   scenario zoo, in both full and `--quick` mode.
 //! * **Strict**: parsing rejects unknown or misspelled fields, wrong types,
 //!   out-of-range values and conflicting axes with a typed
 //!   [`ConfigError`] carrying the dotted path of the offending field —

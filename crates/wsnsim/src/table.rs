@@ -10,12 +10,11 @@
 //!   consume them as plain slices with no per-round copies into scratch
 //!   buffers.
 //! * **Cold columns** — position, battery ledger, MAC state machine,
-//!   threshold policy, traffic state, link channel and PHY mode selector —
-//!   are only touched by the single node an event addresses, so they no
+//!   threshold policy, traffic state and link channel — are only touched by the single node an event addresses, so they no
 //!   longer ride along every cache line of the hot path.
 //!
 //! A column holds per-node state only.  Every scenario-wide constant (MAC,
-//! link, CAEM and adaptation parameters, buffer capacity, traffic rates) is
+//! link and CAEM parameters, buffer capacity, traffic rates) is
 //! stored once, in [`NodeParams`], and the table passes it by reference to
 //! the component method that reads it.
 //! [`NodeTable::column_bytes_per_node`] reports what each column costs per
@@ -38,7 +37,6 @@ use caem_channel::geometry::Position;
 use caem_channel::link::{LinkChannel, LinkParams};
 use caem_energy::battery::{Battery, EnergyCategory, EnergyLedger};
 use caem_mac::sensor::{SensorAction, SensorMac, SensorMacConfig};
-use caem_phy::{AdaptationPolicy, ModeSelector, TransmissionMode};
 use caem_simcore::rng::{components, RngStream};
 use caem_simcore::time::SimTime;
 use caem_traffic::buffer::PacketBuffer;
@@ -53,7 +51,7 @@ const NO_CLUSTER: u32 = u32::MAX;
 
 /// Inline bytes per node of every column: the `size_of` of its element.
 /// Scenario-wide parameters live once in [`NodeParams`] and are not counted.
-const INLINE_COLUMN_BYTES: [(&str, usize); 16] = [
+const INLINE_COLUMN_BYTES: [(&str, usize); 15] = [
     ("alive", size_of::<bool>()),
     ("is_head", size_of::<bool>()),
     ("cluster", size_of::<u32>()),
@@ -69,7 +67,6 @@ const INLINE_COLUMN_BYTES: [(&str, usize); 16] = [
     ("policies", size_of::<NodePolicy>()),
     ("traffic", size_of::<NodeTrafficState>()),
     ("links", size_of::<LinkChannel>()),
-    ("selectors", size_of::<ModeSelector>()),
 ];
 
 /// The scenario-wide parameters every node's cold state is read against.
@@ -84,8 +81,6 @@ pub struct NodeParams {
     pub link: LinkParams,
     /// CAEM threshold-adjustment parameters.
     pub caem: CaemConfig,
-    /// How the transmitter maps a measured SNR to a mode.
-    pub adaptation: AdaptationPolicy,
     /// Packet-buffer capacity (`None` = unbounded).
     pub buffer_capacity: Option<usize>,
     /// The traffic source every node runs.
@@ -107,7 +102,6 @@ impl NodeParams {
                 fading: FadingConfig::default(),
             },
             caem: cfg.caem,
-            adaptation: AdaptationPolicy::default(),
             buffer_capacity: cfg.buffer_capacity,
             traffic: build_source(cfg.traffic, cfg.traffic_profile),
         }
@@ -144,7 +138,6 @@ pub struct NodeTable {
     policies: Vec<NodePolicy>,
     traffic: Vec<NodeTrafficState>,
     links: Vec<LinkChannel>,
-    selectors: Vec<ModeSelector>,
 
     /// The scenario constants the cold columns are read against.
     params: NodeParams,
@@ -225,7 +218,6 @@ impl NodeTable {
             policies,
             traffic,
             links,
-            selectors: (0..n).map(|_| ModeSelector::new()).collect(),
             params,
         };
         span.stop_global(caem_metrics::prof::ProfKey::Deploy, n as u64);
@@ -536,12 +528,6 @@ impl NodeTable {
         self.links[node].set_distance(&self.params.link, distance_m);
     }
 
-    /// Pick `node`'s PHY mode for a burst at `snr_db`.
-    #[inline]
-    pub fn select_mode(&mut self, node: usize, snr_db: f64) -> Option<TransmissionMode> {
-        self.selectors[node].select(&self.params.adaptation, snr_db)
-    }
-
     /// Check every mirror column against the cold state it shadows.
     /// Test-support: the model-based suite calls this after each operation.
     pub fn assert_mirrors_consistent(&self) {
@@ -589,7 +575,7 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn inline_bytes_per_node_are_pinned() {
-        let expected: [(&str, usize); 16] = [
+        let expected: [(&str, usize); 15] = [
             ("alive", 1),
             ("is_head", 1),
             ("cluster", 4),
@@ -605,11 +591,10 @@ mod tests {
             ("policies", 48),
             ("traffic", 56),
             ("links", 168),
-            ("selectors", 1),
         ];
         assert_eq!(INLINE_COLUMN_BYTES, expected);
         let total: usize = INLINE_COLUMN_BYTES.iter().map(|&(_, bytes)| bytes).sum();
-        assert_eq!(total, 507);
+        assert_eq!(total, 506);
     }
 
     #[test]

@@ -21,10 +21,10 @@ use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::distrib::{GridManifest, ManifestJob};
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::persist::JobRecord;
-use caem_suite::wsnsim::serve::proto::{encode_frame, read_frame};
+use caem_suite::wsnsim::serve::proto::{decode_frame, encode_frame};
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, FrameLink, GridProgress, LoopbackLink, Message, ProtoError,
-    SocketWorkerOptions, MAX_FRAME_BYTES,
+    SocketWorkerOptions, TcpLink, MAX_FRAME_BYTES,
 };
 use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
 use caem_suite::wsnsim::ScenarioConfig;
@@ -307,30 +307,48 @@ fn all_twenty_variants_are_covered_by_the_generator() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Any prefix of a valid frame fails with a *typed* error: empty input
-    /// is `Closed`, anything cut short is `Torn`, and only the full frame
-    /// decodes.  Never a panic, never a bogus success.
+    /// Every prefix of a valid frame decodes to a *typed* outcome.  Before
+    /// EOF a cut frame waits for more bytes and leaves the buffer intact;
+    /// at EOF empty input is `Closed` and anything cut short is `Torn`, with
+    /// fewer bytes than the frame's header plus payload.  Only the full
+    /// frame decodes.  Never a panic, never a bogus success.
     #[test]
     fn torn_frames_yield_typed_errors(
         choice in 0u8..255,
         a in 0u64..10_000,
-        cut in 0usize..2_000,
     ) {
         let msg = arbitrary_message(choice, a, a / 3, a % 2 == 0);
         let frame = encode_frame(&msg.encode());
-        let cut = cut % (frame.len() + 1);
-        let mut reader = &frame[..cut];
-        match read_frame(&mut reader) {
-            Ok(payload) => {
-                prop_assert_eq!(cut, frame.len(), "only the complete frame decodes");
-                prop_assert_eq!(payload, msg.encode());
+        for cut in 0..=frame.len() {
+            let mut pending = frame[..cut].to_vec();
+            match decode_frame(&mut pending, false) {
+                Ok(Some(payload)) => {
+                    prop_assert_eq!(cut, frame.len(), "only the complete frame decodes");
+                    prop_assert_eq!(payload, msg.encode());
+                    prop_assert!(pending.is_empty(), "the frame is drained");
+                }
+                Ok(None) => {
+                    prop_assert!(cut < frame.len());
+                    prop_assert_eq!(&pending[..], &frame[..cut], "a waiting prefix is kept");
+                }
+                Err(other) => prop_assert!(false, "unexpected error before EOF: {other}"),
             }
-            Err(ProtoError::Closed) => prop_assert_eq!(cut, 0),
-            Err(ProtoError::Torn { expected, got }) => {
-                prop_assert!(cut < frame.len());
-                prop_assert!(got < expected);
+            let mut ended = frame[..cut].to_vec();
+            match decode_frame(&mut ended, true) {
+                Ok(Some(payload)) => {
+                    prop_assert_eq!(cut, frame.len(), "only the complete frame decodes");
+                    prop_assert_eq!(payload, msg.encode());
+                }
+                Ok(None) => prop_assert!(false, "EOF never waits for more bytes"),
+                Err(ProtoError::Closed) => prop_assert_eq!(cut, 0),
+                Err(ProtoError::Torn { expected, got }) => {
+                    prop_assert!(cut > 0 && cut < frame.len());
+                    prop_assert_eq!(got, cut);
+                    prop_assert!(got < expected);
+                    prop_assert!(expected == 4 || expected == frame.len());
+                }
+                Err(other) => prop_assert!(false, "unexpected error class: {other}"),
             }
-            Err(other) => prop_assert!(false, "unexpected error class: {other}"),
         }
     }
 
@@ -371,10 +389,43 @@ proptest! {
 fn oversize_length_prefixes_are_rejected_without_allocating() {
     let mut frame = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(b"irrelevant");
-    let mut reader = &frame[..];
-    match read_frame(&mut reader) {
-        Err(ProtoError::Oversize { len }) => assert_eq!(len, MAX_FRAME_BYTES + 1),
-        other => panic!("expected Oversize, got {other:?}"),
+    // Every prefix that completes the header is refused at once, EOF or
+    // not, without waiting for (or buffering) the advertised payload.
+    for cut in 4..=frame.len() {
+        for eof in [false, true] {
+            let mut pending = frame[..cut].to_vec();
+            match decode_frame(&mut pending, eof) {
+                Err(ProtoError::Oversize { len }) => assert_eq!(len, MAX_FRAME_BYTES + 1),
+                other => panic!("cut {cut}, eof {eof}: expected Oversize, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A real TCP stream cut mid-payload is a torn frame: the link reports
+/// how many of the frame's bytes (header plus promised payload) arrived.
+#[test]
+fn a_tcp_stream_cut_mid_payload_is_torn() {
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let mut writer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+    let (reader, _) = listener.accept().expect("accept");
+    let payload = Message::Heartbeat { grid: 7, shard: 3 }.encode();
+    let frame = encode_frame(&payload);
+    let cut = 4 + payload.len() / 2;
+    writer.write_all(&frame[..cut]).unwrap();
+    writer.shutdown(Shutdown::Write).unwrap();
+
+    let mut link = TcpLink::new(reader);
+    match link.recv(Some(std::time::Duration::from_secs(10))) {
+        Err(ProtoError::Torn { expected, got }) => {
+            assert_eq!(expected, 4 + payload.len());
+            assert_eq!(got, cut);
+            assert!(got < expected);
+        }
+        other => panic!("expected Torn, got {other:?}"),
     }
 }
 
