@@ -1,4 +1,5 @@
-//! Experiment E8: ablations of the design choices DESIGN.md calls out.
+//! Ablations of the model's design choices (README section *Regenerating the
+//! paper's figures* lists this binary with the figure binaries).
 //!
 //! Each ablation runs CAEM-LEACH Scheme 1 on the Fig. 8 scenario with one
 //! knob changed and reports per-packet energy, delivery rate and mean delay,

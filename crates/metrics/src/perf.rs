@@ -2,8 +2,8 @@
 //! and successful packet delivery rate.
 //!
 //! The paper defines these three metrics in Section IV-A but defers the plots
-//! to its long version; we reproduce them as extension results (experiment E7
-//! in DESIGN.md).
+//! to its long version; we reproduce them as extension results, reported per
+//! scenario by the experiment grids (README section *Running experiments*).
 
 use caem_simcore::stats::{Histogram, RunningStats};
 use caem_simcore::time::{Duration, SimTime};

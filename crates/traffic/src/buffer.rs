@@ -7,19 +7,21 @@
 //! experiment (Fig. 12) the paper instead makes the buffer "substantially
 //! large" so the queue-length standard deviation is measured without drops —
 //! a capacity of `None` (unbounded) covers that configuration.
+//!
+//! A packet is stored as its creation time (8 bytes), the only field the
+//! simulator reads: its delay at delivery is measured from it.
 
+use caem_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::packet::Packet;
-
-/// A FIFO of packets awaiting transmission.
+/// A FIFO of packets awaiting transmission, each held as its creation time.
 ///
 /// The capacity is scenario-wide, so it is not stored per buffer: every
 /// call that depends on it takes it as an argument (`None` = unbounded).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PacketBuffer {
-    queue: VecDeque<Packet>,
+    queue: VecDeque<SimTime>,
 }
 
 impl PacketBuffer {
@@ -45,7 +47,7 @@ impl PacketBuffer {
 
     /// Heap bytes held by the backing storage (its capacity, not its length).
     pub fn heap_bytes(&self) -> usize {
-        self.queue.capacity() * std::mem::size_of::<Packet>()
+        self.queue.capacity() * std::mem::size_of::<SimTime>()
     }
 
     /// Is the buffer at `capacity`?
@@ -56,23 +58,23 @@ impl PacketBuffer {
         }
     }
 
-    /// Try to enqueue a packet.  Returns `false` (the packet is dropped) when
-    /// the buffer is at `capacity`.
-    pub fn enqueue(&mut self, capacity: Option<usize>, packet: Packet) -> bool {
+    /// Try to enqueue a packet created at `created_at`.  Returns `false`
+    /// (the packet is dropped) when the buffer is at `capacity`.
+    pub fn enqueue(&mut self, capacity: Option<usize>, created_at: SimTime) -> bool {
         if self.is_full(capacity) {
             return false;
         }
-        self.queue.push_back(packet);
+        self.queue.push_back(created_at);
         true
     }
 
-    /// Dequeue the head-of-line packet.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    /// Dequeue the head-of-line packet's creation time.
+    pub fn dequeue(&mut self) -> Option<SimTime> {
         self.queue.pop_front()
     }
 
     /// Dequeue up to `count` packets (one MAC burst).
-    pub fn dequeue_burst(&mut self, count: usize) -> Vec<Packet> {
+    pub fn dequeue_burst(&mut self, count: usize) -> Vec<SimTime> {
         let mut out = Vec::with_capacity(count.min(self.queue.len()));
         self.dequeue_burst_into(count, &mut out);
         out
@@ -83,7 +85,7 @@ impl PacketBuffer {
     /// The buffer-reusing variant of [`PacketBuffer::dequeue_burst`]: the
     /// simulator keeps a pool of burst vectors so the per-burst allocation
     /// disappears from the event loop.
-    pub fn dequeue_burst_into(&mut self, count: usize, out: &mut Vec<Packet>) {
+    pub fn dequeue_burst_into(&mut self, count: usize, out: &mut Vec<SimTime>) {
         let take = count.min(self.queue.len());
         out.reserve(take);
         for _ in 0..take {
@@ -93,13 +95,13 @@ impl PacketBuffer {
 
     /// Push packets back at the *front* of the queue (a burst aborted by a
     /// collision returns its unsent packets without reordering).
-    pub fn requeue_front(&mut self, mut packets: Vec<Packet>) {
+    pub fn requeue_front(&mut self, mut packets: Vec<SimTime>) {
         self.requeue_front_drain(&mut packets);
     }
 
     /// Like [`PacketBuffer::requeue_front`], but drains the given vector in
     /// place so the caller can reuse its allocation.
-    pub fn requeue_front_drain(&mut self, packets: &mut Vec<Packet>) {
+    pub fn requeue_front_drain(&mut self, packets: &mut Vec<SimTime>) {
         for p in packets.drain(..).rev() {
             self.queue.push_front(p);
         }
@@ -109,14 +111,14 @@ impl PacketBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketId;
-    use caem_simcore::time::SimTime;
 
     /// The paper's buffer capacity (Table II): 50 packets.
     const PAPER: Option<usize> = Some(50);
 
-    fn pkt(id: u64) -> Packet {
-        Packet::new(PacketId(id), 0, SimTime::from_millis(id))
+    /// The `i`-th test packet: creation times are distinct, so they name
+    /// the packet in FIFO checks.
+    fn pkt(i: u64) -> SimTime {
+        SimTime::from_millis(i)
     }
 
     #[test]
@@ -139,7 +141,7 @@ mod tests {
         }
         assert_eq!(b.len(), 5);
         for i in 0..5 {
-            assert_eq!(b.dequeue().unwrap().id, PacketId(i));
+            assert_eq!(b.dequeue(), Some(pkt(i)));
         }
         assert!(b.dequeue().is_none());
     }
@@ -152,7 +154,7 @@ mod tests {
         assert!(b.is_full(Some(3)));
         assert_eq!(rejected, 2);
         // The survivors are the first three arrivals.
-        assert_eq!(b.dequeue().unwrap().id, PacketId(0));
+        assert_eq!(b.dequeue(), Some(pkt(0)));
     }
 
     #[test]
@@ -180,9 +182,9 @@ mod tests {
         }
         let burst = b2.dequeue_burst(8);
         assert_eq!(burst.len(), 8);
-        assert_eq!(burst[0].id, PacketId(0));
+        assert_eq!(burst[0], pkt(0));
         assert_eq!(b2.len(), 4);
-        assert_eq!(b2.dequeue().unwrap().id, PacketId(8));
+        assert_eq!(b2.dequeue(), Some(pkt(8)));
     }
 
     #[test]
@@ -193,11 +195,11 @@ mod tests {
         }
         let mut burst = b.dequeue_burst(4);
         // Two of the four were sent before the collision; the rest go back.
-        let unsent: Vec<Packet> = burst.split_off(2);
+        let unsent: Vec<SimTime> = burst.split_off(2);
         b.requeue_front(unsent);
         assert_eq!(b.len(), 4);
-        let order: Vec<u64> = (0..4).map(|_| b.dequeue().unwrap().id.0).collect();
-        assert_eq!(order, vec![2, 3, 4, 5]);
+        let order: Vec<SimTime> = (0..4).map(|_| b.dequeue().unwrap()).collect();
+        assert_eq!(order, vec![pkt(2), pkt(3), pkt(4), pkt(5)]);
     }
 
     #[test]
@@ -208,7 +210,7 @@ mod tests {
             b.enqueue(None, pkt(i));
         }
         let grown = b.heap_bytes();
-        assert!(grown >= 7 * std::mem::size_of::<Packet>());
+        assert!(grown >= 7 * std::mem::size_of::<SimTime>());
         b.dequeue_burst(7);
         assert_eq!(b.heap_bytes(), grown, "draining keeps the allocation");
     }

@@ -9,23 +9,24 @@
 //! them; buffer overflow is one of the failure modes the CAEM Scheme 1
 //! threshold adjustment exists to avoid.
 //!
-//! * [`packet`] — the packet record (origin, creation time, size).
 //! * [`source`] — Poisson, CBR and two-state bursty (MMPP) sources behind a
 //!   common [`source::TrafficSource`] trait.
 //! * [`profile`] — deterministic time-of-day modulation: a diurnal intensity
 //!   envelope applied to any source by time warping.
 //! * [`buffer`] — bounded FIFO with drop accounting and the queue-length
 //!   observations (`V(t_i)`) the CAEM predictor consumes.
+//!
+//! A queued packet is just its creation time: its origin is the buffer's
+//! owner and its size is the scenario's fixed payload (Table II: 2 kbit),
+//! so neither is stored per packet.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod buffer;
-pub mod packet;
 pub mod profile;
 pub mod source;
 
 pub use buffer::PacketBuffer;
-pub use packet::{Packet, PacketId};
 pub use profile::{DiurnalCycle, ModulatedSource};
 pub use source::{BurstySource, BurstyState, CbrSource, PoissonSource, TrafficSource};

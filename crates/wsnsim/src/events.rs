@@ -4,9 +4,10 @@ use caem_simcore::event::Event;
 
 /// One event in the network simulation.
 ///
-/// Node references are compact `u32` indices (no simulated network
-/// approaches 4 billion nodes), which keeps the enum at 8 bytes and one
-/// pending-event entry (nanosecond time plus payload) at 16.
+/// Node and burst references are compact `u32` indices (no simulated
+/// network approaches 4 billion nodes or concurrent bursts), which keeps the
+/// enum at 8 bytes and one pending-event entry (nanosecond time plus
+/// payload) at 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkEvent {
     /// A LEACH round boundary: elect heads, re-form clusters.
@@ -28,8 +29,8 @@ pub enum NetworkEvent {
     },
     /// A data burst finished (delivery or collision cleanup happens here).
     TransmissionComplete {
-        /// Node whose burst ended.
-        node: u32,
+        /// Slab id of the burst that ended (its sender is stored with it).
+        burst: u32,
     },
     /// A node fails for a non-energy reason (churn injection): it drops out
     /// of the network exactly as if its battery had died.
@@ -120,7 +121,7 @@ mod tests {
                 EventKind::BackoffExpired,
             ),
             (
-                NetworkEvent::TransmissionComplete { node: 1 },
+                NetworkEvent::TransmissionComplete { burst: 1 },
                 EventKind::TransmissionComplete,
             ),
             (
@@ -139,6 +140,14 @@ mod tests {
             NetworkEvent::PacketArrival { node: 1 }.kind(),
             NetworkEvent::PacketArrival { node: 2 }.kind()
         );
+    }
+
+    #[test]
+    fn events_stay_eight_bytes_and_queue_entries_sixteen() {
+        // The radix queue stores `(nanos, event)` pairs: a payload wider
+        // than a `u32` would grow every pending entry.
+        assert_eq!(std::mem::size_of::<NetworkEvent>(), 8);
+        assert_eq!(std::mem::size_of::<(u64, NetworkEvent)>(), 16);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The discrete-event network simulation loop.
 //!
 //! One [`SimulationRun`] owns the [`NodeTable`] (every node's state as
-//! hot/cold parallel columns), the LEACH election state, the per-cluster
-//! channel occupancy and the metric trackers, and processes a typed
-//! [`NetworkEvent`] queue until the configured horizon.  All stochastic
-//! components draw from independent streams derived from the scenario seed,
-//! so a run is exactly reproducible and protocol comparisons use common
-//! random numbers.
+//! hot/cold parallel columns), the LEACH election state, one data channel
+//! per cluster, the bursts on the air and the metric trackers, and
+//! processes a typed [`NetworkEvent`] queue until the configured horizon.
+//! All stochastic components draw from independent streams derived from the
+//! scenario seed, so a run is exactly reproducible and protocol comparisons
+//! use common random numbers.
 //!
 //! Events are drained one *instant* at a time: every event scheduled for
 //! the current timestamp is popped into a reusable batch buffer (in FIFO
@@ -14,6 +14,12 @@
 //! loop) and dispatched in runs of consecutive equal [`EventKind`]s.  The
 //! queue hands over a whole instant in one buffer swap, and the dispatch
 //! branch stays predicted within a run.
+//!
+//! Burst state follows the paper's model, where each cluster has one data
+//! channel: the bursts on the air live in a `BurstSlab` whose size is
+//! bounded by the concurrent bursts (about one per cluster), not by the
+//! node count.  A burst is named by its slab id, both by its cluster's
+//! `ClusterChannel` and by the `TransmissionComplete` event that ends it.
 
 use caem::policy::ThresholdPolicy;
 use caem_cluster::election::{ElectionConfig, LeachElection};
@@ -32,7 +38,6 @@ use caem_phy::mode::TransmissionMode;
 use caem_simcore::event::EventQueue;
 use caem_simcore::rng::{components, RngStream, StreamRng};
 use caem_simcore::time::{Duration, SimTime};
-use caem_traffic::packet::{Packet, PacketIdAllocator};
 
 use crate::config::{ConfigError, ScenarioConfig};
 use crate::events::{EventKind, NetworkEvent};
@@ -56,6 +61,8 @@ fn event_key(kind: EventKind) -> ProfKey {
 /// A burst currently on the air.
 #[derive(Debug)]
 struct OngoingBurst {
+    /// The sending node.
+    node: usize,
     /// When the cluster head starts advertising `receive` tones for this
     /// burst (commit time + head detection delay).  Until then other sensors
     /// still see `idle` — the collision vulnerability window.
@@ -64,14 +71,66 @@ struct OngoingBurst {
     end: SimTime,
     /// Set when a later burst collided with this one.
     collided: bool,
-    /// Packets carried by the burst.
-    packets: Vec<Packet>,
+    /// Creation times of the packets carried by the burst.
+    packets: Vec<SimTime>,
     /// ABICM mode the burst uses.
     mode: TransmissionMode,
     /// The cluster head the burst is addressed to.
     head: usize,
     /// Cluster index (of the round the burst started in).
     cluster: usize,
+}
+
+/// The bursts on the air, in reusable slots named by a `u32` id.
+///
+/// A completed burst's slot goes on a free list and is reused by the next
+/// burst, so the slab never holds more slots than the most bursts that
+/// were ever on the air at once.
+#[derive(Debug, Default)]
+struct BurstSlab {
+    slots: Vec<Option<OngoingBurst>>,
+    free: Vec<u32>,
+}
+
+impl BurstSlab {
+    /// Store `burst` and return its id.
+    fn insert(&mut self, burst: OngoingBurst) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.slots[id as usize] = Some(burst);
+                id
+            }
+            None => {
+                self.slots.push(Some(burst));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The burst with id `id`, if it is still on the air.
+    fn get(&self, id: u32) -> Option<&OngoingBurst> {
+        self.slots.get(id as usize)?.as_ref()
+    }
+
+    /// The burst with id `id`, if it is still on the air.
+    fn get_mut(&mut self, id: u32) -> Option<&mut OngoingBurst> {
+        self.slots.get_mut(id as usize)?.as_mut()
+    }
+
+    /// Take the burst with id `id` off the air and free its slot.
+    fn remove(&mut self, id: u32) -> Option<OngoingBurst> {
+        let burst = self.slots.get_mut(id as usize)?.take()?;
+        self.free.push(id);
+        Some(burst)
+    }
+}
+
+/// One cluster's data channel in the current round.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClusterChannel {
+    /// The burst that last claimed the channel, until it completes or the
+    /// round ends.
+    on_air: Option<u32>,
 }
 
 /// A fully-initialised simulation ready to run.
@@ -84,11 +143,11 @@ pub struct SimulationRun {
     election: LeachElection,
     round_clock: RoundClock,
     formation: Option<ClusterFormation>,
-    /// Which node's burst currently occupies each cluster channel.
-    cluster_occupancy: Vec<Option<usize>>,
-    /// At most one outgoing burst per node.
-    ongoing: Vec<Option<OngoingBurst>>,
-    packet_ids: PacketIdAllocator,
+    /// Each cluster's data channel, indexed by the current round's cluster.
+    channels: Vec<ClusterChannel>,
+    /// Every burst on the air (at most one per node).  A burst can outlive
+    /// the round it started in, and with it its cluster's channel entry.
+    burst_slab: BurstSlab,
     election_rng: StreamRng,
     error_rng: StreamRng,
     /// Jitter for tone-observation scheduling: each sensor locks onto its own
@@ -116,7 +175,7 @@ pub struct SimulationRun {
     batch: Vec<NetworkEvent>,
     /// Retired burst vectors, recycled by `start_burst` so steady-state burst
     /// traffic performs no allocations.
-    burst_buffer_pool: Vec<Vec<Packet>>,
+    burst_buffer_pool: Vec<Vec<SimTime>>,
 }
 
 impl SimulationRun {
@@ -162,9 +221,8 @@ impl SimulationRun {
             ),
             round_clock: RoundClock::new(cfg.round),
             formation: None,
-            cluster_occupancy: Vec::new(),
-            ongoing: (0..cfg.node_count).map(|_| None).collect(),
-            packet_ids: PacketIdAllocator::new(),
+            channels: Vec::new(),
+            burst_slab: BurstSlab::default(),
             election_rng: streams.derive(components::ELECTION, 0),
             error_rng: streams.derive(components::PACKET_ERROR, 0),
             jitter_rng: streams.derive(components::MISC, 0),
@@ -264,14 +322,15 @@ impl SimulationRun {
     /// detection window still sees `idle` — that window is exactly where
     /// collisions come from.
     fn channel_state(&self, cluster: usize) -> ChannelState {
-        match self.cluster_occupancy.get(cluster).copied().flatten() {
-            Some(occupant) => match &self.ongoing[occupant] {
-                Some(burst) if burst.advertised_from <= self.now && burst.end > self.now => {
-                    ChannelState::Receive
-                }
-                _ => ChannelState::Idle,
-            },
-            None => ChannelState::Idle,
+        match self
+            .channels
+            .get(cluster)
+            .and_then(|c| self.burst_slab.get(c.on_air?))
+        {
+            Some(burst) if burst.advertised_from <= self.now && burst.end > self.now => {
+                ChannelState::Receive
+            }
+            _ => ChannelState::Idle,
         }
     }
 
@@ -303,9 +362,9 @@ impl SimulationRun {
             &heads,
             self.table.alive_slice(),
         );
-        self.cluster_occupancy.clear();
-        self.cluster_occupancy
-            .resize(formation.cluster_count(), None);
+        self.channels.clear();
+        self.channels
+            .resize(formation.cluster_count(), ClusterChannel::default());
 
         for id in 0..self.table.len() {
             if !self.table.is_alive(id) {
@@ -330,9 +389,11 @@ impl SimulationRun {
                 let mut backlog = self.burst_buffer_pool.pop().unwrap_or_default();
                 self.table
                     .dequeue_burst_into(id, usize::MAX >> 1, &mut backlog);
-                for p in &backlog {
-                    self.perf
-                        .record_delivered(p.delay_at(self.now), p.size_bits);
+                for &created_at in &backlog {
+                    self.perf.record_delivered(
+                        self.now.saturating_since(created_at),
+                        self.cfg.frame.payload_bits,
+                    );
                 }
                 self.table.record_self_delivered(id, backlog.len() as u64);
                 self.recycle_burst_buffer(backlog);
@@ -364,13 +425,7 @@ impl SimulationRun {
             return;
         }
 
-        let packet = Packet::with_size(
-            self.packet_ids.allocate(),
-            node,
-            self.now,
-            self.cfg.frame.payload_bits,
-        );
-        let accepted = self.table.enqueue(node, packet);
+        let accepted = self.table.enqueue(node, self.now);
         if !accepted {
             self.perf.record_dropped_overflow();
             self.table.record_dropped(node);
@@ -554,7 +609,7 @@ impl SimulationRun {
     }
 
     /// Return a finished burst's packet vector to the reuse pool.
-    fn recycle_burst_buffer(&mut self, mut packets: Vec<Packet>) {
+    fn recycle_burst_buffer(&mut self, mut packets: Vec<SimTime>) {
         packets.clear();
         self.burst_buffer_pool.push(packets);
     }
@@ -618,19 +673,17 @@ impl SimulationRun {
         let end = begin + airtime;
 
         // Collision detection: is another burst occupying this cluster's
-        // channel during our interval?
-        let occupant = self.cluster_occupancy.get(cluster).copied().flatten();
-        let collides = occupant
-            .and_then(|other| self.ongoing[other].as_ref())
-            .map(|other| other.end > begin)
-            .unwrap_or(false);
+        // channel during our interval?  If so, it is marked collided too.
+        let occupant = self.channels.get(cluster).and_then(|c| c.on_air);
+        let collides = match occupant.and_then(|id| self.burst_slab.get_mut(id)) {
+            Some(other) if other.end > begin => {
+                other.collided = true;
+                true
+            }
+            _ => false,
+        };
         if collides {
             self.collisions += 1;
-            if let Some(other) = occupant {
-                if let Some(burst) = self.ongoing[other].as_mut() {
-                    burst.collided = true;
-                }
-            }
             // The colliding sender burns roughly one frame before the head's
             // collision tone stops it; the head wastes the same receive time.
             let tx_waste = self.cfg.power.transmit_energy(frame_airtime)
@@ -659,10 +712,8 @@ impl SimulationRun {
         let rx_energy = self.cfg.power.receive_energy(airtime);
         self.draw_energy(head, EnergyCategory::DataReceive, rx_energy);
 
-        if cluster < self.cluster_occupancy.len() {
-            self.cluster_occupancy[cluster] = Some(node);
-        }
-        self.ongoing[node] = Some(OngoingBurst {
+        let id = self.burst_slab.insert(OngoingBurst {
+            node,
             advertised_from: self.now + self.cfg.ch_detection_delay,
             end,
             collided: false,
@@ -671,20 +722,23 @@ impl SimulationRun {
             head,
             cluster,
         });
-        self.schedule(
-            end,
-            NetworkEvent::TransmissionComplete { node: node as u32 },
-        );
+        if let Some(channel) = self.channels.get_mut(cluster) {
+            channel.on_air = Some(id);
+        }
+        self.schedule(end, NetworkEvent::TransmissionComplete { burst: id });
     }
 
-    fn handle_transmission_complete(&mut self, node: usize) {
-        let Some(burst) = self.ongoing[node].take() else {
-            return; // stale
-        };
-        if burst.cluster < self.cluster_occupancy.len()
-            && self.cluster_occupancy[burst.cluster] == Some(node)
-        {
-            self.cluster_occupancy[burst.cluster] = None;
+    fn handle_transmission_complete(&mut self, id: u32) {
+        // Each burst schedules exactly one completion, and only that
+        // completion frees its slot.
+        let burst = self.burst_slab.remove(id).expect("a burst completes once");
+        let node = burst.node;
+        // A burst that straddled a round boundary may find its index naming
+        // a newer burst of the new round: only clear the channel it holds.
+        if let Some(channel) = self.channels.get_mut(burst.cluster) {
+            if channel.on_air == Some(id) {
+                channel.on_air = None;
+            }
         }
         if !self.table.is_alive(node) {
             // Died mid-burst; the energy is already spent, data lost.
@@ -713,11 +767,13 @@ impl SimulationRun {
             snr_db,
             self.cfg.frame.payload_bits,
         );
-        for packet in &burst.packets {
+        for &created_at in &burst.packets {
             let corrupted = self.error_rng.bernoulli(per);
             if head_alive && !corrupted {
-                self.perf
-                    .record_delivered(packet.delay_at(self.now), packet.size_bits);
+                self.perf.record_delivered(
+                    self.now.saturating_since(created_at),
+                    self.cfg.frame.payload_bits,
+                );
                 self.table.record_delivered(node);
             }
         }
@@ -837,10 +893,10 @@ impl SimulationRun {
                 }
                 EventKind::TransmissionComplete => {
                     for &e in run {
-                        let NetworkEvent::TransmissionComplete { node } = e else {
+                        let NetworkEvent::TransmissionComplete { burst } = e else {
                             unreachable!("kind-grouped run");
                         };
-                        self.handle_transmission_complete(node as usize);
+                        self.handle_transmission_complete(burst);
                     }
                 }
                 EventKind::NodeFailure => {
@@ -1204,6 +1260,59 @@ mod tests {
         assert_eq!(d.perf.generated(), again.perf.generated());
         assert_eq!(d.perf.delivered(), again.perf.delivered());
         assert_eq!(d.collisions, again.collisions);
+    }
+
+    #[test]
+    fn a_burst_straddling_a_round_boundary_completes_through_its_id() {
+        // Short rounds under heavy load put bursts on the air at round starts.
+        let mut cfg = ScenarioConfig::small(PolicyKind::PureLeach, 30.0, 37)
+            .with_duration(Duration::from_secs(20));
+        cfg.round.round_duration = Duration::from_millis(250);
+        cfg.round.setup_duration = Duration::from_millis(10);
+        let round = cfg.round.round_duration;
+        let mut run = SimulationRun::new(cfg);
+        let just_before = |t: SimTime| SimTime::from_nanos(t.as_nanos() - 1);
+
+        let mut boundary = SimTime::ZERO;
+        loop {
+            boundary += round;
+            assert!(
+                boundary < SimTime::from_secs(19),
+                "no straddling burst saw a newer burst claim its channel"
+            );
+            run.run_until(just_before(boundary));
+            let straddler = (0..run.burst_slab.slots.len() as u32).find_map(|id| {
+                let b = run.burst_slab.get(id)?;
+                (b.end > boundary).then_some((id, b.node, b.cluster, b.end))
+            });
+            run.run_until(boundary);
+            // A sender that is no head in the new round, so only a burst can
+            // raise its delivered count, in a cluster index the round has.
+            let Some((id, node, cluster, end)) = straddler.filter(|&(_, node, cluster, _)| {
+                cluster < run.channels.len() && !run.table.is_head(node)
+            }) else {
+                continue;
+            };
+
+            // The round start reset every channel: none names the old burst,
+            // and its cluster index reads idle in the new round.
+            assert!(run.burst_slab.get(id).is_some());
+            assert!(run.channels.iter().all(|c| c.on_air != Some(id)));
+            assert_eq!(run.channel_state(cluster), ChannelState::Idle);
+
+            let delivered_before = run.table.delivered(node);
+            run.run_until(just_before(end));
+            let claimed = run.channels[cluster].on_air;
+            run.run_until(end);
+            // The old burst completed through its id and freed its sender.
+            assert_ne!(run.table.mac(node).state(), SensorMacState::Transmitting);
+            // Its completion leaves a newer burst's claim on the index alone.
+            assert_eq!(run.channels[cluster].on_air, claimed);
+            if claimed.is_some() {
+                assert!(run.table.delivered(node) > delivered_before);
+                break;
+            }
+        }
     }
 
     #[test]

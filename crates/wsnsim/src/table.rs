@@ -40,7 +40,6 @@ use caem_mac::sensor::{SensorAction, SensorMac, SensorMacConfig};
 use caem_simcore::rng::{components, RngStream};
 use caem_simcore::time::SimTime;
 use caem_traffic::buffer::PacketBuffer;
-use caem_traffic::packet::Packet;
 use caem_traffic::source::TrafficSource;
 
 use crate::config::ScenarioConfig;
@@ -388,30 +387,30 @@ impl NodeTable {
     // Packet buffer (with queue-length mirror)
     // ------------------------------------------------------------------
 
-    /// Try to enqueue a packet on `node`'s buffer.  Returns `false` on
-    /// overflow.
-    pub fn enqueue(&mut self, node: usize, packet: Packet) -> bool {
-        let accepted = self.buffers[node].enqueue(self.params.buffer_capacity, packet);
+    /// Try to enqueue a packet created at `created_at` on `node`'s buffer.
+    /// Returns `false` on overflow.
+    pub fn enqueue(&mut self, node: usize, created_at: SimTime) -> bool {
+        let accepted = self.buffers[node].enqueue(self.params.buffer_capacity, created_at);
         self.queue_len[node] = self.buffers[node].len() as u32;
         accepted
     }
 
-    /// Dequeue `node`'s head-of-line packet.
-    pub fn dequeue(&mut self, node: usize) -> Option<Packet> {
+    /// Dequeue `node`'s head-of-line packet (its creation time).
+    pub fn dequeue(&mut self, node: usize) -> Option<SimTime> {
         let p = self.buffers[node].dequeue();
         self.queue_len[node] = self.buffers[node].len() as u32;
         p
     }
 
     /// Dequeue up to `count` packets from `node`, appending them to `out`.
-    pub fn dequeue_burst_into(&mut self, node: usize, count: usize, out: &mut Vec<Packet>) {
+    pub fn dequeue_burst_into(&mut self, node: usize, count: usize, out: &mut Vec<SimTime>) {
         self.buffers[node].dequeue_burst_into(count, out);
         self.queue_len[node] = self.buffers[node].len() as u32;
     }
 
     /// Return an aborted burst's packets to the *front* of `node`'s buffer,
     /// draining `packets` in place.
-    pub fn requeue_front_drain(&mut self, node: usize, packets: &mut Vec<Packet>) {
+    pub fn requeue_front_drain(&mut self, node: usize, packets: &mut Vec<SimTime>) {
         self.buffers[node].requeue_front_drain(packets);
         self.queue_len[node] = self.buffers[node].len() as u32;
     }
@@ -608,8 +607,7 @@ mod tests {
             .collect();
         // Freshly deployed buffers own no heap.
         assert_eq!(table.column_bytes_per_node(), inline);
-        let packet = Packet::new(caem_traffic::packet::PacketId(0), 0, SimTime::ZERO);
-        assert!(table.enqueue(0, packet));
+        assert!(table.enqueue(0, SimTime::ZERO));
         let heap = table.buffers[0].heap_bytes() as f64 / 4.0;
         assert!(heap > 0.0);
         for ((name, bytes), (_, inline_bytes)) in

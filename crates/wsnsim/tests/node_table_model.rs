@@ -14,7 +14,6 @@ use caem_energy::battery::{Battery, EnergyCategory};
 use caem_simcore::rng::RngStream;
 use caem_simcore::time::SimTime;
 use caem_traffic::buffer::PacketBuffer;
-use caem_traffic::packet::{Packet, PacketId};
 use caem_wsnsim::table::NodeTable;
 use caem_wsnsim::ScenarioConfig;
 use proptest::prelude::*;
@@ -90,7 +89,7 @@ proptest! {
         cfg.initial_energy_j = 0.08;
         let (mut table, mut model) = build_pair(&cfg);
         let mut next_packet = 0u64;
-        let mut scratch: Vec<Packet> = Vec::new();
+        let mut scratch: Vec<SimTime> = Vec::new();
 
         for word in ops {
             let node = (word % NODES as u64) as usize;
@@ -117,9 +116,10 @@ proptest! {
                     prop_assert_eq!(was_alive, m.alive);
                     m.alive = false;
                 }
-                // Enqueue a packet (counts a drop on overflow).
+                // Enqueue a packet (counts a drop on overflow).  Creation
+                // times are distinct, so they name the packet.
                 2 => {
-                    let p = Packet::new(PacketId(next_packet), node, SimTime::from_millis(next_packet));
+                    let p = SimTime::from_millis(next_packet);
                     next_packet += 1;
                     let accepted = table.enqueue(node, p);
                     let model_accepted = m.buffer.enqueue(cfg.buffer_capacity, p);
@@ -133,7 +133,7 @@ proptest! {
                 3 => {
                     let a = table.dequeue(node);
                     let b = m.buffer.dequeue();
-                    prop_assert_eq!(a.map(|p| p.id), b.map(|p| p.id));
+                    prop_assert_eq!(a, b);
                 }
                 // Burst dequeue, half of it delivered, rest requeued at the
                 // front (the collision-abort path).
@@ -148,8 +148,9 @@ proptest! {
                         table.record_delivered(node);
                         m.delivered += 1;
                     }
-                    let mut unsent: Vec<Packet> = scratch.split_off(sent);
-                    let model_unsent: Vec<Packet> = model_burst.split_off(sent);
+                    prop_assert_eq!(&scratch, &model_burst);
+                    let mut unsent: Vec<SimTime> = scratch.split_off(sent);
+                    let model_unsent: Vec<SimTime> = model_burst.split_off(sent);
                     table.requeue_front_drain(node, &mut unsent);
                     m.buffer.requeue_front(model_unsent);
                 }

@@ -5,8 +5,9 @@
 //! tests can write `caem_suite::wsnsim::…` instead of depending on each crate
 //! individually.
 //!
-//! See `README.md` for the project overview, `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `README.md` for the project overview: its *Crate map* section is the
+//! system inventory, and *Regenerating the paper's figures* and *Running
+//! experiments* list the binaries that produce the measured results.
 
 pub use caem;
 pub use caem_channel as channel;

@@ -13,7 +13,6 @@ use caem_suite::simcore::rng::StreamRng;
 use caem_suite::simcore::stats::RunningStats;
 use caem_suite::simcore::time::{Duration, SimTime};
 use caem_suite::traffic::buffer::PacketBuffer;
-use caem_suite::traffic::packet::{Packet, PacketId};
 use caem_suite::wsnsim::experiment::{ExperimentReport, METRIC_NAMES};
 use caem_suite::wsnsim::JobRecord;
 use proptest::prelude::*;
@@ -170,12 +169,13 @@ proptest! {
         let capacity_opt = Some(capacity);
         let mut buf = PacketBuffer::new();
         let mut next_id = 0u64;
-        let mut expected_front = 0u64;
+        let mut last_dequeued: Option<SimTime> = None;
         let (mut accepted_count, mut dequeued_count) = (0usize, 0usize);
         for op in ops {
             match op {
                 0 | 1 => {
-                    let p = Packet::new(PacketId(next_id), 0, SimTime::from_millis(next_id));
+                    // Distinct creation times name the packets.
+                    let p = SimTime::from_millis(next_id);
                     next_id += 1;
                     if buf.enqueue(capacity_opt, p) {
                         accepted_count += 1;
@@ -185,8 +185,8 @@ proptest! {
                 }
                 _ => {
                     if let Some(p) = buf.dequeue() {
-                        prop_assert!(p.id.0 >= expected_front);
-                        expected_front = p.id.0 + 1;
+                        prop_assert!(last_dequeued < Some(p), "FIFO order");
+                        last_dequeued = Some(p);
                         dequeued_count += 1;
                     }
                 }
