@@ -33,9 +33,9 @@ modes (exactly one selector):
   --listen <host:port>   run the daemon
     --shards <n>           shards per submitted grid (default 8, clamped to
                            the grid's job count)
-    --lease-ttl <s>        shard-lease TTL override in seconds (wins over
-                           each spec's distrib block)
-    --heartbeat <s>        worker heartbeat-interval override in seconds
+    --lease-ttl <s>        shard-lease TTL in seconds before a silent
+                           worker's shard is re-granted (default 60)
+    --heartbeat <s>        worker heartbeat interval in seconds (default 5)
   --submit <file>        submit a grid-spec document to a daemon
     --addr <host:port>     daemon address (required)
     --quick                resolve the spec in quick mode
@@ -73,18 +73,7 @@ fn connect(addr: &str) -> TcpLink {
     }
 }
 
-fn daemon(
-    listen: &str,
-    shards: Option<usize>,
-    lease_ttl: Option<f64>,
-    heartbeat: Option<f64>,
-) -> ! {
-    let mut cfg = ServiceConfig::default();
-    if let Some(n) = shards {
-        cfg.shards_per_grid = n;
-    }
-    cfg.lease_ttl = lease_ttl.map(Duration::from_secs_f64);
-    cfg.heartbeat = heartbeat.map(Duration::from_secs_f64);
+fn daemon(listen: &str, cfg: ServiceConfig) -> ! {
     let state = ServiceState::shared(cfg);
     let listener = TcpListener::bind(listen)
         .unwrap_or_else(|e| fail(format!("cannot listen on {listen}: {e}")));
@@ -137,10 +126,10 @@ fn status(addr: &str) {
     }
 }
 
-fn fetch(addr: &str, out: Option<&str>, timeout: Option<f64>) {
+fn fetch(addr: &str, out: Option<&str>, timeout: Option<Duration>) {
     let mut link = connect(addr);
     let mut client = ServiceClient::new(&mut link);
-    let budget = Duration::from_secs_f64(timeout.unwrap_or(60.0));
+    let budget = timeout.unwrap_or(Duration::from_secs(60));
     let report = client
         .fetch_report(budget)
         .unwrap_or_else(|e| fail(format!("fetch from {addr} failed: {e}")));
@@ -158,12 +147,7 @@ fn fetch(addr: &str, out: Option<&str>, timeout: Option<f64>) {
 fn main() {
     let cli = ServeCli::from_env().unwrap_or_else(|e| die_usage(e.to_string()));
     match &cli.mode {
-        ServeMode::Daemon {
-            listen,
-            shards,
-            lease_ttl,
-            heartbeat,
-        } => daemon(listen, *shards, *lease_ttl, *heartbeat),
+        ServeMode::Daemon { listen, config } => daemon(listen, config.clone()),
         ServeMode::Submit {
             addr,
             file,

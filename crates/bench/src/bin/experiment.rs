@@ -45,7 +45,6 @@
 //! (`_quick` variants, gitignored, for `--quick` runs).
 
 use std::net::TcpListener;
-use std::time::Duration;
 
 use caem_bench::cli::{RunArgs, SequentialArgs};
 use caem_bench::{policy_label, profrpt, ExperimentCli, ExperimentMode, DEFAULT_SEED, ZOO_SPEC};
@@ -60,7 +59,7 @@ use caem_wsnsim::serve::{
     run_socket_worker, serve_listener, Coordinator, ServiceConfig, ServiceState,
     SocketWorkerOptions, TcpLink, WorkerExit,
 };
-use caem_wsnsim::spec::{DistribTuning, GridSpec, ResolvedSpec};
+use caem_wsnsim::spec::{GridSpec, ResolvedSpec};
 
 const USAGE: &str = "\
 usage: experiment [seed] [--quick] [--spec <file>] [mode flags]
@@ -83,9 +82,6 @@ modes (at most one selector; `run` is the default):
     --workers <n>        distributed: host the service daemon in this process
                          and spawn n --connect worker processes; records are
                          journaled to the store as they arrive
-      --lease-ttl <s>      shard-lease TTL in seconds before a silent worker's
-                           shard is re-granted (wins over the spec's distrib
-                           block; default 60)
       --chaos <seed:kinds> deterministic fault injection across the run
                            (kinds: kill, torn, transient, delay, poison, all;
                            `+`-separated, e.g. --chaos 11:kill+torn)
@@ -124,7 +120,6 @@ struct Grid {
     spec: ExperimentSpec,
     sequential: Option<SequentialStopping>,
     replicates: usize,
-    distrib: DistribTuning,
 }
 
 /// Resolve the grid definition: the `--spec` document when given, the
@@ -150,7 +145,6 @@ fn load_grid(cli: &ExperimentCli) -> Grid {
         // Already batch-defaulted and validated by resolve().
         sequential: resolved.sequential,
         replicates,
-        distrib: resolved.distrib,
     }
 }
 
@@ -384,24 +378,13 @@ fn run_rounds<E: std::fmt::Display>(
 /// attached, run the grid (or the sequential loop) through `n` spawned
 /// socket workers, and hand the store back.
 fn run_served(
-    grid: &Grid,
+    spec: &ExperimentSpec,
     args: &RunArgs,
     sequential: Option<&SequentialStopping>,
     store: ExperimentStore,
     n: usize,
 ) -> (ExperimentReport, ExperimentStore) {
-    let spec = &grid.spec;
-    // Shard-lease TTL precedence: explicit flag > the spec's distrib block
-    // > the built-in default (already folded into `grid`).
-    let state = ServiceState::shared(ServiceConfig {
-        lease_ttl: Some(
-            args.lease_ttl
-                .map(Duration::from_secs_f64)
-                .unwrap_or(grid.distrib.lease_ttl),
-        ),
-        heartbeat: Some(grid.distrib.heartbeat),
-        ..ServiceConfig::default()
-    });
+    let state = ServiceState::shared(ServiceConfig::default());
     state.lock().expect("service lock").attach_store(store);
     let listener = TcpListener::bind("127.0.0.1:0")
         .unwrap_or_else(|e| die(format!("cannot listen on a loopback port: {e}")));
@@ -479,7 +462,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
     );
     let report = match args.workers {
         Some(n) => {
-            let (report, returned) = run_served(&grid, args, sequential.as_ref(), store, n);
+            let (report, returned) = run_served(spec, args, sequential.as_ref(), store, n);
             store = returned;
             report
         }

@@ -89,7 +89,12 @@ fn apply_spec_file(spec: &mut StressSpec, path: &str) -> Result<(), String> {
                 .ok_or_else(|| format!("{field} takes {what}"))
         };
         match key.as_str() {
-            "nodes" => spec.nodes = number("a node count")? as usize,
+            "nodes" => {
+                spec.nodes = value
+                    .as_u64()
+                    .ok_or_else(|| format!("{field} takes a node count"))?
+                    as usize
+            }
             "duration_s" => spec.duration_s = number("seconds")?,
             "traffic_pps" => spec.traffic_pps = number("packets/sec")?,
             "churn_mttf_s" => {

@@ -1,9 +1,5 @@
-//! Structured command-line parsing for the bench binaries.
-//!
-//! The `experiment` binary used to probe `std::env::args` with ad-hoc
-//! `has_flag`/`flag_value` lookups guarded by an O(n²) pairwise conflict
-//! table — misspelled flags were silently ignored and every new flag meant
-//! auditing every pair.  This module replaces that with a two-layer parser:
+//! Structured command-line parsing for the bench binaries: a two-layer
+//! parser.
 //!
 //! 1. A **lexer** ([`ParsedArgs::lex`]) that knows the full flag vocabulary
 //!    of a binary: unknown flags, missing values, duplicate flags and stray
@@ -12,13 +8,14 @@
 //! 2. A **mode builder** ([`ExperimentCli::from_args`]) that folds the
 //!    lexed flags into one [`ExperimentMode`] value.  Invalid combinations
 //!    are unrepresentable by construction — `Reaggregate` simply has no
-//!    `workers` field — so the old conflict table is replaced by the shape
-//!    of the types, and every remaining cross-flag rule is a typed error
-//!    naming both flags.
+//!    `workers` field — and every remaining cross-flag rule is a typed
+//!    error naming both flags.
 
 use std::fmt;
+use std::time::Duration;
 
 use caem_wsnsim::faults::FaultPlanConfig;
+use caem_wsnsim::serve::ServiceConfig;
 
 /// A typed command-line error.  `Display` renders the message the binaries
 /// print (followed by their usage text) before exiting 2.
@@ -231,7 +228,6 @@ const EXPERIMENT_FLAGS: &[FlagDef] = &[
     option("--target-ci"),
     option("--ci-metric"),
     option("--max-replicates"),
-    option("--lease-ttl"),
     option("--connect"),
     option("--protocol"),
     option("--expect-hash"),
@@ -265,9 +261,6 @@ pub struct RunArgs {
     pub strict: bool,
     /// fsync every store append (`--fsync`).
     pub fsync: bool,
-    /// Shard-lease TTL override in seconds (`--lease-ttl`); requires
-    /// `--workers`, and takes precedence over the spec's `distrib` block.
-    pub lease_ttl: Option<f64>,
     /// Fault-injection schedule (`--chaos seed:kind+kind`); requires
     /// `--workers`, since the faults target the worker fleet and the
     /// coordinator's store.
@@ -280,7 +273,7 @@ pub struct RunArgs {
 /// The mutually exclusive modes of the `experiment` binary.  One value of
 /// this enum is the whole story of an invocation: a mode carries exactly
 /// the data meaningful to it, so contradictory flag combinations have no
-/// representation and the old pairwise conflict table is gone.
+/// representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentMode {
     /// Simulate the grid (fresh, resumed, sequential and/or distributed).
@@ -372,9 +365,9 @@ impl ExperimentCli {
                     .value("--connect")
                     .expect("lexer enforced the value")
                     .to_string();
-                // A socket worker learns everything else (jobs, lease
-                // tuning, heartbeat cadence) from the daemon's handshake
-                // and grants; every other flag would be silently ignored.
+                // A socket worker learns everything else (jobs, heartbeat
+                // cadence) from the daemon's handshake and grants; every
+                // other flag would be silently ignored.
                 reject_all(
                     &parsed,
                     "socket-worker",
@@ -391,7 +384,6 @@ impl ExperimentCli {
                         "--fsync",
                         "--chaos",
                         "--profile",
-                        "--lease-ttl",
                     ],
                 )?;
                 ExperimentMode::SocketWorker {
@@ -414,7 +406,6 @@ impl ExperimentCli {
                         "--fsync",
                         "--chaos",
                         "--profile",
-                        "--lease-ttl",
                         "--protocol",
                         "--expect-hash",
                     ],
@@ -443,7 +434,6 @@ impl ExperimentCli {
                         "--fsync",
                         "--chaos",
                         "--profile",
-                        "--lease-ttl",
                         "--protocol",
                         "--expect-hash",
                     ],
@@ -482,15 +472,6 @@ impl ExperimentCli {
                     .parsed::<usize>("--workers", "an integer >= 1")?
                     .map(require_at_least_one("--workers"))
                     .transpose()?;
-                let lease_ttl = positive_seconds(&parsed, "--lease-ttl")?;
-                if lease_ttl.is_some() && workers.is_none() {
-                    // Leases only exist on the distributed path; a local
-                    // run would silently ignore the TTL.
-                    return Err(CliError::Requires {
-                        flag: "--lease-ttl",
-                        requires: "--workers",
-                    });
-                }
                 let chaos = match parsed.value("--chaos") {
                     None => None,
                     Some(text) => {
@@ -517,7 +498,6 @@ impl ExperimentCli {
                     sequential,
                     strict: parsed.has("--strict"),
                     fsync: parsed.has("--fsync"),
-                    lease_ttl,
                     chaos,
                     profile: parsed.has("--profile"),
                 })
@@ -546,17 +526,20 @@ fn reject_all(
     Ok(())
 }
 
-/// Parse a duration-in-seconds flag that must be positive and finite.
-/// Mirrors the spec layer's `distrib.lease_ttl_s` validation
-/// (`ConfigError::NonPositive`) at the flag boundary.
-fn positive_seconds(parsed: &ParsedArgs, flag: &'static str) -> Result<Option<f64>, CliError> {
-    match parsed.parsed::<f64>(flag, "a positive number of seconds")? {
-        None => Ok(None),
-        Some(v) if v > 0.0 && v.is_finite() => Ok(Some(v)),
-        Some(_) => Err(CliError::InvalidValue {
+/// Parse a duration-in-seconds flag that must be positive and fit a
+/// [`Duration`]: zero, negative, non-finite and overflowing values are all
+/// [`CliError::InvalidValue`].
+fn positive_seconds(parsed: &ParsedArgs, flag: &'static str) -> Result<Option<Duration>, CliError> {
+    const EXPECTED: &str = "a positive number of seconds";
+    let Some(secs) = parsed.parsed::<f64>(flag, EXPECTED)? else {
+        return Ok(None);
+    };
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if !d.is_zero() => Ok(Some(d)),
+        _ => Err(CliError::InvalidValue {
             flag,
             value: parsed.value(flag).unwrap_or_default().to_string(),
-            expected: "a positive number of seconds",
+            expected: EXPECTED,
         }),
     }
 }
@@ -603,12 +586,9 @@ pub enum ServeMode {
     Daemon {
         /// Listen address (`host:port`).
         listen: String,
-        /// Shards per submitted grid (default 8, clamped to job count).
-        shards: Option<usize>,
-        /// Shard-lease TTL override in seconds (wins over spec `distrib`).
-        lease_ttl: Option<f64>,
-        /// Heartbeat-interval override in seconds.
-        heartbeat: Option<f64>,
+        /// `--shards`, `--lease-ttl` and `--heartbeat` over the
+        /// [`ServiceConfig`] defaults.
+        config: ServiceConfig,
     },
     /// Submit a grid-spec file to a daemon.
     Submit {
@@ -632,8 +612,8 @@ pub enum ServeMode {
         addr: String,
         /// Write the report here instead of stdout.
         out: Option<String>,
-        /// Give up after this many seconds (default 60).
-        timeout: Option<f64>,
+        /// Give up after this long (default 60 s).
+        timeout: Option<Duration>,
     },
 }
 
@@ -690,17 +670,23 @@ impl ServeCli {
                     "daemon",
                     &["--addr", "--quick", "--seed", "--out", "--timeout"],
                 )?;
+                let defaults = ServiceConfig::default();
                 ServeMode::Daemon {
                     listen: parsed
                         .value("--listen")
                         .expect("lexer enforced the value")
                         .to_string(),
-                    shards: parsed
-                        .parsed("--shards", "an integer >= 1")?
-                        .map(require_at_least_one("--shards"))
-                        .transpose()?,
-                    lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
-                    heartbeat: positive_seconds(&parsed, "--heartbeat")?,
+                    config: ServiceConfig {
+                        shards_per_grid: parsed
+                            .parsed("--shards", "an integer >= 1")?
+                            .map(require_at_least_one("--shards"))
+                            .transpose()?
+                            .unwrap_or(defaults.shards_per_grid),
+                        lease_ttl: positive_seconds(&parsed, "--lease-ttl")?
+                            .unwrap_or(defaults.lease_ttl),
+                        heartbeat: positive_seconds(&parsed, "--heartbeat")?
+                            .unwrap_or(defaults.heartbeat),
+                    },
                 }
             }
             Some("--submit") => {
@@ -946,7 +932,6 @@ mod tests {
                 sequential: None,
                 strict: false,
                 fsync: false,
-                lease_ttl: None,
                 chaos: None,
                 profile: false,
             })
@@ -1057,7 +1042,6 @@ mod tests {
             &["--workers", "2"],
             &["--resume"],
             &["--target-ci", "0.1"],
-            &["--lease-ttl", "2"],
         ] {
             let mut argv = vec!["--connect", "127.0.0.1:7171"];
             argv.extend_from_slice(flag);
@@ -1242,34 +1226,19 @@ mod tests {
     }
 
     #[test]
-    fn lease_ttl_parses_on_the_distributed_paths_only() {
-        match parse(&["--workers=2", "--lease-ttl=0.5"]).unwrap().mode {
-            ExperimentMode::Run(run) => assert_eq!(run.lease_ttl, Some(0.5)),
-            other => panic!("expected run mode, got {other:?}"),
+    fn lease_ttl_is_unknown_to_experiment() {
+        // Lease timing is daemon configuration (`caem-serve --lease-ttl`);
+        // no grid run, local or distributed, takes it.
+        for argv in [
+            &["--lease-ttl=30"][..],
+            &["--workers=2", "--lease-ttl=30"],
+            &["--connect", "127.0.0.1:7171", "--lease-ttl", "2"],
+        ] {
+            assert_eq!(
+                parse(argv),
+                Err(CliError::UnknownFlag("--lease-ttl".to_string()))
+            );
         }
-        assert_eq!(
-            parse(&["--lease-ttl=30"]),
-            Err(CliError::Requires {
-                flag: "--lease-ttl",
-                requires: "--workers"
-            })
-        );
-        // Non-positive TTLs are typed errors, mirroring the spec layer's
-        // NonPositive on distrib.lease_ttl_s.
-        assert!(matches!(
-            parse(&["--workers=2", "--lease-ttl=0"]),
-            Err(CliError::InvalidValue {
-                flag: "--lease-ttl",
-                ..
-            })
-        ));
-        assert!(matches!(
-            parse(&["--workers=2", "--lease-ttl=-5"]),
-            Err(CliError::InvalidValue {
-                flag: "--lease-ttl",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -1285,9 +1254,11 @@ mod tests {
             daemon.mode,
             ServeMode::Daemon {
                 listen: "127.0.0.1:7171".to_string(),
-                shards: Some(4),
-                lease_ttl: Some(1.5),
-                heartbeat: None,
+                config: ServiceConfig {
+                    shards_per_grid: 4,
+                    lease_ttl: Duration::from_millis(1500),
+                    ..ServiceConfig::default()
+                },
             }
         );
         let submit = ServeCli::from_args(args(&[
@@ -1328,7 +1299,7 @@ mod tests {
             ServeMode::Fetch {
                 addr: "127.0.0.1:7171".to_string(),
                 out: Some("/tmp/report.json".to_string()),
-                timeout: Some(120.0),
+                timeout: Some(Duration::from_secs(120)),
             }
         );
     }
@@ -1367,6 +1338,23 @@ mod tests {
                 ..
             })
         ));
+        // Seconds that overflow a `Duration`, or are not finite, are typed
+        // errors too, never a panic in the conversion.
+        for (argv, flag) in [
+            (&["--listen", "x:1", "--lease-ttl=1e30"][..], "--lease-ttl"),
+            (&["--listen", "x:1", "--heartbeat=inf"], "--heartbeat"),
+            (&["--fetch", "--addr=x:1", "--timeout=1e300"], "--timeout"),
+            (&["--fetch", "--addr=x:1", "--timeout=NaN"], "--timeout"),
+        ] {
+            assert_eq!(
+                ServeCli::from_args(args(argv)),
+                Err(CliError::InvalidValue {
+                    flag,
+                    value: argv[argv.len() - 1].split_once('=').unwrap().1.to_string(),
+                    expected: "a positive number of seconds",
+                })
+            );
+        }
     }
 
     #[test]

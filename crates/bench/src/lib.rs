@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: shared helpers used by the `fig8` … `fig12`,
 //! `netperf` and `ablation` binaries that regenerate every figure of the
-//! paper's evaluation (Section IV), plus the Criterion micro-benchmarks.
+//! paper's evaluation (Section IV).
 //!
 //! Run the full figure suite with, e.g.:
 //!
@@ -11,10 +11,9 @@
 //! cargo run -p caem-bench --release --bin fig10
 //! ```
 //!
-//! Every binary prints a plain-text table, a CSV block and the markdown table
-//! recorded in `EXPERIMENTS.md`.  Seeds are fixed so the output is
-//! reproducible; pass a different seed as the first CLI argument to check
-//! robustness.
+//! Every binary prints a plain-text table, a CSV block and a markdown
+//! table.  Seeds are fixed so the output is reproducible; pass a different
+//! seed as the first CLI argument to check robustness.
 
 use caem::policy::PolicyKind;
 use caem_metrics::report::Table;

@@ -35,14 +35,6 @@ use crate::persist::{JobFailure, JobKey, JobRecord};
 use crate::runner::SimulationRun;
 use crate::spec::ResolvedSpec;
 
-/// Default shard-lease TTL before a silent worker's claim is evicted.
-/// Overridable per run through the spec's `distrib` block and the
-/// `--lease-ttl` flag.
-pub const DEFAULT_LEASE_TTL: StdDuration = StdDuration::from_secs(60);
-
-/// Default heartbeat interval of socket workers.
-pub const DEFAULT_HEARTBEAT: StdDuration = StdDuration::from_secs(5);
-
 /// Errors raised while coordinating a distributed grid.
 #[derive(Debug)]
 pub enum DistribError {
@@ -480,7 +472,6 @@ mod tests {
         run_socket_worker, FrameLink, LoopbackLink, LoopbackSpawner, Message, ProtoError,
         ServiceConfig, ServiceState, SocketWorkerOptions, WorkerExit,
     };
-    use crate::spec::DistribTuning;
     use caem_simcore::time::Duration;
 
     fn tiny_spec() -> ExperimentSpec {
@@ -499,13 +490,10 @@ mod tests {
     fn daemon(lease_ttl: StdDuration) -> LoopbackSpawner {
         let state = ServiceState::shared(ServiceConfig {
             shards_per_grid: 2,
-            lease_ttl: Some(lease_ttl),
+            lease_ttl,
             ..ServiceConfig::default()
         });
-        state
-            .lock()
-            .unwrap()
-            .submit_grid("tiny", &tiny_spec(), &DistribTuning::default());
+        state.lock().unwrap().submit_grid("tiny", &tiny_spec());
         LoopbackSpawner::new(state)
     }
 

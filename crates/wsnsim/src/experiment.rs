@@ -1,14 +1,11 @@
 //! The sharded experiment engine: flat (scenario × policy × seed) job grids
 //! fanned out in a **single** parallel layer.
 //!
-//! The figure sweeps used to nest `par_iter` calls (`load_sweep` fanned out
-//! loads, and each load fanned out protocols), which with per-call thread
-//! sizing oversubscribed the machine by loads × cores.  The engine fixes the
-//! bug *by construction*: every experiment — however many axes it has — is
-//! first enumerated into one flat [`ExperimentJob`] work list and then run
-//! through exactly one parallel fan-out ([`run_configs`] or the equivalent
-//! job-list fan-out in [`ExperimentSpec::run`]), whose workers come out of
-//! rayon's process-wide thread budget.
+//! Every experiment — however many axes it has — is first enumerated into
+//! one flat [`ExperimentJob`] work list and then run through exactly one
+//! parallel fan-out ([`run_configs`] or the equivalent job-list fan-out in
+//! [`ExperimentSpec::run`]), whose workers come out of rayon's process-wide
+//! thread budget, so nested fan-outs cannot oversubscribe the machine.
 //!
 //! On top of the flat grid the engine adds what a single-seed point estimate
 //! cannot give: **replication**.  Each (scenario, policy) cell is simulated

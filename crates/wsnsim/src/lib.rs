@@ -92,6 +92,6 @@ pub use serve::{
     run_socket_worker, serve_connection, serve_listener, Coordinator, LoopbackSpawner,
     ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
-pub use spec::{DistribSpec, DistribTuning, GridSpec, ResolvedGrid, ResolvedSpec};
-pub use sweep::{compare_policies, load_sweep, load_sweep_spec, LoadSweepPoint, PolicyComparison};
+pub use spec::{GridSpec, ResolvedGrid, ResolvedSpec};
+pub use sweep::{compare_policies, load_sweep, LoadSweepPoint, PolicyComparison};
 pub use table::NodeTable;

@@ -23,7 +23,6 @@ use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner};
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
 use crate::persist::{ExperimentStore, StoreError};
-use crate::spec::DistribTuning;
 
 use super::{LoopbackSpawner, ServiceState};
 
@@ -80,7 +79,7 @@ impl Coordinator {
     pub fn run(&mut self, spec: &ExperimentSpec) -> Result<ExperimentReport, DistribError> {
         spec.assert_distinct_axes();
         assert!(spec.job_count() >= 1, "cannot distribute an empty grid");
-        let grid = lock(&self.state).submit_grid("experiment", spec, &DistribTuning::default());
+        let grid = lock(&self.state).submit_grid("experiment", spec);
         let report = loop {
             if let Some(report) = lock(&self.state).take_report(grid) {
                 break report;

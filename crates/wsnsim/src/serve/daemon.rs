@@ -26,15 +26,13 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::distrib::{
-    merge_outcome, GridManifest, ManifestJob, DEFAULT_HEARTBEAT, DEFAULT_LEASE_TTL,
-};
+use crate::distrib::{merge_outcome, GridManifest, ManifestJob};
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
 use crate::persist::{
     decode_line, DecodedLine, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError,
 };
-use crate::spec::{DistribTuning, GridSpec, ResolvedSpec};
+use crate::spec::{GridSpec, ResolvedSpec};
 
 use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
 use super::transport::{FrameLink, TcpLink};
@@ -45,26 +43,25 @@ const RECV_TICK: Duration = Duration::from_millis(200);
 /// Suggested claim-retry delay when the daemon has nothing to grant.
 const NO_WORK_RETRY_MS: u64 = 100;
 
-/// Daemon-wide tuning.
-#[derive(Debug, Clone)]
+/// Daemon-wide tuning: the one place lease timing is set.  Every grid the
+/// daemon serves runs under it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Shards a submitted grid is split into (clamped to its job count).
     pub shards_per_grid: usize,
-    /// Operator override for the shard-lease TTL.  `None` defers to each
-    /// spec's `distrib` block (and then to
-    /// [`DEFAULT_LEASE_TTL`]).
-    pub lease_ttl: Option<Duration>,
-    /// Operator override for the worker heartbeat interval, with the same
-    /// precedence as `lease_ttl`.
-    pub heartbeat: Option<Duration>,
+    /// How long a leased shard may go without a heartbeat or record frame
+    /// before the next claim evicts its worker and re-grants it.
+    pub lease_ttl: Duration,
+    /// Heartbeat interval announced to every worker in the handshake.
+    pub heartbeat: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards_per_grid: 8,
-            lease_ttl: None,
-            heartbeat: None,
+            lease_ttl: Duration::from_secs(60),
+            heartbeat: Duration::from_secs(5),
         }
     }
 }
@@ -102,8 +99,6 @@ struct ActiveGrid {
     /// Decoded-line count per (connection, shard) — the receiver side of
     /// the [`Message::ShardDone`] reconciliation.
     received: HashMap<(u64, usize), u64>,
-    lease_ttl: Duration,
-    heartbeat: Duration,
 }
 
 impl ActiveGrid {
@@ -219,18 +214,6 @@ impl ServiceState {
         self.next_conn
     }
 
-    /// The lease tuning a fresh worker should run with: the active grid's
-    /// if one exists, otherwise the daemon defaults.
-    fn tuning(&self) -> (Duration, Duration) {
-        match self.queue.front() {
-            Some(grid) => (grid.heartbeat, grid.lease_ttl),
-            None => (
-                self.cfg.heartbeat.unwrap_or(DEFAULT_HEARTBEAT),
-                self.cfg.lease_ttl.unwrap_or(DEFAULT_LEASE_TTL),
-            ),
-        }
-    }
-
     fn handle(&mut self, conn: u64, msg: Message) -> Reply {
         if self.closed {
             return Reply::Hangup;
@@ -272,11 +255,10 @@ impl ServiceState {
                     }
                 }
                 self.workers.insert(conn, worker);
-                let (heartbeat, lease_ttl) = self.tuning();
                 Reply::Send(Message::HelloAck {
                     seq,
-                    heartbeat_ms: heartbeat.as_millis() as u64,
-                    lease_ttl_ms: lease_ttl.as_millis() as u64,
+                    heartbeat_ms: self.cfg.heartbeat.as_millis() as u64,
+                    lease_ttl_ms: self.cfg.lease_ttl.as_millis() as u64,
                 })
             }
             Message::Claim { seq } => Reply::Send(self.claim(conn, seq)),
@@ -368,7 +350,7 @@ impl ServiceState {
             };
         }
         let name = parsed.name.clone().unwrap_or_else(|| "grid".to_string());
-        let grid = self.submit_grid(&name, &resolved.spec, &resolved.distrib);
+        let grid = self.submit_grid(&name, &resolved.spec);
         Message::SubmitAck {
             seq,
             grid,
@@ -378,16 +360,10 @@ impl ServiceState {
     }
 
     /// Queue `spec` as the grid `name`, exactly as a submitted document
-    /// resolving to it would be, and return its grid hash.  Lease tuning
-    /// comes from `tuning` unless the daemon's config overrides it.  Jobs
-    /// the attached store already holds are settled at once; a grid the
-    /// store completes finalizes on the spot.
-    pub fn submit_grid(
-        &mut self,
-        name: &str,
-        spec: &ExperimentSpec,
-        tuning: &DistribTuning,
-    ) -> u64 {
+    /// resolving to it would be, and return its grid hash.  Jobs the
+    /// attached store already holds are settled at once; a grid the store
+    /// completes finalizes on the spot.
+    pub fn submit_grid(&mut self, name: &str, spec: &ExperimentSpec) -> u64 {
         let shards = self.cfg.shards_per_grid.clamp(1, spec.job_count().max(1));
         let manifest = GridManifest::from_spec(spec, shards);
         let job_index = manifest
@@ -407,8 +383,6 @@ impl ServiceState {
             settled: HashSet::new(),
             leases: HashMap::new(),
             received: HashMap::new(),
-            lease_ttl: self.cfg.lease_ttl.unwrap_or(tuning.lease_ttl),
-            heartbeat: self.cfg.heartbeat.unwrap_or(tuning.heartbeat),
         };
         if let Some(store) = &self.journal {
             for job in &grid.manifest.jobs {
@@ -433,6 +407,7 @@ impl ServiceState {
     }
 
     fn claim(&mut self, conn: u64, seq: u64) -> Message {
+        let ttl = self.cfg.lease_ttl;
         loop {
             let Some(grid) = self.queue.front_mut() else {
                 return Message::NoWork {
@@ -442,7 +417,6 @@ impl ServiceState {
             };
             // Evict leases whose worker has gone silent past the TTL so a
             // hung (but still connected) worker can't wedge the grid.
-            let ttl = grid.lease_ttl;
             let stale: Vec<usize> = grid
                 .leases
                 .iter()

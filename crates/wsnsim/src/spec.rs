@@ -4,11 +4,6 @@
 //! seeds/replicates and sequential-stopping settings — and resolves
 //! **deterministically** into an [`ExperimentSpec`].
 //!
-//! Until this module, every scenario was hard-coded Rust in the `experiment`
-//! binary: adding a grid cell meant recompiling, and a grid definition could
-//! not be shipped to another machine.  A spec file is the serializable front
-//! door the engine was missing:
-//!
 //! * **Exact**: a committed spec resolves to the same fully resolved
 //!   [`crate::ScenarioConfig`]s (hence the same
 //!   [`crate::persist::config_hash`]es, the same store records and the same
@@ -291,38 +286,6 @@ impl GridQuick {
     }
 }
 
-/// Distributed-run tuning as a spec document writes it: the shard-lease
-/// TTL and worker heartbeat interval that used to be hard-coded constants
-/// in the distribution layer.  Both optional; [`GridSpec::resolve`] fills
-/// in the layer defaults ([`crate::distrib::DEFAULT_LEASE_TTL`],
-/// [`crate::distrib::DEFAULT_HEARTBEAT`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DistribSpec {
-    /// Shard-lease TTL in seconds before an unrefreshed claim may be
-    /// stolen (strictly positive).
-    pub lease_ttl_s: Option<f64>,
-    /// Socket-worker heartbeat interval in seconds (strictly positive).
-    pub heartbeat_s: Option<f64>,
-}
-
-/// Resolved distributed-run tuning: [`DistribSpec`] with defaults applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistribTuning {
-    /// Shard-lease TTL before an unrefreshed claim may be stolen.
-    pub lease_ttl: std::time::Duration,
-    /// Socket-worker heartbeat interval.
-    pub heartbeat: std::time::Duration,
-}
-
-impl Default for DistribTuning {
-    fn default() -> Self {
-        DistribTuning {
-            lease_ttl: crate::distrib::DEFAULT_LEASE_TTL,
-            heartbeat: crate::distrib::DEFAULT_HEARTBEAT,
-        }
-    }
-}
-
 /// Sequential-stopping settings as a spec document writes them; resolved
 /// into a [`SequentialStopping`] with the grid's replicate batch as the
 /// default batch size.
@@ -349,8 +312,8 @@ pub enum SeedAxis {
     Explicit(Vec<u64>),
 }
 
-/// A fully declarative experiment grid: everything the `experiment` binary
-/// used to hard-code, as one serializable document.
+/// A fully declarative experiment grid: scenarios, policies, seeds and
+/// sequential stopping, as one serializable document.
 ///
 /// Parse with [`GridSpec::parse`] (strict, typed errors), resolve with
 /// [`GridSpec::resolve`] (deterministic), re-serialize with
@@ -374,8 +337,6 @@ pub struct GridSpec {
     pub scenarios: Vec<ScenarioSpecDoc>,
     /// Optional sequential-stopping settings.
     pub sequential: Option<SequentialSpec>,
-    /// Optional distributed-run tuning (lease TTL, heartbeat interval).
-    pub distrib: Option<DistribSpec>,
     /// Grid-level quick-mode overrides.
     pub quick: GridQuick,
 }
@@ -540,10 +501,6 @@ impl GridSpec {
             Some(v) => Some(parse_sequential(v)?),
             None => None,
         };
-        let distrib = match doc.take("distrib")? {
-            Some(v) => Some(parse_distrib(v)?),
-            None => None,
-        };
         let scenarios = match doc.required("scenarios")? {
             Value::Seq(items) => {
                 if items.is_empty() {
@@ -581,7 +538,6 @@ impl GridSpec {
             policies,
             scenarios,
             sequential,
-            distrib,
             quick,
         })
     }
@@ -626,33 +582,6 @@ fn parse_sequential(value: &Value) -> Result<SequentialSpec, ConfigError> {
         target_half_width,
         batch,
         max_replicates,
-    })
-}
-
-fn parse_distrib(value: &Value) -> Result<DistribSpec, ConfigError> {
-    let mut f = Fields::new("distrib", value)?;
-    let lease_ttl_s = f.opt_f64("lease_ttl_s")?;
-    if let Some(v) = lease_ttl_s {
-        if v <= 0.0 {
-            return Err(ConfigError::NonPositive {
-                path: "distrib.lease_ttl_s".to_string(),
-                value: v,
-            });
-        }
-    }
-    let heartbeat_s = f.opt_f64("heartbeat_s")?;
-    if let Some(v) = heartbeat_s {
-        if v <= 0.0 {
-            return Err(ConfigError::NonPositive {
-                path: "distrib.heartbeat_s".to_string(),
-                value: v,
-            });
-        }
-    }
-    f.finish()?;
-    Ok(DistribSpec {
-        lease_ttl_s,
-        heartbeat_s,
     })
 }
 
@@ -952,16 +881,6 @@ impl GridSpec {
             s.push(("max_replicates", Value::UInt(seq.max_replicates as u64)));
             entries.push(("sequential", map(s)));
         }
-        if let Some(d) = &self.distrib {
-            let mut v: Vec<(&str, Value)> = Vec::new();
-            if let Some(ttl) = d.lease_ttl_s {
-                v.push(("lease_ttl_s", Value::Float(ttl)));
-            }
-            if let Some(hb) = d.heartbeat_s {
-                v.push(("heartbeat_s", Value::Float(hb)));
-            }
-            entries.push(("distrib", map(v)));
-        }
         entries.push((
             "scenarios",
             Value::Seq(self.scenarios.iter().map(scenario_to_value).collect()),
@@ -1058,11 +977,6 @@ pub struct ResolvedGrid {
     /// The document's sequential-stopping rule, batch defaulted to the
     /// grid's replicate count.
     pub sequential: Option<SequentialStopping>,
-    /// Lease/heartbeat tuning for distributed runs, defaulted from
-    /// [`crate::distrib::DEFAULT_LEASE_TTL`] / [`DEFAULT_HEARTBEAT`].
-    ///
-    /// [`DEFAULT_HEARTBEAT`]: crate::distrib::DEFAULT_HEARTBEAT
-    pub distrib: DistribTuning,
 }
 
 impl GridSpec {
@@ -1114,20 +1028,6 @@ impl GridSpec {
                 });
             }
         }
-        let distrib = DistribTuning {
-            lease_ttl: self
-                .distrib
-                .as_ref()
-                .and_then(|d| d.lease_ttl_s)
-                .map(std::time::Duration::from_secs_f64)
-                .unwrap_or(crate::distrib::DEFAULT_LEASE_TTL),
-            heartbeat: self
-                .distrib
-                .as_ref()
-                .and_then(|d| d.heartbeat_s)
-                .map(std::time::Duration::from_secs_f64)
-                .unwrap_or(crate::distrib::DEFAULT_HEARTBEAT),
-        };
         Ok(ResolvedGrid {
             spec: ExperimentSpec {
                 scenarios,
@@ -1135,7 +1035,6 @@ impl GridSpec {
                 seeds,
             },
             sequential,
-            distrib,
         })
     }
 

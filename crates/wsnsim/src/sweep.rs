@@ -5,14 +5,13 @@
 //! embarrassingly parallel.  Both entry points enumerate their full
 //! (load × policy) grid into one flat work list and run it through the
 //! experiment engine's single parallel layer
-//! ([`crate::experiment::run_configs`]); the earlier implementation nested a
-//! per-load `par_iter` around a per-policy `par_iter`, which oversubscribed
-//! the machine by loads × cores.
+//! ([`crate::experiment::run_configs`]), so nothing nests one parallel
+//! fan-out inside another.
 
 use caem::policy::PolicyKind;
 
 use crate::config::ScenarioConfig;
-use crate::experiment::{run_configs, ExperimentSpec, ScenarioSpec};
+use crate::experiment::run_configs;
 use crate::result::SimulationResult;
 
 /// The three protocol variants the paper compares, in its plotting order.
@@ -93,32 +92,6 @@ where
         .collect()
 }
 
-/// Express a traffic-load sweep as a replicated [`ExperimentSpec`] — one
-/// labelled scenario per load (`load_<x>pps`), the paper's three protocols
-/// and `replicates` consecutive seeds from `base_seed`.
-///
-/// This is the bridge from the figure-style sweeps to the persistence
-/// layer: a spec-shaped sweep can run resumably through
-/// [`ExperimentSpec::run_with_store`], re-aggregate offline from its JSONL
-/// store, and tighten itself with
-/// [`ExperimentSpec::run_sequential`] — none of which the plain
-/// single-seed [`load_sweep`] can do.
-pub fn load_sweep_spec<F>(
-    loads_pps: &[f64],
-    base_seed: u64,
-    replicates: usize,
-    make_base: F,
-) -> ExperimentSpec
-where
-    F: Fn(f64) -> ScenarioConfig,
-{
-    let scenarios = loads_pps
-        .iter()
-        .map(|&load| ScenarioSpec::new(format!("load_{load}pps"), make_base(load)))
-        .collect();
-    ExperimentSpec::paper_policies(scenarios, base_seed, replicates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,21 +126,5 @@ mod tests {
                     > points[0].comparison.get(p).perf.generated()
             );
         }
-    }
-
-    #[test]
-    fn load_sweep_spec_mirrors_the_sweep_axes() {
-        let spec = load_sweep_spec(&[5.0, 10.0, 15.0], 31, 4, |load| {
-            ScenarioConfig::small(PolicyKind::PureLeach, load, 31)
-                .with_duration(Duration::from_secs(10))
-        });
-        assert_eq!(spec.scenarios.len(), 3);
-        assert_eq!(spec.scenarios[0].label, "load_5pps");
-        assert_eq!(spec.scenarios[2].label, "load_15pps");
-        assert_eq!(spec.policies.to_vec(), PAPER_POLICIES.to_vec());
-        assert_eq!(spec.seeds, vec![31, 32, 33, 34]);
-        assert_eq!(spec.job_count(), 3 * 3 * 4);
-        // The per-load traffic rate landed in the scenario templates.
-        assert_eq!(spec.scenarios[1].base.traffic.mean_rate_pps(), 10.0);
     }
 }

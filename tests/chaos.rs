@@ -18,7 +18,6 @@ use caem_suite::wsnsim::serve::{
     run_socket_worker, LoopbackSpawner, ServiceConfig, ServiceState, SocketWorkerOptions,
     WorkerExit,
 };
-use caem_suite::wsnsim::spec::DistribTuning;
 
 mod common;
 
@@ -172,10 +171,7 @@ fn fault_plans_preserve_reports_and_poison_is_quarantined() {
         .lock()
         .unwrap()
         .attach_store(ExperimentStore::open(&path).expect("open store"));
-    let grid = state
-        .lock()
-        .unwrap()
-        .submit_grid("budget", &spec, &DistribTuning::default());
+    let grid = state.lock().unwrap().submit_grid("budget", &spec);
     let mut opts = SocketWorkerOptions::new("impatient");
     opts.job_attempts = 1;
     opts.job_wall_budget = Some(StdDuration::ZERO);

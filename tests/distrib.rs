@@ -26,8 +26,6 @@ use caem_suite::wsnsim::serve::{
     run_socket_worker, serve_listener, Coordinator, FrameLink, LoopbackSpawner, Message,
     ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
-use caem_suite::wsnsim::spec::DistribTuning;
-use caem_suite::wsnsim::sweep::load_sweep_spec;
 use caem_suite::wsnsim::ScenarioConfig;
 
 mod common;
@@ -135,14 +133,11 @@ fn stale_lease_is_stolen_and_the_shard_completes() {
     let spec = diverse_spec();
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 4,
-        lease_ttl: Some(StdDuration::from_millis(200)),
+        lease_ttl: StdDuration::from_millis(200),
         ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
-    let grid = state
-        .lock()
-        .unwrap()
-        .submit_grid("stale", &spec, &DistribTuning::default());
+    let grid = state.lock().unwrap().submit_grid("stale", &spec);
 
     // A hung worker: connected, holding a shard, never heartbeating.
     let mut hung = spawner.connect();
@@ -219,11 +214,17 @@ fn manifest_mismatch_is_rejected_instead_of_contaminating_the_directory() {
 
 #[test]
 fn distributed_load_sweep_matches_the_resumable_spec_path() {
-    let loads = [5.0, 12.0];
-    let make = |load: f64| {
-        ScenarioConfig::small(PolicyKind::PureLeach, load, 0).with_duration(Duration::from_secs(8))
-    };
-    let spec = load_sweep_spec(&loads, 41, 2, make);
+    let scenarios = [5.0, 12.0]
+        .iter()
+        .map(|&load| {
+            ScenarioSpec::new(
+                format!("load_{load}pps"),
+                ScenarioConfig::small(PolicyKind::PureLeach, load, 0)
+                    .with_duration(Duration::from_secs(8)),
+            )
+        })
+        .collect();
+    let spec = ExperimentSpec::paper_policies(scenarios, 41, 2);
     let expected = spec.run();
     let path = temp_store("sweep");
     let (report, _) = served(&spec, 2, &path);
@@ -309,10 +310,7 @@ fn a_store_that_completes_the_grid_finalizes_it_at_submit() {
     // grid finalizes inside the submission itself.
     let state = daemon();
     state.lock().unwrap().attach_store(store);
-    let grid = state
-        .lock()
-        .unwrap()
-        .submit_grid("resumed", &spec, &DistribTuning::default());
+    let grid = state.lock().unwrap().submit_grid("resumed", &spec);
     let resumed = state
         .lock()
         .unwrap()

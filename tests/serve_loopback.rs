@@ -417,7 +417,7 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
     // expiry, the second claim below would see NoWork, not a grant.
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 2,
-        lease_ttl: Some(Duration::from_secs(3600)),
+        lease_ttl: Duration::from_secs(3600),
         ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
@@ -509,7 +509,7 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
     let spec_doc = SPEC_DOC.replace("\"replicates\": 2", "\"replicates\": 4");
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 1,
-        heartbeat: Some(Duration::from_millis(1)),
+        heartbeat: Duration::from_millis(1),
         ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
@@ -582,4 +582,65 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
         report,
         serde_json::to_string_pretty(&expected.to_json()).expect("report renders")
     );
+}
+
+#[test]
+fn a_rejected_submission_leaves_the_daemon_serving() {
+    let _guard = exclusive();
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 2,
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut link = spawner.connect();
+    let mut client = ServiceClient::new(&mut link);
+    let first_scenario = r#"{ "label": "uniform_8pps", "rate_pps": 8.0 }"#;
+    let rejected = [
+        // Lease timing is daemon configuration: a `distrib` block is an
+        // unknown field, whatever value it carries.
+        (
+            SPEC_DOC.replacen(
+                "\"replicates\": 2,",
+                "\"replicates\": 2, \"distrib\": { \"lease_ttl_s\": 1e300 },",
+                1,
+            ),
+            "unknown field `distrib`",
+        ),
+        // Out of range: caught when the document resolves.
+        (
+            SPEC_DOC.replacen(
+                first_scenario,
+                r#"{ "label": "uniform_8pps", "rate_pps": 8.0, "energy_spread": 1.5 }"#,
+                1,
+            ),
+            "initial_energy_spread",
+        ),
+        // Sequential stopping runs only locally.
+        (
+            SPEC_DOC.replacen(
+                "\"replicates\": 2,",
+                "\"replicates\": 2, \"sequential\": { \"metric\": \"delivery_rate\", \
+                 \"target_half_width\": 0.1, \"max_replicates\": 4 },",
+                1,
+            ),
+            "sequential stopping",
+        ),
+    ];
+    for (doc, cause) in &rejected {
+        assert_ne!(doc, SPEC_DOC, "the edit applied");
+        match client.submit(doc, true, SEED) {
+            Err(ProtoError::Rejected(reason)) => {
+                assert!(reason.contains(cause), "{reason:?} names {cause:?}")
+            }
+            other => panic!("expected a SubmitErr, got {other:?}"),
+        }
+    }
+    let status = client
+        .status()
+        .expect("the rejecting connection still serves");
+    assert!(status.active.is_none(), "no rejected grid was queued");
+    assert_eq!(status.queued, 0);
+
+    // A valid grid on another connection completes byte-identically.
+    assert_eq!(run_fleet(&state, 2), expected_bytes());
 }

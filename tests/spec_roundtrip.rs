@@ -9,8 +9,7 @@ use caem_suite::caem::policy::PolicyKind;
 use caem_suite::wsnsim::config::ConfigError;
 use caem_suite::wsnsim::persist::config_hash;
 use caem_suite::wsnsim::spec::{
-    DistribSpec, GridQuick, GridSpec, ScenarioQuick, ScenarioSpecDoc, SeedAxis, SequentialSpec,
-    TrafficSpec,
+    GridQuick, GridSpec, ScenarioQuick, ScenarioSpecDoc, SeedAxis, SequentialSpec, TrafficSpec,
 };
 use caem_suite::wsnsim::Topology;
 use proptest::prelude::*;
@@ -113,10 +112,6 @@ proptest! {
                 batch: (small % 2 == 0).then_some(2),
                 max_replicates: 64,
             }),
-            distrib: (flags % 7 == 0).then(|| DistribSpec {
-                lease_ttl_s: Some(30.0 + magnitude),
-                heartbeat_s: (small % 2 == 0).then_some(2.0 + magnitude / 10.0),
-            }),
             quick: if small % 3 == 0 {
                 GridQuick::default()
             } else {
@@ -188,7 +183,6 @@ proptest! {
             policies: None,
             scenarios,
             sequential: None,
-            distrib: None,
             quick: GridQuick::default(),
         };
         let grid = spec.resolve(42, quick).expect("valid by construction").spec;
@@ -263,6 +257,20 @@ fn unknown_fields_are_rejected_at_every_level() {
         err,
         ConfigError::UnknownField {
             path: "scenarios[0].topology.grid.jitterm".to_string()
+        }
+    );
+    // Lease tuning belongs to the daemon, not to a grid: a `distrib` block
+    // is an unknown field like any other.
+    let err = GridSpec::parse(
+        r#"{ "caem_grid_spec": 1, "replicates": 2,
+             "distrib": { "lease_ttl_s": 1e300 },
+             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        ConfigError::UnknownField {
+            path: "distrib".to_string()
         }
     );
 }
@@ -500,33 +508,6 @@ fn version_and_value_domain_errors_are_typed() {
         ConfigError::NonPositive {
             path: "replicates".to_string(),
             value: 0.0
-        }
-    );
-    // Non-positive lease tuning is rejected with the offending path.
-    let err = GridSpec::parse(
-        r#"{ "caem_grid_spec": 1, "replicates": 2,
-             "distrib": { "lease_ttl_s": 0.0 },
-             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
-    )
-    .unwrap_err();
-    assert_eq!(
-        err,
-        ConfigError::NonPositive {
-            path: "distrib.lease_ttl_s".to_string(),
-            value: 0.0
-        }
-    );
-    let err = GridSpec::parse(
-        r#"{ "caem_grid_spec": 1, "replicates": 2,
-             "distrib": { "heartbeat_s": -1.5 },
-             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
-    )
-    .unwrap_err();
-    assert_eq!(
-        err,
-        ConfigError::NonPositive {
-            path: "distrib.heartbeat_s".to_string(),
-            value: -1.5
         }
     );
     // Out-of-range values surface at resolution, wrapped with the scenario.
