@@ -49,17 +49,16 @@ use std::net::TcpListener;
 use caem_bench::cli::{RunArgs, SequentialArgs};
 use caem_bench::{policy_label, profrpt, ExperimentCli, ExperimentMode, DEFAULT_SEED, ZOO_SPEC};
 use caem_metrics::prof;
-use caem_wsnsim::distrib::ProcessSpawner;
 use caem_wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping, METRIC_NAMES,
 };
 use caem_wsnsim::faults::{self, FaultRole};
 use caem_wsnsim::persist::{config_hash, ExperimentStore, StoreOptions};
 use caem_wsnsim::serve::{
-    run_socket_worker, serve_listener, Coordinator, ServiceConfig, ServiceState,
+    run_socket_worker, serve_listener, Coordinator, ProcessSpawner, ServiceConfig, ServiceState,
     SocketWorkerOptions, TcpLink, WorkerExit,
 };
-use caem_wsnsim::spec::{GridSpec, ResolvedSpec};
+use caem_wsnsim::spec::GridSpec;
 
 const USAGE: &str = "\
 usage: experiment [seed] [--quick] [--spec <file>] [mode flags]
@@ -96,7 +95,7 @@ modes (at most one selector; `run` is the default):
                          (no shared filesystem; jobs and records travel over
                          length-prefixed JSON frames)
     --protocol <n>       claim a specific protocol version in the handshake
-    --expect-hash <h>    refuse to serve a grid whose manifest hash differs
+    --expect-hash <h>    refuse to serve a grid whose grid hash differs
   --list-scenarios       print scenario labels + config hashes; no simulation
   --print-spec           dump the canonical resolved spec as JSON; no simulation
 
@@ -182,6 +181,8 @@ fn resolve_stopping(
                     stop.max_replicates, grid.replicates
                 ));
             }
+            stop.check_seeds(&grid.spec.seeds)
+                .unwrap_or_else(|e| die(e.to_string()));
             stop
         }
     };
@@ -279,7 +280,7 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
 /// `--connect <addr>`: attach to a daemon as a socket worker.
 /// No shared filesystem: jobs arrive inline with the shard grant, record
 /// lines stream back in coalesced frames.  A handshake rejection (wrong
-/// protocol version, manifest-hash mismatch) is a usage-class error and
+/// protocol version, grid-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
 fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64>) -> ! {
     // Inherit a coordinator's chaos schedule and profiler across `exec`.
@@ -552,12 +553,11 @@ fn main() {
             }
         }
         ExperimentMode::PrintSpec => {
-            // The canonical resolved spec: what a remote spawner would ship,
+            // The canonical resolved spec: what a daemon's grant ships,
             // and what CI diffs between built-in and spec-file runs.
-            let resolved = ResolvedSpec::of(&grid.spec);
             println!(
                 "{}",
-                serde_json::to_string_pretty(&resolved.to_json())
+                serde_json::to_string_pretty(&grid.spec.to_json())
                     .expect("resolved spec serializes")
             );
         }

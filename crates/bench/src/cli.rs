@@ -290,8 +290,8 @@ pub enum ExperimentMode {
         addr: String,
         /// Protocol version override (testing version-skew rejection).
         protocol: Option<u64>,
-        /// Refuse to work unless the daemon's active grid has this
-        /// manifest hash.
+        /// Refuse to work unless the daemon's active grid has this grid
+        /// hash.
         expect_hash: Option<u64>,
     },
     /// Print the grid's scenario labels and config hashes; simulates nothing.

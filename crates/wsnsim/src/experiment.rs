@@ -7,6 +7,16 @@
 //! [`ExperimentSpec::run`]), whose workers come out of rayon's process-wide
 //! thread budget, so nested fan-outs cannot oversubscribe the machine.
 //!
+//! [`ExperimentSpec`] and [`ExperimentJob`] are the one grid type and the
+//! one job type of every run mode.  A job carries its (scenario, policy,
+//! seed) key ([`ExperimentJob::key`]); [`ExperimentSpec::run_job`] is the
+//! one place a job becomes a [`crate::persist::JobRecord`], whether the
+//! grid runs here, resumes from a store or is served to socket workers —
+//! which rebuild granted jobs from their keys with
+//! [`ExperimentSpec::jobs_at`].  The grid's canonical JSON and identity
+//! hash live with the spec documents ([`ExperimentSpec::to_json`],
+//! [`ExperimentSpec::hash`]).
+//!
 //! On top of the flat grid the engine adds what a single-seed point estimate
 //! cannot give: **replication**.  Each (scenario, policy) cell is simulated
 //! once per seed, per-replicate metrics are folded into Welford
@@ -30,13 +40,14 @@
 
 use caem::policy::PolicyKind;
 use caem_simcore::stats::RunningStats;
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use rayon::prelude::*;
 use serde_json::{json, Value};
 
 use crate::config::{ConfigError, ScenarioConfig};
-use crate::persist::{ExperimentStore, JobRecord, SeedSplicedHash};
+use crate::persist::{ExperimentStore, JobKey, JobRecord, SeedSplicedHash};
 use crate::result::SimulationResult;
 use crate::runner::SimulationRun;
 use crate::sweep::PAPER_POLICIES;
@@ -78,6 +89,8 @@ impl ScenarioSpec {
 pub struct ExperimentJob {
     /// Index into [`ExperimentSpec::scenarios`].
     pub scenario: usize,
+    /// Index into [`ExperimentSpec::policies`].
+    pub policy_index: usize,
     /// Protocol variant of this job.
     pub policy: PolicyKind,
     /// Master seed of this replicate.
@@ -88,14 +101,24 @@ pub struct ExperimentJob {
     pub config_hash: u64,
 }
 
+impl ExperimentJob {
+    /// The job's deterministic coordinates: the (scenario index, policy
+    /// index, seed) key its record or quarantine carries.
+    pub fn key(&self) -> JobKey {
+        (self.scenario, self.policy_index, self.seed)
+    }
+}
+
 /// One (scenario, policy) cell of a grid: the configuration each of its
 /// seeds specializes, with that configuration's seed-spliced hash.
 ///
 /// This is the one constructor of jobs.  Grid enumeration and a socket
-/// worker rebuilding a grant's jobs from their keys both call
-/// [`GridCell::job`], so a job and its hash are the same either way.
+/// worker rebuilding a grant's jobs from their keys
+/// ([`ExperimentSpec::jobs_at`]) both call [`GridCell::job`], so a job and
+/// its hash are the same either way.
 pub(crate) struct GridCell {
     scenario: usize,
+    policy_index: usize,
     policy: PolicyKind,
     config: ScenarioConfig,
     hash: SeedSplicedHash,
@@ -106,6 +129,7 @@ impl GridCell {
     pub(crate) fn job(&self, seed: u64) -> ExperimentJob {
         ExperimentJob {
             scenario: self.scenario,
+            policy_index: self.policy_index,
             policy: self.policy,
             seed,
             config: self.config.clone().with_seed(seed),
@@ -148,31 +172,58 @@ impl ExperimentSpec {
     pub fn enumerate_jobs(&self) -> Vec<ExperimentJob> {
         let mut jobs = Vec::with_capacity(self.job_count());
         for scenario in 0..self.scenarios.len() {
-            for &policy in &self.policies {
-                let cell = self.cell(scenario, policy);
+            for policy_index in 0..self.policies.len() {
+                let cell = self.cell(scenario, policy_index);
                 jobs.extend(self.seeds.iter().map(|&seed| cell.job(seed)));
             }
         }
         jobs
     }
 
+    /// Rebuild the jobs at `keys` through the constructor
+    /// [`ExperimentSpec::enumerate_jobs`] uses, preparing each
+    /// (scenario, policy) cell once — how a socket worker turns a grant's
+    /// keys back into runnable jobs.  `None` when a key's scenario or
+    /// policy index is off the grid.
+    pub fn jobs_at(&self, keys: &[JobKey]) -> Option<Vec<ExperimentJob>> {
+        let mut cells: HashMap<(usize, usize), GridCell> = HashMap::new();
+        keys.iter()
+            .map(|&(scenario, policy_index, seed)| {
+                if scenario >= self.scenarios.len() || policy_index >= self.policies.len() {
+                    return None;
+                }
+                let cell = cells
+                    .entry((scenario, policy_index))
+                    .or_insert_with(|| self.cell(scenario, policy_index));
+                Some(cell.job(seed))
+            })
+            .collect()
+    }
+
     /// The (scenario, policy) cell every seed of that pair specializes.
-    pub(crate) fn cell(&self, scenario: usize, policy: PolicyKind) -> GridCell {
+    fn cell(&self, scenario: usize, policy_index: usize) -> GridCell {
+        let policy = self.policies[policy_index];
         let config = self.scenarios[scenario].base.clone().with_policy(policy);
         GridCell {
             scenario,
+            policy_index,
             policy,
             hash: SeedSplicedHash::new(&config),
             config,
         }
     }
 
-    /// The position of a job's policy in this spec's policy list.
-    fn policy_index(&self, job: &ExperimentJob) -> usize {
-        self.policies
-            .iter()
-            .position(|&p| p == job.policy)
-            .expect("every enumerated job carries a policy from the spec")
+    /// Simulate one of this grid's jobs and encode the result as its
+    /// [`JobRecord`] — the one place every run mode turns a job into a
+    /// record.
+    pub fn run_job(&self, job: &ExperimentJob) -> JobRecord {
+        let result = SimulationRun::new(job.config.clone()).run();
+        JobRecord::from_result(
+            &self.scenarios[job.scenario].label,
+            job.policy_index,
+            job,
+            &result,
+        )
     }
 
     /// Job identity (scenario, policy, seed) is only well defined when the
@@ -196,25 +247,12 @@ impl ExperimentSpec {
     /// cell's replicates into mean ± 95 % CI summaries.
     pub fn run(&self) -> ExperimentReport {
         self.assert_distinct_axes();
-        let jobs = self.enumerate_jobs();
         // The grid's single parallel layer: one flat fan-out over the job
-        // list (the same shape as `run_configs`, fanning over the jobs
-        // directly to avoid a second config clone pass).
-        let results: Vec<SimulationResult> = jobs
+        // list (the same shape as `run_configs`).
+        let records: Vec<JobRecord> = self
+            .enumerate_jobs()
             .par_iter()
-            .map(|job| SimulationRun::new(job.config.clone()).run())
-            .collect();
-        let records: Vec<JobRecord> = jobs
-            .iter()
-            .zip(&results)
-            .map(|(job, result)| {
-                JobRecord::from_result(
-                    &self.scenarios[job.scenario].label,
-                    self.policy_index(job),
-                    job,
-                    result,
-                )
-            })
+            .map(|job| self.run_job(job))
             .collect();
         self.report_from(records)
     }
@@ -237,7 +275,7 @@ impl ExperimentSpec {
             .map(|job| {
                 store
                     .get(
-                        (job.scenario, self.policy_index(job), job.seed),
+                        job.key(),
                         job.config_hash,
                         &self.scenarios[job.scenario].label,
                     )
@@ -253,14 +291,7 @@ impl ExperimentSpec {
         let fresh: Vec<(usize, JobRecord)> = pending
             .par_iter()
             .map(|&i| {
-                let job = &jobs[i];
-                let result = SimulationRun::new(job.config.clone()).run();
-                let record = JobRecord::from_result(
-                    &self.scenarios[job.scenario].label,
-                    self.policy_index(job),
-                    job,
-                    &result,
-                );
+                let record = self.run_job(&jobs[i]);
                 store
                     .lock()
                     .expect("experiment store lock poisoned")
@@ -280,7 +311,10 @@ impl ExperimentSpec {
 
     /// Aggregate records through the canonical path, stamping the report
     /// with this spec's seed list (authoritative over the records' own).
-    fn report_from<I: IntoIterator<Item = JobRecord>>(&self, records: I) -> ExperimentReport {
+    pub(crate) fn report_from<I: IntoIterator<Item = JobRecord>>(
+        &self,
+        records: I,
+    ) -> ExperimentReport {
         let mut report = ExperimentReport::from_records(records);
         report.seeds = self.seeds.clone();
         report
@@ -326,12 +360,8 @@ impl ExperimentSpec {
             !self.seeds.is_empty(),
             "sequential stopping needs a non-empty initial seed batch"
         );
-        assert!(
-            stop.max_replicates >= self.seeds.len(),
-            "replicate cap {} is below the initial batch of {} seeds — the cap could never be honoured",
-            stop.max_replicates,
-            self.seeds.len()
-        );
+        stop.check_seeds(&self.seeds)
+            .unwrap_or_else(|e| panic!("sequential stopping cannot grow this grid: {e}"));
         let mut spec = self.clone();
         let mut rounds = Vec::new();
         loop {
@@ -419,6 +449,27 @@ impl SequentialStopping {
             });
         }
         Ok(())
+    }
+
+    /// Check the rule against a grid's initial seed list: the cap must
+    /// hold the initial batch, and every seed the loop can append
+    /// (consecutive after the largest, up to the cap) must fit in a `u64`.
+    pub fn check_seeds(&self, seeds: &[u64]) -> Result<(), ConfigError> {
+        let out_of_range = |expected| ConfigError::OutOfRange {
+            path: "sequential.max_replicates".to_string(),
+            value: self.max_replicates as f64,
+            expected,
+        };
+        let Some(added) = self.max_replicates.checked_sub(seeds.len()) else {
+            return Err(out_of_range("[initial replicate count, ∞)"));
+        };
+        let largest = seeds.iter().copied().max().unwrap_or(0);
+        match largest.checked_add(added as u64) {
+            Some(_) => Ok(()),
+            None => Err(out_of_range(
+                "[initial replicate count, initial count + 2^64 - 1 - largest seed]",
+            )),
+        }
     }
 }
 

@@ -28,7 +28,11 @@
 //!    until a CI-half-width target is met.
 //! 6. [`serve`] distributes grids: a daemon leases shards of a grid to
 //!    socket workers and finalizes byte-identical reports; `experiment
-//!    --workers N` hosts one in-process ([`serve::Coordinator`]).
+//!    --workers N` hosts one in-process ([`serve::Coordinator`]).  Every
+//!    layer speaks the same two types: a grid is an
+//!    [`experiment::ExperimentSpec`] (its canonical JSON is what a grant
+//!    ships and `--print-spec` prints, and hashes to the grid's identity)
+//!    and a job is an [`experiment::ExperimentJob`].
 //!
 //! Scenario diversity beyond the paper's single uniform deployment lives in
 //! [`config::Topology`] (grid / Gaussian hotspots / corridor layouts),
@@ -58,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod distrib;
 pub mod events;
 pub mod experiment;
 pub mod faults;
@@ -73,9 +76,6 @@ pub mod table;
 
 pub use config::{
     ChurnConfig, ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile,
-};
-pub use distrib::{
-    merge_outcome, DistribError, GridManifest, ProcessSpawner, WorkerHandle, WorkerSpawner,
 };
 pub use experiment::{
     run_configs, ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
@@ -92,6 +92,6 @@ pub use serve::{
     run_socket_worker, serve_connection, serve_listener, Coordinator, LoopbackSpawner,
     ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
-pub use spec::{GridSpec, ResolvedGrid, ResolvedSpec};
+pub use spec::{GridSpec, ResolvedGrid};
 pub use sweep::{compare_policies, load_sweep, LoadSweepPoint, PolicyComparison};
 pub use table::NodeTable;

@@ -68,7 +68,7 @@ fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// fully resolved configs a declarative [`crate::spec::GridSpec`] resolves
 /// to and `experiment --print-spec` dumps.  A spec-file grid and the
 /// identical code-built grid therefore share store records (and the
-/// distributed manifest's validity filter) interchangeably.
+/// daemon's record-settling check) interchangeably.
 pub fn config_hash(config: &ScenarioConfig) -> u64 {
     let text = serde_json::to_string(config).expect("scenario configs always serialize");
     fnv1a64(text.as_bytes())

@@ -3,7 +3,7 @@
 //!
 //! Clients speak the same seq-disciplined request/response protocol as
 //! workers (see [`super::proto`]) but skip the handshake — submitting and
-//! fetching are stateless one-shots, so there is no version or manifest to
+//! fetching are stateless one-shots, so there is no version or grid hash to
 //! pin.  The fetched report arrives pre-rendered by the daemon; callers
 //! write it out verbatim to stay byte-identical with a single-process run.
 
@@ -24,7 +24,7 @@ fn poll_pauses() -> impl Iterator<Item = Duration> {
 /// A grid accepted by the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Submission {
-    /// Manifest hash identifying the queued grid (workers may pin it via
+    /// Grid hash identifying the queued grid (workers may pin it via
     /// `--expect-hash`).
     pub grid_hash: u64,
     /// The grid's display name.

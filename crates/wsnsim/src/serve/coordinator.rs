@@ -19,12 +19,12 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner};
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
 use crate::persist::{ExperimentStore, StoreError};
 
-use super::{LoopbackSpawner, ServiceState};
+use super::spawn::{DistribError, LoopbackSpawner, WorkerHandle, WorkerSpawner};
+use super::ServiceState;
 
 /// How long the coordinator waits for a worker exit before re-checking
 /// whether its grid has finished.

@@ -11,9 +11,17 @@
 //! [`RunEvent::WorkerAbnormalExit`]).  A line settles its job only if it
 //! matches the job's key, config hash and scenario label; any other line
 //! is counted as [`RunEvent::ForeignRecordIgnored`] and the job stays open.
-//! Completed grids are finalized through [`merge_outcome`] then
-//! [`ExperimentReport::from_records`], and the report is rendered to text
-//! once, daemon-side, so every client fetches byte-identical output.
+//! Every record and quarantine a grid holds has therefore passed that
+//! check exactly once, so a completed grid finalizes straight through
+//! [`ExperimentReport::from_records`] (quarantines sorted by key), and the
+//! report is rendered to text once, daemon-side, so every client fetches
+//! byte-identical output.
+//!
+//! A grid is its resolved [`ExperimentSpec`]: the daemon ships it with
+//! every grant, and its [`ExperimentSpec::hash`] is the grid's identity on
+//! the wire.  Per job the daemon keeps only its key and config hash, in
+//! enumeration order; shard `s` of `n` owns the jobs at indices `j` with
+//! `j % n == s` (round-robin, so every shard sees the same scenario mix).
 //!
 //! A daemon may carry an attached [`ExperimentStore`] (how `experiment
 //! --workers N` hosts one): every line it settles is appended to the store,
@@ -26,13 +34,12 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::distrib::{merge_outcome, GridManifest, ManifestJob};
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
 use crate::persist::{
     decode_line, DecodedLine, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError,
 };
-use crate::spec::{GridSpec, ResolvedSpec};
+use crate::spec::GridSpec;
 
 use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
 use super::transport::{FrameLink, TcpLink};
@@ -80,15 +87,19 @@ struct CompletedGrid {
     text: String,
 }
 
-/// A submitted grid: its manifest, absorbed results and lease table.
+/// A submitted grid: its spec, jobs, absorbed results and lease table.
 /// The queue's front entry is the one being worked.
 struct ActiveGrid {
     name: String,
+    /// [`ExperimentSpec::hash`] of `spec`.
+    grid_hash: u64,
     /// The grid's resolved spec, shipped with every grant.
-    spec: ResolvedSpec,
-    manifest: GridManifest,
-    /// Job key → index into `manifest.jobs` (the filter absorbed lines
-    /// must pass).
+    spec: ExperimentSpec,
+    /// Number of claimable shards the job list is partitioned into.
+    shard_count: usize,
+    /// Every job's key and config hash, in enumeration order.
+    jobs: Vec<(JobKey, u64)>,
+    /// Job key → index into `jobs` (the filter absorbed lines must pass).
     job_index: HashMap<JobKey, usize>,
     records: Vec<JobRecord>,
     failures: Vec<JobFailure>,
@@ -106,25 +117,33 @@ impl ActiveGrid {
     /// line's config hash or scenario label says it belongs to another
     /// grid; true when this call settled it.
     fn settle(&mut self, key: JobKey, config_hash: u64, scenario: &str) -> bool {
-        let Some(&index) = self.job_index.get(&key) else {
-            faults::note_event(RunEvent::ForeignRecordIgnored);
-            return false;
-        };
-        if !self.manifest.jobs[index].admits(config_hash, scenario) {
+        let admitted = self.job_index.get(&key).is_some_and(|&index| {
+            self.jobs[index].1 == config_hash && self.spec.scenarios[key.0].label == scenario
+        });
+        if !admitted {
             faults::note_event(RunEvent::ForeignRecordIgnored);
             return false;
         }
         self.settled.insert(key)
     }
 
+    /// The keys of the jobs shard `shard` owns.
+    fn shard_keys(&self, shard: usize) -> impl Iterator<Item = JobKey> + '_ {
+        self.jobs
+            .iter()
+            .skip(shard)
+            .step_by(self.shard_count)
+            .map(|&(key, _)| key)
+    }
+
     fn progress(&self) -> GridProgress {
         GridProgress {
             name: self.name.clone(),
-            jobs: self.manifest.jobs.len() as u64,
+            jobs: self.jobs.len() as u64,
             settled: self.settled.len() as u64,
             quarantined: self.failures.len() as u64,
             shards_done: self.shard_done.iter().filter(|d| **d).count() as u64,
-            shard_count: self.manifest.shard_count as u64,
+            shard_count: self.shard_count as u64,
         }
     }
 }
@@ -235,21 +254,21 @@ impl ServiceState {
                     });
                 }
                 if let Some(hash) = expect_hash {
-                    let active = self.queue.front().map(|g| g.manifest.grid_hash);
+                    let active = self.queue.front().map(|g| g.grid_hash);
                     match active {
                         Some(actual) if actual == hash => {}
                         Some(actual) => {
                             return Reply::Close(Message::Reject {
                                 seq,
                                 reason: format!(
-                                    "manifest hash mismatch: active grid is {actual:016x}, worker pinned {hash:016x}"
+                                    "grid hash mismatch: active grid is {actual:016x}, worker pinned {hash:016x}"
                                 ),
                             });
                         }
                         None => {
                             return Reply::Close(Message::Reject {
                                 seq,
-                                reason: "no active grid to pin a manifest hash against".to_string(),
+                                reason: "no active grid to pin a grid hash against".to_string(),
                             });
                         }
                     }
@@ -268,7 +287,7 @@ impl ServiceState {
             }
             Message::Heartbeat { grid, shard } => {
                 if let Some(active) = self.queue.front_mut() {
-                    if active.manifest.grid_hash == grid {
+                    if active.grid_hash == grid {
                         if let Some(lease) = active.leases.get_mut(&(shard as usize)) {
                             if lease.conn == conn {
                                 lease.last_beat = Instant::now();
@@ -286,7 +305,7 @@ impl ServiceState {
             } => Reply::Send(self.shard_done(conn, seq, grid, shard as usize, sent)),
             Message::Release { seq, grid, shard } => {
                 if let Some(active) = self.queue.front_mut() {
-                    if active.manifest.grid_hash == grid {
+                    if active.grid_hash == grid {
                         let shard = shard as usize;
                         if active.leases.get(&shard).is_some_and(|l| l.conn == conn) {
                             active.leases.remove(&shard);
@@ -364,41 +383,45 @@ impl ServiceState {
     /// attached store already holds are settled at once; a grid the store
     /// completes finalizes on the spot.
     pub fn submit_grid(&mut self, name: &str, spec: &ExperimentSpec) -> u64 {
-        let shards = self.cfg.shards_per_grid.clamp(1, spec.job_count().max(1));
-        let manifest = GridManifest::from_spec(spec, shards);
-        let job_index = manifest
-            .jobs
+        let jobs: Vec<(JobKey, u64)> = spec
+            .enumerate_jobs()
+            .iter()
+            .map(|job| (job.key(), job.config_hash))
+            .collect();
+        let job_index = jobs
             .iter()
             .enumerate()
-            .map(|(index, job)| (job.key(), index))
+            .map(|(index, &(key, _))| (key, index))
             .collect();
+        let shard_count = self.cfg.shards_per_grid.clamp(1, jobs.len().max(1));
         let mut grid = ActiveGrid {
             name: name.to_string(),
-            spec: ResolvedSpec::of(spec),
-            shard_done: vec![false; manifest.shard_count],
-            manifest,
+            grid_hash: spec.hash(),
+            spec: spec.clone(),
+            shard_count,
+            jobs,
             job_index,
             records: Vec::new(),
             failures: Vec::new(),
             settled: HashSet::new(),
+            shard_done: vec![false; shard_count],
             leases: HashMap::new(),
             received: HashMap::new(),
         };
         if let Some(store) = &self.journal {
-            for job in &grid.manifest.jobs {
-                if let Some(record) = store.get(job.key(), job.config_hash, &job.scenario) {
-                    grid.settled.insert(job.key());
+            for &(key, config_hash) in &grid.jobs {
+                let scenario = &grid.spec.scenarios[key.0].label;
+                if let Some(record) = store.get(key, config_hash, scenario) {
+                    grid.settled.insert(key);
                     grid.records.push(record.clone());
-                } else if let Some(failure) =
-                    store.get_failure(job.key(), job.config_hash, &job.scenario)
-                {
-                    grid.settled.insert(job.key());
+                } else if let Some(failure) = store.get_failure(key, config_hash, scenario) {
+                    grid.settled.insert(key);
                     grid.failures.push(failure.clone());
                 }
             }
         }
-        let grid_hash = grid.manifest.grid_hash;
-        let complete = grid.settled.len() == grid.manifest.jobs.len();
+        let grid_hash = grid.grid_hash;
+        let complete = grid.settled.len() == grid.jobs.len();
         self.queue.push_back(grid);
         if complete && self.queue.len() == 1 {
             self.try_finish_active();
@@ -428,15 +451,12 @@ impl ServiceState {
                 faults::note_event(RunEvent::WorkerEvicted);
                 faults::note_event(RunEvent::LeaseStolen);
             }
-            for shard in 0..grid.manifest.shard_count {
+            for shard in 0..grid.shard_count {
                 if grid.shard_done[shard] || grid.leases.contains_key(&shard) {
                     continue;
                 }
                 let pending: Vec<JobKey> = grid
-                    .manifest
-                    .shard_jobs(shard)
-                    .into_iter()
-                    .map(ManifestJob::key)
+                    .shard_keys(shard)
                     .filter(|key| !grid.settled.contains(key))
                     .collect();
                 if pending.is_empty() {
@@ -454,7 +474,7 @@ impl ServiceState {
                 );
                 return Message::Grant {
                     seq,
-                    grid: grid.manifest.grid_hash,
+                    grid: grid.grid_hash,
                     shard: shard as u64,
                     spec: grid.spec.clone(),
                     jobs: pending,
@@ -477,7 +497,7 @@ impl ServiceState {
         let Some(grid) = self.queue.front_mut() else {
             return;
         };
-        if grid.manifest.grid_hash != grid_hash {
+        if grid.grid_hash != grid_hash {
             faults::note_event(RunEvent::ForeignRecordIgnored);
             return;
         }
@@ -538,7 +558,7 @@ impl ServiceState {
             // The grid already finalized (a duplicated late frame).
             return Message::DoneAck { seq };
         };
-        if grid.manifest.grid_hash != grid_hash {
+        if grid.grid_hash != grid_hash {
             return Message::DoneAck { seq };
         }
         let received = grid.received.get(&(conn, shard)).copied().unwrap_or(0);
@@ -565,12 +585,11 @@ impl ServiceState {
             return;
         };
         let open_shards: HashSet<usize> = grid
-            .manifest
             .jobs
             .iter()
             .enumerate()
-            .filter(|(_, job)| !grid.settled.contains(&job.key()))
-            .map(|(index, _)| index % grid.manifest.shard_count)
+            .filter(|(_, (key, _))| !grid.settled.contains(key))
+            .map(|(index, _)| index % grid.shard_count)
             .collect();
         if !open_shards.is_empty() {
             for shard in open_shards {
@@ -578,17 +597,18 @@ impl ServiceState {
             }
             return;
         }
-        let grid = self.queue.pop_front().expect("front grid exists");
+        let mut grid = self.queue.pop_front().expect("front grid exists");
         // The canonical aggregation, so a fetched report is byte-identical
-        // to a single-process run of the same spec.
-        let outcome = merge_outcome(&grid.manifest, grid.records, grid.failures);
-        let mut report = ExperimentReport::from_records(outcome.records);
-        report.seeds = grid.manifest.seeds.clone();
-        report.failures = outcome.failures;
+        // to a single-process run of the same spec.  Every record and
+        // quarantine was admitted once by `settle` (or the store at
+        // submit): nothing here needs re-checking or deduplicating.
+        let mut report = grid.spec.report_from(grid.records);
+        grid.failures.sort_by_key(JobFailure::key);
+        report.failures = grid.failures;
         let text =
             serde_json::to_string_pretty(&report.to_json()).expect("report JSON always renders");
         self.completed.push(CompletedGrid {
-            grid_hash: grid.manifest.grid_hash,
+            grid_hash: grid.grid_hash,
             report,
             text,
         });
@@ -681,5 +701,258 @@ pub fn serve_listener(listener: &TcpListener, state: &Arc<Mutex<ServiceState>>) 
             }
             Err(e) => eprintln!("warning: accept failed: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The shard-lease contract, pinned against the daemon's grants.
+
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration as StdDuration;
+
+    use super::*;
+    use crate::config::ScenarioConfig;
+    use crate::experiment::ScenarioSpec;
+    use crate::serve::{
+        run_socket_worker, LoopbackLink, LoopbackSpawner, ProtoError, SocketWorkerOptions,
+        WorkerExit,
+    };
+    use caem::policy::PolicyKind;
+    use caem_simcore::time::Duration as SimDuration;
+
+    fn tiny_spec() -> ExperimentSpec {
+        ExperimentSpec::paper_policies(
+            vec![ScenarioSpec::new(
+                "uniform",
+                ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 0)
+                    .with_duration(SimDuration::from_secs(5)),
+            )],
+            400,
+            2,
+        )
+    }
+
+    /// A daemon holding [`tiny_spec`] split into two shards.
+    fn daemon(lease_ttl: StdDuration) -> LoopbackSpawner {
+        let state = ServiceState::shared(ServiceConfig {
+            shards_per_grid: 2,
+            lease_ttl,
+            ..ServiceConfig::default()
+        });
+        state.lock().unwrap().submit_grid("tiny", &tiny_spec());
+        LoopbackSpawner::new(state)
+    }
+
+    fn rpc(link: &mut LoopbackLink, msg: &Message) -> Message {
+        link.send(&msg.encode()).expect("send");
+        loop {
+            let frame = link
+                .recv(Some(StdDuration::from_secs(10)))
+                .expect("recv")
+                .expect("response before timeout");
+            let reply = Message::decode(&frame).expect("well-formed response");
+            if reply.seq() == msg.seq() {
+                return reply;
+            }
+        }
+    }
+
+    /// The granted (grid, shard, keys), or `None` on `no_work`.
+    fn claim(link: &mut LoopbackLink, seq: u64) -> Option<(u64, u64, Vec<JobKey>)> {
+        match rpc(link, &Message::Claim { seq }) {
+            Message::Grant {
+                grid, shard, jobs, ..
+            } => Some((grid, shard, jobs)),
+            Message::NoWork { .. } => None,
+            other => panic!("expected a grant or no_work, got {other:?}"),
+        }
+    }
+
+    fn release(link: &mut LoopbackLink, seq: u64, grid: u64, shard: u64) {
+        let reply = rpc(link, &Message::Release { seq, grid, shard });
+        assert!(matches!(reply, Message::ReleaseAck { .. }), "{reply:?}");
+    }
+
+    /// The grid hash `spec` is queued under by a daemon cutting grids into
+    /// `shards` shards.
+    fn submitted_hash(spec: &ExperimentSpec, shards: usize) -> u64 {
+        ServiceState::new(ServiceConfig {
+            shards_per_grid: shards,
+            ..ServiceConfig::default()
+        })
+        .submit_grid("tiny", spec)
+    }
+
+    #[test]
+    fn shards_partition_every_job_exactly_once() {
+        let spec = tiny_spec();
+        let state = ServiceState::shared(ServiceConfig {
+            shards_per_grid: 4,
+            ..ServiceConfig::default()
+        });
+        let grid = state.lock().unwrap().submit_grid("tiny", &spec);
+        let mut link = LoopbackSpawner::new(state).connect();
+        let mut granted: Vec<JobKey> = Vec::new();
+        let mut shards = Vec::new();
+        for seq in 1..=4 {
+            let (hash, shard, keys) = claim(&mut link, seq).expect("a free shard");
+            assert_eq!(hash, grid);
+            shards.push(shard);
+            granted.extend(keys);
+        }
+        assert!(claim(&mut link, 5).is_none(), "four shards, all leased");
+        shards.sort_unstable();
+        assert_eq!(shards, vec![0, 1, 2, 3]);
+        granted.sort_unstable();
+        let mut every: Vec<JobKey> = spec.enumerate_jobs().iter().map(|j| j.key()).collect();
+        every.sort_unstable();
+        assert_eq!(granted, every, "shards cover the grid, each job once");
+        // Identity is the spec's hash, not the partition's...
+        assert_eq!(grid, spec.hash());
+        assert_eq!(submitted_hash(&spec, 3), grid);
+        // ...and any change to the jobs themselves is a different grid.
+        let mut edited = spec.clone();
+        edited.seeds[0] += 1;
+        assert_ne!(submitted_hash(&edited, 4), grid);
+    }
+
+    #[test]
+    fn claim_is_exclusive_and_done_wins() {
+        let spawner = daemon(StdDuration::from_secs(3600));
+        let (mut a, mut b, mut c) = (spawner.connect(), spawner.connect(), spawner.connect());
+        let (grid, shard_a, keys) = claim(&mut a, 1).expect("first claim is granted");
+        let (_, shard_b, _) = claim(&mut b, 1).expect("second shard is granted");
+        assert_ne!(shard_a, shard_b, "a leased shard is exclusive");
+        assert!(claim(&mut c, 1).is_none(), "both shards are leased");
+
+        // A finishes its shard: the done shard is never granted again,
+        // not even after A hangs up.
+        let spec = tiny_spec();
+        let lines: Vec<String> = spec
+            .jobs_at(&keys)
+            .expect("granted keys lie on the grid")
+            .iter()
+            .map(|job| serde_json::to_string(&spec.run_job(job)).expect("record serializes"))
+            .collect();
+        let sent = lines.len() as u64;
+        a.send(
+            &Message::Records {
+                grid,
+                shard: shard_a,
+                lines,
+            }
+            .encode(),
+        )
+        .expect("records land");
+        let done = Message::ShardDone {
+            seq: 2,
+            grid,
+            shard: shard_a,
+            sent,
+        };
+        assert!(matches!(rpc(&mut a, &done), Message::DoneAck { .. }));
+        drop(a);
+        assert!(claim(&mut c, 2).is_none(), "done wins over a free lease");
+        release(&mut b, 2, grid, shard_b);
+        let (_, regranted, _) = claim(&mut c, 3).expect("the released shard");
+        assert_eq!(regranted, shard_b);
+    }
+
+    #[test]
+    fn dead_owner_and_expired_leases_are_stolen() {
+        let ttl = StdDuration::from_millis(500);
+        let spawner = daemon(ttl);
+        let (mut hung, mut doomed, mut stealer) =
+            (spawner.connect(), spawner.connect(), spawner.connect());
+        let (_, hung_shard, _) = claim(&mut hung, 1).expect("grant");
+        let (_, dead_shard, _) = claim(&mut doomed, 1).expect("grant");
+        // A dropped connection is a dead owner: its lease is stolen as soon
+        // as the daemon sees the hang-up, well inside the TTL.
+        drop(doomed);
+        let mut seq = 1;
+        let stolen = loop {
+            seq += 1;
+            if let Some((_, shard, _)) = claim(&mut stealer, seq) {
+                break shard;
+            }
+        };
+        assert_eq!(stolen, dead_shard);
+        // A live but silent owner keeps its lease only until the TTL.
+        std::thread::sleep(ttl + StdDuration::from_millis(100));
+        let (_, expired, _) = claim(&mut stealer, seq + 1).expect("expired lease is stolen");
+        assert_eq!(expired, hung_shard);
+    }
+
+    #[test]
+    fn released_lease_is_reclaimed_instantly() {
+        // A TTL no test could sit out: a re-claim that waited on expiry
+        // would see no_work.
+        let spawner = daemon(StdDuration::from_secs(3600));
+        let (mut a, mut b) = (spawner.connect(), spawner.connect());
+        let (grid, shard, _) = claim(&mut a, 1).expect("grant");
+        release(&mut a, 2, grid, shard);
+        let (_, again, _) = claim(&mut b, 1).expect("released shard is claimable");
+        assert_eq!(again, shard);
+        // Releasing a shard this connection does not hold is a no-op.
+        release(&mut a, 3, grid, shard);
+        let (_, other, _) = claim(&mut a, 4).expect("the second shard");
+        assert_ne!(other, shard, "b still holds the re-claimed shard");
+    }
+
+    /// A link that raises the worker's stop flag the moment a grant
+    /// arrives, so no granted job has started yet.
+    struct StopOnGrant {
+        inner: LoopbackLink,
+        stop: Arc<AtomicBool>,
+        granted: Arc<Mutex<Option<u64>>>,
+    }
+
+    impl FrameLink for StopOnGrant {
+        fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+            self.inner.send(payload)
+        }
+
+        fn recv(&mut self, timeout: Option<StdDuration>) -> Result<Option<Vec<u8>>, ProtoError> {
+            let frame = self.inner.recv(timeout)?;
+            if let Some(Ok(Message::Grant { shard, .. })) = frame.as_deref().map(Message::decode) {
+                *self.granted.lock().unwrap() = Some(shard);
+                self.stop.store(true, Ordering::Relaxed);
+            }
+            Ok(frame)
+        }
+    }
+
+    #[test]
+    fn shutdown_skips_pending_jobs_and_releases_the_shard() {
+        let spawner = daemon(StdDuration::from_secs(3600));
+        let opts = SocketWorkerOptions::new("quitter");
+        let granted = Arc::new(Mutex::new(None));
+        let mut link = StopOnGrant {
+            inner: spawner.connect(),
+            stop: opts.stop.clone(),
+            granted: granted.clone(),
+        };
+        match run_socket_worker(&mut link, &opts) {
+            Ok(WorkerExit::Finished(outcome)) => {
+                assert_eq!(outcome.jobs_run, 0, "no job started after the stop");
+                assert_eq!(outcome.shards_completed, 0);
+            }
+            other => panic!("expected a clean exit, got {other:?}"),
+        }
+        let shard = granted
+            .lock()
+            .unwrap()
+            .expect("the worker was granted a shard");
+        // Two claims reach both shards at once: the released one did not
+        // wait out the hour-long TTL.
+        let mut successor = spawner.connect();
+        let mut shards = vec![
+            claim(&mut successor, 1).expect("grant").1,
+            claim(&mut successor, 2).expect("grant").1,
+        ];
+        shards.sort_unstable();
+        assert_eq!(shards, vec![0, 1]);
+        assert!(shards.contains(&shard));
     }
 }

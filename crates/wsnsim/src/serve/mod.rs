@@ -4,8 +4,9 @@
 //!
 //! Shard/lease semantics are spoken over length-prefixed JSON frames
 //! ([`proto`]): a worker handshakes (protocol version, optional pinned
-//! manifest hash), claims a shard and receives the grid's resolved spec
-//! plus the keys of the shard's pending jobs, heartbeats while running,
+//! grid hash), claims a shard and receives the grid's resolved
+//! [`ExperimentSpec`](crate::experiment::ExperimentSpec) plus the keys of
+//! the shard's pending jobs, heartbeats while running,
 //! streams record lines back as jobs settle, and reconciles completion by
 //! count so lost frames are detected and resent.  No shared filesystem is
 //! involved.  Reports are finalized daemon-side through the canonical
@@ -18,8 +19,8 @@
 //!
 //! | transport | worker attach | used by |
 //! |---|---|---|
-//! | TCP socket ([`TcpLink`]) | `--connect ADDR` | `caem-serve` fleets and `experiment --workers N` |
-//! | loopback ([`LoopbackSpawner`]) | in-memory channels | deterministic tests, the coordinator's inline worker |
+//! | TCP socket ([`TcpLink`], [`ProcessSpawner`]) | `--connect ADDR` | `caem-serve` fleets and `experiment --workers N` |
+//! | loopback ([`LoopbackLink`], [`LoopbackSpawner`]) | in-memory channels | deterministic tests, the coordinator's inline worker |
 //!
 //! `experiment --workers N` is a [`Coordinator`]: it hosts a daemon on a
 //! `127.0.0.1:0` listener with its experiment store attached, and spawns N
@@ -29,11 +30,19 @@
 //! the protocol's recovery machinery is exercised deterministically
 //! in-process, while CI exercises the real sockets with mid-grid
 //! `kill -9`s.
+//!
+//! A job that panics on both of its two attempts is quarantined by its
+//! worker as a [`JobFailure`](crate::persist::JobFailure) instead of
+//! wedging its shard.  Thread discipline: a [`ProcessSpawner`] exports
+//! `RAYON_TOTAL_THREADS = process_thread_cap() / workers` to every worker
+//! process ([`rayon::split_thread_budget`]), so the whole process tree
+//! stays within the budget one process would use.
 
 pub mod client;
 pub mod coordinator;
 pub mod daemon;
 pub mod proto;
+pub mod spawn;
 pub mod transport;
 pub mod worker;
 
@@ -41,74 +50,6 @@ pub use client::{ServiceClient, ServiceStatus, Submission};
 pub use coordinator::Coordinator;
 pub use daemon::{serve_connection, serve_listener, ServiceConfig, ServiceState};
 pub use proto::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+pub use spawn::{DistribError, LoopbackSpawner, ProcessSpawner, WorkerHandle, WorkerSpawner};
 pub use transport::{loopback_pair, FrameLink, LoopbackLink, TcpLink};
-pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner};
-
-/// Spawn in-process socket workers wired to an in-process daemon over
-/// loopback links.  Each spawn starts a daemon connection thread and a
-/// worker thread joined by a [`loopback_pair`]; no listener, no sockets,
-/// fully deterministic.
-pub struct LoopbackSpawner {
-    state: Arc<Mutex<ServiceState>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl LoopbackSpawner {
-    /// A spawner attaching workers to the given daemon state.
-    pub fn new(state: Arc<Mutex<ServiceState>>) -> Self {
-        LoopbackSpawner {
-            state,
-            stop: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Open a client connection to the daemon (for submit/status/fetch).
-    pub fn connect(&self) -> LoopbackLink {
-        let (client, mut served) = loopback_pair();
-        let state = self.state.clone();
-        std::thread::spawn(move || serve_connection(&mut served, &state));
-        client
-    }
-
-    /// Ask every spawned worker to exit gracefully: finish or release the
-    /// shard in hand, then hang up.
-    pub fn stop_workers(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl WorkerSpawner for LoopbackSpawner {
-    /// The endpoint is ignored: the worker attaches to this spawner's
-    /// daemon state directly.
-    fn spawn(
-        &self,
-        _endpoint: &str,
-        index: usize,
-        _thread_budget: usize,
-    ) -> Result<WorkerHandle, DistribError> {
-        let (worker_link, mut served) = loopback_pair();
-        let state = self.state.clone();
-        std::thread::spawn(move || serve_connection(&mut served, &state));
-        let stop = self.stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut link = worker_link;
-            let mut opts = SocketWorkerOptions::new(format!("loopback_{index:03}"));
-            opts.stop = stop;
-            match run_socket_worker(&mut link, &opts) {
-                Ok(WorkerExit::Finished(outcome)) => Ok(outcome),
-                Ok(WorkerExit::Rejected(reason)) => Err(DistribError::Format(format!(
-                    "worker {index} rejected by daemon: {reason}"
-                ))),
-                Err(e) => Err(DistribError::Format(format!(
-                    "worker {index} transport failure: {e}"
-                ))),
-            }
-        });
-        Ok(WorkerHandle::from_thread(handle))
-    }
-}
+pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit, WorkerOutcome};

@@ -20,8 +20,8 @@
 
 use serde::Value;
 
+use crate::experiment::ExperimentSpec;
 use crate::persist::JobKey;
-use crate::spec::ResolvedSpec;
 
 /// Protocol version spoken by this build.  A daemon rejects a worker whose
 /// hello names any other version (exit 2 at the worker binary boundary).
@@ -166,14 +166,14 @@ pub struct GridProgress {
 
 /// Every message of the experiment-service protocol.
 ///
-/// No `PartialEq`: a grant's [`ResolvedSpec`] carries full scenario configs
+/// No `PartialEq`: a grant's [`ExperimentSpec`] carries full scenario configs
 /// (floats, no equality). Round-trip tests compare re-encoded bytes
 /// instead, which is stronger anyway.
 #[derive(Debug, Clone)]
 pub enum Message {
     /// Worker handshake: protocol version, identity, rayon thread share and
     /// an optional pinned grid hash (refused if the daemon's active grid
-    /// differs — the CI manifest-mismatch negative check).
+    /// differs — the CI grid-hash-mismatch negative check).
     Hello {
         /// Request sequence number.
         seq: u64,
@@ -183,7 +183,7 @@ pub enum Message {
         worker: String,
         /// Rayon threads the worker will use.
         threads: u64,
-        /// Require the daemon's active grid to carry this manifest hash.
+        /// Require the daemon's active grid to carry this grid hash.
         expect_hash: Option<u64>,
     },
     /// Handshake accepted; carries the daemon's lease tuning.
@@ -195,7 +195,7 @@ pub enum Message {
         /// Lease TTL after which a silent worker is evicted, in milliseconds.
         lease_ttl_ms: u64,
     },
-    /// Handshake refused (version skew or manifest-hash mismatch); the
+    /// Handshake refused (version skew or grid-hash mismatch); the
     /// worker binary exits 2.
     Reject {
         /// Echoed request sequence number.
@@ -210,18 +210,18 @@ pub enum Message {
     },
     /// A shard granted to the claiming worker: the grid's resolved spec
     /// plus the keys of the shard's still-pending jobs (socket workers have
-    /// no shared filesystem to read a manifest from).  The worker checks
+    /// no shared filesystem to read a grid from).  The worker checks
     /// that `spec` hashes to `grid`, then rebuilds each job from its key.
     Grant {
         /// Echoed request sequence number.
         seq: u64,
-        /// Manifest hash of the grid the shard belongs to
-        /// ([`ResolvedSpec::hash`] of `spec`).
+        /// Hash of the grid the shard belongs to
+        /// ([`ExperimentSpec::hash`] of `spec`).
         grid: u64,
         /// The granted shard index.
         shard: u64,
         /// The grid's resolved spec.
-        spec: ResolvedSpec,
+        spec: ExperimentSpec,
         /// The shard's unsettled jobs, as (scenario, policy, seed) keys.
         jobs: Vec<JobKey>,
     },
@@ -237,7 +237,7 @@ pub enum Message {
     /// Fire-and-forget: losses are reconciled by the [`Message::ShardDone`]
     /// line count.
     Records {
-        /// Manifest hash of the grid the lines belong to.
+        /// Hash of the grid the lines belong to.
         grid: u64,
         /// The shard the lines settle jobs of.
         shard: u64,
@@ -246,7 +246,7 @@ pub enum Message {
     },
     /// Keep-alive for a long-running shard (fire-and-forget).
     Heartbeat {
-        /// Manifest hash of the grid being worked.
+        /// Hash of the grid being worked.
         grid: u64,
         /// The shard being worked.
         shard: u64,
@@ -255,7 +255,7 @@ pub enum Message {
     ShardDone {
         /// Request sequence number.
         seq: u64,
-        /// Manifest hash of the grid.
+        /// Hash of the grid.
         grid: u64,
         /// The completed shard.
         shard: u64,
@@ -281,7 +281,7 @@ pub enum Message {
     Release {
         /// Request sequence number.
         seq: u64,
-        /// Manifest hash of the grid.
+        /// Hash of the grid.
         grid: u64,
         /// The shard being handed back.
         shard: u64,
@@ -309,7 +309,7 @@ pub enum Message {
     SubmitAck {
         /// Echoed request sequence number.
         seq: u64,
-        /// Manifest hash identifying the queued grid.
+        /// Grid hash identifying the queued grid.
         grid: u64,
         /// The grid's display name.
         name: String,
@@ -601,7 +601,7 @@ impl Message {
                 let spec = value
                     .get("spec")
                     .ok_or_else(|| "missing".to_string())
-                    .and_then(ResolvedSpec::from_json)
+                    .and_then(ExperimentSpec::from_json)
                     .map_err(|e| ProtoError::Malformed(format!("undecodable grant spec: {e}")))?;
                 let jobs = match value.get("jobs") {
                     Some(Value::Seq(items)) => {

@@ -4,8 +4,9 @@
 //! A socket worker needs no shared filesystem: each grant carries the
 //! grid's resolved spec and the keys of the shard's pending jobs.  The
 //! worker refuses a grant whose spec does not hash to the grid it names,
-//! rebuilds the jobs from their keys, runs them through the
-//! `run_job_guarded` retry/quarantine path, and streams
+//! rebuilds the jobs from their keys, runs each under the quarantine guard
+//! (two attempts; a job that panics on both settles as a
+//! [`JobFailure`]), and streams
 //! each job's store line back as the job settles, in [`Message::Records`]
 //! batches that wait at most one heartbeat interval (and never grow past
 //! 64 KiB).  When no line is due, the connection
@@ -27,10 +28,9 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use crate::distrib::{run_job_guarded, ManifestJob, WorkerOutcome};
-use crate::faults;
-use crate::persist::{encode_failure_line, encode_line, JobKey};
-use crate::spec::ResolvedSpec;
+use crate::experiment::{ExperimentJob, ExperimentSpec};
+use crate::faults::{self, RunEvent};
+use crate::persist::{encode_failure_line, encode_line, JobFailure, JobKey, JobRecord};
 
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
@@ -47,6 +47,9 @@ const MAX_DONE_ROUNDS: usize = 10;
 /// (shorter when the heartbeat interval is): what a killed worker can lose.
 const LINGER: Duration = Duration::from_millis(50);
 
+/// Attempts per job before it is quarantined.
+const JOB_ATTEMPTS: u32 = 2;
+
 /// Tuning and identity of one socket worker.
 #[derive(Debug, Clone)]
 pub struct SocketWorkerOptions {
@@ -55,13 +58,8 @@ pub struct SocketWorkerOptions {
     /// Protocol version to claim (overridable so version-skew rejection is
     /// testable; defaults to [`PROTOCOL_VERSION`]).
     pub protocol: u64,
-    /// Refuse to work unless the daemon's active grid has this manifest
-    /// hash.
+    /// Refuse to work unless the daemon's active grid has this grid hash.
     pub expect_hash: Option<u64>,
-    /// Attempts per job before quarantine (default 2).
-    pub job_attempts: u32,
-    /// Wall-clock budget per job attempt.
-    pub job_wall_budget: Option<Duration>,
     /// Graceful-stop flag: raised by the embedding coordinator or test;
     /// checked between jobs.
     pub stop: Arc<AtomicBool>,
@@ -74,11 +72,20 @@ impl SocketWorkerOptions {
             label: label.into(),
             protocol: PROTOCOL_VERSION,
             expect_hash: None,
-            job_attempts: 2,
-            job_wall_budget: None,
             stop: Arc::new(AtomicBool::new(false)),
         }
     }
+}
+
+/// What one worker invocation accomplished.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerOutcome {
+    /// Shards this worker completed.
+    pub shards_completed: usize,
+    /// Jobs simulated.
+    pub jobs_run: usize,
+    /// Jobs that exhausted their attempts and were recorded as failures.
+    pub jobs_quarantined: usize,
 }
 
 /// How a socket worker's run ended.
@@ -140,14 +147,17 @@ pub fn run_socket_worker(
             Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
             Err(e) => return Err(e),
         };
-        let (grid, shard, jobs) = match grant {
+        let (grid, shard, spec, jobs) = match grant {
             Message::Grant {
                 grid,
                 shard,
                 spec,
                 jobs,
                 ..
-            } => (grid, shard, granted_jobs(grid, &spec, &jobs)?),
+            } => {
+                let jobs = granted_jobs(grid, &spec, &jobs)?;
+                (grid, shard, spec, jobs)
+            }
             Message::NoWork { retry_ms, .. } => {
                 // Sleep in short slices so a stop request is honoured
                 // promptly even under a long retry hint.
@@ -166,7 +176,7 @@ pub fn run_socket_worker(
                 )))
             }
         };
-        let run = match run_shard(link, opts, grid, shard, &jobs, heartbeat) {
+        let run = match run_shard(link, opts, grid, shard, &spec, &jobs, heartbeat) {
             Ok(run) => run,
             Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
             Err(e) => return Err(e),
@@ -196,15 +206,55 @@ pub fn run_socket_worker(
 /// runs — unless its spec hashes to the grid it names.
 fn granted_jobs(
     grid: u64,
-    spec: &ResolvedSpec,
+    spec: &ExperimentSpec,
     keys: &[JobKey],
-) -> Result<Vec<ManifestJob>, ProtoError> {
+) -> Result<Vec<ExperimentJob>, ProtoError> {
     let found = spec.hash();
     if found != grid {
         return Err(ProtoError::GridMismatch { grid, spec: found });
     }
-    ManifestJob::at_keys(&spec.experiment_spec(), keys)
+    spec.jobs_at(keys)
         .ok_or_else(|| ProtoError::Malformed("grant names a job off its grid".into()))
+}
+
+/// Run one job under the quarantine guard: up to [`JOB_ATTEMPTS`] tries,
+/// each wrapped in `catch_unwind`; a job that never settles cleanly
+/// becomes a [`JobFailure`] so the shard — and the grid — still completes.
+fn run_job_guarded(spec: &ExperimentSpec, job: &ExperimentJob) -> Result<JobRecord, JobFailure> {
+    let mut reason = String::new();
+    for attempt in 0..JOB_ATTEMPTS {
+        if attempt > 0 {
+            faults::note_event(RunEvent::JobRetried);
+        }
+        let settled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            faults::poison_check(job.key());
+            spec.run_job(job)
+        }));
+        match settled {
+            Ok(record) => return Ok(record),
+            Err(payload) => reason = format!("job panicked: {}", panic_text(payload.as_ref())),
+        }
+    }
+    faults::note_event(RunEvent::JobQuarantined);
+    Err(JobFailure {
+        scenario_index: job.scenario,
+        scenario: spec.scenarios[job.scenario].label.clone(),
+        policy_index: job.policy_index,
+        policy: job.policy,
+        seed: job.seed,
+        config_hash: job.config_hash,
+        attempts: JOB_ATTEMPTS,
+        reason,
+    })
+}
+
+/// Best-effort text of a panic payload (panics carry `String` or `&str`).
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Run one granted shard: rayon fan-out in a scoped thread sending each
@@ -215,13 +265,12 @@ fn run_shard(
     opts: &SocketWorkerOptions,
     grid: u64,
     shard: u64,
-    jobs: &[ManifestJob],
+    spec: &ExperimentSpec,
+    jobs: &[ExperimentJob],
     heartbeat: Duration,
 ) -> Result<ShardRun, ProtoError> {
     let (line_tx, line_rx) = mpsc::channel::<String>();
     let stop = opts.stop.clone();
-    let attempts = opts.job_attempts;
-    let budget = opts.job_wall_budget;
     let linger = LINGER.min(heartbeat);
     let mut lines: Vec<String> = Vec::new();
     let mut link_error: Option<ProtoError> = None;
@@ -234,7 +283,7 @@ fn run_shard(
                     if stop.load(Ordering::Relaxed) {
                         return None;
                     }
-                    let settled = run_job_guarded(job, attempts, budget);
+                    let settled = run_job_guarded(spec, job);
                     let encoded = match &settled {
                         Ok(record) => encode_line(record),
                         Err(failure) => encode_failure_line(failure),

@@ -16,10 +16,11 @@
 //!   nothing is silently ignored.
 //! * **Canonical**: [`GridSpec::to_json`] re-serializes the parsed document
 //!   such that parse → resolve → re-serialize → re-parse is a fixed point
-//!   (property-tested), and [`ResolvedSpec`] dumps the *resolved* grid —
-//!   per-scenario config hashes included — which is exactly what a remote
-//!   spawner would ship to another machine and what
-//!   `experiment --print-spec` prints.
+//!   (property-tested), and [`ExperimentSpec::to_json`] dumps the
+//!   *resolved* grid — per-scenario config hashes included — which is
+//!   exactly what a daemon's grant ships to a socket worker and what
+//!   `experiment --print-spec` prints.  Its compact text hashes to the
+//!   grid's identity, [`ExperimentSpec::hash`].
 //!
 //! Quick mode is part of the document, not a code path: grid- and
 //! scenario-level `quick` blocks carry the reduced values, so one file
@@ -36,6 +37,11 @@ use caem_simcore::time::Duration;
 
 /// Spec-document format version this build reads and writes.
 const SPEC_VERSION: u64 = 1;
+
+/// The most jobs one resolved grid may hold.  Far above every committed
+/// spec (the full zoo is 180 jobs) and benchmark grid (~8k jobs); a
+/// document asking for more is a typed error, not an allocation failure.
+pub const MAX_GRID_JOBS: usize = 100_000;
 
 /// The policy names a spec's `policies` axis accepts (the serde variant
 /// names of [`PolicyKind`], matching report JSON).
@@ -991,21 +997,40 @@ impl GridSpec {
     /// [`ConfigError::InScenario`] with the scenario's label.
     pub fn resolve(&self, default_seed: u64, quick: bool) -> Result<ResolvedGrid, ConfigError> {
         let base_seed = self.base_seed.unwrap_or(default_seed);
-        let seeds: Vec<u64> = match &self.seeds {
-            SeedAxis::Replicates(n) => {
-                let n = if quick {
-                    self.quick.replicates.unwrap_or(*n)
-                } else {
-                    *n
-                };
-                (0..n as u64).map(|i| base_seed + i).collect()
-            }
-            SeedAxis::Explicit(seeds) => seeds.clone(),
-        };
         let policies = self
             .policies
             .clone()
             .unwrap_or_else(|| PAPER_POLICIES.to_vec());
+        let (seed_path, seed_count) = match (&self.seeds, self.quick.replicates) {
+            (SeedAxis::Replicates(_), Some(n)) if quick => ("quick.replicates", n),
+            (SeedAxis::Replicates(n), _) => ("replicates", *n),
+            (SeedAxis::Explicit(seeds), _) => ("seeds", seeds.len()),
+        };
+        // Checked before the seed axis is materialized: a huge replicate
+        // count must be an error, not an allocation failure.
+        let jobs = seed_count
+            .checked_mul(self.scenarios.len())
+            .and_then(|j| j.checked_mul(policies.len()));
+        if seed_count == 0 || seed_count > MAX_GRID_JOBS || jobs.is_none_or(|j| j > MAX_GRID_JOBS) {
+            return Err(ConfigError::OutOfRange {
+                path: seed_path.to_string(),
+                value: seed_count as f64,
+                expected: "[1, 100000 / (scenarios × policies)]",
+            });
+        }
+        let seeds: Vec<u64> = match &self.seeds {
+            SeedAxis::Replicates(_) => {
+                if base_seed.checked_add(seed_count as u64 - 1).is_none() {
+                    return Err(ConfigError::OutOfRange {
+                        path: "base_seed".to_string(),
+                        value: base_seed as f64,
+                        expected: "[0, 2^64 - replicates]",
+                    });
+                }
+                (0..seed_count as u64).map(|i| base_seed + i).collect()
+            }
+            SeedAxis::Explicit(seeds) => seeds.clone(),
+        };
         let mut scenarios = Vec::with_capacity(self.scenarios.len());
         for doc in &self.scenarios {
             let config = self.resolve_scenario(doc, base_seed, quick)?;
@@ -1020,13 +1045,7 @@ impl GridSpec {
         });
         if let Some(stop) = &sequential {
             stop.validate()?;
-            if stop.max_replicates < seeds.len() {
-                return Err(ConfigError::OutOfRange {
-                    path: "sequential.max_replicates".to_string(),
-                    value: stop.max_replicates as f64,
-                    expected: "[initial replicate count, ∞)",
-                });
-            }
+            stop.check_seeds(&seeds)?;
         }
         Ok(ResolvedGrid {
             spec: ExperimentSpec {
@@ -1121,54 +1140,11 @@ impl GridSpec {
 }
 
 // ---------------------------------------------------------------------------
-// The canonical resolved form (what `--print-spec` dumps and a remote
-// spawner would ship).
+// The canonical resolved form (what `--print-spec` dumps and a grant ships).
 // ---------------------------------------------------------------------------
 
-/// The canonical, fully resolved description of a grid: every scenario's
-/// label, [`config_hash`] and complete [`ScenarioConfig`], plus the policy
-/// and seed axes.  This is the ground truth the persistence layer's config
-/// hashes and the distributed manifest are derived from, serialized — so
-/// diffing two `--print-spec` dumps proves two grid definitions identical
-/// without simulating anything.
-#[derive(Debug, Clone)]
-pub struct ResolvedSpec {
-    /// Per-scenario `(label, config_hash, config)` in grid order.
-    pub scenarios: Vec<(String, u64, ScenarioConfig)>,
-    /// The policy axis.
-    pub policies: Vec<PolicyKind>,
-    /// The seed axis.
-    pub seeds: Vec<u64>,
-}
-
-impl ResolvedSpec {
-    /// The canonical resolved form of an experiment spec.
-    pub fn of(spec: &ExperimentSpec) -> Self {
-        ResolvedSpec {
-            scenarios: spec
-                .scenarios
-                .iter()
-                .map(|s| (s.label.clone(), config_hash(&s.base), s.base.clone()))
-                .collect(),
-            policies: spec.policies.clone(),
-            seeds: spec.seeds.clone(),
-        }
-    }
-
-    /// The runnable grid this spec describes.
-    pub fn experiment_spec(&self) -> ExperimentSpec {
-        ExperimentSpec {
-            scenarios: self
-                .scenarios
-                .iter()
-                .map(|(label, _, config)| ScenarioSpec::new(label.clone(), config.clone()))
-                .collect(),
-            policies: self.policies.clone(),
-            seeds: self.seeds.clone(),
-        }
-    }
-
-    /// The grid's identity: FNV-1a of the [`ResolvedSpec::to_json`] text
+impl ExperimentSpec {
+    /// The grid's identity: FNV-1a of the [`ExperimentSpec::to_json`] text
     /// serialized compactly, i.e. of the `experiment --print-spec` document
     /// without whitespace between tokens.  The shard partition plays no
     /// part, so a grid keeps its hash whatever worker count runs it.
@@ -1177,9 +1153,9 @@ impl ResolvedSpec {
         fnv1a64(text.as_bytes())
     }
 
-    /// Decode the [`ResolvedSpec::to_json`] form.  Per-scenario config
+    /// Decode the [`ExperimentSpec::to_json`] form.  Per-scenario config
     /// hashes are recomputed from the configs, not trusted, so a spec whose
-    /// hashes were altered no longer has the [`ResolvedSpec::hash`] it
+    /// hashes were altered no longer has the [`ExperimentSpec::hash`] it
     /// claims.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let list = |key: &str| match value.get(key) {
@@ -1213,27 +1189,34 @@ impl ResolvedSpec {
                         serde_json::from_value(c)
                             .map_err(|e| format!("scenario `{label}` config: {e}"))
                     })?;
-                Ok((label.to_string(), config_hash(&config), config))
+                Ok(ScenarioSpec::new(label, config))
             })
             .collect::<Result<_, String>>()?;
-        Ok(ResolvedSpec {
+        Ok(ExperimentSpec {
             scenarios,
             policies,
             seeds,
         })
     }
 
-    /// Serialize for `--print-spec`: scenario labels, per-scenario config
-    /// hashes (hex), the full resolved configs, axes and job count.
+    /// The canonical, fully resolved description of the grid: every
+    /// scenario's label, [`config_hash`] (hex) and complete
+    /// [`ScenarioConfig`], plus the policy and seed axes and the job count.
+    /// The persistence layer's config hashes derive from the same configs,
+    /// so diffing two `--print-spec` dumps proves two grid definitions
+    /// identical without simulating anything.
     pub fn to_json(&self) -> Value {
         let scenarios: Vec<Value> = self
             .scenarios
             .iter()
-            .map(|(label, hash, config)| {
+            .map(|s| {
                 map(vec![
-                    ("label", Value::Str(label.clone())),
-                    ("config_hash", Value::Str(format!("{hash:016x}"))),
-                    ("config", serde::Serialize::to_value(config)),
+                    ("label", Value::Str(s.label.clone())),
+                    (
+                        "config_hash",
+                        Value::Str(format!("{:016x}", config_hash(&s.base))),
+                    ),
+                    ("config", serde::Serialize::to_value(&s.base)),
                 ])
             })
             .collect();
@@ -1251,10 +1234,7 @@ impl ResolvedSpec {
                 "seeds",
                 Value::Seq(self.seeds.iter().map(|&s| Value::UInt(s)).collect()),
             ),
-            (
-                "job_count",
-                Value::UInt((self.scenarios.len() * self.policies.len() * self.seeds.len()) as u64),
-            ),
+            ("job_count", Value::UInt(self.job_count() as u64)),
             ("scenarios", Value::Seq(scenarios)),
         ])
     }
@@ -1416,7 +1396,7 @@ mod tests {
     fn resolved_spec_json_carries_config_hashes() {
         let spec = GridSpec::parse(MINIMAL).unwrap();
         let resolved = spec.resolve(5, false).unwrap();
-        let dump = ResolvedSpec::of(&resolved.spec).to_json();
+        let dump = resolved.spec.to_json();
         let scenarios = match dump.get("scenarios") {
             Some(Value::Seq(items)) => items,
             other => panic!("expected scenario list, got {other:?}"),
@@ -1436,27 +1416,30 @@ mod tests {
 
     #[test]
     fn resolved_spec_round_trips_and_recomputes_config_hashes() {
-        let spec = GridSpec::parse(MINIMAL).unwrap().resolve(5, false).unwrap();
-        let resolved = ResolvedSpec::of(&spec.spec);
-        let json = resolved.to_json();
-        let back = ResolvedSpec::from_json(&json).expect("own encoding decodes");
-        assert_eq!(back.hash(), resolved.hash());
+        let spec = GridSpec::parse(MINIMAL)
+            .unwrap()
+            .resolve(5, false)
+            .unwrap()
+            .spec;
+        let json = spec.to_json();
+        let back = ExperimentSpec::from_json(&json).expect("own encoding decodes");
+        assert_eq!(back.hash(), spec.hash());
         assert_eq!(
-            back.experiment_spec().enumerate_jobs()[1].config_hash,
-            spec.spec.enumerate_jobs()[1].config_hash
+            back.enumerate_jobs()[1].config_hash,
+            spec.enumerate_jobs()[1].config_hash
         );
         // A forged per-scenario hash is recomputed away, so the decoded
         // spec no longer carries the identity the forged text had.
         let forged = serde_json::to_string(&json).unwrap().replace(
-            &format!("{:016x}", resolved.scenarios[0].1),
+            &format!("{:016x}", config_hash(&spec.scenarios[0].base)),
             "0000000000000000",
         );
         let forged = serde_json::parse(&forged).unwrap();
-        let decoded = ResolvedSpec::from_json(&forged).expect("still decodes");
-        assert_eq!(decoded.hash(), resolved.hash());
+        let decoded = ExperimentSpec::from_json(&forged).expect("still decodes");
+        assert_eq!(decoded.hash(), spec.hash());
         assert_ne!(
             fnv1a64(serde_json::to_string(&forged).unwrap().as_bytes()),
-            resolved.hash()
+            spec.hash()
         );
     }
 }

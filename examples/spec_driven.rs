@@ -7,7 +7,8 @@
 //! cargo run --release --example spec_driven
 //! ```
 
-use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
+use caem_suite::wsnsim::config_hash;
+use caem_suite::wsnsim::spec::GridSpec;
 
 const SPEC: &str = r#"{
   "caem_grid_spec": 1,
@@ -34,11 +35,16 @@ fn main() {
     let resolved = doc.resolve(7, false).expect("demo spec resolves");
     let spec = resolved.spec;
 
-    // The canonical resolved form carries per-scenario config hashes — the
-    // identity the persistence layer and the distributed manifest key on.
-    println!("resolved grid:");
-    for (label, hash, _config) in &ResolvedSpec::of(&spec).scenarios {
-        println!("  {label:<16} config_hash {hash:016x}");
+    // Each resolved scenario has a config hash — the identity the
+    // persistence layer and the service daemon key records on — and the
+    // whole grid has one too.
+    println!("resolved grid {:016x}:", spec.hash());
+    for scenario in &spec.scenarios {
+        println!(
+            "  {:<16} config_hash {:016x}",
+            scenario.label,
+            config_hash(&scenario.base)
+        );
     }
 
     // 3. Run the grid through the engine's single parallel layer.

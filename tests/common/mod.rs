@@ -9,10 +9,11 @@ use std::sync::{Arc, Mutex};
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::distrib::WorkerSpawner;
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::persist::ExperimentStore;
-use caem_suite::wsnsim::serve::{Coordinator, LoopbackSpawner, ServiceConfig, ServiceState};
+use caem_suite::wsnsim::serve::{
+    Coordinator, LoopbackSpawner, ServiceConfig, ServiceState, WorkerSpawner,
+};
 use caem_suite::wsnsim::{ScenarioConfig, Topology};
 
 /// A fresh store path under the temp directory, unique per process.

@@ -15,16 +15,14 @@ use std::time::{Duration as StdDuration, Instant};
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::distrib::{
-    merge_outcome, DistribError, GridManifest, WorkerHandle, WorkerSpawner,
-};
 use caem_suite::wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, ScenarioSpec, SequentialStopping,
 };
 use caem_suite::wsnsim::persist::{ExperimentStore, JobRecord};
 use caem_suite::wsnsim::serve::{
-    run_socket_worker, serve_listener, Coordinator, FrameLink, LoopbackSpawner, Message,
-    ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
+    run_socket_worker, serve_listener, Coordinator, DistribError, FrameLink, LoopbackSpawner,
+    Message, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit, WorkerHandle,
+    WorkerSpawner,
 };
 use caem_suite::wsnsim::ScenarioConfig;
 
@@ -174,15 +172,13 @@ fn merge_is_invariant_under_shuffled_store_discovery_order() {
     let mut records: Vec<JobRecord> = store.records().to_vec();
     // Re-granted jobs legitimately arrive twice.
     records.extend_from_within(..5);
-    let manifest = GridManifest::from_spec(&spec, 4);
 
     type Permutation = fn(&mut Vec<JobRecord>);
     let orders: [Permutation; 3] = [|_v| {}, |v| v.reverse(), |v| v.rotate_left(7)];
     for permute in orders {
         let mut shuffled = records.clone();
         permute(&mut shuffled);
-        let outcome = merge_outcome(&manifest, shuffled, Vec::new());
-        let mut report = ExperimentReport::from_records(outcome.records);
+        let mut report = ExperimentReport::from_records(shuffled);
         report.seeds = spec.seeds.clone();
         assert_eq!(report, single_process);
         assert_eq!(report_bits(&report), report_bits(&single_process));

@@ -18,15 +18,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use caem_suite::wsnsim::distrib::{ManifestJob, WorkerSpawner};
 use caem_suite::wsnsim::faults::{self, FaultKind, FaultPlanConfig, FaultRole, RunEvent};
 use caem_suite::wsnsim::persist::ExperimentStore;
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
     Message, ProtoError, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions,
-    WorkerExit, PROTOCOL_VERSION,
+    WorkerExit, WorkerSpawner, PROTOCOL_VERSION,
 };
-use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
+use caem_suite::wsnsim::spec::GridSpec;
 
 /// A small but non-degenerate grid: two deployment shapes × the paper's
 /// three policies × two seeds = 12 jobs, short horizon, few nodes.
@@ -175,9 +174,10 @@ fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death()
         other => panic!("expected a grant, got {other:?}"),
     };
     assert!(!jobs.is_empty());
-    let first = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..1])
-        .expect("granted keys lie on the grid")[0]
-        .run();
+    let granted = spec
+        .jobs_at(&jobs[..1])
+        .expect("granted keys lie on the grid");
+    let first = spec.run_job(&granted[0]);
     let line = serde_json::to_string(&first).expect("record serializes");
     dying
         .send(
@@ -241,9 +241,10 @@ fn a_forged_line_for_a_real_key_does_not_settle_its_job() {
         } => (grid, shard, spec, jobs),
         other => panic!("expected a grant, got {other:?}"),
     };
-    let mut forged = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..1])
-        .expect("granted keys lie on the grid")[0]
-        .run();
+    let granted = spec
+        .jobs_at(&jobs[..1])
+        .expect("granted keys lie on the grid");
+    let mut forged = spec.run_job(&granted[0]);
     forged.config_hash ^= 1;
     forger
         .send(
@@ -296,9 +297,9 @@ fn only_settling_lines_reach_the_store_journal() {
         } => (grid, shard, spec, jobs),
         other => panic!("expected a grant, got {other:?}"),
     };
-    let runs = ManifestJob::at_keys(&spec.experiment_spec(), &jobs[..2]).expect("on the grid");
-    let valid = runs[0].run();
-    let mut forged = runs[1].run();
+    let runs = spec.jobs_at(&jobs[..2]).expect("on the grid");
+    let valid = spec.run_job(&runs[0]);
+    let mut forged = spec.run_job(&runs[1]);
     forged.scenario.push_str("_renamed");
     let lines = [&valid, &valid, &forged]
         .iter()
@@ -361,7 +362,7 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
         other => panic!("expected rejection, got {other:?}"),
     }
 
-    // A pinned hash that contradicts the active grid's manifest.
+    // A pinned hash that contradicts the active grid's hash.
     let mut clink = spawner.connect();
     let mut client = ServiceClient::new(&mut clink);
     let sub = client.submit(SPEC_DOC, true, SEED).expect("accepted");
@@ -371,8 +372,8 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
         .expect("spec parses")
         .resolve(SEED, true)
         .expect("spec resolves");
-    let print_spec = serde_json::to_string_pretty(&ResolvedSpec::of(&resolved.spec).to_json())
-        .expect("resolved spec renders");
+    let print_spec =
+        serde_json::to_string_pretty(&resolved.spec.to_json()).expect("resolved spec renders");
     let compact = serde_json::to_string(&serde_json::parse(&print_spec).expect("JSON"))
         .expect("document renders");
     let fnv1a = compact.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -614,6 +615,12 @@ fn a_rejected_submission_leaves_the_daemon_serving() {
                 1,
             ),
             "initial_energy_spread",
+        ),
+        // A replicate count whose seed axis could not even be allocated
+        // is a typed error, not an abort of the daemon process.
+        (
+            SPEC_DOC.replacen("\"replicates\": 2,", "\"replicates\": 1000000000000000,", 1),
+            "100000 / (scenarios × policies)",
         ),
         // Sequential stopping runs only locally.
         (

@@ -18,15 +18,16 @@ use std::sync::OnceLock;
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::distrib::{GridManifest, ManifestJob};
-use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
-use caem_suite::wsnsim::persist::JobRecord;
+use caem_suite::wsnsim::experiment::{
+    ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
+};
+use caem_suite::wsnsim::persist::{JobKey, JobRecord};
 use caem_suite::wsnsim::serve::proto::{decode_frame, encode_frame};
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, FrameLink, GridProgress, LoopbackLink, Message, ProtoError,
     SocketWorkerOptions, TcpLink, MAX_FRAME_BYTES,
 };
-use caem_suite::wsnsim::spec::{GridSpec, ResolvedSpec};
+use caem_suite::wsnsim::spec::GridSpec;
 use caem_suite::wsnsim::ScenarioConfig;
 use proptest::prelude::*;
 
@@ -34,22 +35,25 @@ use proptest::prelude::*;
 // Fixtures.
 // ---------------------------------------------------------------------------
 
-/// A tiny one-scenario grid.
-fn tiny_spec() -> ExperimentSpec {
-    let base =
-        ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1).with_duration(Duration::from_secs(5));
-    ExperimentSpec::paper_policies(vec![ScenarioSpec::new("tiny", base)], 11, 2)
+/// A tiny one-scenario grid; its spec and job keys give the `grant`
+/// variant realistic payloads without fabricating a scenario config field
+/// by field.
+fn tiny_spec() -> &'static ExperimentSpec {
+    static SPEC: OnceLock<ExperimentSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        let base = ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1)
+            .with_duration(Duration::from_secs(5));
+        ExperimentSpec::paper_policies(vec![ScenarioSpec::new("tiny", base)], 11, 2)
+    })
 }
 
-/// A two-shard manifest over [`tiny_spec`]; its resolved spec and job keys
-/// give the `grant` variant realistic payloads without fabricating a
-/// scenario config field by field.
-fn tiny_manifest() -> &'static (GridManifest, ResolvedSpec) {
-    static MANIFEST: OnceLock<(GridManifest, ResolvedSpec)> = OnceLock::new();
-    MANIFEST.get_or_init(|| {
-        let spec = tiny_spec();
-        (GridManifest::from_spec(&spec, 2), ResolvedSpec::of(&spec))
-    })
+/// Every job key of [`tiny_spec`], in enumeration order.
+fn tiny_keys() -> Vec<JobKey> {
+    tiny_spec()
+        .enumerate_jobs()
+        .iter()
+        .map(ExperimentJob::key)
+        .collect()
 }
 
 /// The tiny grid's simulated records, computed once (simulation is the
@@ -57,11 +61,10 @@ fn tiny_manifest() -> &'static (GridManifest, ResolvedSpec) {
 fn tiny_records() -> &'static Vec<JobRecord> {
     static RECORDS: OnceLock<Vec<JobRecord>> = OnceLock::new();
     RECORDS.get_or_init(|| {
-        tiny_manifest()
-            .0
-            .jobs
+        let spec = tiny_spec();
+        spec.enumerate_jobs()
             .iter()
-            .map(ManifestJob::run)
+            .map(|job| spec.run_job(job))
             .collect()
     })
 }
@@ -99,19 +102,13 @@ fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
         },
         2 => Message::Reject { seq, reason: text },
         3 => Message::Claim { seq },
-        4 => {
-            let (manifest, spec) = tiny_manifest();
-            Message::Grant {
-                seq,
-                grid: a,
-                shard: b % 16,
-                spec: spec.clone(),
-                jobs: manifest.jobs[..(b % 4) as usize]
-                    .iter()
-                    .map(ManifestJob::key)
-                    .collect(),
-            }
-        }
+        4 => Message::Grant {
+            seq,
+            grid: a,
+            shard: b % 16,
+            spec: tiny_spec().clone(),
+            jobs: tiny_keys()[..(b % 4) as usize].to_vec(),
+        },
         5 => Message::NoWork {
             seq,
             retry_ms: b % 5_000,
@@ -222,18 +219,19 @@ fn a_thousand_job_grant_fits_in_64_kib() {
     .resolve(1, false)
     .expect("spec resolves")
     .spec;
-    let manifest = GridManifest::from_spec(&spec, 8);
-    let jobs: Vec<_> = manifest
-        .shard_jobs(0)
-        .into_iter()
-        .map(ManifestJob::key)
+    // Shard 0 of 8: every eighth job in enumeration order.
+    let jobs: Vec<_> = spec
+        .enumerate_jobs()
+        .iter()
+        .step_by(8)
+        .map(ExperimentJob::key)
         .collect();
     assert_eq!(jobs.len(), 1_000);
     let grant = Message::Grant {
         seq: 1,
-        grid: manifest.grid_hash,
+        grid: spec.hash(),
         shard: 0,
-        spec: ResolvedSpec::of(&spec),
+        spec,
         jobs,
     };
     let bytes = grant.encode().len();
@@ -268,20 +266,19 @@ fn a_grant_whose_spec_misses_its_grid_hash_is_refused() {
     daemon.send(&ack.encode()).expect("worker listens");
     let claim = next(&mut daemon);
     assert_eq!(claim.kind(), "claim");
-    let (manifest, spec) = tiny_manifest();
-    assert_eq!(spec.hash(), manifest.grid_hash);
+    let grid_hash = tiny_spec().hash();
     let grant = Message::Grant {
         seq: claim.seq(),
-        grid: manifest.grid_hash ^ 1,
+        grid: grid_hash ^ 1,
         shard: 0,
-        spec: spec.clone(),
-        jobs: manifest.jobs.iter().map(ManifestJob::key).collect(),
+        spec: tiny_spec().clone(),
+        jobs: tiny_keys(),
     };
     daemon.send(&grant.encode()).expect("worker listens");
     match worker.join().expect("worker thread") {
         Err(ProtoError::GridMismatch { grid, spec: found }) => {
-            assert_eq!(grid, manifest.grid_hash ^ 1);
-            assert_eq!(found, manifest.grid_hash);
+            assert_eq!(grid, grid_hash ^ 1);
+            assert_eq!(found, grid_hash);
         }
         other => panic!("expected a grid mismatch, got {other:?}"),
     }

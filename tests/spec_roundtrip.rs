@@ -7,9 +7,11 @@
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::wsnsim::config::ConfigError;
+use caem_suite::wsnsim::experiment::ExperimentSpec;
 use caem_suite::wsnsim::persist::config_hash;
 use caem_suite::wsnsim::spec::{
     GridQuick, GridSpec, ScenarioQuick, ScenarioSpecDoc, SeedAxis, SequentialSpec, TrafficSpec,
+    MAX_GRID_JOBS,
 };
 use caem_suite::wsnsim::Topology;
 use proptest::prelude::*;
@@ -213,6 +215,22 @@ fn a_zoo_job_keeps_its_persisted_config_hash() {
     );
     assert_eq!(job.config_hash, 0x46df_4115_3179_3a20);
     assert_eq!(config_hash(&job.config), 0x46df_4115_3179_3a20);
+}
+
+/// The grid identity a worker pins with `--expect-hash` and a daemon's
+/// grants carry, pinned for the quick zoo: a change to the canonical
+/// resolved form would silently invalidate every recorded `--expect-hash`
+/// and change the grant bytes on the wire.
+#[test]
+fn the_quick_zoos_grid_hash_is_pinned() {
+    let zoo = GridSpec::parse(include_str!("../specs/zoo.json"))
+        .expect("zoo spec parses")
+        .resolve(20_050_612, true)
+        .expect("zoo spec resolves")
+        .spec;
+    assert_eq!(zoo.hash(), 0x87bc_5b32_bbd7_e163);
+    let decoded = ExperimentSpec::from_json(&zoo.to_json()).expect("own encoding decodes");
+    assert_eq!(decoded.hash(), 0x87bc_5b32_bbd7_e163);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +542,64 @@ fn version_and_value_domain_errors_are_typed() {
             expected: "[0, 1)",
         }
         .in_scenario("bad")
+    );
+    // A seed axis that would run past u64::MAX is refused, not wrapped.
+    let err = GridSpec::parse(
+        r#"{ "caem_grid_spec": 1, "base_seed": 18446744073709551615, "replicates": 2,
+             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
+    )
+    .unwrap()
+    .resolve(1, false)
+    .unwrap_err();
+    assert!(
+        matches!(&err, ConfigError::OutOfRange { path, .. } if path == "base_seed"),
+        "got {err:?}"
+    );
+    // So is sequential growth that would: the cap's added seeds follow the
+    // largest one.
+    let err = GridSpec::parse(
+        r#"{ "caem_grid_spec": 1, "seeds": [18446744073709551614],
+             "sequential": { "metric": "delivery_rate", "target_half_width": 0.1,
+                             "max_replicates": 3 },
+             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
+    )
+    .unwrap()
+    .resolve(1, false)
+    .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ConfigError::OutOfRange { path, .. } if path == "sequential.max_replicates"
+        ),
+        "got {err:?}"
+    );
+    // A replicate count too large to allocate is a typed error.
+    let err = GridSpec::parse(
+        r#"{ "caem_grid_spec": 1, "replicates": 1000000000000000,
+             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
+    )
+    .unwrap()
+    .resolve(1, false)
+    .unwrap_err();
+    assert!(
+        matches!(&err, ConfigError::OutOfRange { path, .. } if path == "replicates"),
+        "got {err:?}"
+    );
+    assert!(
+        err.to_string().contains(&MAX_GRID_JOBS.to_string()),
+        "{err}"
+    );
+    // So is an empty quick seed axis.
+    let err = GridSpec::parse(
+        r#"{ "caem_grid_spec": 1, "replicates": 2, "quick": { "replicates": 0 },
+             "scenarios": [ { "label": "a", "rate_pps": 5.0 } ] }"#,
+    )
+    .unwrap()
+    .resolve(1, true)
+    .unwrap_err();
+    assert!(
+        matches!(&err, ConfigError::OutOfRange { path, .. } if path == "quick.replicates"),
+        "got {err:?}"
     );
     // A sequential cap below the initial batch can never be honoured.
     let err = GridSpec::parse(
