@@ -187,8 +187,9 @@ fn flags_spec() -> Result<StressSpec, String> {
     if spec.nodes == 0 {
         return Err("nodes must be positive".to_string());
     }
-    if !spec.duration_s.is_finite() || spec.duration_s <= 0.0 {
-        return Err("duration_s must be positive".to_string());
+    // The horizon is u64 nanoseconds: a longer one would wrap.
+    if !(spec.duration_s > 0.0 && spec.duration_s * 1e9 < u64::MAX as f64) {
+        return Err("duration_s must be positive and below 2^64 ns (584 years)".to_string());
     }
     if !spec.tick_s.is_finite() || spec.tick_s <= 0.0 {
         return Err("tick_s must be positive".to_string());

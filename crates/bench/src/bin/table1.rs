@@ -13,6 +13,11 @@ use caem_simcore::rng::StreamRng;
 use caem_simcore::time::Duration;
 
 fn main() {
+    // Table I has no scenario to shape: any argument is a mistake.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument `{arg}`\nusage: table1");
+        std::process::exit(2);
+    }
     let schedule = ToneSchedule::paper_default();
     println!("== Table I — tone-channel pulse parameters ==");
     println!(

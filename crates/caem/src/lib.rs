@@ -11,13 +11,13 @@
 //! threshold to the queue state so nodes with persistently bad links are not
 //! starved.
 //!
-//! Three policies are provided behind the [`policy::ThresholdPolicy`] trait:
+//! The three policies are the variants of one enum, [`policy::Policy`]:
 //!
-//! | Policy | Paper name | Behaviour |
+//! | Variant | Paper name | Behaviour |
 //! |---|---|---|
-//! | [`policy::AdaptiveThreshold`] | Scheme 1 | threshold starts at 2 Mbps; once the queue exceeds `Q_threshold` (15) the ΔV predictor lowers it one class when the queue is growing and snaps it back to 2 Mbps when the queue drains |
-//! | [`policy::FixedThreshold`] | Scheme 2 | threshold pinned at 2 Mbps for the whole run; maximum energy savings, worst fairness/delay |
-//! | [`policy::NoAdaptation`] | pure LEACH | no channel requirement at all — transmit whenever the link supports *any* mode (the non-channel-adaptive baseline) |
+//! | [`policy::Policy::Adaptive`] | Scheme 1 | threshold starts at 2 Mbps; once the queue exceeds `Q_threshold` (15) the ΔV predictor lowers it one class when the queue is growing and snaps it back to 2 Mbps when the queue drains |
+//! | [`policy::Policy::Fixed`] | Scheme 2 | threshold pinned at 2 Mbps for the whole run; maximum energy savings, worst fairness/delay |
+//! | [`policy::Policy::PureLeach`] | pure LEACH | no channel requirement at all — transmit whenever the link supports *any* mode (the non-channel-adaptive baseline) |
 //!
 //! The ΔV predictor ([`predictor::QueuePredictor`]) samples the queue length
 //! every `K = 5` packet arrivals and differences consecutive samples, exactly
@@ -31,5 +31,5 @@ pub mod policy;
 pub mod predictor;
 
 pub use config::CaemConfig;
-pub use policy::{AdaptiveThreshold, FixedThreshold, NoAdaptation, PolicyKind, ThresholdPolicy};
+pub use policy::{Policy, PolicyKind};
 pub use predictor::{QueuePredictor, Trend};

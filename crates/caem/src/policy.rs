@@ -6,14 +6,16 @@
 //! *is the buffer under enough pressure that the minimum-burst rule should be
 //! waived?*
 //!
-//! * **Scheme 1** ([`AdaptiveThreshold`]) — the full CAEM proposal: the
+//! [`Policy`] holds one node's policy; [`PolicyKind`] names the scheme.
+//!
+//! * **Scheme 1** ([`Policy::Adaptive`]) — the full CAEM proposal: the
 //!   threshold starts at 2 Mbps; once the queue length reaches
 //!   `Q_threshold = 15` the ΔV predictor (sampled every K = 5 arrivals)
 //!   lowers the threshold one class while the queue grows and snaps it back
 //!   to the highest class once the queue drains.
-//! * **Scheme 2** ([`FixedThreshold`]) — threshold fixed at 2 Mbps; maximal
+//! * **Scheme 2** ([`Policy::Fixed`]) — threshold fixed at 2 Mbps; maximal
 //!   energy efficiency, no fairness protection.
-//! * **Pure LEACH** ([`NoAdaptation`]) — the non-channel-adaptive baseline:
+//! * **Pure LEACH** ([`Policy::PureLeach`]) — the non-channel-adaptive baseline:
 //!   no CSI requirement beyond "the link can carry *some* mode".
 
 use caem_phy::TransmissionMode;
@@ -44,27 +46,109 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// The decision interface consumed by the MAC / simulator.
+/// One node's threshold policy: which scheme it runs and, for Scheme 1,
+/// its adjustment state.
 ///
-/// A policy value holds one node's state only; the scenario-wide
-/// [`CaemConfig`] is passed to every call.
-pub trait ThresholdPolicy {
+/// A closed enum, so nodes stay allocation-free and the per-event queries
+/// (`required_snr_db`, `is_urgent`, arrival notifications) inline into the
+/// event loop.  The scenario-wide [`CaemConfig`] is passed to every call.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// Pure LEACH: no channel adaptation at all, and no per-node state.
+    PureLeach,
+    /// Scheme 1: CAEM with adaptive threshold adjustment.
+    Adaptive(AdaptiveThreshold),
+    /// Scheme 2: the threshold is pinned at the configuration's initial
+    /// threshold (the paper's 2 Mbps); no per-node state.
+    Fixed,
+}
+
+/// Scheme 1's per-node state (Fig. 6 pseudo-code): the ΔV predictor and the
+/// threshold currently in force.
+#[derive(Debug, Clone)]
+pub struct AdaptiveThreshold {
+    predictor: QueuePredictor,
+    current: TransmissionMode,
+}
+
+impl Policy {
+    /// One node's policy for protocol variant `kind`, starting at
+    /// `config`'s initial threshold.
+    pub fn new(kind: PolicyKind, config: &CaemConfig) -> Self {
+        match kind {
+            PolicyKind::PureLeach => Policy::PureLeach,
+            PolicyKind::Scheme1Adaptive => {
+                assert!(
+                    config.sampling_interval_packets > 0,
+                    "sampling interval must be positive"
+                );
+                Policy::Adaptive(AdaptiveThreshold {
+                    predictor: QueuePredictor::new(),
+                    current: config.initial_threshold,
+                })
+            }
+            PolicyKind::Scheme2Fixed => Policy::Fixed,
+        }
+    }
+
     /// Which scheme this is.
-    fn kind(&self) -> PolicyKind;
+    pub fn kind(&self) -> PolicyKind {
+        match self {
+            Policy::PureLeach => PolicyKind::PureLeach,
+            Policy::Adaptive(_) => PolicyKind::Scheme1Adaptive,
+            Policy::Fixed => PolicyKind::Scheme2Fixed,
+        }
+    }
 
     /// Notify the policy of a packet arrival; `queue_len` is the buffer
     /// occupancy *after* the enqueue (or after the drop, if the buffer was
     /// full — the pressure signal is the same).
-    fn on_packet_arrival(&mut self, config: &CaemConfig, queue_len: usize);
+    pub fn on_packet_arrival(&mut self, config: &CaemConfig, queue_len: usize) {
+        let Policy::Adaptive(p) = self else { return };
+        // The predictor samples on every arrival regardless; the *adjustment*
+        // only engages once the queue is past the activation threshold.
+        let delta = p
+            .predictor
+            .on_arrival(config.sampling_interval_packets, queue_len);
+        if queue_len < config.queue_threshold {
+            return;
+        }
+        if delta.is_some() {
+            match p.predictor.trend() {
+                Some(Trend::Growing) => {
+                    for _ in 0..config.lower_step_classes {
+                        p.current = p.current.one_class_lower();
+                    }
+                }
+                Some(Trend::Draining) => p.current = TransmissionMode::highest(),
+                None => {}
+            }
+        }
+    }
 
     /// Notify the policy that a burst completed; `queue_len` is the occupancy
     /// after the dequeue.
-    fn on_packets_sent(&mut self, config: &CaemConfig, queue_len: usize);
+    pub fn on_packets_sent(&mut self, config: &CaemConfig, queue_len: usize) {
+        // Once the pressure is relieved Scheme 1 reverts to the
+        // energy-optimal threshold; this implements the "increase
+        // transmission threshold to the highest value to save energy" branch
+        // without waiting for the next sampled arrival.
+        if let Policy::Adaptive(p) = self {
+            if queue_len < config.queue_threshold {
+                p.current = TransmissionMode::highest();
+            }
+        }
+    }
 
     /// Notify the policy that the node was re-homed to a new cluster head
     /// (LEACH round change): history about the old link/queue dynamics no
     /// longer predicts the new one.
-    fn on_round_change(&mut self, config: &CaemConfig);
+    pub fn on_round_change(&mut self, config: &CaemConfig) {
+        if let Policy::Adaptive(p) = self {
+            p.predictor.reset();
+            p.current = config.initial_threshold;
+        }
+    }
 
     /// The transmission threshold currently in force.
     ///
@@ -72,10 +156,16 @@ pub trait ThresholdPolicy {
     /// `None` means no channel-quality requirement (pure LEACH) — the MAC
     /// only needs the link to support the lowest mode so the packet can be
     /// modulated at all.
-    fn current_threshold(&self, config: &CaemConfig) -> Option<TransmissionMode>;
+    pub fn current_threshold(&self, config: &CaemConfig) -> Option<TransmissionMode> {
+        match self {
+            Policy::PureLeach => None,
+            Policy::Adaptive(p) => Some(p.current),
+            Policy::Fixed => Some(config.initial_threshold),
+        }
+    }
 
     /// The minimum data-channel SNR (dB) the MAC should demand right now.
-    fn required_snr_db(&self, config: &CaemConfig) -> f64 {
+    pub fn required_snr_db(&self, config: &CaemConfig) -> f64 {
         self.current_threshold(config)
             .unwrap_or_else(TransmissionMode::lowest)
             .required_snr_db()
@@ -85,126 +175,8 @@ pub trait ThresholdPolicy {
     /// under overflow pressure?  Every scheme waives it at the queue
     /// threshold: the rule exists only to amortise start-up energy, and
     /// waiting for more packets while dropping others is self-defeating.
-    fn is_urgent(&self, config: &CaemConfig, queue_len: usize) -> bool {
+    pub fn is_urgent(&self, config: &CaemConfig, queue_len: usize) -> bool {
         queue_len >= config.queue_threshold
-    }
-}
-
-/// Pure LEACH: no channel adaptation at all, and no per-node state.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct NoAdaptation;
-
-impl ThresholdPolicy for NoAdaptation {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PureLeach
-    }
-    fn on_packet_arrival(&mut self, _config: &CaemConfig, _queue_len: usize) {}
-    fn on_packets_sent(&mut self, _config: &CaemConfig, _queue_len: usize) {}
-    fn on_round_change(&mut self, _config: &CaemConfig) {}
-    fn current_threshold(&self, _config: &CaemConfig) -> Option<TransmissionMode> {
-        None
-    }
-}
-
-/// Scheme 2: the threshold is pinned at the configuration's initial
-/// threshold (the paper's 2 Mbps); no per-node state.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct FixedThreshold;
-
-impl ThresholdPolicy for FixedThreshold {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Scheme2Fixed
-    }
-    fn on_packet_arrival(&mut self, _config: &CaemConfig, _queue_len: usize) {}
-    fn on_packets_sent(&mut self, _config: &CaemConfig, _queue_len: usize) {}
-    fn on_round_change(&mut self, _config: &CaemConfig) {}
-    fn current_threshold(&self, config: &CaemConfig) -> Option<TransmissionMode> {
-        Some(config.initial_threshold)
-    }
-}
-
-/// Scheme 1: CAEM with adaptive threshold adjustment (Fig. 6 pseudo-code).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdaptiveThreshold {
-    predictor: QueuePredictor,
-    current: TransmissionMode,
-}
-
-impl AdaptiveThreshold {
-    /// Create a Scheme 1 policy starting at `config`'s initial threshold.
-    pub fn new(config: &CaemConfig) -> Self {
-        assert!(
-            config.sampling_interval_packets > 0,
-            "sampling interval must be positive"
-        );
-        AdaptiveThreshold {
-            predictor: QueuePredictor::new(),
-            current: config.initial_threshold,
-        }
-    }
-
-    /// Create a Scheme 1 policy with the paper's parameters.
-    pub fn paper_default() -> Self {
-        AdaptiveThreshold::new(&CaemConfig::paper_default())
-    }
-
-    fn lower_threshold(&mut self, config: &CaemConfig) {
-        for _ in 0..config.lower_step_classes {
-            self.current = self.current.one_class_lower();
-        }
-    }
-
-    fn raise_to_top(&mut self) {
-        self.current = TransmissionMode::highest();
-    }
-}
-
-impl Default for AdaptiveThreshold {
-    fn default() -> Self {
-        AdaptiveThreshold::paper_default()
-    }
-}
-
-impl ThresholdPolicy for AdaptiveThreshold {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Scheme1Adaptive
-    }
-
-    fn on_packet_arrival(&mut self, config: &CaemConfig, queue_len: usize) {
-        // The predictor samples on every arrival regardless; the *adjustment*
-        // only engages once the queue is past the activation threshold.
-        let delta = self
-            .predictor
-            .on_arrival(config.sampling_interval_packets, queue_len);
-        if queue_len < config.queue_threshold {
-            return;
-        }
-        if delta.is_some() {
-            match self.predictor.trend() {
-                Some(Trend::Growing) => self.lower_threshold(config),
-                Some(Trend::Draining) => self.raise_to_top(),
-                None => {}
-            }
-        }
-    }
-
-    fn on_packets_sent(&mut self, config: &CaemConfig, queue_len: usize) {
-        // Once the pressure is relieved the node reverts to the
-        // energy-optimal threshold; this implements the "increase
-        // transmission threshold to the highest value to save energy" branch
-        // without waiting for the next sampled arrival.
-        if queue_len < config.queue_threshold {
-            self.raise_to_top();
-        }
-    }
-
-    fn on_round_change(&mut self, config: &CaemConfig) {
-        self.predictor.reset();
-        self.current = config.initial_threshold;
-    }
-
-    fn current_threshold(&self, _config: &CaemConfig) -> Option<TransmissionMode> {
-        Some(self.current)
     }
 }
 
@@ -219,9 +191,24 @@ mod tests {
         lower_step_classes: 1,
     };
 
+    fn scheme1(config: &CaemConfig) -> Policy {
+        Policy::new(PolicyKind::Scheme1Adaptive, config)
+    }
+
+    #[test]
+    fn policy_factory_builds_all_kinds() {
+        for kind in [
+            PolicyKind::PureLeach,
+            PolicyKind::Scheme1Adaptive,
+            PolicyKind::Scheme2Fixed,
+        ] {
+            assert_eq!(Policy::new(kind, C).kind(), kind);
+        }
+    }
+
     #[test]
     fn pure_leach_has_no_channel_requirement() {
-        let p = NoAdaptation;
+        let p = Policy::PureLeach;
         assert_eq!(p.kind(), PolicyKind::PureLeach);
         assert_eq!(p.current_threshold(C), None);
         // Required SNR falls back to the lowest mode's requirement.
@@ -235,7 +222,7 @@ mod tests {
 
     #[test]
     fn scheme2_threshold_never_moves() {
-        let mut p = FixedThreshold;
+        let mut p = Policy::Fixed;
         assert_eq!(p.kind(), PolicyKind::Scheme2Fixed);
         for q in [1usize, 10, 20, 45, 50] {
             p.on_packet_arrival(C, q);
@@ -252,14 +239,14 @@ mod tests {
 
     #[test]
     fn scheme1_starts_at_highest_threshold() {
-        let p = AdaptiveThreshold::paper_default();
+        let p = scheme1(C);
         assert_eq!(p.kind(), PolicyKind::Scheme1Adaptive);
         assert_eq!(p.current_threshold(C), Some(TransmissionMode::Mbps2));
     }
 
     #[test]
     fn scheme1_ignores_growth_below_queue_threshold() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         // Queue grows but stays below Q_threshold = 15: no adjustment.
         for q in 1..=14usize {
             p.on_packet_arrival(C, q);
@@ -269,7 +256,7 @@ mod tests {
 
     #[test]
     fn scheme1_lowers_one_class_per_growing_sample_above_threshold() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         // Drive the queue well past Q_threshold with one arrival per length
         // increment; a sample is taken every 5 arrivals.
         let mut q = 0usize;
@@ -301,7 +288,7 @@ mod tests {
 
     #[test]
     fn scheme1_snaps_back_to_top_when_queue_drains() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         let mut q = 0usize;
         for _ in 0..20 {
             q += 1;
@@ -315,7 +302,7 @@ mod tests {
 
     #[test]
     fn scheme1_draining_samples_above_threshold_also_raise() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         // Push queue to 25 to lower the threshold.
         let mut q = 0usize;
         for _ in 0..25 {
@@ -333,7 +320,7 @@ mod tests {
 
     #[test]
     fn scheme1_burst_completion_above_threshold_does_not_raise() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         let mut q = 0usize;
         for _ in 0..25 {
             q += 1;
@@ -347,7 +334,7 @@ mod tests {
 
     #[test]
     fn scheme1_round_change_resets_state() {
-        let mut p = AdaptiveThreshold::paper_default();
+        let mut p = scheme1(C);
         let mut q = 0usize;
         for _ in 0..25 {
             q += 1;
@@ -360,7 +347,7 @@ mod tests {
 
     #[test]
     fn scheme1_urgency_tracks_queue_threshold() {
-        let p = AdaptiveThreshold::paper_default();
+        let p = scheme1(C);
         assert!(!p.is_urgent(C, 14));
         assert!(p.is_urgent(C, 15));
         assert!(p.is_urgent(C, 50));
@@ -372,7 +359,7 @@ mod tests {
             lower_step_classes: 2,
             ..*C
         };
-        let mut p = AdaptiveThreshold::new(config);
+        let mut p = scheme1(config);
         let mut q = 0usize;
         for _ in 0..15 {
             q += 1;
@@ -387,22 +374,5 @@ mod tests {
         assert_eq!(PolicyKind::PureLeach.to_string(), "pure-LEACH");
         assert!(PolicyKind::Scheme1Adaptive.to_string().contains("Scheme 1"));
         assert!(PolicyKind::Scheme2Fixed.to_string().contains("Scheme 2"));
-    }
-
-    #[test]
-    fn trait_objects_are_usable() {
-        // The trait stays object-safe: policies work behind `dyn`.
-        let mut policies: Vec<Box<dyn ThresholdPolicy>> = vec![
-            Box::new(NoAdaptation),
-            Box::new(FixedThreshold),
-            Box::new(AdaptiveThreshold::paper_default()),
-        ];
-        for p in &mut policies {
-            p.on_packet_arrival(C, 1);
-            let _ = p.current_threshold(C);
-            let _ = p.required_snr_db(C);
-        }
-        assert_eq!(policies[0].kind(), PolicyKind::PureLeach);
-        assert_eq!(policies[2].kind(), PolicyKind::Scheme1Adaptive);
     }
 }

@@ -11,10 +11,8 @@
 //! is used as the traffic-load predictor: ΔV ≥ 0 means the queue is growing
 //! (offered load exceeds service), ΔV < 0 means it is draining.
 
-use serde::{Deserialize, Serialize};
-
 /// The direction the queue is trending, as seen by the predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trend {
     /// ΔV ≥ 0: queue growing (or static) — offered load at least matches the
     /// service rate.
@@ -27,7 +25,7 @@ pub enum Trend {
 ///
 /// `K` is scenario-wide and passed to every arrival, so only the sampling
 /// history lives here.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueuePredictor {
     arrivals_since_sample: u32,
     last_sample: Option<usize>,
@@ -170,9 +168,10 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_interval_rejected() {
-        crate::policy::AdaptiveThreshold::new(&crate::config::CaemConfig {
+        let config = crate::config::CaemConfig {
             sampling_interval_packets: 0,
             ..crate::config::CaemConfig::paper_default()
-        });
+        };
+        crate::policy::Policy::new(crate::policy::PolicyKind::Scheme1Adaptive, &config);
     }
 }

@@ -10,19 +10,6 @@
 //! instant must be observed first.
 
 use crate::time::SimTime;
-use std::fmt;
-
-/// A typed simulation event.
-///
-/// Most protocol crates define an enum of events (packet arrival, tone pulse,
-/// radio startup complete, round boundary, ...) and implement this marker
-/// trait for it.  The queue itself treats events opaquely.
-pub trait Event: fmt::Debug {}
-
-impl Event for () {}
-impl<T: fmt::Debug> Event for Option<T> {}
-impl Event for u64 {}
-impl Event for String {}
 
 /// One radix bucket per bit of a nanosecond timestamp.
 const BUCKETS: usize = u64::BITS as usize;

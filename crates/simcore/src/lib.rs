@@ -41,7 +41,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{Event, EventQueue};
+pub use event::EventQueue;
 pub use rng::{RngStream, StreamRng};
 pub use stats::{Histogram, RunningStats, TimeSeries};
 pub use time::{Duration, SimTime};

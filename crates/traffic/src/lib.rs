@@ -9,10 +9,12 @@
 //! them; buffer overflow is one of the failure modes the CAEM Scheme 1
 //! threshold adjustment exists to avoid.
 //!
-//! * [`source`] — Poisson, CBR and two-state bursty (MMPP) sources behind a
-//!   common [`source::TrafficSource`] trait.
+//! * [`source`] — Poisson, CBR and two-state bursty (MMPP) sources, as the
+//!   variants of one [`source::TrafficSource`] enum with a per-node
+//!   [`source::TrafficState`].
 //! * [`profile`] — deterministic time-of-day modulation: a diurnal intensity
-//!   envelope applied to any source by time warping.
+//!   envelope applied to any source by time warping
+//!   ([`source::TrafficSource::Diurnal`]).
 //! * [`buffer`] — bounded FIFO with drop accounting and the queue-length
 //!   observations (`V(t_i)`) the CAEM predictor consumes.
 //!
@@ -28,5 +30,7 @@ pub mod profile;
 pub mod source;
 
 pub use buffer::PacketBuffer;
-pub use profile::{DiurnalCycle, ModulatedSource};
-pub use source::{BurstySource, BurstyState, CbrSource, PoissonSource, TrafficSource};
+pub use profile::DiurnalCycle;
+pub use source::{
+    BurstySource, BurstyState, CbrSource, PoissonSource, TrafficSource, TrafficState,
+};

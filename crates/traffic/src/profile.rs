@@ -8,19 +8,19 @@
 //! virtual time without touching a scenario's long-run load.
 //!
 //! [`DiurnalCycle`] is a sinusoidal intensity envelope `m(t)` with long-run
-//! mean exactly 1; [`ModulatedSource`] applies it to any base
-//! [`TrafficSource`] by **time warping**: the base process runs in its own
-//! "operational time" `v` and every arrival is mapped through the inverse of
-//! the cumulative intensity `Λ(t) = ∫₀ᵗ m(s) ds`.  For a Poisson base this
-//! is the classical inversion construction of a non-homogeneous Poisson
-//! process with rate `λ·m(t)`; for CBR it yields deterministic arrivals that
-//! bunch up at the peak and spread out in the trough.  Crucially the warp
+//! mean exactly 1; [`TrafficSource::Diurnal`] applies it to any base source
+//! by **time warping**: the base process runs in its own "operational time"
+//! `v` and every arrival is mapped through the inverse of the cumulative
+//! intensity `Λ(t) = ∫₀ᵗ m(s) ds`.  For a Poisson base this is the classical
+//! inversion construction of a non-homogeneous Poisson process with rate
+//! `λ·m(t)`; for CBR it yields deterministic arrivals that bunch up at the
+//! peak and spread out in the trough.  Crucially the warp
 //! consumes **no randomness of its own** — the base source draws exactly the
 //! same stream values it would unmodulated, so enabling a profile never
 //! perturbs any other random stream of the scenario.
+//!
+//! [`TrafficSource::Diurnal`]: crate::source::TrafficSource::Diurnal
 
-use crate::source::TrafficSource;
-use caem_simcore::rng::StreamRng;
 use caem_simcore::time::{Duration, SimTime};
 
 /// A sinusoidal intensity envelope `m(t) = 1 + a·sin(2πt/T + φ)` with
@@ -127,40 +127,17 @@ impl DiurnalCycle {
         }
         t
     }
-}
 
-/// Any [`TrafficSource`] warped through a [`DiurnalCycle`]: the base process
-/// advances in operational time and each arrival maps back through
-/// `Λ⁻¹`, so the instantaneous rate is `base_rate · m(t)` while the long-run
-/// mean rate — and the base source's random stream consumption — are
-/// unchanged.  The warp is stateless, so a node's state is the base
-/// source's.
-#[derive(Debug, Clone)]
-pub struct ModulatedSource<S> {
-    base: S,
-    cycle: DiurnalCycle,
-}
-
-impl<S: TrafficSource> ModulatedSource<S> {
-    /// Warp `base` through `cycle`.
-    pub fn new(base: S, cycle: DiurnalCycle) -> Self {
-        ModulatedSource { base, cycle }
-    }
-}
-
-impl<S: TrafficSource> TrafficSource for ModulatedSource<S> {
-    type State = S::State;
-
-    fn new_state(&self, rng: StreamRng) -> S::State {
-        self.base.new_state(rng)
-    }
-
-    fn next_arrival(&self, state: &mut S::State, now: SimTime) -> SimTime {
-        let v_now = self.cycle.cumulative(now.as_secs_f64());
-        let v_next = self.base.next_arrival(state, SimTime::from_secs_f64(v_now));
-        let t_next = self
-            .cycle
-            .inverse_cumulative(v_next.as_secs_f64().max(v_now));
+    /// The next arrival after `now` of a base process that runs in
+    /// operational time: `base_next` draws the base source's next arrival
+    /// after an operational instant, which maps back through `Λ⁻¹`.  The
+    /// instantaneous rate becomes `base_rate · m(t)` while the long-run mean
+    /// rate — and the base source's random stream consumption — are
+    /// unchanged.
+    pub(crate) fn warp(&self, now: SimTime, base_next: impl FnOnce(SimTime) -> SimTime) -> SimTime {
+        let v_now = self.cumulative(now.as_secs_f64());
+        let v_next = base_next(SimTime::from_secs_f64(v_now));
+        let t_next = self.inverse_cumulative(v_next.as_secs_f64().max(v_now));
         let warped = SimTime::from_secs_f64(t_next.max(0.0));
         if warped > now {
             warped
@@ -170,18 +147,15 @@ impl<S: TrafficSource> TrafficSource for ModulatedSource<S> {
             now + Duration::from_nanos(1)
         }
     }
-
-    fn mean_rate(&self) -> f64 {
-        self.base.mean_rate()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CbrSource, PoissonSource};
+    use crate::source::{CbrSource, PoissonSource, TrafficSource, TrafficState};
+    use caem_simcore::rng::StreamRng;
 
-    fn count_in<S: TrafficSource>(source: &S, state: &mut S::State, from_s: f64, to_s: f64) -> u64 {
+    fn count_in(source: &TrafficSource, state: &mut TrafficState, from_s: f64, to_s: f64) -> u64 {
         let mut now = SimTime::from_secs_f64(from_s);
         let end = SimTime::from_secs_f64(to_s);
         let mut count = 0;
@@ -223,8 +197,8 @@ mod tests {
     #[test]
     fn warped_poisson_keeps_long_run_rate_but_concentrates_at_the_peak() {
         let period = 200.0;
-        let warped = ModulatedSource::new(
-            PoissonSource::new(10.0),
+        let warped = TrafficSource::Diurnal(
+            Box::new(TrafficSource::Poisson(PoissonSource::new(10.0))),
             DiurnalCycle::trough_start(period, 0.8),
         );
         // Whole periods: the long-run rate matches the base rate.
@@ -259,16 +233,18 @@ mod tests {
 
     #[test]
     fn warped_cbr_bunches_deterministically() {
-        let warped =
-            ModulatedSource::new(CbrSource::new(1.0), DiurnalCycle::trough_start(100.0, 0.5));
+        let warped = TrafficSource::Diurnal(
+            Box::new(TrafficSource::Cbr(CbrSource::new(1.0))),
+            DiurnalCycle::trough_start(100.0, 0.5),
+        );
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
         for _ in 0..100 {
-            let next = warped.next_arrival(&mut (), now);
+            let next = warped.next_arrival(&mut TrafficState::Cbr, now);
             assert!(next > now, "arrivals strictly increase");
             assert_eq!(
                 next,
-                warped.next_arrival(&mut (), now),
+                warped.next_arrival(&mut TrafficState::Cbr, now),
                 "warp is deterministic"
             );
             gaps.push((next - now).as_secs_f64());

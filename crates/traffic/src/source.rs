@@ -5,29 +5,88 @@
 //! load") swept from 5 to 30 packets/second.  [`PoissonSource`] is that
 //! model; [`CbrSource`] and [`BurstySource`] are extensions used by the extra
 //! examples and the ablation bench to show CAEM's sensitivity to traffic
-//! burstiness.
+//! burstiness.  [`TrafficSource`] is the closed set of them, plus a diurnal
+//! warp of any of them (see [`crate::profile`]).
 
 use caem_simcore::rng::StreamRng;
 use caem_simcore::time::{Duration, SimTime};
 
+use crate::profile::DiurnalCycle;
+
 /// A generator of packet arrival instants.
 ///
 /// A source value holds the scenario-wide parameters (rates, sojourn times)
-/// and is shared by every node; each node keeps only its
-/// [`TrafficSource::State`] (random stream, modulation state) and passes it
-/// to every draw.
-pub trait TrafficSource {
-    /// One node's private state.
-    type State;
+/// and is shared by every node; each node keeps only its [`TrafficState`]
+/// and passes it to every draw.  A closed enum so arrivals dispatch without
+/// a vtable; the diurnal warp boxes its base source once per scenario.
+#[derive(Debug, Clone)]
+pub enum TrafficSource {
+    /// Poisson arrivals.
+    Poisson(PoissonSource),
+    /// Constant-bit-rate arrivals.
+    Cbr(CbrSource),
+    /// Two-state bursty arrivals.
+    Bursty(BurstySource),
+    /// A base source warped through a diurnal cycle.
+    Diurnal(Box<TrafficSource>, DiurnalCycle),
+}
 
+/// One node's traffic state, shaped by its scenario's [`TrafficSource`]
+/// (a diurnal warp keeps its base source's state).
+#[derive(Debug, Clone)]
+pub enum TrafficState {
+    /// A Poisson source's random stream.
+    Poisson(StreamRng),
+    /// CBR arrivals carry no state.
+    Cbr,
+    /// A bursty source's regime and random stream.
+    Bursty(BurstyState),
+}
+
+impl TrafficSource {
     /// A fresh node state drawing from `rng`.
-    fn new_state(&self, rng: StreamRng) -> Self::State;
+    pub fn new_state(&self, rng: StreamRng) -> TrafficState {
+        match self {
+            TrafficSource::Poisson(_) => TrafficState::Poisson(rng),
+            TrafficSource::Cbr(_) => TrafficState::Cbr,
+            TrafficSource::Bursty(_) => TrafficState::Bursty(BurstyState {
+                in_burst: false,
+                state_expires: SimTime::ZERO,
+                rng,
+            }),
+            TrafficSource::Diurnal(base, _) => base.new_state(rng),
+        }
+    }
 
     /// The time of the next packet arrival strictly after `now`.
-    fn next_arrival(&self, state: &mut Self::State, now: SimTime) -> SimTime;
+    pub fn next_arrival(&self, state: &mut TrafficState, now: SimTime) -> SimTime {
+        match (self, state) {
+            (TrafficSource::Poisson(s), TrafficState::Poisson(rng)) => {
+                let gap = rng.exponential_mean(s.mean_gap_s);
+                now + Duration::from_secs_f64(gap)
+            }
+            (TrafficSource::Cbr(s), _) => now + s.period,
+            (TrafficSource::Bursty(s), TrafficState::Bursty(b)) => s.next_arrival(b, now),
+            (TrafficSource::Diurnal(base, cycle), state) => {
+                cycle.warp(now, |v| base.next_arrival(state, v))
+            }
+            _ => unreachable!("node traffic state built for a different source"),
+        }
+    }
 
     /// Long-run average rate in packets per second.
-    fn mean_rate(&self) -> f64;
+    pub fn mean_rate(&self) -> f64 {
+        match self {
+            TrafficSource::Poisson(s) => s.rate_pps,
+            TrafficSource::Cbr(s) => 1.0 / s.period.as_secs_f64(),
+            TrafficSource::Bursty(s) => {
+                // Long-run average weighted by state occupancy.
+                let total = s.mean_quiet_s + s.mean_burst_s;
+                (s.quiet_rate_pps * s.mean_quiet_s + s.burst_rate_pps * s.mean_burst_s) / total
+            }
+            TrafficSource::Diurnal(base, _) => base.mean_rate(),
+        }
+    }
 }
 
 /// Poisson arrivals: exponential inter-arrival times with the given rate.
@@ -51,23 +110,6 @@ impl PoissonSource {
     }
 }
 
-impl TrafficSource for PoissonSource {
-    type State = StreamRng;
-
-    fn new_state(&self, rng: StreamRng) -> StreamRng {
-        rng
-    }
-
-    fn next_arrival(&self, rng: &mut StreamRng, now: SimTime) -> SimTime {
-        let gap = rng.exponential_mean(self.mean_gap_s);
-        now + Duration::from_secs_f64(gap)
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.rate_pps
-    }
-}
-
 /// Constant-bit-rate arrivals: fixed inter-arrival period, no node state.
 #[derive(Debug, Clone)]
 pub struct CbrSource {
@@ -81,20 +123,6 @@ impl CbrSource {
         CbrSource {
             period: Duration::from_secs_f64(1.0 / rate_pps),
         }
-    }
-}
-
-impl TrafficSource for CbrSource {
-    type State = ();
-
-    fn new_state(&self, _rng: StreamRng) {}
-
-    fn next_arrival(&self, _state: &mut (), now: SimTime) -> SimTime {
-        now + self.period
-    }
-
-    fn mean_rate(&self) -> f64 {
-        1.0 / self.period.as_secs_f64()
     }
 }
 
@@ -160,18 +188,6 @@ impl BurstySource {
             state.state_expires = state.state_expires.max(now) + Duration::from_secs_f64(sojourn);
         }
     }
-}
-
-impl TrafficSource for BurstySource {
-    type State = BurstyState;
-
-    fn new_state(&self, rng: StreamRng) -> BurstyState {
-        BurstyState {
-            in_burst: false,
-            state_expires: SimTime::ZERO,
-            rng,
-        }
-    }
 
     fn next_arrival(&self, state: &mut BurstyState, now: SimTime) -> SimTime {
         // Draw within the current state; if the candidate arrival falls past
@@ -195,12 +211,6 @@ impl TrafficSource for BurstySource {
             t = state.state_expires;
         }
     }
-
-    fn mean_rate(&self) -> f64 {
-        // Long-run average weighted by state occupancy.
-        let total = self.mean_quiet_s + self.mean_burst_s;
-        (self.quiet_rate_pps * self.mean_quiet_s + self.burst_rate_pps * self.mean_burst_s) / total
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +221,7 @@ mod tests {
         StreamRng::from_seed_u64(seed)
     }
 
-    fn measure_rate<S: TrafficSource>(source: &S, state: &mut S::State, horizon_s: f64) -> f64 {
+    fn measure_rate(source: &TrafficSource, state: &mut TrafficState, horizon_s: f64) -> f64 {
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs_f64(horizon_s);
         let mut count = 0u64;
@@ -228,7 +238,7 @@ mod tests {
     #[test]
     fn poisson_rate_matches_nominal() {
         // 5 pkt/s is the Fig. 8/9 operating point.
-        let s = PoissonSource::new(5.0);
+        let s = TrafficSource::Poisson(PoissonSource::new(5.0));
         let rate = measure_rate(&s, &mut s.new_state(rng(1)), 2_000.0);
         assert!((rate - 5.0).abs() < 0.2, "measured {rate}");
         assert_eq!(s.mean_rate(), 5.0);
@@ -236,7 +246,7 @@ mod tests {
 
     #[test]
     fn poisson_interarrival_cv_is_one() {
-        let s = PoissonSource::new(10.0);
+        let s = TrafficSource::Poisson(PoissonSource::new(10.0));
         let mut state = s.new_state(rng(2));
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
@@ -253,7 +263,7 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_strictly_increase() {
-        let s = PoissonSource::new(30.0);
+        let s = TrafficSource::Poisson(PoissonSource::new(30.0));
         let mut state = s.new_state(rng(3));
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
@@ -265,10 +275,10 @@ mod tests {
 
     #[test]
     fn cbr_is_perfectly_regular() {
-        let s = CbrSource::new(4.0);
+        let s = TrafficSource::Cbr(CbrSource::new(4.0));
         let mut now = SimTime::ZERO;
         for i in 1..=8 {
-            now = s.next_arrival(&mut (), now);
+            now = s.next_arrival(&mut TrafficState::Cbr, now);
             assert_eq!(now, SimTime::from_millis(250 * i));
         }
         assert!((s.mean_rate() - 4.0).abs() < 1e-9);
@@ -276,7 +286,7 @@ mod tests {
 
     #[test]
     fn bursty_long_run_rate_matches_formula() {
-        let s = BurstySource::new(2.0, 40.0, 9.0, 1.0);
+        let s = TrafficSource::Bursty(BurstySource::new(2.0, 40.0, 9.0, 1.0));
         let nominal = s.mean_rate();
         // (2*9 + 40*1)/10 = 5.8 pkt/s
         assert!((nominal - 5.8).abs() < 1e-9);
@@ -290,14 +300,14 @@ mod tests {
     #[test]
     fn bursty_is_burstier_than_poisson() {
         // Compare inter-arrival coefficient of variation: MMPP > 1.
-        let s = BurstySource::new(1.0, 50.0, 5.0, 0.5);
+        let s = TrafficSource::Bursty(BurstySource::new(1.0, 50.0, 5.0, 0.5));
         let mut state = s.new_state(rng(5));
         let mut now = SimTime::ZERO;
         let mut gaps = Vec::new();
         let mut saw_burst = false;
         for _ in 0..20_000 {
             let next = s.next_arrival(&mut state, now);
-            saw_burst |= state.in_burst;
+            saw_burst |= matches!(&state, TrafficState::Bursty(b) if b.in_burst);
             gaps.push((next - now).as_secs_f64());
             now = next;
         }
@@ -310,7 +320,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let s = PoissonSource::new(5.0);
+        let s = TrafficSource::Poisson(PoissonSource::new(5.0));
         let mut a = s.new_state(rng(9));
         let mut b = s.new_state(rng(9));
         let mut ta = SimTime::ZERO;

@@ -1,7 +1,5 @@
 //! The typed events driving the network simulation.
 
-use caem_simcore::event::Event;
-
 /// One event in the network simulation.
 ///
 /// Node and burst references are compact `u32` indices (no simulated
@@ -43,8 +41,6 @@ pub enum NetworkEvent {
     /// Periodic queue-length snapshot (Fig. 12 sampling).
     FairnessSnapshot,
 }
-
-impl Event for NetworkEvent {}
 
 /// The payload-free discriminant of a [`NetworkEvent`].
 ///

@@ -65,7 +65,6 @@ pub mod config;
 pub mod events;
 pub mod experiment;
 pub mod faults;
-pub mod node;
 pub mod persist;
 pub mod result;
 pub mod runner;

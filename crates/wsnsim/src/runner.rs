@@ -21,7 +21,6 @@
 //! node count.  A burst is named by its slab id, both by its cluster's
 //! `ClusterChannel` and by the `TransmissionComplete` event that ends it.
 
-use caem::policy::ThresholdPolicy;
 use caem_cluster::election::{ElectionConfig, LeachElection};
 use caem_cluster::formation::ClusterFormation;
 use caem_cluster::rounds::RoundClock;

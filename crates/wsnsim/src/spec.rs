@@ -43,6 +43,24 @@ const SPEC_VERSION: u64 = 1;
 /// document asking for more is a typed error, not an allocation failure.
 pub const MAX_GRID_JOBS: usize = 100_000;
 
+/// Refuse a `duration_s` (full, then `quick.`) that `SimTime`'s u64
+/// nanoseconds cannot hold, before it is converted: the conversion would
+/// clamp a negative value to zero and a huge one to 584 years.
+fn check_durations(full: Option<f64>, quick: Option<f64>) -> Result<(), ConfigError> {
+    for (path, secs) in [("duration_s", full), ("quick.duration_s", quick)] {
+        if let Some(secs) = secs {
+            if !(secs >= 0.0 && secs * 1e9 < u64::MAX as f64) {
+                return Err(ConfigError::OutOfRange {
+                    path: path.to_string(),
+                    value: secs,
+                    expected: "[0, 2^64 ns)",
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The policy names a spec's `policies` axis accepts (the serde variant
 /// names of [`PolicyKind`], matching report JSON).
 const POLICY_NAMES: [&str; 3] = ["PureLeach", "Scheme1Adaptive", "Scheme2Fixed"];
@@ -996,6 +1014,11 @@ impl GridSpec {
     /// the underlying typed error wrapped in
     /// [`ConfigError::InScenario`] with the scenario's label.
     pub fn resolve(&self, default_seed: u64, quick: bool) -> Result<ResolvedGrid, ConfigError> {
+        check_durations(self.duration_s, self.quick.duration_s)?;
+        for doc in &self.scenarios {
+            check_durations(doc.duration_s, doc.quick.duration_s)
+                .map_err(|e| e.in_scenario(&doc.label))?;
+        }
         let base_seed = self.base_seed.unwrap_or(default_seed);
         let policies = self
             .policies

@@ -31,7 +31,7 @@
 use std::mem::size_of;
 
 use caem::config::CaemConfig;
-use caem::policy::ThresholdPolicy;
+use caem::policy::Policy;
 use caem_channel::fading::FadingConfig;
 use caem_channel::geometry::Position;
 use caem_channel::link::{LinkChannel, LinkParams};
@@ -40,10 +40,10 @@ use caem_mac::sensor::{SensorAction, SensorMac, SensorMacConfig};
 use caem_simcore::rng::{components, RngStream};
 use caem_simcore::time::SimTime;
 use caem_traffic::buffer::PacketBuffer;
-use caem_traffic::source::TrafficSource;
+use caem_traffic::profile::DiurnalCycle;
+use caem_traffic::source::{BurstySource, CbrSource, PoissonSource, TrafficSource, TrafficState};
 
-use crate::config::ScenarioConfig;
-use crate::node::{build_policy, build_source, NodePolicy, NodeTrafficSource, NodeTrafficState};
+use crate::config::{ScenarioConfig, TrafficModel, TrafficProfile};
 
 /// Sentinel in the cluster column: the node is not assigned this round.
 const NO_CLUSTER: u32 = u32::MAX;
@@ -63,8 +63,8 @@ const INLINE_COLUMN_BYTES: [(&str, usize); 15] = [
     ("batteries", size_of::<Battery>()),
     ("buffers", size_of::<PacketBuffer>()),
     ("macs", size_of::<SensorMac>()),
-    ("policies", size_of::<NodePolicy>()),
-    ("traffic", size_of::<NodeTrafficState>()),
+    ("policies", size_of::<Policy>()),
+    ("traffic", size_of::<TrafficState>()),
     ("links", size_of::<LinkChannel>()),
 ];
 
@@ -83,7 +83,7 @@ pub struct NodeParams {
     /// Packet-buffer capacity (`None` = unbounded).
     pub buffer_capacity: Option<usize>,
     /// The traffic source every node runs.
-    pub traffic: NodeTrafficSource,
+    pub traffic: TrafficSource,
 }
 
 impl NodeParams {
@@ -102,8 +102,41 @@ impl NodeParams {
             },
             caem: cfg.caem,
             buffer_capacity: cfg.buffer_capacity,
-            traffic: build_source(cfg.traffic, cfg.traffic_profile),
+            traffic: traffic_source(cfg.traffic, cfg.traffic_profile),
         }
+    }
+}
+
+/// A scenario's traffic source from its traffic model and time-of-day
+/// profile.  A [`TrafficProfile::Diurnal`] profile wraps the base source in
+/// a deterministic time warp; [`TrafficProfile::Constant`] returns the base
+/// source untouched, so the paper's stationary scenarios build bit-identical
+/// sources.
+fn traffic_source(model: TrafficModel, profile: TrafficProfile) -> TrafficSource {
+    let base = match model {
+        TrafficModel::Poisson { rate_pps } => TrafficSource::Poisson(PoissonSource::new(rate_pps)),
+        TrafficModel::Cbr { rate_pps } => TrafficSource::Cbr(CbrSource::new(rate_pps)),
+        TrafficModel::Bursty {
+            quiet_rate_pps,
+            burst_rate_pps,
+            mean_quiet_s,
+            mean_burst_s,
+        } => TrafficSource::Bursty(BurstySource::new(
+            quiet_rate_pps,
+            burst_rate_pps,
+            mean_quiet_s,
+            mean_burst_s,
+        )),
+    };
+    match profile {
+        TrafficProfile::Constant => base,
+        TrafficProfile::Diurnal {
+            period_s,
+            relative_amplitude,
+        } => TrafficSource::Diurnal(
+            Box::new(base),
+            DiurnalCycle::trough_start(period_s, relative_amplitude),
+        ),
     }
 }
 
@@ -134,8 +167,8 @@ pub struct NodeTable {
     batteries: Vec<Battery>,
     buffers: Vec<PacketBuffer>,
     macs: Vec<SensorMac>,
-    policies: Vec<NodePolicy>,
-    traffic: Vec<NodeTrafficState>,
+    policies: Vec<Policy>,
+    traffic: Vec<TrafficState>,
     links: Vec<LinkChannel>,
 
     /// The scenario constants the cold columns are read against.
@@ -180,7 +213,7 @@ impl NodeTable {
             .map(|id| SensorMac::new(streams.derive(components::BACKOFF, id as u64)))
             .collect();
         let policies = (0..n)
-            .map(|_| build_policy(cfg.policy, &params.caem))
+            .map(|_| Policy::new(cfg.policy, &params.caem))
             .collect();
         let traffic = (0..n)
             .map(|id| {
@@ -497,13 +530,13 @@ impl NodeTable {
 
     /// `node`'s threshold policy (read-only).
     #[inline]
-    pub fn policy(&self, node: usize) -> &NodePolicy {
+    pub fn policy(&self, node: usize) -> &Policy {
         &self.policies[node]
     }
 
     /// `node`'s threshold policy, with the CAEM parameters it reads.
     #[inline]
-    pub fn policy_mut(&mut self, node: usize) -> (&mut NodePolicy, &CaemConfig) {
+    pub fn policy_mut(&mut self, node: usize) -> (&mut Policy, &CaemConfig) {
         (&mut self.policies[node], &self.params.caem)
     }
 
@@ -567,6 +600,7 @@ impl std::fmt::Debug for NodeTable {
 mod tests {
     use super::*;
     use caem::policy::PolicyKind;
+    use caem_simcore::rng::StreamRng;
 
     /// The exact inline bytes of every column on 64-bit targets, so any
     /// growth of a per-node type fails deterministically on every host,
@@ -616,5 +650,52 @@ mod tests {
             let extra = if name == "buffers" { heap } else { 0.0 };
             assert_eq!(bytes, inline_bytes + extra, "{name}");
         }
+    }
+
+    fn rng() -> StreamRng {
+        StreamRng::from_seed_u64(1)
+    }
+
+    #[test]
+    fn source_factory_builds_all_models() {
+        let constant = TrafficProfile::Constant;
+        let p = traffic_source(TrafficModel::Poisson { rate_pps: 5.0 }, constant);
+        let c = traffic_source(TrafficModel::Cbr { rate_pps: 5.0 }, constant);
+        let b = traffic_source(
+            TrafficModel::Bursty {
+                quiet_rate_pps: 1.0,
+                burst_rate_pps: 10.0,
+                mean_quiet_s: 5.0,
+                mean_burst_s: 1.0,
+            },
+            constant,
+        );
+        for s in [&p, &c, &b] {
+            let t = s.next_arrival(&mut s.new_state(rng()), SimTime::ZERO);
+            assert!(t > SimTime::ZERO);
+            assert!(s.mean_rate() > 0.0);
+        }
+        assert_eq!(c.mean_rate(), 5.0);
+        assert!(matches!(c.new_state(rng()), TrafficState::Cbr));
+    }
+
+    #[test]
+    fn diurnal_profile_wraps_the_base_source_and_keeps_its_mean_rate() {
+        let diurnal = TrafficProfile::Diurnal {
+            period_s: 300.0,
+            relative_amplitude: 0.7,
+        };
+        let warped = traffic_source(TrafficModel::Poisson { rate_pps: 5.0 }, diurnal);
+        assert!(matches!(warped, TrafficSource::Diurnal(..)));
+        assert_eq!(warped.mean_rate(), 5.0);
+        // The warp keeps the base source's per-node state.
+        assert!(matches!(warped.new_state(rng()), TrafficState::Poisson(_)));
+        // A constant profile builds the bare source — the paper's scenarios
+        // take the exact pre-profile code path.
+        let plain = traffic_source(
+            TrafficModel::Poisson { rate_pps: 5.0 },
+            TrafficProfile::Constant,
+        );
+        assert!(matches!(plain, TrafficSource::Poisson(_)));
     }
 }

@@ -1,8 +1,8 @@
 //! Using the CAEM policy API directly, plus a small tuning sweep of the
 //! Scheme 1 parameters (K and Q_threshold).
 //!
-//! The first half drives an [`AdaptiveThreshold`] policy by hand to show the
-//! threshold trajectory the Fig. 6 pseudo-code produces; the second half runs
+//! The first half drives a Scheme 1 [`Policy`] by hand to show the threshold
+//! trajectory the Fig. 6 pseudo-code produces; the second half runs
 //! short simulations over a (K, Q_threshold) grid to show how the paper's
 //! choice (K = 5, Q = 15) trades energy against delay.
 //!
@@ -11,14 +11,14 @@
 //! ```
 
 use caem_suite::caem::config::CaemConfig;
-use caem_suite::caem::policy::{AdaptiveThreshold, PolicyKind, ThresholdPolicy};
+use caem_suite::caem::policy::{Policy, PolicyKind};
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::{ScenarioConfig, SimulationRun};
 
 fn main() {
     // --- Part 1: the threshold trajectory on a synthetic queue trace -------
     let config = CaemConfig::paper_default();
-    let mut policy = AdaptiveThreshold::new(&config);
+    let mut policy = Policy::new(PolicyKind::Scheme1Adaptive, &config);
     println!("== threshold trajectory for a growing-then-draining queue ==");
     println!("{:<10} {:>12} {:>22}", "arrival", "queue len", "threshold");
     let mut queue = 0usize;

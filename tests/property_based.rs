@@ -2,7 +2,7 @@
 //! invariants that the whole evaluation rests on.
 
 use caem_suite::caem::config::CaemConfig;
-use caem_suite::caem::policy::{AdaptiveThreshold, PolicyKind, ThresholdPolicy};
+use caem_suite::caem::policy::{Policy, PolicyKind};
 use caem_suite::caem::predictor::QueuePredictor;
 use caem_suite::mac::backoff::{BackoffConfig, BackoffScheduler};
 use caem_suite::mac::burst::BurstPolicy;
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn adaptive_threshold_invariants(queue_trace in prop::collection::vec(0usize..80, 1..200)) {
         let config = CaemConfig::paper_default();
-        let mut policy = AdaptiveThreshold::new(&config);
+        let mut policy = Policy::new(PolicyKind::Scheme1Adaptive, &config);
         for &q in &queue_trace {
             policy.on_packet_arrival(&config, q);
             let t = policy.current_threshold(&config).expect("scheme 1 always has a threshold");

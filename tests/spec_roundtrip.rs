@@ -601,6 +601,72 @@ fn version_and_value_domain_errors_are_typed() {
         matches!(&err, ConfigError::OutOfRange { path, .. } if path == "quick.replicates"),
         "got {err:?}"
     );
+    // A duration `SimTime`'s u64 nanoseconds cannot hold is refused at
+    // every level, quick or not, even where a more specific field would
+    // override it — instead of clamping to 0 or to 584 years.
+    let grid = |top: &str, scenario: &str| {
+        format!(
+            r#"{{ "caem_grid_spec": 1, "replicates": 2{top},
+                 "scenarios": [ {{ "label": "a", "rate_pps": 5.0{scenario} }} ] }}"#
+        )
+    };
+    let duration_error = |doc: String, quick: bool| {
+        GridSpec::parse(&doc)
+            .unwrap()
+            .resolve(1, quick)
+            .unwrap_err()
+    };
+    for (doc, quick, path, in_scenario) in [
+        (
+            grid(r#", "duration_s": 1e30"#, ""),
+            false,
+            "duration_s",
+            false,
+        ),
+        (
+            grid(r#", "duration_s": -1"#, ""),
+            false,
+            "duration_s",
+            false,
+        ),
+        (
+            grid(r#", "quick": { "duration_s": 1e30 }"#, ""),
+            false,
+            "quick.duration_s",
+            false,
+        ),
+        (
+            grid("", r#", "duration_s": 1e30"#),
+            true,
+            "duration_s",
+            true,
+        ),
+        (
+            grid("", r#", "duration_s": 20, "quick": { "duration_s": 2e10 }"#),
+            true,
+            "quick.duration_s",
+            true,
+        ),
+    ] {
+        let err = duration_error(doc, quick);
+        let inner = match &err {
+            ConfigError::InScenario { label, source } => {
+                assert_eq!(label, "a");
+                source.as_ref()
+            }
+            other => other,
+        };
+        assert_eq!(matches!(err, ConfigError::InScenario { .. }), in_scenario);
+        assert!(
+            matches!(inner, ConfigError::OutOfRange { path: p, .. } if p == path),
+            "got {err:?}"
+        );
+    }
+    // The largest duration that fits still resolves.
+    assert!(GridSpec::parse(&grid(r#", "duration_s": 1.8e10"#, ""))
+        .unwrap()
+        .resolve(1, false)
+        .is_ok());
     // A sequential cap below the initial batch can never be honoured.
     let err = GridSpec::parse(
         r#"{ "caem_grid_spec": 1, "replicates": 10,
