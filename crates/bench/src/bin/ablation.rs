@@ -22,7 +22,7 @@ use caem_bench::{apply_quick, FigureArgs};
 use caem_energy::codec::CodecEnergyModel;
 use caem_mac::burst::BurstPolicy;
 use caem_simcore::time::Duration;
-use caem_wsnsim::experiment::run_configs;
+use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
 use caem_wsnsim::ScenarioConfig;
 
 struct Ablation {
@@ -119,15 +119,19 @@ fn main() {
         },
     ];
 
-    // Enumerate every variant's config up front, then run the flat list
-    // through the experiment engine's single parallel layer.
-    let configs: Vec<ScenarioConfig> = ablations
-        .iter()
-        .map(|a| (a.configure)(base_config(seed, quick)))
-        .collect();
+    // Every variant is one scenario of a Scheme 1, one-seed grid: one
+    // result per variant, in order.
+    let spec = ExperimentSpec {
+        scenarios: ablations
+            .iter()
+            .map(|a| ScenarioSpec::new(a.label, (a.configure)(base_config(seed, quick))))
+            .collect(),
+        policies: vec![PolicyKind::Scheme1Adaptive],
+        seeds: vec![seed],
+    };
     let rows: Vec<(String, f64, f64, f64)> = ablations
         .iter()
-        .zip(run_configs(&configs))
+        .zip(spec.simulate())
         .map(|(a, result)| {
             (
                 a.label.to_string(),

@@ -40,8 +40,8 @@
 //! cargo run -p caem-bench --release --bin experiment -- --quick --print-spec
 //! ```
 //!
-//! The full grid is written as JSON to `BENCH_experiment.json` at the
-//! repository root and its JSONL store to `BENCH_experiment_store.jsonl`
+//! The full grid is written as JSON to `BENCH_experiment.json` in the
+//! working directory and its JSONL store to `BENCH_experiment_store.jsonl`
 //! (`_quick` variants, gitignored, for `--quick` runs).
 
 use std::net::TcpListener;
@@ -329,35 +329,6 @@ fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64
     }
 }
 
-/// Default artifact paths, anchored at the repository root.
-struct Paths {
-    store: &'static str,
-    out: &'static str,
-}
-
-fn default_paths(quick: bool) -> Paths {
-    if quick {
-        Paths {
-            store: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_experiment_store_quick.jsonl"
-            ),
-            out: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_experiment_quick.json"
-            ),
-        }
-    } else {
-        Paths {
-            store: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_experiment_store.jsonl"
-            ),
-            out: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_experiment.json"),
-        }
-    }
-}
-
 /// Run `spec` once through `run_round`, or — with a stopping rule — run
 /// the sequential-stopping loop over it, printing the rounds.
 fn run_rounds<E: std::fmt::Display>(
@@ -425,7 +396,7 @@ fn run_served(
     (report, store)
 }
 
-fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
+fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str, out: &str) {
     let spec = &grid.spec;
     let sequential = resolve_stopping(&grid, args.sequential.as_ref(), cli.quick);
     if args.profile {
@@ -441,7 +412,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
     let store_path = args
         .store
         .clone()
-        .unwrap_or_else(|| paths.store.to_string());
+        .unwrap_or_else(|| default_store.to_string());
     if !args.resume && sequential.is_none() && args.store.is_none() {
         // A plain fixed-replicate run starts a fresh copy of the binary's
         // *default* store (still streaming every record).  Never deleted:
@@ -452,7 +423,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
         std::fs::remove_file(&store_path).ok();
     }
     let mut store = ExperimentStore::open_with(&store_path, StoreOptions { fsync: args.fsync })
-        .expect("open experiment store");
+        .unwrap_or_else(|e| die(format!("{store_path}: {e}")));
     println!(
         "experiment grid: {} scenarios x {} policies x {} seeds = {} jobs ({} on disk)",
         spec.scenarios.len(),
@@ -507,7 +478,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, paths: &Paths) {
         );
         profrpt::print_run_event_counters();
     }
-    write_report(&report, paths.out);
+    write_report(&report, out);
     if args.strict && !report.failures.is_empty() {
         eprintln!(
             "error: --strict and {} job(s) quarantined",
@@ -529,7 +500,15 @@ fn main() {
         // resolution (and no filesystem) on this side either.
         socket_worker_mode(addr, *protocol, *expect_hash);
     }
-    let paths = default_paths(cli.quick);
+    // Artifacts land in the working directory.
+    let (default_store, out) = if cli.quick {
+        (
+            "BENCH_experiment_store_quick.jsonl",
+            "BENCH_experiment_quick.json",
+        )
+    } else {
+        ("BENCH_experiment_store.jsonl", "BENCH_experiment.json")
+    };
     let grid = load_grid(&cli);
 
     match &cli.mode {
@@ -563,8 +542,9 @@ fn main() {
         }
         ExperimentMode::Reaggregate { store } => {
             // Offline path: rebuild the report purely from the JSONL store.
-            let store_path = store.clone().unwrap_or_else(|| paths.store.to_string());
-            let store = ExperimentStore::load(&store_path).expect("load experiment store");
+            let store_path = store.clone().unwrap_or_else(|| default_store.to_string());
+            let store = ExperimentStore::load(&store_path)
+                .unwrap_or_else(|e| die(format!("{store_path}: {e}")));
             let report = store.rebuild_report();
             println!(
                 "re-aggregated {} persisted jobs from {store_path} into {} cells (no simulation)",
@@ -572,8 +552,8 @@ fn main() {
                 report.cells.len()
             );
             print_summary(&grid.spec, &report);
-            write_report(&report, paths.out);
+            write_report(&report, out);
         }
-        ExperimentMode::Run(args) => run_mode(&cli, args, grid, &paths),
+        ExperimentMode::Run(args) => run_mode(&cli, args, grid, default_store, out),
     }
 }

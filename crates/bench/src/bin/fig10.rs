@@ -12,11 +12,10 @@
 //! cargo run -p caem-bench --release --bin fig10
 //! ```
 
-use caem_bench::{apply_quick, emit, policy_label, FigureArgs};
+use caem_bench::{emit, load_grid, policy_label, FigureArgs};
 use caem_metrics::report::{Column, Table};
 use caem_simcore::time::Duration;
-use caem_wsnsim::sweep::{load_sweep, PAPER_POLICIES};
-use caem_wsnsim::ScenarioConfig;
+use caem_wsnsim::experiment::PAPER_POLICIES;
 
 fn main() {
     let FigureArgs { seed, quick } = FigureArgs::from_env_or_exit("fig10");
@@ -27,18 +26,17 @@ fn main() {
     };
     let horizon_s: u64 = if quick { 300 } else { 2_500 };
 
-    let points = load_sweep(&loads, |policy, load| {
-        apply_quick(ScenarioConfig::paper_default(policy, load, seed), quick)
-            .with_duration(Duration::from_secs(horizon_s))
-    });
+    let results = load_grid(&loads, seed, quick, |c| {
+        c.with_duration(Duration::from_secs(horizon_s))
+    })
+    .simulate();
 
     let mut columns = vec![Column::new("added_traffic_load_pps", loads.clone())];
-    for &policy in &PAPER_POLICIES {
-        let values: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                p.comparison
-                    .get(policy)
+    for (p, &policy) in PAPER_POLICIES.iter().enumerate() {
+        let values: Vec<f64> = results
+            .chunks(PAPER_POLICIES.len())
+            .map(|at_load| {
+                at_load[p]
                     .network_lifetime_secs(0.8)
                     .unwrap_or(horizon_s as f64)
             })

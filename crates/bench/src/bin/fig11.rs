@@ -13,11 +13,10 @@
 //! ```
 
 use caem::policy::PolicyKind;
-use caem_bench::{apply_quick, emit, policy_label, FigureArgs};
+use caem_bench::{emit, load_grid, policy_label, FigureArgs};
 use caem_metrics::report::{Column, Table};
 use caem_simcore::time::Duration;
-use caem_wsnsim::sweep::{load_sweep, PAPER_POLICIES};
-use caem_wsnsim::ScenarioConfig;
+use caem_wsnsim::experiment::PAPER_POLICIES;
 
 fn main() {
     let FigureArgs { seed, quick } = FigureArgs::from_env_or_exit("fig11");
@@ -28,18 +27,18 @@ fn main() {
     };
     let horizon_s: u64 = if quick { 200 } else { 600 };
 
-    let points = load_sweep(&loads, |policy, load| {
-        apply_quick(ScenarioConfig::paper_default(policy, load, seed), quick)
-            .with_duration(Duration::from_secs(horizon_s))
-    });
+    let results = load_grid(&loads, seed, quick, |c| {
+        c.with_duration(Duration::from_secs(horizon_s))
+    })
+    .simulate();
+    let at_loads = || results.chunks(PAPER_POLICIES.len());
+    let index_of = |policy| PAPER_POLICIES.iter().position(|&p| p == policy).unwrap();
 
     let mut columns = vec![Column::new("added_traffic_load_pps", loads.clone())];
-    for &policy in &PAPER_POLICIES {
-        let values: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                p.comparison
-                    .get(policy)
+    for (p, &policy) in PAPER_POLICIES.iter().enumerate() {
+        let values: Vec<f64> = at_loads()
+            .map(|at_load| {
+                at_load[p]
                     .per_packet_energy()
                     .millijoules_per_packet()
                     .unwrap_or(f64::NAN)
@@ -50,14 +49,10 @@ fn main() {
             values,
         ));
     }
-    let savings: Vec<f64> = points
-        .iter()
-        .map(|p| {
-            let s1 = p
-                .comparison
-                .get(PolicyKind::Scheme1Adaptive)
-                .per_packet_energy();
-            let leach = p.comparison.get(PolicyKind::PureLeach).per_packet_energy();
+    let savings: Vec<f64> = at_loads()
+        .map(|at_load| {
+            let s1 = at_load[index_of(PolicyKind::Scheme1Adaptive)].per_packet_energy();
+            let leach = at_load[index_of(PolicyKind::PureLeach)].per_packet_energy();
             s1.saving_vs(&leach).map(|s| s * 100.0).unwrap_or(f64::NAN)
         })
         .collect();

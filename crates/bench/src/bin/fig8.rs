@@ -8,16 +8,14 @@
 //! cargo run -p caem-bench --release --bin fig8
 //! ```
 
-use caem_bench::{apply_quick, emit, policy_label, FigureArgs};
+use caem_bench::{emit, load_grid, policy_label, FigureArgs};
 use caem_metrics::report::{Column, Table};
-use caem_wsnsim::sweep::{compare_policies, PAPER_POLICIES};
-use caem_wsnsim::ScenarioConfig;
+use caem_wsnsim::experiment::PAPER_POLICIES;
 
 fn main() {
     let FigureArgs { seed, quick } = FigureArgs::from_env_or_exit("fig8");
-    let comparison = compare_policies(|policy| {
-        apply_quick(ScenarioConfig::paper_default(policy, 5.0, seed), quick)
-    });
+    // One load, so one result per protocol in `PAPER_POLICIES` order.
+    let results = load_grid(&[5.0], seed, quick, |c| c).simulate();
 
     let horizon = if quick { 120.0 } else { 600.0 };
     let step = if quick { 10.0 } else { 50.0 };
@@ -25,8 +23,7 @@ fn main() {
         std::iter::successors(Some(0.0), |t| (*t + step <= horizon).then(|| t + step)).collect();
 
     let mut columns = vec![Column::new("elapsed_time_s", times.clone())];
-    for &policy in &PAPER_POLICIES {
-        let result = comparison.get(policy);
+    for (&policy, result) in PAPER_POLICIES.iter().zip(&results) {
         let values: Vec<f64> = times
             .iter()
             .map(|&t| result.energy.average_at(t).unwrap_or(0.0))
@@ -44,9 +41,9 @@ fn main() {
 
     // Headline check: at the end of the horizon the CAEM schemes must retain
     // more energy than pure LEACH, Scheme 2 the most.
-    let final_remaining: Vec<f64> = PAPER_POLICIES
+    let final_remaining: Vec<f64> = results
         .iter()
-        .map(|&p| comparison.get(p).energy.average_at(horizon).unwrap_or(0.0))
+        .map(|r| r.energy.average_at(horizon).unwrap_or(0.0))
         .collect();
     println!(
         "final average remaining energy: pure LEACH {:.2} J, Scheme 1 {:.2} J, Scheme 2 {:.2} J",

@@ -9,23 +9,19 @@
 //! cargo run -p caem-bench --release --bin fig9
 //! ```
 
-use caem_bench::{apply_quick, emit, policy_label, FigureArgs};
+use caem_bench::{emit, load_grid, policy_label, FigureArgs};
 use caem_metrics::report::{Column, Table};
 use caem_simcore::time::Duration;
-use caem_wsnsim::sweep::{compare_policies, PAPER_POLICIES};
-use caem_wsnsim::ScenarioConfig;
+use caem_wsnsim::experiment::PAPER_POLICIES;
 
 fn main() {
     let FigureArgs { seed, quick } = FigureArgs::from_env_or_exit("fig9");
     let horizon_s: u64 = if quick { 300 } else { 2_500 };
-    let comparison = compare_policies(|policy| {
-        apply_quick(
-            ScenarioConfig::paper_default(policy, 5.0, seed)
-                .with_duration(Duration::from_secs(horizon_s)),
-            quick,
-        )
-        .with_duration(Duration::from_secs(horizon_s))
-    });
+    // One load, so one result per protocol in `PAPER_POLICIES` order.
+    let results = load_grid(&[5.0], seed, quick, |c| {
+        c.with_duration(Duration::from_secs(horizon_s))
+    })
+    .simulate();
 
     let step = if quick { 20.0 } else { 100.0 };
     let times: Vec<f64> = std::iter::successors(Some(0.0), |t| {
@@ -34,8 +30,7 @@ fn main() {
     .collect();
 
     let mut columns = vec![Column::new("elapsed_time_s", times.clone())];
-    for &policy in &PAPER_POLICIES {
-        let result = comparison.get(policy);
+    for (&policy, result) in PAPER_POLICIES.iter().zip(&results) {
         let values: Vec<f64> = times
             .iter()
             .map(|&t| {
@@ -55,8 +50,7 @@ fn main() {
     );
     emit(&table);
 
-    for &policy in &PAPER_POLICIES {
-        let result = comparison.get(policy);
+    for (&policy, result) in PAPER_POLICIES.iter().zip(&results) {
         let lifetime = result.network_lifetime_secs(0.8);
         let first = result.lifetime.first_death().map(|t| t.as_secs_f64());
         println!(

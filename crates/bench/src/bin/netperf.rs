@@ -12,8 +12,8 @@
 //!    giving the repository a perf trajectory across PRs.  A node-count
 //!    scaling sweep (1k → 1M nodes at constant deployment density) rides
 //!    along to track how throughput and resident memory scale with network
-//!    size.  Results are written to `BENCH_netperf.json` at the repository
-//!    root.
+//!    size.  Results are written to `BENCH_netperf.json` (with `--quick`,
+//!    `BENCH_netperf_quick.json`) in the working directory.
 //!
 //! ```bash
 //! cargo run -p caem-bench --release --bin netperf
@@ -24,13 +24,12 @@ use std::time::Instant;
 
 use caem::policy::PolicyKind;
 use caem_bench::profrpt::{self, repeat_stats, time_breakdown_json, ProfBudget, RepeatStats};
-use caem_bench::{apply_quick, emit, policy_label, rss, NetperfArgs};
+use caem_bench::{emit, load_grid, policy_label, rss, NetperfArgs};
 use caem_metrics::prof::{self, Breakdown};
 use caem_metrics::report::{Column, Table};
 use caem_simcore::time::{Duration, SimTime};
-use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
-use caem_wsnsim::sweep::{LoadSweepPoint, PolicyComparison, PAPER_POLICIES};
-use caem_wsnsim::{ScenarioConfig, SimulationRun};
+use caem_wsnsim::experiment::PAPER_POLICIES;
+use caem_wsnsim::{ScenarioConfig, SimulationResult, SimulationRun};
 
 /// Timing record for one point of the node-count scaling sweep.
 struct ScalePoint {
@@ -106,7 +105,11 @@ fn main() {
     // Quick smoke runs measure a reduced scenario; route them to a separate
     // (gitignored) file so they can never clobber the committed perf
     // trajectory recorded from full runs.
-    let out_path = bench_json_path(quick);
+    let out_path = if quick {
+        "BENCH_netperf_quick.json"
+    } else {
+        "BENCH_netperf.json"
+    };
     let previous = load_json(out_path);
     if args.profile {
         // Profiling roughly halves throughput, so a profiled sweep must not
@@ -141,25 +144,11 @@ fn main() {
     // *serially* under individual timers — serial execution keeps the
     // wall-clock attribution per scenario clean even on many-core hosts (a
     // parallel fan-out would overlap the intervals).
-    let spec = ExperimentSpec::paper_policies(
-        loads
-            .iter()
-            .map(|&load| {
-                ScenarioSpec::new(
-                    format!("load_{load}pps"),
-                    apply_quick(
-                        ScenarioConfig::paper_default(PAPER_POLICIES[0], load, seed),
-                        quick,
-                    )
-                    .with_duration(Duration::from_secs(horizon_s)),
-                )
-            })
-            .collect(),
-        seed,
-        1,
-    );
+    let spec = load_grid(&loads, seed, quick, |c| {
+        c.with_duration(Duration::from_secs(horizon_s))
+    });
     let mut timings: Vec<ScenarioTiming> = Vec::new();
-    let mut points: Vec<LoadSweepPoint> = Vec::new();
+    let mut results: Vec<SimulationResult> = Vec::new();
     let mut breakdown = Breakdown::new();
     let mut trace_pending = args.trace_out.is_some();
     let bench_started = Instant::now();
@@ -167,8 +156,8 @@ fn main() {
         let load = loads[job.scenario];
         let sim_seconds = job.config.duration.as_secs_f64();
         let scenario = format!("{}@{load}pps", policy_label(job.policy));
-        let mut walls: Vec<f64> = Vec::with_capacity(repeats);
-        let mut eps_samples: Vec<f64> = Vec::with_capacity(repeats);
+        let mut walls: Vec<f64> = Vec::new();
+        let mut eps_samples: Vec<f64> = Vec::new();
         let mut result = None;
         for _ in 0..repeats {
             let started = Instant::now();
@@ -194,15 +183,7 @@ fn main() {
             eps: repeat_stats(&eps_samples).expect("repeats >= 1"),
             sim_seconds,
         });
-        match points.last_mut() {
-            Some(point) if point.load_pps == load => point.comparison.results.push(result),
-            _ => points.push(LoadSweepPoint {
-                load_pps: load,
-                comparison: PolicyComparison {
-                    results: vec![result],
-                },
-            }),
-        }
+        results.push(result);
     }
     let total_wall_s = bench_started.elapsed().as_secs_f64();
 
@@ -210,23 +191,23 @@ fn main() {
     for (metric, extractor) in [
         (
             "average packet delay (ms)",
-            Box::new(|r: &caem_wsnsim::SimulationResult| r.perf.average_delay_ms())
-                as Box<dyn Fn(&caem_wsnsim::SimulationResult) -> f64>,
+            Box::new(|r: &SimulationResult| r.perf.average_delay_ms())
+                as Box<dyn Fn(&SimulationResult) -> f64>,
         ),
         (
             "aggregate throughput (kbps)",
-            Box::new(|r: &caem_wsnsim::SimulationResult| r.perf.throughput_kbps()),
+            Box::new(|r: &SimulationResult| r.perf.throughput_kbps()),
         ),
         (
             "successful delivery rate",
-            Box::new(|r: &caem_wsnsim::SimulationResult| r.delivery_rate()),
+            Box::new(|r: &SimulationResult| r.delivery_rate()),
         ),
     ] {
         let mut columns = vec![Column::new("added_traffic_load_pps", loads.clone())];
-        for &policy in &PAPER_POLICIES {
-            let values: Vec<f64> = points
-                .iter()
-                .map(|p| extractor(p.comparison.get(policy)))
+        for (p, &policy) in PAPER_POLICIES.iter().enumerate() {
+            let values: Vec<f64> = results
+                .chunks(PAPER_POLICIES.len())
+                .map(|at_load| extractor(&at_load[p]))
                 .collect();
             columns.push(Column::new(policy_label(policy), values));
         }
@@ -408,19 +389,6 @@ fn write_trace(path: &str, scenario: &str) {
             }
         }
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// The committed perf-trajectory file (full runs) or its gitignored quick
-/// sibling, at the repository root.
-fn bench_json_path(quick: bool) -> &'static str {
-    if quick {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_netperf_quick.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netperf.json")
     }
 }
 

@@ -828,8 +828,9 @@ pub struct NetperfArgs {
     pub quick: bool,
     /// Enable the time-breakdown profiler over the scenario sweep.
     pub profile: bool,
-    /// Timed repeats per scenario (defaults to 1; the simulation output is
-    /// identical across repeats — only the wall clocks differ).
+    /// Timed repeats per scenario (defaults to 1, at most [`MAX_REPEATS`];
+    /// the simulation output is identical across repeats — only the wall
+    /// clocks differ).
     pub repeats: Option<usize>,
     /// Write a Chrome trace-event JSON of one run here (needs `--profile`).
     pub trace_out: Option<String>,
@@ -837,6 +838,11 @@ pub struct NetperfArgs {
     /// band of this budget file (needs `--profile`).
     pub check_budget: Option<String>,
 }
+
+/// The most `--repeats` `netperf` accepts: a thousand timed repeats of the
+/// full ~5 s sweep is already over an hour, so a larger count is a typo,
+/// not a measurement.
+pub const MAX_REPEATS: usize = 1_000;
 
 impl NetperfArgs {
     /// Parse an explicit argument list (testable entry point).
@@ -867,12 +873,13 @@ impl NetperfArgs {
             return Err(CliError::UnexpectedPositional(extra.clone()));
         }
         let profile = parsed.has("--profile");
-        let repeats = parsed.parsed::<usize>("--repeats", "an integer >= 1")?;
-        if repeats == Some(0) {
+        const REPEATS: &str = "an integer from 1 to 1000";
+        let repeats = parsed.parsed::<usize>("--repeats", REPEATS)?;
+        if let Some(n) = repeats.filter(|n| !(1..=MAX_REPEATS).contains(n)) {
             return Err(CliError::InvalidValue {
                 flag: "--repeats",
-                value: "0".into(),
-                expected: "an integer >= 1",
+                value: n.to_string(),
+                expected: REPEATS,
             });
         }
         for dependent in ["--trace-out", "--check-budget"] {
@@ -1408,6 +1415,20 @@ mod tests {
                 ..
             })
         ));
+        // The cap is inclusive; one past it is refused before anything is
+        // sized from the count.
+        let na = NetperfArgs::from_args(args(&["--repeats", "1000"])).unwrap();
+        assert_eq!(na.repeats, Some(MAX_REPEATS));
+        for too_many in ["1001", "1000000000000000000"] {
+            assert_eq!(
+                NetperfArgs::from_args(args(&["--quick", "--repeats", too_many])),
+                Err(CliError::InvalidValue {
+                    flag: "--repeats",
+                    value: too_many.to_string(),
+                    expected: "an integer from 1 to 1000",
+                })
+            );
+        }
         // The plain figure form parses; `--threads` is not a netperf flag.
         let na = NetperfArgs::from_args(args(&["777"])).unwrap();
         assert_eq!((na.seed, na.quick, na.profile), (777, false, false));

@@ -17,7 +17,7 @@
 
 use caem::policy::PolicyKind;
 use caem_metrics::report::Table;
-use caem_wsnsim::ScenarioConfig;
+use caem_wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec};
 
 pub mod cli;
 pub mod profrpt;
@@ -46,6 +46,27 @@ pub fn apply_quick(mut cfg: ScenarioConfig, quick: bool) -> ScenarioConfig {
         cfg.duration = caem_simcore::time::Duration::from_secs(120);
     }
     cfg
+}
+
+/// The figures' traffic-load axis as one grid: per load, the Table II
+/// scenario reduced by [`apply_quick`] and then `adjust`ed; the paper's
+/// three protocols; one shared seed.  [`ExperimentSpec::simulate`] returns
+/// its results one load after another, each load's in
+/// [`caem_wsnsim::experiment::PAPER_POLICIES`] order.
+pub fn load_grid(
+    loads_pps: &[f64],
+    seed: u64,
+    quick: bool,
+    adjust: impl Fn(ScenarioConfig) -> ScenarioConfig,
+) -> ExperimentSpec {
+    let scenarios = loads_pps
+        .iter()
+        .map(|&load| {
+            let base = ScenarioConfig::paper_default(PolicyKind::PureLeach, load, seed);
+            ScenarioSpec::new(format!("load_{load}pps"), adjust(apply_quick(base, quick)))
+        })
+        .collect();
+    ExperimentSpec::paper_policies(scenarios, seed, 1)
 }
 
 /// The scenario zoo the `experiment` binary runs when no `--spec` file is

@@ -3,9 +3,12 @@
 //!
 //! Every experiment — however many axes it has — is first enumerated into
 //! one flat [`ExperimentJob`] work list and then run through exactly one
-//! parallel fan-out ([`run_configs`] or the equivalent job-list fan-out in
-//! [`ExperimentSpec::run`]), whose workers come out of rayon's process-wide
-//! thread budget, so nested fan-outs cannot oversubscribe the machine.
+//! parallel fan-out, whose workers come out of rayon's process-wide thread
+//! budget, so nested fan-outs cannot oversubscribe the machine.
+//! [`ExperimentSpec::simulate`] returns each job's whole
+//! [`SimulationResult`] (what the figure binaries plot: loads as scenarios,
+//! [`PAPER_POLICIES`] as policies, one seed); [`ExperimentSpec::run`]
+//! folds the replicates into a report instead.
 //!
 //! [`ExperimentSpec`] and [`ExperimentJob`] are the one grid type and the
 //! one job type of every run mode.  A job carries its (scenario, policy,
@@ -50,19 +53,13 @@ use crate::config::{ConfigError, ScenarioConfig};
 use crate::persist::{ExperimentStore, JobKey, JobRecord, SeedSplicedHash};
 use crate::result::SimulationResult;
 use crate::runner::SimulationRun;
-use crate::sweep::PAPER_POLICIES;
 
-/// The single parallel layer every experiment goes through: run each
-/// scenario in one flat rayon fan-out, preserving input order.
-///
-/// All sweep / grid / ablation entry points funnel into this function, so no
-/// caller can ever stack one parallel layer on another.
-pub fn run_configs(configs: &[ScenarioConfig]) -> Vec<SimulationResult> {
-    configs
-        .par_iter()
-        .map(|cfg| SimulationRun::new(cfg.clone()).run())
-        .collect()
-}
+/// The three protocol variants the paper compares, in its plotting order.
+pub const PAPER_POLICIES: [PolicyKind; 3] = [
+    PolicyKind::PureLeach,
+    PolicyKind::Scheme1Adaptive,
+    PolicyKind::Scheme2Fixed,
+];
 
 /// A named scenario template.  Policy and seed are overridden per job, so
 /// the template's own `policy`/`seed` fields are irrelevant.
@@ -213,6 +210,18 @@ impl ExperimentSpec {
         }
     }
 
+    /// Simulate every job in one flat parallel fan-out and return the whole
+    /// results in [`ExperimentSpec::enumerate_jobs`] order — scenario
+    /// outermost, seed innermost — for callers that read more of a run than
+    /// the report's metrics.  With one seed, the result of
+    /// (scenario `s`, policy index `p`) sits at `s * policies.len() + p`.
+    pub fn simulate(&self) -> Vec<SimulationResult> {
+        self.enumerate_jobs()
+            .par_iter()
+            .map(|job| SimulationRun::new(job.config.clone()).run())
+            .collect()
+    }
+
     /// Simulate one of this grid's jobs and encode the result as its
     /// [`JobRecord`] — the one place every run mode turns a job into a
     /// record.
@@ -248,7 +257,7 @@ impl ExperimentSpec {
     pub fn run(&self) -> ExperimentReport {
         self.assert_distinct_axes();
         // The grid's single parallel layer: one flat fan-out over the job
-        // list (the same shape as `run_configs`).
+        // list (the same shape as `simulate`).
         let records: Vec<JobRecord> = self
             .enumerate_jobs()
             .par_iter()
@@ -766,6 +775,36 @@ mod tests {
             assert_eq!(j.config.policy, j.policy);
             assert_eq!(j.config.seed, j.seed);
             assert_eq!(j.config_hash, crate::persist::config_hash(&j.config));
+        }
+    }
+
+    #[test]
+    fn simulate_returns_results_in_job_order_across_loads() {
+        let spec = ExperimentSpec::paper_policies(
+            [5.0, 10.0]
+                .iter()
+                .map(|&load| {
+                    ScenarioSpec::new(
+                        format!("load_{load}pps"),
+                        ScenarioConfig::small(PolicyKind::PureLeach, load, 7)
+                            .with_duration(Duration::from_secs(15)),
+                    )
+                })
+                .collect(),
+            7,
+            1,
+        );
+        let jobs = spec.enumerate_jobs();
+        let results = spec.simulate();
+        assert_eq!(results.len(), 2 * PAPER_POLICIES.len());
+        for (job, result) in jobs.iter().zip(&results) {
+            assert_eq!(result.policy, job.policy);
+        }
+        // Higher load generates more packets for every protocol.
+        let (low, high) = results.split_at(PAPER_POLICIES.len());
+        for (l, h) in low.iter().zip(high) {
+            assert!(l.perf.generated() > 0);
+            assert!(h.perf.generated() > l.perf.generated(), "{:?}", l.policy);
         }
     }
 

@@ -16,9 +16,9 @@
 //! 2. **Typed error classification + bounded backoff** — [`classify_io_error`]
 //!    splits IO failures into [`ErrorClass::Transient`] (worth retrying) and
 //!    [`ErrorClass::Fatal`] (abort exactly once).  [`retry_transient`] retries
-//!    transient failures under a [`RetryPolicy`]: bounded exponential backoff
-//!    with deterministic jitter, so retry schedules are reproducible per seed
-//!    and never exceed the configured cap.
+//!    transient failures on one fixed schedule ([`backoff_delay`]): at most
+//!    [`RETRY_ATTEMPTS`] attempts, the delay doubling from 2 ms up to
+//!    [`RETRY_MAX_DELAY`].
 //! 3. **A counted event log** — recovery actions that used to be
 //!    unconditional `eprintln!`s (torn lines skipped, leases stolen,
 //!    transient retries, quarantined jobs) are now counted process-wide
@@ -86,87 +86,49 @@ pub fn classify_io_error(error: &io::Error) -> ErrorClass {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded exponential backoff with deterministic jitter.
+// Bounded exponential backoff.
 // ---------------------------------------------------------------------------
 
 /// Stateless 64-bit finalizer (SplitMix64's mixer): the deterministic
-/// randomness source for jitter and fault-plan decisions.
+/// randomness source for fault-plan decisions.
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Retry schedule for transient IO failures: bounded exponential backoff
-/// with deterministic (seeded) jitter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); at least 1.
-    pub max_attempts: u32,
-    /// Delay ceiling of the first backoff step.
-    pub base_delay: StdDuration,
-    /// Hard cap every backoff delay stays at or under.
-    pub max_delay: StdDuration,
-    /// Seed of the deterministic jitter stream: equal seeds reproduce the
-    /// exact same delay schedule.
-    pub jitter_seed: u64,
+/// Total attempts [`retry_transient`] makes, the first included.
+pub const RETRY_ATTEMPTS: u32 = 5;
+
+/// The cap on any one backoff delay.
+pub const RETRY_MAX_DELAY: StdDuration = StdDuration::from_millis(200);
+
+/// The delay slept after failed attempt number `attempt` (0-based): 2 ms,
+/// doubling per attempt, capped at [`RETRY_MAX_DELAY`].  The four sleeps
+/// of a full [`RETRY_ATTEMPTS`] budget add up to 30 ms.
+pub fn backoff_delay(attempt: u32) -> StdDuration {
+    StdDuration::from_millis(2)
+        .saturating_mul(1 << attempt.min(20))
+        .min(RETRY_MAX_DELAY)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay: StdDuration::from_millis(2),
-            max_delay: StdDuration::from_millis(200),
-            jitter_seed: 0x5eed_cafe,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay slept after failed attempt number `attempt` (0-based).
-    ///
-    /// The schedule doubles a `base_delay` ceiling per attempt, caps it at
-    /// `max_delay`, and fills the upper half of the window with
-    /// deterministic jitter derived from `jitter_seed` — so concurrent
-    /// retriers with different seeds decorrelate, while equal (seed,
-    /// attempt) pairs always produce the identical delay.  The result never
-    /// exceeds `max_delay`.
-    pub fn backoff_delay(&self, attempt: u32) -> StdDuration {
-        let base = self.base_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let cap = self.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if base == 0 || cap == 0 {
-            return StdDuration::ZERO;
-        }
-        let ceiling = base.saturating_mul(1u64 << attempt.min(20)).min(cap).max(1);
-        let jitter_span = ceiling / 2 + 1;
-        let jitter = mix64(self.jitter_seed ^ (u64::from(attempt) << 32) ^ 0x9E37_79B9_7F4A_7C15)
-            % jitter_span;
-        StdDuration::from_nanos((ceiling - ceiling / 2 + jitter).min(cap))
-    }
-}
-
-/// Run `op` under `policy`: transient failures (per [`classify_io_error`])
-/// are retried with backoff up to `policy.max_attempts` total attempts;
-/// fatal failures — and transient failures that exhaust the budget — return
-/// the error immediately.  `op` receives the 0-based attempt number (the
+/// Run `op`, retrying transient failures (per [`classify_io_error`]) after
+/// each [`backoff_delay`] up to [`RETRY_ATTEMPTS`] total attempts; fatal
+/// failures — and transient failures that exhaust the budget — return the
+/// error immediately.  `op` receives the 0-based attempt number (the
 /// `ChaosIo` seam injects only on attempt 0, guaranteeing bounded retries
 /// always recover injected faults).
-pub fn retry_transient<T>(
-    policy: &RetryPolicy,
-    mut op: impl FnMut(u32) -> io::Result<T>,
-) -> io::Result<T> {
-    let attempts = policy.max_attempts.max(1);
+pub fn retry_transient<T>(mut op: impl FnMut(u32) -> io::Result<T>) -> io::Result<T> {
     let mut attempt = 0;
     loop {
         match op(attempt) {
             Ok(value) => return Ok(value),
             Err(error) => {
-                if classify_io_error(&error) == ErrorClass::Fatal || attempt + 1 >= attempts {
+                if classify_io_error(&error) == ErrorClass::Fatal || attempt + 1 >= RETRY_ATTEMPTS {
                     return Err(error);
                 }
                 note_event(RunEvent::TransientRetry);
-                std::thread::sleep(policy.backoff_delay(attempt));
+                std::thread::sleep(backoff_delay(attempt));
                 attempt += 1;
             }
         }
@@ -718,33 +680,20 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_per_seed_and_bounded() {
-        let policy = RetryPolicy::default();
-        let twin = RetryPolicy::default();
         for attempt in 0..40 {
-            let d = policy.backoff_delay(attempt);
-            assert_eq!(d, twin.backoff_delay(attempt), "deterministic");
-            assert!(d <= policy.max_delay, "bounded at attempt {attempt}");
+            let d = backoff_delay(attempt);
+            assert_eq!(d, backoff_delay(attempt), "deterministic");
+            assert!(d <= RETRY_MAX_DELAY, "bounded at attempt {attempt}");
             assert!(d > StdDuration::ZERO);
         }
-        let other = RetryPolicy {
-            jitter_seed: 0x0dd_5eed,
-            ..RetryPolicy::default()
-        };
-        assert!(
-            (0..8).any(|a| other.backoff_delay(a) != policy.backoff_delay(a)),
-            "different seeds decorrelate"
-        );
+        let budget: StdDuration = (0..RETRY_ATTEMPTS - 1).map(backoff_delay).sum();
+        assert_eq!(budget, StdDuration::from_millis(30));
     }
 
     #[test]
     fn transient_errors_retry_and_fatal_errors_abort_once() {
-        let policy = RetryPolicy {
-            base_delay: StdDuration::from_micros(10),
-            max_delay: StdDuration::from_micros(100),
-            ..RetryPolicy::default()
-        };
         let mut calls = 0;
-        let out: io::Result<u32> = retry_transient(&policy, |_| {
+        let out: io::Result<u32> = retry_transient(|_| {
             calls += 1;
             if calls < 3 {
                 Err(io::Error::new(io::ErrorKind::Interrupted, "EINTR"))
@@ -756,7 +705,7 @@ mod tests {
         assert_eq!(calls, 3, "two transient failures were retried");
 
         let mut calls = 0;
-        let out: io::Result<u32> = retry_transient(&policy, |_| {
+        let out: io::Result<u32> = retry_transient(|_| {
             calls += 1;
             Err(io::Error::new(io::ErrorKind::PermissionDenied, "EACCES"))
         });

@@ -16,10 +16,12 @@
 //! 3. [`runner::SimulationRun::run`] executes the event loop until the
 //!    configured horizon (or until the whole network is dead) and returns a
 //!    [`result::SimulationResult`] holding the Fig. 8–12 metric trackers.
-//! 4. [`sweep`] runs protocol comparisons and traffic-load sweeps, and
-//!    [`experiment`] generalises them: any (scenario × policy × seed) grid is
-//!    enumerated into one flat job list, fanned out in a single parallel
-//!    layer, and aggregated into mean ± 95 % CI summaries per cell.
+//! 4. [`experiment`] runs many simulations: any (scenario × policy × seed)
+//!    grid is enumerated into one flat job list and fanned out in a single
+//!    parallel layer, which returns every run's whole result
+//!    ([`experiment::ExperimentSpec::simulate`], what the figure binaries
+//!    plot) or aggregates the cells into mean ± 95 % CI summaries
+//!    ([`experiment::ExperimentSpec::run`]).
 //! 5. [`persist`] makes grids durable: completed jobs stream to a JSONL
 //!    [`persist::ExperimentStore`], interrupted grids resume with
 //!    [`experiment::ExperimentSpec::run_with_store`] (bit-identical reports),
@@ -70,19 +72,17 @@ pub mod result;
 pub mod runner;
 pub mod serve;
 pub mod spec;
-pub mod sweep;
 pub mod table;
 
 pub use config::{
     ChurnConfig, ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile,
 };
 pub use experiment::{
-    run_configs, ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
+    ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
     SequentialOutcome, SequentialRound, SequentialStopping,
 };
 pub use faults::{
-    classify_io_error, ErrorClass, FaultKind, FaultPlan, FaultPlanConfig, FaultRole, RetryPolicy,
-    RunEvent,
+    classify_io_error, ErrorClass, FaultKind, FaultPlan, FaultPlanConfig, FaultRole, RunEvent,
 };
 pub use persist::{config_hash, ExperimentStore, JobFailure, JobRecord, StoreError, StoreOptions};
 pub use result::{NodeSummary, SimulationResult};
@@ -92,5 +92,4 @@ pub use serve::{
     ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
 pub use spec::{GridSpec, ResolvedGrid};
-pub use sweep::{compare_policies, load_sweep, LoadSweepPoint, PolicyComparison};
 pub use table::NodeTable;

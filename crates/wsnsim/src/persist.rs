@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ScenarioConfig;
 use crate::experiment::{replicate_metrics, ExperimentJob, METRIC_NAMES};
-use crate::faults::{self, retry_transient, RetryPolicy, RunEvent, StoreIo};
+use crate::faults::{self, retry_transient, RunEvent, StoreIo};
 use crate::result::SimulationResult;
 
 /// Store format version written into the header line.
@@ -381,7 +381,6 @@ pub struct ExperimentStore {
     /// wrapper, captured once at open time.
     io: Arc<dyn StoreIo>,
     fsync: bool,
-    retry: RetryPolicy,
 }
 
 impl ExperimentStore {
@@ -408,7 +407,7 @@ impl ExperimentStore {
                 metric_names: METRIC_NAMES.iter().map(|&m| m.to_string()).collect(),
             };
             let line = encode_line(&header)?;
-            append_line_with_recovery(&*store.io, &store.retry, &mut file, &line, store.fsync)?;
+            append_line_with_recovery(&*store.io, &mut file, &line, store.fsync)?;
         } else if store.torn_tail {
             // A crash tore the final line; terminate it so the next record
             // starts on a line of its own instead of fusing with the
@@ -446,7 +445,6 @@ impl ExperimentStore {
             writer: None,
             io: faults::store_io(),
             fsync: false,
-            retry: RetryPolicy::default(),
         };
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -567,7 +565,7 @@ impl ExperimentStore {
             .writer
             .as_mut()
             .expect("append on a store opened read-only");
-        append_line_with_recovery(&*self.io, &self.retry, file, &line, self.fsync)?;
+        append_line_with_recovery(&*self.io, file, &line, self.fsync)?;
         self.appended += 1;
         self.insert(record);
         Ok(())
@@ -581,7 +579,7 @@ impl ExperimentStore {
             .writer
             .as_mut()
             .expect("append on a store opened read-only");
-        append_line_with_recovery(&*self.io, &self.retry, file, &line, self.fsync)?;
+        append_line_with_recovery(&*self.io, file, &line, self.fsync)?;
         self.insert_failure(failure);
         Ok(())
     }
@@ -738,7 +736,7 @@ pub(crate) fn encode_failure_line(failure: &JobFailure) -> Result<Vec<u8>, Store
 }
 
 /// Append one encoded line through the IO seam, retrying transient failures
-/// under `retry`.  Every retry attempt first newline-terminates the file:
+/// on [`retry_transient`]'s fixed schedule.  Every retry attempt first newline-terminates the file:
 /// a failed attempt may have torn a partial line in (short write, `ENOSPC`
 /// mid-buffer), and rewriting directly after it would fuse the two into one
 /// corrupt record.  Terminated fragments (and the blank lines terminating
@@ -746,22 +744,18 @@ pub(crate) fn encode_failure_line(failure: &JobFailure) -> Result<Vec<u8>, Store
 /// is always rewritten whole.
 pub(crate) fn append_line_with_recovery(
     io: &dyn StoreIo,
-    retry: &RetryPolicy,
     file: &mut File,
     line: &[u8],
     fsync: bool,
 ) -> Result<(), StoreError> {
-    retry_transient(retry, |attempt| {
+    retry_transient(|attempt| {
         if attempt > 0 {
             io.append_line(file, b"\n", attempt)?;
         }
         io.append_line(file, line, attempt)
     })?;
     if fsync {
-        retry_transient(retry, |attempt| {
-            let _ = attempt;
-            io.sync(file)
-        })?;
+        retry_transient(|_| io.sync(file))?;
     }
     Ok(())
 }

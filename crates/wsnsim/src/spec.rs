@@ -29,9 +29,10 @@
 use serde::Value;
 
 use crate::config::{ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile};
-use crate::experiment::{ExperimentSpec, ScenarioSpec, SequentialStopping, METRIC_NAMES};
+use crate::experiment::{
+    ExperimentSpec, ScenarioSpec, SequentialStopping, METRIC_NAMES, PAPER_POLICIES,
+};
 use crate::persist::{config_hash, fnv1a64};
-use crate::sweep::PAPER_POLICIES;
 use caem::policy::PolicyKind;
 use caem_simcore::time::Duration;
 

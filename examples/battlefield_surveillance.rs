@@ -13,33 +13,31 @@
 //! cargo run --release --example battlefield_surveillance
 //! ```
 
+use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::config::TrafficModel;
-use caem_suite::wsnsim::sweep::{compare_policies, PAPER_POLICIES};
-use caem_suite::wsnsim::ScenarioConfig;
+use caem_suite::wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec};
 
 fn main() {
-    let comparison = compare_policies(|policy| {
-        let mut cfg = ScenarioConfig::paper_default(policy, 5.0, 99);
-        cfg.traffic = TrafficModel::Bursty {
-            quiet_rate_pps: 1.0,
-            burst_rate_pps: 40.0,
-            mean_quiet_s: 18.0,
-            mean_burst_s: 2.0,
-        };
-        cfg.duration = Duration::from_secs(400);
-        // Surveillance data is delay-sensitive: keep the real (bounded)
-        // buffers so overflow shows up as lost observations.
-        cfg
-    });
+    let mut cfg = ScenarioConfig::paper_default(PolicyKind::PureLeach, 5.0, 99);
+    cfg.traffic = TrafficModel::Bursty {
+        quiet_rate_pps: 1.0,
+        burst_rate_pps: 40.0,
+        mean_quiet_s: 18.0,
+        mean_burst_s: 2.0,
+    };
+    cfg.duration = Duration::from_secs(400);
+    // Surveillance data is delay-sensitive: keep the real (bounded) buffers
+    // so overflow shows up as lost observations.  The three protocols run
+    // on one seed: common random numbers.
+    let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("battlefield", cfg)], 99, 1);
 
     println!("== battlefield surveillance: bursty event traffic (MMPP), 100 nodes ==\n");
     println!(
         "{:<28} {:>12} {:>14} {:>14} {:>16} {:>14}",
         "protocol", "delivery", "p95 delay ms", "mJ/packet", "queue stddev", "dropped"
     );
-    for &policy in &PAPER_POLICIES {
-        let r = comparison.get(policy);
+    for (policy, r) in spec.policies.iter().zip(spec.simulate()) {
         let dropped = r.perf.dropped_overflow() + r.perf.dropped_abandoned();
         println!(
             "{:<28} {:>11.1}% {:>14.1} {:>14.3} {:>16.2} {:>14}",

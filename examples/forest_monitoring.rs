@@ -10,28 +10,27 @@
 //! cargo run --release --example forest_monitoring
 //! ```
 
+use caem_suite::caem::policy::PolicyKind;
 use caem_suite::channel::Field;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::sweep::{compare_policies, PAPER_POLICIES};
-use caem_suite::wsnsim::ScenarioConfig;
+use caem_suite::wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec};
 
 fn main() {
-    let comparison = compare_policies(|policy| {
-        let mut cfg = ScenarioConfig::paper_default(policy, 2.0, 7);
-        cfg.field = Field::new(150.0, 150.0);
-        cfg.node_count = 80;
-        cfg.initial_energy_j = 5.0;
-        cfg.duration = Duration::from_secs(1_200);
-        cfg
-    });
+    let mut cfg = ScenarioConfig::paper_default(PolicyKind::PureLeach, 2.0, 7);
+    cfg.field = Field::new(150.0, 150.0);
+    cfg.node_count = 80;
+    cfg.initial_energy_j = 5.0;
+    cfg.duration = Duration::from_secs(1_200);
+    // The three protocols on one seed: common random numbers.
+    let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("forest", cfg)], 7, 1);
+    let runs: Vec<_> = spec.policies.iter().zip(spec.simulate()).collect();
 
     println!("== forest monitoring: 80 nodes, 150 m x 150 m, 2 pkt/s, 5 J batteries ==\n");
     println!(
         "{:<28} {:>12} {:>12} {:>14} {:>14} {:>12}",
         "protocol", "alive@end", "delivered", "mJ/packet", "delay (ms)", "lifetime (s)"
     );
-    for &policy in &PAPER_POLICIES {
-        let r = comparison.get(policy);
+    for (policy, r) in &runs {
         println!(
             "{:<28} {:>12} {:>12} {:>14.3} {:>14.1} {:>12}",
             policy.to_string().chars().take(28).collect::<String>(),
@@ -53,8 +52,8 @@ fn main() {
         "protocol", "data-tx", "data-rx", "startup", "tone", "sleep"
     );
     use caem_suite::energy::battery::EnergyCategory as Cat;
-    for &policy in &PAPER_POLICIES {
-        let l = &comparison.get(policy).ledger;
+    for (policy, r) in &runs {
+        let l = &r.ledger;
         println!(
             "{:<28} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
             policy.to_string().chars().take(28).collect::<String>(),

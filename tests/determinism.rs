@@ -1,15 +1,15 @@
 //! Determinism guarantees the evaluation methodology rests on.
 //!
-//! The figure sweeps fan independent simulations out across a thread pool;
+//! The figure grids fan independent simulations out across a thread pool;
 //! common-random-numbers comparisons are only valid if that parallelism
 //! cannot perturb any result.  These tests pin the guarantee: a parallel
-//! `load_sweep` must be *bit-identical* to a serial run of the same seeds,
-//! and re-running the optimized engine on one seed must reproduce itself
-//! exactly.
+//! [`ExperimentSpec::simulate`] over a (load × policy) grid must be
+//! *bit-identical* to a serial run of the same seeds, and re-running the
+//! optimized engine on one seed must reproduce itself exactly.
 
+use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::sweep::{load_sweep, LoadSweepPoint, PAPER_POLICIES};
-use caem_suite::wsnsim::{ScenarioConfig, SimulationResult};
+use caem_suite::wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec, SimulationResult};
 
 /// Every observable of one run, with floats captured bit-exactly.
 #[derive(Debug, PartialEq, Eq)]
@@ -50,36 +50,39 @@ fn fingerprint(r: &SimulationResult) -> Fingerprint {
     }
 }
 
-fn sweep_fingerprints(points: &[LoadSweepPoint]) -> Vec<Fingerprint> {
-    points
+/// The fingerprints of a (load × paper policy) grid on one seed, in job
+/// order.
+fn load_grid_fingerprints() -> Vec<Fingerprint> {
+    let scenarios = [5.0, 12.0]
         .iter()
-        .flat_map(|p| {
-            PAPER_POLICIES
-                .iter()
-                .map(|&policy| fingerprint(p.comparison.get(policy)))
+        .map(|&load| {
+            ScenarioSpec::new(
+                format!("load_{load}pps"),
+                ScenarioConfig::small(PolicyKind::PureLeach, load, 424242)
+                    .with_duration(Duration::from_secs(25)),
+            )
         })
+        .collect();
+    ExperimentSpec::paper_policies(scenarios, 424242, 1)
+        .simulate()
+        .iter()
+        .map(fingerprint)
         .collect()
 }
 
-fn run_sweep() -> Vec<LoadSweepPoint> {
-    load_sweep(&[5.0, 12.0], |policy, load| {
-        ScenarioConfig::small(policy, load, 424242).with_duration(Duration::from_secs(25))
-    })
-}
-
 #[test]
-fn load_sweep_is_bit_identical_serial_vs_parallel() {
+fn load_grid_is_bit_identical_serial_vs_parallel() {
     // Parallel pass first (default thread budget)...
-    let parallel = sweep_fingerprints(&run_sweep());
-    // ...then force the sweep through a single worker and compare.
+    let parallel = load_grid_fingerprints();
+    // ...then force the grid through a single worker and compare.
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = sweep_fingerprints(&run_sweep());
+    let serial = load_grid_fingerprints();
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(
         parallel, serial,
-        "parallel and serial sweeps must agree bit-for-bit (common random numbers)"
+        "parallel and serial grids must agree bit-for-bit (common random numbers)"
     );
-    // Sanity: the sweep actually simulated something.
+    // Sanity: the grid actually simulated something.
     assert!(parallel
         .iter()
         .all(|f| f.generated > 0 && f.events_processed > 0));

@@ -209,7 +209,7 @@ fn manifest_mismatch_is_rejected_instead_of_contaminating_the_directory() {
 }
 
 #[test]
-fn distributed_load_sweep_matches_the_resumable_spec_path() {
+fn distributed_load_grid_matches_the_resumable_spec_path() {
     let scenarios = [5.0, 12.0]
         .iter()
         .map(|&load| {
@@ -222,7 +222,7 @@ fn distributed_load_sweep_matches_the_resumable_spec_path() {
         .collect();
     let spec = ExperimentSpec::paper_policies(scenarios, 41, 2);
     let expected = spec.run();
-    let path = temp_store("sweep");
+    let path = temp_store("load_grid");
     let (report, _) = served(&spec, 2, &path);
     assert_eq!(report, expected);
     assert_eq!(report_bits(&report), report_bits(&expected));

@@ -3,8 +3,8 @@
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::sweep::{compare_policies, PAPER_POLICIES};
-use caem_suite::wsnsim::{ScenarioConfig, SimulationRun};
+use caem_suite::wsnsim::experiment::PAPER_POLICIES;
+use caem_suite::wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec, SimulationRun};
 
 fn run_small(
     policy: PolicyKind,
@@ -75,15 +75,15 @@ fn paper_orderings_hold_on_a_medium_network() {
     // The qualitative claims of the evaluation, checked end to end on a
     // 40-node network: CAEM schemes beat pure LEACH on per-packet energy, and
     // Scheme 1 is at least as fair (queue spread) as Scheme 2.
-    let comparison = compare_policies(|policy| {
-        let mut cfg = ScenarioConfig::paper_default(policy, 5.0, 2024);
-        cfg.node_count = 40;
-        cfg.duration = Duration::from_secs(200);
-        cfg
-    });
-    let leach = comparison.get(PolicyKind::PureLeach);
-    let s1 = comparison.get(PolicyKind::Scheme1Adaptive);
-    let s2 = comparison.get(PolicyKind::Scheme2Fixed);
+    let mut cfg = ScenarioConfig::paper_default(PolicyKind::PureLeach, 5.0, 2024);
+    cfg.node_count = 40;
+    cfg.duration = Duration::from_secs(200);
+    let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("medium", cfg)], 2024, 1);
+    let results = spec.simulate();
+    let [leach, s1, s2] = &results[..] else {
+        panic!("one result per paper policy");
+    };
+    assert_eq!([leach.policy, s1.policy, s2.policy], PAPER_POLICIES);
 
     let e_leach = leach.per_packet_energy().joules_per_packet().unwrap();
     let e_s1 = s1.per_packet_energy().joules_per_packet().unwrap();

@@ -151,8 +151,7 @@ fn common_random_numbers_pair_policies_within_a_seed() {
     // load — the paired-comparison property the paper's evaluation uses.
     let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("uniform", base(0))], 42, 2);
     let jobs = spec.enumerate_jobs();
-    let results: Vec<_> =
-        caem_suite::wsnsim::run_configs(&jobs.iter().map(|j| j.config.clone()).collect::<Vec<_>>());
+    let results = spec.simulate();
     for (job, result) in jobs.iter().zip(&results) {
         for (other_job, other) in jobs.iter().zip(&results) {
             if job.seed == other_job.seed {

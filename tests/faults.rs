@@ -1,26 +1,17 @@
 //! Properties of the fault-injection harness: the backoff schedule is
-//! deterministic per seed and bounded, every transient IO error class is
-//! retried, fatal errors abort exactly once, and a fault-plan config
-//! round-trips through its environment-variable encoding.
+//! deterministic and bounded, every transient IO error class is retried,
+//! fatal errors abort exactly once, and a fault-plan config round-trips
+//! through its environment-variable encoding.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use caem_suite::wsnsim::faults::{
-    classify_io_error, retry_transient, ErrorClass, FaultPlanConfig, RetryPolicy, FAULT_KINDS,
+    backoff_delay, classify_io_error, retry_transient, ErrorClass, FaultPlanConfig, FAULT_KINDS,
+    RETRY_ATTEMPTS, RETRY_MAX_DELAY,
 };
 use proptest::prelude::*;
-
-/// A policy that never sleeps, so retry-path tests stay instant.
-fn instant_policy(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        base_delay: Duration::ZERO,
-        max_delay: Duration::ZERO,
-        ..RetryPolicy::default()
-    }
-}
 
 /// Every io::Error the harness classifies as transient, by construction.
 fn transient_errors() -> Vec<io::Error> {
@@ -53,42 +44,25 @@ fn reissue(error: &io::Error) -> io::Error {
     }
 }
 
-proptest! {
-    /// Equal (seed, attempt) pairs reproduce the identical delay, and no
-    /// delay ever exceeds the configured cap — however deep the retry goes.
-    #[test]
-    fn backoff_is_deterministic_per_seed_and_bounded(
-        seed in any::<u64>(),
-        base_ms in 1u64..=50,
-        cap_ms in 1u64..=500,
-    ) {
-        let policy = RetryPolicy {
-            base_delay: Duration::from_millis(base_ms),
-            max_delay: Duration::from_millis(cap_ms),
-            jitter_seed: seed,
-            ..RetryPolicy::default()
-        };
-        let replay = policy.clone();
-        for attempt in 0..64 {
-            let delay = policy.backoff_delay(attempt);
-            prop_assert_eq!(delay, replay.backoff_delay(attempt));
-            prop_assert!(delay <= policy.max_delay);
-            prop_assert!(delay > Duration::ZERO);
-        }
-    }
-
-    /// Different jitter seeds decorrelate: some attempt in the schedule
-    /// gets a different delay (the jitter window spans half the ceiling).
-    #[test]
-    fn backoff_schedules_decorrelate_across_seeds(seed in any::<u64>()) {
-        let a = RetryPolicy { jitter_seed: seed, ..RetryPolicy::default() };
-        let b = RetryPolicy { jitter_seed: seed ^ 1, ..RetryPolicy::default() };
-        prop_assert!(
-            (0..64).any(|k| a.backoff_delay(k) != b.backoff_delay(k)),
-            "seeds {seed} and {} produced identical schedules", seed ^ 1
+/// The schedule doubles from 2 ms, never exceeds its cap however deep the
+/// retry goes, and replays identically.
+#[test]
+fn backoff_is_deterministic_per_seed_and_bounded() {
+    assert_eq!(backoff_delay(0), Duration::from_millis(2));
+    for attempt in 0..64 {
+        let delay = backoff_delay(attempt);
+        assert_eq!(delay, backoff_delay(attempt));
+        assert!(delay <= RETRY_MAX_DELAY);
+        assert!(delay > Duration::ZERO);
+        let next = backoff_delay(attempt + 1);
+        assert!(
+            next == delay * 2 || next == RETRY_MAX_DELAY,
+            "attempt {attempt}"
         );
     }
+}
 
+proptest! {
     /// A fault-plan config survives the coordinator → worker trip through
     /// its environment-variable encoding, whatever subset of kinds it uses.
     #[test]
@@ -113,7 +87,7 @@ proptest! {
 fn every_transient_error_class_is_retried_to_success() {
     for template in transient_errors() {
         let calls = AtomicU32::new(0);
-        let result = retry_transient(&instant_policy(5), |_attempt| {
+        let result = retry_transient(|_attempt| {
             if calls.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err(reissue(&template))
             } else {
@@ -130,14 +104,14 @@ fn every_transient_error_class_is_retried_to_success() {
 fn transient_errors_exhaust_the_attempt_budget_then_surface() {
     for template in transient_errors() {
         let calls = AtomicU32::new(0);
-        let result: io::Result<()> = retry_transient(&instant_policy(4), |_attempt| {
+        let result: io::Result<()> = retry_transient(|_attempt| {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(reissue(&template))
         });
         assert!(result.is_err(), "{template}: persistent failure surfaces");
         assert_eq!(
             calls.load(Ordering::SeqCst),
-            4,
+            RETRY_ATTEMPTS,
             "{template}: every budgeted attempt was used"
         );
     }
@@ -147,7 +121,7 @@ fn transient_errors_exhaust_the_attempt_budget_then_surface() {
 fn fatal_errors_abort_exactly_once() {
     for template in fatal_errors() {
         let calls = AtomicU32::new(0);
-        let result: io::Result<()> = retry_transient(&instant_policy(5), |_attempt| {
+        let result: io::Result<()> = retry_transient(|_attempt| {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(reissue(&template))
         });
