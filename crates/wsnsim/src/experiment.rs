@@ -778,33 +778,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn simulate_returns_results_in_job_order_across_loads() {
-        let spec = ExperimentSpec::paper_policies(
-            [5.0, 10.0]
+    /// A paper-policies grid over `loads` (one scenario per load, shared seed).
+    fn load_grid(loads: &[f64], seed: u64, secs: u64) -> ExperimentSpec {
+        ExperimentSpec::paper_policies(
+            loads
                 .iter()
                 .map(|&load| {
                     ScenarioSpec::new(
                         format!("load_{load}pps"),
-                        ScenarioConfig::small(PolicyKind::PureLeach, load, 7)
-                            .with_duration(Duration::from_secs(15)),
+                        ScenarioConfig::small(PolicyKind::PureLeach, load, seed)
+                            .with_duration(Duration::from_secs(secs)),
                     )
                 })
                 .collect(),
-            7,
+            seed,
             1,
-        );
+        )
+    }
+
+    #[test]
+    fn simulate_covers_all_paper_policies_in_job_order() {
+        let spec = load_grid(&[5.0], 42, 20);
         let jobs = spec.enumerate_jobs();
         let results = spec.simulate();
-        assert_eq!(results.len(), 2 * PAPER_POLICIES.len());
-        for (job, result) in jobs.iter().zip(&results) {
-            assert_eq!(result.policy, job.policy);
+        assert_eq!(results.len(), PAPER_POLICIES.len());
+        for ((job, result), &p) in jobs.iter().zip(&results).zip(&PAPER_POLICIES) {
+            assert_eq!(job.policy, p);
+            assert_eq!(result.policy, p);
+            // Shared seed ⇒ identical offered load across protocols.
+            assert!(result.perf.generated() > 0);
         }
+    }
+
+    #[test]
+    fn simulate_load_grid_yields_one_policy_row_per_load() {
+        let spec = load_grid(&[5.0, 10.0], 7, 15);
+        let results = spec.simulate();
+        assert_eq!(results.len(), 2 * PAPER_POLICIES.len());
         // Higher load generates more packets for every protocol.
         let (low, high) = results.split_at(PAPER_POLICIES.len());
-        for (l, h) in low.iter().zip(high) {
-            assert!(l.perf.generated() > 0);
-            assert!(h.perf.generated() > l.perf.generated(), "{:?}", l.policy);
+        for ((l, h), &p) in low.iter().zip(high).zip(&PAPER_POLICIES) {
+            assert_eq!((l.policy, h.policy), (p, p));
+            assert!(h.perf.generated() > l.perf.generated(), "{p:?}");
         }
     }
 
