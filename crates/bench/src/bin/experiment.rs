@@ -79,8 +79,8 @@ modes (at most one selector; `run` is the default):
       --ci-metric <m>      driving metric (default delivery_rate)
       --max-replicates <n> replicate cap (default 12 quick / 30 full)
     --workers <n>        distributed: host the service daemon in this process
-                         and spawn n --connect worker processes; records are
-                         journaled to the store as they arrive
+                         and spawn n (1 to 8) --connect worker processes;
+                         records are journaled to the store as they arrive
       --chaos <seed:kinds> deterministic fault injection across the run
                            (kinds: kill, torn, transient, delay, poison, all;
                            `+`-separated, e.g. --chaos 11:kill+torn)
@@ -229,10 +229,10 @@ fn print_summary(spec: &ExperimentSpec, report: &ExperimentReport) {
 
 fn write_report(report: &ExperimentReport, out_path: &str) {
     let text = serde_json::to_string_pretty(&report.to_json()).expect("report serializes");
-    match std::fs::write(out_path, text) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
+    if let Err(e) = std::fs::write(out_path, text) {
+        die(format!("could not write {out_path}: {e}"));
     }
+    println!("\nwrote {out_path}");
 }
 
 /// Per-round trace and convergence verdict of a sequential-stopping run.

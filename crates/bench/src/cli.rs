@@ -468,10 +468,14 @@ impl ExperimentCli {
                         None
                     }
                 };
-                let workers = parsed
-                    .parsed::<usize>("--workers", "an integer >= 1")?
-                    .map(require_at_least_one("--workers"))
-                    .transpose()?;
+                let workers = parsed.parsed::<usize>("--workers", WORKERS)?;
+                if let Some(n) = workers.filter(|n| !(1..=max_workers()).contains(n)) {
+                    return Err(CliError::InvalidValue {
+                        flag: "--workers",
+                        value: n.to_string(),
+                        expected: WORKERS,
+                    });
+                }
                 let chaos = match parsed.value("--chaos") {
                     None => None,
                     Some(text) => {
@@ -510,6 +514,16 @@ impl ExperimentCli {
             mode,
         })
     }
+}
+
+/// What `--workers` takes; the upper end is [`max_workers`].
+const WORKERS: &str = "an integer from 1 to 8";
+
+/// The most `--workers` a run accepts: the daemon leases at most
+/// `shards_per_grid` shards of a grid at once, so a further worker process
+/// would only ever be told there is no work.
+fn max_workers() -> usize {
+    ServiceConfig::default().shards_per_grid
 }
 
 /// Reject every flag of `flags` that is present, naming the selected mode.
@@ -817,9 +831,7 @@ impl FigureArgs {
 /// min/mean/median/max/var timing statistics per scenario), `--profile`
 /// (per-subsystem time-breakdown tables and the `time_breakdown` JSON
 /// section), `--trace-out FILE` (Chrome trace-event export of the first
-/// repeat of the first scenario; requires `--profile`) and
-/// `--check-budget FILE` (the CI regression gate against a committed
-/// per-subsystem budget baseline; requires `--profile`).
+/// repeat of the first scenario; requires `--profile`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetperfArgs {
     /// The seed (defaults to [`crate::DEFAULT_SEED`]).
@@ -834,9 +846,6 @@ pub struct NetperfArgs {
     pub repeats: Option<usize>,
     /// Write a Chrome trace-event JSON of one run here (needs `--profile`).
     pub trace_out: Option<String>,
-    /// Fail (exit 1) when a subsystem's mean share regresses past the noise
-    /// band of this budget file (needs `--profile`).
-    pub check_budget: Option<String>,
 }
 
 /// The most `--repeats` `netperf` accepts: a thousand timed repeats of the
@@ -857,7 +866,6 @@ impl NetperfArgs {
                 flag("--profile"),
                 option("--repeats"),
                 option("--trace-out"),
-                option("--check-budget"),
             ],
         )?;
         let mut positionals = parsed.positionals.iter();
@@ -882,13 +890,11 @@ impl NetperfArgs {
                 expected: REPEATS,
             });
         }
-        for dependent in ["--trace-out", "--check-budget"] {
-            if parsed.has(dependent) && !profile {
-                return Err(CliError::Requires {
-                    flag: dependent,
-                    requires: "--profile",
-                });
-            }
+        if parsed.has("--trace-out") && !profile {
+            return Err(CliError::Requires {
+                flag: "--trace-out",
+                requires: "--profile",
+            });
         }
         Ok(NetperfArgs {
             seed,
@@ -896,7 +902,6 @@ impl NetperfArgs {
             profile,
             repeats,
             trace_out: parsed.value("--trace-out").map(str::to_string),
-            check_budget: parsed.value("--check-budget").map(str::to_string),
         })
     }
 
@@ -906,7 +911,7 @@ impl NetperfArgs {
         Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!(
                 "error: {e}\nusage: {binary} [seed] [--quick] [--repeats N] \
-                 [--profile [--trace-out FILE] [--check-budget FILE]]"
+                 [--profile [--trace-out FILE]]"
             );
             std::process::exit(2);
         })
@@ -1074,7 +1079,27 @@ mod tests {
             Err(CliError::InvalidValue {
                 flag: "--workers",
                 value: "0".to_string(),
-                expected: "an integer >= 1"
+                expected: WORKERS
+            })
+        );
+    }
+
+    #[test]
+    fn workers_past_the_daemon_shard_count_are_refused() {
+        // Parsing starts no process, so the bound is checked before any
+        // worker would be spawned.
+        let max = max_workers();
+        assert_eq!(WORKERS, format!("an integer from 1 to {max}"));
+        let ok = parse(&["--quick", "--workers", &max.to_string()]).unwrap();
+        assert!(
+            matches!(ok.mode, ExperimentMode::Run(RunArgs { workers: Some(n), .. }) if n == max)
+        );
+        assert_eq!(
+            parse(&["--quick", "--workers", &(max + 1).to_string()]),
+            Err(CliError::InvalidValue {
+                flag: "--workers",
+                value: (max + 1).to_string(),
+                expected: WORKERS
             })
         );
     }
@@ -1396,14 +1421,11 @@ mod tests {
             "5",
             "--trace-out",
             "/tmp/trace.json",
-            "--check-budget",
-            "specs/prof_budget.json",
         ]))
         .unwrap();
         assert!(na.profile);
         assert_eq!(na.repeats, Some(5));
         assert_eq!(na.trace_out.as_deref(), Some("/tmp/trace.json"));
-        assert_eq!(na.check_budget.as_deref(), Some("specs/prof_budget.json"));
         // --repeats stands alone (timing stats without the profiler).
         let na = NetperfArgs::from_args(args(&["--repeats=3"])).unwrap();
         assert_eq!(na.repeats, Some(3));
@@ -1436,18 +1458,11 @@ mod tests {
             NetperfArgs::from_args(args(&["--threads", "4"])),
             Err(CliError::UnknownFlag("--threads".to_string()))
         );
-        // Trace export and the budget gate are meaningless without profiling.
+        // Trace export is meaningless without profiling.
         assert_eq!(
             NetperfArgs::from_args(args(&["--trace-out", "/tmp/t.json"])),
             Err(CliError::Requires {
                 flag: "--trace-out",
-                requires: "--profile"
-            })
-        );
-        assert_eq!(
-            NetperfArgs::from_args(args(&["--check-budget", "b.json"])),
-            Err(CliError::Requires {
-                flag: "--check-budget",
                 requires: "--profile"
             })
         );

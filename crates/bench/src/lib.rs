@@ -24,7 +24,7 @@ pub mod profrpt;
 pub mod rss;
 
 pub use cli::{ExperimentCli, ExperimentMode, FigureArgs, NetperfArgs};
-pub use profrpt::{repeat_stats, time_breakdown_json, ProfBudget, RepeatStats};
+pub use profrpt::{repeat_stats, time_breakdown_json, RepeatStats};
 
 /// The seed used by all figures unless overridden on the command line.
 pub const DEFAULT_SEED: u64 = 20050612;

@@ -1,9 +1,9 @@
-//! Profiling-report helpers shared by the `netperf`, `experiment` and
-//! `stress` binaries: rten-bench-style repeat timing statistics, the
-//! `time_breakdown` JSON section, the per-subsystem budget regression gate
-//! and the process-wide run-event counter table.
+//! Profiling-report helpers shared by the `netperf` and `experiment`
+//! binaries: rten-bench-style repeat timing statistics, the
+//! `time_breakdown` JSON section and the process-wide run-event counter
+//! table.
 
-use caem_metrics::prof::{Breakdown, ProfKey, Profile, PROF_KEYS};
+use caem_metrics::prof::{Breakdown, Profile, PROF_KEYS};
 
 /// min/mean/median/max/var over a set of timed repeats (the rten-bench
 /// reporting shape).  The median is the middle element of the sorted
@@ -93,107 +93,6 @@ pub fn time_breakdown_json(breakdown: &Breakdown) -> serde_json::Value {
     })
 }
 
-/// One subsystem's committed budget: the baseline mean share plus the
-/// noise band measured from repeat-run variance.  A run regresses when its
-/// observed mean share exceeds `baseline_share + noise_band`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetEntry {
-    /// The committed baseline mean share (0..=1).
-    pub baseline_share: f64,
-    /// Allowed slack above the baseline before the gate trips.
-    pub noise_band: f64,
-}
-
-/// The committed per-subsystem budget baseline (`specs/prof_budget.json`):
-/// the CI regression gate's reference point.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProfBudget {
-    /// `(subsystem key, budget)` pairs, in file order.
-    pub entries: Vec<(ProfKey, BudgetEntry)>,
-}
-
-impl ProfBudget {
-    /// Strictly parse a budget file: a JSON object mapping subsystem labels
-    /// (as printed by [`ProfKey::label`]) to
-    /// `{"baseline_share": .., "noise_band": ..}`.  Unknown labels,
-    /// event-kind labels, missing fields and out-of-range values are all
-    /// hard errors — a misspelled subsystem must not silently weaken the
-    /// gate.
-    pub fn load(path: &str) -> Result<ProfBudget, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let value = serde_json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        let serde_json::Value::Map(entries) = value else {
-            return Err(format!("{path}: top level must be an object"));
-        };
-        let mut budget = ProfBudget::default();
-        for (label, spec) in entries {
-            let key = ProfKey::from_label(&label)
-                .ok_or_else(|| format!("{path}: unknown subsystem {label:?}"))?;
-            if !key.is_subsystem() {
-                return Err(format!(
-                    "{path}: {label:?} is an event kind, not a subsystem"
-                ));
-            }
-            let field = |name: &str| -> Result<f64, String> {
-                let v = spec
-                    .get(name)
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("{path}: {label}: missing numeric {name:?}"))?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("{path}: {label}: {name} must be in 0..=1, got {v}"));
-                }
-                Ok(v)
-            };
-            let entry = BudgetEntry {
-                baseline_share: field("baseline_share")?,
-                noise_band: field("noise_band")?,
-            };
-            if budget.entries.iter().any(|(k, _)| *k == key) {
-                return Err(format!("{path}: duplicate subsystem {label:?}"));
-            }
-            budget.entries.push((key, entry));
-        }
-        if budget.entries.is_empty() {
-            return Err(format!("{path}: budget has no subsystems"));
-        }
-        Ok(budget)
-    }
-
-    /// Check an observed breakdown against the budget.  Returns the list of
-    /// violation messages (empty = gate passes).  Each violation names the
-    /// subsystem, the observed mean share and the allowed ceiling.
-    pub fn check(&self, breakdown: &Breakdown) -> Vec<String> {
-        let mut violations = Vec::new();
-        for &(key, entry) in &self.entries {
-            let observed = breakdown.key_stats(key).mean_share();
-            let ceiling = entry.baseline_share + entry.noise_band;
-            if observed > ceiling {
-                violations.push(format!(
-                    "{}: mean share {:.2}% exceeds budget {:.2}% (+{:.2}% noise band) by {:.2}%",
-                    key.label(),
-                    observed * 100.0,
-                    entry.baseline_share * 100.0,
-                    entry.noise_band * 100.0,
-                    (observed - ceiling) * 100.0,
-                ));
-            }
-        }
-        violations
-    }
-}
-
-/// The subsystem with the most attributed time in a profile, with its
-/// share — used by the `stress` harness to name the dominant subsystem
-/// when a floor/ceiling violation fires.
-pub fn dominant_subsystem(profile: &Profile) -> Option<(ProfKey, f64)> {
-    PROF_KEYS
-        .into_iter()
-        .filter(|k| k.is_subsystem())
-        .max_by_key(|&k| profile.nanos(k))
-        .filter(|&k| profile.nanos(k) > 0)
-        .map(|k| (k, profile.share(k)))
-}
-
 /// Print one accumulated [`Profile`]'s totals (nanoseconds and counts per
 /// key) as a compact table — the `experiment` binary's end-of-run summary
 /// of the process-wide global accumulator.
@@ -246,6 +145,7 @@ pub fn print_run_event_counters() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caem_metrics::prof::ProfKey;
 
     #[test]
     fn repeat_stats_match_hand_computation() {
@@ -285,94 +185,5 @@ mod tests {
         assert!(kinds.get("sense_channel").is_some());
         // Untouched keys are omitted entirely.
         assert!(subsystems.get("phy").is_none());
-    }
-
-    fn write_tmp(name: &str, text: &str) -> String {
-        let path = std::env::temp_dir().join(format!("caem_profrpt_{}_{name}", std::process::id()));
-        std::fs::write(&path, text).expect("write temp budget");
-        path.to_string_lossy().into_owned()
-    }
-
-    #[test]
-    fn budget_load_is_strict() {
-        let ok = write_tmp(
-            "ok.json",
-            r#"{"mac": {"baseline_share": 0.4, "noise_band": 0.1}}"#,
-        );
-        let budget = ProfBudget::load(&ok).unwrap();
-        assert_eq!(budget.entries.len(), 1);
-        assert_eq!(budget.entries[0].0, ProfKey::Mac);
-        std::fs::remove_file(&ok).ok();
-
-        for (name, text, needle) in [
-            (
-                "unknown.json",
-                r#"{"mack": {"baseline_share": 0.4, "noise_band": 0.1}}"#,
-                "unknown subsystem",
-            ),
-            (
-                "event.json",
-                r#"{"sense_channel": {"baseline_share": 0.4, "noise_band": 0.1}}"#,
-                "event kind",
-            ),
-            (
-                "missing.json",
-                r#"{"mac": {"baseline_share": 0.4}}"#,
-                "missing numeric",
-            ),
-            (
-                "range.json",
-                r#"{"mac": {"baseline_share": 1.4, "noise_band": 0.1}}"#,
-                "must be in 0..=1",
-            ),
-            ("empty.json", r#"{}"#, "no subsystems"),
-        ] {
-            let path = write_tmp(name, text);
-            let err = ProfBudget::load(&path).unwrap_err();
-            assert!(err.contains(needle), "{name}: {err}");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn budget_check_flags_regressions_past_the_noise_band() {
-        let budget = ProfBudget {
-            entries: vec![(
-                ProfKey::Mac,
-                BudgetEntry {
-                    baseline_share: 0.10,
-                    noise_band: 0.05,
-                },
-            )],
-        };
-        // Mac at ~50% of attributed time: far past 15%.
-        let mut hot = Profile::new();
-        hot.add(ProfKey::Mac, 1, 500);
-        hot.add(ProfKey::EvRoundStart, 1, 500);
-        let mut breakdown = Breakdown::new();
-        breakdown.observe("hot", &hot);
-        let violations = budget.check(&breakdown);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("mac"), "{}", violations[0]);
-
-        // Mac at ~10%: inside the band.
-        let mut fine = Profile::new();
-        fine.add(ProfKey::Mac, 1, 100);
-        fine.add(ProfKey::EvRoundStart, 1, 900);
-        let mut breakdown = Breakdown::new();
-        breakdown.observe("fine", &fine);
-        assert!(budget.check(&breakdown).is_empty());
-    }
-
-    #[test]
-    fn dominant_subsystem_picks_the_largest_and_ignores_event_kinds() {
-        let mut profile = Profile::new();
-        assert_eq!(dominant_subsystem(&profile), None);
-        profile.add(ProfKey::Channel, 5, 300);
-        profile.add(ProfKey::Mac, 5, 700);
-        profile.add(ProfKey::EvSenseChannel, 10, 10_000);
-        let (key, share) = dominant_subsystem(&profile).unwrap();
-        assert_eq!(key, ProfKey::Mac);
-        assert!(share > 0.0);
     }
 }

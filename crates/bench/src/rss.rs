@@ -1,9 +1,8 @@
-//! Resident-set-size probes for the soak and scaling harnesses.
+//! Resident-set-size probes for the node-scaling benchmarks.
 //!
 //! Reads `/proc/self/status` (Linux): `VmRSS` is the current resident set,
 //! `VmHWM` the high-water mark over the process lifetime.  On platforms
-//! without procfs both probes return `None` and ceiling assertions are
-//! skipped rather than failed.
+//! without procfs both probes return `None`.
 
 /// Current resident set size in MiB, if the platform exposes it.
 pub fn current_rss_mb() -> Option<f64> {

@@ -13,12 +13,9 @@
 //! UPDATE_GOLDENS=1 cargo test -p caem-bench --release --test soa_golden
 //! ```
 
-use caem::policy::PolicyKind;
 use caem_bench::{DEFAULT_SEED, ZOO_SPEC};
-use caem_simcore::time::{Duration, SimTime};
 use caem_wsnsim::experiment::ExperimentSpec;
 use caem_wsnsim::spec::GridSpec;
-use caem_wsnsim::{ScenarioConfig, SimulationRun};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -61,24 +58,4 @@ fn quick_zoo_report_is_byte_identical_to_the_pre_refactor_golden() {
          RNG draw order and float accumulation order); if the change is \
          intentional, regenerate with UPDATE_GOLDENS=1"
     );
-}
-
-/// The quick zoo never has more than a few dozen events pending, so it never
-/// reaches the pending-event set's deep buckets.  A 2,000-node deployment
-/// keeps thousands pending, and stepping it once per simulated second also
-/// refuses a pop at every step deadline.  The pinned counts and the ledger's
-/// bit pattern were recorded with the 4-ary heap queue.
-#[test]
-fn scaled_2000_node_schedule_matches_the_golden() {
-    let cfg = ScenarioConfig::scaled(2000, PolicyKind::Scheme1Adaptive, 1.0, 12345)
-        .with_duration(Duration::from_secs(10));
-    let mut run = SimulationRun::new(cfg);
-    for second in 1..=10 {
-        run.run_until(SimTime::from_secs(second));
-    }
-    let r = run.finish();
-    assert_eq!(r.events_processed, 59_867);
-    assert_eq!(r.perf.delivered(), 16_836);
-    assert_eq!(r.collisions, 32);
-    assert_eq!(r.ledger.total().to_bits(), 0x4064_32f7_05e5_1752);
 }

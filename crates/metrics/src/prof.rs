@@ -42,7 +42,7 @@
 //! schema checks key on.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::merge::Commute;
@@ -134,7 +134,7 @@ impl ProfKey {
         (self as usize) < Self::EVENT_BASE
     }
 
-    /// Stable snake-case label, used in tables, JSON and budget files.
+    /// Stable snake-case label, used in tables, JSON and benchmark metric names.
     pub const fn label(self) -> &'static str {
         match self {
             ProfKey::Deploy => "deploy",
@@ -154,11 +154,6 @@ impl ProfKey {
             ProfKey::EvEnergySnapshot => "energy_snapshot",
             ProfKey::EvFairnessSnapshot => "fairness_snapshot",
         }
-    }
-
-    /// Look a key up by its [`ProfKey::label`].
-    pub fn from_label(label: &str) -> Option<ProfKey> {
-        PROF_KEYS.iter().copied().find(|k| k.label() == label)
     }
 }
 
@@ -199,42 +194,6 @@ pub fn clock() -> Option<Instant> {
         Some(Instant::now())
     } else {
         None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Test-only synthetic slowdown (exercised by the CI regression gate).
-// ---------------------------------------------------------------------------
-
-/// Environment variable injecting a synthetic busy-wait (microseconds) into
-/// the MAC span of every tone observation, **only while profiling is
-/// enabled**.  Exists solely so CI can prove the budget gate fails on a
-/// real regression; it never perturbs simulation state (virtual time and
-/// RNG draws are untouched).
-const SELFTEST_SPIN_ENV: &str = "CAEM_PROF_SELFTEST_SPIN_US";
-
-static SELFTEST_SPIN_NANOS: OnceLock<u64> = OnceLock::new();
-
-/// The configured synthetic MAC slowdown in nanoseconds (0 = off).
-fn selftest_spin_nanos() -> u64 {
-    *SELFTEST_SPIN_NANOS.get_or_init(|| {
-        std::env::var(SELFTEST_SPIN_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(|us| us.saturating_mul(1_000))
-            .unwrap_or(0)
-    })
-}
-
-/// Busy-wait for the configured synthetic slowdown (no-op when unset).
-#[inline]
-pub fn selftest_spin() {
-    let budget = selftest_spin_nanos();
-    if budget > 0 {
-        let started = Instant::now();
-        while (started.elapsed().as_nanos() as u64) < budget {
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -317,17 +276,6 @@ impl Profile {
             self.counts[i] += other.counts[i];
             self.nanos[i] += other.nanos[i];
         }
-    }
-
-    /// The per-slot difference `self - earlier` (saturating) — what a tick
-    /// of the stress harness attributes between two snapshots.
-    pub fn delta_since(&self, earlier: &Profile) -> Profile {
-        let mut delta = Profile::new();
-        for i in 0..ProfKey::COUNT {
-            delta.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
-            delta.nanos[i] = self.nanos[i].saturating_sub(earlier.nanos[i]);
-        }
-        delta
     }
 }
 
@@ -768,10 +716,10 @@ mod tests {
         assert_eq!(PROF_KEYS.len(), ProfKey::COUNT);
         for (i, key) in PROF_KEYS.iter().enumerate() {
             assert_eq!(key.index(), i);
-            assert_eq!(ProfKey::from_label(key.label()), Some(*key));
+            // Labels name JSON keys and benchmark metrics: no two collide.
+            assert!(PROF_KEYS[..i].iter().all(|k| k.label() != key.label()));
         }
         assert_eq!(PROF_KEYS.iter().filter(|k| k.is_subsystem()).count(), 8);
-        assert_eq!(ProfKey::from_label("nonsense"), None);
     }
 
     #[test]
@@ -792,8 +740,6 @@ mod tests {
         assert_eq!(merged.total_event_nanos(), 10_000);
         assert_eq!(merged.attributed_nanos(), 10_000);
         assert!((merged.share(ProfKey::EvRoundStart) - 0.7).abs() < 1e-12);
-        let delta = merged.delta_since(&a);
-        assert_eq!(delta, b);
     }
 
     #[test]
@@ -929,13 +875,5 @@ mod tests {
         set_enabled(false);
         assert_eq!(recorded, 1);
         assert_eq!(dropped, 2);
-    }
-
-    #[test]
-    fn selftest_spin_defaults_off() {
-        // The env var is not set in the test environment, so the spin is a
-        // no-op and the OnceLock caches zero.
-        assert_eq!(selftest_spin_nanos(), 0);
-        selftest_spin();
     }
 }

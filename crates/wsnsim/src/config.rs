@@ -460,8 +460,8 @@ impl ScenarioConfig {
     /// (0.01 nodes/m²); this keeps that density — the field side grows with
     /// `√(node_count / 100)` — and the head probability, so expected cluster
     /// size and contention per cluster stay at paper scale while the network
-    /// grows.  This is the constructor the stress/soak harness and the
-    /// node-count scaling benchmarks use for 10⁴–10⁶-node runs.
+    /// grows.  This is the constructor the node-count scaling benchmarks
+    /// and the 50k-node churn work pin use for 10⁴–10⁶-node runs.
     pub fn scaled(node_count: usize, policy: PolicyKind, traffic_rate_pps: f64, seed: u64) -> Self {
         let mut cfg = Self::paper_default(policy, traffic_rate_pps, seed);
         assert!(node_count > 0, "scaled scenario needs nodes");

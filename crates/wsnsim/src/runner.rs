@@ -271,16 +271,6 @@ impl SimulationRun {
         self.now
     }
 
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Number of currently live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.table.alive_count()
-    }
-
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -289,13 +279,6 @@ impl SimulationRun {
     /// Read-only access to the per-node state columns.
     pub fn table(&self) -> &NodeTable {
         &self.table
-    }
-
-    /// The profiling shard accumulated so far (empty when the profiler is
-    /// disabled).  The stress harness diffs consecutive snapshots of this
-    /// to attribute each soak tick.
-    pub fn profile(&self) -> &Profile {
-        &self.prof
     }
 
     fn schedule(&mut self, at: SimTime, event: NetworkEvent) {
@@ -510,10 +493,6 @@ impl SimulationRun {
             urgent,
         );
         if let Some(t0) = mac_clock {
-            // Test-only hook: CI injects a synthetic MAC slowdown here to
-            // prove the budget gate trips (no-op unless the env var is set,
-            // and only reachable while profiling).
-            prof::selftest_spin();
             let total = t0.elapsed().as_nanos() as u64;
             let chan = chan_nanos.get();
             self.prof.add(ProfKey::Mac, 1, total.saturating_sub(chan));
@@ -929,8 +908,8 @@ impl SimulationRun {
 
     /// Process events up to (and including) `until`, clamped to the
     /// scenario horizon.  Returns the number of events processed by this
-    /// call.  The stress harness steps a run tick by tick through this
-    /// method; [`SimulationRun::run`] is one call over the whole horizon.
+    /// call.  Scale benchmarks step a run tick by tick through this method;
+    /// [`SimulationRun::run`] is one call over the whole horizon.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         let deadline = until.min(SimTime::ZERO + self.cfg.duration);
         let before = self.events_processed;
