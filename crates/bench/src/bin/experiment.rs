@@ -45,6 +45,7 @@
 //! (`_quick` variants, gitignored, for `--quick` runs).
 
 use std::net::TcpListener;
+use std::sync::Arc;
 
 use caem_bench::cli::{RunArgs, SequentialArgs};
 use caem_bench::{policy_label, profrpt, ExperimentCli, ExperimentMode, DEFAULT_SEED, ZOO_SPEC};
@@ -52,7 +53,7 @@ use caem_metrics::prof;
 use caem_wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping, METRIC_NAMES,
 };
-use caem_wsnsim::faults::{self, FaultRole};
+use caem_wsnsim::faults::{self, FaultPlan, FaultRole};
 use caem_wsnsim::persist::{config_hash, ExperimentStore, StoreOptions};
 use caem_wsnsim::serve::{
     run_socket_worker, serve_listener, Coordinator, ProcessSpawner, ServiceConfig, ServiceState,
@@ -286,7 +287,8 @@ fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64
     // Inherit a coordinator's chaos schedule and profiler across `exec`.
     // A malformed plan is fatal: a chaos run silently downgrading to a
     // clean run would fake test coverage.
-    faults::install_plan_from_env(FaultRole::Worker)
+    let env_plan = std::env::var(faults::CHAOS_ENV).ok();
+    let plan = FaultPlan::from_env_value(env_plan.as_deref(), FaultRole::Worker)
         .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
     prof::install_from_env();
     let stream = std::net::TcpStream::connect(addr).unwrap_or_else(|e| {
@@ -299,6 +301,7 @@ fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64
         opts.protocol = version;
     }
     opts.expect_hash = expect_hash;
+    opts.faults = plan;
     match run_socket_worker(&mut link, &opts) {
         Ok(WorkerExit::Finished(outcome)) => {
             println!(
@@ -347,15 +350,21 @@ fn run_rounds<E: std::fmt::Display>(
 }
 
 /// `--workers n`: host the daemon on a loopback port with `store`
-/// attached, run the grid (or the sequential loop) through `n` spawned
-/// socket workers, and hand the store back.
+/// attached, run the grid (or the sequential loop) through spawned socket
+/// workers, and hand the store back.  At most `n` workers are spawned,
+/// and never more than the grid has jobs: the daemon splits a grid into
+/// no more shards than jobs, so a further worker could only ever idle.
+/// Sequential rounds only add jobs, so the first round's count bounds
+/// every round.
 fn run_served(
     spec: &ExperimentSpec,
     args: &RunArgs,
     sequential: Option<&SequentialStopping>,
     store: ExperimentStore,
     n: usize,
+    plan: Option<Arc<FaultPlan>>,
 ) -> (ExperimentReport, ExperimentStore) {
+    let n = n.min(spec.job_count());
     let state = ServiceState::shared(ServiceConfig::default());
     state.lock().expect("service lock").attach_store(store);
     let listener = TcpListener::bind("127.0.0.1:0")
@@ -370,12 +379,11 @@ fn run_served(
     }
     let mut spawner = ProcessSpawner::current_exe()
         .unwrap_or_else(|e| die(format!("cannot locate worker binary: {e}")));
-    if let Some(chaos) = &args.chaos {
-        // Workers inherit the full plan; the coordinator installed it
-        // under its own role before opening the store.
+    if let Some(plan) = &plan {
+        // Worker processes rebuild the full plan under their own role.
         spawner
             .envs
-            .push((faults::CHAOS_ENV.to_string(), chaos.env_string()));
+            .push((faults::CHAOS_ENV.to_string(), plan.config().env_string()));
     }
     if args.profile {
         spawner
@@ -386,7 +394,7 @@ fn run_served(
         "distributed over {n} workers ({} rayon threads each), daemon on {addr}",
         rayon::split_thread_budget(n),
     );
-    let mut coordinator = Coordinator::start(state.clone(), &spawner, &addr, n)
+    let mut coordinator = Coordinator::start(state.clone(), &spawner, &addr, n, plan)
         .unwrap_or_else(|e| die(format!("cannot start workers: {e}")));
     let report = run_rounds(spec, sequential, |round| coordinator.run(round));
     let store = coordinator
@@ -402,13 +410,12 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
     if args.profile {
         prof::set_enabled(true);
     }
-    if let Some(chaos) = &args.chaos {
-        // The coordinator's store appends take part in the schedule, so the
-        // plan goes in before the store opens; kill faults only fire in the
-        // spawned workers.
-        faults::install_plan(chaos.clone(), FaultRole::Coordinator);
+    // The coordinator's store appends take part in the schedule; kill
+    // faults only fire in the spawned workers.
+    let plan = args.chaos.clone().map(|chaos| {
         println!("chaos mode: fault plan {}", chaos.env_string());
-    }
+        FaultPlan::new(chaos, FaultRole::Coordinator)
+    });
     let store_path = args
         .store
         .clone()
@@ -422,7 +429,11 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
         // persisted replicate pool).
         std::fs::remove_file(&store_path).ok();
     }
-    let mut store = ExperimentStore::open_with(&store_path, StoreOptions { fsync: args.fsync })
+    let options = StoreOptions {
+        fsync: args.fsync,
+        faults: plan.clone(),
+    };
+    let mut store = ExperimentStore::open_with(&store_path, options)
         .unwrap_or_else(|e| die(format!("{store_path}: {e}")));
     println!(
         "experiment grid: {} scenarios x {} policies x {} seeds = {} jobs ({} on disk)",
@@ -434,7 +445,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
     );
     let report = match args.workers {
         Some(n) => {
-            let (report, returned) = run_served(spec, args, sequential.as_ref(), store, n);
+            let (report, returned) = run_served(spec, args, sequential.as_ref(), store, n, plan);
             store = returned;
             report
         }

@@ -4,14 +4,14 @@
 //! This module turns the failure model into a first-class, injectable
 //! surface:
 //!
-//! 1. **Seams** — the [`StoreIo`] trait sits between the store and the
-//!    filesystem: every store append routes through it.  `RealIo` is the
-//!    production passthrough; `ChaosIo` wraps it with a seeded
-//!    [`FaultPlan`] that injects torn writes and `EINTR`/`ENOSPC`-class
-//!    transient errors.  The same plan drops, duplicates, delays and
-//!    truncates loopback frames ([`FaultPlan::frame_fault`]), kills socket
-//!    workers at their K-th settled job ([`kill_check`]) and poisons
-//!    (panics) a deterministic subset of jobs ([`poison_check`]) — all
+//! 1. **Seams** — a seeded [`FaultPlan`] value, handed to each seam that
+//!    consults it: the store's appends (through
+//!    [`crate::persist::StoreOptions`]) tear and fail with
+//!    `EINTR`/`ENOSPC`-class transient errors; loopback links (through
+//!    [`crate::serve::LoopbackSpawner`]) drop, duplicate, delay and
+//!    truncate frames; socket workers (through
+//!    [`crate::serve::SocketWorkerOptions`]) exit at their K-th settled job
+//!    and panic on a deterministic subset of jobs (poison) — all
 //!    deterministically per seed.
 //! 2. **Typed error classification + bounded backoff** — [`classify_io_error`]
 //!    splits IO failures into [`ErrorClass::Transient`] (worth retrying) and
@@ -27,11 +27,14 @@
 //!    deliberately **not** part of the canonical report artifact, which must
 //!    stay byte-identical between clean and fault-injected runs.
 //!
-//! Fault plans install process-globally ([`install_plan`]) because worker
-//! *processes* must inherit them across `exec` — the coordinator forwards
-//! the plan through the [`CHAOS_ENV`] environment variable and workers call
-//! [`install_plan_from_env`].  Production code never pays for the seam: with
-//! no plan installed, [`store_io`] hands out the passthrough.
+//! A run has one plan, created once by whoever parses `--chaos` or the
+//! [`CHAOS_ENV`] variable and shared as an `Arc<FaultPlan>`.  Worker
+//! *processes* cannot share the value, so the coordinator forwards the
+//! plan's text through [`CHAOS_ENV`] and each worker builds its own with
+//! [`FaultPlan::from_env_value`].  A seam given no plan never injects, and
+//! nothing is global: plans used side by side in one process (tests) never
+//! see each other's faults, and [`FaultPlan::injected`] counts only the
+//! plan's own.
 //!
 //! Injection is **recoverable by construction**: every fault that a bounded
 //! retry is expected to absorb is injected only on a call's first attempt
@@ -43,7 +46,7 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once, RwLock};
+use std::sync::{Arc, Once};
 use std::time::Duration as StdDuration;
 
 use crate::persist::JobKey;
@@ -116,8 +119,8 @@ pub fn backoff_delay(attempt: u32) -> StdDuration {
 /// each [`backoff_delay`] up to [`RETRY_ATTEMPTS`] total attempts; fatal
 /// failures — and transient failures that exhaust the budget — return the
 /// error immediately.  `op` receives the 0-based attempt number (the
-/// `ChaosIo` seam injects only on attempt 0, guaranteeing bounded retries
-/// always recover injected faults).
+/// store's fault plan injects only on attempt 0, guaranteeing bounded
+/// retries always recover injected faults).
 pub fn retry_transient<T>(mut op: impl FnMut(u32) -> io::Result<T>) -> io::Result<T> {
     let mut attempt = 0;
     loop {
@@ -252,35 +255,6 @@ pub fn event_summary() -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// The IO seams.
-// ---------------------------------------------------------------------------
-
-/// The seam over experiment-store file IO: JSONL line appends and fsync.
-pub trait StoreIo: Send + Sync {
-    /// Append one complete JSONL line (newline included) to `file`.
-    /// `attempt` is the caller's 0-based retry attempt — the passthrough
-    /// ignores it; `ChaosIo` injects faults only on attempt 0.
-    fn append_line(&self, file: &mut File, line: &[u8], attempt: u32) -> io::Result<()>;
-
-    /// Flush `file`'s data and metadata to stable storage.
-    fn sync(&self, file: &File) -> io::Result<()>;
-}
-
-/// The production passthrough: plain `std::fs` with no injection.
-#[derive(Debug, Default, Clone, Copy)]
-struct RealIo;
-
-impl StoreIo for RealIo {
-    fn append_line(&self, file: &mut File, line: &[u8], _attempt: u32) -> io::Result<()> {
-        file.write_all(line)
-    }
-
-    fn sync(&self, file: &File) -> io::Result<()> {
-        file.sync_all()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fault plans.
 // ---------------------------------------------------------------------------
 
@@ -404,35 +378,93 @@ pub enum FaultRole {
 /// asserted on and the panic hook can keep injected panics off stderr.
 pub const POISON_MARKER: &str = "caem-injected-poison";
 
+/// Environment variable carrying the fault plan from coordinator to worker
+/// processes (the [`FaultPlanConfig::env_string`] text).
+pub const CHAOS_ENV: &str = "CAEM_CHAOS";
+
+static POISON_HOOK: Once = Once::new();
+
 /// A live, seeded fault schedule (the runtime form of [`FaultPlanConfig`]).
 ///
 /// Decisions draw from a deterministic counter-based stream: the N-th
-/// injectable operation in a process makes the same decision in every run
-/// with the same seed.  Faults a retry is expected to absorb are injected
-/// only on `attempt == 0`, so bounded retries always recover.
+/// injectable operation under one plan makes the same decision in every
+/// run with the same seed.  Faults a retry is expected to absorb are
+/// injected only on `attempt == 0`, so bounded retries always recover.
+#[derive(Debug)]
 pub struct FaultPlan {
     cfg: FaultPlanConfig,
     role: FaultRole,
     draws: AtomicU64,
     settled: AtomicU64,
+    injected: AtomicU64,
     kill_at: u64,
 }
 
 impl FaultPlan {
-    fn new(cfg: FaultPlanConfig, role: FaultRole) -> Self {
+    /// The live plan for `cfg` in a process playing `role`.  A plan with
+    /// `poison` also keeps injected poison panics off stderr: they are
+    /// expected and quarantined, and would otherwise drown real panic
+    /// reports.
+    pub fn new(cfg: FaultPlanConfig, role: FaultRole) -> Arc<Self> {
+        if cfg.kinds.contains(&FaultKind::Poison) {
+            POISON_HOOK.call_once(|| {
+                let default_hook = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    let payload = info
+                        .payload()
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                        .unwrap_or("");
+                    if !payload.contains(POISON_MARKER) {
+                        default_hook(info);
+                    }
+                }));
+            });
+        }
         let kill_at = 3 + cfg.seed % 8;
-        FaultPlan {
+        Arc::new(FaultPlan {
             cfg,
             role,
             draws: AtomicU64::new(0),
             settled: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
             kill_at,
+        })
+    }
+
+    /// The plan a [`CHAOS_ENV`] value describes (`value` is what
+    /// `std::env::var(CHAOS_ENV).ok()` reads) — how a worker process
+    /// inherits the coordinator's schedule across `exec`.  Unset or empty
+    /// means no plan; a malformed value is a hard error (a chaos run
+    /// silently downgrading to a clean run would fake test coverage).
+    pub fn from_env_value(
+        value: Option<&str>,
+        role: FaultRole,
+    ) -> Result<Option<Arc<Self>>, String> {
+        match value {
+            Some(text) if !text.is_empty() => {
+                Ok(Some(FaultPlan::new(FaultPlanConfig::parse(text)?, role)))
+            }
+            _ => Ok(None),
         }
     }
 
     /// The plan's declarative configuration.
     pub fn config(&self) -> &FaultPlanConfig {
         &self.cfg
+    }
+
+    /// Faults this plan has injected so far (store appends and loopback
+    /// frames).  Unlike the process-wide [`RunEvent::FaultInjected`]
+    /// counter, no other plan in the process can move it.
+    pub fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
+    }
+
+    fn note_injected(&self) {
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        note_event(RunEvent::FaultInjected);
     }
 
     fn has(&self, kind: FaultKind) -> bool {
@@ -457,7 +489,10 @@ impl FaultPlan {
         io::Error::new(kind, format!("injected transient fault: {what}"))
     }
 
-    fn kill_check(&self) {
+    /// Count one settled job in this worker process and, under a `kill`
+    /// plan in the [`FaultRole::Worker`] role, exit abruptly at the plan's
+    /// K-th — the socket worker calls this as each job settles.
+    pub(crate) fn kill_check(&self) {
         if self.role != FaultRole::Worker || !self.has(FaultKind::Kill) {
             return;
         }
@@ -472,12 +507,30 @@ impl FaultPlan {
         }
     }
 
-    fn tear_append(&self, attempt: u32) -> bool {
-        attempt == 0 && self.has(FaultKind::Torn) && self.draw().is_multiple_of(5)
-    }
-
-    fn fail_append(&self, attempt: u32) -> bool {
-        attempt == 0 && self.has(FaultKind::Transient) && self.draw().is_multiple_of(6)
+    /// The store-append seam, called before `line` is written on attempt
+    /// number `attempt`: occasionally tear the append (half the bytes land,
+    /// then the "syscall" fails) or fail it outright, always with a
+    /// transient error.  The recovery path must newline-terminate a torn
+    /// fragment before rewriting, or the retry would fuse with it.
+    pub(crate) fn store_append_fault(
+        &self,
+        file: &mut File,
+        line: &[u8],
+        attempt: u32,
+    ) -> io::Result<()> {
+        if attempt != 0 {
+            return Ok(());
+        }
+        if self.has(FaultKind::Torn) && self.draw().is_multiple_of(5) {
+            self.note_injected();
+            let _ = file.write_all(&line[..line.len() / 2]);
+            return Err(self.injected_error("torn store append"));
+        }
+        if self.has(FaultKind::Transient) && self.draw().is_multiple_of(6) {
+            self.note_injected();
+            return Err(self.injected_error("store append"));
+        }
+        Ok(())
     }
 
     /// Frame-level fault decision for the in-memory loopback transport:
@@ -491,23 +544,22 @@ impl FaultPlan {
     /// The TCP transport never consults this: truncating a length-prefixed
     /// byte stream would desynchronise every later frame, turning one
     /// injected fault into an unrecoverable connection error.
-    pub fn frame_fault(&self) -> Option<FrameFault> {
-        if self.has(FaultKind::Torn) && self.draw().is_multiple_of(7) {
-            return Some(FrameFault::Truncate);
-        }
-        if self.has(FaultKind::Transient) && self.draw().is_multiple_of(6) {
-            return Some(if self.draw().is_multiple_of(2) {
+    pub(crate) fn frame_fault(&self) -> Option<FrameFault> {
+        let fault = if self.has(FaultKind::Torn) && self.draw().is_multiple_of(7) {
+            FrameFault::Truncate
+        } else if self.has(FaultKind::Transient) && self.draw().is_multiple_of(6) {
+            if self.draw().is_multiple_of(2) {
                 FrameFault::Drop
             } else {
                 FrameFault::Duplicate
-            });
-        }
-        if self.has(FaultKind::Delay) && self.draw().is_multiple_of(5) {
-            return Some(FrameFault::Delay(StdDuration::from_millis(
-                1 + self.draw() % 5,
-            )));
-        }
-        None
+            }
+        } else if self.has(FaultKind::Delay) && self.draw().is_multiple_of(5) {
+            FrameFault::Delay(StdDuration::from_millis(1 + self.draw() % 5))
+        } else {
+            return None;
+        };
+        self.note_injected();
+        Some(fault)
     }
 
     /// Whether the plan poisons the job at `key`: a deterministic ~1/16
@@ -526,12 +578,24 @@ impl FaultPlan {
         }
         hash.is_multiple_of(16)
     }
+
+    /// Panic iff the plan poisons the job at `key` — called inside the
+    /// guarded runner's `catch_unwind`, so an injected poison exercises
+    /// exactly the retry/quarantine path a genuinely panicking job would.
+    pub(crate) fn poison_check(&self, key: JobKey) {
+        if self.is_poisoned(key) {
+            panic!(
+                "{POISON_MARKER}: injected poison in job (scenario {}, policy {}, seed {})",
+                key.0, key.1, key.2
+            );
+        }
+    }
 }
 
 /// An injected frame-level fault on the loopback worker transport (see
 /// [`FaultPlan::frame_fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFault {
+pub(crate) enum FrameFault {
     /// The frame is silently lost; the sender must retain and resend.
     Drop,
     /// The frame is delivered twice; the receiver's merge must dedupe.
@@ -541,137 +605,6 @@ pub enum FrameFault {
     /// The frame arrives with its tail cut off; decoding must fail with a
     /// typed error, never a panic.
     Truncate,
-}
-
-/// The chaos wrapper: `RealIo` plus a [`FaultPlan`] deciding, per
-/// append, whether to tear or fail first.
-struct ChaosIo {
-    plan: Arc<FaultPlan>,
-}
-
-impl ChaosIo {
-    /// Wrap the passthrough with `plan`.
-    fn new(plan: Arc<FaultPlan>) -> Self {
-        ChaosIo { plan }
-    }
-}
-
-impl StoreIo for ChaosIo {
-    fn append_line(&self, file: &mut File, line: &[u8], attempt: u32) -> io::Result<()> {
-        if self.plan.tear_append(attempt) {
-            note_event(RunEvent::FaultInjected);
-            // A torn write: half the bytes land, then the "syscall" fails.
-            // The recovery path must newline-terminate the fragment before
-            // rewriting, or the retry would fuse with it.
-            let _ = file.write_all(&line[..line.len() / 2]);
-            return Err(self.plan.injected_error("torn store append"));
-        }
-        if self.plan.fail_append(attempt) {
-            note_event(RunEvent::FaultInjected);
-            return Err(self.plan.injected_error("store append"));
-        }
-        RealIo.append_line(file, line, attempt)
-    }
-
-    fn sync(&self, file: &File) -> io::Result<()> {
-        RealIo.sync(file)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process-global plan installation.
-// ---------------------------------------------------------------------------
-
-/// Environment variable carrying the fault plan from coordinator to worker
-/// processes (the [`FaultPlanConfig::env_string`] text).
-pub const CHAOS_ENV: &str = "CAEM_CHAOS";
-
-static ACTIVE_PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-static POISON_HOOK: Once = Once::new();
-
-/// Install `cfg` as this process's active fault plan.  Every store opened
-/// afterwards routes its appends through a `ChaosIo` wrapping the plan.  Returns the live plan handle.
-pub fn install_plan(cfg: FaultPlanConfig, role: FaultRole) -> Arc<FaultPlan> {
-    if cfg.kinds.contains(&FaultKind::Poison) {
-        // Keep injected poison panics off stderr: they are expected,
-        // quarantined, and would otherwise drown real panic reports.
-        POISON_HOOK.call_once(|| {
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let payload = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                    .unwrap_or("");
-                if !payload.contains(POISON_MARKER) {
-                    default_hook(info);
-                }
-            }));
-        });
-    }
-    let plan = Arc::new(FaultPlan::new(cfg, role));
-    *ACTIVE_PLAN.write().expect("fault plan lock poisoned") = Some(Arc::clone(&plan));
-    plan
-}
-
-/// Install the plan the [`CHAOS_ENV`] variable describes, if set — what a
-/// worker process does on startup so it inherits the coordinator's chaos
-/// schedule across `exec`.  A malformed value is a hard error (a chaos run
-/// silently downgrading to a clean run would fake test coverage).
-pub fn install_plan_from_env(role: FaultRole) -> Result<Option<Arc<FaultPlan>>, String> {
-    match std::env::var(CHAOS_ENV) {
-        Ok(text) if !text.is_empty() => {
-            let cfg = FaultPlanConfig::parse(&text)?;
-            Ok(Some(install_plan(cfg, role)))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// Deactivate any installed fault plan (test isolation).
-pub fn clear_plan() {
-    *ACTIVE_PLAN.write().expect("fault plan lock poisoned") = None;
-}
-
-/// This process's active fault plan, if one is installed.
-pub fn active_plan() -> Option<Arc<FaultPlan>> {
-    ACTIVE_PLAN
-        .read()
-        .expect("fault plan lock poisoned")
-        .clone()
-}
-
-/// The store-IO seam the persistence layer should use right now: the
-/// passthrough, or a `ChaosIo` when a plan is installed.
-pub fn store_io() -> Arc<dyn StoreIo> {
-    match active_plan() {
-        Some(plan) => Arc::new(ChaosIo::new(plan)),
-        None => Arc::new(RealIo),
-    }
-}
-
-/// Count one settled job in this worker process and, under a `kill` plan
-/// in the [`FaultRole::Worker`] role, exit abruptly at the plan's K-th —
-/// the socket worker calls this as each job settles.
-pub fn kill_check() {
-    if let Some(plan) = active_plan() {
-        plan.kill_check();
-    }
-}
-
-/// Panic iff the active plan poisons the job at `key` — called inside the
-/// guarded runner's `catch_unwind`, so an injected poison exercises exactly
-/// the retry/quarantine path a genuinely panicking job would.
-pub fn poison_check(key: JobKey) {
-    if let Some(plan) = active_plan() {
-        if plan.is_poisoned(key) {
-            panic!(
-                "{POISON_MARKER}: injected poison in job (scenario {}, policy {}, seed {})",
-                key.0, key.1, key.2
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ScenarioConfig;
 use crate::experiment::{replicate_metrics, ExperimentJob, METRIC_NAMES};
-use crate::faults::{self, retry_transient, RunEvent, StoreIo};
+use crate::faults::{self, retry_transient, FaultPlan, RunEvent};
 use crate::result::SimulationResult;
 
 /// Store format version written into the header line.
@@ -308,7 +308,7 @@ impl From<FailureLine> for JobFailure {
     }
 }
 
-/// Durability knobs for a writable store.
+/// Durability and fault-injection knobs for a writable store.
 #[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
     /// fsync after every appended line (`--fsync`).  Off by default: the
@@ -316,6 +316,9 @@ pub struct StoreOptions {
     /// line, so per-append fsync only buys protection against *power* loss
     /// at a large throughput cost.
     pub fsync: bool,
+    /// The fault plan the store's appends run under (`--chaos`); `None`,
+    /// the default, never injects.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 /// Header line identifying a store file: format version plus the metric
@@ -377,9 +380,8 @@ pub struct ExperimentStore {
     /// Records appended through this handle (loads don't count).
     appended: usize,
     writer: Option<File>,
-    /// The append seam: the production passthrough, or the active chaos
-    /// wrapper, captured once at open time.
-    io: Arc<dyn StoreIo>,
+    /// The plan appends run under, if any ([`StoreOptions::faults`]).
+    faults: Option<Arc<FaultPlan>>,
     fsync: bool,
 }
 
@@ -397,6 +399,7 @@ impl ExperimentStore {
     pub fn open_with(path: impl AsRef<Path>, options: StoreOptions) -> Result<Self, StoreError> {
         let mut store = Self::read(path.as_ref())?;
         store.fsync = options.fsync;
+        store.faults = options.faults;
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -407,7 +410,7 @@ impl ExperimentStore {
                 metric_names: METRIC_NAMES.iter().map(|&m| m.to_string()).collect(),
             };
             let line = encode_line(&header)?;
-            append_line_with_recovery(&*store.io, &mut file, &line, store.fsync)?;
+            append_line_with_recovery(store.faults.as_deref(), &mut file, &line, store.fsync)?;
         } else if store.torn_tail {
             // A crash tore the final line; terminate it so the next record
             // starts on a line of its own instead of fusing with the
@@ -443,7 +446,7 @@ impl ExperimentStore {
             torn_tail: false,
             appended: 0,
             writer: None,
-            io: faults::store_io(),
+            faults: None,
             fsync: false,
         };
         let text = match std::fs::read_to_string(path) {
@@ -565,7 +568,7 @@ impl ExperimentStore {
             .writer
             .as_mut()
             .expect("append on a store opened read-only");
-        append_line_with_recovery(&*self.io, file, &line, self.fsync)?;
+        append_line_with_recovery(self.faults.as_deref(), file, &line, self.fsync)?;
         self.appended += 1;
         self.insert(record);
         Ok(())
@@ -579,7 +582,7 @@ impl ExperimentStore {
             .writer
             .as_mut()
             .expect("append on a store opened read-only");
-        append_line_with_recovery(&*self.io, file, &line, self.fsync)?;
+        append_line_with_recovery(self.faults.as_deref(), file, &line, self.fsync)?;
         self.insert_failure(failure);
         Ok(())
     }
@@ -735,27 +738,31 @@ pub(crate) fn encode_failure_line(failure: &JobFailure) -> Result<Vec<u8>, Store
     encode_line(&FailureLine::from(failure))
 }
 
-/// Append one encoded line through the IO seam, retrying transient failures
-/// on [`retry_transient`]'s fixed schedule.  Every retry attempt first newline-terminates the file:
+/// Append one encoded line, under `faults` when given, retrying transient
+/// failures on [`retry_transient`]'s fixed schedule.  Every retry attempt
+/// first newline-terminates the file:
 /// a failed attempt may have torn a partial line in (short write, `ENOSPC`
 /// mid-buffer), and rewriting directly after it would fuse the two into one
 /// corrupt record.  Terminated fragments (and the blank lines terminating
 /// clean failures) load back as skipped/ignored lines — the record itself
 /// is always rewritten whole.
-pub(crate) fn append_line_with_recovery(
-    io: &dyn StoreIo,
+fn append_line_with_recovery(
+    faults: Option<&FaultPlan>,
     file: &mut File,
     line: &[u8],
     fsync: bool,
 ) -> Result<(), StoreError> {
     retry_transient(|attempt| {
         if attempt > 0 {
-            io.append_line(file, b"\n", attempt)?;
+            file.write_all(b"\n")?;
         }
-        io.append_line(file, line, attempt)
+        if let Some(plan) = faults {
+            plan.store_append_fault(file, line, attempt)?;
+        }
+        file.write_all(line)
     })?;
     if fsync {
-        retry_transient(|_| io.sync(file))?;
+        retry_transient(|_| file.sync_all())?;
     }
     Ok(())
 }

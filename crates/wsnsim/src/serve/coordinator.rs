@@ -8,7 +8,8 @@
 //! reaping worker exits.  A worker that dies only delays its shard: the
 //! daemon re-grants the unsettled jobs to the survivors.  If every worker
 //! has exited with jobs still open (for example after chaos kills), one
-//! in-process [`LoopbackSpawner`] worker finishes them.
+//! in-process [`LoopbackSpawner`] worker finishes them, under the run's
+//! fault plan.
 //!
 //! With a store attached to the daemon ([`ServiceState::attach_store`])
 //! every settled line is journaled as it arrives, so a coordinator killed
@@ -20,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::experiment::{ExperimentReport, ExperimentSpec};
-use crate::faults::{self, RunEvent};
+use crate::faults::{self, FaultPlan, RunEvent};
 use crate::persist::{ExperimentStore, StoreError};
 
 use super::spawn::{DistribError, LoopbackSpawner, WorkerHandle, WorkerSpawner};
@@ -39,6 +40,8 @@ pub struct Coordinator {
     live: usize,
     /// The in-process worker started once every spawned one is gone.
     inline: Option<WorkerHandle>,
+    /// The fault plan the inline worker runs under.
+    faults: Option<Arc<FaultPlan>>,
 }
 
 fn lock(state: &Mutex<ServiceState>) -> MutexGuard<'_, ServiceState> {
@@ -48,12 +51,15 @@ fn lock(state: &Mutex<ServiceState>) -> MutexGuard<'_, ServiceState> {
 impl Coordinator {
     /// Spawn `workers` workers through `spawner`, attached to `endpoint` —
     /// the address `state` is served on.  Each gets an equal share of this
-    /// process's thread budget.
+    /// process's thread budget.  `faults` is the run's fault plan, which
+    /// the inline fallback worker runs under (the spawned workers get it
+    /// from `spawner`).
     pub fn start<S: WorkerSpawner>(
         state: Arc<Mutex<ServiceState>>,
         spawner: &S,
         endpoint: &str,
         workers: usize,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self, DistribError> {
         assert!(workers >= 1, "need at least one worker");
         let budget = rayon::split_thread_budget(workers);
@@ -70,6 +76,7 @@ impl Coordinator {
             exits,
             live: workers,
             inline: None,
+            faults,
         })
     }
 
@@ -88,7 +95,7 @@ impl Coordinator {
             if self.live == 0 && self.inline.is_none() {
                 // Every worker is gone and jobs are still open: finish them
                 // here, on this process's own thread budget.
-                let spawner = LoopbackSpawner::new(self.state.clone());
+                let spawner = LoopbackSpawner::with_faults(self.state.clone(), self.faults.clone());
                 self.inline = Some(spawner.spawn("inline", 0, rayon::process_thread_cap())?);
             }
         };

@@ -9,8 +9,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use caem_metrics::prof::PROFILE_ENV;
+
+use crate::faults::{FaultPlan, CHAOS_ENV};
+
 use super::daemon::{serve_connection, ServiceState};
-use super::transport::{loopback_pair, LoopbackLink};
+use super::transport::{faulted_pair, LoopbackLink};
 use super::worker::{run_socket_worker, SocketWorkerOptions, WorkerExit, WorkerOutcome};
 
 /// Errors raised while coordinating a distributed grid.
@@ -102,7 +106,11 @@ pub trait WorkerSpawner {
 
 /// Spawn real worker **processes**: re-invokes a binary (normally
 /// `std::env::current_exe()`) as `--connect <endpoint>`, with
-/// `RAYON_TOTAL_THREADS` set to the worker's thread share.
+/// `RAYON_TOTAL_THREADS` set to the worker's thread share.  The chaos and
+/// profiler variables ([`CHAOS_ENV`], [`PROFILE_ENV`]) are never
+/// inherited from this process: a worker sees them only when `envs`
+/// forwards them, so a stray variable cannot fault or profile a run that
+/// did not ask for it.
 #[derive(Debug, Clone)]
 pub struct ProcessSpawner {
     /// The worker binary to execute.
@@ -133,6 +141,8 @@ impl WorkerSpawner for ProcessSpawner {
             .arg("--connect")
             .arg(endpoint)
             .env("RAYON_TOTAL_THREADS", thread_budget.to_string())
+            .env_remove(CHAOS_ENV)
+            .env_remove(PROFILE_ENV)
             .envs(self.envs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .spawn()?;
         Ok(WorkerHandle(HandleInner::Process(child)))
@@ -141,25 +151,34 @@ impl WorkerSpawner for ProcessSpawner {
 
 /// Spawn in-process socket workers wired to an in-process daemon over
 /// loopback links.  Each spawn starts a daemon connection thread and a
-/// worker thread joined by a [`loopback_pair`]; no listener, no sockets,
-/// fully deterministic.
+/// worker thread joined by a pair of loopback links; no listener, no
+/// sockets, fully deterministic.
 pub struct LoopbackSpawner {
     state: Arc<Mutex<ServiceState>>,
     stop: Arc<AtomicBool>,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl LoopbackSpawner {
     /// A spawner attaching workers to the given daemon state.
     pub fn new(state: Arc<Mutex<ServiceState>>) -> Self {
+        LoopbackSpawner::with_faults(state, None)
+    }
+
+    /// [`LoopbackSpawner::new`] under `faults`: both ends of every link it
+    /// opens inject the plan's frame faults, and every worker it spawns
+    /// runs its jobs under the plan (poison).
+    pub fn with_faults(state: Arc<Mutex<ServiceState>>, faults: Option<Arc<FaultPlan>>) -> Self {
         LoopbackSpawner {
             state,
             stop: Arc::new(AtomicBool::new(false)),
+            faults,
         }
     }
 
     /// Open a client connection to the daemon (for submit/status/fetch).
     pub fn connect(&self) -> LoopbackLink {
-        let (client, mut served) = loopback_pair();
+        let (client, mut served) = faulted_pair(self.faults.clone());
         let state = self.state.clone();
         std::thread::spawn(move || serve_connection(&mut served, &state));
         client
@@ -183,9 +202,11 @@ impl WorkerSpawner for LoopbackSpawner {
     ) -> Result<WorkerHandle, DistribError> {
         let mut link = self.connect();
         let stop = self.stop.clone();
+        let faults = self.faults.clone();
         let handle = std::thread::spawn(move || {
             let mut opts = SocketWorkerOptions::new(format!("loopback_{index:03}"));
             opts.stop = stop;
+            opts.faults = faults;
             match run_socket_worker(&mut link, &opts) {
                 Ok(WorkerExit::Finished(outcome)) => Ok(outcome),
                 Ok(WorkerExit::Rejected(reason)) => Err(DistribError::Format(format!(

@@ -7,17 +7,18 @@
 //! [`decode_frame`], so a timeout that fires mid-frame keeps the partial
 //! bytes and stays byte-synchronized; EOF inside a frame is a typed
 //! [`ProtoError::Torn`].  The loopback link carries discrete
-//! frames over channels and is the only place frame faults are injected
-//! (see [`crate::faults::FaultPlan`]): dropping, duplicating, delaying or
-//! truncating frames there exercises the protocol's recovery paths without
-//! desynchronizing a real byte stream.
+//! frames over channels and is the only place frame faults are injected,
+//! by a link built under a [`FaultPlan`]: dropping, duplicating, delaying
+//! or truncating frames there exercises the protocol's recovery paths
+//! without desynchronizing a real byte stream.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::faults::{self, FrameFault, RunEvent};
+use crate::faults::{self, FaultPlan, FrameFault, RunEvent};
 
 use super::proto::{decode_frame, encode_frame, ProtoError};
 
@@ -80,56 +81,37 @@ impl FrameLink for TcpLink {
     }
 }
 
-/// In-memory [`FrameLink`]: crossed channels of discrete frames.  The send
-/// side consults the installed [`faults::FaultPlan`] and may drop,
-/// duplicate, delay or truncate the frame, noting
-/// [`RunEvent::FaultInjected`] each time — the deterministic stand-in for a
-/// lossy network.
+/// In-memory [`FrameLink`]: crossed channels of discrete frames.  A link
+/// built under a [`FaultPlan`] (how a
+/// [`LoopbackSpawner`](super::LoopbackSpawner) given one wires its
+/// workers) consults that plan on every send and may drop, duplicate,
+/// delay or truncate the frame — the deterministic stand-in for a lossy
+/// network.  A link without a plan, such as [`loopback_pair`]'s, delivers
+/// every frame intact.
 pub struct LoopbackLink {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-}
-
-impl LoopbackLink {
-    fn apply_fault(&self, payload: &[u8]) -> Result<(), ProtoError> {
-        match faults::active_plan().and_then(|plan| plan.frame_fault()) {
-            None => self
-                .tx
-                .send(payload.to_vec())
-                .map_err(|_| ProtoError::Closed),
-            Some(FrameFault::Drop) => {
-                faults::note_event(RunEvent::FaultInjected);
-                Ok(())
-            }
-            Some(FrameFault::Duplicate) => {
-                faults::note_event(RunEvent::FaultInjected);
-                self.tx
-                    .send(payload.to_vec())
-                    .map_err(|_| ProtoError::Closed)?;
-                self.tx
-                    .send(payload.to_vec())
-                    .map_err(|_| ProtoError::Closed)
-            }
-            Some(FrameFault::Delay(d)) => {
-                faults::note_event(RunEvent::FaultInjected);
-                std::thread::sleep(d);
-                self.tx
-                    .send(payload.to_vec())
-                    .map_err(|_| ProtoError::Closed)
-            }
-            Some(FrameFault::Truncate) => {
-                faults::note_event(RunEvent::FaultInjected);
-                self.tx
-                    .send(payload[..payload.len() / 2].to_vec())
-                    .map_err(|_| ProtoError::Closed)
-            }
-        }
-    }
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl FrameLink for LoopbackLink {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
-        self.apply_fault(payload)
+        let frame = match self.faults.as_ref().and_then(|plan| plan.frame_fault()) {
+            None => payload,
+            Some(FrameFault::Drop) => return Ok(()),
+            Some(FrameFault::Duplicate) => {
+                self.tx
+                    .send(payload.to_vec())
+                    .map_err(|_| ProtoError::Closed)?;
+                payload
+            }
+            Some(FrameFault::Delay(d)) => {
+                std::thread::sleep(d);
+                payload
+            }
+            Some(FrameFault::Truncate) => &payload[..payload.len() / 2],
+        };
+        self.tx.send(frame.to_vec()).map_err(|_| ProtoError::Closed)
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
@@ -146,11 +128,24 @@ impl FrameLink for LoopbackLink {
 
 /// Build a connected pair of loopback links (client end, server end).
 pub fn loopback_pair() -> (LoopbackLink, LoopbackLink) {
+    faulted_pair(None)
+}
+
+/// [`loopback_pair`] with both ends sending under `faults`.
+pub(super) fn faulted_pair(faults: Option<Arc<FaultPlan>>) -> (LoopbackLink, LoopbackLink) {
     let (a_tx, a_rx) = mpsc::channel();
     let (b_tx, b_rx) = mpsc::channel();
     (
-        LoopbackLink { tx: a_tx, rx: b_rx },
-        LoopbackLink { tx: b_tx, rx: a_rx },
+        LoopbackLink {
+            tx: a_tx,
+            rx: b_rx,
+            faults: faults.clone(),
+        },
+        LoopbackLink {
+            tx: b_tx,
+            rx: a_rx,
+            faults,
+        },
     )
 }
 

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 
 use crate::experiment::{ExperimentJob, ExperimentSpec};
-use crate::faults::{self, RunEvent};
+use crate::faults::{self, FaultPlan, RunEvent};
 use crate::persist::{encode_failure_line, encode_line, JobFailure, JobKey, JobRecord};
 
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
@@ -63,6 +63,10 @@ pub struct SocketWorkerOptions {
     /// Graceful-stop flag: raised by the embedding coordinator or test;
     /// checked between jobs.
     pub stop: Arc<AtomicBool>,
+    /// The fault plan the worker's jobs run under: it poisons a subset of
+    /// jobs and, in a worker process, exits at the plan's K-th settled job.
+    /// `None`, the default, never injects.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl SocketWorkerOptions {
@@ -73,6 +77,7 @@ impl SocketWorkerOptions {
             protocol: PROTOCOL_VERSION,
             expect_hash: None,
             stop: Arc::new(AtomicBool::new(false)),
+            faults: None,
         }
     }
 }
@@ -220,14 +225,21 @@ fn granted_jobs(
 /// Run one job under the quarantine guard: up to [`JOB_ATTEMPTS`] tries,
 /// each wrapped in `catch_unwind`; a job that never settles cleanly
 /// becomes a [`JobFailure`] so the shard — and the grid — still completes.
-fn run_job_guarded(spec: &ExperimentSpec, job: &ExperimentJob) -> Result<JobRecord, JobFailure> {
+/// A job `faults` poisons panics on every attempt.
+fn run_job_guarded(
+    spec: &ExperimentSpec,
+    job: &ExperimentJob,
+    faults: Option<&FaultPlan>,
+) -> Result<JobRecord, JobFailure> {
     let mut reason = String::new();
     for attempt in 0..JOB_ATTEMPTS {
         if attempt > 0 {
             faults::note_event(RunEvent::JobRetried);
         }
         let settled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            faults::poison_check(job.key());
+            if let Some(plan) = faults {
+                plan.poison_check(job.key());
+            }
             spec.run_job(job)
         }));
         match settled {
@@ -271,6 +283,7 @@ fn run_shard(
 ) -> Result<ShardRun, ProtoError> {
     let (line_tx, line_rx) = mpsc::channel::<String>();
     let stop = opts.stop.clone();
+    let faults = opts.faults.as_deref();
     let linger = LINGER.min(heartbeat);
     let mut lines: Vec<String> = Vec::new();
     let mut link_error: Option<ProtoError> = None;
@@ -283,7 +296,7 @@ fn run_shard(
                     if stop.load(Ordering::Relaxed) {
                         return None;
                     }
-                    let settled = run_job_guarded(spec, job);
+                    let settled = run_job_guarded(spec, job, faults);
                     let encoded = match &settled {
                         Ok(record) => encode_line(record),
                         Err(failure) => encode_failure_line(failure),
@@ -297,7 +310,9 @@ fn run_shard(
                         // dead link; the outcome still counts.
                         let _ = line_tx.send(text);
                     }
-                    faults::kill_check();
+                    if let Some(plan) = faults {
+                        plan.kill_check();
+                    }
                     Some(settled.is_ok())
                 })
                 .collect::<Vec<Option<bool>>>()

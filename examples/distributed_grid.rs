@@ -59,7 +59,7 @@ fn main() {
         .attach_store(ExperimentStore::open(&path).expect("open store"));
     let spawner = LoopbackSpawner::new(state.clone());
     let mut coordinator =
-        Coordinator::start(state.clone(), &spawner, "loopback", 3).expect("start workers");
+        Coordinator::start(state.clone(), &spawner, "loopback", 3, None).expect("start workers");
     let report = coordinator.run(&spec).expect("distributed run");
     let store = coordinator
         .finish()

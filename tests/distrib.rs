@@ -110,7 +110,7 @@ fn killed_workers_and_coordinator_restart_still_reproduce_the_report() {
     let spawner = OneDoomedWorker(LoopbackSpawner::new(state.clone()));
     let store = ExperimentStore::open(&path).expect("reopen crashed store");
     assert_eq!(store.len(), kept);
-    let (report, store) = served_with(&state, &spawner, &spec, 3, store);
+    let (report, store) = served_with(&state, &spawner, &spec, 3, store, None);
     assert_eq!(report, single_process);
     assert_eq!(report_bits(&report), report_bits(&single_process));
     assert_eq!(
@@ -255,7 +255,7 @@ fn distributed_sequential_stopping_matches_the_store_backed_loop() {
         state.lock().unwrap().attach_store(store);
         let spawner = LoopbackSpawner::new(state.clone());
         let mut coordinator =
-            Coordinator::start(state.clone(), &spawner, "loopback", 2).expect("start");
+            Coordinator::start(state.clone(), &spawner, "loopback", 2, None).expect("start");
         let outcome = spec
             .run_sequential_with(&stop, |round| coordinator.run(round))
             .expect("served sequential");
@@ -343,6 +343,7 @@ fn an_all_dead_fleet_is_finished_by_the_inline_worker() {
         &spec,
         3,
         ExperimentStore::open(&path).expect("open"),
+        None,
     );
     assert_eq!(report_bits(&report), report_bits(&spec.run()));
     assert_eq!(store.appended(), spec.job_count());
@@ -385,7 +386,8 @@ fn tcp_workers_attach_through_serve_listener() {
         .lock()
         .unwrap()
         .attach_store(ExperimentStore::open(&path).expect("open"));
-    let mut coordinator = Coordinator::start(state.clone(), &TcpThreads, &addr, 2).expect("start");
+    let mut coordinator =
+        Coordinator::start(state.clone(), &TcpThreads, &addr, 2, None).expect("start");
     let report = coordinator.run(&spec).expect("served over TCP");
     // Shutdown hangs up on every worker, which then exits cleanly: finish
     // returns only once both have.

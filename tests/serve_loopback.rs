@@ -4,21 +4,20 @@
 //!
 //! The headline property mirrors the distributed runner's: **the service
 //! topology is unobservable in the results**.  A grid submitted to the
-//! daemon and completed by N loopback workers — cleanly, under injected
-//! frame faults (drop / duplicate / delay / truncate), or with a worker
+//! daemon and completed by N loopback workers — cleanly, or with a worker
 //! dying mid-shard after streaming a partial batch — must fetch a report
 //! **byte-identical** to a single-process `ExperimentSpec::run` of the
-//! same resolved spec.
+//! same resolved spec.  Served runs under injected frame faults (drop /
+//! duplicate / delay / truncate) are checked on random grids in
+//! `tests/chaos.rs`.
 //!
-//! The fault plan and the recovery-event counters are process-global, so
-//! the tests serialize themselves on one mutex (the same reason
-//! `tests/chaos.rs` is phase-structured).
+//! No test here uses a fault plan, and none depends on another's state, so
+//! they run side by side.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use caem_suite::wsnsim::faults::{self, FaultKind, FaultPlanConfig, FaultRole, RunEvent};
 use caem_suite::wsnsim::persist::ExperimentStore;
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
@@ -46,16 +45,6 @@ const SPEC_DOC: &str = r#"{
 }"#;
 
 const SEED: u64 = 9_001;
-
-/// Process-global state (fault plan, event counters) is shared by every
-/// test in this binary; take the guard first.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GLOBAL: Mutex<()> = Mutex::new(());
-    let guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    faults::clear_plan();
-    faults::reset_events();
-    guard
-}
 
 /// The canonical single-process report of [`SPEC_DOC`], rendered exactly
 /// as the daemon renders a fetched report.
@@ -113,8 +102,7 @@ fn hello(seq: u64, worker: &str) -> Message {
 }
 
 #[test]
-fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death() {
-    let _guard = exclusive();
+fn fleet_reports_are_byte_identical_clean_and_after_a_death() {
     let expected = expected_bytes();
 
     // Phase 1 — clean: three workers, four shards.
@@ -124,28 +112,7 @@ fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death()
     });
     assert_eq!(run_fleet(&state, 3), expected, "clean fleet equals run()");
 
-    // Phase 2 — frame faults on every loopback link: dropped, duplicated,
-    // delayed and truncated frames must all be absorbed by the protocol's
-    // retransmission and count-reconciliation machinery.
-    faults::install_plan(
-        FaultPlanConfig {
-            seed: 23,
-            kinds: vec![FaultKind::Torn, FaultKind::Transient, FaultKind::Delay],
-        },
-        FaultRole::Coordinator,
-    );
-    let state = ServiceState::shared(ServiceConfig {
-        shards_per_grid: 4,
-        ..ServiceConfig::default()
-    });
-    assert_eq!(run_fleet(&state, 3), expected, "faulted fleet equals run()");
-    assert!(
-        faults::event_count(RunEvent::FaultInjected) > 0,
-        "the chaos plan actually fired"
-    );
-    faults::clear_plan();
-
-    // Phase 3 — a worker dies mid-shard: it claims a shard, streams the
+    // Phase 2 — a worker dies mid-shard: it claims a shard, streams the
     // record of its first job, then vanishes without ShardDone or Release.
     // The daemon must evict it on disconnect, re-grant only the still
     // unsettled jobs, and the surviving fleet must finish byte-identically.
@@ -217,7 +184,6 @@ fn run_fleet_into(
 
 #[test]
 fn a_forged_line_for_a_real_key_does_not_settle_its_job() {
-    let _guard = exclusive();
     let expected = expected_bytes();
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 2,
@@ -256,17 +222,20 @@ fn a_forged_line_for_a_real_key_does_not_settle_its_job() {
             .encode(),
         )
         .expect("forged batch lands");
+    // Frames on one connection are handled in order: once this reply is
+    // back, the forged batch has been absorbed, and it settled nothing.
+    rpc(&mut forger, &Message::Claim { seq: 2 });
+    let progress = client.status().expect("status").active.expect("grid open");
+    assert_eq!(progress.settled, 0, "the forged line settled its job");
     drop(forger);
 
     // The forged line is ignored and its job stays open: the fleet re-runs
     // it, and the report has every replicate.
     assert_eq!(run_fleet_into(&spawner, &mut client, 2), expected);
-    assert!(faults::event_count(RunEvent::ForeignRecordIgnored) > 0);
 }
 
 #[test]
 fn only_settling_lines_reach_the_store_journal() {
-    let _guard = exclusive();
     let path = std::env::temp_dir().join(format!(
         "caem_serve_loopback_{}_journal.jsonl",
         std::process::id()
@@ -325,7 +294,6 @@ fn only_settling_lines_reach_the_store_journal() {
 
 #[test]
 fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
-    let _guard = exclusive();
     let state = ServiceState::shared(ServiceConfig::default());
     let spawner = LoopbackSpawner::new(state.clone());
 
@@ -413,7 +381,6 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
 
 #[test]
 fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
-    let _guard = exclusive();
     // A lease TTL no test could sit out: if re-claiming depended on
     // expiry, the second claim below would see NoWork, not a grant.
     let state = ServiceState::shared(ServiceConfig {
@@ -503,7 +470,6 @@ impl FrameLink for DiesAfterFirstRecords {
 
 #[test]
 fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
-    let _guard = exclusive();
     // One shard holding all 24 jobs, and a 1 ms heartbeat so each line
     // ships about as soon as its job settles.
     const JOBS: u64 = 24;
@@ -587,7 +553,6 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
 
 #[test]
 fn a_rejected_submission_leaves_the_daemon_serving() {
-    let _guard = exclusive();
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 2,
         ..ServiceConfig::default()

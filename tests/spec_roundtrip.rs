@@ -10,70 +10,13 @@ use caem_suite::wsnsim::config::ConfigError;
 use caem_suite::wsnsim::experiment::ExperimentSpec;
 use caem_suite::wsnsim::persist::config_hash;
 use caem_suite::wsnsim::spec::{
-    GridQuick, GridSpec, ScenarioQuick, ScenarioSpecDoc, SeedAxis, SequentialSpec, TrafficSpec,
-    MAX_GRID_JOBS,
+    GridQuick, GridSpec, ScenarioSpecDoc, SeedAxis, SequentialSpec, MAX_GRID_JOBS,
 };
-use caem_suite::wsnsim::Topology;
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------------
-// Random valid documents for the fixed-point property.
-// ---------------------------------------------------------------------------
+mod common;
 
-fn arbitrary_topology(choice: u8, a: f64, b: u8) -> Option<Topology> {
-    match choice % 5 {
-        0 => None,
-        1 => Some(Topology::Uniform),
-        2 => Some(Topology::Grid { jitter_m: a }),
-        3 => Some(Topology::GaussianClusters {
-            clusters: 1 + (b % 6) as usize,
-            sigma_m: a,
-        }),
-        _ => Some(Topology::Corridor {
-            // Strictly inside (0, 1].
-            width_fraction: (0.05 + (a / 25.0) * 0.9).min(1.0),
-        }),
-    }
-}
-
-fn arbitrary_scenario(i: usize, knobs: (u8, f64, u8, f64, u8)) -> ScenarioSpecDoc {
-    let (topo_choice, magnitude, small, rate, flags) = knobs;
-    ScenarioSpecDoc {
-        label: format!("scenario_{i}"),
-        traffic: match flags % 3 {
-            0 => TrafficSpec::Poisson(rate),
-            1 => TrafficSpec::Cbr(rate),
-            _ => TrafficSpec::Bursty {
-                quiet_rate_pps: rate,
-                burst_rate_pps: rate * 4.0,
-                mean_quiet_s: 5.0 + magnitude,
-                mean_burst_s: 1.0 + magnitude / 10.0,
-            },
-        },
-        topology: arbitrary_topology(topo_choice, magnitude, small),
-        diurnal: (flags & 0b100 != 0).then_some((10.0 + magnitude * 20.0, 0.8)),
-        energy_spread: (flags & 0b1000 != 0).then_some(magnitude / 30.0),
-        churn_mttf_s: (flags & 0b1_0000 != 0).then_some(100.0 + magnitude * 100.0),
-        node_count: (flags & 0b10_0000 != 0).then_some(10 + small as usize),
-        duration_s: (flags & 0b100_0000 != 0).then_some(20.0 + magnitude),
-        buffer_capacity: match flags % 5 {
-            0 => Some(None), // explicitly unbounded
-            1 => Some(Some(10 + small as usize)),
-            _ => None,
-        },
-        initial_energy_j: (flags & 0b1000_0000 != 0).then_some(1.0 + magnitude),
-        quick: if small % 2 == 0 {
-            ScenarioQuick::default()
-        } else {
-            ScenarioQuick {
-                churn_mttf_s: (flags & 0b1_0000 != 0).then_some(50.0 + magnitude * 10.0),
-                diurnal: None,
-                duration_s: Some(10.0 + magnitude / 2.0),
-                node_count: Some(8 + (small % 16) as usize),
-            }
-        },
-    }
-}
+use common::arbitrary_scenario;
 
 proptest! {
     /// parse ∘ to_json is the identity on documents, and the resolved
