@@ -36,7 +36,6 @@
 //! cargo run -p caem-bench --release --bin experiment -- --target-ci 0.01    # sequential
 //! cargo run -p caem-bench --release --bin experiment -- --quick --workers 3 # distributed
 //! cargo run -p caem-bench --release --bin experiment -- --spec specs/zoo.json --quick
-//! cargo run -p caem-bench --release --bin experiment -- --quick --list-scenarios
 //! cargo run -p caem-bench --release --bin experiment -- --quick --print-spec
 //! ```
 //!
@@ -54,7 +53,7 @@ use caem_wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping, METRIC_NAMES,
 };
 use caem_wsnsim::faults::{self, FaultPlan, FaultRole};
-use caem_wsnsim::persist::{config_hash, ExperimentStore, StoreOptions};
+use caem_wsnsim::persist::{ExperimentStore, StoreOptions};
 use caem_wsnsim::serve::{
     run_socket_worker, serve_listener, Coordinator, ProcessSpawner, ServiceConfig, ServiceState,
     SocketWorkerOptions, TcpLink, WorkerExit,
@@ -95,9 +94,7 @@ modes (at most one selector; `run` is the default):
                          as a socket worker
                          (no shared filesystem; jobs and records travel over
                          length-prefixed JSON frames)
-    --protocol <n>       claim a specific protocol version in the handshake
     --expect-hash <h>    refuse to serve a grid whose grid hash differs
-  --list-scenarios       print scenario labels + config hashes; no simulation
   --print-spec           dump the canonical resolved spec as JSON; no simulation
 
 Both `--flag value` and `--flag=value` work; unknown flags exit 2.";
@@ -283,7 +280,7 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
 /// lines stream back in coalesced frames.  A handshake rejection (wrong
 /// protocol version, grid-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
-fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64>) -> ! {
+fn socket_worker_mode(addr: &str, expect_hash: Option<u64>) -> ! {
     // Inherit a coordinator's chaos schedule and profiler across `exec`.
     // A malformed plan is fatal: a chaos run silently downgrading to a
     // clean run would fake test coverage.
@@ -297,9 +294,6 @@ fn socket_worker_mode(addr: &str, protocol: Option<u64>, expect_hash: Option<u64
     });
     let mut link = TcpLink::new(stream);
     let mut opts = SocketWorkerOptions::new(format!("pid_{}", std::process::id()));
-    if let Some(version) = protocol {
-        opts.protocol = version;
-    }
     opts.expect_hash = expect_hash;
     opts.faults = plan;
     match run_socket_worker(&mut link, &opts) {
@@ -501,15 +495,10 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
 
 fn main() {
     let cli = ExperimentCli::from_env().unwrap_or_else(|e| die_usage(e.to_string()));
-    if let ExperimentMode::SocketWorker {
-        addr,
-        protocol,
-        expect_hash,
-    } = &cli.mode
-    {
+    if let ExperimentMode::SocketWorker { addr, expect_hash } = &cli.mode {
         // Socket workers receive their jobs from the daemon; no grid
         // resolution (and no filesystem) on this side either.
-        socket_worker_mode(addr, *protocol, *expect_hash);
+        socket_worker_mode(addr, *expect_hash);
     }
     // Artifacts land in the working directory.
     let (default_store, out) = if cli.quick {
@@ -524,24 +513,6 @@ fn main() {
 
     match &cli.mode {
         ExperimentMode::SocketWorker { .. } => unreachable!("handled above"),
-        ExperimentMode::ListScenarios => {
-            // Introspection: the resolved grid, no simulation, no stores.
-            println!(
-                "{} scenarios x {} policies x {} seeds = {} jobs",
-                grid.spec.scenarios.len(),
-                grid.spec.policies.len(),
-                grid.spec.seeds.len(),
-                grid.spec.job_count()
-            );
-            println!("{:<28} {:>16}", "scenario", "config_hash");
-            for scenario in &grid.spec.scenarios {
-                println!(
-                    "{:<28} {:>16x}",
-                    scenario.label,
-                    config_hash(&scenario.base)
-                );
-            }
-        }
         ExperimentMode::PrintSpec => {
             // The canonical resolved spec: what a daemon's grant ships,
             // and what CI diffs between built-in and spec-file runs.

@@ -216,7 +216,6 @@ const EXPERIMENT_FLAGS: &[FlagDef] = &[
     flag("--quick"),
     flag("--resume"),
     flag("--reaggregate"),
-    flag("--list-scenarios"),
     flag("--print-spec"),
     flag("--strict"),
     flag("--fsync"),
@@ -229,7 +228,6 @@ const EXPERIMENT_FLAGS: &[FlagDef] = &[
     option("--ci-metric"),
     option("--max-replicates"),
     option("--connect"),
-    option("--protocol"),
     option("--expect-hash"),
 ];
 
@@ -288,14 +286,10 @@ pub enum ExperimentMode {
     SocketWorker {
         /// The daemon address (`host:port`).
         addr: String,
-        /// Protocol version override (testing version-skew rejection).
-        protocol: Option<u64>,
         /// Refuse to work unless the daemon's active grid has this grid
         /// hash.
         expect_hash: Option<u64>,
     },
-    /// Print the grid's scenario labels and config hashes; simulates nothing.
-    ListScenarios,
     /// Dump the canonical resolved spec as JSON; simulates nothing.
     PrintSpec,
 }
@@ -340,10 +334,9 @@ impl ExperimentCli {
         }
 
         // Exactly one mode selector may be present.
-        let selectors: [(&'static str, bool); 4] = [
+        let selectors: [(&'static str, bool); 3] = [
             ("--reaggregate", parsed.has("--reaggregate")),
             ("--connect", parsed.has("--connect")),
-            ("--list-scenarios", parsed.has("--list-scenarios")),
             ("--print-spec", parsed.has("--print-spec")),
         ];
         let mut selected: Option<&'static str> = None;
@@ -388,7 +381,6 @@ impl ExperimentCli {
                 )?;
                 ExperimentMode::SocketWorker {
                     addr,
-                    protocol: parsed.parsed("--protocol", "an unsigned integer version")?,
                     expect_hash: parsed.parsed("--expect-hash", "an unsigned integer hash")?,
                 }
             }
@@ -406,7 +398,6 @@ impl ExperimentCli {
                         "--fsync",
                         "--chaos",
                         "--profile",
-                        "--protocol",
                         "--expect-hash",
                     ],
                 )?;
@@ -414,15 +405,10 @@ impl ExperimentCli {
                     store: parsed.value("--store").map(str::to_string),
                 }
             }
-            Some(introspect @ ("--list-scenarios" | "--print-spec")) => {
-                let mode_name = if introspect == "--list-scenarios" {
-                    "list-scenarios"
-                } else {
-                    "print-spec"
-                };
+            Some("--print-spec") => {
                 reject_all(
                     &parsed,
-                    mode_name,
+                    "print-spec",
                     &[
                         "--resume",
                         "--store",
@@ -434,19 +420,14 @@ impl ExperimentCli {
                         "--fsync",
                         "--chaos",
                         "--profile",
-                        "--protocol",
                         "--expect-hash",
                     ],
                 )?;
-                if introspect == "--list-scenarios" {
-                    ExperimentMode::ListScenarios
-                } else {
-                    ExperimentMode::PrintSpec
-                }
+                ExperimentMode::PrintSpec
             }
             _ => {
                 // The socket-worker vocabulary means nothing to a run.
-                reject_all(&parsed, "run", &["--protocol", "--expect-hash"])?;
+                reject_all(&parsed, "run", &["--expect-hash"])?;
                 let sequential = match parsed.parsed::<f64>("--target-ci", "a number")? {
                     Some(target_half_width) => Some(SequentialArgs {
                         target_half_width,
@@ -971,10 +952,10 @@ mod tests {
             })
         );
         assert_eq!(
-            parse(&["--list-scenarios", "--profile"]),
+            parse(&["--print-spec", "--profile"]),
             Err(CliError::NotInMode {
                 flag: "--profile",
-                mode: "list-scenarios"
+                mode: "print-spec"
             })
         );
     }
@@ -1193,10 +1174,10 @@ mod tests {
             })
         );
         assert_eq!(
-            parse(&["--list-scenarios", "--fsync"]),
+            parse(&["--print-spec", "--fsync"]),
             Err(CliError::NotInMode {
                 flag: "--fsync",
-                mode: "list-scenarios"
+                mode: "print-spec"
             })
         );
     }
@@ -1218,21 +1199,14 @@ mod tests {
             cli.mode,
             ExperimentMode::SocketWorker {
                 addr: "127.0.0.1:7171".to_string(),
-                protocol: None,
                 expect_hash: None,
             }
         );
-        let cli = parse(&[
-            "--connect=127.0.0.1:7171",
-            "--protocol=99",
-            "--expect-hash=42",
-        ])
-        .unwrap();
+        let cli = parse(&["--connect=127.0.0.1:7171", "--expect-hash=42"]).unwrap();
         assert_eq!(
             cli.mode,
             ExperimentMode::SocketWorker {
                 addr: "127.0.0.1:7171".to_string(),
-                protocol: Some(99),
                 expect_hash: Some(42),
             }
         );
@@ -1249,12 +1223,20 @@ mod tests {
         );
         // The socket vocabulary is meaningless to the file-based modes.
         assert_eq!(
-            parse(&["--protocol", "1"]),
+            parse(&["--expect-hash", "1"]),
             Err(CliError::NotInMode {
-                flag: "--protocol",
+                flag: "--expect-hash",
                 mode: "run"
             })
         );
+        // Retired flags are unknown: version skew is tested in-process, and
+        // --print-spec is the one way to list a grid's scenarios.
+        for retired in ["--protocol", "--list-scenarios"] {
+            assert_eq!(
+                parse(&[retired, "1"]),
+                Err(CliError::UnknownFlag(retired.to_string()))
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!    consults it: the store's appends (through
 //!    [`crate::persist::StoreOptions`]) tear and fail with
 //!    `EINTR`/`ENOSPC`-class transient errors; loopback links (through
-//!    [`crate::serve::LoopbackSpawner`]) drop, duplicate, delay and
-//!    truncate frames; socket workers (through
+//!    [`crate::serve::LoopbackSpawner`]) delay frames, widening race
+//!    windows without ever losing, repeating or cutting one (the service's
+//!    links are reliable, so no fault models a lossy network); socket
+//!    workers (through
 //!    [`crate::serve::SocketWorkerOptions`]) exit at their K-th settled job
 //!    and panic on a deterministic subset of jobs (poison) — all
 //!    deterministically per seed.
@@ -166,7 +168,11 @@ pub enum RunEvent {
     FaultInjected,
     /// The service daemon evicted a silent worker whose lease TTL expired.
     WorkerEvicted,
-    /// A protocol frame was dropped, truncated or rejected and re-sent.
+    /// A protocol frame was re-sent.  Nothing raises it any more: TCP and
+    /// loopback links deliver every frame exactly once and in order, so
+    /// requests are sent once.  It stays in the counter set because
+    /// existing readers of the retry counters (perfbench's retry sum)
+    /// name it; it always reads 0.
     FrameRetried,
 }
 
@@ -263,12 +269,10 @@ pub fn event_summary() -> Option<String> {
 pub enum FaultKind {
     /// Socket workers exit abruptly after settling their K-th job.
     Kill,
-    /// Store appends occasionally write half the line, then fail transient;
-    /// loopback frames are occasionally truncated.
+    /// Store appends occasionally write half the line, then fail transient.
     Torn,
     /// Store appends occasionally fail with `EINTR`/`ENOSPC`-class transient
-    /// errors without writing anything; loopback frames are occasionally
-    /// dropped or duplicated.
+    /// errors without writing anything.
     Transient,
     /// Loopback frame delivery is occasionally stalled by a few
     /// milliseconds, widening race windows.
@@ -456,7 +460,7 @@ impl FaultPlan {
     }
 
     /// Faults this plan has injected so far (store appends and loopback
-    /// frames).  Unlike the process-wide [`RunEvent::FaultInjected`]
+    /// frame delays).  Unlike the process-wide [`RunEvent::FaultInjected`]
     /// counter, no other plan in the process can move it.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
@@ -533,33 +537,17 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Frame-level fault decision for the in-memory loopback transport:
-    /// the N-th frame sent through a faulted link is dropped, duplicated,
-    /// delayed or truncated deterministically per seed.  Reuses the chaos
-    /// vocabulary: `torn` truncates frames (the decoder must reject them
-    /// with a typed error), `transient` drops or duplicates them (the
-    /// sender's retention/resend and the merge's dedupe must absorb both),
-    /// and `delay` stalls delivery, widening race windows.
-    ///
-    /// The TCP transport never consults this: truncating a length-prefixed
-    /// byte stream would desynchronise every later frame, turning one
-    /// injected fault into an unrecoverable connection error.
-    pub(crate) fn frame_fault(&self) -> Option<FrameFault> {
-        let fault = if self.has(FaultKind::Torn) && self.draw().is_multiple_of(7) {
-            FrameFault::Truncate
-        } else if self.has(FaultKind::Transient) && self.draw().is_multiple_of(6) {
-            if self.draw().is_multiple_of(2) {
-                FrameFault::Drop
-            } else {
-                FrameFault::Duplicate
-            }
-        } else if self.has(FaultKind::Delay) && self.draw().is_multiple_of(5) {
-            FrameFault::Delay(StdDuration::from_millis(1 + self.draw() % 5))
-        } else {
+    /// The loopback-link seam, called as a frame is sent: under a `delay`
+    /// plan, the N-th frame is occasionally stalled by 1–5 ms,
+    /// deterministically per seed.  That is the only frame fault: the
+    /// service's links never lose, repeat or cut a frame, so neither does
+    /// a faulted loopback link.  The TCP transport never consults it.
+    pub(crate) fn frame_delay(&self) -> Option<StdDuration> {
+        if !(self.has(FaultKind::Delay) && self.draw().is_multiple_of(5)) {
             return None;
-        };
+        }
         self.note_injected();
-        Some(fault)
+        Some(StdDuration::from_millis(1 + self.draw() % 5))
     }
 
     /// Whether the plan poisons the job at `key`: a deterministic ~1/16
@@ -590,21 +578,6 @@ impl FaultPlan {
             );
         }
     }
-}
-
-/// An injected frame-level fault on the loopback worker transport (see
-/// [`FaultPlan::frame_fault`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameFault {
-    /// The frame is silently lost; the sender must retain and resend.
-    Drop,
-    /// The frame is delivered twice; the receiver's merge must dedupe.
-    Duplicate,
-    /// Delivery is stalled by the given duration.
-    Delay(StdDuration),
-    /// The frame arrives with its tail cut off; decoding must fail with a
-    /// typed error, never a panic.
-    Truncate,
 }
 
 #[cfg(test)]

@@ -18,13 +18,6 @@ pub struct NodeSummary {
     pub remaining_energy_j: f64,
     /// Time of death, if the node depleted its battery.
     pub death_time: Option<SimTime>,
-    /// Packets this node generated.
-    pub generated: u64,
-    /// Packets of this node delivered to a sink (including self-delivery
-    /// while serving as head).
-    pub delivered: u64,
-    /// Packets dropped at this node's buffer.
-    pub dropped: u64,
     /// Times this node served as cluster head.
     pub head_terms: u64,
 }
@@ -144,18 +137,12 @@ mod tests {
                     id: 0,
                     remaining_energy_j: 5.0,
                     death_time: None,
-                    generated: 25,
-                    delivered: 20,
-                    dropped: 0,
                     head_terms: 1,
                 },
                 NodeSummary {
                     id: 1,
                     remaining_energy_j: 0.0,
                     death_time: Some(SimTime::from_secs(80)),
-                    generated: 25,
-                    delivered: 20,
-                    dropped: 2,
                     head_terms: 2,
                 },
             ],

@@ -7,7 +7,8 @@
 //! shard is leased to one connection, heartbeats refresh the lease, a
 //! lease whose heartbeat is older than the TTL is evicted at the next
 //! claim (noting [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]),
-//! and a connection that drops releases its leases immediately (noting
+//! and a connection that drops — or sends a frame that does not decode,
+//! which closes it — releases its leases immediately (noting
 //! [`RunEvent::WorkerAbnormalExit`]).  A line settles its job only if it
 //! matches the job's key, config hash and scenario label; any other line
 //! is counted as [`RunEvent::ForeignRecordIgnored`] and the job stays open.
@@ -107,9 +108,6 @@ struct ActiveGrid {
     settled: HashSet<JobKey>,
     shard_done: Vec<bool>,
     leases: HashMap<usize, Lease>,
-    /// Decoded-line count per (connection, shard) — the receiver side of
-    /// the [`Message::ShardDone`] reconciliation.
-    received: HashMap<(u64, usize), u64>,
 }
 
 impl ActiveGrid {
@@ -298,11 +296,8 @@ impl ServiceState {
                 Reply::None
             }
             Message::ShardDone {
-                seq,
-                grid,
-                shard,
-                sent,
-            } => Reply::Send(self.shard_done(conn, seq, grid, shard as usize, sent)),
+                seq, grid, shard, ..
+            } => Reply::Send(self.shard_done(seq, grid, shard as usize)),
             Message::Release { seq, grid, shard } => {
                 if let Some(active) = self.queue.front_mut() {
                     if active.grid_hash == grid {
@@ -337,7 +332,7 @@ impl ServiceState {
                 })
             }
             // Responses have no business arriving at the daemon; a stray
-            // one (reordered loopback frame) is dropped.
+            // one is ignored.
             _ => Reply::None,
         }
     }
@@ -406,7 +401,6 @@ impl ServiceState {
             settled: HashSet::new(),
             shard_done: vec![false; shard_count],
             leases: HashMap::new(),
-            received: HashMap::new(),
         };
         if let Some(store) = &self.journal {
             for &(key, config_hash) in &grid.jobs {
@@ -507,12 +501,10 @@ impl ServiceState {
                 lease.last_beat = Instant::now();
             }
         }
-        let mut decoded = 0u64;
         for line in lines {
             // Only a line that settles its job reaches the journal.
             let appended = match decode_line(&line) {
                 Ok(DecodedLine::Record(record)) => {
-                    decoded += 1;
                     if !grid.settle(record.key(), record.config_hash, &record.scenario) {
                         continue;
                     }
@@ -521,7 +513,6 @@ impl ServiceState {
                     appended
                 }
                 Ok(DecodedLine::Failure(failure)) => {
-                    decoded += 1;
                     if !grid.settle(failure.key(), failure.config_hash, &failure.scenario) {
                         continue;
                     }
@@ -543,30 +534,19 @@ impl ServiceState {
                 self.journal_error.get_or_insert(e);
             }
         }
-        *grid.received.entry((conn, shard)).or_insert(0) += decoded;
     }
 
-    fn shard_done(
-        &mut self,
-        conn: u64,
-        seq: u64,
-        grid_hash: u64,
-        shard: usize,
-        sent: u64,
-    ) -> Message {
+    /// Mark `shard` done.  The shard's lines arrived on this connection
+    /// before this frame and are absorbed already; a job none of them
+    /// settled reopens the shard in [`Self::try_finish_active`].
+    fn shard_done(&mut self, seq: u64, grid_hash: u64, shard: usize) -> Message {
         let Some(grid) = self.queue.front_mut() else {
-            // The grid already finalized (a duplicated late frame).
+            // The grid already finalized: a shard re-run after its first
+            // worker's lease was stolen finished too late to matter.
             return Message::DoneAck { seq };
         };
         if grid.grid_hash != grid_hash {
             return Message::DoneAck { seq };
-        }
-        let received = grid.received.get(&(conn, shard)).copied().unwrap_or(0);
-        if received < sent {
-            // Records frames were lost in flight: ask the worker to resend
-            // its retained lines before the shard can complete.
-            faults::note_event(RunEvent::FrameRetried);
-            return Message::DoneNack { seq, received };
         }
         if shard < grid.shard_done.len() {
             grid.shard_done[shard] = true;
@@ -634,14 +614,12 @@ impl ServiceState {
     }
 }
 
-/// Serve one peer until it hangs up.  Runs the request/response loop with
-/// at-most-once semantics: a retransmitted request (same non-zero `seq`)
-/// gets the cached response bytes instead of being re-executed, and a
-/// malformed frame is skipped (the sender retransmits on timeout) — both
-/// noted as [`RunEvent::FrameRetried`].
+/// Serve one peer until it hangs up, answering each request once, in
+/// order.  A frame that does not decode closes the connection: the link
+/// never corrupts a frame, so the peer is broken, and its leases are freed
+/// exactly as if it had hung up.
 pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState>>) {
     let conn = state.lock().expect("service lock").allocate_conn();
-    let mut cache: Option<(u64, Vec<u8>)> = None;
     loop {
         let frame = match link.recv(Some(RECV_TICK)) {
             Ok(Some(frame)) => frame,
@@ -649,34 +627,14 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
             Ok(None) => continue,
             Err(_) => break,
         };
-        let msg = match Message::decode(&frame) {
-            Ok(msg) => msg,
-            Err(_) => {
-                faults::note_event(RunEvent::FrameRetried);
-                continue;
-            }
+        let Ok(msg) = Message::decode(&frame) else {
+            break;
         };
-        let seq = msg.seq();
-        if seq != 0 {
-            if let Some((cached_seq, bytes)) = &cache {
-                if *cached_seq == seq {
-                    faults::note_event(RunEvent::FrameRetried);
-                    if link.send(bytes).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-            }
-        }
         let reply = state.lock().expect("service lock").handle(conn, msg);
         match reply {
             Reply::None => {}
             Reply::Send(response) => {
-                let bytes = response.encode();
-                if seq != 0 {
-                    cache = Some((seq, bytes.clone()));
-                }
-                if link.send(&bytes).is_err() {
+                if link.send(&response.encode()).is_err() {
                     break;
                 }
             }
@@ -746,16 +704,13 @@ mod tests {
 
     fn rpc(link: &mut LoopbackLink, msg: &Message) -> Message {
         link.send(&msg.encode()).expect("send");
-        loop {
-            let frame = link
-                .recv(Some(StdDuration::from_secs(10)))
-                .expect("recv")
-                .expect("response before timeout");
-            let reply = Message::decode(&frame).expect("well-formed response");
-            if reply.seq() == msg.seq() {
-                return reply;
-            }
-        }
+        let frame = link
+            .recv(Some(StdDuration::from_secs(10)))
+            .expect("recv")
+            .expect("response before timeout");
+        let reply = Message::decode(&frame).expect("well-formed response");
+        assert_eq!(reply.seq(), msg.seq(), "the next frame is the response");
+        reply
     }
 
     /// The granted (grid, shard, keys), or `None` on `no_work`.

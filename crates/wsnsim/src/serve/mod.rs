@@ -7,9 +7,13 @@
 //! grid hash), claims a shard and receives the grid's resolved
 //! [`ExperimentSpec`](crate::experiment::ExperimentSpec) plus the keys of
 //! the shard's pending jobs, heartbeats while running,
-//! streams record lines back as jobs settle, and reconciles completion by
-//! count so lost frames are detected and resent.  No shared filesystem is
-//! involved.  Reports are finalized daemon-side through the canonical
+//! streams record lines back as jobs settle, and declares the shard done.
+//! No shared filesystem is involved.  Both transports deliver every frame
+//! exactly once and in order, and a peer fails by stopping (crash-stop),
+//! so there is no retransmission: a request is sent once, and the one
+//! recovery check is end to end — a dead or silent worker's leases are
+//! re-granted, and a shard declared done while some of its jobs are still
+//! unsettled is reopened.  Reports are finalized daemon-side through the canonical
 //! [`ExperimentReport::from_records`](crate::experiment::ExperimentReport::from_records)
 //! pipeline, so a fetched report is **byte-identical** to a single-process
 //! [`ExperimentSpec::run`](crate::experiment::ExperimentSpec::run) of the
@@ -26,10 +30,8 @@
 //! `127.0.0.1:0` listener with its experiment store attached, and spawns N
 //! `--connect` worker processes.  The loopback transport carries the
 //! *same* frames as TCP but over channels, and is the only place the chaos
-//! plan's frame faults (drop, duplicate, delay, truncate) are injected —
-//! the protocol's recovery machinery is exercised deterministically
-//! in-process, while CI exercises the real sockets with mid-grid
-//! `kill -9`s.
+//! plan's frame delays are injected, widening race windows in-process,
+//! while CI exercises the real sockets with mid-grid `kill -9`s.
 //!
 //! A job that panics on both of its two attempts is quarantined by its
 //! worker as a [`JobFailure`](crate::persist::JobFailure) instead of

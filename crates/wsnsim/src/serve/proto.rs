@@ -6,9 +6,9 @@
 //! field (the vendored serde derive has no `#[serde(tag)]`, so the
 //! discriminator is explicit, exactly like the store's `caem_job_failure`
 //! marker) and a `"seq"` field.  Requests carry a fresh sequence number and
-//! their response echoes it; a retransmitted request reuses its number, so
-//! duplicated or reordered frames are detected by comparing `seq` instead
-//! of trusting transport ordering.  Fire-and-forget messages ([`Records`],
+//! their response echoes it, so a reply to the wrong request is caught
+//! rather than acted on.  Links deliver every frame once and in order, so
+//! a request is never re-sent.  Fire-and-forget messages ([`Records`],
 //! [`Heartbeat`]) carry `seq = 0`.
 //!
 //! Everything here is total: torn frames, oversized lengths, malformed
@@ -25,9 +25,8 @@ use crate::persist::JobKey;
 
 /// Protocol version spoken by this build.  A daemon rejects a worker whose
 /// hello names any other version (exit 2 at the worker binary boundary).
-/// Version 2 grants carry the grid's resolved spec plus job keys instead
-/// of fully resolved jobs.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// Version 3 drops `done_nack`: a `shard_done` is acknowledged directly.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Upper bound on a frame's payload length.  A length prefix beyond this is
 /// treated as garbage (a desynchronized or hostile peer), not an allocation
@@ -58,7 +57,8 @@ pub enum ProtoError {
     Malformed(String),
     /// The peer rejected this endpoint (handshake refused).
     Rejected(String),
-    /// A request was retransmitted past its retry budget with no response.
+    /// A request got no response in time (or, for a report fetch, no
+    /// completed report was ready in time).
     NoResponse(&'static str),
     /// A grant's spec does not hash to the grid the grant names; the
     /// worker refuses it before running anything.
@@ -87,7 +87,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Malformed(m) => write!(f, "malformed frame: {m}"),
             ProtoError::Rejected(reason) => write!(f, "rejected by peer: {reason}"),
             ProtoError::NoResponse(what) => {
-                write!(f, "no response to {what} within the retry budget")
+                write!(f, "no response to {what} in time")
             }
             ProtoError::GridMismatch { grid, spec } => write!(
                 f,
@@ -233,9 +233,8 @@ pub enum Message {
         retry_ms: u64,
     },
     /// A batch of completed-job JSONL lines (at most ~64 KiB, coalesced by
-    /// the worker).
-    /// Fire-and-forget: losses are reconciled by the [`Message::ShardDone`]
-    /// line count.
+    /// the worker).  Fire-and-forget: the link delivers it before the
+    /// connection's later [`Message::ShardDone`].
     Records {
         /// Hash of the grid the lines belong to.
         grid: u64,
@@ -259,22 +258,15 @@ pub enum Message {
         grid: u64,
         /// The completed shard.
         shard: u64,
-        /// Lines this worker sent for the shard (the reconciliation count).
+        /// Lines this worker sent for the shard.  Informational: the
+        /// daemon no longer acts on it, since the lines arrived before this
+        /// frame, and it settles jobs by key, not by count.
         sent: u64,
     },
-    /// Shard completion acknowledged; the worker may drop its retained
-    /// lines.
+    /// Shard completion acknowledged.
     DoneAck {
         /// Echoed request sequence number.
         seq: u64,
-    },
-    /// The daemon received fewer lines than the worker sent (dropped
-    /// frames); the worker must resend its retained lines.
-    DoneNack {
-        /// Echoed request sequence number.
-        seq: u64,
-        /// Lines the daemon actually decoded for the shard.
-        received: u64,
     },
     /// Graceful-shutdown release of an unfinished shard: the daemon
     /// re-grants it to the next claimer immediately, no TTL wait.
@@ -386,7 +378,6 @@ impl Message {
             Message::Heartbeat { .. } => "heartbeat",
             Message::ShardDone { .. } => "shard_done",
             Message::DoneAck { .. } => "done_ack",
-            Message::DoneNack { .. } => "done_nack",
             Message::Release { .. } => "release",
             Message::ReleaseAck { .. } => "release_ack",
             Message::Submit { .. } => "submit",
@@ -410,7 +401,6 @@ impl Message {
             | Message::NoWork { seq, .. }
             | Message::ShardDone { seq, .. }
             | Message::DoneAck { seq }
-            | Message::DoneNack { seq, .. }
             | Message::Release { seq, .. }
             | Message::ReleaseAck { seq }
             | Message::Submit { seq, .. }
@@ -511,9 +501,6 @@ impl Message {
                 entries.push(("grid", Value::UInt(*grid)));
                 entries.push(("shard", Value::UInt(*shard)));
                 entries.push(("sent", Value::UInt(*sent)));
-            }
-            Message::DoneNack { received, .. } => {
-                entries.push(("received", Value::UInt(*received)));
             }
             Message::Release { grid, shard, .. } => {
                 entries.push(("grid", Value::UInt(*grid)));
@@ -650,10 +637,6 @@ impl Message {
                 sent: uint_field(&value, "sent")?,
             },
             "done_ack" => Message::DoneAck { seq },
-            "done_nack" => Message::DoneNack {
-                seq,
-                received: uint_field(&value, "received")?,
-            },
             "release" => Message::Release {
                 seq,
                 grid: uint_field(&value, "grid")?,

@@ -166,7 +166,7 @@ impl LoopbackSpawner {
     }
 
     /// [`LoopbackSpawner::new`] under `faults`: both ends of every link it
-    /// opens inject the plan's frame faults, and every worker it spawns
+    /// opens delay frames as the plan says, and every worker it spawns
     /// runs its jobs under the plan (poison).
     pub fn with_faults(state: Arc<Mutex<ServiceState>>, faults: Option<Arc<FaultPlan>>) -> Self {
         LoopbackSpawner {

@@ -2,15 +2,17 @@
 //! in-memory loopback link for deterministic tests.
 //!
 //! Both implement [`FrameLink`] — send/receive whole frames with an
-//! optional receive timeout.  The TCP link reads incrementally into an
-//! internal buffer (never `read_exact`) and pops frames off it with
-//! [`decode_frame`], so a timeout that fires mid-frame keeps the partial
-//! bytes and stays byte-synchronized; EOF inside a frame is a typed
-//! [`ProtoError::Torn`].  The loopback link carries discrete
-//! frames over channels and is the only place frame faults are injected,
-//! by a link built under a [`FaultPlan`]: dropping, duplicating, delaying
-//! or truncating frames there exercises the protocol's recovery paths
-//! without desynchronizing a real byte stream.
+//! optional receive timeout — and both are reliable: every frame sent
+//! arrives exactly once, in order, until the link closes.  The TCP link
+//! reads incrementally into an internal buffer (never `read_exact`) and
+//! pops frames off it with [`decode_frame`], so a timeout that fires
+//! mid-frame keeps the partial bytes and stays byte-synchronized; EOF
+//! inside a frame is a typed [`ProtoError::Torn`].  The loopback link
+//! carries discrete frames over channels; one built under a [`FaultPlan`]
+//! delays some of them, widening race windows, and never loses, repeats or
+//! cuts one.  The protocol therefore needs no retransmission: a request is
+//! sent once, and a peer that dies is handled end to end, by
+//! re-granting its leases.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,7 +20,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::faults::{self, FaultPlan, FrameFault, RunEvent};
+use crate::faults::FaultPlan;
 
 use super::proto::{decode_frame, encode_frame, ProtoError};
 
@@ -84,10 +86,8 @@ impl FrameLink for TcpLink {
 /// In-memory [`FrameLink`]: crossed channels of discrete frames.  A link
 /// built under a [`FaultPlan`] (how a
 /// [`LoopbackSpawner`](super::LoopbackSpawner) given one wires its
-/// workers) consults that plan on every send and may drop, duplicate,
-/// delay or truncate the frame — the deterministic stand-in for a lossy
-/// network.  A link without a plan, such as [`loopback_pair`]'s, delivers
-/// every frame intact.
+/// workers) consults that plan on every send and may delay the frame by a
+/// few milliseconds.  Every frame is delivered intact, in order.
 pub struct LoopbackLink {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
@@ -96,22 +96,12 @@ pub struct LoopbackLink {
 
 impl FrameLink for LoopbackLink {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
-        let frame = match self.faults.as_ref().and_then(|plan| plan.frame_fault()) {
-            None => payload,
-            Some(FrameFault::Drop) => return Ok(()),
-            Some(FrameFault::Duplicate) => {
-                self.tx
-                    .send(payload.to_vec())
-                    .map_err(|_| ProtoError::Closed)?;
-                payload
-            }
-            Some(FrameFault::Delay(d)) => {
-                std::thread::sleep(d);
-                payload
-            }
-            Some(FrameFault::Truncate) => &payload[..payload.len() / 2],
-        };
-        self.tx.send(frame.to_vec()).map_err(|_| ProtoError::Closed)
+        if let Some(delay) = self.faults.as_ref().and_then(|plan| plan.frame_delay()) {
+            std::thread::sleep(delay);
+        }
+        self.tx
+            .send(payload.to_vec())
+            .map_err(|_| ProtoError::Closed)
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
@@ -149,50 +139,33 @@ pub(super) fn faulted_pair(faults: Option<Arc<FaultPlan>>) -> (LoopbackLink, Loo
     )
 }
 
-/// How long a requester waits for its response before retransmitting.
-const REQUEST_TIMEOUT: Duration = Duration::from_millis(400);
+/// How long a requester waits for its response.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Retransmissions before a request is declared unanswerable.
-const REQUEST_ATTEMPTS: usize = 25;
-
-/// Send a request and wait for the response echoing its sequence number.
+/// Send a request once and wait up to [`REQUEST_TIMEOUT`] for its response.
 ///
-/// This is the sender half of the protocol's at-most-once discipline: on
-/// timeout the *same* frame (same `seq`) is retransmitted — the receiver's
-/// response cache makes re-execution impossible — and responses carrying a
-/// stale sequence number or an undecodable payload are discarded while the
-/// wait continues.  Every retransmission and discarded frame is noted as
-/// [`RunEvent::FrameRetried`].
+/// The link is reliable and the peer answers requests in order, so the
+/// next frame is the response: one that does not echo the request's
+/// sequence number is [`ProtoError::Malformed`], like an undecodable one,
+/// and silence past the timeout is [`ProtoError::NoResponse`].
 pub(crate) fn request(
     link: &mut dyn FrameLink,
     msg: &super::proto::Message,
     what: &'static str,
 ) -> Result<super::proto::Message, ProtoError> {
     use super::proto::Message;
-    use std::time::Instant;
-    let bytes = msg.encode();
-    let seq = msg.seq();
-    for attempt in 0..REQUEST_ATTEMPTS {
-        if attempt > 0 {
-            faults::note_event(RunEvent::FrameRetried);
-        }
-        link.send(&bytes)?;
-        let deadline = Instant::now() + REQUEST_TIMEOUT;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match link.recv(Some(left))? {
-                None => break,
-                Some(frame) => match Message::decode(&frame) {
-                    Ok(response) if response.seq() == seq => return Ok(response),
-                    Ok(_) | Err(_) => {
-                        faults::note_event(RunEvent::FrameRetried);
-                    }
-                },
-            }
-        }
+    link.send(&msg.encode())?;
+    let frame = link
+        .recv(Some(REQUEST_TIMEOUT))?
+        .ok_or(ProtoError::NoResponse(what))?;
+    let response = Message::decode(&frame)?;
+    if response.seq() != msg.seq() {
+        return Err(ProtoError::Malformed(format!(
+            "{} with seq {} in response to {what} seq {}",
+            response.kind(),
+            response.seq(),
+            msg.seq()
+        )));
     }
-    Err(ProtoError::NoResponse(what))
+    Ok(response)
 }

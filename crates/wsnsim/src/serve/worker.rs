@@ -1,5 +1,5 @@
 //! The socket-transport worker loop: handshake, claim, run, stream,
-//! reconcile.
+//! settle.
 //!
 //! A socket worker needs no shared filesystem: each grant carries the
 //! grid's resolved spec and the keys of the shard's pending jobs.  The
@@ -10,10 +10,10 @@
 //! each job's store line back as the job settles, in [`Message::Records`]
 //! batches that wait at most one heartbeat interval (and never grow past
 //! 64 KiB).  When no line is due, the connection
-//! thread keeps the lease alive with [`Message::Heartbeat`] frames.  Shard
-//! completion is reconciled by count: if the daemon decoded fewer lines
-//! than the worker sent (frames lost to faults), the worker resends every
-//! retained line and asks again.
+//! thread keeps the lease alive with [`Message::Heartbeat`] frames.  The
+//! link delivers every frame in order, so once the lines are shipped a
+//! [`Message::ShardDone`] settles the shard and the worker keeps no copy
+//! of them; a job whose line never settles it is re-granted by the daemon.
 //!
 //! **Graceful shutdown**: once the worker's stop flag is raised, unstarted
 //! jobs are skipped, buffered lines are flushed, the unfinished shard is
@@ -37,11 +37,8 @@ use super::transport::{request, FrameLink};
 
 /// Ship a [`Message::Records`] frame once its batched lines reach this many
 /// bytes: large enough to amortize framing under a burst of short jobs,
-/// small enough that a frame lost to a fault costs little to resend.
+/// small enough to keep frames far below the frame cap.
 const GATHER_BYTES: usize = 64 * 1024;
-
-/// Cap on ShardDone→DoneNack resend rounds before giving up on a link.
-const MAX_DONE_ROUNDS: usize = 10;
 
 /// Longest a settled job's line waits in the worker before it is shipped
 /// (shorter when the heartbeat interval is): what a killed worker can lose.
@@ -105,8 +102,8 @@ pub enum WorkerExit {
 
 /// What one granted shard's execution produced.
 struct ShardRun {
-    /// Every encoded line, retained for DoneNack resends.
-    lines: Vec<String>,
+    /// Lines shipped to the daemon.
+    sent: u64,
     records: usize,
     quarantined: usize,
     /// All granted jobs settled (false when a stop skipped some).
@@ -189,8 +186,21 @@ pub fn run_socket_worker(
         outcome.jobs_run += run.records;
         outcome.jobs_quarantined += run.quarantined;
         if run.complete {
-            match settle_shard(link, &mut seq, grid, shard, &run) {
-                Ok(()) => outcome.shards_completed += 1,
+            seq += 1;
+            let done = Message::ShardDone {
+                seq,
+                grid,
+                shard,
+                sent: run.sent,
+            };
+            match request(link, &done, "shard_done") {
+                Ok(Message::DoneAck { .. }) => outcome.shards_completed += 1,
+                Ok(other) => {
+                    return Err(ProtoError::Malformed(format!(
+                        "unexpected {} in response to shard_done",
+                        other.kind()
+                    )))
+                }
                 Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
                 Err(e) => return Err(e),
             }
@@ -285,7 +295,7 @@ fn run_shard(
     let stop = opts.stop.clone();
     let faults = opts.faults.as_deref();
     let linger = LINGER.min(heartbeat);
-    let mut lines: Vec<String> = Vec::new();
+    let mut sent = 0u64;
     let mut link_error: Option<ProtoError> = None;
     let settled = std::thread::scope(|scope| {
         let runner = scope.spawn(move || {
@@ -336,7 +346,7 @@ fn run_shard(
                         oldest = Instant::now();
                     }
                     batch_bytes += line.len();
-                    lines.push(line.clone());
+                    sent += 1;
                     batch.push(line);
                     if batch_bytes < GATHER_BYTES && oldest.elapsed() < linger {
                         continue;
@@ -347,8 +357,9 @@ fn run_shard(
                     Message::Heartbeat { grid, shard }
                 }
                 Err(RecvTimeoutError::Timeout) => records(grid, shard, &mut batch),
+                Err(RecvTimeoutError::Disconnected) if batch.is_empty() => break,
                 Err(RecvTimeoutError::Disconnected) => {
-                    if let Err(e) = flush_batch(link, grid, shard, &mut batch) {
+                    if let Err(e) = link.send(&records(grid, shard, &mut batch).encode()) {
                         link_error = Some(e);
                     }
                     break;
@@ -368,7 +379,7 @@ fn run_shard(
         return Err(e);
     }
     Ok(ShardRun {
-        lines,
+        sent,
         records: settled.iter().filter(|s| **s == Some(true)).count(),
         quarantined: settled.iter().filter(|s| **s == Some(false)).count(),
         complete: settled.iter().all(Option::is_some),
@@ -382,60 +393,4 @@ fn records(grid: u64, shard: u64, batch: &mut Vec<String>) -> Message {
         shard,
         lines: std::mem::take(batch),
     }
-}
-
-/// Send one coalesced Records frame (no-op on an empty batch).
-fn flush_batch(
-    link: &mut dyn FrameLink,
-    grid: u64,
-    shard: u64,
-    batch: &mut Vec<String>,
-) -> Result<(), ProtoError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    link.send(&records(grid, shard, batch).encode())
-}
-
-/// Reconcile shard completion: declare the sent-line count, and on a
-/// [`Message::DoneNack`] resend every retained line before asking again.
-fn settle_shard(
-    link: &mut dyn FrameLink,
-    seq: &mut u64,
-    grid: u64,
-    shard: u64,
-    run: &ShardRun,
-) -> Result<(), ProtoError> {
-    for _ in 0..MAX_DONE_ROUNDS {
-        *seq += 1;
-        let done = Message::ShardDone {
-            seq: *seq,
-            grid,
-            shard,
-            sent: run.lines.len() as u64,
-        };
-        match request(link, &done, "shard_done")? {
-            Message::DoneAck { .. } => return Ok(()),
-            Message::DoneNack { .. } => {
-                let mut batch: Vec<String> = Vec::new();
-                let mut batch_bytes = 0usize;
-                for line in &run.lines {
-                    batch_bytes += line.len();
-                    batch.push(line.clone());
-                    if batch_bytes >= GATHER_BYTES {
-                        flush_batch(link, grid, shard, &mut batch)?;
-                        batch_bytes = 0;
-                    }
-                }
-                flush_batch(link, grid, shard, &mut batch)?;
-            }
-            other => {
-                return Err(ProtoError::Malformed(format!(
-                    "unexpected {} in response to shard_done",
-                    other.kind()
-                )))
-            }
-        }
-    }
-    Err(ProtoError::NoResponse("shard_done"))
 }

@@ -3,9 +3,8 @@
 //! [`NodeTable`] replaces the former `Vec<SensorNode>` (one heavyweight
 //! struct per node) with parallel columns split by access pattern:
 //!
-//! * **Hot columns** — liveness, head flag, cluster index, queue length,
-//!   remaining energy and the per-node packet counters — are what the event
-//!   loop and the per-round snapshots touch for *every* node.  Packed
+//! * **Hot columns** — liveness, head flag, cluster index, queue length
+//!   and remaining energy — are what the event loop and the per-round snapshots touch for *every* node.  Packed
 //!   contiguously they stream through cache, and the metric trackers
 //!   consume them as plain slices with no per-round copies into scratch
 //!   buffers.
@@ -50,15 +49,12 @@ const NO_CLUSTER: u32 = u32::MAX;
 
 /// Inline bytes per node of every column: the `size_of` of its element.
 /// Scenario-wide parameters live once in [`NodeParams`] and are not counted.
-const INLINE_COLUMN_BYTES: [(&str, usize); 15] = [
+const INLINE_COLUMN_BYTES: [(&str, usize); 12] = [
     ("alive", size_of::<bool>()),
     ("is_head", size_of::<bool>()),
     ("cluster", size_of::<u32>()),
     ("queue_len", size_of::<u32>()),
     ("remaining_j", size_of::<f64>()),
-    ("generated", size_of::<u64>()),
-    ("delivered", size_of::<u64>()),
-    ("dropped", size_of::<u64>()),
     ("positions", size_of::<Position>()),
     ("batteries", size_of::<Battery>()),
     ("buffers", size_of::<PacketBuffer>()),
@@ -153,12 +149,6 @@ pub struct NodeTable {
     queue_len: Vec<u32>,
     /// Mirror of each node's remaining battery energy (J).
     remaining_j: Vec<f64>,
-    /// Packets generated per node.
-    generated: Vec<u64>,
-    /// Packets delivered per node (burst deliveries + head self-delivery).
-    delivered: Vec<u64>,
-    /// Packets dropped per node (overflow + abandoned retries).
-    dropped: Vec<u64>,
     /// Number of `true` entries in `alive`.
     alive_count: usize,
 
@@ -239,9 +229,6 @@ impl NodeTable {
             cluster: vec![NO_CLUSTER; n],
             queue_len: vec![0; n],
             remaining_j,
-            generated: vec![0; n],
-            delivered: vec![0; n],
-            dropped: vec![0; n],
             alive_count: n,
             positions,
             batteries,
@@ -449,53 +436,6 @@ impl NodeTable {
     }
 
     // ------------------------------------------------------------------
-    // Per-node packet counters
-    // ------------------------------------------------------------------
-
-    /// Count one generated packet.
-    #[inline]
-    pub fn record_generated(&mut self, node: usize) {
-        self.generated[node] += 1;
-    }
-
-    /// Count one packet delivered over the air.
-    #[inline]
-    pub fn record_delivered(&mut self, node: usize) {
-        self.delivered[node] += 1;
-    }
-
-    /// Count `count` packets a serving head sank for free (its own data
-    /// reaches the sink without using the shared channel).
-    #[inline]
-    pub fn record_self_delivered(&mut self, node: usize, count: u64) {
-        self.delivered[node] += count;
-    }
-
-    /// Count one dropped packet (overflow or abandoned retry).
-    #[inline]
-    pub fn record_dropped(&mut self, node: usize) {
-        self.dropped[node] += 1;
-    }
-
-    /// Packets generated by `node`.
-    #[inline]
-    pub fn generated(&self, node: usize) -> u64 {
-        self.generated[node]
-    }
-
-    /// Packets delivered by `node`.
-    #[inline]
-    pub fn delivered(&self, node: usize) -> u64 {
-        self.delivered[node]
-    }
-
-    /// Packets dropped by `node`.
-    #[inline]
-    pub fn dropped(&self, node: usize) -> u64 {
-        self.dropped[node]
-    }
-
-    // ------------------------------------------------------------------
     // Cold-state accessors
     // ------------------------------------------------------------------
 
@@ -608,15 +548,12 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn inline_bytes_per_node_are_pinned() {
-        let expected: [(&str, usize); 15] = [
+        let expected: [(&str, usize); 12] = [
             ("alive", 1),
             ("is_head", 1),
             ("cluster", 4),
             ("queue_len", 4),
             ("remaining_j", 8),
-            ("generated", 8),
-            ("delivered", 8),
-            ("dropped", 8),
             ("positions", 16),
             ("batteries", 88),
             ("buffers", 32),
@@ -627,7 +564,7 @@ mod tests {
         ];
         assert_eq!(INLINE_COLUMN_BYTES, expected);
         let total: usize = INLINE_COLUMN_BYTES.iter().map(|&(_, bytes)| bytes).sum();
-        assert_eq!(total, 506);
+        assert_eq!(total, 482);
     }
 
     #[test]

@@ -28,9 +28,6 @@ struct RefNode {
     cluster: Option<usize>,
     battery: Battery,
     buffer: PacketBuffer,
-    generated: u64,
-    delivered: u64,
-    dropped: u64,
 }
 
 fn build_pair(cfg: &ScenarioConfig) -> (NodeTable, Vec<RefNode>) {
@@ -43,9 +40,6 @@ fn build_pair(cfg: &ScenarioConfig) -> (NodeTable, Vec<RefNode>) {
             cluster: None,
             battery: Battery::new(cfg.initial_energy_j),
             buffer: PacketBuffer::new(),
-            generated: 0,
-            delivered: 0,
-            dropped: 0,
         })
         .collect();
     (table, model)
@@ -68,9 +62,6 @@ fn assert_same(table: &NodeTable, model: &[RefNode]) {
             m.battery.remaining().to_bits(),
             "remaining_j drifted at node {i}"
         );
-        assert_eq!(table.generated(i), m.generated, "generated at node {i}");
-        assert_eq!(table.delivered(i), m.delivered, "delivered at node {i}");
-        assert_eq!(table.dropped(i), m.dropped, "dropped at node {i}");
         if m.alive {
             alive += 1;
         }
@@ -93,7 +84,7 @@ proptest! {
 
         for word in ops {
             let node = (word % NODES as u64) as usize;
-            let op = (word >> 3) % 7;
+            let op = (word >> 3) % 6;
             let value = word >> 6;
             let m = &mut model[node];
             match op {
@@ -116,18 +107,14 @@ proptest! {
                     prop_assert_eq!(was_alive, m.alive);
                     m.alive = false;
                 }
-                // Enqueue a packet (counts a drop on overflow).  Creation
-                // times are distinct, so they name the packet.
+                // Enqueue a packet (refused on overflow).  Creation times
+                // are distinct, so they name the packet.
                 2 => {
                     let p = SimTime::from_millis(next_packet);
                     next_packet += 1;
                     let accepted = table.enqueue(node, p);
                     let model_accepted = m.buffer.enqueue(cfg.buffer_capacity, p);
                     prop_assert_eq!(accepted, model_accepted);
-                    if !accepted {
-                        table.record_dropped(node);
-                        m.dropped += 1;
-                    }
                 }
                 // Single dequeue.
                 3 => {
@@ -144,10 +131,6 @@ proptest! {
                     let mut model_burst = m.buffer.dequeue_burst(burst);
                     prop_assert_eq!(scratch.len(), model_burst.len());
                     let sent = scratch.len() / 2;
-                    for _ in 0..sent {
-                        table.record_delivered(node);
-                        m.delivered += 1;
-                    }
                     prop_assert_eq!(&scratch, &model_burst);
                     let mut unsent: Vec<SimTime> = scratch.split_off(sent);
                     let model_unsent: Vec<SimTime> = model_burst.split_off(sent);
@@ -155,21 +138,12 @@ proptest! {
                     m.buffer.requeue_front(model_unsent);
                 }
                 // Round boundary for this node.
-                5 => {
+                _ => {
                     let is_head = value % 3 == 0;
                     let cluster = if value % 5 == 0 { None } else { Some((value % 4) as usize) };
                     table.begin_round(node, is_head, cluster);
                     m.is_head = is_head;
                     m.cluster = cluster;
-                }
-                // Counters.
-                _ => {
-                    table.record_generated(node);
-                    m.generated += 1;
-                    if value % 2 == 0 {
-                        table.record_self_delivered(node, value % 3);
-                        m.delivered += value % 3;
-                    }
                 }
             }
             assert_same(&table, &model);

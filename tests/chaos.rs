@@ -34,11 +34,11 @@ fn grid_keys(spec: &ExperimentSpec) -> Vec<JobKey> {
 }
 
 /// Random grids the byte-identity property checks, each under its own
-/// random plan.  They run concurrently: a case mostly waits out the
-/// retransmission timeouts of the frames its plan drops.  The cases are
-/// fixed (the generator is seeded from the test's name), and each plan
-/// injects within the store appends and frames every run of its case
-/// makes, so whether it fires does not depend on thread timing.
+/// random plan.  They run concurrently: a case spends much of its time in
+/// store-retry backoff and frame delays.  The cases are fixed (the
+/// generator is seeded from the test's name), and each plan injects within
+/// the store appends and frames every run of its case makes, so whether it
+/// fires does not depend on thread timing.
 const PROPERTY_CASES: usize = 8;
 
 /// A random small grid: one or two scenarios from the spec generators,
@@ -114,8 +114,7 @@ fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig) {
     drop(store);
     assert_eq!(report_bits(&local), clean_bits, "{what}: local report");
 
-    // Served: dropped, duplicated, delayed and truncated frames on top of
-    // the coordinator store's faults.
+    // Served: delayed frames on top of the coordinator store's faults.
     let served_path = temp_store(&format!("property_{case}_served"));
     let (report, _) = served_under(spec, 2, &served_path, Some(Arc::clone(&plan)));
     assert_eq!(report_bits(&report), clean_bits, "{what}: served report");

@@ -22,7 +22,7 @@ struct Fingerprint {
     end_time_nanos: u64,
     ledger_total_bits: u64,
     avg_delay_bits: u64,
-    per_node: Vec<(u64, u64, u64, u64)>,
+    remaining_energy_bits: Vec<u64>,
 }
 
 fn fingerprint(r: &SimulationResult) -> Fingerprint {
@@ -35,17 +35,10 @@ fn fingerprint(r: &SimulationResult) -> Fingerprint {
         end_time_nanos: r.end_time.as_nanos(),
         ledger_total_bits: r.ledger.total().to_bits(),
         avg_delay_bits: r.perf.average_delay_ms().to_bits(),
-        per_node: r
+        remaining_energy_bits: r
             .nodes
             .iter()
-            .map(|n| {
-                (
-                    n.generated,
-                    n.delivered,
-                    n.dropped,
-                    n.remaining_energy_j.to_bits(),
-                )
-            })
+            .map(|n| n.remaining_energy_j.to_bits())
             .collect(),
     }
 }

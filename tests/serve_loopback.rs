@@ -7,9 +7,8 @@
 //! daemon and completed by N loopback workers — cleanly, or with a worker
 //! dying mid-shard after streaming a partial batch — must fetch a report
 //! **byte-identical** to a single-process `ExperimentSpec::run` of the
-//! same resolved spec.  Served runs under injected frame faults (drop /
-//! duplicate / delay / truncate) are checked on random grids in
-//! `tests/chaos.rs`.
+//! same resolved spec.  Served runs under injected frame delays are
+//! checked on random grids in `tests/chaos.rs`.
 //!
 //! No test here uses a fault plan, and none depends on another's state, so
 //! they run side by side.
@@ -75,20 +74,17 @@ fn run_fleet(state: &std::sync::Arc<Mutex<ServiceState>>, workers: usize) -> Str
     report
 }
 
-/// Send a request over a raw link and wait for its seq-matched response
+/// Send a request over a raw link and return its response, the next frame
 /// (test-side mini client for driving the protocol by hand).
 fn rpc(link: &mut LoopbackLink, msg: &Message) -> Message {
     link.send(&msg.encode()).expect("send");
-    loop {
-        let frame = link
-            .recv(Some(Duration::from_secs(10)))
-            .expect("recv")
-            .expect("response before timeout");
-        let reply = Message::decode(&frame).expect("well-formed response");
-        if reply.seq() == msg.seq() {
-            return reply;
-        }
-    }
+    let frame = link
+        .recv(Some(Duration::from_secs(10)))
+        .expect("recv")
+        .expect("response before timeout");
+    let reply = Message::decode(&frame).expect("well-formed response");
+    assert_eq!(reply.seq(), msg.seq(), "the next frame is the response");
+    reply
 }
 
 fn hello(seq: u64, worker: &str) -> Message {
@@ -232,6 +228,43 @@ fn a_forged_line_for_a_real_key_does_not_settle_its_job() {
     // The forged line is ignored and its job stays open: the fleet re-runs
     // it, and the report has every replicate.
     assert_eq!(run_fleet_into(&spawner, &mut client, 2), expected);
+}
+
+#[test]
+fn a_peer_that_sends_an_undecodable_frame_is_closed_and_loses_its_lease() {
+    let expected = expected_bytes();
+    // One shard under the default lease TTL: the second worker below gets
+    // work only once the broken peer's lease is freed, and a lease freed
+    // by expiry alone would keep it waiting for the whole TTL.
+    let ttl = ServiceConfig::default().lease_ttl;
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    client.submit(SPEC_DOC, true, SEED).expect("accepted");
+
+    let mut broken = spawner.connect();
+    assert!(matches!(
+        rpc(&mut broken, &Message::Claim { seq: 1 }),
+        Message::Grant { .. }
+    ));
+    broken
+        .send(br#"{"type":"records","seq":0,"grid":"#)
+        .expect("the frame is delivered");
+    match broken.recv(Some(Duration::from_secs(10))) {
+        Err(ProtoError::Closed) => {}
+        other => panic!("expected the daemon to close the link, got {other:?}"),
+    }
+
+    let started = Instant::now();
+    assert_eq!(run_fleet_into(&spawner, &mut client, 1), expected);
+    assert!(
+        started.elapsed() < ttl,
+        "the grid waited out the {ttl:?} lease TTL"
+    );
 }
 
 #[test]
