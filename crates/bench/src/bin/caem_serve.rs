@@ -7,11 +7,18 @@
 //! other three modes are thin clients against a running daemon:
 //!
 //! ```bash
-//! caem-serve --listen 127.0.0.1:7171 &                 # daemon
+//! caem-serve --listen 127.0.0.1:7171 --store grids/ &  # daemon
 //! caem-serve --submit specs/zoo.json --addr 127.0.0.1:7171 --quick
 //! caem-serve --status --addr 127.0.0.1:7171
 //! caem-serve --fetch  --addr 127.0.0.1:7171 --out report.json
 //! ```
+//!
+//! The daemon is durable: it journals every accepted submission to
+//! `<store>/grids.jsonl` before acknowledging it, and each grid's settled
+//! records to `<store>/<grid hash>.jsonl`, an ordinary experiment store
+//! (`experiment --reaggregate --store` reads it).  Killed and restarted on
+//! the same `--store`, it queues its grids again and re-grants only the
+//! jobs their stores are missing.
 //!
 //! A fetched report is written **verbatim** — the daemon renders it once
 //! through the canonical aggregation pipeline, so the bytes are identical
@@ -31,18 +38,23 @@ usage: caem-serve <mode> [flags]
 
 modes (exactly one selector):
   --listen <host:port>   run the daemon
+    --store <dir>          journal submitted grids and their records here;
+                           a restarted daemon resumes them (default
+                           caem-serve-store in the working directory)
     --shards <n>           shards per submitted grid (default 8, clamped to
                            the grid's job count)
     --lease-ttl <s>        shard-lease TTL in seconds before a silent
                            worker's shard is re-granted (default 60)
-    --heartbeat <s>        worker heartbeat interval in seconds (default 5)
+    --heartbeat <s>        worker heartbeat interval in seconds (default 5;
+                           must be shorter than the lease TTL)
   --submit <file>        submit a grid-spec document to a daemon
     --addr <host:port>     daemon address (required)
     --quick                resolve the spec in quick mode
     --seed <n>             default seed when the document pins none
   --status               print a daemon's progress snapshot
     --addr <host:port>     daemon address (required)
-  --fetch                fetch the most recent completed report
+  --fetch                fetch the report of the most recently submitted
+                         grid, waiting until it completes
     --addr <host:port>     daemon address (required)
     --out <file>           write the report here instead of stdout
     --timeout <s>          give up after this many seconds (default 60)
@@ -73,15 +85,18 @@ fn connect(addr: &str) -> TcpLink {
     }
 }
 
-fn daemon(listen: &str, cfg: ServiceConfig) -> ! {
-    let state = ServiceState::shared(cfg);
+fn daemon(listen: &str, store: &str, cfg: ServiceConfig) -> ! {
+    // A store that cannot be opened or read is environmental, like an
+    // address that cannot be bound.
+    let state = ServiceState::open(cfg, store)
+        .unwrap_or_else(|e| fail(format!("cannot open store directory {store}: {e}")));
     let listener = TcpListener::bind(listen)
         .unwrap_or_else(|e| fail(format!("cannot listen on {listen}: {e}")));
     let bound = listener
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| listen.to_string());
-    println!("caem-serve: listening on {bound}");
+    println!("caem-serve: listening on {bound}, journaling to {store}");
     serve_listener(&listener, &state);
     // `incoming()` never returns None; reaching here means the listener died.
     fail("listener closed unexpectedly".to_string());
@@ -147,7 +162,11 @@ fn fetch(addr: &str, out: Option<&str>, timeout: Option<Duration>) {
 fn main() {
     let cli = ServeCli::from_env().unwrap_or_else(|e| die_usage(e.to_string()));
     match &cli.mode {
-        ServeMode::Daemon { listen, config } => daemon(listen, config.clone()),
+        ServeMode::Daemon {
+            listen,
+            store,
+            config,
+        } => daemon(listen, store, config.clone()),
         ServeMode::Submit {
             addr,
             file,

@@ -17,16 +17,16 @@
 //! write byte-identical artifacts.  A positional seed, when given, replaces
 //! the document's `base_seed`.
 //!
-//! `--workers N` runs the grid through the experiment service: this
-//! process hosts the daemon on a `127.0.0.1:0` listener, spawns N copies of
-//! itself as `--connect` socket workers, and journals every record they
-//! stream back to the same JSONL store a local run writes — so `--resume`
-//! and `--reaggregate` work the same way on both paths.
+//! A grid runs in this process, on every core rayon's budget allows.  To
+//! spread grids over several processes or hosts, submit them to a
+//! `caem-serve` daemon and attach `experiment --connect ADDR` socket
+//! workers: the daemon journals every record to a per-grid store in the
+//! same JSONL format, so `--reaggregate --store` reads it unchanged.
 //!
 //! The command line is parsed into one structured
 //! [`caem_bench::ExperimentMode`] value — unknown or misspelled flags exit 2
 //! with the usage text, `--flag=value` and `--flag value` are equivalent,
-//! and contradictory combinations (e.g. `--reaggregate --workers`) are
+//! and contradictory combinations (e.g. `--reaggregate --resume`) are
 //! unrepresentable by construction.  Modes:
 //!
 //! ```bash
@@ -34,7 +34,7 @@
 //! cargo run -p caem-bench --release --bin experiment -- --quick --resume    # resume
 //! cargo run -p caem-bench --release --bin experiment -- --quick --reaggregate
 //! cargo run -p caem-bench --release --bin experiment -- --target-ci 0.01    # sequential
-//! cargo run -p caem-bench --release --bin experiment -- --quick --workers 3 # distributed
+//! cargo run -p caem-bench --release --bin experiment -- --connect 127.0.0.1:7171 # worker
 //! cargo run -p caem-bench --release --bin experiment -- --spec specs/zoo.json --quick
 //! cargo run -p caem-bench --release --bin experiment -- --quick --print-spec
 //! ```
@@ -42,9 +42,6 @@
 //! The full grid is written as JSON to `BENCH_experiment.json` in the
 //! working directory and its JSONL store to `BENCH_experiment_store.jsonl`
 //! (`_quick` variants, gitignored, for `--quick` runs).
-
-use std::net::TcpListener;
-use std::sync::Arc;
 
 use caem_bench::cli::{RunArgs, SequentialArgs};
 use caem_bench::{policy_label, profrpt, ExperimentCli, ExperimentMode, DEFAULT_SEED, ZOO_SPEC};
@@ -54,10 +51,7 @@ use caem_wsnsim::experiment::{
 };
 use caem_wsnsim::faults::{self, FaultPlan, FaultRole};
 use caem_wsnsim::persist::{ExperimentStore, StoreOptions};
-use caem_wsnsim::serve::{
-    run_socket_worker, serve_listener, Coordinator, ProcessSpawner, ServiceConfig, ServiceState,
-    SocketWorkerOptions, TcpLink, WorkerExit,
-};
+use caem_wsnsim::serve::{run_socket_worker, SocketWorkerOptions, TcpLink, WorkerExit};
 use caem_wsnsim::spec::GridSpec;
 
 const USAGE: &str = "\
@@ -78,22 +72,14 @@ modes (at most one selector; `run` is the default):
                          worst-cell 95% CI half-width of --ci-metric meets <hw>
       --ci-metric <m>      driving metric (default delivery_rate)
       --max-replicates <n> replicate cap (default 12 quick / 30 full)
-    --workers <n>        distributed: host the service daemon in this process
-                         and spawn n (1 to 8) --connect worker processes;
-                         records are journaled to the store as they arrive
-      --chaos <seed:kinds> deterministic fault injection across the run
-                           (kinds: kill, torn, transient, delay, poison, all;
-                           `+`-separated, e.g. --chaos 11:kill+torn)
     --fsync              fsync every store append (durability over speed)
-    --strict             exit nonzero if any job was quarantined
     --profile            per-subsystem time-breakdown report after the run
-                         (spawned workers inherit it through the environment;
-                         the report artifact stays byte-identical)
+                         (the report artifact stays byte-identical)
   --reaggregate          rebuild the report offline from the JSONL store alone
-  --connect <addr>       attach to a daemon (caem-serve or a --workers run)
-                         as a socket worker
+  --connect <addr>       attach to a caem-serve daemon as a socket worker
                          (no shared filesystem; jobs and records travel over
-                         length-prefixed JSON frames)
+                         length-prefixed JSON frames; CAEM_CHAOS=seed:kinds
+                         and CAEM_PROFILE=1 fault-inject and profile it)
     --expect-hash <h>    refuse to serve a grid whose grid hash differs
   --print-spec           dump the canonical resolved spec as JSON; no simulation
 
@@ -281,9 +267,9 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
 /// protocol version, grid-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
 fn socket_worker_mode(addr: &str, expect_hash: Option<u64>) -> ! {
-    // Inherit a coordinator's chaos schedule and profiler across `exec`.
-    // A malformed plan is fatal: a chaos run silently downgrading to a
-    // clean run would fake test coverage.
+    // The chaos schedule and the profiler come from the environment.  A
+    // malformed plan is fatal: a chaos run silently downgrading to a clean
+    // run would fake test coverage.
     let env_plan = std::env::var(faults::CHAOS_ENV).ok();
     let plan = FaultPlan::from_env_value(env_plan.as_deref(), FaultRole::Worker)
         .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
@@ -326,90 +312,12 @@ fn socket_worker_mode(addr: &str, expect_hash: Option<u64>) -> ! {
     }
 }
 
-/// Run `spec` once through `run_round`, or — with a stopping rule — run
-/// the sequential-stopping loop over it, printing the rounds.
-fn run_rounds<E: std::fmt::Display>(
-    spec: &ExperimentSpec,
-    sequential: Option<&SequentialStopping>,
-    mut run_round: impl FnMut(&ExperimentSpec) -> Result<ExperimentReport, E>,
-) -> ExperimentReport {
-    let Some(stop) = sequential else {
-        return run_round(spec).unwrap_or_else(|e| die(format!("grid run failed: {e}")));
-    };
-    let outcome = spec
-        .run_sequential_with(stop, run_round)
-        .unwrap_or_else(|e| die(format!("sequential run failed: {e}")));
-    print_sequential_outcome(&outcome, &stop.metric);
-    outcome.report
-}
-
-/// `--workers n`: host the daemon on a loopback port with `store`
-/// attached, run the grid (or the sequential loop) through spawned socket
-/// workers, and hand the store back.  At most `n` workers are spawned,
-/// and never more than the grid has jobs: the daemon splits a grid into
-/// no more shards than jobs, so a further worker could only ever idle.
-/// Sequential rounds only add jobs, so the first round's count bounds
-/// every round.
-fn run_served(
-    spec: &ExperimentSpec,
-    args: &RunArgs,
-    sequential: Option<&SequentialStopping>,
-    store: ExperimentStore,
-    n: usize,
-    plan: Option<Arc<FaultPlan>>,
-) -> (ExperimentReport, ExperimentStore) {
-    let n = n.min(spec.job_count());
-    let state = ServiceState::shared(ServiceConfig::default());
-    state.lock().expect("service lock").attach_store(store);
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .unwrap_or_else(|e| die(format!("cannot listen on a loopback port: {e}")));
-    let addr = listener
-        .local_addr()
-        .unwrap_or_else(|e| die(format!("cannot read the listener address: {e}")))
-        .to_string();
-    {
-        let state = state.clone();
-        std::thread::spawn(move || serve_listener(&listener, &state));
-    }
-    let mut spawner = ProcessSpawner::current_exe()
-        .unwrap_or_else(|e| die(format!("cannot locate worker binary: {e}")));
-    if let Some(plan) = &plan {
-        // Worker processes rebuild the full plan under their own role.
-        spawner
-            .envs
-            .push((faults::CHAOS_ENV.to_string(), plan.config().env_string()));
-    }
-    if args.profile {
-        spawner
-            .envs
-            .push((prof::PROFILE_ENV.to_string(), "1".to_string()));
-    }
-    println!(
-        "distributed over {n} workers ({} rayon threads each), daemon on {addr}",
-        rayon::split_thread_budget(n),
-    );
-    let mut coordinator = Coordinator::start(state.clone(), &spawner, &addr, n, plan)
-        .unwrap_or_else(|e| die(format!("cannot start workers: {e}")));
-    let report = run_rounds(spec, sequential, |round| coordinator.run(round));
-    let store = coordinator
-        .finish()
-        .expect("the store stays attached")
-        .unwrap_or_else(|e| die(format!("experiment store append failed: {e}")));
-    (report, store)
-}
-
 fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str, out: &str) {
     let spec = &grid.spec;
     let sequential = resolve_stopping(&grid, args.sequential.as_ref(), cli.quick);
     if args.profile {
         prof::set_enabled(true);
     }
-    // The coordinator's store appends take part in the schedule; kill
-    // faults only fire in the spawned workers.
-    let plan = args.chaos.clone().map(|chaos| {
-        println!("chaos mode: fault plan {}", chaos.env_string());
-        FaultPlan::new(chaos, FaultRole::Coordinator)
-    });
     let store_path = args
         .store
         .clone()
@@ -425,7 +333,7 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
     }
     let options = StoreOptions {
         fsync: args.fsync,
-        faults: plan.clone(),
+        ..StoreOptions::default()
     };
     let mut store = ExperimentStore::open_with(&store_path, options)
         .unwrap_or_else(|e| die(format!("{store_path}: {e}")));
@@ -437,15 +345,13 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
         spec.job_count(),
         store.len(),
     );
-    let report = match args.workers {
-        Some(n) => {
-            let (report, returned) = run_served(spec, args, sequential.as_ref(), store, n, plan);
-            store = returned;
-            report
+    let report = match &sequential {
+        Some(stop) => {
+            let outcome = spec.run_sequential(&mut store, stop);
+            print_sequential_outcome(&outcome, &stop.metric);
+            outcome.report
         }
-        None => run_rounds(spec, sequential.as_ref(), |round| {
-            Ok::<_, std::convert::Infallible>(round.run_with_store(&mut store))
-        }),
+        None => spec.run_with_store(&mut store),
     };
     println!(
         "store {store_path}: {} jobs persisted ({} simulated this run, including stale re-runs)",
@@ -454,28 +360,12 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
     );
 
     print_summary(spec, &report);
-    if !report.failures.is_empty() {
-        // Degradation section: the grid completed, but these cells are
-        // missing the listed replicates.
-        println!(
-            "\n== degraded: {} job(s) quarantined after exhausting retries ==",
-            report.failures.len()
-        );
-        for failure in &report.failures {
-            println!(
-                "  {} / {:?} / seed {}: {} ({} attempts)",
-                failure.scenario, failure.policy, failure.seed, failure.reason, failure.attempts
-            );
-        }
-    }
     if let Some(summary) = faults::event_summary() {
         println!("{summary}");
     }
     if args.profile {
-        // The process-wide accumulator: every local job folded its profile
-        // in at finish(); deploy and collector spans land here directly.
-        // (Spawned workers print their own breakdowns — wall clocks cannot
-        // cross process boundaries.)
+        // The process-wide accumulator: every job folded its profile in at
+        // finish(); deploy and collector spans land here directly.
         println!();
         profrpt::print_profile_totals(
             "time breakdown (this process, all jobs)",
@@ -484,13 +374,6 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
         profrpt::print_run_event_counters();
     }
     write_report(&report, out);
-    if args.strict && !report.failures.is_empty() {
-        eprintln!(
-            "error: --strict and {} job(s) quarantined",
-            report.failures.len()
-        );
-        std::process::exit(3);
-    }
 }
 
 fn main() {

@@ -8,13 +8,12 @@
 //! 2. A **mode builder** ([`ExperimentCli::from_args`]) that folds the
 //!    lexed flags into one [`ExperimentMode`] value.  Invalid combinations
 //!    are unrepresentable by construction — `Reaggregate` simply has no
-//!    `workers` field — and every remaining cross-flag rule is a typed
+//!    `resume` field — and every remaining cross-flag rule is a typed
 //!    error naming both flags.
 
 use std::fmt;
 use std::time::Duration;
 
-use caem_wsnsim::faults::FaultPlanConfig;
 use caem_wsnsim::serve::ServiceConfig;
 
 /// A typed command-line error.  `Display` renders the message the binaries
@@ -217,13 +216,10 @@ const EXPERIMENT_FLAGS: &[FlagDef] = &[
     flag("--resume"),
     flag("--reaggregate"),
     flag("--print-spec"),
-    flag("--strict"),
     flag("--fsync"),
     flag("--profile"),
-    option("--chaos"),
     option("--spec"),
     option("--store"),
-    option("--workers"),
     option("--target-ci"),
     option("--ci-metric"),
     option("--max-replicates"),
@@ -249,22 +245,12 @@ pub struct RunArgs {
     pub resume: bool,
     /// Custom JSONL store (`None` = the binary's default store).
     pub store: Option<String>,
-    /// Worker processes to spawn (`--workers`; `None` = run in this
-    /// process).
-    pub workers: Option<usize>,
     /// Sequential stopping, if `--target-ci` was given.
     pub sequential: Option<SequentialArgs>,
-    /// Exit non-zero when the grid completes with quarantined jobs
-    /// (`--strict`; the default is a degradation section + exit 0).
-    pub strict: bool,
     /// fsync every store append (`--fsync`).
     pub fsync: bool,
-    /// Fault-injection schedule (`--chaos seed:kind+kind`); requires
-    /// `--workers`, since the faults target the worker fleet and the
-    /// coordinator's store.
-    pub chaos: Option<FaultPlanConfig>,
     /// Enable the `caem_metrics::prof` time-breakdown profiler for the run
-    /// (`--profile`); spawned workers inherit it through the environment.
+    /// (`--profile`).
     pub profile: bool,
 }
 
@@ -274,7 +260,8 @@ pub struct RunArgs {
 /// representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentMode {
-    /// Simulate the grid (fresh, resumed, sequential and/or distributed).
+    /// Simulate the grid in this process (fresh, resumed and/or
+    /// sequential).
     Run(RunArgs),
     /// Rebuild the report offline from a JSONL store; simulates nothing.
     Reaggregate {
@@ -367,15 +354,12 @@ impl ExperimentCli {
                     &[
                         "--resume",
                         "--store",
-                        "--workers",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
                         "--quick",
                         "--spec",
-                        "--strict",
                         "--fsync",
-                        "--chaos",
                         "--profile",
                     ],
                 )?;
@@ -390,13 +374,10 @@ impl ExperimentCli {
                     "reaggregate",
                     &[
                         "--resume",
-                        "--workers",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
-                        "--strict",
                         "--fsync",
-                        "--chaos",
                         "--profile",
                         "--expect-hash",
                     ],
@@ -412,13 +393,10 @@ impl ExperimentCli {
                     &[
                         "--resume",
                         "--store",
-                        "--workers",
                         "--target-ci",
                         "--ci-metric",
                         "--max-replicates",
-                        "--strict",
                         "--fsync",
-                        "--chaos",
                         "--profile",
                         "--expect-hash",
                     ],
@@ -449,41 +427,11 @@ impl ExperimentCli {
                         None
                     }
                 };
-                let workers = parsed.parsed::<usize>("--workers", WORKERS)?;
-                if let Some(n) = workers.filter(|n| !(1..=max_workers()).contains(n)) {
-                    return Err(CliError::InvalidValue {
-                        flag: "--workers",
-                        value: n.to_string(),
-                        expected: WORKERS,
-                    });
-                }
-                let chaos = match parsed.value("--chaos") {
-                    None => None,
-                    Some(text) => {
-                        if workers.is_none() {
-                            // The fault plan targets the worker fleet; a
-                            // single-process run would inject nothing it
-                            // claims to.
-                            return Err(CliError::Requires {
-                                flag: "--chaos",
-                                requires: "--workers",
-                            });
-                        }
-                        Some(FaultPlanConfig::parse(text).map_err(|_| CliError::InvalidValue {
-                            flag: "--chaos",
-                            value: text.to_string(),
-                            expected: "seed:kind+kind (kinds: kill, torn, transient, delay, poison, all)",
-                        })?)
-                    }
-                };
                 ExperimentMode::Run(RunArgs {
                     resume: parsed.has("--resume"),
                     store: parsed.value("--store").map(str::to_string),
-                    workers,
                     sequential,
-                    strict: parsed.has("--strict"),
                     fsync: parsed.has("--fsync"),
-                    chaos,
                     profile: parsed.has("--profile"),
                 })
             }
@@ -495,16 +443,6 @@ impl ExperimentCli {
             mode,
         })
     }
-}
-
-/// What `--workers` takes; the upper end is [`max_workers`].
-const WORKERS: &str = "an integer from 1 to 8";
-
-/// The most `--workers` a run accepts: the daemon leases at most
-/// `shards_per_grid` shards of a grid at once, so a further worker process
-/// would only ever be told there is no work.
-fn max_workers() -> usize {
-    ServiceConfig::default().shards_per_grid
 }
 
 /// Reject every flag of `flags` that is present, naming the selected mode.
@@ -561,6 +499,7 @@ fn require_at_least_one(flag: &'static str) -> impl Fn(usize) -> Result<usize, C
 /// The `caem-serve` binary's flag vocabulary.
 const SERVE_FLAGS: &[FlagDef] = &[
     option("--listen"),
+    option("--store"),
     option("--shards"),
     option("--lease-ttl"),
     option("--heartbeat"),
@@ -581,6 +520,9 @@ pub enum ServeMode {
     Daemon {
         /// Listen address (`host:port`).
         listen: String,
+        /// The store directory grids are journaled under (`--store`,
+        /// default `caem-serve-store`).
+        store: String,
         /// `--shards`, `--lease-ttl` and `--heartbeat` over the
         /// [`ServiceConfig`] defaults.
         config: ServiceConfig,
@@ -601,7 +543,7 @@ pub enum ServeMode {
         /// Daemon address.
         addr: String,
     },
-    /// Fetch the most recent completed report.
+    /// Fetch the report of the most recently submitted grid.
     Fetch {
         /// Daemon address.
         addr: String,
@@ -611,6 +553,11 @@ pub enum ServeMode {
         timeout: Option<Duration>,
     },
 }
+
+/// Where `caem-serve --listen` journals its grids without `--store`: a
+/// directory in the working directory, as `experiment` writes its default
+/// store there.
+const DEFAULT_SERVE_STORE: &str = "caem-serve-store";
 
 /// The `caem-serve` binary's parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -666,22 +613,39 @@ impl ServeCli {
                     &["--addr", "--quick", "--seed", "--out", "--timeout"],
                 )?;
                 let defaults = ServiceConfig::default();
+                let config = ServiceConfig {
+                    shards_per_grid: parsed
+                        .parsed("--shards", "an integer >= 1")?
+                        .map(require_at_least_one("--shards"))
+                        .transpose()?
+                        .unwrap_or(defaults.shards_per_grid),
+                    lease_ttl: positive_seconds(&parsed, "--lease-ttl")?
+                        .unwrap_or(defaults.lease_ttl),
+                    heartbeat: positive_seconds(&parsed, "--heartbeat")?
+                        .unwrap_or(defaults.heartbeat),
+                };
+                // A heartbeat no shorter than the TTL lets the next claim
+                // steal every healthy lease and re-simulate its shard.
+                if config.heartbeat >= config.lease_ttl {
+                    return Err(CliError::InvalidValue {
+                        flag: "--heartbeat",
+                        value: parsed.value("--heartbeat").map_or_else(
+                            || config.heartbeat.as_secs_f64().to_string(),
+                            str::to_string,
+                        ),
+                        expected: "fewer seconds than --lease-ttl",
+                    });
+                }
                 ServeMode::Daemon {
                     listen: parsed
                         .value("--listen")
                         .expect("lexer enforced the value")
                         .to_string(),
-                    config: ServiceConfig {
-                        shards_per_grid: parsed
-                            .parsed("--shards", "an integer >= 1")?
-                            .map(require_at_least_one("--shards"))
-                            .transpose()?
-                            .unwrap_or(defaults.shards_per_grid),
-                        lease_ttl: positive_seconds(&parsed, "--lease-ttl")?
-                            .unwrap_or(defaults.lease_ttl),
-                        heartbeat: positive_seconds(&parsed, "--heartbeat")?
-                            .unwrap_or(defaults.heartbeat),
-                    },
+                    store: parsed
+                        .value("--store")
+                        .unwrap_or(DEFAULT_SERVE_STORE)
+                        .to_string(),
+                    config,
                 }
             }
             Some("--submit") => {
@@ -689,6 +653,7 @@ impl ServeCli {
                     &parsed,
                     "submit",
                     &[
+                        "--store",
                         "--shards",
                         "--lease-ttl",
                         "--heartbeat",
@@ -711,6 +676,7 @@ impl ServeCli {
                     &parsed,
                     "status",
                     &[
+                        "--store",
                         "--shards",
                         "--lease-ttl",
                         "--heartbeat",
@@ -729,6 +695,7 @@ impl ServeCli {
                     &parsed,
                     "fetch",
                     &[
+                        "--store",
                         "--shards",
                         "--lease-ttl",
                         "--heartbeat",
@@ -921,11 +888,8 @@ mod tests {
             ExperimentMode::Run(RunArgs {
                 resume: false,
                 store: None,
-                workers: None,
                 sequential: None,
-                strict: false,
                 fsync: false,
-                chaos: None,
                 profile: false,
             })
         );
@@ -962,12 +926,12 @@ mod tests {
 
     #[test]
     fn equals_and_space_forms_are_equivalent() {
-        let a = parse(&["--workers", "3", "--store", "/tmp/w.jsonl"]).unwrap();
-        let b = parse(&["--workers=3", "--store=/tmp/w.jsonl"]).unwrap();
+        let a = parse(&["--target-ci", "0.5", "--store", "/tmp/w.jsonl"]).unwrap();
+        let b = parse(&["--target-ci=0.5", "--store=/tmp/w.jsonl"]).unwrap();
         assert_eq!(a, b);
         match a.mode {
             ExperimentMode::Run(run) => {
-                assert_eq!(run.workers, Some(3));
+                assert_eq!(run.sequential.map(|s| s.target_half_width), Some(0.5));
                 assert_eq!(run.store.as_deref(), Some("/tmp/w.jsonl"));
             }
             other => panic!("expected run mode, got {other:?}"),
@@ -997,20 +961,30 @@ mod tests {
     #[test]
     fn contradictory_combinations_are_typed_errors() {
         assert_eq!(
-            parse(&["--reaggregate", "--workers", "2"]),
+            parse(&["--reaggregate", "--resume"]),
             Err(CliError::NotInMode {
-                flag: "--workers",
+                flag: "--resume",
                 mode: "reaggregate"
             })
         );
-        // The retired file-bus flags are unknown, not ignored.  (Spelled
-        // in two pieces so a search for live uses of them comes up empty.)
-        for removed in [concat!("--worker", "-shard"), concat!("--distrib", "-dir")] {
+        // The retired file-bus and in-process-fleet flags are unknown, not
+        // ignored.  (Spelled in two pieces so a search for live uses of
+        // them comes up empty.)
+        for removed in [
+            concat!("--worker", "-shard"),
+            concat!("--distrib", "-dir"),
+            concat!("--work", "ers"),
+            concat!("--cha", "os"),
+        ] {
             assert_eq!(
-                parse(&[removed, "/tmp/g"]),
+                parse(&[removed, "2"]),
                 Err(CliError::UnknownFlag(removed.to_string()))
             );
         }
+        assert_eq!(
+            parse(&[concat!("--str", "ict")]),
+            Err(CliError::UnknownFlag(concat!("--str", "ict").to_string()))
+        );
         assert_eq!(
             parse(&["--ci-metric", "collisions"]),
             Err(CliError::Requires {
@@ -1032,7 +1006,6 @@ mod tests {
             &["--quick"][..],
             &["--spec", "specs/zoo.json"],
             &["--store", "w.jsonl"],
-            &["--workers", "2"],
             &["--resume"],
             &["--target-ci", "0.1"],
         ] {
@@ -1050,38 +1023,6 @@ mod tests {
         assert_eq!(
             parse(&["999", "--connect", "127.0.0.1:7171"]),
             Err(CliError::UnexpectedPositional("999".to_string()))
-        );
-    }
-
-    #[test]
-    fn zero_workers_is_an_invalid_value() {
-        assert_eq!(
-            parse(&["--workers", "0"]),
-            Err(CliError::InvalidValue {
-                flag: "--workers",
-                value: "0".to_string(),
-                expected: WORKERS
-            })
-        );
-    }
-
-    #[test]
-    fn workers_past_the_daemon_shard_count_are_refused() {
-        // Parsing starts no process, so the bound is checked before any
-        // worker would be spawned.
-        let max = max_workers();
-        assert_eq!(WORKERS, format!("an integer from 1 to {max}"));
-        let ok = parse(&["--quick", "--workers", &max.to_string()]).unwrap();
-        assert!(
-            matches!(ok.mode, ExperimentMode::Run(RunArgs { workers: Some(n), .. }) if n == max)
-        );
-        assert_eq!(
-            parse(&["--quick", "--workers", &(max + 1).to_string()]),
-            Err(CliError::InvalidValue {
-                flag: "--workers",
-                value: (max + 1).to_string(),
-                expected: WORKERS
-            })
         );
     }
 
@@ -1123,72 +1064,29 @@ mod tests {
     }
 
     #[test]
-    fn chaos_parses_with_a_distributed_backend_only() {
-        let cli = parse(&[
-            "--quick",
-            "--workers=2",
-            "--chaos",
-            "7:torn+transient",
-            "--strict",
-        ])
-        .unwrap();
-        match cli.mode {
-            ExperimentMode::Run(run) => {
-                assert!(run.strict);
-                assert!(!run.fsync);
-                let chaos = run.chaos.expect("chaos plan parsed");
-                assert_eq!(chaos.seed, 7);
-                assert_eq!(chaos.env_string(), "7:torn+transient");
-            }
-            other => panic!("expected run mode, got {other:?}"),
-        }
-        // `skew` is not a fault kind.
-        assert_eq!(
-            parse(&["--workers=2", "--chaos", "13:skew"]),
-            Err(CliError::InvalidValue {
-                flag: "--chaos",
-                value: "13:skew".to_string(),
-                expected: "seed:kind+kind (kinds: kill, torn, transient, delay, poison, all)",
-            })
-        );
-        assert_eq!(
-            parse(&["--chaos", "7:torn"]),
-            Err(CliError::Requires {
-                flag: "--chaos",
-                requires: "--workers"
-            })
-        );
-        assert!(matches!(
-            parse(&["--workers=2", "--chaos", "7:bogus"]),
-            Err(CliError::InvalidValue {
-                flag: "--chaos",
-                ..
-            })
-        ));
-        // Robustness flags are meaningless off the run path.
-        assert_eq!(
-            parse(&["--reaggregate", "--strict"]),
-            Err(CliError::NotInMode {
-                flag: "--strict",
-                mode: "reaggregate"
-            })
-        );
-        assert_eq!(
-            parse(&["--print-spec", "--fsync"]),
-            Err(CliError::NotInMode {
-                flag: "--fsync",
-                mode: "print-spec"
-            })
-        );
-    }
-
-    #[test]
-    fn fsync_applies_to_local_and_distributed_runs() {
-        for argv in [&["--fsync"][..], &["--fsync", "--workers=2"][..]] {
+    fn fsync_parses_in_run_mode_only() {
+        for argv in [&["--fsync"][..], &["--fsync", "--resume"][..]] {
             match parse(argv).unwrap().mode {
                 ExperimentMode::Run(run) => assert!(run.fsync),
                 other => panic!("expected run mode, got {other:?}"),
             }
+        }
+        // Durability is meaningless off the run path.
+        for (argv, mode) in [
+            (&["--reaggregate", "--fsync"][..], "reaggregate"),
+            (&["--print-spec", "--fsync"][..], "print-spec"),
+            (
+                &["--connect", "127.0.0.1:7171", "--fsync"][..],
+                "socket-worker",
+            ),
+        ] {
+            assert_eq!(
+                parse(argv),
+                Err(CliError::NotInMode {
+                    flag: "--fsync",
+                    mode
+                })
+            );
         }
     }
 
@@ -1245,7 +1143,7 @@ mod tests {
         // no grid run, local or distributed, takes it.
         for argv in [
             &["--lease-ttl=30"][..],
-            &["--workers=2", "--lease-ttl=30"],
+            &["--resume", "--lease-ttl=30"],
             &["--connect", "127.0.0.1:7171", "--lease-ttl", "2"],
         ] {
             assert_eq!(
@@ -1261,20 +1159,27 @@ mod tests {
             "--listen",
             "127.0.0.1:7171",
             "--shards=4",
-            "--lease-ttl=1.5",
+            "--lease-ttl=7.5",
         ]))
         .unwrap();
         assert_eq!(
             daemon.mode,
             ServeMode::Daemon {
                 listen: "127.0.0.1:7171".to_string(),
+                store: DEFAULT_SERVE_STORE.to_string(),
                 config: ServiceConfig {
                     shards_per_grid: 4,
-                    lease_ttl: Duration::from_millis(1500),
+                    lease_ttl: Duration::from_millis(7500),
                     ..ServiceConfig::default()
                 },
             }
         );
+        let daemon =
+            ServeCli::from_args(args(&["--listen=127.0.0.1:0", "--store", "/tmp/grids"])).unwrap();
+        assert!(matches!(
+            daemon.mode,
+            ServeMode::Daemon { store, .. } if store == "/tmp/grids"
+        ));
         let submit = ServeCli::from_args(args(&[
             "--submit",
             "specs/zoo.json",
@@ -1338,6 +1243,14 @@ mod tests {
                 mode: "daemon"
             })
         );
+        // The store directory is the daemon's own.
+        assert_eq!(
+            ServeCli::from_args(args(&["--fetch", "--addr=x:1", "--store=d"])),
+            Err(CliError::NotInMode {
+                flag: "--store",
+                mode: "fetch"
+            })
+        );
         assert_eq!(
             ServeCli::from_args(args(&[])),
             Err(CliError::Requires {
@@ -1369,6 +1282,31 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn serve_heartbeat_must_be_shorter_than_the_lease_ttl() {
+        // A TTL under the default 5 s heartbeat would let every claim steal
+        // every healthy lease; so would an explicit heartbeat at the TTL.
+        for (argv, value) in [
+            (&["--listen", "x:1", "--lease-ttl", "3"][..], "5"),
+            (
+                &["--listen", "x:1", "--lease-ttl=2", "--heartbeat=2"][..],
+                "2",
+            ),
+            (&["--listen", "x:1", "--heartbeat=90"][..], "90"),
+        ] {
+            assert_eq!(
+                ServeCli::from_args(args(argv)),
+                Err(CliError::InvalidValue {
+                    flag: "--heartbeat",
+                    value: value.to_string(),
+                    expected: "fewer seconds than --lease-ttl",
+                })
+            );
+        }
+        let ok = ServeCli::from_args(args(&["--listen=x:1", "--lease-ttl=3", "--heartbeat=1"]));
+        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! on top of the store: replicate batches are appended per cell until the
 //! 95 % CI half-width of a chosen metric drops under a target (or a
 //! replicate cap is hit), and because every replicate is persisted, later
-//! invocations reuse the store instead of re-simulating.
+//! invocations reuse the store instead of re-simulating.  Sequential
+//! stopping is a single-process mode: the experiment service
+//! ([`crate::serve`]) refuses sequential specs.
 
 use caem::policy::PolicyKind;
 use caem_simcore::stats::RunningStats;
@@ -344,25 +346,6 @@ impl ExperimentSpec {
         store: &mut ExperimentStore,
         stop: &SequentialStopping,
     ) -> SequentialOutcome {
-        let outcome = self.run_sequential_with(stop, |spec| {
-            Ok::<_, std::convert::Infallible>(spec.run_with_store(store))
-        });
-        match outcome {
-            Ok(outcome) => outcome,
-            Err(never) => match never {},
-        }
-    }
-
-    /// The loop of [`ExperimentSpec::run_sequential`] over any per-round
-    /// runner: `run_round` receives the grid with every seed so far and
-    /// returns its report (the local runner reuses stored replicates; the
-    /// served one, [`crate::serve::Coordinator::run`], does the same through
-    /// its daemon's store).  The first runner error ends the loop.
-    pub fn run_sequential_with<E>(
-        &self,
-        stop: &SequentialStopping,
-        mut run_round: impl FnMut(&ExperimentSpec) -> Result<ExperimentReport, E>,
-    ) -> Result<SequentialOutcome, E> {
         stop.validate()
             .unwrap_or_else(|e| panic!("invalid sequential-stopping configuration: {e}"));
         assert!(
@@ -374,7 +357,7 @@ impl ExperimentSpec {
         let mut spec = self.clone();
         let mut rounds = Vec::new();
         loop {
-            let report = run_round(&spec)?;
+            let report = spec.run_with_store(store);
             let worst_half_width = worst_ci_half_width(&report, &stop.metric);
             rounds.push(SequentialRound {
                 replicates: spec.seeds.len(),
@@ -382,11 +365,11 @@ impl ExperimentSpec {
             });
             let converged = worst_half_width <= stop.target_half_width;
             if converged || spec.seeds.len() >= stop.max_replicates {
-                return Ok(SequentialOutcome {
+                return SequentialOutcome {
                     report,
                     rounds,
                     converged,
-                });
+                };
             }
             let next = spec.seeds.iter().copied().max().expect("non-empty seeds") + 1;
             let add = stop.batch.min(stop.max_replicates - spec.seeds.len()) as u64;

@@ -29,11 +29,10 @@
 //!    deliberately **not** part of the canonical report artifact, which must
 //!    stay byte-identical between clean and fault-injected runs.
 //!
-//! A run has one plan, created once by whoever parses `--chaos` or the
-//! [`CHAOS_ENV`] variable and shared as an `Arc<FaultPlan>`.  Worker
-//! *processes* cannot share the value, so the coordinator forwards the
-//! plan's text through [`CHAOS_ENV`] and each worker builds its own with
-//! [`FaultPlan::from_env_value`].  A seam given no plan never injects, and
+//! A run has one plan, created once and shared as an `Arc<FaultPlan>`.  A
+//! socket worker *process* (`experiment --connect`) builds its own from
+//! the [`CHAOS_ENV`] variable with [`FaultPlan::from_env_value`]; tests
+//! build theirs in-process.  A seam given no plan never injects, and
 //! nothing is global: plans used side by side in one process (tests) never
 //! see each other's faults, and [`FaultPlan::injected`] counts only the
 //! plan's own.
@@ -162,7 +161,8 @@ pub enum RunEvent {
     /// A job exhausted its attempts and was quarantined as a
     /// [`crate::persist::JobFailure`].
     JobQuarantined,
-    /// A spawned worker exited abnormally (killed, panicked, or errored).
+    /// A worker connection dropped while holding a shard lease (the
+    /// worker was killed, panicked, or errored).
     WorkerAbnormalExit,
     /// The active [`FaultPlan`] injected a fault.
     FaultInjected,
@@ -174,10 +174,13 @@ pub enum RunEvent {
     /// existing readers of the retry counters (perfbench's retry sum)
     /// name it; it always reads 0.
     FrameRetried,
+    /// A durable daemon could not write its submission journal or a grid's
+    /// store; the grid carried on in memory.
+    JournalWriteFailed,
 }
 
 /// Every [`RunEvent`] variant, in counter order.
-const RUN_EVENTS: [RunEvent; 10] = [
+const RUN_EVENTS: [RunEvent; 11] = [
     RunEvent::TornLineSkipped,
     RunEvent::ForeignRecordIgnored,
     RunEvent::LeaseStolen,
@@ -188,6 +191,7 @@ const RUN_EVENTS: [RunEvent; 10] = [
     RunEvent::FaultInjected,
     RunEvent::WorkerEvicted,
     RunEvent::FrameRetried,
+    RunEvent::JournalWriteFailed,
 ];
 
 impl RunEvent {
@@ -211,6 +215,7 @@ impl RunEvent {
             RunEvent::FaultInjected => "faults injected",
             RunEvent::WorkerEvicted => "stale workers evicted",
             RunEvent::FrameRetried => "frames retried",
+            RunEvent::JournalWriteFailed => "journal writes failed",
         }
     }
 }
@@ -292,7 +297,7 @@ pub const FAULT_KINDS: [FaultKind; 5] = [
 ];
 
 impl FaultKind {
-    /// The kind's spelling in `--chaos` specs and the env round-trip.
+    /// The kind's spelling in [`CHAOS_ENV`] values.
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Kill => "kill",
@@ -306,7 +311,7 @@ impl FaultKind {
 
 /// The declarative description of a fault schedule: a seed plus the enabled
 /// fault classes.  Parses from (and renders back to) the `seed:kind+kind`
-/// text used by `--chaos` and the [`CHAOS_ENV`] variable.
+/// text of the [`CHAOS_ENV`] variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlanConfig {
     /// Seed of the deterministic decision stream.
@@ -359,7 +364,7 @@ impl FaultPlanConfig {
     }
 
     /// Render back to the `seed:kind+kind` text ([`FaultPlanConfig::parse`]
-    /// round-trips it) — what the coordinator exports through [`CHAOS_ENV`].
+    /// round-trips it) — the value a worker process reads from [`CHAOS_ENV`].
     pub fn env_string(&self) -> String {
         let kinds: Vec<&str> = self.kinds.iter().map(|k| k.label()).collect();
         format!("{}:{}", self.seed, kinds.join("+"))
@@ -367,13 +372,14 @@ impl FaultPlanConfig {
 }
 
 /// Which role the current process plays under a fault plan.  Kill faults
-/// only fire in [`FaultRole::Worker`] processes — killing the coordinator
-/// would abort the experiment itself rather than exercise recovery (its
-/// in-process workers run under the coordinator's role).
+/// only fire in [`FaultRole::Worker`] processes: exiting any other process
+/// would abort the run itself rather than exercise recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultRole {
-    /// The process that owns the grid and merges the final report.
-    Coordinator,
+    /// A process that hosts the run — a local grid, or a test with its
+    /// daemon and loopback workers in one process.  Kill never fires here;
+    /// every other fault does.
+    Host,
     /// A disposable worker process whose death must be survivable.
     Worker,
 }
@@ -382,7 +388,7 @@ pub enum FaultRole {
 /// asserted on and the panic hook can keep injected panics off stderr.
 pub const POISON_MARKER: &str = "caem-injected-poison";
 
-/// Environment variable carrying the fault plan from coordinator to worker
+/// Environment variable carrying the fault plan to socket worker
 /// processes (the [`FaultPlanConfig::env_string`] text).
 pub const CHAOS_ENV: &str = "CAEM_CHAOS";
 
@@ -438,8 +444,8 @@ impl FaultPlan {
     }
 
     /// The plan a [`CHAOS_ENV`] value describes (`value` is what
-    /// `std::env::var(CHAOS_ENV).ok()` reads) — how a worker process
-    /// inherits the coordinator's schedule across `exec`.  Unset or empty
+    /// `std::env::var(CHAOS_ENV).ok()` reads) — how a socket worker
+    /// process takes its schedule from its environment.  Unset or empty
     /// means no plan; a malformed value is a hard error (a chaos run
     /// silently downgrading to a clean run would fake test coverage).
     pub fn from_env_value(

@@ -28,13 +28,13 @@
 //!    historical stores re-aggregate offline, and
 //!    [`experiment::ExperimentSpec::run_sequential`] adds replicates per cell
 //!    until a CI-half-width target is met.
-//! 6. [`serve`] distributes grids: a daemon leases shards of a grid to
-//!    socket workers and finalizes byte-identical reports; `experiment
-//!    --workers N` hosts one in-process ([`serve::Coordinator`]).  Every
-//!    layer speaks the same two types: a grid is an
-//!    [`experiment::ExperimentSpec`] (its canonical JSON is what a grant
-//!    ships and `--print-spec` prints, and hashes to the grid's identity)
-//!    and a job is an [`experiment::ExperimentJob`].
+//! 6. [`serve`] distributes grids: a daemon (`caem-serve`) journals
+//!    submitted grids and settled records under a store directory, leases
+//!    shards of a grid to socket workers (`experiment --connect`) and
+//!    finalizes byte-identical reports.  Every layer speaks the same two
+//!    types: a grid is an [`experiment::ExperimentSpec`] (its canonical
+//!    JSON is what a grant ships and `--print-spec` prints, and hashes to
+//!    the grid's identity) and a job is an [`experiment::ExperimentJob`].
 //!
 //! Scenario diversity beyond the paper's single uniform deployment lives in
 //! [`config::Topology`] (grid / Gaussian hotspots / corridor layouts),
@@ -88,8 +88,8 @@ pub use persist::{config_hash, ExperimentStore, JobFailure, JobRecord, StoreErro
 pub use result::{NodeSummary, SimulationResult};
 pub use runner::SimulationRun;
 pub use serve::{
-    run_socket_worker, serve_connection, serve_listener, Coordinator, LoopbackSpawner,
-    ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
+    run_socket_worker, serve_connection, serve_listener, LoopbackSpawner, ServiceClient,
+    ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
 pub use spec::{GridSpec, ResolvedGrid};
 pub use table::NodeTable;

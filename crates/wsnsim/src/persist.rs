@@ -316,8 +316,8 @@ pub struct StoreOptions {
     /// line, so per-append fsync only buys protection against *power* loss
     /// at a large throughput cost.
     pub fsync: bool,
-    /// The fault plan the store's appends run under (`--chaos`); `None`,
-    /// the default, never injects.
+    /// The fault plan the store's appends run under; `None`, the default,
+    /// never injects.
     pub faults: Option<Arc<FaultPlan>>,
 }
 

@@ -118,7 +118,10 @@ impl<'a> ServiceClient<'a> {
         }
     }
 
-    /// Fetch the most recent completed report, if one exists.
+    /// Fetch the report of the most recently submitted grid, once that
+    /// grid has completed: `None` while it (or any grid queued before it)
+    /// is still open, or before any grid was submitted.  An older grid's
+    /// report is never returned in its place.
     pub fn try_fetch(&mut self) -> Result<Option<String>, ProtoError> {
         let msg = Message::Fetch {
             seq: self.next_seq(),
@@ -134,7 +137,8 @@ impl<'a> ServiceClient<'a> {
         }
     }
 
-    /// Poll until a completed report is available or `timeout` elapses.
+    /// Poll [`ServiceClient::try_fetch`] until the most recently submitted
+    /// grid's report is available or `timeout` elapses.
     pub fn fetch_report(&mut self, timeout: Duration) -> Result<String, ProtoError> {
         let deadline = Instant::now() + timeout;
         for pause in poll_pauses() {

@@ -24,16 +24,26 @@
 //! enumeration order; shard `s` of `n` owns the jobs at indices `j` with
 //! `j % n == s` (round-robin, so every shard sees the same scenario mix).
 //!
-//! A daemon may carry an attached [`ExperimentStore`] (how `experiment
-//! --workers N` hosts one): every line it settles is appended to the store,
-//! and jobs the store already holds are settled the moment their grid is
-//! submitted, so a resumed coordinator only re-runs what it never
-//! recorded.
+//! A daemon opened on a store directory ([`ServiceState::open`], what
+//! `caem-serve --listen` runs) survives a `kill -9`.  Every accepted
+//! submission is appended to `DIR/grids.jsonl` before it is acknowledged,
+//! and each grid's settled lines go to its own experiment store,
+//! `DIR/<grid hash, 16 hex digits>.jsonl`.  A restarted daemon replays the
+//! submissions in order: the jobs a grid's store already holds settle at
+//! once, a grid the store completes finalizes on the spot, and only the
+//! rest is granted again.  A failed append never stops the grid; it is
+//! reported on stderr and counted as [`RunEvent::JournalWriteFailed`].
+//! [`ServiceState::shared`] keeps everything in memory.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::net::TcpListener;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use serde_json::{json, Value};
 
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
@@ -45,11 +55,11 @@ use crate::spec::GridSpec;
 use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
 use super::transport::{FrameLink, TcpLink};
 
-/// How long a connection loop waits for a frame before re-checking state.
-const RECV_TICK: Duration = Duration::from_millis(200);
-
 /// Suggested claim-retry delay when the daemon has nothing to grant.
 const NO_WORK_RETRY_MS: u64 = 100;
+
+/// The submission journal's file name inside a store directory.
+const GRIDS_JOURNAL: &str = "grids.jsonl";
 
 /// Daemon-wide tuning: the one place lease timing is set.  Every grid the
 /// daemon serves runs under it.
@@ -108,6 +118,8 @@ struct ActiveGrid {
     settled: HashSet<JobKey>,
     shard_done: Vec<bool>,
     leases: HashMap<usize, Lease>,
+    /// Where every settled line is appended, on a durable daemon.
+    store: Option<ExperimentStore>,
 }
 
 impl ActiveGrid {
@@ -146,6 +158,16 @@ impl ActiveGrid {
     }
 }
 
+/// The append handle on a durable daemon's `grids.jsonl`.
+struct Journal {
+    path: PathBuf,
+    file: File,
+    /// The file may end in a fragment without a newline (a crash tore the
+    /// last append, or an append failed); the next append terminates it
+    /// first, so the fragment cannot fuse with the new line.
+    torn_tail: bool,
+}
+
 /// Shared state of one daemon process.
 pub struct ServiceState {
     cfg: ServiceConfig,
@@ -153,12 +175,10 @@ pub struct ServiceState {
     completed: Vec<CompletedGrid>,
     next_conn: u64,
     workers: HashMap<u64, String>,
-    /// The store every settled line is appended to, if one is attached.
-    journal: Option<ExperimentStore>,
-    /// The first journal append that failed.
-    journal_error: Option<StoreError>,
-    /// Set by [`ServiceState::shutdown`]: every connection hangs up.
-    closed: bool,
+    /// The store directory of a durable daemon.
+    store_dir: Option<PathBuf>,
+    /// The submission journal of a durable daemon.
+    journal: Option<Journal>,
 }
 
 /// What a handled message asks the connection loop to do.
@@ -169,8 +189,6 @@ enum Reply {
     Send(Message),
     /// Send the response, then hang up (handshake rejections).
     Close(Message),
-    /// Hang up without a response (the daemon is shutting down).
-    Hangup,
 }
 
 impl ServiceState {
@@ -182,48 +200,70 @@ impl ServiceState {
             completed: Vec::new(),
             next_conn: 0,
             workers: HashMap::new(),
+            store_dir: None,
             journal: None,
-            journal_error: None,
-            closed: false,
         }
     }
 
-    /// Fresh state wrapped for sharing across connection threads.
+    /// Fresh in-memory state wrapped for sharing across connection threads.
     pub fn shared(cfg: ServiceConfig) -> Arc<Mutex<ServiceState>> {
         Arc::new(Mutex::new(ServiceState::new(cfg)))
     }
 
-    /// Append every line this daemon settles to `store`, and settle jobs
-    /// the store already holds as their grids are submitted.
-    pub fn attach_store(&mut self, store: ExperimentStore) {
-        self.journal = Some(store);
+    /// Durable shared state on the store directory `dir` (created if
+    /// missing): every grid the directory's `grids.jsonl` journals is
+    /// queued again in order through [`ServiceState::submit_grid`], and
+    /// later grids are journaled there.  An undecodable journal line (a
+    /// torn last line, whose submit was never acknowledged) is skipped
+    /// with a warning.
+    pub fn open(
+        cfg: ServiceConfig,
+        dir: impl AsRef<Path>,
+    ) -> Result<Arc<Mutex<ServiceState>>, StoreError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(GRIDS_JOURNAL);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let mut state = ServiceState::new(cfg);
+        state.store_dir = Some(dir.to_path_buf());
+        // The journal is attached after the replay, so no replayed grid is
+        // journaled twice.
+        for (lineno, line) in text.lines().enumerate() {
+            match decode_submission(line) {
+                Ok((name, spec)) => {
+                    state.submit_grid(&name, &spec);
+                }
+                Err(why) => {
+                    faults::note_event(RunEvent::TornLineSkipped);
+                    eprintln!(
+                        "warning: {}:{}: skipping a submission that does not decode ({why})",
+                        path.display(),
+                        lineno + 1
+                    );
+                }
+            }
+        }
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        state.journal = Some(Journal {
+            path,
+            file,
+            torn_tail: !text.is_empty() && !text.ends_with('\n'),
+        });
+        Ok(Arc::new(Mutex::new(state)))
     }
 
-    /// Take the attached store back.  `Err` carries the first append that
-    /// failed, if any did.
-    pub fn detach_store(&mut self) -> Option<Result<ExperimentStore, StoreError>> {
-        let store = self.journal.take()?;
-        Some(match self.journal_error.take() {
-            Some(e) => Err(e),
-            None => Ok(store),
-        })
-    }
-
-    /// Remove and return the report of the finished grid `grid_hash`, if it
-    /// has finished — so a later submission of the same grid is waited
-    /// for afresh.
-    pub fn take_report(&mut self, grid_hash: u64) -> Option<ExperimentReport> {
-        let index = self
-            .completed
+    /// The report of the newest finished grid hashing to `grid_hash`, if
+    /// one has finished.
+    pub fn report(&self, grid_hash: u64) -> Option<&ExperimentReport> {
+        self.completed
             .iter()
-            .position(|c| c.grid_hash == grid_hash)?;
-        Some(self.completed.remove(index).report)
-    }
-
-    /// Stop serving: every connection hangs up at its next frame or tick,
-    /// so attached workers see the daemon close and exit cleanly.
-    pub fn shutdown(&mut self) {
-        self.closed = true;
+            .rev()
+            .find(|c| c.grid_hash == grid_hash)
+            .map(|c| &c.report)
     }
 
     fn allocate_conn(&mut self) -> u64 {
@@ -232,9 +272,6 @@ impl ServiceState {
     }
 
     fn handle(&mut self, conn: u64, msg: Message) -> Reply {
-        if self.closed {
-            return Reply::Hangup;
-        }
         match msg {
             Message::Hello {
                 seq,
@@ -324,7 +361,9 @@ impl ServiceState {
                 events: faults::event_summary(),
             }),
             Message::Fetch { seq } => {
-                let report = self.completed.last();
+                // Grids finalize in submission order, so the newest
+                // submitted grid has finalized once none is queued.
+                let report = self.completed.last().filter(|_| self.queue.is_empty());
                 Reply::Send(Message::FetchReply {
                     seq,
                     ready: report.is_some(),
@@ -373,11 +412,29 @@ impl ServiceState {
         }
     }
 
+    /// Append an accepted grid to the journal of a durable daemon.
+    fn journal_submission(&mut self, name: &str, spec: &ExperimentSpec) {
+        let Some(journal) = &mut self.journal else {
+            return;
+        };
+        let entry = json!({ "name": name, "spec": spec.to_json() });
+        let mut line = if journal.torn_tail { "\n" } else { "" }.to_string();
+        line += &serde_json::to_string(&entry).expect("submission JSON always renders");
+        line.push('\n');
+        let written = journal.file.write_all(line.as_bytes());
+        journal.torn_tail = written.is_err();
+        if let Err(e) = written {
+            write_failed(&journal.path, &e);
+        }
+    }
+
     /// Queue `spec` as the grid `name`, exactly as a submitted document
-    /// resolving to it would be, and return its grid hash.  Jobs the
-    /// attached store already holds are settled at once; a grid the store
-    /// completes finalizes on the spot.
+    /// resolving to it would be, and return its grid hash.  A durable
+    /// daemon journals the grid first; then the jobs the grid's store
+    /// already holds are settled at once, and a grid the store completes
+    /// finalizes on the spot.
     pub fn submit_grid(&mut self, name: &str, spec: &ExperimentSpec) -> u64 {
+        self.journal_submission(name, spec);
         let jobs: Vec<(JobKey, u64)> = spec
             .enumerate_jobs()
             .iter()
@@ -401,17 +458,26 @@ impl ServiceState {
             settled: HashSet::new(),
             shard_done: vec![false; shard_count],
             leases: HashMap::new(),
+            store: None,
         };
-        if let Some(store) = &self.journal {
-            for &(key, config_hash) in &grid.jobs {
-                let scenario = &grid.spec.scenarios[key.0].label;
-                if let Some(record) = store.get(key, config_hash, scenario) {
-                    grid.settled.insert(key);
-                    grid.records.push(record.clone());
-                } else if let Some(failure) = store.get_failure(key, config_hash, scenario) {
-                    grid.settled.insert(key);
-                    grid.failures.push(failure.clone());
+        if let Some(dir) = &self.store_dir {
+            let path = dir.join(format!("{:016x}.jsonl", grid.grid_hash));
+            match ExperimentStore::open(&path) {
+                Ok(store) => {
+                    for &(key, config_hash) in &grid.jobs {
+                        let scenario = &grid.spec.scenarios[key.0].label;
+                        if let Some(record) = store.get(key, config_hash, scenario) {
+                            grid.settled.insert(key);
+                            grid.records.push(record.clone());
+                        } else if let Some(failure) = store.get_failure(key, config_hash, scenario)
+                        {
+                            grid.settled.insert(key);
+                            grid.failures.push(failure.clone());
+                        }
+                    }
+                    grid.store = Some(store);
                 }
+                Err(e) => write_failed(&path, &e),
             }
         }
         let grid_hash = grid.grid_hash;
@@ -502,13 +568,13 @@ impl ServiceState {
             }
         }
         for line in lines {
-            // Only a line that settles its job reaches the journal.
+            // Only a line that settles its job reaches the grid's store.
             let appended = match decode_line(&line) {
                 Ok(DecodedLine::Record(record)) => {
                     if !grid.settle(record.key(), record.config_hash, &record.scenario) {
                         continue;
                     }
-                    let appended = self.journal.as_mut().map(|s| s.append(record.clone()));
+                    let appended = grid.store.as_mut().map(|s| s.append(record.clone()));
                     grid.records.push(record);
                     appended
                 }
@@ -516,8 +582,8 @@ impl ServiceState {
                     if !grid.settle(failure.key(), failure.config_hash, &failure.scenario) {
                         continue;
                     }
-                    let appended = self
-                        .journal
+                    let appended = grid
+                        .store
                         .as_mut()
                         .map(|s| s.append_failure(failure.clone()));
                     grid.failures.push(failure);
@@ -528,10 +594,9 @@ impl ServiceState {
                     continue;
                 }
             };
-            // The grid still completes; the owner learns of the first
-            // failed append from `detach_store`.
-            if let Some(Err(e)) = appended {
-                self.journal_error.get_or_insert(e);
+            // The job stays settled in memory, so the grid still completes.
+            if let (Some(Err(e)), Some(store)) = (appended, &grid.store) {
+                write_failed(store.path(), &e);
             }
         }
     }
@@ -558,40 +623,41 @@ impl ServiceState {
         Message::DoneAck { seq }
     }
 
-    /// Finalize the front grid if every job is settled; otherwise reopen
+    /// Finalize the front grid — and each grid behind it that its store
+    /// already completed — while every job is settled; otherwise reopen
     /// the shards still holding unsettled jobs so they get re-granted.
     fn try_finish_active(&mut self) {
-        let Some(grid) = self.queue.front_mut() else {
-            return;
-        };
-        let open_shards: HashSet<usize> = grid
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, (key, _))| !grid.settled.contains(key))
-            .map(|(index, _)| index % grid.shard_count)
-            .collect();
-        if !open_shards.is_empty() {
-            for shard in open_shards {
-                grid.shard_done[shard] = false;
+        while let Some(grid) = self.queue.front_mut() {
+            let open_shards: HashSet<usize> = grid
+                .jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, (key, _))| !grid.settled.contains(key))
+                .map(|(index, _)| index % grid.shard_count)
+                .collect();
+            if !open_shards.is_empty() {
+                for shard in open_shards {
+                    grid.shard_done[shard] = false;
+                }
+                return;
             }
-            return;
+            let mut grid = self.queue.pop_front().expect("front grid exists");
+            // The canonical aggregation, so a fetched report is
+            // byte-identical to a single-process run of the same spec.
+            // Every record and quarantine was admitted once by `settle` (or
+            // the store at submit): nothing here needs re-checking or
+            // deduplicating.
+            let mut report = grid.spec.report_from(grid.records);
+            grid.failures.sort_by_key(JobFailure::key);
+            report.failures = grid.failures;
+            let text = serde_json::to_string_pretty(&report.to_json())
+                .expect("report JSON always renders");
+            self.completed.push(CompletedGrid {
+                grid_hash: grid.grid_hash,
+                report,
+                text,
+            });
         }
-        let mut grid = self.queue.pop_front().expect("front grid exists");
-        // The canonical aggregation, so a fetched report is byte-identical
-        // to a single-process run of the same spec.  Every record and
-        // quarantine was admitted once by `settle` (or the store at
-        // submit): nothing here needs re-checking or deduplicating.
-        let mut report = grid.spec.report_from(grid.records);
-        grid.failures.sort_by_key(JobFailure::key);
-        report.failures = grid.failures;
-        let text =
-            serde_json::to_string_pretty(&report.to_json()).expect("report JSON always renders");
-        self.completed.push(CompletedGrid {
-            grid_hash: grid.grid_hash,
-            report,
-            text,
-        });
     }
 
     fn drop_connection(&mut self, conn: u64) {
@@ -614,6 +680,25 @@ impl ServiceState {
     }
 }
 
+/// The `(name, spec)` of one `grids.jsonl` line.
+fn decode_submission(line: &str) -> Result<(String, ExperimentSpec), String> {
+    let value = serde_json::parse(line).map_err(|e| e.to_string())?;
+    let name = value
+        .get("name")
+        .and_then(Value::as_str)
+        .ok_or("no `name`")?;
+    let spec = ExperimentSpec::from_json(value.get("spec").ok_or("no `spec`")?)?;
+    Ok((name.to_string(), spec))
+}
+
+/// Report a durable write that failed (opening a grid's store included):
+/// on stderr, and as a counted event `--status` shows.  The grid carries on
+/// in memory.
+fn write_failed(path: &Path, e: &dyn std::fmt::Display) {
+    faults::note_event(RunEvent::JournalWriteFailed);
+    eprintln!("warning: could not journal to {}: {e}", path.display());
+}
+
 /// Serve one peer until it hangs up, answering each request once, in
 /// order.  A frame that does not decode closes the connection: the link
 /// never corrupts a frame, so the peer is broken, and its leases are freed
@@ -621,9 +706,8 @@ impl ServiceState {
 pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState>>) {
     let conn = state.lock().expect("service lock").allocate_conn();
     loop {
-        let frame = match link.recv(Some(RECV_TICK)) {
+        let frame = match link.recv(None) {
             Ok(Some(frame)) => frame,
-            Ok(None) if state.lock().expect("service lock").closed => break,
             Ok(None) => continue,
             Err(_) => break,
         };
@@ -642,7 +726,6 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
                 let _ = link.send(&response.encode());
                 break;
             }
-            Reply::Hangup => break,
         }
     }
     state.lock().expect("service lock").drop_connection(conn);

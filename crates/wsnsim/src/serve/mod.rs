@@ -1,6 +1,6 @@
 //! The experiment service: a daemon that accepts grid submissions and
 //! multiplexes their shards across a fleet of workers attached over a
-//! pluggable transport — the one coordination protocol of the suite.
+//! pluggable transport — the one multi-process run mode of the suite.
 //!
 //! Shard/lease semantics are spoken over length-prefixed JSON frames
 //! ([`proto`]): a worker handshakes (protocol version, optional pinned
@@ -23,25 +23,23 @@
 //!
 //! | transport | worker attach | used by |
 //! |---|---|---|
-//! | TCP socket ([`TcpLink`], [`ProcessSpawner`]) | `--connect ADDR` | `caem-serve` fleets and `experiment --workers N` |
-//! | loopback ([`LoopbackLink`], [`LoopbackSpawner`]) | in-memory channels | deterministic tests, the coordinator's inline worker |
+//! | TCP socket ([`TcpLink`]) | `experiment --connect ADDR` | `caem-serve` fleets |
+//! | loopback ([`LoopbackLink`], [`LoopbackSpawner`]) | in-memory channels | deterministic tests, examples, perfbench |
 //!
-//! `experiment --workers N` is a [`Coordinator`]: it hosts a daemon on a
-//! `127.0.0.1:0` listener with its experiment store attached, and spawns N
-//! `--connect` worker processes.  The loopback transport carries the
-//! *same* frames as TCP but over channels, and is the only place the chaos
-//! plan's frame delays are injected, widening race windows in-process,
-//! while CI exercises the real sockets with mid-grid `kill -9`s.
+//! `caem-serve --listen` runs the daemon on a store directory
+//! ([`ServiceState::open`]): accepted submissions and every grid's settled
+//! lines are journaled there, so a daemon killed with `kill -9` and
+//! restarted on the same directory resumes its grids.  The loopback
+//! transport carries the *same* frames as TCP but over channels, and is
+//! the only place the chaos plan's frame delays are injected, widening
+//! race windows in-process, while CI exercises the real sockets with
+//! `kill -9`s of workers and of the daemon.
 //!
 //! A job that panics on both of its two attempts is quarantined by its
 //! worker as a [`JobFailure`](crate::persist::JobFailure) instead of
-//! wedging its shard.  Thread discipline: a [`ProcessSpawner`] exports
-//! `RAYON_TOTAL_THREADS = process_thread_cap() / workers` to every worker
-//! process ([`rayon::split_thread_budget`]), so the whole process tree
-//! stays within the budget one process would use.
+//! wedging its shard.
 
 pub mod client;
-pub mod coordinator;
 pub mod daemon;
 pub mod proto;
 pub mod spawn;
@@ -49,9 +47,8 @@ pub mod transport;
 pub mod worker;
 
 pub use client::{ServiceClient, ServiceStatus, Submission};
-pub use coordinator::Coordinator;
 pub use daemon::{serve_connection, serve_listener, ServiceConfig, ServiceState};
 pub use proto::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
-pub use spawn::{DistribError, LoopbackSpawner, ProcessSpawner, WorkerHandle, WorkerSpawner};
+pub use spawn::{LoopbackSpawner, WorkerHandle};
 pub use transport::{loopback_pair, FrameLink, LoopbackLink, TcpLink};
 pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit, WorkerOutcome};

@@ -337,7 +337,7 @@ pub enum Message {
         /// [`crate::faults::event_summary`] of the daemon process.
         events: Option<String>,
     },
-    /// Client asks for the most recent completed report.
+    /// Client asks for the report of the most recently submitted grid.
     Fetch {
         /// Request sequence number.
         seq: u64,
@@ -348,7 +348,7 @@ pub enum Message {
     FetchReply {
         /// Echoed request sequence number.
         seq: u64,
-        /// Whether a completed report exists yet.
+        /// Whether the most recently submitted grid has completed.
         ready: bool,
         /// The rendered report text (empty until `ready`).
         report: String,

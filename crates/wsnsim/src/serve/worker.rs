@@ -57,7 +57,7 @@ pub struct SocketWorkerOptions {
     pub protocol: u64,
     /// Refuse to work unless the daemon's active grid has this grid hash.
     pub expect_hash: Option<u64>,
-    /// Graceful-stop flag: raised by the embedding coordinator or test;
+    /// Graceful-stop flag: raised by the embedding program or test;
     /// checked between jobs.
     pub stop: Arc<AtomicBool>,
     /// The fault plan the worker's jobs run under: it poisons a subset of

@@ -4,10 +4,12 @@
 //! The distributed runner's whole contract is that the execution topology is
 //! unobservable: however many workers split the grid — and however many of
 //! them die along the way — the merged report equals the single-process run
-//! byte for byte.  This example hosts the experiment service in-process and
-//! drives its shard-lease protocol with loopback worker threads (the
-//! `experiment` binary's `--workers N` flag does the same thing with
-//! separate OS processes over TCP) and checks the equivalence explicitly.
+//! byte for byte.  This example hosts the experiment service in-process on
+//! a store directory and drives its shard-lease protocol with loopback
+//! worker threads (`caem-serve` plus `experiment --connect` workers do the
+//! same thing with separate OS processes over TCP), checks the equivalence
+//! explicitly, and then shows that a daemon restarted on the same directory
+//! finishes the grid from its store alone.
 //!
 //! ```bash
 //! cargo run --release --example distributed_grid
@@ -16,8 +18,18 @@
 use caem::policy::PolicyKind;
 use caem_simcore::time::Duration;
 use caem_wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
-use caem_wsnsim::serve::{Coordinator, LoopbackSpawner, ServiceConfig, ServiceState};
-use caem_wsnsim::{ExperimentStore, ScenarioConfig, Topology};
+use caem_wsnsim::serve::{LoopbackSpawner, ServiceConfig, ServiceState};
+use caem_wsnsim::{ExperimentReport, ScenarioConfig, Topology};
+
+/// Wait until `state` has finalized `grid` and return its report.
+fn wait_for(state: &std::sync::Mutex<ServiceState>, grid: u64) -> ExperimentReport {
+    loop {
+        if let Some(report) = state.lock().unwrap().report(grid) {
+            return report.clone();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
 
 fn main() {
     let base =
@@ -48,28 +60,23 @@ fn main() {
     let single = spec.run();
 
     // The same grid across 3 workers leased shards by an in-process daemon
-    // that journals every record to a store.
-    let path =
-        std::env::temp_dir().join(format!("caem_example_distrib_{}.jsonl", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let state = ServiceState::shared(ServiceConfig::default());
-    state
-        .lock()
-        .unwrap()
-        .attach_store(ExperimentStore::open(&path).expect("open store"));
+    // that journals the grid and every record under a store directory.
+    let dir = std::env::temp_dir().join(format!("caem_example_distrib_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let state = ServiceState::open(ServiceConfig::default(), &dir).expect("open store directory");
+    let grid = state.lock().unwrap().submit_grid("example", &spec);
     let spawner = LoopbackSpawner::new(state.clone());
-    let mut coordinator =
-        Coordinator::start(state.clone(), &spawner, "loopback", 3, None).expect("start workers");
-    let report = coordinator.run(&spec).expect("distributed run");
-    let store = coordinator
-        .finish()
-        .expect("store attached")
-        .expect("every record journaled");
+    let workers: Vec<_> = (0..3).map(|index| spawner.spawn(index)).collect();
+    let report = wait_for(&state, grid);
+    spawner.stop_workers();
+    let simulated: usize = workers
+        .into_iter()
+        .map(|worker| worker.join().expect("worker exits cleanly").jobs_run)
+        .sum();
     println!(
-        "distributed over 3 workers / {} shards; {} records journaled to {}",
+        "distributed over 3 workers / {} shards; {simulated} jobs simulated, journaled to {}",
         ServiceConfig::default().shards_per_grid,
-        store.len(),
-        path.display()
+        dir.join(format!("{grid:016x}.jsonl")).display()
     );
 
     assert_eq!(
@@ -84,5 +91,15 @@ fn main() {
         report.cells.len(),
         report.job_count
     );
-    std::fs::remove_file(&path).ok();
+
+    // A daemon restarted on the same directory replays the journaled grid;
+    // its store settles every job, so the report is back without a worker.
+    let restarted = ServiceState::open(ServiceConfig::default(), &dir).expect("reopen");
+    let replayed = wait_for(&restarted, grid);
+    assert_eq!(
+        replayed, single,
+        "the restarted daemon's report is identical"
+    );
+    println!("a daemon restarted on the store directory reproduces the report");
+    std::fs::remove_dir_all(&dir).ok();
 }

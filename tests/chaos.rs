@@ -3,10 +3,11 @@
 //! faults), or identical-minus-quarantined (poison), and the store must
 //! hold exactly what the report says.
 //!
-//! A fault plan is a value handed to the seams it drives — the store, the
-//! loopback spawner and the coordinator — so these tests run side by side,
-//! and each one that asks "did the plan fire?" reads its own plan's count.
+//! A fault plan is a value handed to the seams it drives — the store and
+//! the loopback spawner — so these tests run side by side, and each one
+//! that asks "did the plan fire?" reads its own plan's count.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use caem_suite::wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
@@ -18,7 +19,8 @@ use proptest::prelude::*;
 mod common;
 
 use common::{
-    arbitrary_scenario, base, diverse_spec, report_bits, served, served_under, temp_store,
+    arbitrary_scenario, base, diverse_spec, grid_store, report_bits, served, served_under,
+    temp_dir, temp_store,
 };
 
 fn grid_keys(spec: &ExperimentSpec) -> Vec<JobKey> {
@@ -92,14 +94,36 @@ fn recoverable_plan(rng: &mut TestRng) -> FaultPlanConfig {
     }
 }
 
-/// One case of the property: `spec` run three ways — [`ExperimentSpec::run`],
-/// `run_with_store` on a store under the plan, and served by loopback
-/// workers with the store, links and workers under the same plan.
-fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig) {
+/// Cut the store at `path` just before its `(k + 1)`-th record: the header,
+/// the first `k` records and any torn fragments among them stay — the
+/// store a crash after the `k`-th append leaves.
+fn cut_after_records(path: &Path, k: usize) {
+    let text = std::fs::read_to_string(path).expect("read store");
+    let mut kept = String::new();
+    let mut records = 0;
+    for line in text.lines() {
+        let is_record = serde_json::parse(line).is_ok_and(|v| v.get("config_hash").is_some());
+        if is_record {
+            if records == k {
+                break;
+            }
+            records += 1;
+        }
+        kept.push_str(line);
+        kept.push('\n');
+    }
+    std::fs::write(path, kept).expect("write the cut store");
+}
+
+/// One case of the property: `spec` run four ways — [`ExperimentSpec::run`];
+/// `run_with_store` on a store under the plan; the same store cut to its
+/// first `resume_at` records and resumed under the plan; and served by
+/// loopback workers whose links and jobs run under the same plan.
+fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig, resume_at: usize) {
     let what = format!("case {case}, plan {}", cfg.env_string());
     let clean = spec.run();
     let clean_bits = report_bits(&clean);
-    let plan = FaultPlan::new(cfg.clone(), FaultRole::Coordinator);
+    let plan = FaultPlan::new(cfg.clone(), FaultRole::Host);
 
     // The local engine's parallel workers append through one shared store,
     // whose appends tear and fail transiently.
@@ -108,39 +132,59 @@ fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig) {
         faults: Some(Arc::clone(&plan)),
         ..StoreOptions::default()
     };
-    let mut store = ExperimentStore::open_with(&local_path, options).expect("open store");
+    let mut store = ExperimentStore::open_with(&local_path, options.clone()).expect("open store");
     let local = spec.run_with_store(&mut store);
     assert_eq!(store.appended(), spec.job_count(), "{what}");
     drop(store);
     assert_eq!(report_bits(&local), clean_bits, "{what}: local report");
 
-    // Served: delayed frames on top of the coordinator store's faults.
-    let served_path = temp_store(&format!("property_{case}_served"));
-    let (report, _) = served_under(spec, 2, &served_path, Some(Arc::clone(&plan)));
+    // Resumed midway: only the jobs past the cut run again, under the plan.
+    cut_after_records(&local_path, resume_at);
+    let mut store = ExperimentStore::open_with(&local_path, options).expect("reopen store");
+    assert_eq!(store.len(), resume_at, "{what}: records kept by the cut");
+    let resumed = spec.run_with_store(&mut store);
+    assert_eq!(
+        store.appended(),
+        spec.job_count() - resume_at,
+        "{what}: resumed after {resume_at} records"
+    );
+    drop(store);
+    assert_eq!(report_bits(&resumed), clean_bits, "{what}: resumed report");
+
+    // Served: the daemon's store appends carry no plan; the links delay
+    // frames.
+    let served_dir = temp_dir(&format!("property_{case}_served"));
+    let (report, _) = served_under(spec, 2, &served_dir, Some(Arc::clone(&plan)));
     assert_eq!(report_bits(&report), clean_bits, "{what}: served report");
 
     assert!(plan.injected() > 0, "{what}: the plan never fired");
-    for path in [&local_path, &served_path] {
-        let journaled = ExperimentStore::load(path).expect("store reloads");
+    for path in [local_path.clone(), grid_store(&served_dir, spec)] {
+        let journaled = ExperimentStore::load(&path).expect("store reloads");
         assert_eq!(
             journaled.rebuild_report().cells,
             clean.cells,
             "{what}: {} re-aggregates to the clean cells",
             path.display()
         );
-        std::fs::remove_file(path).ok();
     }
+    std::fs::remove_file(&local_path).ok();
+    std::fs::remove_dir_all(&served_dir).ok();
 }
 
 #[test]
 fn random_grids_under_random_recoverable_plans_report_the_clean_bytes() {
     let mut rng = TestRng::deterministic("random_grids_under_random_recoverable_plans");
-    let cases: Vec<(ExperimentSpec, FaultPlanConfig)> = (0..PROPERTY_CASES)
-        .map(|_| (small_grid(&mut rng), recoverable_plan(&mut rng)))
+    let cases: Vec<(ExperimentSpec, FaultPlanConfig, usize)> = (0..PROPERTY_CASES)
+        .map(|_| {
+            let spec = small_grid(&mut rng);
+            let cfg = recoverable_plan(&mut rng);
+            let resume_at = (0..spec.job_count() + 1).sample(&mut rng);
+            (spec, cfg, resume_at)
+        })
         .collect();
     std::thread::scope(|scope| {
-        for (case, (spec, cfg)) in cases.iter().enumerate() {
-            scope.spawn(move || check_case(case, spec, cfg));
+        for (case, (spec, cfg, resume_at)) in cases.iter().enumerate() {
+            scope.spawn(move || check_case(case, spec, cfg, *resume_at));
         }
     });
 }
@@ -163,7 +207,7 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
                 seed,
                 kinds: vec![FaultKind::Poison],
             };
-            let plan = FaultPlan::new(cfg, FaultRole::Coordinator);
+            let plan = FaultPlan::new(cfg, FaultRole::Host);
             let poisoned: Vec<JobKey> = keys
                 .iter()
                 .copied()
@@ -172,8 +216,8 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
             (!poisoned.is_empty() && poisoned.len() < keys.len()).then_some((plan, poisoned))
         })
         .expect("some seed poisons a strict subset of 18 jobs");
-    let path = temp_store("poison");
-    let (degraded, _) = served_under(&spec, 2, &path, Some(plan));
+    let dir = temp_dir("poison");
+    let (degraded, _) = served_under(&spec, 2, &dir, Some(plan));
 
     let failed_keys: Vec<JobKey> = degraded.failures.iter().map(|f| f.key()).collect();
     assert_eq!(failed_keys, poisoned, "exactly the poisoned jobs failed");
@@ -204,20 +248,20 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
     }
 
     // The offline re-aggregation of the store reproduces the degradation.
-    let offline = ExperimentStore::load(&path)
+    let offline = ExperimentStore::load(grid_store(&dir, &spec))
         .expect("store reloads")
         .rebuild_report();
     assert_eq!(
         offline.failures, degraded.failures,
         "standing quarantines survive offline re-aggregation"
     );
-    // Quarantines are settled state: a coordinator resuming the poisoned
+    // Quarantines are settled state: a daemon restarted on the poisoned
     // store without a plan finds nothing pending and re-runs none of them.
-    let (resumed, store) = served(&spec, 2, &path);
+    let (resumed, simulated) = served(&spec, 2, &dir);
     assert_eq!(resumed.failures, degraded.failures);
     assert_eq!(report_bits(&resumed), report_bits(&degraded));
-    assert_eq!(store.appended(), 0, "quarantined jobs are not re-run");
-    std::fs::remove_file(&path).ok();
+    assert_eq!(simulated, 0, "quarantined jobs are not re-run");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -240,8 +284,8 @@ fn an_fsynced_store_round_trips_its_report() {
     std::fs::remove_file(&store_path).ok();
 }
 
-/// The coordinator → worker hand-off: a worker builds its plan from the
-/// `CAEM_CHAOS` value the coordinator exported.
+/// How a worker process takes its plan: from the `CAEM_CHAOS` value in its
+/// environment.
 #[test]
 fn a_worker_rebuilds_the_plan_from_its_env_value() {
     let plan = FaultPlan::from_env_value(Some("21:torn+delay"), FaultRole::Worker)

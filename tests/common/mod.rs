@@ -1,21 +1,20 @@
 //! Helpers shared by the grid contract tests (`distrib`, `chaos`,
-//! `persistence`, `spec_roundtrip`): fixed grids, served runs, and the
-//! random scenario generators the property tests draw from.
+//! `persistence`, `spec_roundtrip`): fixed grids, served runs on an
+//! in-process daemon, and the random scenario generators the property
+//! tests draw from.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration as StdDuration, Instant};
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::faults::FaultPlan;
-use caem_suite::wsnsim::persist::{ExperimentStore, StoreOptions};
-use caem_suite::wsnsim::serve::{
-    Coordinator, LoopbackSpawner, ServiceConfig, ServiceState, WorkerSpawner,
-};
+use caem_suite::wsnsim::serve::{LoopbackSpawner, ServiceConfig, ServiceState};
 use caem_suite::wsnsim::spec::{ScenarioQuick, ScenarioSpecDoc, TrafficSpec};
 use caem_suite::wsnsim::{ScenarioConfig, Topology};
 
@@ -27,6 +26,19 @@ pub fn temp_store(name: &str) -> PathBuf {
     ));
     std::fs::remove_file(&path).ok();
     path
+}
+
+/// A fresh, empty store directory under the temp directory, unique per
+/// process.
+pub fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("caem_grid_test_{}_{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Where a durable daemon on `dir` journals the records of `spec`.
+pub fn grid_store(dir: &Path, spec: &ExperimentSpec) -> PathBuf {
+    dir.join(format!("{:016x}.jsonl", spec.hash()))
 }
 
 /// The report serialized to canonical JSON text: string equality is
@@ -58,64 +70,74 @@ pub fn diverse_spec() -> ExperimentSpec {
     )
 }
 
-/// A daemon splitting each grid into four shards.
-pub fn daemon() -> Arc<Mutex<ServiceState>> {
-    ServiceState::shared(ServiceConfig {
+/// The daemon tuning of these tests: each grid split into four shards.
+pub fn four_shards() -> ServiceConfig {
+    ServiceConfig {
         shards_per_grid: 4,
         ..ServiceConfig::default()
-    })
+    }
 }
 
-/// Run `spec` like `experiment --workers N`: `workers` workers from
-/// `spawner` attached to `state`, with `store` journaling their records
-/// and the coordinator's inline fallback worker under `faults`; returns
-/// the report and the store.
-pub fn served_with<S: WorkerSpawner>(
+/// An in-memory daemon splitting each grid into four shards.
+pub fn daemon() -> Arc<Mutex<ServiceState>> {
+    ServiceState::shared(four_shards())
+}
+
+/// A durable daemon on the store directory `dir`, splitting each grid into
+/// four shards — what `caem-serve --listen --store dir --shards 4` runs.
+pub fn durable_daemon(dir: &Path) -> Arc<Mutex<ServiceState>> {
+    ServiceState::open(four_shards(), dir).expect("store directory opens")
+}
+
+/// Wait for `state` to finalize the grid `grid` and return its report.
+pub fn wait_for_report(state: &Mutex<ServiceState>, grid: u64) -> ExperimentReport {
+    let deadline = Instant::now() + StdDuration::from_secs(300);
+    loop {
+        if let Some(report) = state.lock().unwrap().report(grid) {
+            return report.clone();
+        }
+        assert!(Instant::now() < deadline, "the grid never finalized");
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+}
+
+/// Submit `spec` to `state`, run it with `workers` workers from `spawner`
+/// and wait for the report; then stop the workers.  Returns the report and
+/// the number of jobs the workers simulated.
+pub fn served_with(
     state: &Arc<Mutex<ServiceState>>,
-    spawner: &S,
+    spawner: &LoopbackSpawner,
     spec: &ExperimentSpec,
     workers: usize,
-    store: ExperimentStore,
-    faults: Option<Arc<FaultPlan>>,
-) -> (ExperimentReport, ExperimentStore) {
-    state.lock().unwrap().attach_store(store);
-    let mut coordinator = Coordinator::start(state.clone(), spawner, "loopback", workers, faults)
-        .expect("workers start");
-    let report = coordinator.run(spec).expect("served run succeeds");
-    let store = coordinator
-        .finish()
-        .expect("store attached")
-        .expect("every append landed");
-    (report, store)
+) -> (ExperimentReport, usize) {
+    let grid = state.lock().unwrap().submit_grid("served", spec);
+    let handles: Vec<_> = (0..workers).map(|index| spawner.spawn(index)).collect();
+    let report = wait_for_report(state, grid);
+    spawner.stop_workers();
+    let simulated = handles
+        .into_iter()
+        .map(|handle| handle.join().expect("worker exits cleanly").jobs_run)
+        .sum();
+    (report, simulated)
 }
 
-/// [`served_with`] over loopback workers on a fresh [`daemon`], with the
-/// store at `path`.
-pub fn served(
-    spec: &ExperimentSpec,
-    workers: usize,
-    path: &Path,
-) -> (ExperimentReport, ExperimentStore) {
-    served_under(spec, workers, path, None)
+/// [`served_with`] over loopback workers on a [`durable_daemon`] on `dir`:
+/// the grid's records are journaled to [`grid_store`]`(dir, spec)`.
+pub fn served(spec: &ExperimentSpec, workers: usize, dir: &Path) -> (ExperimentReport, usize) {
+    served_under(spec, workers, dir, None)
 }
 
-/// [`served`] with the store, the loopback links and every worker under
-/// `faults` — what `experiment --workers N --chaos` does with real
-/// processes.
+/// [`served`] with the loopback links and every worker under `faults`:
+/// frames are delayed and the plan's poisoned jobs panic.
 pub fn served_under(
     spec: &ExperimentSpec,
     workers: usize,
-    path: &Path,
+    dir: &Path,
     faults: Option<Arc<FaultPlan>>,
-) -> (ExperimentReport, ExperimentStore) {
-    let state = daemon();
-    let options = StoreOptions {
-        faults: faults.clone(),
-        ..StoreOptions::default()
-    };
-    let store = ExperimentStore::open_with(path, options).expect("open store");
-    let spawner = LoopbackSpawner::with_faults(state.clone(), faults.clone());
-    served_with(&state, &spawner, spec, workers, store, faults)
+) -> (ExperimentReport, usize) {
+    let state = durable_daemon(dir);
+    let spawner = LoopbackSpawner::with_faults(state.clone(), faults);
+    served_with(&state, &spawner, spec, workers)
 }
 
 // ---------------------------------------------------------------------------

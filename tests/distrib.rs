@@ -3,32 +3,45 @@
 //!
 //! The distribution layer promises exactly one thing on top of the engine:
 //! **the execution topology is unobservable in the results**.  One worker,
-//! N workers, workers dying mid-shard, a coordinator killed and resumed
-//! from its store, leases stolen from silent workers, records merged in any
-//! order — every path must reproduce the single-process
-//! [`ExperimentSpec::run`] report bit for bit.  These tests drive the
-//! `--workers N` coordinator ([`Coordinator`]) with in-process loopback
-//! workers, which speak the same frames as the `--connect` worker processes
-//! the CI smoke job kills.
+//! N workers, workers dying mid-shard, a daemon killed and restarted on its
+//! store directory, leases stolen from silent workers, records merged in
+//! any order — every path must reproduce the single-process
+//! [`ExperimentSpec::run`] report bit for bit.  These tests drive an
+//! in-process daemon ([`ServiceState`]) with loopback workers, which speak
+//! the same frames as the `experiment --connect` worker processes the CI
+//! service step kills.
 
-use std::time::{Duration as StdDuration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration as StdDuration;
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
-use caem_suite::wsnsim::experiment::{
-    ExperimentReport, ExperimentSpec, ScenarioSpec, SequentialStopping,
-};
+use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
+use caem_suite::wsnsim::faults::{self, RunEvent};
 use caem_suite::wsnsim::persist::{ExperimentStore, JobRecord};
 use caem_suite::wsnsim::serve::{
-    run_socket_worker, serve_listener, Coordinator, DistribError, FrameLink, LoopbackSpawner,
-    Message, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit, WorkerHandle,
-    WorkerSpawner,
+    run_socket_worker, serve_listener, FrameLink, LoopbackLink, LoopbackSpawner, Message,
+    ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
 use caem_suite::wsnsim::ScenarioConfig;
 
 mod common;
 
-use common::{base, daemon, diverse_spec, report_bits, served, served_with, temp_store};
+use common::{
+    daemon, diverse_spec, durable_daemon, grid_store, report_bits, served, served_with, temp_dir,
+    wait_for_report,
+};
+
+/// Send `msg` and return the next frame, its response.
+fn rpc(link: &mut LoopbackLink, msg: &Message) -> Message {
+    link.send(&msg.encode()).expect("send");
+    let frame = link
+        .recv(Some(StdDuration::from_secs(10)))
+        .expect("recv")
+        .expect("response before timeout");
+    Message::decode(&frame).expect("well-formed response")
+}
 
 #[test]
 fn n_worker_and_single_worker_reports_are_bit_identical_to_run() {
@@ -36,94 +49,124 @@ fn n_worker_and_single_worker_reports_are_bit_identical_to_run() {
     let single_process = spec.run();
 
     for workers in 1..=3 {
-        let path = temp_store(&format!("identical_{workers}"));
-        let (report, store) = served(&spec, workers, &path);
+        let dir = temp_dir(&format!("identical_{workers}"));
+        let (report, simulated) = served(&spec, workers, &dir);
         assert_eq!(
             report, single_process,
             "{workers}-worker report equals ExperimentSpec::run"
         );
         assert_eq!(report_bits(&report), report_bits(&single_process));
-        assert_eq!(store.appended(), spec.job_count(), "every job journaled");
-        // The offline re-aggregation of the coordinator's store alone
-        // reproduces the same cells.
+        assert_eq!(simulated, spec.job_count(), "every job simulated once");
+        // Every job journaled once, after the header; the offline
+        // re-aggregation of the daemon's per-grid store alone reproduces
+        // the same cells.
+        let path = grid_store(&dir, &spec);
+        let lines = std::fs::read_to_string(&path).expect("grid store exists");
+        assert_eq!(lines.lines().count(), 1 + spec.job_count());
         let offline = ExperimentStore::load(&path)
             .expect("store reloads")
             .rebuild_report();
         assert_eq!(offline.cells, single_process.cells);
         assert_eq!(offline.job_count, spec.job_count());
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-/// Worker 0 claims a shard and dies holding it, like a `kill -9`ed worker
-/// process; the rest are healthy loopback workers.
-struct OneDoomedWorker(LoopbackSpawner);
-
-impl WorkerSpawner for OneDoomedWorker {
-    fn spawn(
-        &self,
-        endpoint: &str,
-        index: usize,
-        thread_budget: usize,
-    ) -> Result<WorkerHandle, DistribError> {
-        if index > 0 {
-            return self.0.spawn(endpoint, index, thread_budget);
-        }
-        let mut link = self.0.connect();
-        Ok(WorkerHandle::from_thread(std::thread::spawn(move || {
-            for seq in 1.. {
-                link.send(&Message::Claim { seq }.encode())
-                    .expect("claim lands");
-                let frame = link.recv(Some(StdDuration::from_secs(10)));
-                let reply = frame.expect("recv").expect("a reply");
-                if let Ok(Message::Grant { .. }) = Message::decode(&reply) {
-                    break;
-                }
-                std::thread::sleep(StdDuration::from_millis(5));
-            }
-            Err(DistribError::Format("killed holding a shard".into()))
-        })))
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
-fn killed_workers_and_coordinator_restart_still_reproduce_the_report() {
+fn a_restarted_daemon_resumes_its_journaled_grid_byte_identically() {
     let spec = diverse_spec();
     let single_process = spec.run();
-    let path = temp_store("kill_restart");
+    let dir = temp_dir("restart");
+    let store_path = grid_store(&dir, &spec);
+    let journal_path = dir.join("grids.jsonl");
 
-    // Phase 1 — a first coordinator journals the grid, then "crashes": a
-    // `kill -9` mid-grid leaves the header, the records that had arrived,
-    // and a torn fragment of the next line.
-    served(&spec, 2, &path);
-    let text = std::fs::read_to_string(&path).expect("read store");
-    let lines: Vec<&str> = text.lines().collect();
-    let kept = 7;
-    let mut crashed: String = lines[..=kept].iter().map(|l| format!("{l}\n")).collect();
-    crashed.push_str(&lines[kept + 1][..lines[kept + 1].len() / 2]);
-    std::fs::write(&path, crashed).expect("write crashed store");
+    // Phase 1 — a daemon journals the grid, a worker settles three of its
+    // jobs, and then the daemon "crashes": a `kill -9` leaves its
+    // directory as it was, plus a torn half of the next record and of the
+    // next submission, neither of which was acknowledged.
+    let kept = 3;
+    let grid = {
+        let state = durable_daemon(&dir);
+        let grid = state.lock().unwrap().submit_grid("restart", &spec);
+        let mut peer = LoopbackSpawner::new(state.clone()).connect();
+        let (shard, keys) = match rpc(&mut peer, &Message::Claim { seq: 1 }) {
+            Message::Grant { shard, jobs, .. } => (shard, jobs),
+            other => panic!("expected a grant, got {other:?}"),
+        };
+        let lines = spec
+            .jobs_at(&keys[..kept])
+            .expect("granted keys lie on the grid")
+            .iter()
+            .map(|job| serde_json::to_string(&spec.run_job(job)).expect("record serializes"))
+            .collect();
+        peer.send(&Message::Records { grid, shard, lines }.encode())
+            .expect("records land");
+        // Frames on one connection are handled in order: once the release
+        // is acknowledged, the records are journaled.
+        let released = rpc(
+            &mut peer,
+            &Message::Release {
+                seq: 2,
+                grid,
+                shard,
+            },
+        );
+        assert!(
+            matches!(released, Message::ReleaseAck { .. }),
+            "{released:?}"
+        );
+        grid
+    };
+    let text = std::fs::read_to_string(&store_path).expect("grid store exists");
+    let next_record = text.lines().nth(1).expect("a journaled record");
+    std::fs::write(
+        &store_path,
+        format!("{text}{}", &next_record[..next_record.len() / 2]),
+    )
+    .expect("tear the store");
+    let journal = std::fs::read_to_string(&journal_path).expect("grids are journaled");
+    assert_eq!(journal.lines().count(), 1, "one grid journaled");
+    std::fs::write(&journal_path, format!("{journal}{{\"name\":\"tor")).expect("tear");
 
-    // Phase 2 — the restarted coordinator resumes from its store while one
-    // of its workers dies holding a shard.  Only the jobs the store is missing
-    // run, and the report is byte-identical.
-    let state = daemon();
-    let spawner = OneDoomedWorker(LoopbackSpawner::new(state.clone()));
-    let store = ExperimentStore::open(&path).expect("reopen crashed store");
-    assert_eq!(store.len(), kept);
-    let (report, store) = served_with(&state, &spawner, &spec, 3, store, None);
+    // Phase 2 — a daemon restarted on the same directory, with nothing
+    // resubmitted, queues the grid again with its three stored jobs
+    // settled.  One worker dies holding a shard; two healthy ones finish.
+    let state = durable_daemon(&dir);
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut doomed = spawner.connect();
+    assert!(matches!(
+        rpc(&mut doomed, &Message::Claim { seq: 1 }),
+        Message::Grant { .. }
+    ));
+    drop(doomed);
+    let handles: Vec<_> = (0..2).map(|index| spawner.spawn(index)).collect();
+    let report = wait_for_report(&state, grid);
+    spawner.stop_workers();
+    let simulated: usize = handles
+        .into_iter()
+        .map(|handle| handle.join().expect("worker exits cleanly").jobs_run)
+        .sum();
     assert_eq!(report, single_process);
     assert_eq!(report_bits(&report), report_bits(&single_process));
     assert_eq!(
-        store.appended(),
+        simulated,
         spec.job_count() - kept,
-        "only the missing jobs were simulated"
+        "only the jobs the store is missing ran"
     );
 
-    // A third coordinator over the complete store simulates nothing.
-    let (again, store) = served(&spec, 2, &path);
-    assert_eq!(again, single_process);
-    assert_eq!(store.appended(), 0, "nothing left to simulate");
-    std::fs::remove_file(&path).ok();
+    // A third daemon on the complete store finalizes the grid as it opens,
+    // and a new submission lands on a line of its own after the torn one.
+    let state = durable_daemon(&dir);
+    let again = state.lock().unwrap().report(grid).cloned();
+    assert_eq!(again.as_ref(), Some(&single_process), "finalized at open");
+    state.lock().unwrap().submit_grid("again", &spec);
+    let journal = std::fs::read_to_string(&journal_path).expect("journal");
+    let lines: Vec<&str> = journal.lines().collect();
+    assert_eq!(lines.len(), 3, "grid, torn fragment, new grid: {journal}");
+    assert!(lines[2].starts_with("{\"name\":\"again\""), "{}", lines[2]);
+    let reopened = durable_daemon(&dir);
+    assert!(reopened.lock().unwrap().report(grid).is_some());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -139,25 +182,15 @@ fn stale_lease_is_stolen_and_the_shard_completes() {
 
     // A hung worker: connected, holding a shard, never heartbeating.
     let mut hung = spawner.connect();
-    hung.send(&Message::Claim { seq: 1 }.encode())
-        .expect("claim lands");
-    let frame = hung
-        .recv(Some(StdDuration::from_secs(10)))
-        .expect("recv")
-        .expect("grant");
-    assert!(matches!(Message::decode(&frame), Ok(Message::Grant { .. })));
+    assert!(matches!(
+        rpc(&mut hung, &Message::Claim { seq: 1 }),
+        Message::Grant { .. }
+    ));
 
     // A healthy worker finishes its own shards, then steals the hung one
     // once its TTL lapses.
-    let worker = spawner.spawn("loopback", 0, 1).expect("spawn");
-    let deadline = Instant::now() + StdDuration::from_secs(300);
-    let report = loop {
-        if let Some(report) = state.lock().unwrap().take_report(grid) {
-            break report;
-        }
-        assert!(Instant::now() < deadline, "the hung shard was never stolen");
-        std::thread::sleep(StdDuration::from_millis(10));
-    };
+    let worker = spawner.spawn(0);
+    let report = wait_for_report(&state, grid);
     assert_eq!(report_bits(&report), report_bits(&spec.run()));
     spawner.stop_workers();
     worker.join().expect("worker exits cleanly");
@@ -167,8 +200,9 @@ fn stale_lease_is_stolen_and_the_shard_completes() {
 fn merge_is_invariant_under_shuffled_store_discovery_order() {
     let spec = diverse_spec();
     let single_process = spec.run();
-    let path = temp_store("shuffle");
-    let (_, store) = served(&spec, 3, &path);
+    let dir = temp_dir("shuffle");
+    served(&spec, 3, &dir);
+    let store = ExperimentStore::load(grid_store(&dir, &spec)).expect("store reloads");
     let mut records: Vec<JobRecord> = store.records().to_vec();
     // Re-granted jobs legitimately arrive twice.
     records.extend_from_within(..5);
@@ -183,29 +217,31 @@ fn merge_is_invariant_under_shuffled_store_discovery_order() {
         assert_eq!(report, single_process);
         assert_eq!(report_bits(&report), report_bits(&single_process));
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn manifest_mismatch_is_rejected_instead_of_contaminating_the_directory() {
     let spec = diverse_spec();
-    let path = temp_store("mismatch");
-    served(&spec, 1, &path);
+    let dir = temp_dir("mismatch");
+    served(&spec, 1, &dir);
 
-    // The same job keys under different configurations: every stored
-    // record is stale for the edited grid, so none may settle a job.
+    // The same job keys under different configurations: a different grid,
+    // so a different store.  Even handed the first grid's records as its
+    // own, none may settle a job of the edited grid.
     let mut edited = spec.clone();
     for scenario in &mut edited.scenarios {
         scenario.base = scenario.base.clone().with_duration(Duration::from_secs(9));
     }
-    let (report, store) = served(&edited, 2, &path);
+    assert_ne!(grid_store(&dir, &edited), grid_store(&dir, &spec));
+    std::fs::copy(grid_store(&dir, &spec), grid_store(&dir, &edited)).expect("copy store");
+    let (report, simulated) = served(&edited, 2, &dir);
     assert_eq!(report_bits(&report), report_bits(&edited.run()));
-    assert_eq!(
-        store.appended(),
-        edited.job_count(),
-        "every stale record re-ran"
-    );
-    std::fs::remove_file(&path).ok();
+    assert_eq!(simulated, edited.job_count(), "every stale record re-ran");
+    // The first grid's store holds only its own records.
+    let original = ExperimentStore::load(grid_store(&dir, &spec)).expect("reload");
+    assert_eq!(original.rebuild_report().cells, spec.run().cells);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -222,159 +258,51 @@ fn distributed_load_grid_matches_the_resumable_spec_path() {
         .collect();
     let spec = ExperimentSpec::paper_policies(scenarios, 41, 2);
     let expected = spec.run();
-    let path = temp_store("load_grid");
-    let (report, _) = served(&spec, 2, &path);
+    let dir = temp_dir("load_grid");
+    let (report, _) = served(&spec, 2, &dir);
     assert_eq!(report, expected);
     assert_eq!(report_bits(&report), report_bits(&expected));
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn distributed_sequential_stopping_matches_the_store_backed_loop() {
-    let spec = ExperimentSpec {
-        scenarios: vec![ScenarioSpec::new("uniform", base(0))],
-        policies: vec![PolicyKind::Scheme1Adaptive],
-        seeds: vec![9_100, 9_101],
-    };
-    let stop = SequentialStopping {
-        metric: "delivery_rate".to_string(),
-        target_half_width: 1e-9, // unreachable: drives the loop to its cap
-        batch: 2,
-        max_replicates: 6,
-    };
-
-    // Reference: the single-process, store-backed sequential loop.
-    let reference_path = temp_store("seq_reference");
-    let mut store = ExperimentStore::open(&reference_path).expect("open store");
-    let reference = spec.run_sequential(&mut store, &stop);
-
-    // The same loop with each round served by two workers.
-    let path = temp_store("sequential");
-    let sequential = |store: ExperimentStore| {
-        let state = daemon();
-        state.lock().unwrap().attach_store(store);
-        let spawner = LoopbackSpawner::new(state.clone());
-        let mut coordinator =
-            Coordinator::start(state.clone(), &spawner, "loopback", 2, None).expect("start");
-        let outcome = spec
-            .run_sequential_with(&stop, |round| coordinator.run(round))
-            .expect("served sequential");
-        let store = coordinator.finish().unwrap().unwrap();
-        (outcome, store)
-    };
-    let (outcome, store) = sequential(ExperimentStore::open(&path).expect("open"));
-    assert_eq!(outcome.converged, reference.converged);
-    assert_eq!(outcome.rounds, reference.rounds, "identical CI trajectory");
-    assert_eq!(outcome.report, reference.report);
-    assert_eq!(report_bits(&outcome.report), report_bits(&reference.report));
-    assert_eq!(store.appended(), stop.max_replicates);
-
-    // Re-invocation resumes from the store: nothing is simulated again and
-    // the outcome is unchanged.
-    drop(store);
-    let (again, store) = sequential(ExperimentStore::open(&path).expect("reopen"));
-    assert_eq!(again.rounds, outcome.rounds);
-    assert_eq!(again.report, outcome.report);
-    assert_eq!(store.appended(), 0, "a re-invocation appends nothing");
-
-    std::fs::remove_file(&reference_path).ok();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn distributed_runs_stay_inside_the_process_thread_budget() {
     let spec = diverse_spec();
-    let path = temp_store("budget");
-    served(&spec, 3, &path);
+    let state = daemon();
+    served_with(&state, &LoopbackSpawner::new(state.clone()), &spec, 3);
     // In-process workers draw their rayon fan-outs from the shared global
     // budget: however many workers run concurrently, the peak of live
     // spawned simulation threads never exceeds the process cap.
     assert!(rayon::peak_live_workers() <= rayon::process_thread_cap());
-    // And the budget arithmetic offered to process workers divides the cap.
-    let share = rayon::split_thread_budget(3);
-    assert!(share >= 1);
-    assert!(share * 3 <= rayon::process_thread_cap().max(3));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn a_store_that_completes_the_grid_finalizes_it_at_submit() {
     let spec = diverse_spec();
-    let path = temp_store("complete_at_submit");
-    let (report, store) = served(&spec, 2, &path);
-    // No worker is attached: the store alone settles every job, and the
-    // grid finalizes inside the submission itself.
-    let state = daemon();
-    state.lock().unwrap().attach_store(store);
+    let dir = temp_dir("complete_at_submit");
+    let (report, _) = served(&spec, 2, &dir);
+    // A fresh directory holding only the grid's store, with no journaled
+    // submission and no worker attached: the store alone settles every
+    // job, and the grid finalizes inside the submission itself.
+    let fresh = temp_dir("complete_at_submit_fresh");
+    std::fs::create_dir_all(&fresh).expect("create directory");
+    std::fs::copy(grid_store(&dir, &spec), grid_store(&fresh, &spec)).expect("copy store");
+    let state = durable_daemon(&fresh);
     let grid = state.lock().unwrap().submit_grid("resumed", &spec);
     let resumed = state
         .lock()
         .unwrap()
-        .take_report(grid)
+        .report(grid)
+        .cloned()
         .expect("finalized at submit");
     assert_eq!(report_bits(&resumed), report_bits(&report));
-    std::fs::remove_file(&path).ok();
-}
-
-/// Workers that exit at once, without claiming anything.
-struct DeadOnArrival;
-
-impl WorkerSpawner for DeadOnArrival {
-    fn spawn(
-        &self,
-        _endpoint: &str,
-        _index: usize,
-        _thread_budget: usize,
-    ) -> Result<WorkerHandle, DistribError> {
-        Ok(WorkerHandle::from_thread(std::thread::spawn(|| {
-            Err(DistribError::Format("died on arrival".into()))
-        })))
-    }
-}
-
-#[test]
-fn an_all_dead_fleet_is_finished_by_the_inline_worker() {
-    let spec = diverse_spec();
-    let path = temp_store("inline");
-    let state = daemon();
-    let (report, store) = served_with(
-        &state,
-        &DeadOnArrival,
-        &spec,
-        3,
-        ExperimentStore::open(&path).expect("open"),
-        None,
-    );
-    assert_eq!(report_bits(&report), report_bits(&spec.run()));
-    assert_eq!(store.appended(), spec.job_count());
-    std::fs::remove_file(&path).ok();
-}
-
-/// Socket workers on threads, attached over real TCP connections.
-struct TcpThreads;
-
-impl WorkerSpawner for TcpThreads {
-    fn spawn(
-        &self,
-        endpoint: &str,
-        index: usize,
-        _thread_budget: usize,
-    ) -> Result<WorkerHandle, DistribError> {
-        let stream = std::net::TcpStream::connect(endpoint)?;
-        Ok(WorkerHandle::from_thread(std::thread::spawn(move || {
-            let opts = SocketWorkerOptions::new(format!("tcp_{index}"));
-            match run_socket_worker(&mut TcpLink::new(stream), &opts) {
-                Ok(WorkerExit::Finished(outcome)) => Ok(outcome),
-                other => Err(DistribError::Format(format!("{other:?}"))),
-            }
-        })))
-    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fresh).ok();
 }
 
 #[test]
 fn tcp_workers_attach_through_serve_listener() {
     let spec = diverse_spec();
-    let path = temp_store("tcp");
     let state = daemon();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
     let addr = listener.local_addr().expect("bound address").to_string();
@@ -382,38 +310,36 @@ fn tcp_workers_attach_through_serve_listener() {
         let state = state.clone();
         std::thread::spawn(move || serve_listener(&listener, &state));
     }
-    state
-        .lock()
-        .unwrap()
-        .attach_store(ExperimentStore::open(&path).expect("open"));
-    let mut coordinator =
-        Coordinator::start(state.clone(), &TcpThreads, &addr, 2, None).expect("start");
-    let report = coordinator.run(&spec).expect("served over TCP");
-    // Shutdown hangs up on every worker, which then exits cleanly: finish
-    // returns only once both have.
-    coordinator.finish();
+    let grid = state.lock().unwrap().submit_grid("tcp", &spec);
+    let stop = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = (0..2)
+        .map(|index| {
+            let stream = std::net::TcpStream::connect(&addr).expect("connect");
+            let mut opts = SocketWorkerOptions::new(format!("tcp_{index}"));
+            opts.stop = stop.clone();
+            std::thread::spawn(move || run_socket_worker(&mut TcpLink::new(stream), &opts))
+        })
+        .collect();
+    let report = wait_for_report(&state, grid);
+    // A raised stop flag drains both workers, which then exit cleanly.
+    stop.store(true, Ordering::Relaxed);
+    for worker in workers {
+        let exit = worker.join().expect("worker thread");
+        assert!(matches!(exit, Ok(WorkerExit::Finished(_))), "{exit:?}");
+    }
     assert_eq!(report_bits(&report), report_bits(&spec.run()));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn sequential_stopping_ends_at_the_first_runner_error() {
+fn a_grid_store_that_cannot_be_opened_is_reported_and_the_grid_still_completes() {
     let spec = diverse_spec();
-    let stop = SequentialStopping {
-        metric: "delivery_rate".to_string(),
-        target_half_width: 1e-9,
-        batch: 2,
-        max_replicates: 6,
-    };
-    let mut rounds = 0;
-    let outcome = spec.run_sequential_with(&stop, |round| {
-        rounds += 1;
-        if rounds == 2 {
-            Err(round.seeds.len())
-        } else {
-            Ok(round.run())
-        }
-    });
-    assert_eq!(outcome.err(), Some(4), "round two, with four seeds, failed");
-    assert_eq!(rounds, 2, "no round runs after the error");
+    let dir = temp_dir("unwritable");
+    // A directory where the grid's store file belongs: opening it fails.
+    std::fs::create_dir_all(grid_store(&dir, &spec)).expect("create directory");
+    let before = faults::event_count(RunEvent::JournalWriteFailed);
+    let (report, simulated) = served(&spec, 2, &dir);
+    assert!(faults::event_count(RunEvent::JournalWriteFailed) > before);
+    assert_eq!(report_bits(&report), report_bits(&spec.run()));
+    assert_eq!(simulated, spec.job_count());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -63,8 +63,8 @@ fn backoff_is_deterministic_per_seed_and_bounded() {
 }
 
 proptest! {
-    /// A fault-plan config survives the coordinator → worker trip through
-    /// its environment-variable encoding, whatever subset of kinds it uses.
+    /// A fault-plan config survives the trip to a worker process through its
+    /// environment-variable encoding, whatever subset of kinds it uses.
     #[test]
     fn fault_plan_config_round_trips(
         seed in any::<u64>(),

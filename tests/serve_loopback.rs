@@ -21,7 +21,7 @@ use caem_suite::wsnsim::persist::ExperimentStore;
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
     Message, ProtoError, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions,
-    WorkerExit, WorkerSpawner, PROTOCOL_VERSION,
+    WorkerExit, PROTOCOL_VERSION,
 };
 use caem_suite::wsnsim::spec::GridSpec;
 
@@ -165,9 +165,7 @@ fn run_fleet_into(
     client: &mut ServiceClient<'_>,
     workers: usize,
 ) -> String {
-    let handles: Vec<_> = (0..workers)
-        .map(|i| spawner.spawn("loopback", i, 1).expect("spawn worker"))
-        .collect();
+    let handles: Vec<_> = (0..workers).map(|i| spawner.spawn(i)).collect();
     let report = client
         .fetch_report(Duration::from_secs(300))
         .expect("grid completes");
@@ -269,22 +267,22 @@ fn a_peer_that_sends_an_undecodable_frame_is_closed_and_loses_its_lease() {
 
 #[test]
 fn only_settling_lines_reach_the_store_journal() {
-    let path = std::env::temp_dir().join(format!(
-        "caem_serve_loopback_{}_journal.jsonl",
+    let dir = std::env::temp_dir().join(format!(
+        "caem_serve_loopback_{}_journal",
         std::process::id()
     ));
-    std::fs::remove_file(&path).ok();
-    let state = ServiceState::shared(ServiceConfig {
-        shards_per_grid: 1,
-        ..ServiceConfig::default()
-    });
-    state
-        .lock()
-        .unwrap()
-        .attach_store(ExperimentStore::open(&path).expect("open store"));
+    std::fs::remove_dir_all(&dir).ok();
+    let state = ServiceState::open(
+        ServiceConfig {
+            shards_per_grid: 1,
+            ..ServiceConfig::default()
+        },
+        &dir,
+    )
+    .expect("store directory opens");
     let spawner = LoopbackSpawner::new(state.clone());
     let mut clink = spawner.connect();
-    ServiceClient::new(&mut clink)
+    let submission = ServiceClient::new(&mut clink)
         .submit(SPEC_DOC, true, SEED)
         .expect("accepted");
 
@@ -313,16 +311,50 @@ fn only_settling_lines_reach_the_store_journal() {
     // back, the batch above has been absorbed.
     rpc(&mut peer, &Message::Claim { seq: 2 });
 
-    let store = state
-        .lock()
-        .unwrap()
-        .detach_store()
-        .expect("store attached")
-        .expect("appends landed");
-    assert_eq!(store.appended(), 1, "one settling line, journaled once");
+    // The grid's own store holds its header and the one settling line,
+    // journaled once.
+    let path = dir.join(format!("{:016x}.jsonl", submission.grid_hash));
+    let text = std::fs::read_to_string(&path).expect("the grid has a store");
+    assert_eq!(text.lines().count(), 2, "{text}");
     let reloaded = ExperimentStore::load(&path).expect("store reloads");
     assert_eq!(reloaded.records(), std::slice::from_ref(&valid));
-    std::fs::remove_file(&path).ok();
+    // The accepted submission was journaled before it was acknowledged.
+    let journal = std::fs::read_to_string(dir.join("grids.jsonl")).expect("grids journal");
+    assert_eq!(journal.lines().count(), 1);
+    assert!(
+        journal.starts_with("{\"name\":\"serve_loopback\""),
+        "{journal}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fetch_waits_for_the_newest_submitted_grid() {
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 2,
+        ..ServiceConfig::default()
+    });
+    // Grid A completes.
+    assert_eq!(run_fleet(&state, 2), expected_bytes());
+
+    // Grid B, another seed of the same document, is submitted with no
+    // worker attached: a fetch must not answer with A's finished report.
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    let other_seed = SEED + 1;
+    client
+        .submit(SPEC_DOC, true, other_seed)
+        .expect("B is accepted");
+    assert_eq!(client.try_fetch().expect("fetch"), None, "B is still open");
+
+    let resolved = GridSpec::parse(SPEC_DOC)
+        .expect("spec parses")
+        .resolve(other_seed, true)
+        .expect("spec resolves");
+    let expected_b = serde_json::to_string_pretty(&resolved.spec.run().to_json()).expect("renders");
+    assert_ne!(expected_b, expected_bytes(), "A and B differ");
+    assert_eq!(run_fleet_into(&spawner, &mut client, 2), expected_b);
 }
 
 #[test]
