@@ -1,5 +1,5 @@
 //! Ablations of the model's design choices (README section *Regenerating the
-//! paper's figures* lists this binary with the figure binaries).
+//! paper's figures* lists this binary next to `paper`).
 //!
 //! Each ablation runs CAEM-LEACH Scheme 1 on the Fig. 8 scenario with one
 //! knob changed and reports per-packet energy, delivery rate and mean delay,
@@ -18,7 +18,7 @@
 //! ```
 
 use caem::policy::PolicyKind;
-use caem_bench::{apply_quick, FigureArgs};
+use caem_bench::FigureArgs;
 use caem_energy::codec::CodecEnergyModel;
 use caem_mac::burst::BurstPolicy;
 use caem_simcore::time::Duration;
@@ -30,13 +30,14 @@ struct Ablation {
     configure: Box<dyn Fn(ScenarioConfig) -> ScenarioConfig + Sync + Send>,
 }
 
+/// The Fig. 8 scenario at 400 s; `--quick` shrinks it to 30 nodes and
+/// 120 s.
 fn base_config(seed: u64, quick: bool) -> ScenarioConfig {
-    let horizon = if quick { 120 } else { 400 };
-    apply_quick(
-        ScenarioConfig::paper_default(PolicyKind::Scheme1Adaptive, 5.0, seed),
-        quick,
-    )
-    .with_duration(Duration::from_secs(horizon))
+    let mut config = ScenarioConfig::paper_default(PolicyKind::Scheme1Adaptive, 5.0, seed);
+    if quick {
+        config.node_count = 30;
+    }
+    config.with_duration(Duration::from_secs(if quick { 120 } else { 400 }))
 }
 
 fn main() {

@@ -1,19 +1,16 @@
-//! Experiment E7 (long-version extension) **plus** the engine throughput
-//! harness.
+//! The engine throughput harness: a wall-clock benchmark of the simulator
+//! itself.  Every scenario of the paper spec's `energy_` family (the
+//! Fig. 11 load axis, three protocols, one seed) is run serially under a
+//! timer and reported as *events/sec*, giving the repository a perf
+//! trajectory.  A node-count scaling sweep (1k → 1M nodes at constant
+//! deployment density) rides along to track how throughput and resident
+//! memory scale with network size.  Results are written to
+//! `BENCH_netperf.json` (with `--quick`, `BENCH_netperf_quick.json`) in the
+//! working directory.
 //!
-//! Two jobs in one binary:
-//!
-//! 1. Network-performance metrics versus load — average packet delay,
-//!    aggregate throughput and successful delivery rate for the three
-//!    protocols (the Section IV-A metrics whose plots the short paper defers
-//!    to its long version).
-//! 2. A wall-clock throughput benchmark of the simulator itself: every
-//!    scenario is run serially under a timer and reported as *events/sec*,
-//!    giving the repository a perf trajectory across PRs.  A node-count
-//!    scaling sweep (1k → 1M nodes at constant deployment density) rides
-//!    along to track how throughput and resident memory scale with network
-//!    size.  Results are written to `BENCH_netperf.json` (with `--quick`,
-//!    `BENCH_netperf_quick.json`) in the working directory.
+//! The network metrics of those scenarios (delay, throughput, delivery:
+//! experiment E7) are report metrics of
+//! `experiment --spec specs/paper.json`, with replicates.
 //!
 //! ```bash
 //! cargo run -p caem-bench --release --bin netperf
@@ -24,12 +21,10 @@ use std::time::Instant;
 
 use caem::policy::PolicyKind;
 use caem_bench::profrpt::{self, repeat_stats, time_breakdown_json, RepeatStats};
-use caem_bench::{emit, load_grid, policy_label, rss, NetperfArgs};
+use caem_bench::{paper_family, paper_grid, policy_label, rss, NetperfArgs};
 use caem_metrics::prof::{self, Breakdown};
-use caem_metrics::report::{Column, Table};
 use caem_simcore::time::{Duration, SimTime};
-use caem_wsnsim::experiment::PAPER_POLICIES;
-use caem_wsnsim::{ScenarioConfig, SimulationResult, SimulationRun};
+use caem_wsnsim::{ScenarioConfig, SimulationRun};
 
 /// Timing record for one point of the node-count scaling sweep.
 struct ScalePoint {
@@ -132,28 +127,22 @@ fn main() {
         // an unreadable wall of slices.
         prof::start_trace(2_000_000);
     }
-    let loads: Vec<f64> = if quick {
-        vec![5.0, 15.0]
-    } else {
-        vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    };
-    let horizon_s: u64 = if quick { 200 } else { 600 };
-
-    // The experiment engine enumerates the (load × policy) grid into its
-    // flat job list (loads as scenarios, one seed); the jobs are then run
-    // *serially* under individual timers — serial execution keeps the
-    // wall-clock attribution per scenario clean even on many-core hosts (a
-    // parallel fan-out would overlap the intervals).
-    let spec = load_grid(&loads, seed, quick, |c| {
-        c.with_duration(Duration::from_secs(horizon_s))
-    });
+    // The experiment engine enumerates the paper spec's `energy_` family
+    // (loads as scenarios, one seed) into its flat job list; the jobs are
+    // then run *serially* under individual timers — serial execution keeps
+    // the wall-clock attribution per scenario clean even on many-core
+    // hosts (a parallel fan-out would overlap the intervals).
+    let mut spec = paper_grid(seed, quick);
+    spec.scenarios = paper_family(&spec, "energy_")
+        .into_iter()
+        .map(|s| spec.scenarios[s].clone())
+        .collect();
     let mut timings: Vec<ScenarioTiming> = Vec::new();
-    let mut results: Vec<SimulationResult> = Vec::new();
     let mut breakdown = Breakdown::new();
     let mut trace_pending = args.trace_out.is_some();
     let bench_started = Instant::now();
     for job in spec.enumerate_jobs() {
-        let load = loads[job.scenario];
+        let load = job.config.traffic.mean_rate_pps();
         let sim_seconds = job.config.duration.as_secs_f64();
         let scenario = format!("{}@{load}pps", policy_label(job.policy));
         let mut walls: Vec<f64> = Vec::new();
@@ -183,37 +172,8 @@ fn main() {
             eps: repeat_stats(&eps_samples).expect("repeats >= 1"),
             sim_seconds,
         });
-        results.push(result);
     }
     let total_wall_s = bench_started.elapsed().as_secs_f64();
-
-    // One table per metric, matching how the long version would plot them.
-    for (metric, extractor) in [
-        (
-            "average packet delay (ms)",
-            Box::new(|r: &SimulationResult| r.perf.average_delay_ms())
-                as Box<dyn Fn(&SimulationResult) -> f64>,
-        ),
-        (
-            "aggregate throughput (kbps)",
-            Box::new(|r: &SimulationResult| r.perf.throughput_kbps()),
-        ),
-        (
-            "successful delivery rate",
-            Box::new(|r: &SimulationResult| r.delivery_rate()),
-        ),
-    ] {
-        let mut columns = vec![Column::new("added_traffic_load_pps", loads.clone())];
-        for (p, &policy) in PAPER_POLICIES.iter().enumerate() {
-            let values: Vec<f64> = results
-                .chunks(PAPER_POLICIES.len())
-                .map(|at_load| extractor(&at_load[p]))
-                .collect();
-            columns.push(Column::new(policy_label(policy), values));
-        }
-        let table = Table::new(format!("E7 — {metric} versus traffic load"), columns);
-        emit(&table);
-    }
 
     // Engine throughput report.
     let total_events: u64 = timings.iter().map(|t| t.events).sum();

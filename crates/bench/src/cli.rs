@@ -721,12 +721,13 @@ impl ServeCli {
 }
 
 // ---------------------------------------------------------------------------
-// Figure binaries: positional seed + --quick, nothing else.
+// `paper` and `ablation`: positional seed + --quick, nothing else.
 // ---------------------------------------------------------------------------
 
-/// The figure/netperf/ablation binaries' command line: an optional
-/// positional seed and `--quick`.  Anything else — in particular a
-/// misspelled flag — is a typed error instead of being silently ignored.
+/// The `paper` and `ablation` binaries' command line (and the start of
+/// `netperf`'s): an optional positional seed and `--quick`.  Anything
+/// else — in particular a misspelled flag — is a typed error instead of
+/// being silently ignored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FigureArgs {
     /// The seed (defaults to [`crate::DEFAULT_SEED`]).

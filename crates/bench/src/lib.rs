@@ -1,23 +1,23 @@
 //! # caem-bench
 //!
-//! The experiment harness: shared helpers used by the `fig8` … `fig12`,
-//! `netperf` and `ablation` binaries that regenerate every figure of the
-//! paper's evaluation (Section IV).
+//! The experiment harness: the `paper` binary that regenerates Table I and
+//! Figs. 8–12 of the paper's evaluation (Section IV) from the compiled-in
+//! [`PAPER_SPEC`], the `experiment` grid runner and `caem-serve` daemon,
+//! the `netperf` engine-throughput harness and the `ablation` study.
 //!
-//! Run the full figure suite with, e.g.:
+//! Regenerate the paper's tables with:
 //!
 //! ```bash
-//! cargo run -p caem-bench --release --bin fig8
-//! cargo run -p caem-bench --release --bin fig10
+//! cargo run -p caem-bench --release --bin paper
 //! ```
 //!
-//! Every binary prints a plain-text table, a CSV block and a markdown
-//! table.  Seeds are fixed so the output is reproducible; pass a different
+//! The figures print a plain-text table, a CSV block and a markdown table
+//! each.  Seeds are fixed so the output is reproducible; pass a different
 //! seed as the first CLI argument to check robustness.
 
 use caem::policy::PolicyKind;
 use caem_metrics::report::Table;
-use caem_wsnsim::{ExperimentSpec, ScenarioConfig, ScenarioSpec};
+use caem_wsnsim::{ExperimentSpec, GridSpec};
 
 pub mod cli;
 pub mod profrpt;
@@ -39,41 +39,49 @@ pub fn policy_label(policy: PolicyKind) -> &'static str {
     }
 }
 
-/// Shrink a scenario for `--quick` runs.
-pub fn apply_quick(mut cfg: ScenarioConfig, quick: bool) -> ScenarioConfig {
-    if quick {
-        cfg.node_count = 30;
-        cfg.duration = caem_simcore::time::Duration::from_secs(120);
-    }
-    cfg
-}
-
-/// The figures' traffic-load axis as one grid: per load, the Table II
-/// scenario reduced by [`apply_quick`] and then `adjust`ed; the paper's
-/// three protocols; one shared seed.  [`ExperimentSpec::simulate`] returns
-/// its results one load after another, each load's in
-/// [`caem_wsnsim::experiment::PAPER_POLICIES`] order.
-pub fn load_grid(
-    loads_pps: &[f64],
-    seed: u64,
-    quick: bool,
-    adjust: impl Fn(ScenarioConfig) -> ScenarioConfig,
-) -> ExperimentSpec {
-    let scenarios = loads_pps
-        .iter()
-        .map(|&load| {
-            let base = ScenarioConfig::paper_default(PolicyKind::PureLeach, load, seed);
-            ScenarioSpec::new(format!("load_{load}pps"), adjust(apply_quick(base, quick)))
-        })
-        .collect();
-    ExperimentSpec::paper_policies(scenarios, seed, 1)
-}
-
 /// The scenario zoo the `experiment` binary runs when no `--spec` file is
 /// given: the committed `specs/zoo.json`, compiled in.  It is the diversity
 /// grid over deployments, heterogeneous batteries, churn and diurnal
 /// traffic, and `--spec specs/zoo.json` resolves the very same document.
 pub const ZOO_SPEC: &str = include_str!("../../../specs/zoo.json");
+
+/// The paper's evaluation grid: the committed `specs/paper.json`, compiled
+/// in.  Three load families on the Table II network, told apart by their
+/// label prefixes: `energy_` (600 s, bounded buffers; Figs. 8 and 11 and
+/// the E7 delay, throughput and delivery metrics), `lifetime_` (2,500 s;
+/// Figs. 9 and 10) and `fairness_` (600 s, unbounded buffers; Fig. 12).
+/// `experiment --spec specs/paper.json` runs it with replicates.
+pub const PAPER_SPEC: &str = include_str!("../../../specs/paper.json");
+
+/// [`PAPER_SPEC`] resolved, full or in its quick smoke shape, and pinned
+/// to the one seed `seed`: every scenario with the paper's three
+/// protocols, so [`ExperimentSpec::simulate`] puts the result of
+/// (scenario `s`, policy index `p`) at `s * 3 + p`.
+pub fn paper_grid(seed: u64, quick: bool) -> ExperimentSpec {
+    let mut spec = GridSpec::parse(PAPER_SPEC)
+        .and_then(|doc| doc.resolve(seed, quick))
+        .expect("the compiled-in paper spec resolves")
+        .spec;
+    spec.seeds = vec![seed];
+    spec
+}
+
+/// The indexes of the scenarios in `spec` whose label starts with
+/// `family` (e.g. `"energy_"`), in spec order.
+///
+/// # Panics
+/// When there are none: a figure whose scenarios are missing from the
+/// paper spec is a broken spec, never an empty table.
+pub fn paper_family(spec: &ExperimentSpec, family: &str) -> Vec<usize> {
+    let indexes: Vec<usize> = (0..spec.scenarios.len())
+        .filter(|&i| spec.scenarios[i].label.starts_with(family))
+        .collect();
+    assert!(
+        !indexes.is_empty(),
+        "the paper spec has no `{family}*` scenarios"
+    );
+    indexes
+}
 
 /// Print a table in all three formats the harness emits.
 pub fn emit(table: &Table) {
@@ -98,11 +106,16 @@ mod tests {
     }
 
     #[test]
-    fn quick_shrinks_scenario() {
-        let cfg = ScenarioConfig::paper_default(PolicyKind::PureLeach, 5.0, 1);
-        let q = apply_quick(cfg.clone(), true);
-        assert!(q.node_count < cfg.node_count);
-        let same = apply_quick(cfg.clone(), false);
-        assert_eq!(same.node_count, cfg.node_count);
+    fn the_paper_grid_runs_one_seed_of_every_family() {
+        let spec = paper_grid(7, true);
+        assert_eq!(spec.seeds, vec![7]);
+        let sizes = ["energy_", "lifetime_", "fairness_"].map(|f| paper_family(&spec, f).len());
+        assert_eq!(sizes, [6, 6, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no `missing_*` scenarios")]
+    fn a_figure_family_missing_from_the_spec_is_a_loud_error() {
+        paper_family(&paper_grid(DEFAULT_SEED, true), "missing_");
     }
 }

@@ -52,12 +52,23 @@ impl TcpLink {
     }
 }
 
+/// A TCP error that means the peer is gone — it hung up, or its process
+/// died and the kernel reset the connection — is [`ProtoError::Closed`],
+/// the same as a hang-up seen at a frame boundary; anything else is
+/// [`ProtoError::Io`].
+fn tcp_error(e: std::io::Error) -> ProtoError {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    match e.kind() {
+        BrokenPipe | ConnectionReset | ConnectionAborted => ProtoError::Closed,
+        _ => ProtoError::Io(e),
+    }
+}
+
 impl FrameLink for TcpLink {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
         let frame = encode_frame(payload);
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        Ok(())
+        self.stream.write_all(&frame).map_err(tcp_error)?;
+        self.stream.flush().map_err(tcp_error)
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
@@ -77,7 +88,7 @@ impl FrameLink for TcpLink {
                 {
                     return Ok(None)
                 }
-                Err(e) => return Err(ProtoError::Io(e)),
+                Err(e) => return Err(tcp_error(e)),
             }
         }
     }
@@ -168,4 +179,29 @@ pub(crate) fn request(
         )));
     }
     Ok(response)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_peer_that_drops_the_connection_ends_sends_in_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut link = TcpLink::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        drop(listener.accept().expect("accept"));
+        // The first writes may still land in the kernel's buffer; once the
+        // peer's reset arrives, every send must report the hang-up, never
+        // a transport error.
+        let payload = [7u8; 4096];
+        let error = (0..1_000)
+            .find_map(|_| {
+                std::thread::sleep(Duration::from_millis(1));
+                link.send(&payload).err()
+            })
+            .expect("a send to a dropped peer fails");
+        assert!(matches!(error, ProtoError::Closed), "got {error:?}");
+        assert!(matches!(link.send(&payload), Err(ProtoError::Closed)));
+    }
 }
