@@ -28,11 +28,13 @@
 //! number.
 //!
 //! Aggregation runs through exactly one path: every run — fresh, resumed
-//! from a [`crate::persist::ExperimentStore`], or re-aggregated offline from
-//! JSONL alone — converts its replicates to [`crate::persist::JobRecord`]s
-//! and folds them in the canonical (scenario, policy, seed) order
-//! ([`ExperimentReport::from_records`]).  Bit-identical reports across those
-//! three paths are therefore a property of the construction, not of careful
+//! from a [`crate::persist::ExperimentStore`], served by the daemon, or
+//! re-aggregated offline from JSONL alone — indexes its settled lines (one
+//! per job key, the last one winning) and folds the records in the
+//! canonical (scenario, policy, seed) order, listing any quarantines by key
+//! (`ExperimentReport::from_settled`, behind
+//! [`ExperimentReport::from_records`]).  Bit-identical reports across those
+//! paths are therefore a property of the construction, not of careful
 //! bookkeeping at each call site.
 //!
 //! [`ExperimentSpec::run_sequential`] adds CI-driven **sequential stopping**
@@ -52,7 +54,9 @@ use rayon::prelude::*;
 use serde_json::{json, Value};
 
 use crate::config::{ConfigError, ScenarioConfig};
-use crate::persist::{ExperimentStore, JobKey, JobRecord, SeedSplicedHash};
+use crate::persist::{
+    ExperimentStore, JobKey, JobRecord, SeedSplicedHash, SettledIndex, SettledLine,
+};
 use crate::result::SimulationResult;
 use crate::runner::SimulationRun;
 
@@ -265,7 +269,7 @@ impl ExperimentSpec {
             .par_iter()
             .map(|job| self.run_job(job))
             .collect();
-        self.report_from(records)
+        self.report_from(&records.into_iter().map(SettledLine::Record).collect())
     }
 
     /// Run the grid **resumably**: jobs whose results are already in the
@@ -281,52 +285,43 @@ impl ExperimentSpec {
     pub fn run_with_store(&self, store: &mut ExperimentStore) -> ExperimentReport {
         self.assert_distinct_axes();
         let jobs = self.enumerate_jobs();
-        let mut records: Vec<Option<JobRecord>> = jobs
-            .iter()
-            .map(|job| {
-                store
-                    .get(
-                        job.key(),
-                        job.config_hash,
-                        &self.scenarios[job.scenario].label,
-                    )
-                    .cloned()
-            })
-            .collect();
-        let pending: Vec<usize> = (0..jobs.len()).filter(|&i| records[i].is_none()).collect();
+        let mut settled = SettledIndex::default();
+        let mut pending = Vec::new();
+        for job in &jobs {
+            let label = &self.scenarios[job.scenario].label;
+            match store.get(job.key(), job.config_hash, label) {
+                Some(record) => settled.insert(SettledLine::Record(record.clone())),
+                None => pending.push(job),
+            }
+        }
         // The single parallel layer over the *missing* jobs only: each
         // worker appends its record through the store the moment its job
         // completes.  Grids complete ~100 records/s, so jobs contend on
         // this one lock for a negligible share of their time.
         let store = Mutex::new(store);
-        let fresh: Vec<(usize, JobRecord)> = pending
+        let fresh: Vec<JobRecord> = pending
             .par_iter()
-            .map(|&i| {
-                let record = self.run_job(&jobs[i]);
+            .map(|job| {
+                let record = self.run_job(job);
                 store
                     .lock()
                     .expect("experiment store lock poisoned")
                     .append(record.clone())
                     .expect("experiment store append failed");
-                (i, record)
+                record
             })
             .collect();
-        for (i, record) in fresh {
-            records[i] = Some(record);
+        for record in fresh {
+            settled.insert(SettledLine::Record(record));
         }
-        let records = records
-            .into_iter()
-            .map(|r| r.expect("every job resolved from store or simulation"));
-        self.report_from(records)
+        self.report_from(&settled)
     }
 
-    /// Aggregate records through the canonical path, stamping the report
-    /// with this spec's seed list (authoritative over the records' own).
-    pub(crate) fn report_from<I: IntoIterator<Item = JobRecord>>(
-        &self,
-        records: I,
-    ) -> ExperimentReport {
-        let mut report = ExperimentReport::from_records(records);
+    /// Aggregate settled lines through the canonical path, stamping the
+    /// report with this spec's seed list (authoritative over the lines'
+    /// own).
+    pub(crate) fn report_from(&self, settled: &SettledIndex) -> ExperimentReport {
+        let mut report = ExperimentReport::from_settled(settled);
         report.seeds = self.seeds.clone();
         report
     }
@@ -592,25 +587,44 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Aggregate persisted job records into a report — the **single**
-    /// aggregation path every run mode shares.
-    ///
-    /// Records are deduplicated by job key (last record wins, matching the
-    /// store's append-order semantics — an [`crate::persist::ExperimentStore`]
-    /// hands over already-deduplicated records, in which case this pass is a
-    /// no-op) and folded in the canonical (scenario index, policy index,
-    /// seed) order, so the result does not depend on completion interleaving
-    /// or on how many resume cycles wrote the store.  `seeds` is the sorted
-    /// set of distinct seeds observed; [`ExperimentSpec`]-driven runs
-    /// overwrite it with the spec's own list.
+    /// Aggregate persisted job records into a report through the
+    /// **single** aggregation path every run mode shares: one record per
+    /// job key (the last one wins, as in a store), folded in the canonical
+    /// (scenario index, policy index, seed) order, so the result depends
+    /// neither on completion interleaving nor on how many resume cycles
+    /// wrote the store.  [`ExperimentSpec`]-driven runs overwrite `seeds`
+    /// with the spec's own list.
     pub fn from_records<I: IntoIterator<Item = JobRecord>>(records: I) -> Self {
+        Self::from_settled(&records.into_iter().map(SettledLine::Record).collect())
+    }
+
+    /// The report of one settled line per job key: the records folded in
+    /// the canonical (scenario index, policy index, seed) order, and the
+    /// quarantines as the degradation section, sorted by key.  `seeds` is
+    /// the sorted set of distinct seeds the lines settled, quarantines
+    /// included.  Every run mode's report — local, resumed, served, or
+    /// rebuilt offline from a store — is built here.
+    pub(crate) fn from_settled(settled: &SettledIndex) -> Self {
         // `ProfKey::Collector` times record aggregation; it runs outside any
         // simulation shard, so it lands in the global accumulator.
         let span = caem_metrics::prof::Span::start();
-        let mut deduped = crate::persist::dedupe_last_wins(records);
-        deduped.sort_by_key(JobRecord::key);
+        let mut lines: Vec<&SettledLine> = settled.lines().iter().collect();
+        lines.sort_by_key(|line| line.key());
         let mut cells: Vec<ExperimentCell> = Vec::new();
-        for record in &deduped {
+        let mut seeds = Vec::new();
+        let mut failures = Vec::new();
+        let mut job_count = 0;
+        for line in lines {
+            let record = match line {
+                SettledLine::Record(record) => record,
+                SettledLine::Failure(failure) => {
+                    seeds.push(failure.seed);
+                    failures.push(failure.clone());
+                    continue;
+                }
+            };
+            seeds.push(record.seed);
+            job_count += 1;
             let replicate = record.metric_array();
             match cells
                 .iter_mut()
@@ -625,14 +639,13 @@ impl ExperimentReport {
                 )),
             }
         }
-        let mut seeds: Vec<u64> = deduped.iter().map(|r| r.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
         let report = ExperimentReport {
             seeds,
-            job_count: deduped.len(),
+            job_count,
             cells,
-            failures: Vec::new(),
+            failures,
         };
         span.stop_global(
             caem_metrics::prof::ProfKey::Collector,

@@ -1,30 +1,42 @@
 //! Result persistence for experiment grids: a per-grid JSONL store that
 //! turns the flat job list into a durable, resumable asset.
 //!
-//! Every completed (scenario × policy × seed) job is streamed to disk as one
-//! [`JobRecord`] line, keyed by its deterministic coordinates — scenario
-//! index/label, policy index, seed — plus an FNV-1a hash of the fully
-//! resolved [`ScenarioConfig`].  The hash is the staleness guard: a record
-//! only counts as "already computed" if the configuration that produced it is
-//! byte-identical to the one the current grid would run, so editing a
-//! scenario transparently invalidates exactly the affected cells.
+//! Every settled (scenario × policy × seed) job is streamed to disk as one
+//! line, keyed by its deterministic coordinates — scenario index/label,
+//! policy index, seed — plus an FNV-1a hash of the fully resolved
+//! [`ScenarioConfig`].  A line is a completed job's [`JobRecord`] or a
+//! quarantined job's [`JobFailure`].  The hash is the staleness guard: a
+//! line only counts as "already settled" if the configuration that
+//! produced it is byte-identical to the one the current grid would run, so
+//! editing a scenario transparently invalidates exactly the affected cells.
 //!
-//! The format is append-only JSONL on purpose:
+//! Each decision about a line has one definition here, shared by the local
+//! engine ([`crate::experiment::ExperimentSpec::run_with_store`]), offline
+//! re-aggregation ([`ExperimentStore::load`] and
+//! [`ExperimentStore::rebuild_report`]) and the service daemon:
 //!
-//! * a crash can only tear the **trailing** line, which the loader skips with
-//!   a warning (the job simply re-runs on resume);
-//! * duplicate keys are resolved **last-record-wins**, so re-running a stale
-//!   job just appends the fresh record without rewriting history;
-//! * aggregation never depends on file order — reports are always built in
-//!   the canonical (scenario, policy, seed) order, so a resumed grid whose
-//!   jobs completed in a different interleaving still reproduces the
-//!   uninterrupted report bit-for-bit.
+//! * **decode and encode**: `SettledLine::decode` and `SettledLine::encode`;
+//! * **which line wins**: `SettledIndex`, where the **last** line for a key
+//!   wins, success or quarantine, so re-running a stale job just appends
+//!   the fresh record without rewriting history;
+//! * **append and torn tails**: `AppendLog`, the one writer of durable
+//!   lines (a grid's store and the daemon's `grids.jsonl`).  A crash can
+//!   only tear the **trailing** line, which the loader skips with a warning
+//!   (the job simply re-runs on resume), and the next append terminates the
+//!   fragment before writing;
+//! * **the report**: `ExperimentReport::from_settled` (behind
+//!   [`crate::experiment::ExperimentReport::from_records`]) folds the
+//!   records in the canonical (scenario, policy, seed) order, so a resumed
+//!   grid whose jobs completed in a different interleaving still
+//!   reproduces the uninterrupted report bit-for-bit, and lists the
+//!   quarantines by key.
 //!
 //! Metric values are persisted as `Option<f64>` (`None` for the non-finite
 //! values an undefined ratio produces) and travel through the vendored
 //! `serde_json`'s shortest-round-trip float formatting, so a decoded record
 //! feeds the Welford accumulators the exact bits the in-memory run would.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -33,6 +45,7 @@ use std::sync::Arc;
 
 use caem::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::config::ScenarioConfig;
 use crate::experiment::{replicate_metrics, ExperimentJob, METRIC_NAMES};
@@ -230,9 +243,12 @@ impl JobRecord {
 /// forever nor silently forgets that a cell is missing replicates — the
 /// report carries them in its degradation section instead.
 ///
-/// A failure never shadows a success: if any worker (or a later resume)
-/// completes the job, the success record wins at aggregation time.
-#[derive(Debug, Clone, PartialEq)]
+/// Like a record, a failure is a settled line, and the last line for a key
+/// wins: a success appended after it (a local resume re-runs a quarantined
+/// job) replaces it.  On disk a failure leads with a `"caem_job_failure": 1`
+/// marker field that routes the line on load (the vendored derive has no
+/// `#[serde(tag)]`, so the marker is explicit).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobFailure {
     /// Index of the scenario in the grid's scenario list.
     pub scenario_index: usize,
@@ -261,50 +277,139 @@ impl JobFailure {
     }
 }
 
-/// The wire form of a [`JobFailure`]: the `caem_job_failure` marker field
-/// lets the loader route the line before attempting a [`JobRecord`] decode
-/// (the vendored derive has no `#[serde(tag)]`, so the marker is explicit).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FailureLine {
-    caem_job_failure: u64,
-    scenario_index: usize,
-    scenario: String,
-    policy_index: usize,
-    policy: PolicyKind,
-    seed: u64,
-    config_hash: u64,
-    attempts: u32,
-    reason: String,
+/// One settled job as a store line: a completed job's [`JobRecord`] or a
+/// quarantine's [`JobFailure`].  The store's loader and appends, the
+/// socket worker and the service daemon all encode and decode store lines
+/// through this type.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum SettledLine {
+    /// A completed job.
+    Record(JobRecord),
+    /// A quarantined job.
+    Failure(JobFailure),
 }
 
-impl From<&JobFailure> for FailureLine {
-    fn from(f: &JobFailure) -> Self {
-        FailureLine {
-            caem_job_failure: 1,
-            scenario_index: f.scenario_index,
-            scenario: f.scenario.clone(),
-            policy_index: f.policy_index,
-            policy: f.policy,
-            seed: f.seed,
-            config_hash: f.config_hash,
-            attempts: f.attempts,
-            reason: f.reason.clone(),
+impl SettledLine {
+    /// The line's deterministic coordinates.
+    pub(crate) fn key(&self) -> JobKey {
+        match self {
+            SettledLine::Record(record) => record.key(),
+            SettledLine::Failure(failure) => failure.key(),
         }
+    }
+
+    /// True when the line was produced under `config_hash` for the
+    /// scenario labelled `label` — the staleness filter.  The label check
+    /// matters because labels live in [`crate::experiment::ScenarioSpec`],
+    /// outside the hashed [`ScenarioConfig`]: without it a renamed scenario
+    /// would reuse lines carrying the old name and produce a report whose
+    /// cells contradict the spec.
+    pub(crate) fn matches(&self, config_hash: u64, label: &str) -> bool {
+        let (hash, scenario) = match self {
+            SettledLine::Record(record) => (record.config_hash, &record.scenario),
+            SettledLine::Failure(failure) => (failure.config_hash, &failure.scenario),
+        };
+        hash == config_hash && scenario == label
+    }
+
+    /// The line's JSONL text, without its newline.
+    pub(crate) fn encode(&self) -> String {
+        let value = match self {
+            SettledLine::Record(record) => record.to_value(),
+            SettledLine::Failure(failure) => {
+                let Value::Map(mut fields) = failure.to_value() else {
+                    unreachable!("a struct serializes to a map")
+                };
+                fields.insert(0, ("caem_job_failure".into(), Value::UInt(1)));
+                Value::Map(fields)
+            }
+        };
+        serde_json::to_string(&value).expect("store lines always serialize")
+    }
+
+    /// Decode one line of text, as read from a store or received from a
+    /// socket worker.
+    pub(crate) fn decode(text: &str) -> Result<Self, String> {
+        serde_json::parse(text)
+            .map_err(|e| format!("unparseable line ({e})"))
+            .and_then(Self::from_value)
+    }
+
+    /// Decode a parsed line: the `caem_job_failure` marker routes it to a
+    /// quarantine, and a record must carry one metric per [`METRIC_NAMES`]
+    /// slot.
+    fn from_value(value: Value) -> Result<Self, String> {
+        if value.get("caem_job_failure").is_some() {
+            return serde_json::from_value(value)
+                .map(SettledLine::Failure)
+                .map_err(|e| format!("undecodable failure record ({e})"));
+        }
+        let record: JobRecord =
+            serde_json::from_value(value).map_err(|e| format!("undecodable record ({e})"))?;
+        if record.metrics.len() != METRIC_NAMES.len() {
+            return Err(format!(
+                "record with {} metric slots (expected {})",
+                record.metrics.len(),
+                METRIC_NAMES.len()
+            ));
+        }
+        Ok(SettledLine::Record(record))
     }
 }
 
-impl From<FailureLine> for JobFailure {
-    fn from(l: FailureLine) -> Self {
-        JobFailure {
-            scenario_index: l.scenario_index,
-            scenario: l.scenario,
-            policy_index: l.policy_index,
-            policy: l.policy,
-            seed: l.seed,
-            config_hash: l.config_hash,
-            attempts: l.attempts,
-            reason: l.reason,
+/// One settled line per [`JobKey`] under the one duplicate-key rule: the
+/// **last** line inserted for a key wins, success or quarantine — append
+/// order, where a re-run job's fresh line supersedes its stale one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SettledIndex {
+    /// First-seen order.
+    lines: Vec<SettledLine>,
+    index: HashMap<JobKey, usize>,
+}
+
+impl SettledIndex {
+    /// Index `line`, replacing any earlier line for its key.
+    pub(crate) fn insert(&mut self, line: SettledLine) {
+        match self.index.entry(line.key()) {
+            Entry::Occupied(slot) => self.lines[*slot.get()] = line,
+            Entry::Vacant(slot) => {
+                slot.insert(self.lines.len());
+                self.lines.push(line);
+            }
         }
+    }
+
+    /// The line that won `key`, if any.
+    pub(crate) fn get(&self, key: JobKey) -> Option<&SettledLine> {
+        self.index.get(&key).map(|&i| &self.lines[i])
+    }
+
+    /// Number of settled keys.
+    pub(crate) fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// The winning lines, in the order their keys were first seen.
+    pub(crate) fn lines(&self) -> &[SettledLine] {
+        &self.lines
+    }
+
+    /// The winning success records.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &JobRecord> {
+        self.lines.iter().filter_map(|line| match line {
+            SettledLine::Record(record) => Some(record),
+            SettledLine::Failure(_) => None,
+        })
+    }
+}
+
+impl FromIterator<SettledLine> for SettledIndex {
+    fn from_iter<I: IntoIterator<Item = SettledLine>>(lines: I) -> Self {
+        let mut settled = SettledIndex::default();
+        for line in lines {
+            settled.insert(line);
+        }
+        settled
     }
 }
 
@@ -321,6 +426,91 @@ pub struct StoreOptions {
     pub faults: Option<Arc<FaultPlan>>,
 }
 
+/// An append-only JSONL file: the one writer of durable lines, behind
+/// every experiment store and the service daemon's `grids.jsonl`.
+///
+/// A crash can tear only the file's last line, and an append never fuses
+/// with such a fragment: a log whose file ends without a newline
+/// terminates it before its next line.  The fragment loads back as one
+/// skipped line.
+pub(crate) struct AppendLog {
+    path: PathBuf,
+    file: File,
+    /// The file may end in a fragment without a newline: a crash tore its
+    /// last line, or an append attempt failed part-way.
+    torn_tail: bool,
+    options: StoreOptions,
+}
+
+impl AppendLog {
+    /// Open (or create) the log at `path` for appending, returning it with
+    /// the text already in the file.
+    pub(crate) fn open(path: &Path, options: StoreOptions) -> Result<(Self, String), StoreError> {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let log = AppendLog {
+            path: path.to_path_buf(),
+            file,
+            torn_tail: !text.is_empty() && !text.ends_with('\n'),
+            options,
+        };
+        Ok((log, text))
+    }
+
+    /// Append `line` (without its newline) in one `write_all` call, so a
+    /// crash can tear the line but never interleave two.  Transient IO
+    /// failures are retried on [`retry_transient`]'s fixed schedule, under
+    /// the log's fault plan.  Each attempt after a torn tail or a failed
+    /// attempt first newline-terminates the file: rewriting directly after
+    /// a fragment (a short write, `ENOSPC` mid-buffer) would fuse the two
+    /// into one corrupt line.  Terminated fragments and the blank lines of
+    /// clean failures load back as skipped or ignored lines.
+    pub(crate) fn append(&mut self, line: &str) -> Result<(), StoreError> {
+        let bytes = format!("{line}\n").into_bytes();
+        let AppendLog {
+            file,
+            torn_tail,
+            options,
+            ..
+        } = self;
+        retry_transient(|attempt| {
+            if *torn_tail {
+                file.write_all(b"\n")?;
+            }
+            *torn_tail = true;
+            if let Some(plan) = &options.faults {
+                plan.store_append_fault(file, &bytes, attempt)?;
+            }
+            file.write_all(&bytes)?;
+            *torn_tail = false;
+            Ok(())
+        })?;
+        if self.options.fsync {
+            retry_transient(|_| self.file.sync_all())?;
+        }
+        Ok(())
+    }
+
+    /// The log's file path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+/// Count and report one line a loader skips: `what` says which and why.
+pub(crate) fn skip_line(path: &Path, lineno: usize, what: &str) {
+    faults::note_event(RunEvent::TornLineSkipped);
+    eprintln!(
+        "warning: {}:{}: skipping {what}",
+        path.display(),
+        lineno + 1
+    );
+}
+
 /// Header line identifying a store file: format version plus the metric
 /// vocabulary the records were written under.  A store whose metric list no
 /// longer matches [`METRIC_NAMES`] refuses to load instead of silently
@@ -329,6 +519,34 @@ pub struct StoreOptions {
 struct StoreHeader {
     caem_experiment_store: u64,
     metric_names: Vec<String>,
+}
+
+impl StoreHeader {
+    /// The header this build writes.
+    fn current() -> Self {
+        StoreHeader {
+            caem_experiment_store: STORE_VERSION,
+            metric_names: METRIC_NAMES.iter().map(|&m| m.to_string()).collect(),
+        }
+    }
+
+    /// Refuse a parsed header this build cannot read.
+    fn check(value: Value) -> Result<(), StoreError> {
+        let header: StoreHeader = serde_json::from_value(value)
+            .map_err(|e| StoreError::Format(format!("bad store header: {e}")))?;
+        if header.caem_experiment_store != STORE_VERSION {
+            return Err(StoreError::Format(format!(
+                "store version {} (this build reads version {STORE_VERSION})",
+                header.caem_experiment_store
+            )));
+        }
+        if header.metric_names != METRIC_NAMES {
+            return Err(StoreError::Format(
+                "store was written under a different metric vocabulary".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Errors raised while opening, reading or appending to a store.
@@ -357,37 +575,26 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A per-grid JSONL result store: completed job records indexed by their
-/// deterministic coordinates, plus (when opened writable) an append handle
-/// that streams new records to disk as they finish.
+/// A per-grid JSONL result store: the settled lines on disk indexed by
+/// their deterministic coordinates, last line per key winning, plus (when
+/// opened writable) the append log new records stream to as they finish.
 ///
-/// [`ExperimentStore::append`] is the only record sink: a local grid's
-/// parallel workers share the store behind one lock, and the service daemon
-/// journals settled lines through the same call.
+/// [`ExperimentStore::append`] is a local grid's one record sink: its
+/// parallel workers share the store behind one lock.  The service daemon
+/// opens each grid's store the same way and appends its settled lines
+/// through the store's log.
 pub struct ExperimentStore {
-    path: PathBuf,
-    /// Deduplicated records, last-record-wins per key.
-    records: Vec<JobRecord>,
-    index: HashMap<JobKey, usize>,
-    /// Quarantined jobs, last-failure-wins per key.
-    failures: Vec<JobFailure>,
-    failure_index: HashMap<JobKey, usize>,
+    settled: SettledIndex,
     skipped_lines: usize,
-    /// The file ends in a torn (newline-less) fragment; the first append
-    /// must emit a newline first or it would fuse with the fragment and
-    /// corrupt itself.
-    torn_tail: bool,
     /// Records appended through this handle (loads don't count).
     appended: usize,
-    writer: Option<File>,
-    /// The plan appends run under, if any ([`StoreOptions::faults`]).
-    faults: Option<Arc<FaultPlan>>,
-    fsync: bool,
+    /// The append handle; `None` on a store loaded read-only.
+    log: Option<AppendLog>,
 }
 
 impl ExperimentStore {
     /// Open (or create) a writable store at `path`, loading every valid
-    /// record already on disk.  Corrupt or torn lines — the signature of a
+    /// line already on disk.  Corrupt or torn lines — the signature of a
     /// crash mid-append — are skipped with a warning on stderr and counted
     /// in [`ExperimentStore::skipped_lines`]; the affected jobs simply
     /// re-run on resume.
@@ -397,28 +604,15 @@ impl ExperimentStore {
 
     /// [`ExperimentStore::open`] with explicit durability options.
     pub fn open_with(path: impl AsRef<Path>, options: StoreOptions) -> Result<Self, StoreError> {
-        let mut store = Self::read(path.as_ref())?;
-        store.fsync = options.fsync;
-        store.faults = options.faults;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&store.path)?;
-        if file.metadata()?.len() == 0 {
-            let header = StoreHeader {
-                caem_experiment_store: STORE_VERSION,
-                metric_names: METRIC_NAMES.iter().map(|&m| m.to_string()).collect(),
-            };
-            let line = encode_line(&header)?;
-            append_line_with_recovery(store.faults.as_deref(), &mut file, &line, store.fsync)?;
-        } else if store.torn_tail {
-            // A crash tore the final line; terminate it so the next record
-            // starts on a line of its own instead of fusing with the
-            // fragment (which would corrupt the *new* record too).
-            file.write_all(b"\n")?;
-            store.torn_tail = false;
+        let (mut log, text) = AppendLog::open(path.as_ref(), options)?;
+        let (mut store, has_header) = Self::index(path.as_ref(), &text)?;
+        if !has_header {
+            // A new file, or one whose very first write a crash tore.
+            let header = serde_json::to_string(&StoreHeader::current())
+                .expect("the store header always serializes");
+            log.append(&header)?;
         }
-        store.writer = Some(file);
+        store.log = Some(log);
         Ok(store)
     }
 
@@ -426,170 +620,91 @@ impl ExperimentStore {
     /// does not exist; appending to a store loaded this way panics.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
-        if !path.exists() {
-            return Err(StoreError::Io(std::io::Error::new(
+        let text = std::fs::read_to_string(path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("no experiment store at {}", path.display()),
-            )));
-        }
-        Self::read(path)
+            ),
+            _ => e,
+        })?;
+        Ok(Self::index(path, &text)?.0)
     }
 
-    fn read(path: &Path) -> Result<Self, StoreError> {
+    /// Index the lines of a store file's `text`, and say whether it holds
+    /// a header line.
+    fn index(path: &Path, text: &str) -> Result<(Self, bool), StoreError> {
         let mut store = ExperimentStore {
-            path: path.to_path_buf(),
-            records: Vec::new(),
-            index: HashMap::new(),
-            failures: Vec::new(),
-            failure_index: HashMap::new(),
+            settled: SettledIndex::default(),
             skipped_lines: 0,
-            torn_tail: false,
             appended: 0,
-            writer: None,
-            faults: None,
-            fsync: false,
+            log: None,
         };
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e.into()),
-        };
-        store.torn_tail = !text.is_empty() && !text.ends_with('\n');
+        let mut has_header = false;
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let value = match serde_json::parse(line) {
-                Ok(value) => value,
-                Err(e) => {
-                    store.skip_line(lineno, &format!("unparseable line ({e})"));
+            let decoded = match serde_json::parse(line) {
+                Ok(value) if value.get("caem_experiment_store").is_some() => {
+                    StoreHeader::check(value)?;
+                    has_header = true;
                     continue;
                 }
+                Ok(value) => SettledLine::from_value(value),
+                Err(e) => Err(format!("unparseable line ({e})")),
             };
-            if value.get("caem_job_failure").is_some() {
-                match serde_json::from_value::<FailureLine>(value) {
-                    Ok(line) => store.insert_failure(line.into()),
-                    Err(e) => store.skip_line(lineno, &format!("undecodable failure record ({e})")),
-                }
-                continue;
-            }
-            if value.get("caem_experiment_store").is_some() {
-                let header: StoreHeader = serde_json::from_value(value)
-                    .map_err(|e| StoreError::Format(format!("bad store header: {e}")))?;
-                if header.caem_experiment_store != STORE_VERSION {
-                    return Err(StoreError::Format(format!(
-                        "store version {} (this build reads version {STORE_VERSION})",
-                        header.caem_experiment_store
-                    )));
-                }
-                if header.metric_names != METRIC_NAMES {
-                    return Err(StoreError::Format(
-                        "store was written under a different metric vocabulary".into(),
-                    ));
-                }
-                continue;
-            }
-            match serde_json::from_value::<JobRecord>(value) {
-                Ok(record) if record.metrics.len() == METRIC_NAMES.len() => {
-                    store.insert(record);
-                }
-                Ok(record) => {
-                    store.skip_line(
-                        lineno,
-                        &format!(
-                            "record with {} metric slots (expected {})",
-                            record.metrics.len(),
-                            METRIC_NAMES.len()
-                        ),
-                    );
-                }
-                Err(e) => {
-                    store.skip_line(lineno, &format!("undecodable record ({e})"));
+            match decoded {
+                Ok(settled) => store.settled.insert(settled),
+                Err(why) => {
+                    store.skipped_lines += 1;
+                    skip_line(path, lineno, &format!("{why} — the job will re-run"));
                 }
             }
         }
-        Ok(store)
+        Ok((store, has_header))
     }
 
-    fn skip_line(&mut self, lineno: usize, why: &str) {
-        self.skipped_lines += 1;
-        faults::note_event(RunEvent::TornLineSkipped);
-        eprintln!(
-            "warning: {}:{}: skipping {} — the job will re-run",
-            self.path.display(),
-            lineno + 1,
-            why
-        );
-    }
-
-    /// Index a record in memory, last-record-wins per key (the incremental
-    /// counterpart of [`dedupe_last_wins`], sharing its index shape).
-    fn insert(&mut self, record: JobRecord) {
-        insert_last_wins(&mut self.records, &mut self.index, record);
-    }
-
-    /// Index a failure in memory, last-failure-wins per key.
-    fn insert_failure(&mut self, failure: JobFailure) {
-        match self.failure_index.entry(failure.key()) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                self.failures[*slot.get()] = failure;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(self.failures.len());
-                self.failures.push(failure);
-            }
-        }
-    }
-
-    /// The completed record at `key`, but only if it was produced by a
+    /// The settled line at `key`, but only if it was produced by a
     /// configuration hashing to `expected_hash` **and** carries the
-    /// scenario label the spec uses now — stale records (the spec changed
-    /// under the store) are ignored so the job re-runs.  The label check
-    /// matters because labels live in [`crate::experiment::ScenarioSpec`],
-    /// outside the hashed [`ScenarioConfig`]: without it a renamed scenario
-    /// would reuse records carrying the old name and produce a report whose
-    /// cells contradict the spec.
+    /// scenario label the spec uses now ([`SettledLine::matches`]); a stale
+    /// line is ignored, so its job re-runs.
+    pub(crate) fn settled(
+        &self,
+        key: JobKey,
+        expected_hash: u64,
+        expected_label: &str,
+    ) -> Option<&SettledLine> {
+        self.settled
+            .get(key)
+            .filter(|line| line.matches(expected_hash, expected_label))
+    }
+
+    /// The completed record at `key`, under the same staleness filter: a
+    /// quarantined or stale job has none.
     pub fn get(&self, key: JobKey, expected_hash: u64, expected_label: &str) -> Option<&JobRecord> {
-        self.index
-            .get(&key)
-            .map(|&i| &self.records[i])
-            .filter(|r| r.config_hash == expected_hash && r.scenario == expected_label)
+        match self.settled(key, expected_hash, expected_label)? {
+            SettledLine::Record(record) => Some(record),
+            SettledLine::Failure(_) => None,
+        }
     }
 
-    /// Append one record: a single JSONL line written in one `write_all`
-    /// call (a crash can tear the trailing line but never interleave two),
-    /// then indexed in memory.  Transient IO failures are retried with
-    /// backoff; a retry first newline-terminates whatever fragment the
-    /// failed attempt may have torn into the file, so the rewrite can never
-    /// fuse with it (the fragment loads back as one skipped line).
+    /// Append one record through the store's append log, then index it: a
+    /// single line written in one `write_all` call, retried on transient
+    /// failures and never fused with a torn fragment before it.
     pub fn append(&mut self, record: JobRecord) -> Result<(), StoreError> {
-        let line = encode_line(&record)?;
-        let file = self
-            .writer
+        let line = SettledLine::Record(record);
+        self.log
             .as_mut()
-            .expect("append on a store opened read-only");
-        append_line_with_recovery(self.faults.as_deref(), file, &line, self.fsync)?;
+            .expect("append on a store opened read-only")
+            .append(&line.encode())?;
         self.appended += 1;
-        self.insert(record);
-        Ok(())
-    }
-
-    /// Append one quarantine record ([`JobFailure`]), with the same retry
-    /// and torn-write recovery as [`ExperimentStore::append`].
-    pub fn append_failure(&mut self, failure: JobFailure) -> Result<(), StoreError> {
-        let line = encode_line(&FailureLine::from(&failure))?;
-        let file = self
-            .writer
-            .as_mut()
-            .expect("append on a store opened read-only");
-        append_line_with_recovery(self.faults.as_deref(), file, &line, self.fsync)?;
-        self.insert_failure(failure);
+        self.settled.insert(line);
         Ok(())
     }
 
     /// Number of distinct completed jobs on record.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.settled.records().count()
     }
 
     /// Number of records appended since this handle was opened — the "jobs
@@ -601,7 +716,7 @@ impl ExperimentStore {
 
     /// True when the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Number of corrupt/undecodable lines skipped while loading.
@@ -609,162 +724,26 @@ impl ExperimentStore {
         self.skipped_lines
     }
 
-    /// The deduplicated records (arbitrary order; aggregation sorts
+    /// The completed records (arbitrary order; aggregation sorts
     /// canonically).
-    pub fn records(&self) -> &[JobRecord] {
-        &self.records
+    pub fn records(&self) -> impl Iterator<Item = &JobRecord> {
+        self.settled.records()
     }
 
-    /// The deduplicated quarantine records (last failure per key).
-    pub fn failures(&self) -> &[JobFailure] {
-        &self.failures
-    }
-
-    /// The quarantine record at `key` under the current config hash and
-    /// scenario label — the same staleness filter [`ExperimentStore::get`]
-    /// applies, so an edited scenario clears its quarantine and the job
-    /// re-runs.
-    pub fn get_failure(
-        &self,
-        key: JobKey,
-        expected_hash: u64,
-        expected_label: &str,
-    ) -> Option<&JobFailure> {
-        self.failure_index
-            .get(&key)
-            .map(|&i| &self.failures[i])
-            .filter(|f| f.config_hash == expected_hash && f.scenario == expected_label)
-    }
-
-    /// The store's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The store's append handle, giving up its index (`None` on a store
+    /// loaded read-only).
+    pub(crate) fn into_log(self) -> Option<AppendLog> {
+        self.log
     }
 
     /// Rebuild an [`crate::experiment::ExperimentReport`] purely from the
-    /// persisted records — no spec, no simulation.  Records are aggregated
-    /// in the canonical (scenario, policy, seed) order, so the result is
-    /// bit-identical to the report of the grid run that wrote the store.
+    /// persisted lines — no spec, no simulation — through the one
+    /// aggregation path every run mode shares: the records in canonical (scenario, policy, seed) order, so the result is
+    /// bit-identical to the report of the grid run that wrote the store,
+    /// and every standing quarantine in its degradation section.
     pub fn rebuild_report(&self) -> crate::experiment::ExperimentReport {
-        let mut report =
-            crate::experiment::ExperimentReport::from_records(self.records.iter().cloned());
-        // Standing quarantines (no success record for the key) surface in
-        // the rebuilt report's degradation section too.
-        report.failures = self
-            .failures
-            .iter()
-            .filter(|f| !self.index.contains_key(&f.key()))
-            .cloned()
-            .collect();
-        report.failures.sort_by_key(JobFailure::key);
-        report
+        crate::experiment::ExperimentReport::from_settled(&self.settled)
     }
-}
-
-/// The single definition of the store's duplicate-key rule: keep one record
-/// per [`JobKey`], the **last** one seen winning — matching append-order
-/// semantics, where a re-run job's fresh record supersedes its stale one.
-fn insert_last_wins(
-    records: &mut Vec<JobRecord>,
-    index: &mut HashMap<JobKey, usize>,
-    record: JobRecord,
-) {
-    match index.entry(record.key()) {
-        std::collections::hash_map::Entry::Occupied(slot) => {
-            records[*slot.get()] = record;
-        }
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            slot.insert(records.len());
-            records.push(record);
-        }
-    }
-}
-
-/// Collapse an arbitrary record stream to one record per job key
-/// (last-record-wins, first-seen order preserved) — the batch counterpart
-/// of the store's incremental indexing, used by report aggregation.
-pub(crate) fn dedupe_last_wins<I: IntoIterator<Item = JobRecord>>(records: I) -> Vec<JobRecord> {
-    let mut deduped = Vec::new();
-    let mut index = HashMap::new();
-    for record in records {
-        insert_last_wins(&mut deduped, &mut index, record);
-    }
-    deduped
-}
-
-/// One decoded store line: a success record or a quarantine.
-pub(crate) enum DecodedLine {
-    /// A completed job's [`JobRecord`].
-    Record(JobRecord),
-    /// A quarantined job's [`JobFailure`].
-    Failure(JobFailure),
-}
-
-/// Decode one JSONL store line (the inverse of [`encode_line`] /
-/// [`encode_failure_line`], routing on the `caem_job_failure` marker exactly
-/// like [`ExperimentStore::load`]).  The service daemon uses this to decode
-/// record batches that arrived over a socket instead of from a file.
-pub(crate) fn decode_line(text: &str) -> Result<DecodedLine, StoreError> {
-    let value = serde_json::parse(text)
-        .map_err(|e| StoreError::Format(format!("unparseable record line ({e})")))?;
-    if value.get("caem_job_failure").is_some() {
-        let line: FailureLine = serde_json::from_value(value)
-            .map_err(|e| StoreError::Format(format!("undecodable failure record ({e})")))?;
-        return Ok(DecodedLine::Failure(line.into()));
-    }
-    let record: JobRecord = serde_json::from_value(value)
-        .map_err(|e| StoreError::Format(format!("undecodable record ({e})")))?;
-    if record.metrics.len() != METRIC_NAMES.len() {
-        return Err(StoreError::Format(format!(
-            "record with {} metric slots (expected {})",
-            record.metrics.len(),
-            METRIC_NAMES.len()
-        )));
-    }
-    Ok(DecodedLine::Record(record))
-}
-
-/// Serialize `value` as one newline-terminated JSONL line.
-pub(crate) fn encode_line<T: Serialize>(value: &T) -> Result<Vec<u8>, StoreError> {
-    let mut line = Vec::with_capacity(256);
-    serde_json::to_writer(&mut line, value)
-        .map_err(|e| StoreError::Format(format!("record serialization failed: {e}")))?;
-    line.push(b'\n');
-    Ok(line)
-}
-
-/// Serialize a quarantine record in its tagged on-disk framing.
-pub(crate) fn encode_failure_line(failure: &JobFailure) -> Result<Vec<u8>, StoreError> {
-    encode_line(&FailureLine::from(failure))
-}
-
-/// Append one encoded line, under `faults` when given, retrying transient
-/// failures on [`retry_transient`]'s fixed schedule.  Every retry attempt
-/// first newline-terminates the file:
-/// a failed attempt may have torn a partial line in (short write, `ENOSPC`
-/// mid-buffer), and rewriting directly after it would fuse the two into one
-/// corrupt record.  Terminated fragments (and the blank lines terminating
-/// clean failures) load back as skipped/ignored lines — the record itself
-/// is always rewritten whole.
-fn append_line_with_recovery(
-    faults: Option<&FaultPlan>,
-    file: &mut File,
-    line: &[u8],
-    fsync: bool,
-) -> Result<(), StoreError> {
-    retry_transient(|attempt| {
-        if attempt > 0 {
-            file.write_all(b"\n")?;
-        }
-        if let Some(plan) = faults {
-            plan.store_append_fault(file, line, attempt)?;
-        }
-        file.write_all(line)
-    })?;
-    if fsync {
-        retry_transient(|_| file.sync_all())?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -843,60 +822,78 @@ mod tests {
 
     #[test]
     fn torn_trailing_line_is_skipped_with_a_warning_count() {
+        // A crash tore the store's very first write, its header: the next
+        // open writes the header again.
         let path = temp_path("torn");
-        std::fs::remove_file(&path).ok();
+        let header = serde_json::to_string(&StoreHeader::current()).unwrap();
+        std::fs::write(&path, &header[..header.len() / 2]).unwrap();
         {
             let mut store = ExperimentStore::open(&path).unwrap();
             store.append(tiny_record(1)).unwrap();
             store.append(tiny_record(2)).unwrap();
         }
-        // Simulate a crash mid-append: a partial record with no newline.
         let mut text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.lines().any(|line| line == header), "no header: {text}");
+        // Simulate a crash mid-append: a partial record with no newline.
         text.push_str("{\"scenario_index\":0,\"scenario\":\"uni");
         std::fs::write(&path, text).unwrap();
         let store = ExperimentStore::open(&path).unwrap();
         assert_eq!(store.len(), 2, "intact records survive");
-        assert_eq!(store.skipped_lines(), 1, "the torn line is counted");
+        assert_eq!(store.skipped_lines(), 2, "both torn lines are counted");
         std::fs::remove_file(&path).ok();
+    }
+
+    fn tiny_failure(seed: u64) -> SettledLine {
+        SettledLine::Failure(JobFailure {
+            scenario_index: 0,
+            scenario: "uniform".into(),
+            policy_index: 1,
+            policy: PolicyKind::Scheme1Adaptive,
+            seed,
+            config_hash: 0xfeed_beef,
+            attempts: 2,
+            reason: "panicked: poison".into(),
+        })
     }
 
     #[test]
     fn job_failures_round_trip_and_respect_the_staleness_filter() {
         let path = temp_path("failures");
         std::fs::remove_file(&path).ok();
-        let failure = JobFailure {
-            scenario_index: 0,
-            scenario: "uniform".into(),
-            policy_index: 1,
-            policy: PolicyKind::Scheme1Adaptive,
-            seed: 3,
-            config_hash: 0xfeed_beef,
-            attempts: 2,
-            reason: "panicked: poison".into(),
-        };
+        // A quarantine keeps its committed layout, marker first.
+        assert_eq!(
+            tiny_failure(3).encode(),
+            r#"{"caem_job_failure":1,"scenario_index":0,"scenario":"uniform","policy_index":1,"policy":"Scheme1Adaptive","seed":3,"config_hash":4276993775,"attempts":2,"reason":"panicked: poison"}"#
+        );
         {
+            // The daemon's path: quarantines go through the store's log.
             let mut store = ExperimentStore::open(&path).unwrap();
-            store.append_failure(failure.clone()).unwrap();
-            let mut worse = failure.clone();
-            worse.attempts = 3;
-            store.append_failure(worse).unwrap();
+            let log = |store: &mut ExperimentStore, line: SettledLine| {
+                let log = store.log.as_mut().unwrap();
+                log.append(&line.encode()).unwrap();
+            };
+            store.append(tiny_record(3)).unwrap();
+            log(&mut store, tiny_failure(3));
+            log(&mut store, tiny_failure(9));
             store.append(tiny_record(9)).unwrap();
         }
+        // The last line for a key wins, success or quarantine.
         let store = ExperimentStore::load(&path).unwrap();
-        assert_eq!(store.len(), 1, "success records load independently");
-        assert_eq!(store.failures().len(), 1, "last failure per key wins");
-        let loaded = store
-            .get_failure((0, 1, 3), 0xfeed_beef, "uniform")
-            .unwrap();
-        assert_eq!(loaded.attempts, 3);
-        assert_eq!(loaded.reason, "panicked: poison");
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            store.settled((0, 1, 3), 0xfeed_beef, "uniform"),
+            Some(&tiny_failure(3))
+        );
+        assert!(store.get((0, 1, 3), 0xfeed_beef, "uniform").is_none());
+        assert!(store.get((0, 1, 9), 0xfeed_beef, "uniform").is_some());
+        let failures = store.rebuild_report().failures;
+        assert_eq!(
+            failures.iter().map(JobFailure::key).collect::<Vec<_>>(),
+            [(0, 1, 3)]
+        );
         // A stale hash or relabeled scenario clears the quarantine.
-        assert!(store
-            .get_failure((0, 1, 3), 0xdead_beef, "uniform")
-            .is_none());
-        assert!(store
-            .get_failure((0, 1, 3), 0xfeed_beef, "renamed")
-            .is_none());
+        assert!(store.settled((0, 1, 3), 0xdead_beef, "uniform").is_none());
+        assert!(store.settled((0, 1, 3), 0xfeed_beef, "renamed").is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,9 +12,10 @@
 //! [`RunEvent::WorkerAbnormalExit`]).  A line settles its job only if it
 //! matches the job's key, config hash and scenario label; any other line
 //! is counted as [`RunEvent::ForeignRecordIgnored`] and the job stays open.
-//! Every record and quarantine a grid holds has therefore passed that
-//! check exactly once, so a completed grid finalizes straight through
-//! [`ExperimentReport::from_records`] (quarantines sorted by key), and the
+//! A grid keeps the first line that settles each job, in the same settled
+//! index a store loads into (one line per key, the last one winning), so a
+//! completed grid finalizes through the one aggregation path of every run
+//! mode (records in canonical order, quarantines sorted by key).  The
 //! report is rendered to text once, daemon-side, so every client fetches
 //! byte-identical output.
 //!
@@ -28,7 +29,9 @@
 //! `caem-serve --listen` runs) survives a `kill -9`.  Every accepted
 //! submission is appended to `DIR/grids.jsonl` before it is acknowledged,
 //! and each grid's settled lines go to its own experiment store,
-//! `DIR/<grid hash, 16 hex digits>.jsonl`.  A restarted daemon replays the
+//! `DIR/<grid hash, 16 hex digits>.jsonl`.  Both files are written through
+//! the store's one append log, with its retries and torn-tail handling
+//! (the journal runs under no fault plan).  A restarted daemon replays the
 //! submissions in order: the jobs a grid's store already holds settle at
 //! once, a grid the store completes finalizes on the spot, and only the
 //! rest is granted again.  A failed append never stops the grid; it is
@@ -36,8 +39,6 @@
 //! [`ServiceState::shared`] keeps everything in memory.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -48,7 +49,8 @@ use serde_json::{json, Value};
 use crate::experiment::{ExperimentReport, ExperimentSpec};
 use crate::faults::{self, RunEvent};
 use crate::persist::{
-    decode_line, DecodedLine, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError,
+    skip_line, AppendLog, ExperimentStore, JobKey, SettledIndex, SettledLine, StoreError,
+    StoreOptions,
 };
 use crate::spec::GridSpec;
 
@@ -112,29 +114,39 @@ struct ActiveGrid {
     jobs: Vec<(JobKey, u64)>,
     /// Job key → index into `jobs` (the filter absorbed lines must pass).
     job_index: HashMap<JobKey, usize>,
-    records: Vec<JobRecord>,
-    failures: Vec<JobFailure>,
-    /// Keys with a decoded success or quarantine line.
-    settled: HashSet<JobKey>,
+    /// The line that settled each settled job.
+    lines: SettledIndex,
     shard_done: Vec<bool>,
     leases: HashMap<usize, Lease>,
-    /// Where every settled line is appended, on a durable daemon.
-    store: Option<ExperimentStore>,
+    /// The grid's store, where every settled line is appended, on a
+    /// durable daemon.
+    log: Option<AppendLog>,
 }
 
 impl ActiveGrid {
-    /// Settle `key` unless it is off the grid, already settled, or the
-    /// line's config hash or scenario label says it belongs to another
-    /// grid; true when this call settled it.
-    fn settle(&mut self, key: JobKey, config_hash: u64, scenario: &str) -> bool {
+    /// Settle `line`'s job and journal the line, unless the job is already
+    /// settled or the line is not one of this grid's jobs with the job's
+    /// config hash and scenario label.  The first line to settle a job is
+    /// the only one kept.
+    fn settle(&mut self, line: SettledLine) {
+        let key = line.key();
         let admitted = self.job_index.get(&key).is_some_and(|&index| {
-            self.jobs[index].1 == config_hash && self.spec.scenarios[key.0].label == scenario
+            line.matches(self.jobs[index].1, &self.spec.scenarios[key.0].label)
         });
         if !admitted {
             faults::note_event(RunEvent::ForeignRecordIgnored);
-            return false;
+            return;
         }
-        self.settled.insert(key)
+        if self.lines.get(key).is_some() {
+            return;
+        }
+        if let Some(log) = &mut self.log {
+            // The job stays settled in memory, so the grid still completes.
+            if let Err(e) = log.append(&line.encode()) {
+                write_failed(log.path(), &e);
+            }
+        }
+        self.lines.insert(line);
     }
 
     /// The keys of the jobs shard `shard` owns.
@@ -150,22 +162,12 @@ impl ActiveGrid {
         GridProgress {
             name: self.name.clone(),
             jobs: self.jobs.len() as u64,
-            settled: self.settled.len() as u64,
-            quarantined: self.failures.len() as u64,
+            settled: self.lines.len() as u64,
+            quarantined: (self.lines.len() - self.lines.records().count()) as u64,
             shards_done: self.shard_done.iter().filter(|d| **d).count() as u64,
             shard_count: self.shard_count as u64,
         }
     }
-}
-
-/// The append handle on a durable daemon's `grids.jsonl`.
-struct Journal {
-    path: PathBuf,
-    file: File,
-    /// The file may end in a fragment without a newline (a crash tore the
-    /// last append, or an append failed); the next append terminates it
-    /// first, so the fragment cannot fuse with the new line.
-    torn_tail: bool,
 }
 
 /// Shared state of one daemon process.
@@ -177,8 +179,8 @@ pub struct ServiceState {
     workers: HashMap<u64, String>,
     /// The store directory of a durable daemon.
     store_dir: Option<PathBuf>,
-    /// The submission journal of a durable daemon.
-    journal: Option<Journal>,
+    /// The submission journal (`grids.jsonl`) of a durable daemon.
+    journal: Option<AppendLog>,
 }
 
 /// What a handled message asks the connection loop to do.
@@ -223,11 +225,7 @@ impl ServiceState {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join(GRIDS_JOURNAL);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e.into()),
-        };
+        let (journal, text) = AppendLog::open(&path, StoreOptions::default())?;
         let mut state = ServiceState::new(cfg);
         state.store_dir = Some(dir.to_path_buf());
         // The journal is attached after the replay, so no replayed grid is
@@ -237,22 +235,14 @@ impl ServiceState {
                 Ok((name, spec)) => {
                     state.submit_grid(&name, &spec);
                 }
-                Err(why) => {
-                    faults::note_event(RunEvent::TornLineSkipped);
-                    eprintln!(
-                        "warning: {}:{}: skipping a submission that does not decode ({why})",
-                        path.display(),
-                        lineno + 1
-                    );
-                }
+                Err(why) => skip_line(
+                    &path,
+                    lineno,
+                    &format!("a submission that does not decode ({why})"),
+                ),
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        state.journal = Some(Journal {
-            path,
-            file,
-            torn_tail: !text.is_empty() && !text.ends_with('\n'),
-        });
+        state.journal = Some(journal);
         Ok(Arc::new(Mutex::new(state)))
     }
 
@@ -418,13 +408,9 @@ impl ServiceState {
             return;
         };
         let entry = json!({ "name": name, "spec": spec.to_json() });
-        let mut line = if journal.torn_tail { "\n" } else { "" }.to_string();
-        line += &serde_json::to_string(&entry).expect("submission JSON always renders");
-        line.push('\n');
-        let written = journal.file.write_all(line.as_bytes());
-        journal.torn_tail = written.is_err();
-        if let Err(e) = written {
-            write_failed(&journal.path, &e);
+        let line = serde_json::to_string(&entry).expect("submission JSON always renders");
+        if let Err(e) = journal.append(&line) {
+            write_failed(journal.path(), &e);
         }
     }
 
@@ -453,12 +439,10 @@ impl ServiceState {
             shard_count,
             jobs,
             job_index,
-            records: Vec::new(),
-            failures: Vec::new(),
-            settled: HashSet::new(),
+            lines: SettledIndex::default(),
             shard_done: vec![false; shard_count],
             leases: HashMap::new(),
-            store: None,
+            log: None,
         };
         if let Some(dir) = &self.store_dir {
             let path = dir.join(format!("{:016x}.jsonl", grid.grid_hash));
@@ -466,22 +450,17 @@ impl ServiceState {
                 Ok(store) => {
                     for &(key, config_hash) in &grid.jobs {
                         let scenario = &grid.spec.scenarios[key.0].label;
-                        if let Some(record) = store.get(key, config_hash, scenario) {
-                            grid.settled.insert(key);
-                            grid.records.push(record.clone());
-                        } else if let Some(failure) = store.get_failure(key, config_hash, scenario)
-                        {
-                            grid.settled.insert(key);
-                            grid.failures.push(failure.clone());
+                        if let Some(line) = store.settled(key, config_hash, scenario) {
+                            grid.lines.insert(line.clone());
                         }
                     }
-                    grid.store = Some(store);
+                    grid.log = store.into_log();
                 }
                 Err(e) => write_failed(&path, &e),
             }
         }
         let grid_hash = grid.grid_hash;
-        let complete = grid.settled.len() == grid.jobs.len();
+        let complete = grid.lines.len() == grid.jobs.len();
         self.queue.push_back(grid);
         if complete && self.queue.len() == 1 {
             self.try_finish_active();
@@ -517,7 +496,7 @@ impl ServiceState {
                 }
                 let pending: Vec<JobKey> = grid
                     .shard_keys(shard)
-                    .filter(|key| !grid.settled.contains(key))
+                    .filter(|&key| grid.lines.get(key).is_none())
                     .collect();
                 if pending.is_empty() {
                     // Every job already settled (a dead worker streamed its
@@ -568,35 +547,9 @@ impl ServiceState {
             }
         }
         for line in lines {
-            // Only a line that settles its job reaches the grid's store.
-            let appended = match decode_line(&line) {
-                Ok(DecodedLine::Record(record)) => {
-                    if !grid.settle(record.key(), record.config_hash, &record.scenario) {
-                        continue;
-                    }
-                    let appended = grid.store.as_mut().map(|s| s.append(record.clone()));
-                    grid.records.push(record);
-                    appended
-                }
-                Ok(DecodedLine::Failure(failure)) => {
-                    if !grid.settle(failure.key(), failure.config_hash, &failure.scenario) {
-                        continue;
-                    }
-                    let appended = grid
-                        .store
-                        .as_mut()
-                        .map(|s| s.append_failure(failure.clone()));
-                    grid.failures.push(failure);
-                    appended
-                }
-                Err(_) => {
-                    faults::note_event(RunEvent::TornLineSkipped);
-                    continue;
-                }
-            };
-            // The job stays settled in memory, so the grid still completes.
-            if let (Some(Err(e)), Some(store)) = (appended, &grid.store) {
-                write_failed(store.path(), &e);
+            match SettledLine::decode(&line) {
+                Ok(line) => grid.settle(line),
+                Err(_) => faults::note_event(RunEvent::TornLineSkipped),
             }
         }
     }
@@ -632,7 +585,7 @@ impl ServiceState {
                 .jobs
                 .iter()
                 .enumerate()
-                .filter(|(_, (key, _))| !grid.settled.contains(key))
+                .filter(|(_, &(key, _))| grid.lines.get(key).is_none())
                 .map(|(index, _)| index % grid.shard_count)
                 .collect();
             if !open_shards.is_empty() {
@@ -641,15 +594,10 @@ impl ServiceState {
                 }
                 return;
             }
-            let mut grid = self.queue.pop_front().expect("front grid exists");
+            let grid = self.queue.pop_front().expect("front grid exists");
             // The canonical aggregation, so a fetched report is
             // byte-identical to a single-process run of the same spec.
-            // Every record and quarantine was admitted once by `settle` (or
-            // the store at submit): nothing here needs re-checking or
-            // deduplicating.
-            let mut report = grid.spec.report_from(grid.records);
-            grid.failures.sort_by_key(JobFailure::key);
-            report.failures = grid.failures;
+            let report = grid.spec.report_from(&grid.lines);
             let text = serde_json::to_string_pretty(&report.to_json())
                 .expect("report JSON always renders");
             self.completed.push(CompletedGrid {

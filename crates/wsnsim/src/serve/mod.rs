@@ -13,11 +13,13 @@
 //! so there is no retransmission: a request is sent once, and the one
 //! recovery check is end to end — a dead or silent worker's leases are
 //! re-granted, and a shard declared done while some of its jobs are still
-//! unsettled is reopened.  Reports are finalized daemon-side through the canonical
+//! unsettled is reopened.  Reports are finalized daemon-side through the
+//! aggregation path every run mode shares (the one behind
 //! [`ExperimentReport::from_records`](crate::experiment::ExperimentReport::from_records)
-//! pipeline, so a fetched report is **byte-identical** to a single-process
+//! and [`ExperimentStore::rebuild_report`](crate::persist::ExperimentStore::rebuild_report)),
+//! so a fetched report is **byte-identical** to a single-process
 //! [`ExperimentSpec::run`](crate::experiment::ExperimentSpec::run) of the
-//! same spec.
+//! same spec, and to the offline re-aggregation of the grid's store.
 //!
 //! Transports:
 //!
@@ -28,7 +30,8 @@
 //!
 //! `caem-serve --listen` runs the daemon on a store directory
 //! ([`ServiceState::open`]): accepted submissions and every grid's settled
-//! lines are journaled there, so a daemon killed with `kill -9` and
+//! lines are journaled there, through the same append log a local
+//! experiment store writes with, so a daemon killed with `kill -9` and
 //! restarted on the same directory resumes its grids.  The loopback
 //! transport carries the *same* frames as TCP but over channels, and is
 //! the only place the chaos plan's frame delays are injected, widening
@@ -37,7 +40,8 @@
 //!
 //! A job that panics on both of its two attempts is quarantined by its
 //! worker as a [`JobFailure`](crate::persist::JobFailure) instead of
-//! wedging its shard.
+//! wedging its shard.  A daemon keeps the first line that settles each
+//! job, record or quarantine.
 
 pub mod client;
 pub mod daemon;

@@ -30,7 +30,7 @@ use rayon::prelude::*;
 
 use crate::experiment::{ExperimentJob, ExperimentSpec};
 use crate::faults::{self, FaultPlan, RunEvent};
-use crate::persist::{encode_failure_line, encode_line, JobFailure, JobKey, JobRecord};
+use crate::persist::{JobFailure, JobKey, SettledLine};
 
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
@@ -57,8 +57,9 @@ pub struct SocketWorkerOptions {
     pub protocol: u64,
     /// Refuse to work unless the daemon's active grid has this grid hash.
     pub expect_hash: Option<u64>,
-    /// Graceful-stop flag: raised by the embedding program or test;
-    /// checked between jobs.
+    /// Graceful-stop flag: raised by the embedding program or test, never
+    /// by the worker itself (it may be shared by several workers); checked
+    /// between jobs.
     pub stop: Arc<AtomicBool>,
     /// The fault plan the worker's jobs run under: it poisons a subset of
     /// jobs and, in a worker process, exits at the plan's K-th settled job.
@@ -240,7 +241,7 @@ fn run_job_guarded(
     spec: &ExperimentSpec,
     job: &ExperimentJob,
     faults: Option<&FaultPlan>,
-) -> Result<JobRecord, JobFailure> {
+) -> SettledLine {
     let mut reason = String::new();
     for attempt in 0..JOB_ATTEMPTS {
         if attempt > 0 {
@@ -253,12 +254,12 @@ fn run_job_guarded(
             spec.run_job(job)
         }));
         match settled {
-            Ok(record) => return Ok(record),
+            Ok(record) => return SettledLine::Record(record),
             Err(payload) => reason = format!("job panicked: {}", panic_text(payload.as_ref())),
         }
     }
     faults::note_event(RunEvent::JobQuarantined);
-    Err(JobFailure {
+    SettledLine::Failure(JobFailure {
         scenario_index: job.scenario,
         scenario: spec.scenarios[job.scenario].label.clone(),
         policy_index: job.policy_index,
@@ -281,7 +282,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one granted shard: rayon fan-out in a scoped thread sending each
 /// job's line as it settles, with this thread shipping the lines in
-/// batches and keeping the lease alive over the link.
+/// batches and keeping the lease alive over the link.  A send that fails
+/// aborts the shard's unstarted jobs through a flag of the shard's own:
+/// the worker's stop flag may be shared with sibling workers and belongs
+/// to the embedding program.
 fn run_shard(
     link: &mut dyn FrameLink,
     opts: &SocketWorkerOptions,
@@ -292,7 +296,8 @@ fn run_shard(
     heartbeat: Duration,
 ) -> Result<ShardRun, ProtoError> {
     let (line_tx, line_rx) = mpsc::channel::<String>();
-    let stop = opts.stop.clone();
+    let stop = &opts.stop;
+    let abort = &AtomicBool::new(false);
     let faults = opts.faults.as_deref();
     let linger = LINGER.min(heartbeat);
     let mut sent = 0u64;
@@ -303,27 +308,17 @@ fn run_shard(
             // Some(false) = quarantined.
             jobs.par_iter()
                 .map(|job| {
-                    if stop.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::Relaxed) || abort.load(Ordering::Relaxed) {
                         return None;
                     }
                     let settled = run_job_guarded(spec, job, faults);
-                    let encoded = match &settled {
-                        Ok(record) => encode_line(record),
-                        Err(failure) => encode_failure_line(failure),
-                    };
-                    if let Ok(bytes) = encoded {
-                        let mut text = String::from_utf8(bytes).expect("store lines are UTF-8");
-                        if text.ends_with('\n') {
-                            text.pop();
-                        }
-                        // A send failure means the streamer bailed on a
-                        // dead link; the outcome still counts.
-                        let _ = line_tx.send(text);
-                    }
+                    // A send failure means the streamer bailed on a dead
+                    // link; the outcome still counts.
+                    let _ = line_tx.send(settled.encode());
                     if let Some(plan) = faults {
                         plan.kill_check();
                     }
-                    Some(settled.is_ok())
+                    Some(matches!(settled, SettledLine::Record(_)))
                 })
                 .collect::<Vec<Option<bool>>>()
         });
@@ -368,7 +363,7 @@ fn run_shard(
             batch_bytes = 0;
             if let Err(e) = link.send(&frame.encode()) {
                 link_error = Some(e);
-                opts.stop.store(true, Ordering::Relaxed);
+                abort.store(true, Ordering::Relaxed);
                 break;
             }
             last_frame = Instant::now();

@@ -1,7 +1,8 @@
 //! Chaos-mode contract tests: a grid run under a deterministic fault plan
 //! must produce a report **byte-identical** to the clean run (recoverable
 //! faults), or identical-minus-quarantined (poison), and the store must
-//! hold exactly what the report says.
+//! hold exactly what the report says: its offline re-aggregation
+//! reproduces the report byte for byte.
 //!
 //! A fault plan is a value handed to the seams it drives — the store and
 //! the loopback spawner — so these tests run side by side, and each one
@@ -10,9 +11,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use caem_suite::wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
+use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::faults::{FaultKind, FaultPlan, FaultPlanConfig, FaultRole, POISON_MARKER};
-use caem_suite::wsnsim::persist::{ExperimentStore, JobKey, StoreOptions};
+use caem_suite::wsnsim::persist::{ExperimentStore, JobKey, JobRecord, StoreOptions};
 use caem_suite::wsnsim::spec::{GridQuick, GridSpec, ScenarioQuick, SeedAxis};
 use proptest::prelude::*;
 
@@ -23,24 +24,13 @@ use common::{
     temp_dir, temp_store,
 };
 
-fn grid_keys(spec: &ExperimentSpec) -> Vec<JobKey> {
-    let mut keys = Vec::new();
-    for si in 0..spec.scenarios.len() {
-        for pi in 0..spec.policies.len() {
-            for &seed in &spec.seeds {
-                keys.push((si, pi, seed));
-            }
-        }
-    }
-    keys
-}
-
 /// Random grids the byte-identity property checks, each under its own
 /// random plan.  They run concurrently: a case spends much of its time in
 /// store-retry backoff and frame delays.  The cases are fixed (the
 /// generator is seeded from the test's name), and each plan injects within
 /// the store appends and frames every run of its case makes, so whether it
-/// fires does not depend on thread timing.
+/// fires does not depend on thread timing; which jobs a plan poisons
+/// depends on its seed alone.
 const PROPERTY_CASES: usize = 8;
 
 /// A random small grid: one or two scenarios from the spec generators,
@@ -78,19 +68,33 @@ fn small_grid(rng: &mut TestRng) -> ExperimentSpec {
     grid.resolve(0, false).expect("valid by construction").spec
 }
 
-/// A random recoverable plan: a seed and a non-empty subset of `torn`,
-/// `transient` and `delay`.
-fn recoverable_plan(rng: &mut TestRng) -> FaultPlanConfig {
-    let mask = (1u8..8).sample(rng);
-    let kinds = [FaultKind::Torn, FaultKind::Transient, FaultKind::Delay]
-        .into_iter()
-        .enumerate()
-        .filter(|&(bit, _)| mask & (1 << bit) != 0)
-        .map(|(_, kind)| kind)
-        .collect();
-    FaultPlanConfig {
-        seed: any::<u64>().sample(rng),
-        kinds,
+/// A random plan for `spec`: a seed and a non-empty subset of the
+/// recoverable kinds `torn`, `transient` and `delay`, plus `poison` in about
+/// half the plans.  A poisoning plan's seed is drawn again until it poisons
+/// at least one of `spec`'s jobs, so every poison plan fires.
+fn random_plan(rng: &mut TestRng, spec: &ExperimentSpec) -> FaultPlanConfig {
+    let poison = any::<bool>().sample(rng);
+    let mask = (1u8..8).sample(rng) | if poison { 8 } else { 0 };
+    let kinds: Vec<FaultKind> = [
+        FaultKind::Torn,
+        FaultKind::Transient,
+        FaultKind::Delay,
+        FaultKind::Poison,
+    ]
+    .into_iter()
+    .enumerate()
+    .filter(|&(bit, _)| mask & (1 << bit) != 0)
+    .map(|(_, kind)| kind)
+    .collect();
+    loop {
+        let cfg = FaultPlanConfig {
+            seed: any::<u64>().sample(rng),
+            kinds: kinds.clone(),
+        };
+        let plan = FaultPlan::new(cfg.clone(), FaultRole::Host);
+        if !poison || !poisoned_keys(spec, &plan).is_empty() {
+            return cfg;
+        }
     }
 }
 
@@ -115,14 +119,24 @@ fn cut_after_records(path: &Path, k: usize) {
     std::fs::write(path, kept).expect("write the cut store");
 }
 
+/// The keys of `spec`'s jobs that `plan` poisons.
+fn poisoned_keys(spec: &ExperimentSpec, plan: &FaultPlan) -> Vec<JobKey> {
+    let mut keys: Vec<JobKey> = spec.enumerate_jobs().iter().map(|job| job.key()).collect();
+    keys.retain(|&key| plan.is_poisoned(key));
+    keys.sort_unstable();
+    keys
+}
+
 /// One case of the property: `spec` run four ways — [`ExperimentSpec::run`];
 /// `run_with_store` on a store under the plan; the same store cut to its
 /// first `resume_at` records and resumed under the plan; and served by
-/// loopback workers whose links and jobs run under the same plan.
+/// loopback workers whose links and jobs run under the same plan.  Poison
+/// fires only in workers, so the local and resumed runs report the clean
+/// bytes, and the served run reports the clean records minus the poisoned
+/// jobs, which it lists as quarantined.
 fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig, resume_at: usize) {
     let what = format!("case {case}, plan {}", cfg.env_string());
-    let clean = spec.run();
-    let clean_bits = report_bits(&clean);
+    let clean_bits = report_bits(&spec.run());
     let plan = FaultPlan::new(cfg.clone(), FaultRole::Host);
 
     // The local engine's parallel workers append through one shared store,
@@ -151,22 +165,63 @@ fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig, resume_
     drop(store);
     assert_eq!(report_bits(&resumed), clean_bits, "{what}: resumed report");
 
+    let local_store = ExperimentStore::load(&local_path).expect("store reloads");
+    assert_eq!(
+        report_bits(&local_store.rebuild_report()),
+        clean_bits,
+        "{what}: the local store re-aggregates to the clean bytes"
+    );
+
     // Served: the daemon's store appends carry no plan; the links delay
-    // frames.
+    // frames, and the workers' poisoned jobs panic.
     let served_dir = temp_dir(&format!("property_{case}_served"));
     let (report, _) = served_under(spec, 2, &served_dir, Some(Arc::clone(&plan)));
-    assert_eq!(report_bits(&report), clean_bits, "{what}: served report");
-
-    assert!(plan.injected() > 0, "{what}: the plan never fired");
-    for path in [local_path.clone(), grid_store(&served_dir, spec)] {
-        let journaled = ExperimentStore::load(&path).expect("store reloads");
-        assert_eq!(
-            journaled.rebuild_report().cells,
-            clean.cells,
-            "{what}: {} re-aggregates to the clean cells",
-            path.display()
+    let poisoned = poisoned_keys(spec, &plan);
+    let quarantined: Vec<JobKey> = report.failures.iter().map(|f| f.key()).collect();
+    assert_eq!(quarantined, poisoned, "{what}: quarantined jobs");
+    for failure in &report.failures {
+        assert_eq!(failure.attempts, 2, "{what}: the retry budget was spent");
+        assert!(
+            failure.reason.contains(POISON_MARKER),
+            "{what}: {}",
+            failure.reason
         );
     }
+    let kept: Vec<JobRecord> = local_store
+        .records()
+        .filter(|record| !poisoned.contains(&record.key()))
+        .cloned()
+        .collect();
+    let mut expected = ExperimentReport::from_records(kept);
+    expected.seeds = spec.seeds.clone();
+    expected.failures = report.failures.clone();
+    let served_bits = report_bits(&report);
+    assert_eq!(served_bits, report_bits(&expected), "{what}: served report");
+    assert_eq!(
+        served_bits.contains("quarantined"),
+        !poisoned.is_empty(),
+        "{what}"
+    );
+    let served_store = ExperimentStore::load(grid_store(&served_dir, spec)).expect("store reloads");
+    assert_eq!(
+        report_bits(&served_store.rebuild_report()),
+        served_bits,
+        "{what}: the daemon's store re-aggregates to the served bytes"
+    );
+    // Quarantines are settled state: a daemon restarted on the store
+    // without a plan finds nothing pending and re-runs none of them.
+    let (restarted, simulated) = served(spec, 2, &served_dir);
+    assert_eq!(
+        report_bits(&restarted),
+        served_bits,
+        "{what}: restarted daemon"
+    );
+    assert_eq!(
+        simulated, 0,
+        "{what}: a restarted daemon re-ran settled jobs"
+    );
+
+    assert!(plan.injected() > 0, "{what}: the plan never fired");
     std::fs::remove_file(&local_path).ok();
     std::fs::remove_dir_all(&served_dir).ok();
 }
@@ -177,11 +232,17 @@ fn random_grids_under_random_recoverable_plans_report_the_clean_bytes() {
     let cases: Vec<(ExperimentSpec, FaultPlanConfig, usize)> = (0..PROPERTY_CASES)
         .map(|_| {
             let spec = small_grid(&mut rng);
-            let cfg = recoverable_plan(&mut rng);
+            let cfg = random_plan(&mut rng, &spec);
             let resume_at = (0..spec.job_count() + 1).sample(&mut rng);
             (spec, cfg, resume_at)
         })
         .collect();
+    assert!(
+        cases
+            .iter()
+            .any(|(_, cfg, _)| cfg.kinds.contains(&FaultKind::Poison)),
+        "some case poisons jobs"
+    );
     std::thread::scope(|scope| {
         for (case, (spec, cfg, resume_at)) in cases.iter().enumerate() {
             scope.spawn(move || check_case(case, spec, cfg, *resume_at));
@@ -200,7 +261,6 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
 
     // Pick a seed whose deterministic ~1/16 poison subset hits this grid
     // partially: at least one job dies, but not the whole grid.
-    let keys = grid_keys(&spec);
     let (plan, poisoned) = (0u64..500)
         .find_map(|seed| {
             let cfg = FaultPlanConfig {
@@ -208,12 +268,8 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
                 kinds: vec![FaultKind::Poison],
             };
             let plan = FaultPlan::new(cfg, FaultRole::Host);
-            let poisoned: Vec<JobKey> = keys
-                .iter()
-                .copied()
-                .filter(|&k| plan.is_poisoned(k))
-                .collect();
-            (!poisoned.is_empty() && poisoned.len() < keys.len()).then_some((plan, poisoned))
+            let poisoned = poisoned_keys(&spec, &plan);
+            (!poisoned.is_empty() && poisoned.len() < spec.job_count()).then_some((plan, poisoned))
         })
         .expect("some seed poisons a strict subset of 18 jobs");
     let dir = temp_dir("poison");

@@ -169,6 +169,59 @@ fn a_restarted_daemon_resumes_its_journaled_grid_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store directory in the byte layout of the formats this suite commits
+/// to (store version 1): a `grids.jsonl` line, and the grid's store lines
+/// (header, two records, a quarantine), recorded from a served run of the
+/// test's one-scenario grid whose poison plan quarantined its Scheme 1 job.
+const LITERAL_GRID: &str = r#"{"name":"literal","spec":{"policies":["PureLeach","Scheme1Adaptive","Scheme2Fixed"],"seeds":[400],"job_count":3,"scenarios":[{"label":"uniform","config_hash":"30a8b566f02c53c6","config":{"node_count":20,"field":{"width":100.0,"height":100.0},"topology":"Uniform","traffic":{"Poisson":{"rate_pps":8.0}},"traffic_profile":"Constant","buffer_capacity":50,"initial_energy_j":10.0,"initial_energy_spread":0.0,"churn":null,"policy":"PureLeach","caem":{"sampling_interval_packets":5,"queue_threshold":15,"initial_threshold":"Mbps2","lower_step_classes":1},"duration":5000000000,"seed":0,"round":{"round_duration":20000000000,"setup_duration":100000000},"ch_probability":0.05,"link_budget":{"data_tx_dbm":0.0,"tone_tx_dbm":-8.6,"noise_floor_dbm":-101.0,"antenna_gain_db":0.0},"path_loss":{"LogDistance":{"exponent":3.0,"reference_distance_m":1.0,"reference_loss_db":31.68569269524038}},"shadowing":{"sigma_db":6.0,"decorrelation_time_s":3.5},"frame":{"payload_bits":2000,"header_bits":64},"burst":{"min_packets":3,"max_packets":8},"backoff":{"slot":20000,"contention_window":10,"max_retransmissions":6},"tone":{"idle":{"duration":1000000,"interval":50000000,"repeating":true},"receive":{"duration":500000,"interval":10000000,"repeating":true},"collision":{"duration":500000,"interval":5000000,"repeating":false},"transmit":{"duration":500000,"interval":15000000,"repeating":true}},"power":{"data_tx_w":0.66,"data_rx_w":0.305,"data_sleep_w":0.0035,"data_startup_w":0.305,"startup_time":20000000,"tone_tx_w":0.092,"tone_rx_w":0.036},"codec":{"encode_j_per_bit":0.0,"decode_j_per_bit":0.0},"sensing_delay":8000000,"ch_detection_delay":500000,"energy_snapshot_interval":5000000000,"fairness_snapshot_interval":1000000000}}]}}"#;
+const LITERAL_HEADER: &str = r#"{"caem_experiment_store":1,"metric_names":["delivery_rate","average_delay_ms","throughput_kbps","mj_per_delivered_packet","total_remaining_energy_j","nodes_alive","collisions","node_failures"]}"#;
+const LITERAL_SCHEME2_RECORD: &str = r#"{"scenario_index":0,"scenario":"uniform","policy_index":2,"policy":"Scheme2Fixed","seed":400,"config_hash":15824267251074935974,"metrics":[0.4416365824308063,406.6235835912805,146.8,4.9022971489482305,198.20085694633602,20.0,0.0,0.0],"generated":831,"delivered":367,"events_processed":2903,"end_time_nanos":5000000000,"delay_p50_ms":175.0,"delay_p95_ms":2532.499999999999,"delay_p99_ms":3516.499999999999}"#;
+const LITERAL_LEACH_RECORD: &str = r#"{"scenario_index":0,"scenario":"uniform","policy_index":0,"policy":"PureLeach","seed":400,"config_hash":1273563305789543490,"metrics":[0.49338146811071,700.7566640951225,164.0,11.179654006634147,195.41634185728003,20.0,38.0,0.0],"generated":831,"delivered":410,"events_processed":6451,"end_time_nanos":5000000000,"delay_p50_ms":531.25,"delay_p95_ms":1912.5,"delay_p99_ms":2247.4999999999995}"#;
+const LITERAL_QUARANTINE: &str = r#"{"caem_job_failure":1,"scenario_index":0,"scenario":"uniform","policy_index":1,"policy":"Scheme1Adaptive","seed":400,"config_hash":1566577160353020723,"attempts":2,"reason":"job panicked: caem-injected-poison: injected poison in job (scenario 0, policy 1, seed 400)"}"#;
+/// The report that grid was served with.
+const LITERAL_REPORT: &str = r#"{"seeds":[400],"job_count":2,"cells":[{"scenario":"uniform","policy":"PureLeach","metrics":[{"name":"delivery_rate","mean":0.49338146811071,"ci95_half_width":0.0,"min":0.49338146811071,"max":0.49338146811071,"replicates":1},{"name":"average_delay_ms","mean":700.7566640951225,"ci95_half_width":0.0,"min":700.7566640951225,"max":700.7566640951225,"replicates":1},{"name":"throughput_kbps","mean":164.0,"ci95_half_width":0.0,"min":164.0,"max":164.0,"replicates":1},{"name":"mj_per_delivered_packet","mean":11.179654006634147,"ci95_half_width":0.0,"min":11.179654006634147,"max":11.179654006634147,"replicates":1},{"name":"total_remaining_energy_j","mean":195.41634185728003,"ci95_half_width":0.0,"min":195.41634185728003,"max":195.41634185728003,"replicates":1},{"name":"nodes_alive","mean":20.0,"ci95_half_width":0.0,"min":20.0,"max":20.0,"replicates":1},{"name":"collisions","mean":38.0,"ci95_half_width":0.0,"min":38.0,"max":38.0,"replicates":1},{"name":"node_failures","mean":0.0,"ci95_half_width":0.0,"min":0.0,"max":0.0,"replicates":1}]},{"scenario":"uniform","policy":"Scheme2Fixed","metrics":[{"name":"delivery_rate","mean":0.4416365824308063,"ci95_half_width":0.0,"min":0.4416365824308063,"max":0.4416365824308063,"replicates":1},{"name":"average_delay_ms","mean":406.6235835912805,"ci95_half_width":0.0,"min":406.6235835912805,"max":406.6235835912805,"replicates":1},{"name":"throughput_kbps","mean":146.8,"ci95_half_width":0.0,"min":146.8,"max":146.8,"replicates":1},{"name":"mj_per_delivered_packet","mean":4.9022971489482305,"ci95_half_width":0.0,"min":4.9022971489482305,"max":4.9022971489482305,"replicates":1},{"name":"total_remaining_energy_j","mean":198.20085694633602,"ci95_half_width":0.0,"min":198.20085694633602,"max":198.20085694633602,"replicates":1},{"name":"nodes_alive","mean":20.0,"ci95_half_width":0.0,"min":20.0,"max":20.0,"replicates":1},{"name":"collisions","mean":0.0,"ci95_half_width":0.0,"min":0.0,"max":0.0,"replicates":1},{"name":"node_failures","mean":0.0,"ci95_half_width":0.0,"min":0.0,"max":0.0,"replicates":1}]}],"quarantined":[{"scenario":"uniform","policy":"Scheme1Adaptive","seed":400,"attempts":2,"reason":"job panicked: caem-injected-poison: injected poison in job (scenario 0, policy 1, seed 400)"}]}"#;
+
+#[test]
+fn a_store_directory_in_the_committed_byte_layout_loads_and_resumes() {
+    let config =
+        ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 0).with_duration(Duration::from_secs(5));
+    let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("uniform", config)], 400, 1);
+    let dir = temp_dir("literal");
+    std::fs::create_dir_all(&dir).expect("store directory");
+    // A crash tore a second submission and the PureLeach record.
+    let journal_path = dir.join("grids.jsonl");
+    let journal = format!("{LITERAL_GRID}\n{{\"name\":\"tor");
+    std::fs::write(&journal_path, &journal).expect("write grids.jsonl");
+    let torn = &LITERAL_LEACH_RECORD[..LITERAL_LEACH_RECORD.len() / 2];
+    let store_text =
+        format!("{LITERAL_HEADER}\n{LITERAL_SCHEME2_RECORD}\n{LITERAL_QUARANTINE}\n{torn}");
+    let store_path = grid_store(&dir, &spec);
+    std::fs::write(&store_path, &store_text).expect("write the grid store");
+
+    let offline = ExperimentStore::load(&store_path).expect("the store loads");
+    assert_eq!((offline.len(), offline.skipped_lines()), (1, 1));
+
+    // A daemon restarted on the directory replays the grid with two jobs
+    // settled; one worker re-runs only the torn job.
+    let state = durable_daemon(&dir);
+    let spawner = LoopbackSpawner::new(state.clone());
+    let worker = spawner.spawn(0);
+    let report = wait_for_report(&state, spec.hash());
+    spawner.stop_workers();
+    let outcome = worker.join().expect("worker exits cleanly");
+    assert_eq!(outcome.jobs_run, 1, "only the torn job re-ran");
+    assert_eq!(report_bits(&report), LITERAL_REPORT);
+    // The re-run line starts on a line of its own, byte for byte the line
+    // the crash tore, and the store re-aggregates to the served bytes.
+    let resumed = std::fs::read_to_string(&store_path).expect("read the grid store");
+    assert_eq!(resumed, format!("{store_text}\n{LITERAL_LEACH_RECORD}\n"));
+    let rebuilt = ExperimentStore::load(&store_path).expect("the store reloads");
+    assert_eq!(report_bits(&rebuilt.rebuild_report()), LITERAL_REPORT);
+    let grids = std::fs::read_to_string(&journal_path).expect("read grids.jsonl");
+    assert_eq!(grids, journal, "replaying the journal writes nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stale_lease_is_stolen_and_the_shard_completes() {
     let spec = diverse_spec();
@@ -203,7 +256,7 @@ fn merge_is_invariant_under_shuffled_store_discovery_order() {
     let dir = temp_dir("shuffle");
     served(&spec, 3, &dir);
     let store = ExperimentStore::load(grid_store(&dir, &spec)).expect("store reloads");
-    let mut records: Vec<JobRecord> = store.records().to_vec();
+    let mut records: Vec<JobRecord> = store.records().cloned().collect();
     // Re-granted jobs legitimately arrive twice.
     records.extend_from_within(..5);
 

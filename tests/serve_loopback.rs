@@ -13,8 +13,8 @@
 //! No test here uses a fault plan, and none depends on another's state, so
 //! they run side by side.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use caem_suite::wsnsim::persist::ExperimentStore;
@@ -317,7 +317,7 @@ fn only_settling_lines_reach_the_store_journal() {
     let text = std::fs::read_to_string(&path).expect("the grid has a store");
     assert_eq!(text.lines().count(), 2, "{text}");
     let reloaded = ExperimentStore::load(&path).expect("store reloads");
-    assert_eq!(reloaded.records(), std::slice::from_ref(&valid));
+    assert_eq!(reloaded.records().collect::<Vec<_>>(), [&valid]);
     // The accepted submission was journaled before it was acknowledged.
     let journal = std::fs::read_to_string(dir.join("grids.jsonl")).expect("grids journal");
     assert_eq!(journal.lines().count(), 1);
@@ -503,25 +503,21 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
     );
 }
 
-/// A worker link that dies like a `kill -9`ed worker process right after
-/// it ships its first batch of records: nothing it sends afterwards
-/// arrives, and the worker starts no further job.
+/// A worker link that breaks right after it ships its first batch of
+/// records, like the connection of a `kill -9`ed worker process: nothing
+/// sent afterwards arrives, and every later send fails.
 struct DiesAfterFirstRecords {
     inner: LoopbackLink,
-    stop: Arc<AtomicBool>,
     dead: bool,
 }
 
 impl FrameLink for DiesAfterFirstRecords {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
         if self.dead {
-            return Err(ProtoError::Closed);
+            return Err(ProtoError::Io(std::io::ErrorKind::BrokenPipe.into()));
         }
         self.inner.send(payload)?;
-        if matches!(Message::decode(payload), Ok(Message::Records { .. })) {
-            self.dead = true;
-            self.stop.store(true, Ordering::Relaxed);
-        }
+        self.dead = matches!(Message::decode(payload), Ok(Message::Records { .. }));
         Ok(())
     }
 
@@ -552,16 +548,21 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
         JOBS
     );
 
+    // The doomed worker and the healthy one below belong to one embedding
+    // program and share its stop flag.  The dead link ends the doomed
+    // worker's shard, and only that: the shared flag stays down.
     let opts = SocketWorkerOptions::new("doomed");
+    let stop = opts.stop.clone();
     let mut link = DiesAfterFirstRecords {
         inner: spawner.connect(),
-        stop: opts.stop.clone(),
         dead: false,
     };
-    match run_socket_worker(&mut link, &opts) {
-        Ok(WorkerExit::Finished(outcome)) => assert_eq!(outcome.shards_completed, 0),
-        other => panic!("expected the dead link to end the worker, got {other:?}"),
-    }
+    let doomed = run_socket_worker(&mut link, &opts);
+    assert!(matches!(doomed, Err(ProtoError::Io(_))), "{doomed:?}");
+    assert!(
+        !stop.load(Ordering::Relaxed),
+        "a dead link raised the stop flag"
+    );
     drop(link);
 
     // The daemon handles the dead connection's frames in order, so once it
@@ -591,8 +592,8 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
     let (mut wlink, mut served) = loopback_pair();
     let state2 = state.clone();
     std::thread::spawn(move || serve_connection(&mut served, &state2));
-    let healthy = SocketWorkerOptions::new("healthy");
-    let stop = healthy.stop.clone();
+    let mut healthy = SocketWorkerOptions::new("healthy");
+    healthy.stop = stop.clone();
     let worker = std::thread::spawn(move || run_socket_worker(&mut wlink, &healthy));
     let report = client
         .fetch_report(Duration::from_secs(300))
