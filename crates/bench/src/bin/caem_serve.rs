@@ -43,10 +43,10 @@ modes (exactly one selector):
                            caem-serve-store in the working directory)
     --shards <n>           shards per submitted grid (default 8, clamped to
                            the grid's job count)
-    --lease-ttl <s>        shard-lease TTL in seconds before a silent
-                           worker's shard is re-granted (default 60)
-    --heartbeat <s>        worker heartbeat interval in seconds (default 5;
-                           must be shorter than the lease TTL)
+    --lease-ttl <s>        seconds a connection may stay silent before the
+                           daemon closes it and re-grants its shards
+                           (default 60; workers heartbeat at a twelfth
+                           of it)
   --submit <file>        submit a grid-spec document to a daemon
     --addr <host:port>     daemon address (required)
     --quick                resolve the spec in quick mode

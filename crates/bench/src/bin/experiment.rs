@@ -79,8 +79,9 @@ modes (at most one selector; `run` is the default):
   --connect <addr>       attach to a caem-serve daemon as a socket worker
                          (no shared filesystem; jobs and records travel over
                          length-prefixed JSON frames; CAEM_CHAOS=seed:kinds
-                         and CAEM_PROFILE=1 fault-inject and profile it)
+                         fault-injects it)
     --expect-hash <h>    refuse to serve a grid whose grid hash differs
+    --profile            print the worker's time breakdown when it exits
   --print-spec           dump the canonical resolved spec as JSON; no simulation
 
 Both `--flag value` and `--flag=value` work; unknown flags exit 2.";
@@ -266,14 +267,16 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
 /// lines stream back in coalesced frames.  A handshake rejection (wrong
 /// protocol version, grid-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
-fn socket_worker_mode(addr: &str, expect_hash: Option<u64>) -> ! {
-    // The chaos schedule and the profiler come from the environment.  A
-    // malformed plan is fatal: a chaos run silently downgrading to a clean
-    // run would fake test coverage.
+fn socket_worker_mode(addr: &str, expect_hash: Option<u64>, profile: bool) -> ! {
+    // The chaos schedule comes from the environment.  A malformed plan is
+    // fatal: a chaos run silently downgrading to a clean run would fake
+    // test coverage.
     let env_plan = std::env::var(faults::CHAOS_ENV).ok();
     let plan = FaultPlan::from_env_value(env_plan.as_deref(), FaultRole::Worker)
         .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
-    prof::install_from_env();
+    if profile {
+        prof::set_enabled(true);
+    }
     let stream = std::net::TcpStream::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to daemon at {addr}: {e}");
         std::process::exit(1);
@@ -378,10 +381,15 @@ fn run_mode(cli: &ExperimentCli, args: &RunArgs, grid: Grid, default_store: &str
 
 fn main() {
     let cli = ExperimentCli::from_env().unwrap_or_else(|e| die_usage(e.to_string()));
-    if let ExperimentMode::SocketWorker { addr, expect_hash } = &cli.mode {
+    if let ExperimentMode::SocketWorker {
+        addr,
+        expect_hash,
+        profile,
+    } = &cli.mode
+    {
         // Socket workers receive their jobs from the daemon; no grid
         // resolution (and no filesystem) on this side either.
-        socket_worker_mode(addr, *expect_hash);
+        socket_worker_mode(addr, *expect_hash, *profile);
     }
     // Artifacts land in the working directory.
     let (default_store, out) = if cli.quick {

@@ -276,6 +276,8 @@ pub enum ExperimentMode {
         /// Refuse to work unless the daemon's active grid has this grid
         /// hash.
         expect_hash: Option<u64>,
+        /// Print the worker's time breakdown when it exits (`--profile`).
+        profile: bool,
     },
     /// Dump the canonical resolved spec as JSON; simulates nothing.
     PrintSpec,
@@ -347,7 +349,8 @@ impl ExperimentCli {
                     .to_string();
                 // A socket worker learns everything else (jobs, heartbeat
                 // cadence) from the daemon's handshake and grants; every
-                // other flag would be silently ignored.
+                // other flag but the profiler switch would be silently
+                // ignored.
                 reject_all(
                     &parsed,
                     "socket-worker",
@@ -360,12 +363,12 @@ impl ExperimentCli {
                         "--quick",
                         "--spec",
                         "--fsync",
-                        "--profile",
                     ],
                 )?;
                 ExperimentMode::SocketWorker {
                     addr,
                     expect_hash: parsed.parsed("--expect-hash", "an unsigned integer hash")?,
+                    profile: parsed.has("--profile"),
                 }
             }
             Some("--reaggregate") => {
@@ -502,7 +505,6 @@ const SERVE_FLAGS: &[FlagDef] = &[
     option("--store"),
     option("--shards"),
     option("--lease-ttl"),
-    option("--heartbeat"),
     option("--submit"),
     option("--addr"),
     flag("--quick"),
@@ -523,8 +525,8 @@ pub enum ServeMode {
         /// The store directory grids are journaled under (`--store`,
         /// default `caem-serve-store`).
         store: String,
-        /// `--shards`, `--lease-ttl` and `--heartbeat` over the
-        /// [`ServiceConfig`] defaults.
+        /// `--shards` and `--lease-ttl` over the [`ServiceConfig`]
+        /// defaults.
         config: ServiceConfig,
     },
     /// Submit a grid-spec file to a daemon.
@@ -621,21 +623,7 @@ impl ServeCli {
                         .unwrap_or(defaults.shards_per_grid),
                     lease_ttl: positive_seconds(&parsed, "--lease-ttl")?
                         .unwrap_or(defaults.lease_ttl),
-                    heartbeat: positive_seconds(&parsed, "--heartbeat")?
-                        .unwrap_or(defaults.heartbeat),
                 };
-                // A heartbeat no shorter than the TTL lets the next claim
-                // steal every healthy lease and re-simulate its shard.
-                if config.heartbeat >= config.lease_ttl {
-                    return Err(CliError::InvalidValue {
-                        flag: "--heartbeat",
-                        value: parsed.value("--heartbeat").map_or_else(
-                            || config.heartbeat.as_secs_f64().to_string(),
-                            str::to_string,
-                        ),
-                        expected: "fewer seconds than --lease-ttl",
-                    });
-                }
                 ServeMode::Daemon {
                     listen: parsed
                         .value("--listen")
@@ -652,14 +640,7 @@ impl ServeCli {
                 reject_all(
                     &parsed,
                     "submit",
-                    &[
-                        "--store",
-                        "--shards",
-                        "--lease-ttl",
-                        "--heartbeat",
-                        "--out",
-                        "--timeout",
-                    ],
+                    &["--store", "--shards", "--lease-ttl", "--out", "--timeout"],
                 )?;
                 ServeMode::Submit {
                     addr: addr_for("--submit")?,
@@ -679,7 +660,6 @@ impl ServeCli {
                         "--store",
                         "--shards",
                         "--lease-ttl",
-                        "--heartbeat",
                         "--quick",
                         "--seed",
                         "--out",
@@ -694,14 +674,7 @@ impl ServeCli {
                 reject_all(
                     &parsed,
                     "fetch",
-                    &[
-                        "--store",
-                        "--shards",
-                        "--lease-ttl",
-                        "--heartbeat",
-                        "--quick",
-                        "--seed",
-                    ],
+                    &["--store", "--shards", "--lease-ttl", "--quick", "--seed"],
                 )?;
                 ServeMode::Fetch {
                     addr: addr_for("--fetch")?,
@@ -898,6 +871,8 @@ mod tests {
 
     #[test]
     fn profile_flag_parses_in_run_mode_only() {
+        // Of the local modes; a socket worker takes it as well (see
+        // `socket_worker_mode_parses_and_rejects_run_flags`).
         match parse(&["--quick", "--profile"]).unwrap().mode {
             ExperimentMode::Run(run) => assert!(run.profile),
             other => panic!("expected run mode, got {other:?}"),
@@ -907,13 +882,6 @@ mod tests {
             Err(CliError::NotInMode {
                 flag: "--profile",
                 mode: "reaggregate"
-            })
-        );
-        assert_eq!(
-            parse(&["--connect", "127.0.0.1:7171", "--profile"]),
-            Err(CliError::NotInMode {
-                flag: "--profile",
-                mode: "socket-worker"
             })
         );
         assert_eq!(
@@ -1099,6 +1067,7 @@ mod tests {
             ExperimentMode::SocketWorker {
                 addr: "127.0.0.1:7171".to_string(),
                 expect_hash: None,
+                profile: false,
             }
         );
         let cli = parse(&["--connect=127.0.0.1:7171", "--expect-hash=42"]).unwrap();
@@ -1107,6 +1076,17 @@ mod tests {
             ExperimentMode::SocketWorker {
                 addr: "127.0.0.1:7171".to_string(),
                 expect_hash: Some(42),
+                profile: false,
+            }
+        );
+        // A worker process runs jobs, so it takes the profiler switch too.
+        let cli = parse(&["--connect", "127.0.0.1:7171", "--profile"]).unwrap();
+        assert_eq!(
+            cli.mode,
+            ExperimentMode::SocketWorker {
+                addr: "127.0.0.1:7171".to_string(),
+                expect_hash: None,
+                profile: true,
             }
         );
         assert_eq!(
@@ -1171,7 +1151,6 @@ mod tests {
                 config: ServiceConfig {
                     shards_per_grid: 4,
                     lease_ttl: Duration::from_millis(7500),
-                    ..ServiceConfig::default()
                 },
             }
         );
@@ -1259,18 +1238,17 @@ mod tests {
                 requires: "one of --listen, --submit, --status, --fetch"
             })
         );
-        assert!(matches!(
-            ServeCli::from_args(args(&["--listen", "x:1", "--heartbeat=0"])),
-            Err(CliError::InvalidValue {
-                flag: "--heartbeat",
-                ..
-            })
-        ));
-        // Seconds that overflow a `Duration`, or are not finite, are typed
-        // errors too, never a panic in the conversion.
+        // The heartbeat is derived from the lease TTL, not set.
+        assert_eq!(
+            ServeCli::from_args(args(&["--listen", "x:1", "--heartbeat=1"])),
+            Err(CliError::UnknownFlag("--heartbeat".to_string()))
+        );
+        // A zero TTL, seconds that overflow a `Duration`, or that are not
+        // finite, are typed errors, never a panic in the conversion.
         for (argv, flag) in [
-            (&["--listen", "x:1", "--lease-ttl=1e30"][..], "--lease-ttl"),
-            (&["--listen", "x:1", "--heartbeat=inf"], "--heartbeat"),
+            (&["--listen", "x:1", "--lease-ttl=0"][..], "--lease-ttl"),
+            (&["--listen", "x:1", "--lease-ttl=1e30"], "--lease-ttl"),
+            (&["--listen", "x:1", "--lease-ttl=inf"], "--lease-ttl"),
             (&["--fetch", "--addr=x:1", "--timeout=1e300"], "--timeout"),
             (&["--fetch", "--addr=x:1", "--timeout=NaN"], "--timeout"),
         ] {
@@ -1283,31 +1261,6 @@ mod tests {
                 })
             );
         }
-    }
-
-    #[test]
-    fn serve_heartbeat_must_be_shorter_than_the_lease_ttl() {
-        // A TTL under the default 5 s heartbeat would let every claim steal
-        // every healthy lease; so would an explicit heartbeat at the TTL.
-        for (argv, value) in [
-            (&["--listen", "x:1", "--lease-ttl", "3"][..], "5"),
-            (
-                &["--listen", "x:1", "--lease-ttl=2", "--heartbeat=2"][..],
-                "2",
-            ),
-            (&["--listen", "x:1", "--heartbeat=90"][..], "90"),
-        ] {
-            assert_eq!(
-                ServeCli::from_args(args(argv)),
-                Err(CliError::InvalidValue {
-                    flag: "--heartbeat",
-                    value: value.to_string(),
-                    expected: "fewer seconds than --lease-ttl",
-                })
-            );
-        }
-        let ok = ServeCli::from_args(args(&["--listen=x:1", "--lease-ttl=3", "--heartbeat=1"]));
-        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]

@@ -174,18 +174,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Environment variable that enables profiling in socket worker processes
-/// (any non-empty value).
-pub const PROFILE_ENV: &str = "CAEM_PROFILE";
-
-/// Enable the profiler when [`PROFILE_ENV`] is set in the environment —
-/// how a socket worker process is profiled.
-pub fn install_from_env() {
-    if std::env::var(PROFILE_ENV).is_ok_and(|v| !v.is_empty()) {
-        set_enabled(true);
-    }
-}
-
 /// `Some(now)` when profiling is enabled, `None` (no syscall) otherwise.
 /// The manual counterpart of [`Span`] for untraced per-event slices.
 #[inline(always)]

@@ -269,7 +269,7 @@ impl ExperimentSpec {
             .par_iter()
             .map(|job| self.run_job(job))
             .collect();
-        self.report_from(&records.into_iter().map(SettledLine::Record).collect())
+        ExperimentReport::from_records(records)
     }
 
     /// Run the grid **resumably**: jobs whose results are already in the
@@ -314,16 +314,7 @@ impl ExperimentSpec {
         for record in fresh {
             settled.insert(SettledLine::Record(record));
         }
-        self.report_from(&settled)
-    }
-
-    /// Aggregate settled lines through the canonical path, stamping the
-    /// report with this spec's seed list (authoritative over the lines'
-    /// own).
-    pub(crate) fn report_from(&self, settled: &SettledIndex) -> ExperimentReport {
-        let mut report = ExperimentReport::from_settled(settled);
-        report.seeds = self.seeds.clone();
-        report
+        ExperimentReport::from_settled(&settled)
     }
 
     /// Run the grid with CI-driven **sequential stopping**: starting from
@@ -574,7 +565,8 @@ impl ExperimentCell {
 /// Everything an experiment grid run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
-    /// The seed replicates every cell was run with.
+    /// The seed replicates every cell was run with, in ascending order
+    /// whatever order a spec lists them in.
     pub seeds: Vec<u64>,
     /// Number of simulations executed.
     pub job_count: usize,
@@ -592,8 +584,7 @@ impl ExperimentReport {
     /// job key (the last one wins, as in a store), folded in the canonical
     /// (scenario index, policy index, seed) order, so the result depends
     /// neither on completion interleaving nor on how many resume cycles
-    /// wrote the store.  [`ExperimentSpec`]-driven runs overwrite `seeds`
-    /// with the spec's own list.
+    /// wrote the store.
     pub fn from_records<I: IntoIterator<Item = JobRecord>>(records: I) -> Self {
         Self::from_settled(&records.into_iter().map(SettledLine::Record).collect())
     }

@@ -162,11 +162,12 @@ pub enum RunEvent {
     /// [`crate::persist::JobFailure`].
     JobQuarantined,
     /// A worker connection dropped while holding a shard lease (the
-    /// worker was killed, panicked, or errored).
+    /// worker was killed, panicked, errored, or stopped mid-shard).
     WorkerAbnormalExit,
     /// The active [`FaultPlan`] injected a fault.
     FaultInjected,
-    /// The service daemon evicted a silent worker whose lease TTL expired.
+    /// The service daemon closed the connection of a lease holder that
+    /// stayed silent for the lease TTL.
     WorkerEvicted,
     /// A protocol frame was re-sent.  Nothing raises it any more: TCP and
     /// loopback links deliver every frame exactly once and in order, so

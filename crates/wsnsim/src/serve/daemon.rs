@@ -4,12 +4,15 @@
 //! The daemon is transport-agnostic — one [`serve_connection`] loop per
 //! connected peer (worker or client), all sharing a [`ServiceState`]
 //! behind a mutex; [`serve_listener`] feeds it TCP connections.  A granted
-//! shard is leased to one connection, heartbeats refresh the lease, a
-//! lease whose heartbeat is older than the TTL is evicted at the next
-//! claim (noting [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]),
-//! and a connection that drops — or sends a frame that does not decode,
-//! which closes it — releases its leases immediately (noting
-//! [`RunEvent::WorkerAbnormalExit`]).  A line settles its job only if it
+//! shard is leased to one connection, and the lease lasts exactly as long
+//! as that connection.  The connection ends, freeing its leases at once
+//! (each noted as [`RunEvent::LeaseStolen`]), when its peer hangs up or
+//! breaks, sends a frame that does not decode, or stays silent for the
+//! lease TTL; a lease holder that went silent is noted as
+//! [`RunEvent::WorkerEvicted`], any other as
+//! [`RunEvent::WorkerAbnormalExit`].  Workers learn from the handshake to
+//! send a frame at least every twelfth of the TTL, so only a hung or
+//! stopped worker goes silent that long.  A line settles its job only if it
 //! matches the job's key, config hash and scenario label; any other line
 //! is counted as [`RunEvent::ForeignRecordIgnored`] and the job stays open.
 //! A grid keeps the first line that settles each job, in the same settled
@@ -42,7 +45,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde_json::{json, Value};
 
@@ -63,17 +66,19 @@ const NO_WORK_RETRY_MS: u64 = 100;
 /// The submission journal's file name inside a store directory.
 const GRIDS_JOURNAL: &str = "grids.jsonl";
 
+/// Heartbeats a worker is asked to send per lease TTL, so that a late one
+/// or two never cost a healthy worker its connection.
+const HEARTBEATS_PER_TTL: u32 = 12;
+
 /// Daemon-wide tuning: the one place lease timing is set.  Every grid the
 /// daemon serves runs under it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Shards a submitted grid is split into (clamped to its job count).
     pub shards_per_grid: usize,
-    /// How long a leased shard may go without a heartbeat or record frame
-    /// before the next claim evicts its worker and re-grants it.
+    /// How long a connection may stay silent before the daemon closes it
+    /// and frees its leases.  Workers heartbeat at a twelfth of it.
     pub lease_ttl: Duration,
-    /// Heartbeat interval announced to every worker in the handshake.
-    pub heartbeat: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -81,15 +86,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards_per_grid: 8,
             lease_ttl: Duration::from_secs(60),
-            heartbeat: Duration::from_secs(5),
         }
     }
-}
-
-/// A lease on one shard of the active grid.
-struct Lease {
-    conn: u64,
-    last_beat: Instant,
 }
 
 /// A completed grid retained for `fetch`.
@@ -117,7 +115,8 @@ struct ActiveGrid {
     /// The line that settled each settled job.
     lines: SettledIndex,
     shard_done: Vec<bool>,
-    leases: HashMap<usize, Lease>,
+    /// Leased shard → the connection holding it.
+    leases: HashMap<usize, u64>,
     /// The grid's store, where every settled line is appended, on a
     /// durable daemon.
     log: Option<AppendLog>,
@@ -267,7 +266,6 @@ impl ServiceState {
                 seq,
                 protocol,
                 worker,
-                threads: _,
                 expect_hash,
             } => {
                 if protocol != PROTOCOL_VERSION {
@@ -299,43 +297,23 @@ impl ServiceState {
                     }
                 }
                 self.workers.insert(conn, worker);
+                let heartbeat = self.cfg.lease_ttl / HEARTBEATS_PER_TTL;
                 Reply::Send(Message::HelloAck {
                     seq,
-                    heartbeat_ms: self.cfg.heartbeat.as_millis() as u64,
-                    lease_ttl_ms: self.cfg.lease_ttl.as_millis() as u64,
+                    heartbeat_ms: heartbeat.as_millis() as u64,
                 })
             }
             Message::Claim { seq } => Reply::Send(self.claim(conn, seq)),
-            Message::Records { grid, shard, lines } => {
-                self.absorb(conn, grid, shard as usize, lines);
+            Message::Records { grid, lines, .. } => {
+                self.absorb(grid, lines);
                 Reply::None
             }
-            Message::Heartbeat { grid, shard } => {
-                if let Some(active) = self.queue.front_mut() {
-                    if active.grid_hash == grid {
-                        if let Some(lease) = active.leases.get_mut(&(shard as usize)) {
-                            if lease.conn == conn {
-                                lease.last_beat = Instant::now();
-                            }
-                        }
-                    }
-                }
-                Reply::None
-            }
+            // A heartbeat's only work is to arrive: the read that took it
+            // restarted its connection's TTL.
+            Message::Heartbeat { .. } => Reply::None,
             Message::ShardDone {
                 seq, grid, shard, ..
             } => Reply::Send(self.shard_done(seq, grid, shard as usize)),
-            Message::Release { seq, grid, shard } => {
-                if let Some(active) = self.queue.front_mut() {
-                    if active.grid_hash == grid {
-                        let shard = shard as usize;
-                        if active.leases.get(&shard).is_some_and(|l| l.conn == conn) {
-                            active.leases.remove(&shard);
-                        }
-                    }
-                }
-                Reply::Send(Message::ReleaseAck { seq })
-            }
             Message::Submit {
                 seq,
                 spec,
@@ -469,7 +447,6 @@ impl ServiceState {
     }
 
     fn claim(&mut self, conn: u64, seq: u64) -> Message {
-        let ttl = self.cfg.lease_ttl;
         loop {
             let Some(grid) = self.queue.front_mut() else {
                 return Message::NoWork {
@@ -477,19 +454,6 @@ impl ServiceState {
                     retry_ms: NO_WORK_RETRY_MS,
                 };
             };
-            // Evict leases whose worker has gone silent past the TTL so a
-            // hung (but still connected) worker can't wedge the grid.
-            let stale: Vec<usize> = grid
-                .leases
-                .iter()
-                .filter(|(_, lease)| lease.last_beat.elapsed() > ttl)
-                .map(|(shard, _)| *shard)
-                .collect();
-            for shard in stale {
-                grid.leases.remove(&shard);
-                faults::note_event(RunEvent::WorkerEvicted);
-                faults::note_event(RunEvent::LeaseStolen);
-            }
             for shard in 0..grid.shard_count {
                 if grid.shard_done[shard] || grid.leases.contains_key(&shard) {
                     continue;
@@ -504,13 +468,7 @@ impl ServiceState {
                     grid.shard_done[shard] = true;
                     continue;
                 }
-                grid.leases.insert(
-                    shard,
-                    Lease {
-                        conn,
-                        last_beat: Instant::now(),
-                    },
-                );
+                grid.leases.insert(shard, conn);
                 return Message::Grant {
                     seq,
                     grid: grid.grid_hash,
@@ -532,19 +490,13 @@ impl ServiceState {
         }
     }
 
-    fn absorb(&mut self, conn: u64, grid_hash: u64, shard: usize, lines: Vec<String>) {
+    fn absorb(&mut self, grid_hash: u64, lines: Vec<String>) {
         let Some(grid) = self.queue.front_mut() else {
             return;
         };
         if grid.grid_hash != grid_hash {
             faults::note_event(RunEvent::ForeignRecordIgnored);
             return;
-        }
-        // A streaming worker is alive by definition.
-        if let Some(lease) = grid.leases.get_mut(&shard) {
-            if lease.conn == conn {
-                lease.last_beat = Instant::now();
-            }
         }
         for line in lines {
             match SettledLine::decode(&line) {
@@ -597,7 +549,7 @@ impl ServiceState {
             let grid = self.queue.pop_front().expect("front grid exists");
             // The canonical aggregation, so a fetched report is
             // byte-identical to a single-process run of the same spec.
-            let report = grid.spec.report_from(&grid.lines);
+            let report = ExperimentReport::from_settled(&grid.lines);
             let text = serde_json::to_string_pretty(&report.to_json())
                 .expect("report JSON always renders");
             self.completed.push(CompletedGrid {
@@ -608,21 +560,23 @@ impl ServiceState {
         }
     }
 
-    fn drop_connection(&mut self, conn: u64) {
+    /// Forget connection `conn` and free the leases it holds, so the next
+    /// claim re-grants them.  `silent` says the connection was closed for
+    /// staying silent a whole lease TTL rather than for hanging up or
+    /// breaking.
+    fn drop_connection(&mut self, conn: u64, silent: bool) {
         self.workers.remove(&conn);
         if let Some(grid) = self.queue.front_mut() {
-            let held: Vec<usize> = grid
-                .leases
-                .iter()
-                .filter(|(_, lease)| lease.conn == conn)
-                .map(|(shard, _)| *shard)
-                .collect();
-            if !held.is_empty() {
-                faults::note_event(RunEvent::WorkerAbnormalExit);
-                for shard in held {
-                    grid.leases.remove(&shard);
-                    faults::note_event(RunEvent::LeaseStolen);
-                }
+            let leased = grid.leases.len();
+            grid.leases.retain(|_, holder| *holder != conn);
+            let freed = leased - grid.leases.len();
+            if freed > 0 {
+                faults::note_event(if silent {
+                    RunEvent::WorkerEvicted
+                } else {
+                    RunEvent::WorkerAbnormalExit
+                });
+                faults::note_events(RunEvent::LeaseStolen, freed as u64);
             }
         }
     }
@@ -648,15 +602,23 @@ fn write_failed(path: &Path, e: &dyn std::fmt::Display) {
 }
 
 /// Serve one peer until it hangs up, answering each request once, in
-/// order.  A frame that does not decode closes the connection: the link
-/// never corrupts a frame, so the peer is broken, and its leases are freed
-/// exactly as if it had hung up.
+/// order.  The connection also ends when the peer stays silent for the
+/// lease TTL, or sends a frame that does not decode (the link never
+/// corrupts a frame, so the peer is broken); either way its leases are
+/// freed exactly as if it had hung up.
 pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState>>) {
-    let conn = state.lock().expect("service lock").allocate_conn();
+    let (conn, ttl) = {
+        let mut state = state.lock().expect("service lock");
+        (state.allocate_conn(), state.cfg.lease_ttl)
+    };
+    let mut silent = false;
     loop {
-        let frame = match link.recv(None) {
+        let frame = match link.recv(Some(ttl)) {
             Ok(Some(frame)) => frame,
-            Ok(None) => continue,
+            Ok(None) => {
+                silent = true;
+                break;
+            }
             Err(_) => break,
         };
         let Ok(msg) = Message::decode(&frame) else {
@@ -676,7 +638,10 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
             }
         }
     }
-    state.lock().expect("service lock").drop_connection(conn);
+    state
+        .lock()
+        .expect("service lock")
+        .drop_connection(conn, silent);
 }
 
 /// Accept TCP peers on `listener` for as long as it stays open, serving
@@ -727,7 +692,6 @@ mod tests {
         let state = ServiceState::shared(ServiceConfig {
             shards_per_grid: 2,
             lease_ttl,
-            ..ServiceConfig::default()
         });
         state.lock().unwrap().submit_grid("tiny", &tiny_spec());
         LoopbackSpawner::new(state)
@@ -755,9 +719,16 @@ mod tests {
         }
     }
 
-    fn release(link: &mut LoopbackLink, seq: u64, grid: u64, shard: u64) {
-        let reply = rpc(link, &Message::Release { seq, grid, shard });
-        assert!(matches!(reply, Message::ReleaseAck { .. }), "{reply:?}");
+    /// Claim until a shard is granted, numbering the claims from `seq`:
+    /// the daemon reads a hang-up that frees a lease asynchronously.
+    fn claim_when_freed(link: &mut LoopbackLink, seq: &mut u64) -> u64 {
+        loop {
+            *seq += 1;
+            if let Some((_, shard, _)) = claim(link, *seq) {
+                return shard;
+            }
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
     }
 
     /// The grid hash `spec` is queued under by a daemon cutting grids into
@@ -840,9 +811,10 @@ mod tests {
         assert!(matches!(rpc(&mut a, &done), Message::DoneAck { .. }));
         drop(a);
         assert!(claim(&mut c, 2).is_none(), "done wins over a free lease");
-        release(&mut b, 2, grid, shard_b);
-        let (_, regranted, _) = claim(&mut c, 3).expect("the released shard");
-        assert_eq!(regranted, shard_b);
+        // B hangs up mid-shard: its lease ends with its connection.
+        drop(b);
+        let mut seq = 2;
+        assert_eq!(claim_when_freed(&mut c, &mut seq), shard_b);
     }
 
     #[test]
@@ -857,33 +829,28 @@ mod tests {
         // as the daemon sees the hang-up, well inside the TTL.
         drop(doomed);
         let mut seq = 1;
-        let stolen = loop {
-            seq += 1;
-            if let Some((_, shard, _)) = claim(&mut stealer, seq) {
-                break shard;
-            }
-        };
-        assert_eq!(stolen, dead_shard);
-        // A live but silent owner keeps its lease only until the TTL.
+        assert_eq!(claim_when_freed(&mut stealer, &mut seq), dead_shard);
+        // A live but silent owner keeps its connection, and so its lease,
+        // only until the TTL; the stealer, silent over the same wait, is
+        // closed too.
         std::thread::sleep(ttl + StdDuration::from_millis(100));
-        let (_, expired, _) = claim(&mut stealer, seq + 1).expect("expired lease is stolen");
-        assert_eq!(expired, hung_shard);
-    }
-
-    #[test]
-    fn released_lease_is_reclaimed_instantly() {
-        // A TTL no test could sit out: a re-claim that waited on expiry
-        // would see no_work.
-        let spawner = daemon(StdDuration::from_secs(3600));
-        let (mut a, mut b) = (spawner.connect(), spawner.connect());
-        let (grid, shard, _) = claim(&mut a, 1).expect("grant");
-        release(&mut a, 2, grid, shard);
-        let (_, again, _) = claim(&mut b, 1).expect("released shard is claimable");
-        assert_eq!(again, shard);
-        // Releasing a shard this connection does not hold is a no-op.
-        release(&mut a, 3, grid, shard);
-        let (_, other, _) = claim(&mut a, 4).expect("the second shard");
-        assert_ne!(other, shard, "b still holds the re-claimed shard");
+        for silent in [&mut hung, &mut stealer] {
+            assert!(matches!(
+                silent.recv(Some(StdDuration::from_secs(10))),
+                Err(ProtoError::Closed)
+            ));
+        }
+        let mut fresh = spawner.connect();
+        let mut shards = vec![
+            claim(&mut fresh, 1).expect("an expired lease is stolen").1,
+            claim(&mut fresh, 2)
+                .expect("both expired leases are stolen")
+                .1,
+        ];
+        shards.sort_unstable();
+        let mut held = vec![hung_shard, dead_shard];
+        held.sort_unstable();
+        assert_eq!(shards, held);
     }
 
     /// A link that raises the worker's stop flag the moment a grant
@@ -911,6 +878,8 @@ mod tests {
 
     #[test]
     fn shutdown_skips_pending_jobs_and_releases_the_shard() {
+        // A TTL no test could sit out: the shard is freed by the hang-up
+        // that follows the stop, not by expiry.
         let spawner = daemon(StdDuration::from_secs(3600));
         let opts = SocketWorkerOptions::new("quitter");
         let granted = Arc::new(Mutex::new(None));
@@ -930,12 +899,14 @@ mod tests {
             .lock()
             .unwrap()
             .expect("the worker was granted a shard");
-        // Two claims reach both shards at once: the released one did not
-        // wait out the hour-long TTL.
+        // The embedder drops the stopped worker's link; the successor gets
+        // both shards without waiting out the hour-long TTL.
+        drop(link);
         let mut successor = spawner.connect();
+        let mut seq = 0;
         let mut shards = vec![
-            claim(&mut successor, 1).expect("grant").1,
-            claim(&mut successor, 2).expect("grant").1,
+            claim_when_freed(&mut successor, &mut seq),
+            claim_when_freed(&mut successor, &mut seq),
         ];
         shards.sort_unstable();
         assert_eq!(shards, vec![0, 1]);

@@ -6,14 +6,16 @@
 //! ([`proto`]): a worker handshakes (protocol version, optional pinned
 //! grid hash), claims a shard and receives the grid's resolved
 //! [`ExperimentSpec`](crate::experiment::ExperimentSpec) plus the keys of
-//! the shard's pending jobs, heartbeats while running,
-//! streams record lines back as jobs settle, and declares the shard done.
-//! No shared filesystem is involved.  Both transports deliver every frame
-//! exactly once and in order, and a peer fails by stopping (crash-stop),
-//! so there is no retransmission: a request is sent once, and the one
-//! recovery check is end to end — a dead or silent worker's leases are
-//! re-granted, and a shard declared done while some of its jobs are still
-//! unsettled is reopened.  Reports are finalized daemon-side through the
+//! the shard's pending jobs, streams record lines back as jobs settle
+//! (heartbeating while a long job leaves nothing to send), and declares the
+//! shard done.  No shared filesystem is involved.  Both transports deliver
+//! every frame exactly once and in order, and a peer fails by stopping
+//! (crash-stop), so there is no retransmission: a request is sent once, and
+//! the one recovery check is end to end.  A lease lasts exactly as long as
+//! the connection that claimed it: a connection that hangs up, breaks or
+//! stays silent for the lease TTL ends, and its leases are re-granted; a
+//! shard declared done while some of its jobs are still unsettled is
+//! reopened.  Reports are finalized daemon-side through the
 //! aggregation path every run mode shares (the one behind
 //! [`ExperimentReport::from_records`](crate::experiment::ExperimentReport::from_records)
 //! and [`ExperimentStore::rebuild_report`](crate::persist::ExperimentStore::rebuild_report)),

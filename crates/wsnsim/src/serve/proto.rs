@@ -9,7 +9,10 @@
 //! their response echoes it, so a reply to the wrong request is caught
 //! rather than acted on.  Links deliver every frame once and in order, so
 //! a request is never re-sent.  Fire-and-forget messages ([`Records`],
-//! [`Heartbeat`]) carry `seq = 0`.
+//! [`Heartbeat`]) carry `seq = 0`.  A connection's frames are also its
+//! liveness: the daemon closes a connection that sends nothing for a whole
+//! lease TTL, and a worker's shard lease lasts exactly as long as the
+//! connection that claimed it.
 //!
 //! Everything here is total: torn frames, oversized lengths, malformed
 //! JSON and unknown message types decode to a typed [`ProtoError`], never a
@@ -25,8 +28,9 @@ use crate::persist::JobKey;
 
 /// Protocol version spoken by this build.  A daemon rejects a worker whose
 /// hello names any other version (exit 2 at the worker binary boundary).
-/// Version 3 drops `done_nack`: a `shard_done` is acknowledged directly.
-pub const PROTOCOL_VERSION: u64 = 3;
+/// Version 4 drops `release`/`release_ack` (a lease ends with its
+/// connection), `hello.threads` and `hello_ack.lease_ttl_ms`.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Upper bound on a frame's payload length.  A length prefix beyond this is
 /// treated as garbage (a desynchronized or hostile peer), not an allocation
@@ -171,9 +175,9 @@ pub struct GridProgress {
 /// instead, which is stronger anyway.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// Worker handshake: protocol version, identity, rayon thread share and
-    /// an optional pinned grid hash (refused if the daemon's active grid
-    /// differs — the CI grid-hash-mismatch negative check).
+    /// Worker handshake: protocol version, identity and an optional pinned
+    /// grid hash (refused if the daemon's active grid differs — the CI
+    /// grid-hash-mismatch negative check).
     Hello {
         /// Request sequence number.
         seq: u64,
@@ -181,19 +185,17 @@ pub enum Message {
         protocol: u64,
         /// The worker's display label.
         worker: String,
-        /// Rayon threads the worker will use.
-        threads: u64,
         /// Require the daemon's active grid to carry this grid hash.
         expect_hash: Option<u64>,
     },
-    /// Handshake accepted; carries the daemon's lease tuning.
+    /// Handshake accepted; carries the heartbeat interval that keeps the
+    /// worker's connection, and so its leases, alive.
     HelloAck {
         /// Echoed request sequence number.
         seq: u64,
-        /// Heartbeat interval the worker should honour, in milliseconds.
+        /// Longest the worker should stay silent, in milliseconds: a
+        /// twelfth of the daemon's lease TTL.
         heartbeat_ms: u64,
-        /// Lease TTL after which a silent worker is evicted, in milliseconds.
-        lease_ttl_ms: u64,
     },
     /// Handshake refused (version skew or grid-hash mismatch); the
     /// worker binary exits 2.
@@ -243,7 +245,8 @@ pub enum Message {
         /// Encoded store lines (no trailing newlines).
         lines: Vec<String>,
     },
-    /// Keep-alive for a long-running shard (fire-and-forget).
+    /// Keep-alive sent while a long job runs and no record is due
+    /// (fire-and-forget): it keeps its connection inside the lease TTL.
     Heartbeat {
         /// Hash of the grid being worked.
         grid: u64,
@@ -265,21 +268,6 @@ pub enum Message {
     },
     /// Shard completion acknowledged.
     DoneAck {
-        /// Echoed request sequence number.
-        seq: u64,
-    },
-    /// Graceful-shutdown release of an unfinished shard: the daemon
-    /// re-grants it to the next claimer immediately, no TTL wait.
-    Release {
-        /// Request sequence number.
-        seq: u64,
-        /// Hash of the grid.
-        grid: u64,
-        /// The shard being handed back.
-        shard: u64,
-    },
-    /// Release acknowledged.
-    ReleaseAck {
         /// Echoed request sequence number.
         seq: u64,
     },
@@ -378,8 +366,6 @@ impl Message {
             Message::Heartbeat { .. } => "heartbeat",
             Message::ShardDone { .. } => "shard_done",
             Message::DoneAck { .. } => "done_ack",
-            Message::Release { .. } => "release",
-            Message::ReleaseAck { .. } => "release_ack",
             Message::Submit { .. } => "submit",
             Message::SubmitAck { .. } => "submit_ack",
             Message::SubmitErr { .. } => "submit_err",
@@ -401,8 +387,6 @@ impl Message {
             | Message::NoWork { seq, .. }
             | Message::ShardDone { seq, .. }
             | Message::DoneAck { seq }
-            | Message::Release { seq, .. }
-            | Message::ReleaseAck { seq }
             | Message::Submit { seq, .. }
             | Message::SubmitAck { seq, .. }
             | Message::SubmitErr { seq, .. }
@@ -431,31 +415,23 @@ impl Message {
             Message::Hello {
                 protocol,
                 worker,
-                threads,
                 expect_hash,
                 ..
             } => {
                 entries.push(("protocol", Value::UInt(*protocol)));
                 entries.push(("worker", Value::Str(worker.clone())));
-                entries.push(("threads", Value::UInt(*threads)));
                 if let Some(hash) = expect_hash {
                     entries.push(("expect_hash", Value::UInt(*hash)));
                 }
             }
-            Message::HelloAck {
-                heartbeat_ms,
-                lease_ttl_ms,
-                ..
-            } => {
+            Message::HelloAck { heartbeat_ms, .. } => {
                 entries.push(("heartbeat_ms", Value::UInt(*heartbeat_ms)));
-                entries.push(("lease_ttl_ms", Value::UInt(*lease_ttl_ms)));
             }
             Message::Reject { reason, .. } | Message::SubmitErr { reason, .. } => {
                 entries.push(("reason", Value::Str(reason.clone())));
             }
             Message::Claim { .. }
             | Message::DoneAck { .. }
-            | Message::ReleaseAck { .. }
             | Message::Status { .. }
             | Message::Fetch { .. } => {}
             Message::Grant {
@@ -501,10 +477,6 @@ impl Message {
                 entries.push(("grid", Value::UInt(*grid)));
                 entries.push(("shard", Value::UInt(*shard)));
                 entries.push(("sent", Value::UInt(*sent)));
-            }
-            Message::Release { grid, shard, .. } => {
-                entries.push(("grid", Value::UInt(*grid)));
-                entries.push(("shard", Value::UInt(*shard)));
             }
             Message::Submit {
                 spec, quick, seed, ..
@@ -571,13 +543,11 @@ impl Message {
                 seq,
                 protocol: uint_field(&value, "protocol")?,
                 worker: str_field(&value, "worker")?,
-                threads: uint_field(&value, "threads")?,
                 expect_hash: opt_uint_field(&value, "expect_hash")?,
             },
             "hello_ack" => Message::HelloAck {
                 seq,
                 heartbeat_ms: uint_field(&value, "heartbeat_ms")?,
-                lease_ttl_ms: uint_field(&value, "lease_ttl_ms")?,
             },
             "reject" => Message::Reject {
                 seq,
@@ -637,12 +607,6 @@ impl Message {
                 sent: uint_field(&value, "sent")?,
             },
             "done_ack" => Message::DoneAck { seq },
-            "release" => Message::Release {
-                seq,
-                grid: uint_field(&value, "grid")?,
-                shard: uint_field(&value, "shard")?,
-            },
-            "release_ack" => Message::ReleaseAck { seq },
             "submit" => Message::Submit {
                 seq,
                 spec: str_field(&value, "spec")?,

@@ -78,8 +78,8 @@ impl LoopbackSpawner {
         }))
     }
 
-    /// Ask every spawned worker to exit gracefully: finish or release the
-    /// shard in hand, then hang up.
+    /// Ask every spawned worker to exit gracefully: finish the jobs in
+    /// flight, then hang up, which frees any unfinished shard's lease.
     pub fn stop_workers(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }

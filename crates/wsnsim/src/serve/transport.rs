@@ -11,8 +11,8 @@
 //! carries discrete frames over channels; one built under a [`FaultPlan`]
 //! delays some of them, widening race windows, and never loses, repeats or
 //! cuts one.  The protocol therefore needs no retransmission: a request is
-//! sent once, and a peer that dies is handled end to end, by
-//! re-granting its leases.
+//! sent once, and a peer that dies or hangs is handled end to end: the
+//! daemon closes its connection and re-grants its leases.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -9,17 +9,21 @@
 //! [`JobFailure`]), and streams
 //! each job's store line back as the job settles, in [`Message::Records`]
 //! batches that wait at most one heartbeat interval (and never grow past
-//! 64 KiB).  When no line is due, the connection
-//! thread keeps the lease alive with [`Message::Heartbeat`] frames.  The
-//! link delivers every frame in order, so once the lines are shipped a
-//! [`Message::ShardDone`] settles the shard and the worker keeps no copy
-//! of them; a job whose line never settles it is re-granted by the daemon.
+//! 64 KiB).  The daemon's lease on the shard lasts as long as this
+//! connection, which it closes after a lease TTL of silence, so while a
+//! long job runs and no line is due the connection thread sends a
+//! [`Message::Heartbeat`] every heartbeat interval (the handshake's, a
+//! twelfth of the TTL).  The link delivers every frame in order, so once
+//! the lines are shipped a [`Message::ShardDone`] settles the shard and the
+//! worker keeps no copy of them; a job whose line never settles it is
+//! re-granted by the daemon.
 //!
 //! **Graceful shutdown**: once the worker's stop flag is raised, unstarted
-//! jobs are skipped, buffered lines are flushed, the unfinished shard is
-//! released back to the daemon — instantly re-claimable, no TTL wait — and
-//! the loop returns cleanly.  The daemon closing the connection is also a
-//! clean exit, so draining a fleet is as simple as stopping the daemon.
+//! jobs are skipped, buffered lines are flushed and the loop returns
+//! cleanly.  The caller then drops the link, and the daemon frees an
+//! unfinished shard's lease as soon as it reads the hang-up.  The daemon
+//! closing the connection is also a clean exit, so draining a fleet is as
+//! simple as stopping the daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -52,9 +56,6 @@ const JOB_ATTEMPTS: u32 = 2;
 pub struct SocketWorkerOptions {
     /// Display label reported in the handshake.
     pub label: String,
-    /// Protocol version to claim (overridable so version-skew rejection is
-    /// testable; defaults to [`PROTOCOL_VERSION`]).
-    pub protocol: u64,
     /// Refuse to work unless the daemon's active grid has this grid hash.
     pub expect_hash: Option<u64>,
     /// Graceful-stop flag: raised by the embedding program or test, never
@@ -72,7 +73,6 @@ impl SocketWorkerOptions {
     pub fn new(label: impl Into<String>) -> Self {
         SocketWorkerOptions {
             label: label.into(),
-            protocol: PROTOCOL_VERSION,
             expect_hash: None,
             stop: Arc::new(AtomicBool::new(false)),
             faults: None,
@@ -121,9 +121,8 @@ pub fn run_socket_worker(
     let mut seq: u64 = 1;
     let hello = Message::Hello {
         seq,
-        protocol: opts.protocol,
+        protocol: PROTOCOL_VERSION,
         worker: opts.label.clone(),
-        threads: rayon::process_thread_cap() as u64,
         expect_hash: opts.expect_hash,
     };
     let heartbeat = match request(link, &hello, "hello") {
@@ -186,34 +185,28 @@ pub fn run_socket_worker(
         };
         outcome.jobs_run += run.records;
         outcome.jobs_quarantined += run.quarantined;
-        if run.complete {
-            seq += 1;
-            let done = Message::ShardDone {
-                seq,
-                grid,
-                shard,
-                sent: run.sent,
-            };
-            match request(link, &done, "shard_done") {
-                Ok(Message::DoneAck { .. }) => outcome.shards_completed += 1,
-                Ok(other) => {
-                    return Err(ProtoError::Malformed(format!(
-                        "unexpected {} in response to shard_done",
-                        other.kind()
-                    )))
-                }
-                Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
-                Err(e) => return Err(e),
-            }
-        } else {
-            // Stop requested mid-shard: hand the lease back so another
-            // worker re-claims it without waiting out the TTL.
-            seq += 1;
-            match request(link, &Message::Release { seq, grid, shard }, "release") {
-                Ok(_) | Err(ProtoError::Closed) => {}
-                Err(e) => return Err(e),
-            }
+        if !run.complete {
+            // Stop requested mid-shard: the lease ends with the link the
+            // caller drops.
             return Ok(WorkerExit::Finished(outcome));
+        }
+        seq += 1;
+        let done = Message::ShardDone {
+            seq,
+            grid,
+            shard,
+            sent: run.sent,
+        };
+        match request(link, &done, "shard_done") {
+            Ok(Message::DoneAck { .. }) => outcome.shards_completed += 1,
+            Ok(other) => {
+                return Err(ProtoError::Malformed(format!(
+                    "unexpected {} in response to shard_done",
+                    other.kind()
+                )))
+            }
+            Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
+            Err(e) => return Err(e),
         }
     }
 }

@@ -22,7 +22,7 @@ use caem_suite::wsnsim::faults::{self, RunEvent};
 use caem_suite::wsnsim::persist::{ExperimentStore, JobRecord};
 use caem_suite::wsnsim::serve::{
     run_socket_worker, serve_listener, FrameLink, LoopbackLink, LoopbackSpawner, Message,
-    ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
+    ProtoError, ServiceConfig, ServiceState, SocketWorkerOptions, TcpLink, WorkerExit,
 };
 use caem_suite::wsnsim::ScenarioConfig;
 
@@ -30,7 +30,7 @@ mod common;
 
 use common::{
     daemon, diverse_spec, durable_daemon, grid_store, report_bits, served, served_with, temp_dir,
-    wait_for_report,
+    temp_store, wait_for_report,
 };
 
 /// Send `msg` and return the next frame, its response.
@@ -101,20 +101,10 @@ fn a_restarted_daemon_resumes_its_journaled_grid_byte_identically() {
             .collect();
         peer.send(&Message::Records { grid, shard, lines }.encode())
             .expect("records land");
-        // Frames on one connection are handled in order: once the release
-        // is acknowledged, the records are journaled.
-        let released = rpc(
-            &mut peer,
-            &Message::Release {
-                seq: 2,
-                grid,
-                shard,
-            },
-        );
-        assert!(
-            matches!(released, Message::ReleaseAck { .. }),
-            "{released:?}"
-        );
+        // Frames on one connection are handled in order: once the status
+        // request is answered, the records are journaled.
+        let status = rpc(&mut peer, &Message::Status { seq: 2 });
+        assert!(matches!(status, Message::StatusReply { .. }), "{status:?}");
         grid
     };
     let text = std::fs::read_to_string(&store_path).expect("grid store exists");
@@ -228,7 +218,6 @@ fn stale_lease_is_stolen_and_the_shard_completes() {
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 4,
         lease_ttl: StdDuration::from_millis(200),
-        ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
     let grid = state.lock().unwrap().submit_grid("stale", &spec);
@@ -240,13 +229,62 @@ fn stale_lease_is_stolen_and_the_shard_completes() {
         Message::Grant { .. }
     ));
 
-    // A healthy worker finishes its own shards, then steals the hung one
-    // once its TTL lapses.
+    // A healthy worker finishes its own shards, then is granted the hung
+    // one once the daemon closes the silent connection after its TTL.
     let worker = spawner.spawn(0);
+    assert!(matches!(
+        hung.recv(Some(StdDuration::from_secs(10))),
+        Err(ProtoError::Closed)
+    ));
     let report = wait_for_report(&state, grid);
     assert_eq!(report_bits(&report), report_bits(&spec.run()));
     spawner.stop_workers();
-    worker.join().expect("worker exits cleanly");
+    let outcome = worker.join().expect("worker exits cleanly");
+    assert_eq!(
+        outcome.shards_completed, 4,
+        "the healthy worker ran every shard"
+    );
+}
+
+#[test]
+fn an_unsorted_seed_list_reports_the_same_bytes_in_every_mode() {
+    // A spec listing its seeds out of order: every mode reports them
+    // sorted, as the offline re-aggregation of a store must.
+    let mut spec = diverse_spec();
+    spec.seeds.reverse();
+    assert!(spec.seeds[0] > spec.seeds[1]);
+    let run = spec.run();
+    let mut sorted = spec.seeds.clone();
+    sorted.sort_unstable();
+    assert_eq!(run.seeds, sorted);
+
+    // A resumed local run: the store already holds three of the jobs.
+    let path = temp_store("unsorted_seeds");
+    let mut store = ExperimentStore::open(&path).expect("store opens");
+    for job in &spec.enumerate_jobs()[..3] {
+        store.append(spec.run_job(job)).expect("append");
+    }
+    let resumed = spec.run_with_store(&mut store);
+    assert_eq!(
+        store.appended(),
+        spec.job_count(),
+        "only the missing jobs ran"
+    );
+
+    let dir = temp_dir("unsorted_seeds");
+    let (served, _) = served(&spec, 2, &dir);
+    let rebuilt = ExperimentStore::load(grid_store(&dir, &spec))
+        .expect("store reloads")
+        .rebuild_report();
+    for (mode, report) in [
+        ("resumed", &resumed),
+        ("served", &served),
+        ("rebuilt", &rebuilt),
+    ] {
+        assert_eq!(report_bits(report), report_bits(&run), "{mode} report");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

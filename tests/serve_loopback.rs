@@ -17,6 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use caem_suite::wsnsim::faults::{self, RunEvent};
 use caem_suite::wsnsim::persist::ExperimentStore;
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
@@ -92,7 +93,6 @@ fn hello(seq: u64, worker: &str) -> Message {
         seq,
         protocol: PROTOCOL_VERSION,
         worker: worker.to_string(),
-        threads: 1,
         expect_hash: None,
     }
 }
@@ -109,7 +109,7 @@ fn fleet_reports_are_byte_identical_clean_and_after_a_death() {
     assert_eq!(run_fleet(&state, 3), expected, "clean fleet equals run()");
 
     // Phase 2 — a worker dies mid-shard: it claims a shard, streams the
-    // record of its first job, then vanishes without ShardDone or Release.
+    // record of its first job, then vanishes without ShardDone.
     // The daemon must evict it on disconnect, re-grant only the still
     // unsettled jobs, and the surviving fleet must finish byte-identically.
     let state = ServiceState::shared(ServiceConfig {
@@ -152,14 +152,13 @@ fn fleet_reports_are_byte_identical_clean_and_after_a_death() {
             .encode(),
         )
         .expect("partial batch lands");
-    drop(dying); // mid-shard death: no ShardDone, no Release
+    drop(dying); // mid-shard death: no ShardDone
 
     assert_eq!(run_fleet_into(&spawner, &mut client, 2), expected);
 }
 
 /// Finish an already-submitted grid with `workers` workers on an existing
-/// spawner/client pair, then stop the fleet: every worker releases or
-/// finishes and joins cleanly.
+/// spawner/client pair, then stop the fleet: every worker joins cleanly.
 fn run_fleet_into(
     spawner: &LoopbackSpawner,
     client: &mut ServiceClient<'_>,
@@ -372,11 +371,17 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
         exit
     };
 
-    // Version skew.
-    let mut opts = SocketWorkerOptions::new("skewed".to_string());
-    opts.protocol = 99;
-    match run_worker_with(opts) {
-        WorkerExit::Rejected(reason) => {
+    // Version skew: a hello naming another protocol is refused, and the
+    // daemon hangs up.
+    let mut skewed = spawner.connect();
+    let skew = Message::Hello {
+        seq: 1,
+        protocol: 99,
+        worker: "skewed".to_string(),
+        expect_hash: None,
+    };
+    match rpc(&mut skewed, &skew) {
+        Message::Reject { reason, .. } => {
             assert!(
                 reason.contains("protocol"),
                 "reason names the skew: {reason}"
@@ -384,6 +389,10 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
         }
         other => panic!("expected rejection, got {other:?}"),
     }
+    assert!(matches!(
+        skewed.recv(Some(Duration::from_secs(10))),
+        Err(ProtoError::Closed)
+    ));
 
     // A pinned hash with no active grid to check it against.
     let mut opts = SocketWorkerOptions::new("early".to_string());
@@ -447,41 +456,32 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
 #[test]
 fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
     // A lease TTL no test could sit out: if re-claiming depended on
-    // expiry, the second claim below would see NoWork, not a grant.
+    // expiry, B below would never be granted A's shard.
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 2,
         lease_ttl: Duration::from_secs(3600),
-        ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
     let mut clink = spawner.connect();
     let mut client = ServiceClient::new(&mut clink);
     client.submit(SPEC_DOC, true, SEED).expect("accepted");
 
-    // Worker A claims a shard, then gracefully hands it back untouched.
+    // Worker A claims a shard, then hangs up without running it: the
+    // lease ends with the connection.
     let mut a = spawner.connect();
     assert!(matches!(
         rpc(&mut a, &hello(1, "a")),
         Message::HelloAck { .. }
     ));
-    let (grid, shard) = match rpc(&mut a, &Message::Claim { seq: 2 }) {
-        Message::Grant { grid, shard, .. } => (grid, shard),
-        other => panic!("expected a grant, got {other:?}"),
-    };
     assert!(matches!(
-        rpc(
-            &mut a,
-            &Message::Release {
-                seq: 3,
-                grid,
-                shard
-            }
-        ),
-        Message::ReleaseAck { .. }
+        rpc(&mut a, &Message::Claim { seq: 2 }),
+        Message::Grant { .. }
     ));
+    drop(a);
 
-    // Worker B claims twice and must be granted *both* shards — including
-    // the one A just released — long before any TTL could expire.
+    // Worker B must be granted *both* shards — including the one A held —
+    // long before any TTL could expire.  The daemon reads A's hang-up
+    // asynchronously, so B claims until it holds two.
     let start = Instant::now();
     let mut b = spawner.connect();
     assert!(matches!(
@@ -489,9 +489,12 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
         Message::HelloAck { .. }
     ));
     let mut shards = Vec::new();
-    for seq in [2, 3] {
+    let mut seq = 1;
+    while shards.len() < 2 {
+        seq += 1;
         match rpc(&mut b, &Message::Claim { seq }) {
             Message::Grant { shard, .. } => shards.push(shard),
+            Message::NoWork { .. } => std::thread::sleep(Duration::from_millis(1)),
             other => panic!("expected a grant, got {other:?}"),
         }
     }
@@ -531,13 +534,14 @@ impl FrameLink for DiesAfterFirstRecords {
 
 #[test]
 fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
-    // One shard holding all 24 jobs, and a 1 ms heartbeat so each line
-    // ships about as soon as its job settles.
+    // One shard holding all 24 jobs, each long enough that its line ships
+    // (after at most the worker's 50 ms linger) before many more settle.
     const JOBS: u64 = 24;
-    let spec_doc = SPEC_DOC.replace("\"replicates\": 2", "\"replicates\": 4");
+    let spec_doc = SPEC_DOC
+        .replace("\"replicates\": 2", "\"replicates\": 4")
+        .replace("\"duration_s\": 10.0", "\"duration_s\": 400.0");
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 1,
-        heartbeat: Duration::from_millis(1),
         ..ServiceConfig::default()
     });
     let spawner = LoopbackSpawner::new(state.clone());
@@ -615,6 +619,69 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
         report,
         serde_json::to_string_pretty(&expected.to_json()).expect("report renders")
     );
+}
+
+/// A one-job grid: a single 500-node scenario simulated for `duration_s`
+/// under one policy and one seed.
+fn one_job_doc(duration_s: f64) -> String {
+    format!(
+        r#"{{ "caem_grid_spec": 1, "name": "one_long_job", "seeds": [{SEED}],
+             "policies": ["Scheme1Adaptive"], "node_count": 500,
+             "scenarios": [{{ "label": "long", "rate_pps": 8.0, "duration_s": {duration_s} }}] }}"#
+    )
+}
+
+#[test]
+fn a_job_longer_than_the_lease_ttl_keeps_its_lease() {
+    // A job that runs several TTLs sends no record until it settles: only
+    // the heartbeats the handshake asks for, at a twelfth of the TTL, keep
+    // its connection, and so its lease, alive.  No other test in this file
+    // lets a connection go silent for its TTL, so none evicts a worker.
+    let ttl = Duration::from_millis(300);
+    let resolve = |doc: &str| {
+        GridSpec::parse(doc)
+            .expect("spec parses")
+            .resolve(SEED, false)
+            .expect("spec resolves")
+            .spec
+    };
+    // Size the job from a probe on this build, so it lasts about a second
+    // (over three TTLs) whether the simulator is optimized or not.
+    const PROBE_S: f64 = 10.0;
+    let probe = Instant::now();
+    resolve(&one_job_doc(PROBE_S)).run();
+    let per_sim_s = probe.elapsed().as_secs_f64() / PROBE_S;
+    let duration_s = (1.5 / per_sim_s).clamp(PROBE_S, 1e5).round();
+    let doc = one_job_doc(duration_s);
+    let expected =
+        serde_json::to_string_pretty(&resolve(&doc).run().to_json()).expect("report renders");
+
+    let evicted = faults::event_count(RunEvent::WorkerEvicted);
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        lease_ttl: ttl,
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    assert_eq!(client.submit(&doc, false, SEED).expect("accepted").jobs, 1);
+    let started = Instant::now();
+    let worker = spawner.spawn(0);
+    // A worker evicted mid-job leaves the grid open, so the fetch times out.
+    let report = client
+        .fetch_report(Duration::from_secs(60))
+        .expect("grid completes");
+    let took = started.elapsed();
+    spawner.stop_workers();
+    let outcome = worker.join().expect("worker exits cleanly");
+    assert!(
+        took > 2 * ttl,
+        "the job took {took:?}, too short to outlast the {ttl:?} TTL"
+    );
+    assert_eq!(outcome.jobs_run, 1, "the job ran once, never re-granted");
+    assert_eq!(outcome.shards_completed, 1);
+    assert_eq!(faults::event_count(RunEvent::WorkerEvicted), evicted);
+    assert_eq!(report, expected);
 }
 
 #[test]

@@ -89,18 +89,16 @@ fn text_from(n: u64) -> String {
 fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
     let seq = a % 1_000 + 1;
     let text = text_from(a ^ b);
-    match choice % 19 {
+    match choice % 17 {
         0 => Message::Hello {
             seq,
             protocol: b % 5,
             worker: text,
-            threads: b % 64,
             expect_hash: flag.then_some(b),
         },
         1 => Message::HelloAck {
             seq,
             heartbeat_ms: a,
-            lease_ttl_ms: b,
         },
         2 => Message::Reject { seq, reason: text },
         3 => Message::Claim { seq },
@@ -131,27 +129,21 @@ fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
             sent: b,
         },
         9 => Message::DoneAck { seq },
-        10 => Message::Release {
-            seq,
-            grid: a,
-            shard: b % 16,
-        },
-        11 => Message::ReleaseAck { seq },
-        12 => Message::Submit {
+        10 => Message::Submit {
             seq,
             spec: text,
             quick: flag,
             seed: b,
         },
-        13 => Message::SubmitAck {
+        11 => Message::SubmitAck {
             seq,
             grid: a,
             name: text,
             jobs: b,
         },
-        14 => Message::SubmitErr { seq, reason: text },
-        15 => Message::Status { seq },
-        16 => Message::StatusReply {
+        12 => Message::SubmitErr { seq, reason: text },
+        13 => Message::Status { seq },
+        14 => Message::StatusReply {
             seq,
             queued: a % 9,
             active: flag.then(|| GridProgress {
@@ -166,7 +158,7 @@ fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
             workers: b % 7,
             events: flag.then(|| format!("{text} events")),
         },
-        17 => Message::Fetch { seq },
+        15 => Message::Fetch { seq },
         _ => Message::FetchReply {
             seq,
             ready: flag,
@@ -262,7 +254,6 @@ fn a_grant_whose_spec_misses_its_grid_hash_is_refused() {
     let ack = Message::HelloAck {
         seq: hello.seq(),
         heartbeat_ms: 1_000,
-        lease_ttl_ms: 60_000,
     };
     daemon.send(&ack.encode()).expect("worker listens");
     let claim = next(&mut daemon);
@@ -291,13 +282,13 @@ fn a_grant_whose_spec_misses_its_grid_hash_is_refused() {
 }
 
 #[test]
-fn all_nineteen_variants_are_covered_by_the_generator() {
-    let mut kinds: Vec<&'static str> = (0..19)
+fn all_seventeen_variants_are_covered_by_the_generator() {
+    let mut kinds: Vec<&'static str> = (0..17)
         .map(|choice| arbitrary_message(choice, 3, 7, true).kind())
         .collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 19, "one distinct kind per generator choice");
+    assert_eq!(kinds.len(), 17, "one distinct kind per generator choice");
 }
 
 // ---------------------------------------------------------------------------
