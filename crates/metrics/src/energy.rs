@@ -3,10 +3,9 @@
 
 use caem_simcore::stats::TimeSeries;
 use caem_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Tracks the network-wide average remaining energy over time (Fig. 8).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyTracker {
     series: TimeSeries,
     node_count: usize,
@@ -17,7 +16,7 @@ impl EnergyTracker {
     pub fn new(node_count: usize) -> Self {
         assert!(node_count > 0, "need at least one node");
         EnergyTracker {
-            series: TimeSeries::new("avg_remaining_energy_j"),
+            series: TimeSeries::new(),
             node_count,
         }
     }
@@ -52,7 +51,7 @@ impl EnergyTracker {
 }
 
 /// Average energy consumed per successfully delivered packet (Fig. 11).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerPacketEnergy {
     /// Total network energy consumed (J).
     pub total_energy_j: f64,

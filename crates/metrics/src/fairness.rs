@@ -8,11 +8,10 @@
 //! being shared more evenly (nobody's queue is ballooning while others drain).
 
 use caem_simcore::stats::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates queue-length snapshots and reports the averaged standard
 /// deviation (the Fig. 12 metric).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueueFairness {
     /// Running statistics over the per-snapshot standard deviations.
     snapshot_stddevs: RunningStats,

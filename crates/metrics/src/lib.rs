@@ -13,13 +13,15 @@
 //!   short-term fairness measure (Fig. 12);
 //! * [`report`] — plain-text / CSV / markdown table emission used by the
 //!   figure binaries;
-//! * [`merge`] — the [`merge::Commute`] merge law that per-worker summary
-//!   statistics obey, so any merge tree over any partition of the
-//!   observations yields the same aggregate;
 //! * [`prof`] — the always-compiled, runtime-gated time-breakdown profiler:
-//!   wall time and event counts per subsystem and per event kind, folded
-//!   with the same [`merge::Commute`] law and rendered as carcara-style
+//!   wall time and event counts per subsystem and per event kind, summed
+//!   exactly into one process-wide profile and rendered as carcara-style
 //!   breakdown tables or Chrome trace-event JSON.
+//!
+//! Every summary here is built by one fold over its observations and is
+//! never merged with another: a replicated experiment report folds its
+//! per-seed records in one canonical order, which is what makes it
+//! byte-identical however the records arrived.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,7 +29,6 @@
 pub mod energy;
 pub mod fairness;
 pub mod lifetime;
-pub mod merge;
 pub mod perf;
 pub mod prof;
 pub mod report;
@@ -35,7 +36,6 @@ pub mod report;
 pub use energy::{EnergyTracker, PerPacketEnergy};
 pub use fairness::QueueFairness;
 pub use lifetime::{LifetimeTracker, DEFAULT_DEATH_FRACTION};
-pub use merge::Commute;
 pub use perf::NetworkPerformance;
 pub use prof::{Breakdown, ProfKey, Profile, Span};
 pub use report::{Column, Table};

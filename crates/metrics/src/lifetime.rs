@@ -8,13 +8,12 @@
 
 use caem_simcore::stats::TimeSeries;
 use caem_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Default fraction of dead nodes at which the network counts as dead.
 pub const DEFAULT_DEATH_FRACTION: f64 = 0.8;
 
 /// Tracks node deaths over time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LifetimeTracker {
     node_count: usize,
     death_times: Vec<Option<SimTime>>,
@@ -31,7 +30,7 @@ impl LifetimeTracker {
     /// Create a tracker for `node_count` initially alive nodes.
     pub fn new(node_count: usize) -> Self {
         assert!(node_count > 0, "need at least one node");
-        let mut alive_series = TimeSeries::new("nodes_alive");
+        let mut alive_series = TimeSeries::new();
         alive_series.push(0.0, node_count as f64);
         LifetimeTracker {
             node_count,

@@ -7,10 +7,9 @@
 
 use caem_simcore::stats::{Histogram, RunningStats};
 use caem_simcore::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates delay / throughput / delivery statistics for one protocol run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkPerformance {
     delay_stats: RunningStats,
     delay_histogram: Histogram,

@@ -6,7 +6,7 @@
 //! round boundaries, or the snapshot trackers.  This module attributes
 //! wall time and event counts to a fixed [`ProfKey`] vocabulary (one slot
 //! per subsystem and one per `EventKind`) with the cheapest machinery that
-//! still merges correctly:
+//! still sums exactly:
 //!
 //! * **Fixed arrays, no allocation.** A [`Profile`] is two `[u64; N]`
 //!   arrays indexed by `ProfKey as usize` — no `HashMap`, no heap traffic
@@ -17,12 +17,11 @@
 //!   the array adds are never reached.  Simulation state (RNG streams,
 //!   event order) is **never** touched either way, so a profiled run is
 //!   bit-identical to a clean run — only wall clocks are read.
-//! * **Commutative shards.** `Profile` implements [`Commute`] with exact
-//!   integer addition: per-run, per-thread and per-worker shards fold in
-//!   any order or tree into the same totals.  The process-wide
-//!   [`SharedProfile`] behind [`global`] accumulates finished shards through relaxed atomic adds
-//!   (each field independently commutative, so no cross-field race can
-//!   corrupt a count).
+//! * **One exact fold.** Each run fills its own `Profile` shard and, when
+//!   it finishes, adds it into the process-wide [`SharedProfile`] behind
+//!   [`global`] with relaxed atomic adds.  Every slot is an independent
+//!   integer sum, so shards from concurrent runs fold in any order into the
+//!   same totals and no cross-field race can corrupt a count.
 //!
 //! Reporting is carcara-style: a [`Breakdown`] folds one labelled
 //! [`Profile`] observation per scenario into per-key share statistics
@@ -45,7 +44,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::merge::Commute;
 use caem_simcore::stats::RunningStats;
 
 // ---------------------------------------------------------------------------
@@ -191,8 +189,8 @@ pub fn clock() -> Option<Instant> {
 
 /// One profiling shard: event counts and wall nanoseconds per [`ProfKey`].
 ///
-/// Plain data with exact integer merge — the [`Commute`] law holds
-/// bit-for-bit over any partition and any merge tree.
+/// Plain data: [`SharedProfile::add_profile`] folds finished shards into
+/// one total by exact integer addition per slot.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Profile {
     counts: [u64; ProfKey::COUNT],
@@ -256,20 +254,6 @@ impl Profile {
     /// Whether nothing was ever attributed (the disabled-profiler case).
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|&c| c == 0) && self.nanos.iter().all(|&n| n == 0)
-    }
-
-    /// Absorb another shard (exact integer addition per slot).
-    pub fn merge(&mut self, other: &Profile) {
-        for i in 0..ProfKey::COUNT {
-            self.counts[i] += other.counts[i];
-            self.nanos[i] += other.nanos[i];
-        }
-    }
-}
-
-impl Commute for Profile {
-    fn commute(&mut self, other: Self) {
-        self.merge(&other);
     }
 }
 
@@ -557,31 +541,6 @@ impl KeyStats {
     }
 }
 
-impl Commute for KeyStats {
-    fn commute(&mut self, other: Self) {
-        // Label of the winning extreme follows the extreme itself; exact
-        // ties break toward the lexicographically smaller label so the
-        // merge stays order-independent.
-        let (self_min, self_max) = (self.share.min(), self.share.max());
-        let (other_min, other_max) = (other.share.min(), other.share.max());
-        let take_other_min = other_min.is_some_and(|om| {
-            self_min.is_none_or(|sm| om < sm || (om == sm && other.min_label < self.min_label))
-        });
-        let take_other_max = other_max.is_some_and(|om| {
-            self_max.is_none_or(|sm| om > sm || (om == sm && other.max_label > self.max_label))
-        });
-        if take_other_min {
-            self.min_label = other.min_label.clone();
-        }
-        if take_other_max {
-            self.max_label = other.max_label.clone();
-        }
-        self.share.merge(&other.share);
-        self.total_nanos += other.total_nanos;
-        self.total_count += other.total_count;
-    }
-}
-
 /// Share statistics per [`ProfKey`] across labelled profile observations
 /// (one per scenario), carcara-style.
 #[derive(Debug, Clone)]
@@ -682,15 +641,6 @@ impl Breakdown {
     }
 }
 
-impl Commute for Breakdown {
-    fn commute(&mut self, other: Self) {
-        for (slot, item) in self.keys.iter_mut().zip(other.keys) {
-            slot.commute(item);
-        }
-        self.observations += other.observations;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,22 +662,16 @@ mod tests {
 
     #[test]
     fn profile_accumulates_and_merges_exactly() {
-        let mut a = Profile::new();
-        a.add(ProfKey::Mac, 10, 1_000);
-        a.add(ProfKey::EvSenseChannel, 10, 3_000);
-        let mut b = Profile::new();
-        b.add(ProfKey::Mac, 5, 500);
-        b.add(ProfKey::EvRoundStart, 1, 7_000);
-        let mut merged = a.clone();
-        merged.commute(b.clone());
-        let mut flipped = b.clone();
-        flipped.commute(a.clone());
-        assert_eq!(merged, flipped);
-        assert_eq!(merged.count(ProfKey::Mac), 15);
-        assert_eq!(merged.nanos(ProfKey::Mac), 1_500);
-        assert_eq!(merged.total_event_nanos(), 10_000);
-        assert_eq!(merged.attributed_nanos(), 10_000);
-        assert!((merged.share(ProfKey::EvRoundStart) - 0.7).abs() < 1e-12);
+        let mut p = Profile::new();
+        p.add(ProfKey::Mac, 10, 1_000);
+        p.add(ProfKey::EvSenseChannel, 10, 3_000);
+        p.add(ProfKey::Mac, 5, 500);
+        p.add(ProfKey::EvRoundStart, 1, 7_000);
+        assert_eq!(p.count(ProfKey::Mac), 15);
+        assert_eq!(p.nanos(ProfKey::Mac), 1_500);
+        assert_eq!(p.total_event_nanos(), 10_000);
+        assert_eq!(p.attributed_nanos(), 10_000);
+        assert!((p.share(ProfKey::EvRoundStart) - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -800,34 +744,6 @@ mod tests {
         assert!(text.contains("hotspots"));
         assert!(text.contains("mac"));
         assert!(text.contains("event kinds"));
-    }
-
-    #[test]
-    fn breakdown_merge_is_order_independent() {
-        let observe = |pairs: &[(&str, u64)]| {
-            let mut bd = Breakdown::new();
-            for &(label, mac_nanos) in pairs {
-                let mut p = Profile::new();
-                p.add(ProfKey::Mac, 1, mac_nanos);
-                p.add(ProfKey::EvSenseChannel, 1, 1_000);
-                bd.observe(label, &p);
-            }
-            bd
-        };
-        let mut left = observe(&[("a", 10), ("b", 500)]);
-        let right = observe(&[("c", 900), ("d", 200)]);
-        let mut flipped = observe(&[("c", 900), ("d", 200)]);
-        flipped.commute(observe(&[("a", 10), ("b", 500)]));
-        left.commute(right);
-        let (l, f) = (
-            left.key_stats(ProfKey::Mac),
-            flipped.key_stats(ProfKey::Mac),
-        );
-        assert_eq!(left.observations(), flipped.observations());
-        assert_eq!(l.min_label(), f.min_label());
-        assert_eq!(l.max_label(), f.max_label());
-        assert_eq!(l.total_nanos(), f.total_nanos());
-        assert!((l.mean_share() - f.mean_share()).abs() < 1e-12);
     }
 
     #[test]

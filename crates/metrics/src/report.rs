@@ -4,10 +4,8 @@
 //! module holds the small table formatter they share so the output is
 //! consistent and machine-readable (CSV) as well as human-readable.
 
-use serde::{Deserialize, Serialize};
-
 /// A named column of floating-point values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     /// Column header.
     pub name: String,
@@ -26,7 +24,7 @@ impl Column {
 }
 
 /// A simple rectangular table: one x-axis column plus one column per series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title (figure name).
     pub title: String,

@@ -7,14 +7,13 @@
 //!   for packet-delay distributions.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Single-pass running statistics using Welford's algorithm.
 ///
 /// `PartialEq` compares every accumulator field exactly (floats included),
 /// which is what the experiment persistence layer's "bit-identical report"
 /// guarantees are asserted against.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -127,26 +126,6 @@ impl RunningStats {
         }
         Some(self.ci95_half_width() / self.mean.abs())
     }
-
-    /// Merge another accumulator into this one (parallel-reduction friendly).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Two-sided 97.5 % Student-t critical value for `df` degrees of freedom
@@ -188,19 +167,15 @@ fn t_critical_975(df: u64) -> f64 {
 }
 
 /// An ordered sequence of `(time, value)` samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     samples: Vec<(f64, f64)>,
-    name: String,
 }
 
 impl TimeSeries {
-    /// Create an empty, named series.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            samples: Vec::new(),
-            name: name.into(),
-        }
+    /// Create an empty series.
+    pub fn new() -> Self {
+        TimeSeries::default()
     }
 
     /// Append a sample; time is given in seconds.
@@ -271,7 +246,7 @@ impl TimeSeries {
 /// optionally **auto-resizing**: recording a value at or beyond `hi` doubles
 /// the bin width (merging adjacent bin pairs; the bin count never changes)
 /// until the value fits or the range reaches a configured growth cap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -351,46 +326,6 @@ impl Histogram {
         }
         self.hi = self.lo + 2.0 * (self.hi - self.lo);
         self.inv_width = n as f64 / (self.hi - self.lo);
-    }
-
-    /// Merge another histogram recorded under the same base layout (same
-    /// `lo`, same bin count, ranges related by doublings — which is exactly
-    /// what two auto-resizing histograms grown from one configuration look
-    /// like).  The merge is **exact and commutative/associative**: bin
-    /// counts are integer adds and the merged layout (the wider of the two
-    /// ranges, the larger growth cap) depends only on the pair, not on the
-    /// merge order, so any merge tree over per-thread histograms yields
-    /// identical bins.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram merge requires a shared lo");
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "histogram merge requires equal bin counts"
-        );
-        self.max_hi = self.max_hi.max(other.max_hi);
-        while self.hi < other.hi {
-            self.double_width();
-        }
-        let ratio_f = (self.hi - self.lo) / (other.hi - other.lo);
-        let ratio = ratio_f.round() as usize;
-        assert!(
-            ratio >= 1 && (ratio_f - ratio as f64).abs() < 1e-9,
-            "histogram ranges are not doubling-aligned ({} vs {})",
-            self.hi,
-            other.hi
-        );
-        // Other's bin `i` (narrower by `ratio`) nests entirely inside our
-        // bin `i / ratio`, so coarsening loses nothing the wider layout
-        // would have kept.
-        for (i, &b) in other.bins.iter().enumerate() {
-            if b > 0 {
-                self.bins[i / ratio] += b;
-            }
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
     }
 
     /// Record one observation.
@@ -497,36 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        whole.extend(data.iter().copied());
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        a.extend(data[..37].iter().copied());
-        b.extend(data[37..].iter().copied());
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.extend([1.0, 2.0, 3.0]);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 3);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn relative_half_width_is_scale_free() {
         let mut a = RunningStats::new();
         a.extend([1.0, 2.0, 3.0, 4.0]);
@@ -547,7 +452,7 @@ mod tests {
 
     #[test]
     fn time_series_interpolation() {
-        let mut ts = TimeSeries::new("energy");
+        let mut ts = TimeSeries::new();
         ts.push(0.0, 10.0);
         ts.push(10.0, 5.0);
         ts.push(20.0, 0.0);
@@ -562,7 +467,7 @@ mod tests {
 
     #[test]
     fn empty_series_value_is_none() {
-        let ts = TimeSeries::new("empty");
+        let ts = TimeSeries::new();
         assert_eq!(ts.value_at(1.0), None);
         assert!(ts.is_empty());
     }
@@ -751,34 +656,5 @@ mod tests {
             n32.push(sample[i % 3]);
         }
         assert!(n32.ci95_half_width() < n31.ci95_half_width());
-    }
-
-    #[test]
-    fn histogram_merge_is_exact_and_order_independent() {
-        let values_a = [1.0, 9.5, 35.0, 4.0];
-        let values_b = [19.0, 0.0, 39.9, 120.0];
-        let record_all = |values: &[f64]| {
-            let mut h = Histogram::with_auto_resize(0.0, 10.0, 8, 640.0);
-            for &v in values {
-                h.record(v);
-            }
-            h
-        };
-        // One histogram fed everything vs two merged partial histograms.
-        let mut whole = record_all(&values_a);
-        for &v in &values_b {
-            whole.record(v);
-        }
-        let (a, b) = (record_all(&values_a), record_all(&values_b));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for merged in [&ab, &ba] {
-            assert_eq!(merged.count(), whole.count());
-            assert_eq!(merged.range_hi(), whole.range_hi());
-            assert_eq!(merged.bins(), whole.bins());
-            assert_eq!(merged.outliers(), whole.outliers());
-        }
     }
 }

@@ -109,6 +109,9 @@ struct ShardRun {
     quarantined: usize,
     /// All granted jobs settled (false when a stop skipped some).
     complete: bool,
+    /// The send that ended the shard early, if one failed.  The counts
+    /// above still hold: those jobs ran whether or not their lines arrived.
+    link_error: Option<ProtoError>,
 }
 
 /// Run the worker loop over `link` until the work (or the daemon) goes
@@ -178,13 +181,14 @@ pub fn run_socket_worker(
                 )))
             }
         };
-        let run = match run_shard(link, opts, grid, shard, &spec, &jobs, heartbeat) {
-            Ok(run) => run,
-            Err(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
-            Err(e) => return Err(e),
-        };
+        let run = run_shard(link, opts, grid, shard, &spec, &jobs, heartbeat);
         outcome.jobs_run += run.records;
         outcome.jobs_quarantined += run.quarantined;
+        match run.link_error {
+            None => {}
+            Some(ProtoError::Closed) => return Ok(WorkerExit::Finished(outcome)),
+            Some(e) => return Err(e),
+        }
         if !run.complete {
             // Stop requested mid-shard: the lease ends with the link the
             // caller drops.
@@ -276,9 +280,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Run one granted shard: rayon fan-out in a scoped thread sending each
 /// job's line as it settles, with this thread shipping the lines in
 /// batches and keeping the lease alive over the link.  A send that fails
-/// aborts the shard's unstarted jobs through a flag of the shard's own:
-/// the worker's stop flag may be shared with sibling workers and belongs
-/// to the embedding program.
+/// aborts the shard's unstarted jobs through a flag of the shard's own
+/// (the worker's stop flag may be shared with sibling workers and belongs
+/// to the embedding program) and is returned with the counts of the jobs
+/// that did run.
 fn run_shard(
     link: &mut dyn FrameLink,
     opts: &SocketWorkerOptions,
@@ -287,7 +292,7 @@ fn run_shard(
     spec: &ExperimentSpec,
     jobs: &[ExperimentJob],
     heartbeat: Duration,
-) -> Result<ShardRun, ProtoError> {
+) -> ShardRun {
     let (line_tx, line_rx) = mpsc::channel::<String>();
     let stop = &opts.stop;
     let abort = &AtomicBool::new(false);
@@ -363,15 +368,13 @@ fn run_shard(
         }
         runner.join().expect("shard runner thread never panics")
     });
-    if let Some(e) = link_error {
-        return Err(e);
-    }
-    Ok(ShardRun {
+    ShardRun {
         sent,
         records: settled.iter().filter(|s| **s == Some(true)).count(),
         quarantined: settled.iter().filter(|s| **s == Some(false)).count(),
         complete: settled.iter().all(Option::is_some),
-    })
+        link_error,
+    }
 }
 
 /// A Records frame carrying (and emptying) `batch`.

@@ -3,16 +3,15 @@
 //! The profiler's core promise is that it **observes without perturbing**:
 //! it only reads wall clocks, never the simulation's RNG or state, so a
 //! profiled run must produce bit-identical results and byte-identical
-//! report artifacts.  These tests pin that promise, the `Commute` law of
-//! profile shards (merging in any partition and any order is exact), and
-//! the Chrome trace export.
+//! report artifacts.  These tests pin that promise, the exact fold of
+//! per-run shards into the process-wide `SharedProfile` (any partition,
+//! any order, any interleaving of threads), and the Chrome trace export.
 //!
 //! The enable gate is process-global, so every test that flips it runs
 //! under one mutex and restores the disabled state before releasing it.
 
 use caem_suite::caem::policy::PolicyKind;
-use caem_suite::metrics::prof::{self, Breakdown, ProfKey, Profile, PROF_KEYS};
-use caem_suite::metrics::Commute;
+use caem_suite::metrics::prof::{self, Profile, SharedProfile, PROF_KEYS};
 use caem_suite::simcore::rng::StreamRng;
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::experiment::{ExperimentSpec, ScenarioSpec};
@@ -132,28 +131,16 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-/// Fold profile shards with a random binary merge tree.
-fn merge_random_tree(mut parts: Vec<Profile>, seed: u64) -> Profile {
-    let mut rng = StreamRng::from_seed_u64(seed);
-    while parts.len() > 1 {
-        let a = ((rng.next_f64() * parts.len() as f64) as usize).min(parts.len() - 1);
-        let picked = parts.swap_remove(a);
-        let b = ((rng.next_f64() * parts.len() as f64) as usize).min(parts.len() - 1);
-        parts[b].commute(picked);
-    }
-    parts.pop().expect("non-empty partition")
-}
-
 proptest! {
-    /// Profile merging is exact integer addition: any partition of a sample
-    /// stream into shards, merged in any tree order, reproduces the
+    /// The path every run's finished shard takes into `prof::global()`:
+    /// any partition of a sample stream into shards, added into one
+    /// `SharedProfile` from three threads at once, reproduces the
     /// sequential accumulation bit for bit.
     #[test]
-    fn profile_commute_is_exact_over_random_partitions(
+    fn shared_profile_folds_random_partitions_exactly(
         samples in prop::collection::vec(any::<u64>(), 1..120),
         order_seed in any::<u64>(),
         cuts_seed in any::<u64>(),
-        tree_seed in any::<u64>(),
     ) {
         // Each raw sample carries a (count, nanos) pair in its halves,
         // shifted down so 120 stacked samples stay away from overflow.
@@ -177,55 +164,18 @@ proptest! {
             let (count, nanos) = split(samples[i]);
             parts.last_mut().expect("non-empty").add(key, count, nanos);
         }
-        let merged = merge_random_tree(parts, tree_seed);
-        prop_assert_eq!(merged, reference);
-    }
-
-    /// Breakdown shards observed on disjoint scenario sets and merged in a
-    /// random order agree with the sequentially built breakdown on every
-    /// per-key aggregate, including which scenario label holds the min/max.
-    #[test]
-    fn breakdown_commute_matches_sequential_observation(
-        shares in prop::collection::vec(1u64..1000, 2..40),
-        order_seed in any::<u64>(),
-    ) {
-        // Distinct weight per index so shares never tie: sequential
-        // observation keeps the first-seen extreme on an exact tie while
-        // the merge breaks ties lexicographically, and this test pins the
-        // tie-free agreement, not the tie-breaking policy.
-        let observation = |i: usize, weight: u64| {
-            let w = weight * 64 + i as u64;
-            let mut p = Profile::new();
-            p.add(ProfKey::Mac, 1, w);
-            // Two event kinds so neither share degenerates to a constant
-            // 1.0 (the share denominator is the summed event time).
-            p.add(ProfKey::EvSenseChannel, 1, 100_000);
-            p.add(ProfKey::EvRoundStart, 1, w);
-            (format!("scenario_{i}"), p)
-        };
-        let mut reference = Breakdown::new();
-        for (i, &w) in shares.iter().enumerate() {
-            let (label, p) = observation(i, w);
-            reference.observe(&label, &p);
-        }
-        // One shard per observation, merged in a shuffled order.
-        let mut merged = Breakdown::new();
-        for &i in &permutation(shares.len(), order_seed) {
-            let (label, p) = observation(i, shares[i]);
-            let mut shard = Breakdown::new();
-            shard.observe(&label, &p);
-            merged.commute(shard);
-        }
-        prop_assert_eq!(merged.observations(), reference.observations());
-        for key in [ProfKey::Mac, ProfKey::EvSenseChannel] {
-            let (m, r) = (merged.key_stats(key), reference.key_stats(key));
-            prop_assert_eq!(m.total_count(), r.total_count());
-            prop_assert_eq!(m.total_nanos(), r.total_nanos());
-            prop_assert_eq!(m.min_share().to_bits(), r.min_share().to_bits());
-            prop_assert_eq!(m.max_share().to_bits(), r.max_share().to_bits());
-            prop_assert_eq!(m.min_label(), r.min_label());
-            prop_assert_eq!(m.max_label(), r.max_label());
-            prop_assert!((m.mean_share() - r.mean_share()).abs() < 1e-12);
-        }
+        // Three threads each add every third shard, interleaving freely.
+        let shared = SharedProfile::new();
+        std::thread::scope(|scope| {
+            for t in 0..3 {
+                let (shared, parts) = (&shared, &parts);
+                scope.spawn(move || {
+                    for shard in parts.iter().skip(t).step_by(3) {
+                        shared.add_profile(shard);
+                    }
+                });
+            }
+        });
+        prop_assert_eq!(shared.snapshot(), reference);
     }
 }

@@ -6,7 +6,6 @@ use caem_suite::caem::policy::{Policy, PolicyKind};
 use caem_suite::caem::predictor::QueuePredictor;
 use caem_suite::mac::backoff::{BackoffConfig, BackoffScheduler};
 use caem_suite::mac::burst::BurstPolicy;
-use caem_suite::metrics::Commute;
 use caem_suite::phy::frame::FrameSpec;
 use caem_suite::phy::mode::{TransmissionMode, ALL_MODES};
 use caem_suite::simcore::rng::StreamRng;
@@ -27,20 +26,6 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
         idx.swap(i, j);
     }
     idx
-}
-
-/// Fold per-chunk summaries with a random binary merge tree: repeatedly pick
-/// two summaries (position driven by `seed`) and commute them until one
-/// remains.
-fn merge_random_tree(mut parts: Vec<RunningStats>, seed: u64) -> RunningStats {
-    let mut rng = StreamRng::from_seed_u64(seed);
-    while parts.len() > 1 {
-        let a = ((rng.next_f64() * parts.len() as f64) as usize).min(parts.len() - 1);
-        let picked = parts.swap_remove(a);
-        let b = ((rng.next_f64() * parts.len() as f64) as usize).min(parts.len() - 1);
-        parts[b].commute(picked);
-    }
-    parts.pop().expect("non-empty partition")
 }
 
 /// A synthetic but fully populated job record at the given grid coordinates,
@@ -231,56 +216,6 @@ proptest! {
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
         prop_assert!((stats.mean() - mean).abs() < 1e-6);
         prop_assert!((stats.variance() - var).abs() < 1e-6 * var.max(1.0));
-    }
-
-    /// The merge law, commutativity half: merging A into B and B into A give
-    /// the same summary — count/min/max bit-for-bit (exact grade), mean and
-    /// variance to within float rounding (analytic grade).
-    #[test]
-    fn stats_merge_commutes(
-        xs in prop::collection::vec(-1e3f64..1e3, 1..80),
-        ys in prop::collection::vec(-1e3f64..1e3, 1..80),
-    ) {
-        let mut a = RunningStats::new();
-        a.extend(xs.iter().copied());
-        let mut b = RunningStats::new();
-        b.extend(ys.iter().copied());
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert_eq!(ab.min(), ba.min());
-        prop_assert_eq!(ab.max(), ba.max());
-        prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9 * ab.mean().abs().max(1.0));
-        prop_assert!((ab.variance() - ba.variance()).abs() < 1e-7 * ab.variance().max(1.0));
-    }
-
-    /// The merge law, associativity half: any partition of the observations
-    /// into chunks, merged through any random binary merge tree, summarizes
-    /// like one sequential accumulator over the whole multiset.
-    #[test]
-    fn stats_merge_tree_matches_sequential(
-        values in prop::collection::vec(-1e3f64..1e3, 1..300),
-        chunk in 1usize..40,
-        tree_seed in any::<u64>(),
-    ) {
-        let mut whole = RunningStats::new();
-        whole.extend(values.iter().copied());
-        let parts: Vec<RunningStats> = values
-            .chunks(chunk)
-            .map(|c| {
-                let mut s = RunningStats::new();
-                s.extend(c.iter().copied());
-                s
-            })
-            .collect();
-        let merged = merge_random_tree(parts, tree_seed);
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.min(), whole.min());
-        prop_assert_eq!(merged.max(), whole.max());
-        prop_assert!((merged.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
-        prop_assert!((merged.variance() - whole.variance()).abs() < 1e-7 * whole.variance().max(1.0));
     }
 
     /// The report boundary is bit-for-bit order-independent: shuffling and

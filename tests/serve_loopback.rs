@@ -508,14 +508,19 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
 
 /// A worker link that breaks right after it ships its first batch of
 /// records, like the connection of a `kill -9`ed worker process: nothing
-/// sent afterwards arrives, and every later send fails.
+/// sent afterwards arrives, and every later send fails, with a broken pipe
+/// or, when `hang_up` is set, as a connection the daemon closed.
 struct DiesAfterFirstRecords {
     inner: LoopbackLink,
     dead: bool,
+    hang_up: bool,
 }
 
 impl FrameLink for DiesAfterFirstRecords {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        if self.dead && self.hang_up {
+            return Err(ProtoError::Closed);
+        }
         if self.dead {
             return Err(ProtoError::Io(std::io::ErrorKind::BrokenPipe.into()));
         }
@@ -532,14 +537,19 @@ impl FrameLink for DiesAfterFirstRecords {
     }
 }
 
+/// [`SPEC_DOC`] with 24 jobs, each long enough that its line ships (after
+/// at most the worker's 50 ms linger) before many more settle.
+fn slow_jobs_doc() -> String {
+    SPEC_DOC
+        .replace("\"replicates\": 2", "\"replicates\": 4")
+        .replace("\"duration_s\": 10.0", "\"duration_s\": 400.0")
+}
+
 #[test]
 fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
-    // One shard holding all 24 jobs, each long enough that its line ships
-    // (after at most the worker's 50 ms linger) before many more settle.
+    // One shard holding all 24 jobs.
     const JOBS: u64 = 24;
-    let spec_doc = SPEC_DOC
-        .replace("\"replicates\": 2", "\"replicates\": 4")
-        .replace("\"duration_s\": 10.0", "\"duration_s\": 400.0");
+    let spec_doc = slow_jobs_doc();
     let state = ServiceState::shared(ServiceConfig {
         shards_per_grid: 1,
         ..ServiceConfig::default()
@@ -560,6 +570,7 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
     let mut link = DiesAfterFirstRecords {
         inner: spawner.connect(),
         dead: false,
+        hang_up: false,
     };
     let doomed = run_socket_worker(&mut link, &opts);
     assert!(matches!(doomed, Err(ProtoError::Io(_))), "{doomed:?}");
@@ -619,6 +630,38 @@ fn a_worker_killed_mid_shard_has_already_settled_its_finished_jobs() {
         report,
         serde_json::to_string_pretty(&expected.to_json()).expect("report renders")
     );
+}
+
+#[test]
+fn a_worker_whose_connection_closes_mid_shard_counts_the_jobs_it_ran() {
+    // The daemon closing the connection ends a worker cleanly, and the
+    // jobs of the shard it was running still count as simulated.
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    assert_eq!(
+        client
+            .submit(&slow_jobs_doc(), true, SEED)
+            .expect("accepted")
+            .jobs,
+        24
+    );
+    let mut link = DiesAfterFirstRecords {
+        inner: spawner.connect(),
+        dead: false,
+        hang_up: true,
+    };
+    match run_socket_worker(&mut link, &SocketWorkerOptions::new("closed")) {
+        Ok(WorkerExit::Finished(outcome)) => {
+            assert!(outcome.jobs_run >= 1, "no jobs counted: {outcome:?}");
+            assert_eq!(outcome.shards_completed, 0, "{outcome:?}");
+        }
+        other => panic!("expected a finished worker, got {other:?}"),
+    }
 }
 
 /// A one-job grid: a single 500-node scenario simulated for `duration_s`
