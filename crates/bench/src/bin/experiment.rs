@@ -49,7 +49,7 @@ use caem_metrics::prof;
 use caem_wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping, METRIC_NAMES,
 };
-use caem_wsnsim::faults::{self, FaultPlan, FaultRole};
+use caem_wsnsim::faults;
 use caem_wsnsim::persist::{ExperimentStore, StoreOptions};
 use caem_wsnsim::serve::{run_socket_worker, SocketWorkerOptions, TcpLink, WorkerExit};
 use caem_wsnsim::spec::GridSpec;
@@ -78,8 +78,7 @@ modes (at most one selector; `run` is the default):
   --reaggregate          rebuild the report offline from the JSONL store alone
   --connect <addr>       attach to a caem-serve daemon as a socket worker
                          (no shared filesystem; jobs and records travel over
-                         length-prefixed JSON frames; CAEM_CHAOS=seed:kinds
-                         fault-injects it)
+                         length-prefixed JSON frames)
     --expect-hash <h>    refuse to serve a grid whose grid hash differs
     --profile            print the worker's time breakdown when it exits
   --print-spec           dump the canonical resolved spec as JSON; no simulation
@@ -268,12 +267,6 @@ fn print_sequential_outcome(outcome: &SequentialOutcome, metric: &str) {
 /// protocol version, grid-hash mismatch) is a usage-class error and
 /// exits 2; a transport failure mid-run exits 1.
 fn socket_worker_mode(addr: &str, expect_hash: Option<u64>, profile: bool) -> ! {
-    // The chaos schedule comes from the environment.  A malformed plan is
-    // fatal: a chaos run silently downgrading to a clean run would fake
-    // test coverage.
-    let env_plan = std::env::var(faults::CHAOS_ENV).ok();
-    let plan = FaultPlan::from_env_value(env_plan.as_deref(), FaultRole::Worker)
-        .unwrap_or_else(|e| die(format!("bad {} value: {e}", faults::CHAOS_ENV)));
     if profile {
         prof::set_enabled(true);
     }
@@ -284,7 +277,6 @@ fn socket_worker_mode(addr: &str, expect_hash: Option<u64>, profile: bool) -> ! 
     let mut link = TcpLink::new(stream);
     let mut opts = SocketWorkerOptions::new(format!("pid_{}", std::process::id()));
     opts.expect_hash = expect_hash;
-    opts.faults = plan;
     match run_socket_worker(&mut link, &opts) {
         Ok(WorkerExit::Finished(outcome)) => {
             println!(

@@ -12,7 +12,7 @@
 //! * [`fairness`] — standard deviation of per-node queue lengths, the paper's
 //!   short-term fairness measure (Fig. 12);
 //! * [`report`] — plain-text / CSV / markdown table emission used by the
-//!   figure binaries;
+//!   `paper` binary (through `caem_bench::emit`);
 //! * [`prof`] — the always-compiled, runtime-gated time-breakdown profiler:
 //!   wall time and event counts per subsystem and per event kind, summed
 //!   exactly into one process-wide profile and rendered as carcara-style

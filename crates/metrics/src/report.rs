@@ -1,8 +1,9 @@
-//! Table / CSV / markdown emission for the figure binaries.
+//! Table / CSV / markdown emission for the `paper` binary.
 //!
-//! Every `figN` binary prints the same rows/series the paper plots; this
-//! module holds the small table formatter they share so the output is
-//! consistent and machine-readable (CSV) as well as human-readable.
+//! `paper` prints the rows and series of Table I and Figs. 8–12, each as
+//! one [`Table`] that `caem_bench::emit` renders as text, CSV and markdown;
+//! this module holds that formatter so the output is consistent and
+//! machine-readable (CSV) as well as human-readable.
 
 /// A named column of floating-point values.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,7 +6,7 @@
 //! parallel fan-out, whose workers come out of rayon's process-wide thread
 //! budget, so nested fan-outs cannot oversubscribe the machine.
 //! [`ExperimentSpec::simulate`] returns each job's whole
-//! [`SimulationResult`] (what the figure binaries plot: loads as scenarios,
+//! [`SimulationResult`] (what the `paper` binary plots: loads as scenarios,
 //! [`PAPER_POLICIES`] as policies, one seed); [`ExperimentSpec::run`]
 //! folds the replicates into a report instead.
 //!
@@ -23,7 +23,7 @@
 //! On top of the flat grid the engine adds what a single-seed point estimate
 //! cannot give: **replication**.  Each (scenario, policy) cell is simulated
 //! once per seed, per-replicate metrics are folded into Welford
-//! [`RunningStats`] accumulators (mergeable for parallel reduction), and the
+//! [`RunningStats`] accumulators (one fold per cell, never merged), and the
 //! report carries mean ± 95 % CI per metric instead of one unqualified
 //! number.
 //!

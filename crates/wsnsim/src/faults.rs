@@ -11,10 +11,9 @@
 //!    [`crate::serve::LoopbackSpawner`]) delay frames, widening race
 //!    windows without ever losing, repeating or cutting one (the service's
 //!    links are reliable, so no fault models a lossy network); socket
-//!    workers (through
-//!    [`crate::serve::SocketWorkerOptions`]) exit at their K-th settled job
-//!    and panic on a deterministic subset of jobs (poison) — all
-//!    deterministically per seed.
+//!    workers (through [`crate::serve::SocketWorkerOptions`]) panic on a
+//!    deterministic subset of jobs (poison) — all deterministically per
+//!    seed.
 //! 2. **Typed error classification + bounded backoff** — [`classify_io_error`]
 //!    splits IO failures into [`ErrorClass::Transient`] (worth retrying) and
 //!    [`ErrorClass::Fatal`] (abort exactly once).  [`retry_transient`] retries
@@ -29,20 +28,18 @@
 //!    deliberately **not** part of the canonical report artifact, which must
 //!    stay byte-identical between clean and fault-injected runs.
 //!
-//! A run has one plan, created once and shared as an `Arc<FaultPlan>`.  A
-//! socket worker *process* (`experiment --connect`) builds its own from
-//! the [`CHAOS_ENV`] variable with [`FaultPlan::from_env_value`]; tests
-//! build theirs in-process.  A seam given no plan never injects, and
-//! nothing is global: plans used side by side in one process (tests) never
-//! see each other's faults, and [`FaultPlan::injected`] counts only the
-//! plan's own.
+//! A plan is a value only in-process tests build: no binary reads one, and
+//! no fault simulates a process crash.  A run has one plan, created once
+//! and shared as an `Arc<FaultPlan>`.  A seam given no plan never
+//! injects, and nothing is global: plans used side by side in one process
+//! never see each other's faults, and [`FaultPlan::injected`] counts only
+//! the plan's own.
 //!
 //! Injection is **recoverable by construction**: every fault that a bounded
 //! retry is expected to absorb is injected only on a call's first attempt
 //! (`attempt == 0`), so a retry loop of two attempts already guarantees
-//! forward progress and a chaos grid always completes.  Faults that retries
-//! cannot absorb (kills, poison) are absorbed one level up — by re-granting
-//! a dead worker's jobs and by job quarantine respectively.
+//! forward progress and a chaos grid always completes.  Poison, which
+//! retries cannot absorb, is absorbed one level up by job quarantine.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -273,8 +270,6 @@ pub fn event_summary() -> Option<String> {
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Socket workers exit abruptly after settling their K-th job.
-    Kill,
     /// Store appends occasionally write half the line, then fail transient.
     Torn,
     /// Store appends occasionally fail with `EINTR`/`ENOSPC`-class transient
@@ -288,110 +283,27 @@ pub enum FaultKind {
     Poison,
 }
 
-/// Every [`FaultKind`], in parse order.
-pub const FAULT_KINDS: [FaultKind; 5] = [
-    FaultKind::Kill,
+/// Every [`FaultKind`].
+pub const FAULT_KINDS: [FaultKind; 4] = [
     FaultKind::Torn,
     FaultKind::Transient,
     FaultKind::Delay,
     FaultKind::Poison,
 ];
 
-impl FaultKind {
-    /// The kind's spelling in [`CHAOS_ENV`] values.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::Kill => "kill",
-            FaultKind::Torn => "torn",
-            FaultKind::Transient => "transient",
-            FaultKind::Delay => "delay",
-            FaultKind::Poison => "poison",
-        }
-    }
-}
-
 /// The declarative description of a fault schedule: a seed plus the enabled
-/// fault classes.  Parses from (and renders back to) the `seed:kind+kind`
-/// text of the [`CHAOS_ENV`] variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// fault classes.
+#[derive(Debug, Clone)]
 pub struct FaultPlanConfig {
     /// Seed of the deterministic decision stream.
     pub seed: u64,
-    /// The enabled fault classes (duplicates removed, parse order kept).
+    /// The enabled fault classes.
     pub kinds: Vec<FaultKind>,
-}
-
-impl FaultPlanConfig {
-    /// Parse a `seed:kind+kind` spec (e.g. `7:torn+transient`).  `all` expands to
-    /// every kind except `poison` (poison changes the report's quarantine
-    /// section by design, so it is always opted into explicitly).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let (seed_text, kinds_text) = text.split_once(':').ok_or_else(|| {
-            format!("chaos spec `{text}` must be `seed:kind+kind` (e.g. `7:torn+transient`)")
-        })?;
-        let seed: u64 = seed_text
-            .parse()
-            .map_err(|_| format!("chaos seed `{seed_text}` is not an unsigned integer"))?;
-        let mut kinds = Vec::new();
-        let mut push = |k: FaultKind| {
-            if !kinds.contains(&k) {
-                kinds.push(k);
-            }
-        };
-        for part in kinds_text.split('+') {
-            match part {
-                "all" => {
-                    for k in FAULT_KINDS {
-                        if k != FaultKind::Poison {
-                            push(k);
-                        }
-                    }
-                }
-                other => match FAULT_KINDS.iter().find(|k| k.label() == other) {
-                    Some(&k) => push(k),
-                    None => {
-                        return Err(format!(
-                            "unknown fault kind `{other}` (expected one of kill, torn, \
-                             transient, delay, poison, all)"
-                        ))
-                    }
-                },
-            }
-        }
-        if kinds.is_empty() {
-            return Err(format!("chaos spec `{text}` enables no fault kinds"));
-        }
-        Ok(FaultPlanConfig { seed, kinds })
-    }
-
-    /// Render back to the `seed:kind+kind` text ([`FaultPlanConfig::parse`]
-    /// round-trips it) — the value a worker process reads from [`CHAOS_ENV`].
-    pub fn env_string(&self) -> String {
-        let kinds: Vec<&str> = self.kinds.iter().map(|k| k.label()).collect();
-        format!("{}:{}", self.seed, kinds.join("+"))
-    }
-}
-
-/// Which role the current process plays under a fault plan.  Kill faults
-/// only fire in [`FaultRole::Worker`] processes: exiting any other process
-/// would abort the run itself rather than exercise recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultRole {
-    /// A process that hosts the run — a local grid, or a test with its
-    /// daemon and loopback workers in one process.  Kill never fires here;
-    /// every other fault does.
-    Host,
-    /// A disposable worker process whose death must be survivable.
-    Worker,
 }
 
 /// Marker carried in injected poison panics, so the quarantine path can be
 /// asserted on and the panic hook can keep injected panics off stderr.
 pub const POISON_MARKER: &str = "caem-injected-poison";
-
-/// Environment variable carrying the fault plan to socket worker
-/// processes (the [`FaultPlanConfig::env_string`] text).
-pub const CHAOS_ENV: &str = "CAEM_CHAOS";
 
 static POISON_HOOK: Once = Once::new();
 
@@ -404,19 +316,15 @@ static POISON_HOOK: Once = Once::new();
 #[derive(Debug)]
 pub struct FaultPlan {
     cfg: FaultPlanConfig,
-    role: FaultRole,
     draws: AtomicU64,
-    settled: AtomicU64,
     injected: AtomicU64,
-    kill_at: u64,
 }
 
 impl FaultPlan {
-    /// The live plan for `cfg` in a process playing `role`.  A plan with
-    /// `poison` also keeps injected poison panics off stderr: they are
-    /// expected and quarantined, and would otherwise drown real panic
-    /// reports.
-    pub fn new(cfg: FaultPlanConfig, role: FaultRole) -> Arc<Self> {
+    /// The live plan for `cfg`.  A plan with `poison` also keeps injected
+    /// poison panics off stderr: they are expected and quarantined, and
+    /// would otherwise drown real panic reports.
+    pub fn new(cfg: FaultPlanConfig) -> Arc<Self> {
         if cfg.kinds.contains(&FaultKind::Poison) {
             POISON_HOOK.call_once(|| {
                 let default_hook = std::panic::take_hook();
@@ -433,37 +341,11 @@ impl FaultPlan {
                 }));
             });
         }
-        let kill_at = 3 + cfg.seed % 8;
         Arc::new(FaultPlan {
             cfg,
-            role,
             draws: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
             injected: AtomicU64::new(0),
-            kill_at,
         })
-    }
-
-    /// The plan a [`CHAOS_ENV`] value describes (`value` is what
-    /// `std::env::var(CHAOS_ENV).ok()` reads) — how a socket worker
-    /// process takes its schedule from its environment.  Unset or empty
-    /// means no plan; a malformed value is a hard error (a chaos run
-    /// silently downgrading to a clean run would fake test coverage).
-    pub fn from_env_value(
-        value: Option<&str>,
-        role: FaultRole,
-    ) -> Result<Option<Arc<Self>>, String> {
-        match value {
-            Some(text) if !text.is_empty() => {
-                Ok(Some(FaultPlan::new(FaultPlanConfig::parse(text)?, role)))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// The plan's declarative configuration.
-    pub fn config(&self) -> &FaultPlanConfig {
-        &self.cfg
     }
 
     /// Faults this plan has injected so far (store appends and loopback
@@ -498,24 +380,6 @@ impl FaultPlan {
         ];
         let kind = kinds[(self.draw() % kinds.len() as u64) as usize];
         io::Error::new(kind, format!("injected transient fault: {what}"))
-    }
-
-    /// Count one settled job in this worker process and, under a `kill`
-    /// plan in the [`FaultRole::Worker`] role, exit abruptly at the plan's
-    /// K-th — the socket worker calls this as each job settles.
-    pub(crate) fn kill_check(&self) {
-        if self.role != FaultRole::Worker || !self.has(FaultKind::Kill) {
-            return;
-        }
-        let n = self.settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if n == self.kill_at {
-            eprintln!(
-                "chaos: killing worker {} at settled job {n} (seed {})",
-                std::process::id(),
-                self.cfg.seed
-            );
-            std::process::exit(87);
-        }
     }
 
     /// The store-append seam, called before `line` is written on attempt
@@ -639,37 +503,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_config_round_trips_through_its_env_string() {
-        let cfg = FaultPlanConfig::parse("42:torn+delay+poison").unwrap();
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(
-            cfg.kinds,
-            vec![FaultKind::Torn, FaultKind::Delay, FaultKind::Poison]
-        );
-        assert_eq!(FaultPlanConfig::parse(&cfg.env_string()).unwrap(), cfg);
-        // `all` expands to every non-poison kind.
-        let all = FaultPlanConfig::parse("7:all").unwrap();
-        assert!(all.kinds.contains(&FaultKind::Kill));
-        assert!(!all.kinds.contains(&FaultKind::Poison));
-        assert!(FaultPlanConfig::parse("7").is_err());
-        assert!(FaultPlanConfig::parse("7:bogus").is_err());
-        assert!(
-            FaultPlanConfig::parse("7:skew").is_err(),
-            "skew is not a fault kind"
-        );
-        assert!(FaultPlanConfig::parse("x:torn").is_err());
-    }
-
-    #[test]
     fn poison_selection_is_deterministic_and_partial() {
-        let plan = FaultPlan::new(
-            FaultPlanConfig::parse("16:poison").unwrap(),
-            FaultRole::Worker,
-        );
-        let again = FaultPlan::new(
-            FaultPlanConfig::parse("16:poison").unwrap(),
-            FaultRole::Worker,
-        );
+        let cfg = FaultPlanConfig {
+            seed: 16,
+            kinds: vec![FaultKind::Poison],
+        };
+        let plan = FaultPlan::new(cfg.clone());
+        let again = FaultPlan::new(cfg);
         let keys: Vec<JobKey> = (0..6)
             .flat_map(|s| (0..3).flat_map(move |p| (0..8).map(move |seed| (s, p, seed))))
             .collect();

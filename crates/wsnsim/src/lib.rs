@@ -5,7 +5,8 @@
 //! and the Table II energy model, all driven by one deterministic
 //! discrete-event loop.
 //!
-//! This crate is what the figure binaries and the examples run.  The flow of
+//! This crate is what the `caem-bench` binaries (`paper`, `ablation`,
+//! `netperf`, `experiment`, `caem-serve`) and the examples run.  The flow of
 //! one simulation:
 //!
 //! 1. [`config::ScenarioConfig`] describes the scenario (node count, field,
@@ -19,8 +20,8 @@
 //! 4. [`experiment`] runs many simulations: any (scenario × policy × seed)
 //!    grid is enumerated into one flat job list and fanned out in a single
 //!    parallel layer, which returns every run's whole result
-//!    ([`experiment::ExperimentSpec::simulate`], what the figure binaries
-//!    plot) or aggregates the cells into mean ± 95 % CI summaries
+//!    ([`experiment::ExperimentSpec::simulate`], what `paper` and
+//!    `ablation` read) or aggregates the cells into mean ± 95 % CI summaries
 //!    ([`experiment::ExperimentSpec::run`]).
 //! 5. [`persist`] makes grids durable: completed jobs stream to a JSONL
 //!    [`persist::ExperimentStore`], interrupted grids resume with
@@ -81,9 +82,7 @@ pub use experiment::{
     ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,
     SequentialOutcome, SequentialRound, SequentialStopping,
 };
-pub use faults::{
-    classify_io_error, ErrorClass, FaultKind, FaultPlan, FaultPlanConfig, FaultRole, RunEvent,
-};
+pub use faults::{classify_io_error, ErrorClass, FaultKind, FaultPlan, FaultPlanConfig, RunEvent};
 pub use persist::{config_hash, ExperimentStore, JobFailure, JobRecord, StoreError, StoreOptions};
 pub use result::{NodeSummary, SimulationResult};
 pub use runner::SimulationRun;

@@ -1,4 +1,5 @@
-//! Simulation output: the metric trackers the figure binaries consume.
+//! Simulation output: the metric trackers the `paper` and `ablation`
+//! binaries read, and the run counters `netperf` times.
 
 use caem::policy::PolicyKind;
 use caem_energy::battery::EnergyLedger;

@@ -63,8 +63,7 @@ pub struct SocketWorkerOptions {
     /// between jobs.
     pub stop: Arc<AtomicBool>,
     /// The fault plan the worker's jobs run under: it poisons a subset of
-    /// jobs and, in a worker process, exits at the plan's K-th settled job.
-    /// `None`, the default, never injects.
+    /// jobs.  `None`, the default, never injects.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -313,9 +312,6 @@ fn run_shard(
                     // A send failure means the streamer bailed on a dead
                     // link; the outcome still counts.
                     let _ = line_tx.send(settled.encode());
-                    if let Some(plan) = faults {
-                        plan.kill_check();
-                    }
                     Some(matches!(settled, SettledLine::Record(_)))
                 })
                 .collect::<Vec<Option<bool>>>()

@@ -12,7 +12,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
-use caem_suite::wsnsim::faults::{FaultKind, FaultPlan, FaultPlanConfig, FaultRole, POISON_MARKER};
+use caem_suite::wsnsim::faults::{
+    FaultKind, FaultPlan, FaultPlanConfig, FAULT_KINDS, POISON_MARKER,
+};
 use caem_suite::wsnsim::persist::{ExperimentStore, JobKey, JobRecord, StoreOptions};
 use caem_suite::wsnsim::spec::{GridQuick, GridSpec, ScenarioQuick, SeedAxis};
 use proptest::prelude::*;
@@ -69,29 +71,32 @@ fn small_grid(rng: &mut TestRng) -> ExperimentSpec {
 }
 
 /// A random plan for `spec`: a seed and a non-empty subset of the
-/// recoverable kinds `torn`, `transient` and `delay`, plus `poison` in about
-/// half the plans.  A poisoning plan's seed is drawn again until it poisons
-/// at least one of `spec`'s jobs, so every poison plan fires.
+/// recoverable kinds (every [`FAULT_KINDS`] entry but `poison`), plus
+/// `poison` in about half the plans.  A poisoning plan's seed is drawn
+/// again until it poisons at least one of `spec`'s jobs, so every poison
+/// plan fires.
 fn random_plan(rng: &mut TestRng, spec: &ExperimentSpec) -> FaultPlanConfig {
     let poison = any::<bool>().sample(rng);
-    let mask = (1u8..8).sample(rng) | if poison { 8 } else { 0 };
-    let kinds: Vec<FaultKind> = [
-        FaultKind::Torn,
-        FaultKind::Transient,
-        FaultKind::Delay,
-        FaultKind::Poison,
-    ]
-    .into_iter()
-    .enumerate()
-    .filter(|&(bit, _)| mask & (1 << bit) != 0)
-    .map(|(_, kind)| kind)
-    .collect();
+    let recoverable: Vec<FaultKind> = FAULT_KINDS
+        .into_iter()
+        .filter(|&kind| kind != FaultKind::Poison)
+        .collect();
+    let mask = (1u8..1 << recoverable.len()).sample(rng);
+    let mut kinds: Vec<FaultKind> = recoverable
+        .into_iter()
+        .enumerate()
+        .filter(|&(bit, _)| mask & (1 << bit) != 0)
+        .map(|(_, kind)| kind)
+        .collect();
+    if poison {
+        kinds.push(FaultKind::Poison);
+    }
     loop {
         let cfg = FaultPlanConfig {
             seed: any::<u64>().sample(rng),
             kinds: kinds.clone(),
         };
-        let plan = FaultPlan::new(cfg.clone(), FaultRole::Host);
+        let plan = FaultPlan::new(cfg.clone());
         if !poison || !poisoned_keys(spec, &plan).is_empty() {
             return cfg;
         }
@@ -135,9 +140,9 @@ fn poisoned_keys(spec: &ExperimentSpec, plan: &FaultPlan) -> Vec<JobKey> {
 /// bytes, and the served run reports the clean records minus the poisoned
 /// jobs, which it lists as quarantined.
 fn check_case(case: usize, spec: &ExperimentSpec, cfg: &FaultPlanConfig, resume_at: usize) {
-    let what = format!("case {case}, plan {}", cfg.env_string());
+    let what = format!("case {case}, plan {cfg:?}");
     let clean_bits = report_bits(&spec.run());
-    let plan = FaultPlan::new(cfg.clone(), FaultRole::Host);
+    let plan = FaultPlan::new(cfg.clone());
 
     // The local engine's parallel workers append through one shared store,
     // whose appends tear and fail transiently.
@@ -267,7 +272,7 @@ fn poison_jobs_are_quarantined_and_stay_settled_on_resume() {
                 seed,
                 kinds: vec![FaultKind::Poison],
             };
-            let plan = FaultPlan::new(cfg, FaultRole::Host);
+            let plan = FaultPlan::new(cfg);
             let poisoned = poisoned_keys(&spec, &plan);
             (!poisoned.is_empty() && poisoned.len() < spec.job_count()).then_some((plan, poisoned))
         })
@@ -338,27 +343,4 @@ fn an_fsynced_store_round_trips_its_report() {
         report_bits(&direct)
     );
     std::fs::remove_file(&store_path).ok();
-}
-
-/// How a worker process takes its plan: from the `CAEM_CHAOS` value in its
-/// environment.
-#[test]
-fn a_worker_rebuilds_the_plan_from_its_env_value() {
-    let plan = FaultPlan::from_env_value(Some("21:torn+delay"), FaultRole::Worker)
-        .expect("well-formed plan parses")
-        .expect("a non-empty value is a plan");
-    assert_eq!(plan.config().env_string(), "21:torn+delay");
-    assert_eq!(plan.injected(), 0, "a fresh plan has injected nothing");
-    assert!(
-        FaultPlan::from_env_value(Some("not-a-plan"), FaultRole::Worker).is_err(),
-        "a malformed plan is a hard error, not a silent clean run"
-    );
-    for unset in [None, Some("")] {
-        assert!(
-            FaultPlan::from_env_value(unset, FaultRole::Worker)
-                .expect("an unset value is fine")
-                .is_none(),
-            "no value, no plan"
-        );
-    }
 }

@@ -1,17 +1,14 @@
 //! Properties of the fault-injection harness: the backoff schedule is
 //! deterministic and bounded, every transient IO error class is retried,
-//! fatal errors abort exactly once, and a fault-plan config round-trips
-//! through its environment-variable encoding.
+//! and fatal errors abort exactly once.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use caem_suite::wsnsim::faults::{
-    backoff_delay, classify_io_error, retry_transient, ErrorClass, FaultPlanConfig, FAULT_KINDS,
-    RETRY_ATTEMPTS, RETRY_MAX_DELAY,
+    backoff_delay, classify_io_error, retry_transient, ErrorClass, RETRY_ATTEMPTS, RETRY_MAX_DELAY,
 };
-use proptest::prelude::*;
 
 /// Every io::Error the harness classifies as transient, by construction.
 fn transient_errors() -> Vec<io::Error> {
@@ -62,27 +59,6 @@ fn backoff_is_deterministic_per_seed_and_bounded() {
     }
 }
 
-proptest! {
-    /// A fault-plan config survives the trip to a worker process through its
-    /// environment-variable encoding, whatever subset of kinds it uses.
-    #[test]
-    fn fault_plan_config_round_trips(
-        seed in any::<u64>(),
-        mask in 1u64..(1 << FAULT_KINDS.len()),
-    ) {
-        let cfg = FaultPlanConfig {
-            seed,
-            kinds: FAULT_KINDS
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &k)| k)
-                .collect(),
-        };
-        prop_assert_eq!(FaultPlanConfig::parse(&cfg.env_string()).unwrap(), cfg);
-    }
-}
-
 #[test]
 fn every_transient_error_class_is_retried_to_success() {
     for template in transient_errors() {
@@ -128,25 +104,5 @@ fn fatal_errors_abort_exactly_once() {
         assert!(result.is_err());
         assert_eq!(calls.load(Ordering::SeqCst), 1, "{template}: no retry");
         assert_eq!(classify_io_error(&template), ErrorClass::Fatal);
-    }
-}
-
-#[test]
-fn malformed_fault_plan_specs_are_rejected() {
-    for bad in [
-        "",
-        "11",
-        ":kill",
-        "seed:kill",
-        "11:",
-        "11:bogus",
-        "11:kill+",
-        "11:kill+bogus",
-        "11:skew",
-    ] {
-        assert!(
-            FaultPlanConfig::parse(bad).is_err(),
-            "{bad:?} should not parse"
-        );
     }
 }
